@@ -2,8 +2,8 @@
 
 Expected shape: every cell deploys and drains its whole fleet (deploys ==
 expiries == VMs), single-shard cells hold nearly the entire fleet in the
-pending queue at peak (the million-timer standing set the calendar-queue
-backend exists for), and sharding divides the peak per cell. The memory
+pending queue at peak (a million-timer standing set on the kernel's one
+binary-heap event queue), and sharding divides the peak per cell. The memory
 test is the committed budget the hyperscale story depends on: a 100k-VM
 cell (10k in quick mode) must finish inside ``HYPERSCALE_RSS_BUDGET_MB``
 of process peak RSS — the tripwire that catches any per-timer allocation
@@ -13,7 +13,7 @@ creeping into the kernel hot path.
 import os
 
 #: Peak process RSS (ru_maxrss, MB) allowed for the budget cell. The full
-#: exhibit's 1M-VM cell measures ~490 MB standalone; the budget holds ~2x
+#: exhibit's 1M-VM cell measures ~405 MB standalone; the budget holds ~2.5x
 #: headroom so interpreter noise never trips it while a per-entry memory
 #: regression of that order still does.
 HYPERSCALE_RSS_BUDGET_MB = 1024.0
@@ -39,7 +39,7 @@ def test_bench_hyperscale(exhibit):
 
 
 def test_hyperscale_cell_memory_budget(benchmark):
-    """A >=100k-VM cell (10k quick) on the calendar backend, inside budget."""
+    """A >=100k-VM cell (10k quick), inside the RSS budget."""
     from repro.core.experiments import hyperscale_sweep
 
     vms = 10_000 if QUICK else 100_000
@@ -47,7 +47,6 @@ def test_hyperscale_cell_memory_budget(benchmark):
         hyperscale_sweep,
         kwargs={
             "seed": SEED,
-            "queue": "calendar",
             "fleets": (vms,),
             "shard_counts": (1,),
         },

@@ -142,67 +142,6 @@ def test_cancel_storm_heap_bounded(benchmark):
     assert peak < 200
 
 
-def run_calendar_churn(standing, cycles, queue):
-    """Hyperscale head churn: a near-term storm over a deep standing set.
-
-    The fleet shape from the paper: ``standing`` long-lived lifetime timers
-    spread over a day (armed once, still pending when the bench ends) while
-    a storm of short control-plane service timers fires and re-arms at the
-    head of the schedule, ``cycles`` times in total. Every storm dispatch
-    makes the heap sift the full O(log n) height of the standing set; the
-    calendar queue serves and refills its head buckets for amortized O(1),
-    which is the gap this bench exists to record.
-
-    The collector is paused for the duration: the standing timers are
-    long-lived by construction, and generational rescans of a deliberately
-    huge live set would otherwise drown the queue cost being measured.
-    Storm timers are ``sim.timeout()`` objects held by nobody, so the
-    re-arm path also exercises the kernel's timeout pool.
-    """
-    import gc
-
-    sim = Simulator(queue=queue)
-    rng = random.Random(0)
-    draw = rng.random
-    timeout = sim.timeout
-    fired = 0
-    stop = Event(sim, name="stop")
-
-    def rearm(event):
-        nonlocal fired
-        fired += 1
-        if fired >= cycles:
-            if fired == cycles:
-                stop.succeed()
-            return
-        timeout(draw()).callbacks.append(rearm)
-
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(standing):
-            timeout(1.0 + draw() * 86_400.0)
-        for _ in range(64):  # storm timers in flight
-            timeout(draw()).callbacks.append(rearm)
-        sim.run(until=stop)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return fired
-
-
-def test_calendar_churn_throughput(benchmark):
-    """300k standing timers, 1.2M fire/re-arm cycles on the calendar backend.
-
-    The shape matters: the standing set must be deep (below ~100k timers
-    the C-accelerated heap's sift is still cheap enough to tie) and the
-    storm must dominate the runtime (the one-time arming phase costs the
-    same on both backends and only dilutes the measured gap).
-    """
-    fired = benchmark(run_calendar_churn, 300_000, 1_200_000, "calendar")
-    assert fired == 1_200_000
-
-
 def run_batch_sampling(draws, batched):
     """Workload variate generation: arrival gap + lifetime per deploy.
 

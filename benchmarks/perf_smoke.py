@@ -35,7 +35,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from bench_kernel_micro import (  # noqa: E402
     run_batch_sampling,
-    run_calendar_churn,
     run_cancel_storm,
     run_fair_share_churn,
     run_resource_contention,
@@ -57,12 +56,6 @@ BENCHES = {
     "fair_share_churn": (run_fair_share_churn, (500,), 500, "transfers"),
     "spawn_churn": (run_spawn_churn, (400, 12), 4_800, "processes"),
     "cancel_storm": (run_cancel_storm, (20_000,), 20_000, "cancel/rearm cycles"),
-    "calendar_churn": (
-        run_calendar_churn,
-        (300_000, 1_200_000, "calendar"),
-        1_200_000,
-        "fire/re-arm cycles over 300k standing timers",
-    ),
     "batch_sampling": (
         run_batch_sampling,
         (200_000, True),

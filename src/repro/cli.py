@@ -269,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan shard cells across N worker processes (0 = one per CPU)",
     )
     hyperscale_cmd.add_argument(
-        "--queue", choices=("calendar", "heap"), default="calendar",
-        help="kernel queue backend for the cells (default calendar)",
-    )
-    hyperscale_cmd.add_argument(
         "--fleet", type=int, action="append", metavar="VMS",
         help="fleet size; repeatable (default: 100k and 1M, or 2k/10k with --quick)",
     )
@@ -966,11 +962,10 @@ def cmd_hyperscale(args: argparse.Namespace) -> int:
         seed=args.seed,
         quick=args.quick,
         parallel=args.parallel,
-        queue=args.queue,
         fleets=args.fleet,
         shard_counts=args.shards,
     )
-    print(f"hyperscale fleet cells ({args.queue} queue backend):")
+    print("hyperscale fleet cells:")
     print(
         f"{'VMs':>9} {'shards':>6} {'deploys':>9} {'expiries':>9} "
         f"{'peak pending':>12} {'drain days':>10} {'events/s':>10} "

@@ -136,7 +136,9 @@ class ManagementServer:
         self.tasks.journal = self.journal
         self.tasks.recovery = self.recovery
         self._crash_tokens: set = set()
-        self._inflight: set[Process] = set()
+        # Insertion-ordered, so a crash interrupts in admission order: set
+        # order follows object addresses and would leak into the schedule.
+        self._inflight: dict[Process, None] = {}
         # Read-only observers of crash onset, called as listener(server, now)
         # on the first active token only (the incident recorder snapshots
         # here). Listeners must not mutate simulation state.
@@ -434,8 +436,8 @@ class ManagementServer:
         )
         # Track the lifecycle so a ServerCrash window can interrupt it;
         # drop the reference as soon as the process finishes.
-        self._inflight.add(process)
-        process.callbacks.append(lambda _event: self._inflight.discard(process))
+        self._inflight[process] = None
+        process.callbacks.append(lambda _event: self._inflight.pop(process, None))
         return process
 
     def execute(self, operation: "Operation", priority: float = 5.0) -> Process:
@@ -477,9 +479,9 @@ class ManagementServer:
                 self._agent_call(agent, kind, median_s, span),
                 name=f"{self.name}:hostd-handler:{agent.host.entity_id}",
             )
-            self._inflight.add(handler)
+            self._inflight[handler] = None
             handler.callbacks.append(
-                lambda _event, h=handler: self._inflight.discard(h)
+                lambda _event, h=handler: self._inflight.pop(h, None)
             )
             self.bus.bridge(handler, message)
 

@@ -87,11 +87,10 @@ class StormRig:
         bus: bool = False,
         direct_calls: bool = True,
         triage: bool = False,
-        queue: str | None = None,
         sample_budget: int | None = None,
         recorder: bool = False,
     ) -> None:
-        self.sim = Simulator(queue=queue)
+        self.sim = Simulator()
         self.streams = RandomStreams(seed)
         # sample_budget switches traced runs onto tail-based retention:
         # full span trees inside a fixed budget instead of keep-everything.
@@ -2136,12 +2135,12 @@ def experiment_x8_federation(seed: int = 0, quick: bool = False) -> ExperimentRe
 
 
 def _hyperscale_cell(
-    cell: tuple[int, int, int, str | None],
+    cell: tuple[int, int, int],
 ) -> dict[str, typing.Any]:
     """One hyperscale shard cell: a VM fleet lifecycle on raw kernel timers.
 
     This deliberately bypasses the management-server task pipeline — the
-    question the exhibit answers is whether the *substrate* (queue backend,
+    question the exhibit answers is whether the *substrate* (event queue,
     timeout pool, batched sampling) carries a paper-scale fleet, so each VM
     is exactly two pooled timeouts: an arrival that places it on a host and
     arms its lifetime, and the lifetime expiry that frees the slot. The
@@ -2158,9 +2157,9 @@ def _hyperscale_cell(
     from repro.core.parallel import derive_seed
     from repro.workloads.sampling import BatchedExponentials, BatchedLifetimes
 
-    seed, shard_index, vms, queue = cell
+    seed, shard_index, vms = cell
     started = _time.perf_counter()
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     streams = RandomStreams(derive_seed(seed, shard_index))
     # One simulated hour of arrivals, CLOUD_A lifetimes (median 6h): nearly
     # the whole fleet is still pending when arrivals stop, which is what
@@ -2214,7 +2213,6 @@ def hyperscale_sweep(
     seed: int = 0,
     quick: bool = False,
     parallel: int | None = None,
-    queue: str | None = None,
     fleets: typing.Sequence[int] | None = None,
     shard_counts: typing.Sequence[int] | None = None,
 ) -> list[dict[str, typing.Any]]:
@@ -2234,10 +2232,7 @@ def hyperscale_sweep(
     for fleet in fleets:
         for shards in shard_counts:
             per_cell = fleet // shards
-            cells = [
-                (seed, shard_index, per_cell, queue)
-                for shard_index in range(shards)
-            ]
+            cells = [(seed, shard_index, per_cell) for shard_index in range(shards)]
             outcomes = run_cells(_hyperscale_cell, cells, parallel=parallel)
             events = sum(o["deploys"] + o["expiries"] for o in outcomes)
             wall = max(o["wall_s"] for o in outcomes)

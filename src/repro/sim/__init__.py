@@ -20,7 +20,6 @@ The public surface:
 
 from repro.sim.events import AllOf, AnyOf, Event, EventCancelled, Timeout
 from repro.sim.kernel import Interrupt, Process, Simulator
-from repro.sim.queues import CalendarQueue
 from repro.sim.random import RandomStreams
 from repro.sim.resources import PriorityResource, Resource, Store
 from repro.sim.stats import (
@@ -36,7 +35,6 @@ from repro.sim.stats import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Counter",
     "Event",
     "EventCancelled",

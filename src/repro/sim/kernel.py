@@ -23,16 +23,14 @@ on the single shared scan in :meth:`Simulator._prune`, and when dead
 entries outnumber live ones the heap is compacted in place, so cancel-heavy
 runs keep a bounded heap.
 
-Queue backends
---------------
+One queue
+---------
 
-``Simulator(queue="heap")`` (the default) keeps the inlined binary heap;
-``queue="calendar"`` swaps in the :class:`~repro.sim.queues.CalendarQueue`,
-O(1) amortized under hyperscale pending sets. Both implement the same
-``(time, priority, sequence)`` total order and the same cancel/compaction
-semantics, so schedules are byte-identical — the heap is retained for
-differential testing and small runs. ``REPRO_SIM_QUEUE`` selects the
-default backend process-wide (used by the queue-equality CI job).
+The schedule is a single inlined ``heapq`` binary heap of ``(time,
+priority, sequence, event)`` entries. It is the only event queue: every
+exhibit and test runs on it, so there is one code path to keep
+deterministic (``docs/performance.md`` records the measurements behind
+that choice).
 
 Timeouts are pooled: a fired :class:`Timeout` that nothing else references
 is recycled onto a per-simulator free list and reused by
@@ -44,9 +42,7 @@ identical either way.
 
 from __future__ import annotations
 
-import os
 import typing
-import warnings
 from collections import deque
 from heapq import heapify, heappop, heappush
 
@@ -59,7 +55,6 @@ from repro.sim.events import (
     EventCancelled,
     Timeout,
 )
-from repro.sim.queues import CalendarQueue
 
 ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 
@@ -224,11 +219,6 @@ class Simulator:
         When True (the default) same-tick process resumes use the urgent
         FIFO instead of relay events. Schedules are identical either way;
         the flag exists for differential testing.
-    queue:
-        Scheduling backend: ``"heap"`` (binary heap, the default) or
-        ``"calendar"`` (calendar queue, O(1) amortized at hyperscale).
-        ``None`` reads ``REPRO_SIM_QUEUE`` from the environment, falling
-        back to the heap. Schedules are byte-identical across backends.
     pool_events:
         When True (the default) fired timeouts with no outside references
         are recycled through a per-simulator free list. Never affects the
@@ -239,19 +229,10 @@ class Simulator:
         self,
         start: float = 0.0,
         fast_resume: bool = True,
-        queue: str | None = None,
         pool_events: bool = True,
     ) -> None:
-        if queue is None:
-            queue = os.environ.get("REPRO_SIM_QUEUE") or "heap"
-        if queue not in ("heap", "calendar"):
-            raise ValueError(f"unknown queue backend {queue!r}; use 'heap' or 'calendar'")
         self._now = float(start)
         self._heap: list[tuple[float, int, int, Event]] = []
-        self._calendar: CalendarQueue | None = (
-            CalendarQueue(start) if queue == "calendar" else None
-        )
-        self._queue_kind = queue
         self._urgent: deque[tuple[float, int, typing.Callable[[], None]]] = deque()
         self._sequence = 0
         self._spawned = 0
@@ -265,25 +246,9 @@ class Simulator:
         return self._now
 
     @property
-    def queue_backend(self) -> str:
-        """The scheduling backend in use: ``"heap"`` or ``"calendar"``."""
-        return self._queue_kind
-
-    @property
     def queue_depth(self) -> int:
         """Scheduled entries, live and dead — bounded by queue hygiene."""
-        calendar = self._calendar
-        return len(self._heap) if calendar is None else len(calendar)
-
-    @property
-    def heap_size(self) -> int:
-        """Deprecated alias for :attr:`queue_depth` (pre-calendar name)."""
-        warnings.warn(
-            "Simulator.heap_size is deprecated; use Simulator.queue_depth",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.queue_depth
+        return len(self._heap)
 
     # -- event construction ------------------------------------------------
 
@@ -310,12 +275,7 @@ class Simulator:
             timeout._value = value
             timeout.delay = delay
             self._sequence += 1
-            entry = (self._now + delay, NORMAL, self._sequence, timeout)
-            calendar = self._calendar
-            if calendar is None:
-                heappush(self._heap, entry)
-            else:
-                calendar.push(entry)
+            heappush(self._heap, (self._now + delay, NORMAL, self._sequence, timeout))
             return timeout
         return Timeout(self, delay, value=value)
 
@@ -333,11 +293,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._sequence += 1
-        calendar = self._calendar
-        if calendar is None:
-            heappush(self._heap, (self._now + delay, priority, self._sequence, event))
-        else:
-            calendar.push((self._now + delay, priority, self._sequence, event))
+        heappush(self._heap, (self._now + delay, priority, self._sequence, event))
 
     def _defer(self, fn: typing.Callable[[], None]) -> None:
         """Schedule a same-tick kernel resume without an Event allocation.
@@ -351,10 +307,6 @@ class Simulator:
 
     def _note_cancelled(self) -> None:
         """A scheduled queue entry died; compact when the dead dominate."""
-        calendar = self._calendar
-        if calendar is not None:
-            calendar.note_cancelled()
-            return
         self._cancelled_in_heap += 1
         if self._cancelled_in_heap >= 64 and self._cancelled_in_heap * 2 >= len(self._heap):
             # In-place so loops holding a reference to the heap stay valid.
@@ -373,9 +325,6 @@ class Simulator:
 
     def _head(self) -> tuple[float, int, int, Event] | None:
         """The minimum live queue entry, pruning dead heads — or ``None``."""
-        calendar = self._calendar
-        if calendar is not None:
-            return calendar.peek()
         self._prune()
         heap = self._heap
         return heap[0] if heap else None
@@ -403,11 +352,7 @@ class Simulator:
                 return
         if head is None:
             raise RuntimeError("step() on an empty schedule")
-        calendar = self._calendar
-        if calendar is None:
-            when, _priority, _seq, event = heappop(self._heap)
-        else:
-            when, _priority, _seq, event = calendar.pop()
+        when, _priority, _seq, event = heappop(self._heap)
         head = None  # drop the entry tuple so the timeout pool's refcount guard holds
         if when < self._now:
             raise RuntimeError("event scheduled in the past; kernel invariant broken")
@@ -432,11 +377,6 @@ class Simulator:
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError(f"until={horizon} is in the past (now={self._now})")
-        if self._calendar is not None:
-            return self._run_calendar(target, horizon)
-        return self._run_heap(target, horizon)
-
-    def _run_heap(self, target: Event | None, horizon: float | None) -> typing.Any:
         # One inlined drain loop for all three modes: per-event dispatch is
         # the simulator's innermost loop, so heap/urgent/method lookups are
         # bound locally and the cancelled scan happens exactly once per
@@ -471,69 +411,6 @@ class Simulator:
                 # Not yet due: put it back and stop at the horizon.
                 heappush(heap, (when, _priority, _seq, event))
                 break
-            self._now = when
-            event._run_callbacks()
-        if horizon is not None:
-            self._now = horizon
-        return None
-
-    def _run_calendar(self, target: Event | None, horizon: float | None) -> typing.Any:
-        # Calendar drain: peek caches the head bucket, so the peek/pop pair
-        # is O(1); a beyond-horizon head simply stays queued (no push-back).
-        calendar = self._calendar
-        assert calendar is not None
-        urgent = self._urgent
-        peek = calendar.peek
-        pop = calendar.pop
-        while True:
-            if target is not None and target._state == PROCESSED:
-                return target.value
-            if not urgent and horizon is None:
-                # Fast path: nothing can precede the queue head and there is
-                # no horizon to respect, so skip the separate peek.
-                try:
-                    head = pop()
-                except IndexError:
-                    if target is not None:
-                        raise RuntimeError(
-                            f"simulation ran dry before {target!r} fired (deadlock?)"
-                        ) from None
-                    break
-                when = head[0]
-                event = head[3]
-                # Drop the entry-tuple reference before dispatch so a fired
-                # Timeout sees the same ambient refcount as on the heap path
-                # (the pool's recycle guard depends on it).
-                head = None
-                self._now = when
-                event._run_callbacks()
-                continue
-            head = peek()
-            if urgent:
-                entry = urgent[0]
-                if head is None or (entry[0], NORMAL, entry[1]) <= head[:3]:
-                    when = entry[0]
-                    if horizon is not None and when > horizon:
-                        break
-                    urgent.popleft()
-                    self._now = when
-                    entry[2]()
-                    continue
-            elif head is None:
-                if target is not None:
-                    raise RuntimeError(
-                        f"simulation ran dry before {target!r} fired (deadlock?)"
-                    )
-                break
-            when = head[0]
-            if horizon is not None and when > horizon:
-                break
-            pop()
-            event = head[3]
-            # Drop the entry-tuple reference before dispatch so a fired
-            # Timeout sees the same ambient refcount as on the heap path
-            # (the pool's recycle guard depends on it).
-            head = None
             self._now = when
             event._run_callbacks()
         if horizon is not None:

@@ -152,6 +152,40 @@ def test_crash_mid_full_copy_reissues_idempotently():
     assert result.completed == 6
 
 
+def test_crash_interrupts_inflight_tasks_in_admission_order():
+    # Each interrupt draws a kernel sequence number, so the order the crash
+    # walks its in-flight set is part of the schedule: it must be the order
+    # the tasks were admitted, not one that follows object addresses.
+    rig = StormRig(
+        seed=0,
+        hosts=8,
+        datastores=2,
+        config=ControlPlaneConfig(max_inflight_tasks=16),
+        journal=True,
+    )
+    for index in range(64):
+        rig.server.submit(rig.clone_op(index, linked=True))
+    rig.sim.run(until=1.0)
+    admitted = [task.task_id for task in rig.server.tasks.tasks if task.finished_at is None]
+    assert len(admitted) == 64
+
+    rig.server.crash("window")
+    rig.sim.run(until=rig.sim.now)  # deliver the same-tick interrupts
+    parked = [slot.task.task_id for slot in rig.server.recovery._parked]
+    rig.server.restart("window")
+    rig.sim.run()
+    assert parked == admitted
+    rig.server.tasks.assert_accounted()
+
+
+def test_crash_point_reruns_identically_in_one_process():
+    first = run_crash_point(seed=3, crash_at_s=4.0, downtime_s=20.0, total=12, concurrency=4)
+    second = run_crash_point(seed=3, crash_at_s=4.0, downtime_s=20.0, total=12, concurrency=4)
+    assert first.ok, first.violations
+    assert first.parked > 0
+    assert second == first
+
+
 def test_crash_requeues_tasks_waiting_at_dispatch():
     # run_crash_point caps max_inflight below the worker concurrency, so an
     # early crash always catches at least one task at the dispatch wait.

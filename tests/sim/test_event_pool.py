@@ -24,18 +24,16 @@ def _drive_chain(sim, cycles=200):
     sim.run()
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
-def test_timeouts_are_recycled(queue):
-    sim = Simulator(queue=queue)
+def test_timeouts_are_recycled():
+    sim = Simulator()
     _drive_chain(sim)
     # The chain reuses a tiny working set instead of 200 fresh objects.
     assert sim._timeout_pool
     assert len(sim._timeout_pool) < 8
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
-def test_pool_objects_are_reused(queue):
-    sim = Simulator(queue=queue)
+def test_pool_objects_are_reused():
+    sim = Simulator()
     seen = set()
 
     def chain():

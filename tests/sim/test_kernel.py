@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Event, EventCancelled, Interrupt, Simulator
+from repro.storage import FairShareLink
 
 
 def test_time_starts_at_zero():
@@ -360,3 +361,36 @@ def test_determinism_same_schedule_twice():
         return log
 
     assert build_and_run() == build_and_run()
+
+
+# -- the event queue ---------------------------------------------------------
+
+
+def test_queue_depth_counts_live_and_dead_entries():
+    sim = Simulator()
+    sim.timeout(1.0)
+    doomed = sim.timeout(2.0)
+    assert sim.queue_depth == 2
+    doomed.cancel()
+    assert sim.queue_depth == 2  # the dead entry stays until it is pruned
+    sim.run()
+    assert sim.queue_depth == 0
+
+
+def test_fair_share_churn_bounded_depth():
+    # Every membership change cancels and re-arms the link's completion
+    # timer; queue hygiene must keep the dead entries from piling up.
+    sim = Simulator()
+    link = FairShareLink(sim, capacity_bps=1e6)
+    done = []
+
+    def submit(index):
+        yield sim.timeout(index * 0.01)
+        yield link.transfer(5e4)
+        done.append(sim.queue_depth)
+
+    for index in range(200):
+        sim.spawn(submit(index))
+    sim.run()
+    assert len(done) == 200
+    assert max(done) < 700
