@@ -451,43 +451,26 @@ def cmd_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    from repro.controlplane.costs import ControlPlaneConfig
-    from repro.controlplane.resilience import RetryPolicy
-    from repro.faults import FaultInjector, FaultSchedule, FaultTargets, ServerCrash
-    from repro.faults.chaos import check_exactly_once
+    from repro.faults import ServerCrash
+    from repro.faults.chaos import run_fault_point, storm_rig
 
+    if args.clones < 1 or args.concurrency < 1:
+        print("error: --clones and --concurrency must be >= 1", file=sys.stderr)
+        return 2
     if args.crash_at <= 0 or args.downtime <= 0:
         print("error: --crash-at and --downtime must be positive", file=sys.stderr)
         return 2
-    config = ControlPlaneConfig(
-        max_inflight_tasks=max(1, args.concurrency - 1),
-        retry_policy=RetryPolicy(
-            max_attempts=4, base_backoff_s=1.0, max_backoff_s=10.0, jitter=0.5
-        ),
+    rig = storm_rig(args.seed, args.clones, args.concurrency, linked=not args.full)
+    result = run_fault_point(
+        rig, [ServerCrash(start_s=args.crash_at, duration_s=args.downtime, count=1)]
     )
-    rig = StormRig(
-        seed=args.seed, hosts=8, datastores=2, config=config, journal=True
-    )
-    injector = FaultInjector(
-        rig.sim,
-        FaultTargets.for_server(rig.server),
-        FaultSchedule(
-            [ServerCrash(start_s=args.crash_at, duration_s=args.downtime, count=1)]
-        ),
-        rng=rig.streams.stream("recover-injector"),
-    ).start()
-    outcome = rig.closed_loop_storm(
-        args.clones, args.concurrency, linked=not args.full
-    )
-    rig.sim.run(until=rig.sim.spawn(injector.drain(), name="recover-drain"))
-    rig.sim.run()
+    server = rig.env.server
 
     mode = "full" if args.full else "linked"
-    tasks = rig.server.tasks
-    journal = rig.server.journal
+    journal = server.journal
     print(
-        f"{mode} storm: {outcome['completed']} clones in "
-        f"{outcome['makespan_s']:.0f}s with a crash at {args.crash_at:.0f}s "
+        f"{mode} storm: {result.completed} clones in "
+        f"{result.makespan_s:.0f}s with a crash at {args.crash_at:.0f}s "
         f"({args.downtime:.0f}s down)"
     )
     print(
@@ -495,7 +478,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         f"({len(journal.terminal_counts())} terminal, "
         f"{len(journal.open_task_ids())} open)"
     )
-    for index, epoch in enumerate(rig.server.recovery.crashes):
+    for index, epoch in enumerate(server.recovery.crashes):
         print(
             f"crash #{index + 1} at {epoch.crashed_at:.1f}s: "
             f"{epoch.interrupted} in-flight interrupted, {epoch.parked} parked; "
@@ -504,12 +487,11 @@ def cmd_recover(args: argparse.Namespace) -> int:
             f"adopted {epoch.adopted}, rolled back {epoch.rolled_back}, "
             f"reissued {epoch.reissued}, requeued {epoch.requeued}"
         )
-    print(f"dead letters:  {len(tasks.dead_letters)}")
-    print(f"unaccounted:   {len(tasks.unaccounted())}")
-    violations = check_exactly_once(rig.server)
-    if violations:
+    print(f"dead letters:  {result.dead_letters}")
+    print(f"unaccounted:   {len(server.tasks.unaccounted())}")
+    if result.violations:
         print("exactly-once VIOLATED:")
-        for violation in violations:
+        for violation in result.violations:
             print(f"  - {violation}")
         return 1
     print("exactly-once invariant: held")
@@ -743,13 +725,22 @@ def cmd_bus(args: argparse.Namespace) -> int:
     from repro.controlplane.costs import ControlPlaneConfig
     from repro.controlplane.resilience import RetryPolicy
     from repro.datacenter.templates import MEDIUM_LINUX
-    from repro.faults import FaultInjector, FaultSchedule, FaultTargets
-    from repro.faults.chaos import _message_spec, check_exactly_once
+    from repro.faults import FaultInjector, FaultSchedule, FaultTargets, message_fault
+    from repro.faults.chaos import check_exactly_once
     from repro.sim.events import AllOf
 
     if args.deploys < 1 or args.concurrency < 1:
         print("error: --deploys and --concurrency must be >= 1", file=sys.stderr)
         return 2
+    faults = []
+    if args.fault != "none":
+        try:
+            faults.append(
+                message_fault(args.fault, args.rate, args.fault_at, args.fault_duration)
+            )
+        except ValueError as error_:
+            print(f"error: {error_}", file=sys.stderr)
+            return 2
     config = ControlPlaneConfig(
         retry_policy=RetryPolicy(
             max_attempts=4, base_backoff_s=1.0, max_backoff_s=10.0, jitter=0.5
@@ -769,14 +760,11 @@ def cmd_bus(args: argparse.Namespace) -> int:
     session = gateway.login(User("tenant", org))
 
     injector = None
-    if args.fault != "none":
-        spec = _message_spec(
-            args.fault, args.rate, args.fault_at, args.fault_duration
-        )
+    if faults:
         injector = FaultInjector(
             rig.sim,
             FaultTargets.for_server(rig.server),
-            FaultSchedule([spec]),
+            FaultSchedule(faults),
             rng=rig.streams.stream("bus-injector"),
         ).start()
 
@@ -817,8 +805,6 @@ def cmd_bus(args: argparse.Namespace) -> int:
         f"\n{'topic':<28} {'pub':>5} {'dlvr':>5} {'redlv':>5} {'dedup':>5} "
         f"{'drop':>5} {'shed':>5} {'dead':>5} {'depth':>5} {'wait(ms)':>9}"
     )
-    totals = {"published": 0, "delivered": 0, "redelivered": 0, "deduped": 0,
-              "dropped": 0, "shed": 0, "dead_lettered": 0}
     depths = bus.depths()
     for name, stats in bus.topic_stats().items():
         wait_ms = stats.mean_wait_s * 1000.0
@@ -828,13 +814,11 @@ def cmd_bus(args: argparse.Namespace) -> int:
             f"{stats.shed:>5} {stats.dead_lettered:>5} {depths[name]:>5} "
             f"{wait_ms:>9.1f}"
         )
-        totals["published"] += stats.published
-        totals["delivered"] += stats.delivered
-        totals["redelivered"] += stats.redelivered
-        totals["deduped"] += stats.deduped
-        totals["dropped"] += stats.dropped
-        totals["shed"] += stats.shed
-        totals["dead_lettered"] += stats.dead_lettered
+    totals = {
+        name: sum(getattr(stats, name) for stats in bus.topic_stats().values())
+        for name in ("published", "delivered", "redelivered", "deduped", "dropped",
+                     "shed", "dead_lettered")
+    }
     print(
         f"\ntotals: {totals['published']} published, "
         f"{totals['delivered']} delivered, {totals['redelivered']} redelivered, "
@@ -1001,7 +985,8 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 
 def cmd_federation(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import run_federation_fault_point
+    from repro.faults import message_fault
+    from repro.faults.chaos import federation_rig, hot_shard_crash, run_fault_point
 
     if args.deploys < 1 or args.concurrency < 1 or args.shards < 1 or args.orgs < 1:
         print("error: counts must be >= 1", file=sys.stderr)
@@ -1009,20 +994,26 @@ def cmd_federation(args: argparse.Namespace) -> int:
     if not 0.0 <= args.skew <= 1.0:
         print("error: --skew must be in [0, 1]", file=sys.stderr)
         return 2
-    result = run_federation_fault_point(
+    faults = []
+    try:
+        if args.crash_at is not None:
+            faults.append(hot_shard_crash(args.crash_kind, args.crash_at, args.downtime))
+        if args.fault != "none":
+            faults.append(message_fault(args.fault, args.rate, 5.0, 30.0))
+    except ValueError as error_:
+        print(f"error: {error_}", file=sys.stderr)
+        return 2
+    rig = federation_rig(
         args.seed,
-        kind=None if args.fault == "none" else args.fault,
-        intensity=args.rate,
         total=args.deploys,
         concurrency=args.concurrency,
         shards=args.shards,
         orgs=args.orgs,
         skew=args.skew,
-        crash_at_s=args.crash_at,
-        downtime_s=args.downtime,
-        crash_kind=args.crash_kind,
         affinity_only=args.affinity_only,
     )
+    result = run_fault_point(rig, faults)
+    counters = result.counters
     mode = "affinity-only" if args.affinity_only else "bus-routed"
     print(
         f"federation storm ({mode}): {args.deploys} deploys, "
@@ -1030,7 +1021,7 @@ def cmd_federation(args: argparse.Namespace) -> int:
     )
     if args.crash_at is not None:
         print(
-            f"  fault: {result.crash_kind} on the hot shard at "
+            f"  fault: {args.crash_kind} on the hot shard at "
             f"{args.crash_at:.1f}s for {args.downtime:.0f}s"
         )
     if args.fault != "none":
@@ -1054,7 +1045,7 @@ def cmd_federation(args: argparse.Namespace) -> int:
     )
     print(
         f"  goodput: {result.goodput_per_hour:.0f}/h  "
-        f"p95 deploy latency: {result.p95_latency_s:.1f}s  "
+        f"p95 deploy latency: {counters['p95_latency_s']:.1f}s  "
         f"makespan: {result.makespan_s:.1f}s"
     )
     if result.violations:

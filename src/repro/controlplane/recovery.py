@@ -318,10 +318,6 @@ class RecoveryManager:
     def parked_count(self) -> int:
         return len(self._parked)
 
-    @property
-    def last_crash(self) -> CrashEpoch | None:
-        return self.crashes[-1] if self.crashes else None
-
     def verdict_totals(self) -> dict[str, int]:
         totals = {"adopted": 0, "rolled_back": 0, "reissued": 0, "requeued": 0}
         for epoch in self.crashes:

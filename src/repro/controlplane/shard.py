@@ -98,9 +98,6 @@ class ShardedControlPlane:
         """Queued plus in-flight task lifecycles — the routing load signal."""
         return shard.tasks.queue_depth + shard.inflight_tasks
 
-    def healthy_shards(self) -> list[ManagementServer]:
-        return [shard for shard in self.shards if not self.is_down(shard)]
-
     # -- aggregated reporting ------------------------------------------------
 
     def completed_tasks(self) -> int:
@@ -109,10 +106,6 @@ class ShardedControlPlane:
     def dead_letters(self) -> int:
         """Aggregate permanently failed (dead-lettered) tasks."""
         return sum(len(shard.tasks.dead_letters) for shard in self.shards)
-
-    def unaccounted_tasks(self) -> int:
-        """Tasks on any shard that never reached a terminal state."""
-        return sum(len(shard.tasks.unaccounted()) for shard in self.shards)
 
     def throughput(self, since: float = 0.0) -> float:
         """Aggregate successful tasks per second over [since, now]."""

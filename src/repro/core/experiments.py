@@ -1211,7 +1211,8 @@ def experiment_x4_crash_mttr(seed: int = 0, quick: bool = False) -> ExperimentRe
     violations, zero lost tasks), and MTTR grows with downtime while
     goodput falls.
     """
-    from repro.faults.chaos import run_crash_point
+    from repro.faults.chaos import run_fault_point, storm_rig
+    from repro.faults.schedule import ServerCrash
 
     total = 10 if quick else 20
     concurrency = 4
@@ -1220,63 +1221,45 @@ def experiment_x4_crash_mttr(seed: int = 0, quick: bool = False) -> ExperimentRe
     downtimes = (10.0, 300.0) if quick else (10.0, 180.0, 600.0)
     fractions = (0.3, 0.6) if quick else (0.15, 0.4, 0.7)
 
-    baseline = run_crash_point(
-        seed, None, 0.0, total=total, concurrency=concurrency, linked=False
-    )
+    def storm():
+        return storm_rig(seed, total, concurrency, linked=False)
+
+    baseline = run_fault_point(storm())
     if baseline.violations:
         raise AssertionError(f"baseline violations: {baseline.violations}")
 
-    def goodput(result) -> float:
-        return result.completed * 3600.0 / result.makespan_s if result.makespan_s else 0.0
-
-    rows = [
-        [
-            "none",
-            "-",
-            baseline.completed,
-            baseline.dead_letters,
-            0,
-            "0/0/0",
-            f"{baseline.makespan_s:.0f}",
-            "1.00x",
-            f"{goodput(baseline):.0f}",
-            "0.0",
+    def row(downtime_label: str, crash_label: str, result) -> list:
+        counters = result.counters
+        return [
+            downtime_label,
+            crash_label,
+            result.completed,
+            result.dead_letters,
+            counters["parked"],
+            f"{counters['adopted']}/{counters['reissued']}/{counters['requeued']}",
+            f"{result.makespan_s:.0f}",
+            f"{result.makespan_s / baseline.makespan_s:.2f}x",
+            f"{result.goodput_per_hour:.0f}",
+            f"{counters['mttr_s']:.1f}",
         ]
-    ]
+
+    rows = [row("none", "-", baseline)]
     mttr_by_downtime: dict[float, list[float]] = {d: [] for d in downtimes}
     goodput_by_downtime: dict[float, list[float]] = {d: [] for d in downtimes}
     for downtime in downtimes:
         for fraction in fractions:
             crash_at = fraction * baseline.makespan_s
-            result = run_crash_point(
-                seed,
-                crash_at,
-                downtime,
-                total=total,
-                concurrency=concurrency,
-                linked=False,
+            result = run_fault_point(
+                storm(), [ServerCrash(start_s=crash_at, duration_s=downtime, count=1)]
             )
             if result.violations:
                 raise AssertionError(
                     f"exactly-once violated (downtime={downtime}, "
                     f"crash_at={crash_at:.0f}): {result.violations}"
                 )
-            mttr_by_downtime[downtime].append(result.mttr_s)
-            goodput_by_downtime[downtime].append(goodput(result))
-            rows.append(
-                [
-                    f"{downtime:.0f}",
-                    f"{crash_at:.0f} ({fraction:.0%})",
-                    result.completed,
-                    result.dead_letters,
-                    result.parked,
-                    f"{result.adopted}/{result.reissued}/{result.requeued}",
-                    f"{result.makespan_s:.0f}",
-                    f"{result.makespan_s / baseline.makespan_s:.2f}x",
-                    f"{goodput(result):.0f}",
-                    f"{result.mttr_s:.1f}",
-                ]
-            )
+            mttr_by_downtime[downtime].append(result.counters["mttr_s"])
+            goodput_by_downtime[downtime].append(result.goodput_per_hour)
+            rows.append(row(f"{downtime:.0f}", f"{crash_at:.0f} ({fraction:.0%})", result))
     series = {
         "MTTR (s) vs downtime (s)": [
             (downtime, sum(values) / len(values))
@@ -1314,6 +1297,12 @@ def experiment_x4_crash_mttr(seed: int = 0, quick: bool = False) -> ExperimentRe
     )
 
 
+# The message-fault overlay cells of R-X5 and R-X8: (kind, intensity).
+_MESSAGE_CELLS = (
+    ("drop", 0.3), ("duplicate", 0.3), ("delay", 2.0), ("reorder", 0.5), ("partition", 0.0),
+)
+
+
 def experiment_x5_bus_chaos(seed: int = 0, quick: bool = False) -> ExperimentResult:
     """R-X5 (extension): direct calls vs a bus-mediated control plane under chaos.
 
@@ -1330,93 +1319,49 @@ def experiment_x5_bus_chaos(seed: int = 0, quick: bool = False) -> ExperimentRes
     idempotency-key dedup is what keeps the invariant intact while
     messages are being dropped and cloned.
     """
-    from repro.faults.chaos import run_crash_point, run_message_fault_point
+    from repro.faults.chaos import run_fault_point, storm_rig
+    from repro.faults.schedule import ServerCrash, message_fault
 
     total = 8 if quick else 16
     concurrency = 4
     downtime = 30.0
 
-    baseline = run_crash_point(
-        seed, None, 0.0, total=total, concurrency=concurrency, linked=True
-    )
-    if baseline.violations:
-        raise AssertionError(f"direct baseline violations: {baseline.violations}")
+    baseline = run_fault_point(storm_rig(seed, total, concurrency))
     crash_at = 0.35 * baseline.makespan_s
-
-    crashed_direct = run_crash_point(
-        seed, crash_at, downtime, total=total, concurrency=concurrency, linked=True
-    )
-    if crashed_direct.violations:
-        raise AssertionError(f"direct crash violations: {crashed_direct.violations}")
-
-    def direct_row(label, result):
-        goodput = (
-            result.completed * 3600.0 / result.makespan_s if result.makespan_s else 0.0
+    crash = ServerCrash(start_s=crash_at, duration_s=downtime, count=1)
+    # The message-fault window opens before the crash and stays armed
+    # through the restart replay, so redelivery/dedup are exercised
+    # against recovery traffic too, not just the steady-state storm.
+    fault_at = max(1.0, 0.2 * baseline.makespan_s)
+    fault_s = (crash_at - fault_at) + downtime + 20.0
+    # (label, bus-mediated, faults); the fault-free direct cell is the baseline.
+    cells: list[tuple[str, bool, list]] = [
+        ("direct", False, []),
+        ("direct+crash", False, [crash]),
+        ("bus", True, [crash]),
+    ]
+    for kind, intensity in _MESSAGE_CELLS:
+        cells.append(
+            (f"bus+{kind}", True, [message_fault(kind, intensity, fault_at, fault_s), crash])
         )
-        return [
-            label,
-            result.completed,
-            result.dead_letters,
-            "-",
-            "-",
-            "-",
-            "-",
-            f"{goodput:.0f}",
-            "-",
-        ]
 
-    rows = [
-        direct_row("direct", baseline),
-        direct_row("direct+crash", crashed_direct),
-    ]
-    goodputs: list[tuple[str, float]] = [
-        ("direct", baseline.completed * 3600.0 / baseline.makespan_s),
-        (
-            "direct+crash",
-            crashed_direct.completed * 3600.0 / crashed_direct.makespan_s,
-        ),
-    ]
-
-    cells: list[tuple[str, str | None, float]] = [
-        ("bus", None, 0.0),
-        ("bus+drop", "drop", 0.3),
-        ("bus+duplicate", "duplicate", 0.3),
-        ("bus+delay", "delay", 2.0),
-        ("bus+reorder", "reorder", 0.5),
-        ("bus+partition", "partition", 0.0),
-    ]
-    for label, kind, intensity in cells:
-        # The message-fault window opens before the crash and stays armed
-        # through the restart replay, so redelivery/dedup are exercised
-        # against recovery traffic too, not just the steady-state storm.
-        fault_at = max(1.0, 0.2 * baseline.makespan_s)
-        result = run_message_fault_point(
-            seed,
-            kind,
-            intensity,
-            fault_at_s=fault_at,
-            fault_duration_s=(crash_at - fault_at) + downtime + 20.0,
-            total=total,
-            concurrency=concurrency,
-            linked=True,
-            crash_at_s=crash_at,
-            downtime_s=downtime,
-        )
+    rows = []
+    goodputs: list[tuple[str, float]] = []
+    for label, bus, faults in cells:
+        result = baseline
+        if faults:
+            result = run_fault_point(storm_rig(seed, total, concurrency, bus=bus), faults)
         if result.violations:
             raise AssertionError(f"{label} violations: {result.violations}")
-        rows.append(
-            [
-                label,
-                result.completed,
-                result.dead_letters,
-                result.published,
-                result.redelivered,
-                result.deduped,
-                result.dropped,
-                f"{result.goodput_per_hour:.0f}",
-                f"{result.mean_queue_wait_s * 1000.0:.1f}",
-            ]
-        )
+        tallies: list = ["-"] * 4
+        wait_ms = "-"
+        if bus:
+            counters = result.counters
+            tallies = [counters[n] for n in ("published", "redelivered", "deduped", "dropped")]
+            waits = counters["queue_waits"]
+            wait_ms = f"{counters['queue_wait_s'] / waits * 1000.0 if waits else 0.0:.1f}"
+        goodput = f"{result.goodput_per_hour:.0f}"
+        rows.append([label, result.completed, result.dead_letters, *tallies, goodput, wait_ms])
         goodputs.append((label, result.goodput_per_hour))
 
     series = {
@@ -2013,84 +1958,56 @@ def experiment_x8_federation(seed: int = 0, quick: bool = False) -> ExperimentRe
     shard's submissions to survivors is what keeps tenant-visible
     goodput flat while the affinity router strands its hot tenants.
     """
-    from repro.faults.chaos import run_federation_fault_point
+    from repro.faults.chaos import federation_rig, hot_shard_crash, run_fault_point
+    from repro.faults.schedule import message_fault
 
     total = 24 if quick else 48
     concurrency = 6 if quick else 10
-    skew = 0.8
     crash_at = 12.0
     downtime = 40.0
-    common = dict(
-        total=total,
-        concurrency=concurrency,
-        shards=3,
-        hosts_per_shard=4,
-        orgs=9,
-        skew=skew,
-        spill_queue_depth=3,
-    )
+    shard_crash = hot_shard_crash("shard_crash", crash_at, downtime)
 
-    cells: list[tuple[str, dict]] = [
-        ("affinity", dict(affinity_only=True)),
-        (
-            "affinity+crash",
-            dict(affinity_only=True, crash_at_s=crash_at, downtime_s=downtime,
-                 crash_kind="shard_crash"),
-        ),
-        ("bus", dict()),
-        (
-            "bus+crash",
-            dict(crash_at_s=crash_at, downtime_s=downtime, crash_kind="shard_crash"),
-        ),
-        (
-            "bus+restart",
-            dict(crash_at_s=crash_at, downtime_s=downtime, crash_kind="server_crash"),
-        ),
+    # (label, affinity_only, faults)
+    cells: list[tuple[str, bool, list]] = [
+        ("affinity", True, []),
+        ("affinity+crash", True, [shard_crash]),
+        ("bus", False, []),
+        ("bus+crash", False, [shard_crash]),
+        ("bus+restart", False, [hot_shard_crash("server_crash", crash_at, downtime)]),
     ]
     if not quick:
-        for kind, intensity in (
-            ("drop", 0.3), ("duplicate", 0.3), ("delay", 2.0),
-            ("reorder", 0.5), ("partition", 0.0),
-        ):
-            cells.append(
-                (
-                    f"bus+crash+{kind}",
-                    dict(
-                        kind=kind,
-                        intensity=intensity,
-                        fault_at_s=5.0,
-                        fault_duration_s=crash_at + downtime,
-                        crash_at_s=crash_at,
-                        downtime_s=downtime,
-                        crash_kind="shard_crash",
-                    ),
-                )
-            )
+        for kind, intensity in _MESSAGE_CELLS:
+            overlay = message_fault(kind, intensity, 5.0, crash_at + downtime)
+            cells.append((f"bus+crash+{kind}", False, [shard_crash, overlay]))
 
     rows = []
-    results: dict[str, typing.Any] = {}
     goodputs: list[tuple[str, float]] = []
     p95s: list[tuple[str, float]] = []
-    for label, overrides in cells:
-        result = run_federation_fault_point(seed, **common, **overrides)
+    common = dict(
+        total=total, concurrency=concurrency, shards=3, hosts_per_shard=4, orgs=9,
+        skew=0.8, spill_queue_depth=3,
+    )
+    for label, affinity_only, faults in cells:
+        rig = federation_rig(seed, affinity_only=affinity_only, **common)
+        result = run_fault_point(rig, faults)
         if result.violations:
             raise AssertionError(f"{label} violations: {result.violations}")
-        results[label] = result
+        counters = result.counters
         rows.append(
             [
                 label,
                 result.completed,
                 result.failed,
-                result.steals,
-                result.spills,
-                result.reroutes,
-                result.remote_completions,
+                counters["steals"],
+                counters["spills"],
+                counters["reroutes"],
+                counters["remote_completions"],
                 f"{result.goodput_per_hour:.0f}",
-                f"{result.p95_latency_s:.1f}",
+                f"{counters['p95_latency_s']:.1f}",
             ]
         )
         goodputs.append((label, result.goodput_per_hour))
-        p95s.append((label, result.p95_latency_s))
+        p95s.append((label, counters["p95_latency_s"]))
 
     series = {
         "goodput (deploys/hour) by design": [

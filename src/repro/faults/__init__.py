@@ -31,6 +31,7 @@ from repro.faults.schedule import (
     FaultSchedule,
     FaultSpec,
     HostFlap,
+    MESSAGE_FAULT_KINDS,
     MessageDelay,
     MessageDrop,
     MessageDuplicate,
@@ -40,6 +41,7 @@ from repro.faults.schedule import (
     ShardCrash,
     SPEC_KINDS,
     TopicPartition,
+    message_fault,
     random_fault_schedule,
     standard_fault_schedule,
 )
@@ -60,6 +62,7 @@ __all__ = [
     "GroundTruthWindow",
     "HostFlap",
     "InjectedFault",
+    "MESSAGE_FAULT_KINDS",
     "MessageDelay",
     "MessageDrop",
     "MessageDuplicate",
@@ -73,6 +76,7 @@ __all__ = [
     "SPEC_KINDS",
     "TopicPartition",
     "TransientError",
+    "message_fault",
     "random_fault_schedule",
     "standard_fault_schedule",
     "window_from_spec",

@@ -4,35 +4,47 @@ The recovery subsystem's contract (``docs/recovery.md``) is that a
 management-server crash at *any* point in *any* workload leaves every
 admitted task in exactly one terminal state — succeeded or failed/dead-
 lettered — with no duplicate terminal records, no duplicate dead letters,
-and no duplicate provisioned VMs. A claim like that is only worth what
-its adversary costs, so this module sweeps randomized crash points
-(timing, downtime, workload seed) and asserts the invariant after every
-run.
+and no duplicate provisioned VMs. The message bus (``docs/bus.md``)
+extends the contract to the transport, and the shard federation
+(``docs/federation.md``) extends it across shard boundaries. A claim like
+that is only worth what its adversary costs, so this module runs fault
+points and checks the invariant after every one.
 
-The message bus (``docs/bus.md``) extends the contract to the transport:
-with every control-plane hop bus-mediated, dropped / duplicated /
-delayed / reordered / partitioned messages must not lose or duplicate a
-terminal task state either. ``run_message_fault_point`` /
-``message_fault_sweep`` are the crash-sweep analogues for that layer.
-
-Used three ways:
-
-- ``tests/faults/test_crash_sweep.py`` and
-  ``tests/faults/test_message_chaos.py`` — bounded sweeps in tier-1;
-- CI's chaos job — larger fixed-seed sweeps;
-- ``python -m repro.faults.chaos --seeds 20 --points 10`` (add
-  ``--mode message`` for the bus sweep) — the full acceptance sweeps
-  (200 points each).
+A fault point is one loop, :func:`run_fault_point`: start a
+:class:`~repro.faults.FaultInjector` on a :class:`FaultRig`'s targets, run
+the rig's workload, drain the fault windows, run to quiescence, and check
+the rig's invariant. Two builders make rigs: :func:`storm_rig` (a
+closed-loop clone storm on one journaled server, direct or fully
+bus-mediated) and :func:`federation_rig` (a skewed deploy storm over a
+shard federation). :func:`fault_sweep` draws randomized points for one
+mode — ``crash``, ``message`` or ``federation`` — and feeds them to that
+loop; tier-1 runs bounded sweeps, CI larger fixed-seed ones, and
+``python -m repro.faults.chaos --mode MODE`` the full acceptance sweeps.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import random
 import typing
 
+from repro.faults.injector import FaultInjector, FaultTargets
+from repro.faults.schedule import (
+    MESSAGE_FAULT_KINDS,
+    MESSAGE_FAULT_RANGES,
+    SPEC_KINDS,
+    FaultSchedule,
+    FaultSpec,
+    ServerCrash,
+    draw_intensity,
+    message_fault,
+)
+
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.controlplane.server import ManagementServer
+    from repro.sim.kernel import Simulator
+    from repro.sim.random import RandomStreams
 
 
 def check_exactly_once(server: "ManagementServer") -> list[str]:
@@ -59,9 +71,7 @@ def check_exactly_once(server: "ManagementServer") -> list[str]:
             violations.append(f"task-{task_id} has {count} terminal records")
         if journal.enabled and not journal.admitted(task_id):
             violations.append(f"task-{task_id} reached a terminal state unadmitted")
-    dead_seen: dict[int, int] = {}
-    for letter in tasks.dead_letters:
-        dead_seen[letter.task_id] = dead_seen.get(letter.task_id, 0) + 1
+    dead_seen = collections.Counter(letter.task_id for letter in tasks.dead_letters)
     failed_ids = {task.task_id for task in tasks.failed()}
     for task_id, count in sorted(dead_seen.items()):
         if count > 1:
@@ -72,10 +82,11 @@ def check_exactly_once(server: "ManagementServer") -> list[str]:
     # live placed VMs sharing a name means a re-issue duplicated work.
     from repro.datacenter.vm import VirtualMachine
 
-    placed_names: dict[str, int] = {}
-    for vm in server.inventory.all(VirtualMachine):
-        if vm.host is not None and not vm.is_template:
-            placed_names[vm.name] = placed_names.get(vm.name, 0) + 1
+    placed_names = collections.Counter(
+        vm.name
+        for vm in server.inventory.all(VirtualMachine)
+        if vm.host is not None and not vm.is_template
+    )
     for name, count in sorted(placed_names.items()):
         if count > 1:
             violations.append(f"VM name {name!r} placed {count} times")
@@ -83,173 +94,41 @@ def check_exactly_once(server: "ManagementServer") -> list[str]:
 
 
 @dataclasses.dataclass
-class CrashPointResult:
-    """Outcome of one storm run with one crash window."""
+class FaultRig:
+    """The parts of a fault point that differ from one rig to the next.
 
-    seed: int
-    crash_at_s: float | None
-    downtime_s: float
-    completed: int
-    failed: int
-    dead_letters: int
-    parked: int
-    adopted: int
-    reissued: int
-    requeued: int
-    makespan_s: float
-    violations: list[str]
-    # Time from the crash until the last pre-crash task reached a terminal
-    # state (0.0 when the crash landed after the backlog drained, or for a
-    # no-crash baseline run).
-    mttr_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def run_crash_point(
-    seed: int,
-    crash_at_s: float | None,
-    downtime_s: float,
-    total: int = 12,
-    concurrency: int = 4,
-    linked: bool = True,
-) -> CrashPointResult:
-    """One closed-loop clone storm with a server crash at ``crash_at_s``.
-
-    Runs with the journal on and a retrying storm configuration, drains
-    the fault window, asserts quiescence, and returns the run's stats
-    plus any invariant violations. ``crash_at_s=None`` runs the identical
-    storm with no crash — the baseline R-X4 measures recovery against.
+    ``workload`` spawns the rig's workload, runs it to completion and
+    returns its makespan. ``outcome`` returns (completed, failed, dead
+    letters), ``check`` the invariant's violations, ``counters`` the
+    rig's own tallies and ``per_shard`` one row per shard, all read once
+    the run has quiesced. ``env`` is the rig's ``StormRig`` or
+    ``FederatedCloud``, for callers that report more than the result holds.
     """
-    from repro.controlplane.costs import ControlPlaneConfig
-    from repro.controlplane.resilience import RetryPolicy
-    from repro.core.experiments import StormRig
-    from repro.faults.injector import FaultInjector, FaultTargets
-    from repro.faults.schedule import FaultSchedule, ServerCrash
 
-    # max_inflight below the worker concurrency keeps the dispatch queue
-    # occupied, so crashes also land on tasks parked at the dispatch wait
-    # (the requeue reconciliation path), not just mid-attempt.
-    config = ControlPlaneConfig(
-        max_inflight_tasks=max(1, concurrency - 1),
-        retry_policy=RetryPolicy(
-            max_attempts=4, base_backoff_s=1.0, max_backoff_s=10.0, jitter=0.5
-        ),
-    )
-    rig = StormRig(seed=seed, hosts=8, datastores=2, config=config, journal=True)
-    injector = None
-    if crash_at_s is not None:
-        schedule = FaultSchedule(
-            [ServerCrash(start_s=crash_at_s, duration_s=downtime_s, count=1)]
-        )
-        injector = FaultInjector(
-            rig.sim,
-            FaultTargets.for_server(rig.server),
-            schedule,
-            rng=rig.streams.stream("chaos-injector"),
-        ).start()
-    summary = rig.closed_loop_storm(total=total, concurrency=concurrency, linked=linked)
-    if injector is not None:
-        drain = rig.sim.spawn(injector.drain(), name="chaos-drain")
-        rig.sim.run(until=drain)
-    rig.sim.run()
-    if rig.sim.peek() != float("inf"):
-        raise RuntimeError("simulation did not quiesce after the crash sweep run")
-    recovery = rig.server.recovery
-    totals = recovery.verdict_totals()
-    mttr = 0.0
-    if recovery.crashes:
-        crashed_at = recovery.crashes[0].crashed_at
-        affected = [
-            task.finished_at
-            for task in rig.server.tasks.tasks
-            if task.submitted_at <= crashed_at
-            and task.finished_at is not None
-            and task.finished_at > crashed_at
-        ]
-        if affected:
-            mttr = max(affected) - crashed_at
-    return CrashPointResult(
-        seed=seed,
-        crash_at_s=crash_at_s,
-        downtime_s=downtime_s if crash_at_s is not None else 0.0,
-        completed=len(rig.server.tasks.succeeded()),
-        failed=len(rig.server.tasks.failed()),
-        dead_letters=len(rig.server.tasks.dead_letters),
-        parked=sum(epoch.parked for epoch in recovery.crashes),
-        adopted=totals["adopted"],
-        reissued=totals["reissued"],
-        requeued=totals["requeued"],
-        makespan_s=summary["makespan_s"],
-        violations=check_exactly_once(rig.server),
-        mttr_s=mttr,
-    )
-
-
-def crash_sweep(
-    seeds: typing.Iterable[int],
-    points_per_seed: int = 10,
-    rng: random.Random | None = None,
-    max_crash_at_s: float = 240.0,
-    downtimes_s: tuple[float, ...] = (5.0, 30.0, 120.0),
-    total: int = 12,
-    concurrency: int = 4,
-) -> list[CrashPointResult]:
-    """Randomized crash points across seeds; returns every run's result.
-
-    Crash timing is drawn uniformly — covering admission, dispatch wait,
-    mid-attempt, and post-storm idle — scaled to the storm flavour
-    (linked storms finish in tens of seconds, full-copy storms in
-    hundreds; ``max_crash_at_s`` bounds the full-copy draw). Downtime
-    cycles through ``downtimes_s``. The draw stream is separate from the
-    workload seeds so adding sweep points never perturbs the workloads.
-    """
-    rng = rng or random.Random(0xC4A5)
-    results: list[CrashPointResult] = []
-    for seed in seeds:
-        for point in range(points_per_seed):
-            linked = point % 2 == 0
-            horizon = 45.0 if linked else max_crash_at_s
-            crash_at = rng.uniform(1.0, horizon)
-            downtime = downtimes_s[point % len(downtimes_s)]
-            results.append(
-                run_crash_point(
-                    seed,
-                    crash_at,
-                    downtime,
-                    total=total,
-                    concurrency=concurrency,
-                    linked=linked,
-                )
-            )
-    return results
-
-
-MESSAGE_FAULT_KINDS = ("drop", "duplicate", "delay", "reorder", "partition")
+    sim: "Simulator"
+    streams: "RandomStreams"
+    targets: FaultTargets
+    env: typing.Any
+    workload: typing.Callable[[], float]
+    outcome: typing.Callable[[], tuple[int, int, int]]
+    check: typing.Callable[[], list[str]]
+    counters: typing.Callable[[], dict[str, float]]
+    per_shard: typing.Callable[[], list[dict]] = list
 
 
 @dataclasses.dataclass
-class MessageFaultResult:
-    """Outcome of one bus-mediated storm run with one message-fault window."""
+class FaultPointResult:
+    """Outcome of one workload run under one fault schedule."""
 
     seed: int
-    kind: str
-    intensity: float
-    fault_at_s: float
-    fault_duration_s: float
+    faults: tuple[FaultSpec, ...]
     completed: int
     failed: int
     dead_letters: int
-    published: int
-    delivered: int
-    redelivered: int
-    deduped: int
-    dropped: int
     makespan_s: float
-    mean_queue_wait_s: float
     violations: list[str]
+    counters: dict[str, float] = dataclasses.field(default_factory=dict)
+    per_shard: list[dict] = dataclasses.field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -262,158 +141,132 @@ class MessageFaultResult:
         return self.completed * 3600.0 / self.makespan_s
 
 
-def _message_spec(kind: str, intensity: float, start_s: float, duration_s: float):
-    """Build the MessageFault spec for one sweep point."""
-    from repro.faults.schedule import (
-        MessageDelay,
-        MessageDrop,
-        MessageDuplicate,
-        MessageReorder,
-        TopicPartition,
+def run_fault_point(
+    rig: FaultRig, faults: typing.Sequence[FaultSpec] = ()
+) -> FaultPointResult:
+    """Run ``rig``'s workload under ``faults`` and check its invariant.
+
+    The injector starts before the workload spawns, so a schedule replays
+    event for event. With no faults no injector starts: the run is the
+    rig's fault-free baseline. Raises if the simulation does not quiesce
+    once every fault window has closed.
+    """
+    faults = tuple(faults)
+    injector = None
+    if faults:
+        injector = FaultInjector(
+            rig.sim,
+            rig.targets,
+            FaultSchedule(faults),
+            rng=rig.streams.stream("chaos-injector"),
+        ).start()
+    makespan = rig.workload()
+    if injector is not None:
+        rig.sim.run(until=rig.sim.spawn(injector.drain(), name="chaos-drain"))
+    rig.sim.run()
+    if rig.sim.peek() != float("inf"):
+        raise RuntimeError("simulation did not quiesce after the fault point")
+    completed, failed, dead_letters = rig.outcome()
+    return FaultPointResult(
+        seed=rig.streams.seed,
+        faults=faults,
+        completed=completed,
+        failed=failed,
+        dead_letters=dead_letters,
+        makespan_s=makespan,
+        violations=rig.check(),
+        counters=rig.counters(),
+        per_shard=rig.per_shard(),
     )
 
-    if kind == "drop":
-        return MessageDrop(start_s, duration_s, rate=intensity)
-    if kind == "duplicate":
-        return MessageDuplicate(start_s, duration_s, rate=intensity)
-    if kind == "delay":
-        return MessageDelay(start_s, duration_s, delay_s=intensity)
-    if kind == "reorder":
-        return MessageReorder(start_s, duration_s, rate=intensity)
-    if kind == "partition":
-        return TopicPartition(start_s, duration_s)
-    raise ValueError(f"unknown message fault kind {kind!r}; known: {MESSAGE_FAULT_KINDS}")
 
-
-def run_message_fault_point(
-    seed: int,
-    kind: str | None,
-    intensity: float,
-    fault_at_s: float = 5.0,
-    fault_duration_s: float = 30.0,
-    total: int = 12,
-    concurrency: int = 4,
-    linked: bool = True,
-    crash_at_s: float | None = None,
-    downtime_s: float = 30.0,
-) -> MessageFaultResult:
-    """One bus-mediated clone storm with one message-fault window.
-
-    Every hop (gateway→director, director→task-manager, task-manager→
-    host-agent) rides the bus (``direct_calls=False``) with the journal
-    on, so at-least-once redelivery and idempotency-key dedup are both in
-    play. ``kind=None`` runs the no-fault bus baseline. ``crash_at_s``
-    optionally overlays a :class:`~repro.faults.ServerCrash` restart
-    window — the R-X5 restart-storm cells compose both fault layers.
-    """
+def _retrying_config(max_inflight: int):
     from repro.controlplane.costs import ControlPlaneConfig
     from repro.controlplane.resilience import RetryPolicy
-    from repro.core.experiments import StormRig
-    from repro.faults.injector import FaultInjector, FaultTargets
-    from repro.faults.schedule import FaultSchedule, ServerCrash
 
-    config = ControlPlaneConfig(
-        max_inflight_tasks=max(1, concurrency - 1),
+    return ControlPlaneConfig(
+        max_inflight_tasks=max_inflight,
         retry_policy=RetryPolicy(
             max_attempts=4, base_backoff_s=1.0, max_backoff_s=10.0, jitter=0.5
         ),
     )
-    rig = StormRig(
-        seed=seed,
-        hosts=8,
-        datastores=2,
-        config=config,
-        journal=True,
-        bus=True,
-        direct_calls=False,
-    )
-    specs = []
-    if kind is not None:
-        specs.append(_message_spec(kind, intensity, fault_at_s, fault_duration_s))
-    if crash_at_s is not None:
-        specs.append(ServerCrash(start_s=crash_at_s, duration_s=downtime_s, count=1))
-    injector = None
-    if specs:
-        injector = FaultInjector(
-            rig.sim,
-            FaultTargets.for_server(rig.server),
-            FaultSchedule(specs),
-            rng=rig.streams.stream("chaos-injector"),
-        ).start()
-    summary = rig.closed_loop_storm(total=total, concurrency=concurrency, linked=linked)
-    if injector is not None:
-        drain = rig.sim.spawn(injector.drain(), name="chaos-drain")
-        rig.sim.run(until=drain)
-    rig.sim.run()
-    if rig.sim.peek() != float("inf"):
-        raise RuntimeError("simulation did not quiesce after the message fault run")
-    stats = rig.bus.topic_stats()
-    waits = sum(s.waits for s in stats.values())
-    total_wait = sum(s.total_wait_s for s in stats.values())
-    return MessageFaultResult(
-        seed=seed,
-        kind=kind or "none",
-        intensity=intensity if kind is not None else 0.0,
-        fault_at_s=fault_at_s if kind is not None else 0.0,
-        fault_duration_s=fault_duration_s if kind is not None else 0.0,
-        completed=len(rig.server.tasks.succeeded()),
-        failed=len(rig.server.tasks.failed()),
-        dead_letters=len(rig.server.tasks.dead_letters),
-        published=sum(s.published for s in stats.values()),
-        delivered=sum(s.delivered for s in stats.values()),
-        redelivered=sum(s.redelivered for s in stats.values()),
-        deduped=sum(s.deduped for s in stats.values()),
-        dropped=sum(s.dropped for s in stats.values()),
-        makespan_s=summary["makespan_s"],
-        mean_queue_wait_s=total_wait / waits if waits else 0.0,
-        violations=check_exactly_once(rig.server),
-    )
 
 
-def message_fault_sweep(
-    seeds: typing.Iterable[int],
-    points_per_seed: int = 10,
-    rng: random.Random | None = None,
+def _mttr(server: "ManagementServer") -> float:
+    """Time from the first crash until the last pre-crash task went terminal.
+
+    0.0 when nothing crashed, or the crash landed after the backlog drained.
+    """
+    crashes = server.recovery.crashes
+    if not crashes:
+        return 0.0
+    crashed_at = crashes[0].crashed_at
+    affected = [
+        task.finished_at
+        for task in server.tasks.tasks
+        if task.submitted_at <= crashed_at and (task.finished_at or 0.0) > crashed_at
+    ]
+    return max(affected, default=crashed_at) - crashed_at
+
+
+def storm_rig(
+    seed: int,
     total: int = 12,
     concurrency: int = 4,
-) -> list[MessageFaultResult]:
-    """Randomized message faults across seeds; returns every run's result.
+    linked: bool = True,
+    bus: bool = False,
+) -> FaultRig:
+    """A closed-loop clone storm on one journaled, retrying server.
 
-    Fault kinds cycle through drop/duplicate/delay/reorder/partition;
-    intensities and window timing are drawn from a separate stream so
-    adding sweep points never perturbs the workloads. Defaults give the
-    R-X5 acceptance shape: 20 seeds x 10 points = 200 fault points.
+    ``bus=True`` routes every hop (gateway→director, director→task-manager,
+    task-manager→host-agent) through a mediated message bus, so
+    at-least-once redelivery and idempotency-key dedup are both in play.
+    Counters: ``parked``, the recovery verdicts (``adopted``,
+    ``rolled_back``, ``reissued``, ``requeued``) and ``mttr_s``; with the
+    bus, also the summed topic tallies.
     """
-    rng = rng or random.Random(0xB005)
-    results: list[MessageFaultResult] = []
-    for seed in seeds:
-        for point in range(points_per_seed):
-            kind = MESSAGE_FAULT_KINDS[point % len(MESSAGE_FAULT_KINDS)]
-            if kind == "drop":
-                intensity = rng.uniform(0.1, 0.6)
-            elif kind == "duplicate":
-                intensity = rng.uniform(0.1, 0.5)
-            elif kind == "delay":
-                intensity = rng.uniform(0.5, 5.0)
-            elif kind == "reorder":
-                intensity = rng.uniform(0.2, 0.8)
-            else:
-                intensity = 0.0
-            fault_at = rng.uniform(1.0, 40.0)
-            duration = rng.uniform(10.0, 60.0)
-            results.append(
-                run_message_fault_point(
-                    seed,
-                    kind,
-                    intensity,
-                    fault_at_s=fault_at,
-                    fault_duration_s=duration,
-                    total=total,
-                    concurrency=concurrency,
-                    linked=True,
-                )
-            )
-    return results
+    from repro.core.experiments import StormRig
+
+    # max_inflight below the worker concurrency keeps the dispatch queue
+    # occupied, so crashes also land on tasks parked at the dispatch wait
+    # (the requeue reconciliation path), not just mid-attempt.
+    storm = StormRig(
+        seed=seed, hosts=8, datastores=2, config=_retrying_config(max(1, concurrency - 1)),
+        journal=True, bus=bus, direct_calls=not bus,
+    )
+    server = storm.server
+
+    def counters() -> dict[str, float]:
+        recovery = server.recovery
+        tallies: dict[str, float] = {
+            "parked": sum(epoch.parked for epoch in recovery.crashes),
+            **recovery.verdict_totals(),
+            "mttr_s": _mttr(server),
+        }
+        if bus:
+            stats = storm.bus.topic_stats().values()
+            for name in ("published", "delivered", "redelivered", "deduped", "dropped"):
+                tallies[name] = sum(getattr(s, name) for s in stats)
+            tallies["queue_waits"] = sum(s.waits for s in stats)
+            tallies["queue_wait_s"] = sum(s.total_wait_s for s in stats)
+        return tallies
+
+    return FaultRig(
+        sim=storm.sim,
+        streams=storm.streams,
+        targets=FaultTargets.for_server(server),
+        env=storm,
+        workload=lambda: storm.closed_loop_storm(total, concurrency, linked=linked)[
+            "makespan_s"
+        ],
+        outcome=lambda: (
+            len(server.tasks.succeeded()),
+            len(server.tasks.failed()),
+            len(server.tasks.dead_letters),
+        ),
+        check=lambda: check_exactly_once(server),
+        counters=counters,
+    )
 
 
 def check_federation_exactly_once(cloud) -> list[str]:
@@ -451,110 +304,59 @@ def check_federation_exactly_once(cloud) -> list[str]:
     return violations
 
 
-@dataclasses.dataclass
-class FederationFaultResult:
-    """Outcome of one skewed federated storm with one fault window."""
-
-    seed: int
-    kind: str
-    intensity: float
-    crash_kind: str
-    crash_at_s: float | None
-    downtime_s: float
-    affinity_only: bool
-    completed: int
-    failed: int
-    dead_letters: int
-    steals: int
-    spills: int
-    reroutes: int
-    remote_completions: int
-    p95_latency_s: float
-    makespan_s: float
-    violations: list[str]
-    per_shard: list[dict] = dataclasses.field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def goodput_per_hour(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.completed * 3600.0 / self.makespan_s
+# The shard the federation rig's skewed tenants are homed on.
+HOT_SHARD = "vc-1"
 
 
-def run_federation_fault_point(
+def hot_shard_crash(kind: str, start_s: float, duration_s: float) -> FaultSpec:
+    """A ``shard_crash`` or ``server_crash`` window on :data:`HOT_SHARD`.
+
+    ``server_crash`` takes the process down and replays its journal on
+    restart; ``shard_crash`` leaves it up but rejecting submissions.
+    """
+    if kind not in ("shard_crash", "server_crash"):
+        raise ValueError(f"unknown crash kind {kind!r}")
+    return SPEC_KINDS[kind](start_s, duration_s, shards=(HOT_SHARD,))
+
+
+def federation_rig(
     seed: int,
-    kind: str | None = None,
-    intensity: float = 0.0,
-    fault_at_s: float = 5.0,
-    fault_duration_s: float = 30.0,
     total: int = 24,
     concurrency: int = 8,
     shards: int = 3,
     hosts_per_shard: int = 4,
     orgs: int = 9,
     skew: float = 0.8,
-    crash_at_s: float | None = None,
-    downtime_s: float = 30.0,
-    crash_kind: str = "server_crash",
     affinity_only: bool = False,
     spill_queue_depth: int = 4,
-    telemetry=None,
-) -> FederationFaultResult:
-    """One skewed multi-tenant deploy storm over a shard federation.
+) -> FaultRig:
+    """A skewed multi-tenant deploy storm over a journaled shard federation.
 
     ``skew`` is the fraction of deploys driven through orgs homed on
-    shard 0 (the hot shard); ``crash_at_s`` optionally crashes that shard
-    mid-run (``crash_kind``: ``server_crash`` takes the process down and
-    replays its journal on restart, ``shard_crash`` leaves it up but
-    rejecting). ``kind`` optionally overlays one R-X5 message fault
-    (drop/duplicate/delay/reorder/partition) on the federation topics.
-    With ``affinity_only=True`` the same storm runs through the classic
-    org-pinned router — the baseline R-X8 compares against. Max-inflight
-    is held just below the worker concurrency so saturation spillover is
-    actually exercised.
+    :data:`HOT_SHARD`. With ``affinity_only=True`` the same storm runs
+    through the classic org-pinned router — the baseline R-X8 compares
+    against — and message faults arm as no-ops. Counters: steals, spills,
+    reroutes, remote completions and the p95 deploy latency.
     """
     from repro.cloud.federation import FederatedCloud
     from repro.cloud.tenancy import Organization
     from repro.controlplane.bus import MessageBus
-    from repro.controlplane.costs import ControlPlaneConfig
-    from repro.controlplane.resilience import RetryPolicy
-    from repro.faults.injector import FaultInjector, FaultTargets
-    from repro.faults.schedule import FaultSchedule, ServerCrash, ShardCrash
     from repro.sim.events import AllOf
     from repro.sim.kernel import Simulator
     from repro.sim.random import RandomStreams
 
-    if crash_kind not in ("server_crash", "shard_crash"):
-        raise ValueError(f"unknown crash kind {crash_kind!r}")
     sim = Simulator()
     streams = RandomStreams(seed)
-    # Max-inflight well below the worker concurrency: the hot shard's
-    # dispatch queue visibly backs up under skew, which is what the
-    # spillover threshold (and the hot_shard triage signature) keys on.
-    config = ControlPlaneConfig(
-        max_inflight_tasks=max(1, concurrency // 2),
-        retry_policy=RetryPolicy(
-            max_attempts=4, base_backoff_s=1.0, max_backoff_s=10.0, jitter=0.5
-        ),
-    )
     bus = None
     if not affinity_only:
         bus = MessageBus(sim, rng=streams.stream("fed-bus"), direct_calls=False)
+    # Max-inflight well below the worker concurrency: the hot shard's
+    # dispatch queue visibly backs up under skew, which is what the
+    # spillover threshold (and the hot_shard triage signature) keys on.
     cloud = FederatedCloud(
-        sim,
-        streams,
-        shard_count=shards,
-        hosts_per_shard=hosts_per_shard,
-        config=config,
-        bus=bus,
-        affinity_only=affinity_only,
-        journal=True,
-        telemetry=telemetry,
-        spill_queue_depth=spill_queue_depth,
+        sim, streams, shard_count=shards, hosts_per_shard=hosts_per_shard,
+        config=_retrying_config(max(1, concurrency // 2)), bus=bus,
+        affinity_only=affinity_only, journal=True, spill_queue_depth=spill_queue_depth,
     )
     org_objs = [
         Organization(f"org{i}", quota_vms=1_000_000, quota_storage_gb=1e9)
@@ -562,7 +364,7 @@ def run_federation_fault_point(
     ]
     # Home every org up-front (all shards healthy and idle → pure
     # round-robin, identical in both router modes), then drive ``skew``
-    # of the deploys through the orgs homed on shard 0.
+    # of the deploys through the orgs homed on the hot shard.
     for org in org_objs:
         cloud.director_for(org)
     hot = [org for i, org in enumerate(org_objs) if i % shards == 0]
@@ -572,142 +374,171 @@ def run_federation_fault_point(
     for i in range(total):
         pool = hot if (i % 10) < hot_tenths else cold
         pending.append((i, pool[i % len(pool)]))
-    failures: list[str] = []
 
     def worker():
         while pending:
             index, org = pending.pop(0)
             try:
                 yield from cloud.deploy(org, "small-linux-linked", 1, f"fed-{index}")
-            except Exception as exc:  # noqa: BLE001 — failed deploys are data here
-                failures.append(f"fed-{index}: {type(exc).__name__}")
+            except Exception:  # noqa: BLE001 — a failed deploy is counted below
+                pass
 
-    specs = []
-    if crash_at_s is not None:
-        crash_cls = ServerCrash if crash_kind == "server_crash" else ShardCrash
-        specs.append(crash_cls(start_s=crash_at_s, duration_s=downtime_s, shards=("vc-1",)))
-    if kind is not None:
-        specs.append(_message_spec(kind, intensity, fault_at_s, fault_duration_s))
-    injector = None
-    if specs:
-        injector = FaultInjector(
-            sim,
-            FaultTargets.for_federation(cloud),
-            FaultSchedule(specs),
-            rng=streams.stream("chaos-injector"),
-        ).start()
-    workers = [sim.spawn(worker(), name=f"fed-worker-{j}") for j in range(concurrency)]
-    sim.run(until=AllOf(sim, workers))
-    makespan = sim.now
-    if injector is not None:
-        sim.run(until=sim.spawn(injector.drain(), name="chaos-drain"))
-    sim.run()
-    if sim.peek() != float("inf"):
-        raise RuntimeError("simulation did not quiesce after the federation fault run")
-    completed = sum(
-        1
-        for director in cloud.directors
-        for vapp in director.vapps
-        if vapp.state.name == "RUNNING"
-    )
-    # A failed deploy either raised at the router (``failures``) or came
-    # back as a FAILED/PARTIAL vApp; both are goodput losses.
-    failed = total - completed
-    totals = cloud.federation_totals()
-    per_shard = [
-        {
-            "shard": shard.name,
-            "tasks_completed": len(shard.tasks.succeeded()),
-            "steals": stats.steals,
-            "spills": stats.spills,
-            "reroutes": stats.reroutes,
-            "remote_completions": stats.remote_completions,
-        }
-        for shard, stats in zip(cloud.plane.shards, cloud.shard_stats)
-    ]
-    return FederationFaultResult(
-        seed=seed,
-        kind=kind or "none",
-        intensity=intensity if kind is not None else 0.0,
-        crash_kind=crash_kind if crash_at_s is not None else "none",
-        crash_at_s=crash_at_s,
-        downtime_s=downtime_s if crash_at_s is not None else 0.0,
-        affinity_only=affinity_only,
-        completed=completed,
-        failed=failed,
-        dead_letters=cloud.plane.dead_letters(),
-        steals=totals["steals"],
-        spills=totals["spills"],
-        reroutes=totals["reroutes"],
-        remote_completions=totals["remote_completions"],
-        p95_latency_s=cloud.deploy_latency_p(0.95),
-        makespan_s=makespan,
-        violations=check_federation_exactly_once(cloud),
+    def workload() -> float:
+        workers = [sim.spawn(worker(), name=f"fed-worker-{j}") for j in range(concurrency)]
+        sim.run(until=AllOf(sim, workers))
+        return sim.now
+
+    def outcome() -> tuple[int, int, int]:
+        completed = sum(
+            1
+            for director in cloud.directors
+            for vapp in director.vapps
+            if vapp.state.name == "RUNNING"
+        )
+        # A failed deploy either raised at the router or came back as a
+        # FAILED/PARTIAL vApp; both are goodput losses.
+        return completed, total - completed, cloud.plane.dead_letters()
+
+    def counters() -> dict[str, float]:
+        tallies: dict[str, float] = dict(cloud.federation_totals())
+        tallies["p95_latency_s"] = cloud.deploy_latency_p(0.95)
+        return tallies
+
+    def per_shard() -> list[dict]:
+        return [
+            {
+                "shard": shard.name,
+                "tasks_completed": len(shard.tasks.succeeded()),
+                **dataclasses.asdict(stats),
+            }
+            for shard, stats in zip(cloud.plane.shards, cloud.shard_stats)
+        ]
+
+    return FaultRig(
+        sim=sim,
+        streams=streams,
+        targets=FaultTargets.for_federation(cloud),
+        env=cloud,
+        workload=workload,
+        outcome=outcome,
+        check=lambda: check_federation_exactly_once(cloud),
+        counters=counters,
         per_shard=per_shard,
     )
 
 
-def federation_fault_sweep(
-    seeds: typing.Iterable[int],
-    points_per_seed: int = 7,
-    rng: random.Random | None = None,
-    total: int = 18,
-    concurrency: int = 6,
-    shards: int = 3,
-) -> list[FederationFaultResult]:
-    """Randomized cross-shard fault points; returns every run's result.
+# -- sweeps -----------------------------------------------------------------
+#
+# Each mode is a point-draw function yielding (rig, faults) pairs. Draws
+# come from a stream separate from the workload seeds, so adding sweep
+# points never perturbs the workloads; rigs are built lazily, one per point.
 
-    Each seed cycles through a shard-crash point, a server-crash point,
-    and the five R-X5 message-fault kinds overlaid on a mid-run crash of
-    the hot shard — the full chaos posture re-run on the federation
-    topics. Crash timing, downtime, and intensities are drawn from a
-    separate stream so adding sweep points never perturbs the workloads.
+FaultPoint = tuple[FaultRig, list[FaultSpec]]
+
+
+def crash_points(
+    rng: random.Random, seeds: typing.Iterable[int], points_per_seed: int,
+    total: int, concurrency: int,
+) -> typing.Iterator[FaultPoint]:
+    """Server crashes on direct storms, alternating linked and full clones.
+
+    Crash timing is drawn uniformly — covering admission, dispatch wait,
+    mid-attempt, and post-storm idle — scaled to the storm flavour (linked
+    storms finish in tens of seconds, full-copy storms in hundreds).
+    Downtime cycles through 5, 30 and 120 s.
     """
-    rng = rng or random.Random(0xFEDE)
-    points = ("shard_crash", "server_crash") + MESSAGE_FAULT_KINDS
-    results: list[FederationFaultResult] = []
+    downtimes = (5.0, 30.0, 120.0)
     for seed in seeds:
         for point in range(points_per_seed):
-            label = points[point % len(points)]
+            linked = point % 2 == 0
+            crash_at = rng.uniform(1.0, 45.0 if linked else 240.0)
+            downtime = downtimes[point % len(downtimes)]
+            yield (
+                storm_rig(seed, total, concurrency, linked=linked),
+                [ServerCrash(start_s=crash_at, duration_s=downtime, count=1)],
+            )
+
+
+def message_points(
+    rng: random.Random, seeds: typing.Iterable[int], points_per_seed: int,
+    total: int, concurrency: int,
+) -> typing.Iterator[FaultPoint]:
+    """One message fault per bus-mediated linked storm, cycling the kinds."""
+    for seed in seeds:
+        for point in range(points_per_seed):
+            kind = MESSAGE_FAULT_KINDS[point % len(MESSAGE_FAULT_KINDS)]
+            intensity = draw_intensity(rng, kind, MESSAGE_FAULT_RANGES)
+            fault_at = rng.uniform(1.0, 40.0)
+            duration = rng.uniform(10.0, 60.0)
+            yield (
+                storm_rig(seed, total, concurrency, bus=True),
+                [message_fault(kind, intensity, fault_at, duration)],
+            )
+
+
+def federation_points(
+    rng: random.Random, seeds: typing.Iterable[int], points_per_seed: int,
+    total: int, concurrency: int,
+) -> typing.Iterator[FaultPoint]:
+    """Hot-shard crashes on the federation, alone or under a message fault.
+
+    Each seed cycles through a shard-crash point, a server-crash point,
+    and the five message-fault kinds overlaid on a mid-run crash of the
+    hot shard — the full chaos posture re-run on the federation topics.
+    """
+    ranges = {"drop": (0.1, 0.5), "duplicate": (0.1, 0.4), "delay": (0.5, 4.0),
+              "reorder": (0.2, 0.8)}
+    labels = ("shard_crash", "server_crash") + MESSAGE_FAULT_KINDS
+    for seed in seeds:
+        for point in range(points_per_seed):
+            label = labels[point % len(labels)]
             crash_at = rng.uniform(2.0, 30.0)
             downtime = rng.uniform(10.0, 60.0)
-            if label in ("shard_crash", "server_crash"):
-                kind, intensity = None, 0.0
-                crash_kind = label
-            else:
-                kind = label
-                crash_kind = "server_crash" if point % 2 else "shard_crash"
-                if kind == "drop":
-                    intensity = rng.uniform(0.1, 0.5)
-                elif kind == "duplicate":
-                    intensity = rng.uniform(0.1, 0.4)
-                elif kind == "delay":
-                    intensity = rng.uniform(0.5, 4.0)
-                elif kind == "reorder":
-                    intensity = rng.uniform(0.2, 0.8)
-                else:
-                    intensity = 0.0
-            results.append(
-                run_federation_fault_point(
-                    seed,
-                    kind=kind,
-                    intensity=intensity,
-                    fault_at_s=rng.uniform(1.0, 20.0),
-                    fault_duration_s=rng.uniform(10.0, 40.0),
-                    total=total,
-                    concurrency=concurrency,
-                    shards=shards,
-                    crash_at_s=crash_at,
-                    downtime_s=downtime,
-                    crash_kind=crash_kind,
-                )
-            )
-    return results
+            crash_only = label.endswith("_crash")
+            crash_kind = label if crash_only else ("shard_crash", "server_crash")[point % 2]
+            intensity = 0.0 if crash_only else draw_intensity(rng, label, ranges)
+            # The window is drawn at crash-only points too, so a fixed
+            # sweep seed always replays the same points.
+            fault_at = rng.uniform(1.0, 20.0)
+            fault_duration = rng.uniform(10.0, 40.0)
+            faults = [hot_shard_crash(crash_kind, crash_at, downtime)]
+            if not crash_only:
+                faults.append(message_fault(label, intensity, fault_at, fault_duration))
+            yield federation_rig(seed, total=total, concurrency=concurrency), faults
+
+
+# mode -> (point-draw function, default sweep seed)
+SWEEPS: dict[str, tuple[typing.Callable[..., typing.Iterator[FaultPoint]], int]] = {
+    "crash": (crash_points, 0xC4A5),
+    "message": (message_points, 0xB005),
+    "federation": (federation_points, 0xFEDE),
+}
+
+
+def fault_sweep(
+    mode: str,
+    seeds: typing.Iterable[int],
+    points_per_seed: int = 10,
+    rng: random.Random | None = None,
+    total: int = 12,
+    concurrency: int = 4,
+) -> list[FaultPointResult]:
+    """Run every point ``mode`` draws; returns each point's result.
+
+    Defaults give the acceptance shape for 20 seeds: 200 fault points.
+    """
+    draw, sweep_seed = SWEEPS[mode]
+    rng = rng or random.Random(sweep_seed)
+    return [
+        run_fault_point(rig, faults)
+        for rig, faults in draw(rng, seeds, points_per_seed, total, concurrency)
+    ]
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
     """CLI: ``python -m repro.faults.chaos --seeds 20 --points 10``."""
     import argparse
+    import sys
 
     parser = argparse.ArgumentParser(
         prog="repro.faults.chaos",
@@ -715,7 +546,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=("crash", "message", "federation"),
+        choices=tuple(SWEEPS),
         default="crash",
         help=(
             "crash: server-crash sweep; message: bus message-fault sweep; "
@@ -730,98 +561,44 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         "--sweep-seed", type=int, default=None, help="seed for fault-point draws"
     )
     args = parser.parse_args(argv)
-
-    if args.mode == "federation":
-        sweep_seed = 0xFEDE if args.sweep_seed is None else args.sweep_seed
-        results = federation_fault_sweep(
-            range(args.seeds),
-            points_per_seed=args.points,
-            rng=random.Random(sweep_seed),
-            total=args.total,
-            concurrency=args.concurrency,
-        )
-        bad = [r for r in results if not r.ok]
+    if min(args.seeds, args.points, args.total, args.concurrency) < 1:
+        # An empty sweep would pass vacuously.
         print(
-            f"federation sweep: {len(results)} fault points across {args.seeds} seeds — "
-            f"{sum(r.completed for r in results)} deploys completed, "
-            f"{sum(r.steals for r in results)} stolen, "
-            f"{sum(r.spills for r in results)} spilled, "
-            f"{sum(r.reroutes for r in results)} rerouted, "
-            f"{sum(r.dead_letters for r in results)} dead-lettered"
+            "error: --seeds, --points, --total and --concurrency must be >= 1",
+            file=sys.stderr,
         )
-        if bad:
-            for result in bad:
-                print(
-                    f"FAIL seed={result.seed} kind={result.kind} "
-                    f"crash={result.crash_kind}@{result.crash_at_s:.1f}s:"
-                )
-                for violation in result.violations:
-                    print(f"  - {violation}")
-            print(f"{len(bad)}/{len(results)} fault points violated cross-shard exactly-once")
-            return 1
-        print("cross-shard exactly-once invariant held at every fault point")
-        return 0
+        return 2
 
-    if args.mode == "message":
-        sweep_seed = 0xB005 if args.sweep_seed is None else args.sweep_seed
-        results = message_fault_sweep(
-            range(args.seeds),
-            points_per_seed=args.points,
-            rng=random.Random(sweep_seed),
-            total=args.total,
-            concurrency=args.concurrency,
-        )
-        bad = [r for r in results if not r.ok]
-        print(
-            f"message sweep: {len(results)} fault points across {args.seeds} seeds — "
-            f"{sum(r.published for r in results)} published, "
-            f"{sum(r.redelivered for r in results)} redelivered, "
-            f"{sum(r.deduped for r in results)} deduped, "
-            f"{sum(r.dropped for r in results)} dropped in transit, "
-            f"{sum(r.dead_letters for r in results)} dead-lettered"
-        )
-        if bad:
-            for result in bad:
-                print(
-                    f"FAIL seed={result.seed} kind={result.kind} "
-                    f"intensity={result.intensity:.2f} at={result.fault_at_s:.1f}s:"
-                )
-                for violation in result.violations:
-                    print(f"  - {violation}")
-            print(f"{len(bad)}/{len(results)} fault points violated exactly-once")
-            return 1
-        print("exactly-once invariant held at every message-fault point")
-        return 0
-
-    sweep_seed = 0xC4A5 if args.sweep_seed is None else args.sweep_seed
-    results = crash_sweep(
+    results = fault_sweep(
+        args.mode,
         range(args.seeds),
         points_per_seed=args.points,
-        rng=random.Random(sweep_seed),
+        rng=None if args.sweep_seed is None else random.Random(args.sweep_seed),
         total=args.total,
         concurrency=args.concurrency,
     )
-    bad = [r for r in results if not r.ok]
-    parked = sum(r.parked for r in results)
-    adopted = sum(r.adopted for r in results)
-    reissued = sum(r.reissued for r in results)
-    requeued = sum(r.requeued for r in results)
-    print(
-        f"crash sweep: {len(results)} crash points across {args.seeds} seeds — "
-        f"{parked} parked, {adopted} adopted, {reissued} reissued, "
-        f"{requeued} requeued, {sum(r.dead_letters for r in results)} dead-lettered"
+    totals: collections.Counter = collections.Counter()
+    for result in results:
+        totals.update(result.counters)
+    tallies = ", ".join(
+        f"{value:.1f} {name}" if isinstance(value, float) else f"{value} {name}"
+        for name, value in totals.items()
     )
+    print(
+        f"{args.mode} sweep: {len(results)} fault points across {args.seeds} seeds — "
+        f"{sum(r.completed for r in results)} completed, "
+        f"{sum(r.failed for r in results)} failed, "
+        f"{sum(r.dead_letters for r in results)} dead-lettered; {tallies}"
+    )
+    bad = [result for result in results if not result.ok]
+    for result in bad:
+        print(f"FAIL seed={result.seed} faults={list(result.faults)}:")
+        for violation in result.violations:
+            print(f"  - {violation}")
     if bad:
-        for result in bad:
-            print(
-                f"FAIL seed={result.seed} crash_at={result.crash_at_s:.1f}s "
-                f"downtime={result.downtime_s:.0f}s:"
-            )
-            for violation in result.violations:
-                print(f"  - {violation}")
-        print(f"{len(bad)}/{len(results)} crash points violated exactly-once")
+        print(f"{len(bad)}/{len(results)} fault points violated exactly-once")
         return 1
-    print("exactly-once invariant held at every crash point")
+    print("exactly-once invariant held at every fault point")
     return 0
 
 

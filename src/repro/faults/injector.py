@@ -83,11 +83,6 @@ class FaultTargets:
         return cls([server])
 
     @classmethod
-    def for_shards(cls, plane) -> "FaultTargets":
-        """Build targets from a ``ShardedControlPlane``-shaped object."""
-        return cls(list(plane.shards))
-
-    @classmethod
     def for_federation(cls, cloud) -> "FaultTargets":
         """Targets for a ``FederatedCloud``: every shard plus the federation bus."""
         bus = getattr(cloud, "bus", None)
@@ -174,10 +169,6 @@ class FaultTargets:
             del self._flap_depth[host.entity_id]
         else:
             self._flap_depth[host.entity_id] = depth - 1
-
-    @property
-    def flapped_hosts(self) -> int:
-        return len(self._flap_depth)
 
 
 class FaultInjector:

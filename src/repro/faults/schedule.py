@@ -409,6 +409,39 @@ class TopicPartition(MessageFault):
             bus.faults.disarm(token)
 
 
+MESSAGE_FAULT_KINDS = ("drop", "duplicate", "delay", "reorder", "partition")
+# The intensity range each randomized message fault is drawn from.
+MESSAGE_FAULT_RANGES = {
+    "drop": (0.1, 0.6), "duplicate": (0.1, 0.5), "delay": (0.5, 5.0), "reorder": (0.2, 0.8),
+}
+
+
+def draw_intensity(rng: random.Random, kind: str, ranges: dict) -> float:
+    """A uniform draw from ``ranges[kind]``; 0.0 (no draw) for kinds without one."""
+    return rng.uniform(*ranges[kind]) if kind in ranges else 0.0
+
+
+def message_fault(
+    kind: str, intensity: float, start_s: float, duration_s: float
+) -> MessageFault:
+    """One message-fault window on every topic, by short kind name.
+
+    ``intensity`` is the drop/duplicate/reorder rate, or the delay in
+    seconds for ``delay``; a ``partition`` ignores it.
+    """
+    if kind == "drop":
+        return MessageDrop(start_s, duration_s, rate=intensity)
+    if kind == "duplicate":
+        return MessageDuplicate(start_s, duration_s, rate=intensity)
+    if kind == "delay":
+        return MessageDelay(start_s, duration_s, delay_s=intensity)
+    if kind == "reorder":
+        return MessageReorder(start_s, duration_s, rate=intensity)
+    if kind == "partition":
+        return TopicPartition(start_s, duration_s)
+    raise ValueError(f"unknown message fault kind {kind!r}; known: {MESSAGE_FAULT_KINDS}")
+
+
 SPEC_KINDS: dict[str, type[FaultSpec]] = {
     spec.kind: spec
     for spec in (
@@ -556,9 +589,7 @@ def random_fault_schedule(
         duration = rng.uniform(duration_s * 0.05, duration_s * 0.5)
         kind = rng.choice(
             ["host_flap", "agent_degrade", "db_slowdown", "copy_flakiness",
-             "datastore_outage", "shard_crash", "server_crash",
-             "message_drop", "message_duplicate", "message_delay",
-             "message_reorder", "topic_partition"]
+             "datastore_outage", "shard_crash", "server_crash", *MESSAGE_FAULT_KINDS]
         )
         if kind == "host_flap":
             schedule.add(HostFlap(start, duration, count=rng.randint(1, 3)))
@@ -582,14 +613,7 @@ def random_fault_schedule(
             schedule.add(ShardCrash(start, duration, count=1))
         elif kind == "server_crash":
             schedule.add(ServerCrash(start, duration, count=1))
-        elif kind == "message_drop":
-            schedule.add(MessageDrop(start, duration, rate=rng.uniform(0.1, 0.6)))
-        elif kind == "message_duplicate":
-            schedule.add(MessageDuplicate(start, duration, rate=rng.uniform(0.1, 0.5)))
-        elif kind == "message_delay":
-            schedule.add(MessageDelay(start, duration, delay_s=rng.uniform(0.5, 5.0)))
-        elif kind == "message_reorder":
-            schedule.add(MessageReorder(start, duration, rate=rng.uniform(0.2, 0.8)))
         else:
-            schedule.add(TopicPartition(start, duration))
+            intensity = draw_intensity(rng, kind, MESSAGE_FAULT_RANGES)
+            schedule.add(message_fault(kind, intensity, start, duration))
     return schedule

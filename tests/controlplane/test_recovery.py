@@ -19,8 +19,9 @@ from repro.controlplane.resilience import RetryPolicy
 from repro.controlplane.server import ManagementServer
 from repro.controlplane.task_manager import Task, TaskState
 from repro.core.experiments import StormRig
-from repro.faults.chaos import check_exactly_once, run_crash_point
+from repro.faults.chaos import check_exactly_once, run_fault_point, storm_rig
 from repro.faults.errors import ServerCrashed
+from repro.faults.schedule import ServerCrash
 from repro.operations.base import Operation
 from repro.sim import RandomStreams, Simulator
 from repro.sim.kernel import Interrupt
@@ -129,26 +130,35 @@ def test_operation_recovery_protocol_defaults():
 # -- reconciliation verdicts under a real crash ------------------------------
 
 
-def test_crash_mid_linked_storm_holds_exactly_once():
-    result = run_crash_point(
-        seed=0, crash_at_s=3.0, downtime_s=30.0, total=8, concurrency=3
+def _crash_point(seed, crash_at_s, downtime_s, total, concurrency, linked=True):
+    return run_fault_point(
+        storm_rig(seed, total, concurrency, linked=linked),
+        [ServerCrash(start_s=crash_at_s, duration_s=downtime_s, count=1)],
     )
+
+
+def test_crash_mid_linked_storm_holds_exactly_once():
+    result = _crash_point(seed=0, crash_at_s=3.0, downtime_s=30.0, total=8, concurrency=3)
     assert result.ok, result.violations
-    assert result.parked > 0
+    counters = result.counters
+    assert counters["parked"] > 0
     assert result.completed == 8
     assert result.dead_letters == 0
     # Every parked task got exactly one verdict.
-    assert result.adopted + result.reissued + result.requeued == result.parked
-    assert result.mttr_s > 0.0
+    assert (
+        counters["adopted"] + counters["reissued"] + counters["requeued"]
+        == counters["parked"]
+    )
+    assert counters["mttr_s"] > 0.0
 
 
 def test_crash_mid_full_copy_reissues_idempotently():
-    result = run_crash_point(
+    result = _crash_point(
         seed=0, crash_at_s=60.0, downtime_s=30.0, total=6, concurrency=3,
         linked=False,
     )
     assert result.ok, result.violations
-    assert result.reissued > 0  # mid-copy work cannot be adopted
+    assert result.counters["reissued"] > 0  # mid-copy work cannot be adopted
     assert result.completed == 6
 
 
@@ -179,21 +189,19 @@ def test_crash_interrupts_inflight_tasks_in_admission_order():
 
 
 def test_crash_point_reruns_identically_in_one_process():
-    first = run_crash_point(seed=3, crash_at_s=4.0, downtime_s=20.0, total=12, concurrency=4)
-    second = run_crash_point(seed=3, crash_at_s=4.0, downtime_s=20.0, total=12, concurrency=4)
+    first = _crash_point(seed=3, crash_at_s=4.0, downtime_s=20.0, total=12, concurrency=4)
+    second = _crash_point(seed=3, crash_at_s=4.0, downtime_s=20.0, total=12, concurrency=4)
     assert first.ok, first.violations
-    assert first.parked > 0
+    assert first.counters["parked"] > 0
     assert second == first
 
 
 def test_crash_requeues_tasks_waiting_at_dispatch():
-    # run_crash_point caps max_inflight below the worker concurrency, so an
+    # storm_rig caps max_inflight below the worker concurrency, so an
     # early crash always catches at least one task at the dispatch wait.
-    result = run_crash_point(
-        seed=1, crash_at_s=2.0, downtime_s=10.0, total=8, concurrency=4
-    )
+    result = _crash_point(seed=1, crash_at_s=2.0, downtime_s=10.0, total=8, concurrency=4)
     assert result.ok, result.violations
-    assert result.requeued > 0
+    assert result.counters["requeued"] > 0
     assert result.completed == 8
 
 

@@ -73,3 +73,49 @@ def test_unknown_profile_rejected():
 def test_unknown_experiment_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["experiment", "R-F99"])
+
+
+def test_recover_command(capsys):
+    assert main(["recover", "--clones", "8", "--concurrency", "3", "--crash-at", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "linked storm: 8 clones" in out
+    assert "crash #1 at 3.0s" in out
+    assert "exactly-once invariant: held" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", "--clones", "0"],
+        ["recover", "--concurrency", "0"],
+        ["federation", "--crash-at", "5", "--downtime", "0"],
+        ["federation", "--fault", "drop", "--rate", "0"],
+        ["bus", "--fault", "drop", "--rate", "0"],
+        ["bus", "--fault", "delay", "--fault-duration", "0"],
+    ],
+)
+def test_bad_fault_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--points", "--total", "--concurrency"])
+def test_chaos_sweep_refuses_empty_sweep(flag, capsys):
+    from repro.faults import chaos
+
+    assert chaos.main([flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "held" not in captured.out
+
+
+def test_chaos_sweep_summary(capsys):
+    from repro.faults import chaos
+
+    assert chaos.main(["--seeds", "1", "--points", "2", "--total", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "crash sweep: 2 fault points across 1 seeds" in out
+    assert "parked" in out and "mttr_s" in out
+    assert "exactly-once invariant held at every fault point" in out

@@ -8,11 +8,12 @@ between chaos runs.
 
 import random
 
-from repro.faults.chaos import crash_sweep, run_crash_point
+from repro.faults.chaos import fault_sweep, run_fault_point, storm_rig
 
 
 def test_bounded_sweep_holds_exactly_once():
-    results = crash_sweep(
+    results = fault_sweep(
+        "crash",
         seeds=range(2),
         points_per_seed=3,
         rng=random.Random(0xC4A5),
@@ -21,18 +22,20 @@ def test_bounded_sweep_holds_exactly_once():
     )
     assert len(results) == 6
     for result in results:
-        assert result.ok, (result.seed, result.crash_at_s, result.violations)
+        assert result.ok, (result.seed, result.faults, result.violations)
     # The sweep actually exercised recovery, not just post-drain crashes.
-    assert sum(result.parked for result in results) > 0
-    assert sum(result.adopted + result.reissued + result.requeued
-               for result in results) > 0
+    assert sum(result.counters["parked"] for result in results) > 0
+    assert sum(
+        result.counters[verdict]
+        for result in results
+        for verdict in ("adopted", "reissued", "requeued")
+    ) > 0
 
 
 def test_baseline_point_runs_crash_free():
-    result = run_crash_point(
-        seed=0, crash_at_s=None, downtime_s=0.0, total=6, concurrency=3
-    )
+    result = run_fault_point(storm_rig(seed=0, total=6, concurrency=3))
     assert result.ok
-    assert result.parked == 0
-    assert result.mttr_s == 0.0
+    assert result.faults == ()
+    assert result.counters["parked"] == 0
+    assert result.counters["mttr_s"] == 0.0
     assert result.completed == 6

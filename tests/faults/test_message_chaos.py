@@ -13,18 +13,17 @@ import random
 
 import pytest
 
-from repro.faults.chaos import (
-    MESSAGE_FAULT_KINDS,
-    message_fault_sweep,
-    run_message_fault_point,
-)
+from repro.faults.chaos import fault_sweep, run_fault_point, storm_rig
 from repro.faults.schedule import (
+    MESSAGE_FAULT_KINDS,
     FaultSchedule,
     MessageDelay,
     MessageDrop,
     MessageDuplicate,
     MessageReorder,
+    ServerCrash,
     TopicPartition,
+    message_fault,
 )
 
 
@@ -33,38 +32,30 @@ def test_each_message_fault_kind_preserves_exactly_once(kind):
     intensity = {"drop": 0.4, "duplicate": 0.4, "delay": 2.0, "reorder": 0.6}.get(
         kind, 0.0
     )
-    result = run_message_fault_point(
-        seed=11,
-        kind=kind,
-        intensity=intensity,
-        fault_at_s=2.0,
-        fault_duration_s=40.0,
-        total=8,
-        concurrency=4,
+    result = run_fault_point(
+        storm_rig(seed=11, total=8, concurrency=4, bus=True),
+        [message_fault(kind, intensity, start_s=2.0, duration_s=40.0)],
     )
     assert result.ok, result.violations
     assert result.completed + result.failed == 8
-    assert result.published > 0 and result.delivered > 0
+    assert result.counters["published"] > 0 and result.counters["delivered"] > 0
 
 
 def test_message_fault_with_crash_preserves_exactly_once():
-    result = run_message_fault_point(
-        seed=5,
-        kind="drop",
-        intensity=0.5,
-        fault_at_s=2.0,
-        fault_duration_s=90.0,
-        total=8,
-        concurrency=4,
-        crash_at_s=20.0,
-        downtime_s=30.0,
+    result = run_fault_point(
+        storm_rig(seed=5, total=8, concurrency=4, bus=True),
+        [
+            MessageDrop(start_s=2.0, duration_s=90.0, rate=0.5),
+            ServerCrash(start_s=20.0, duration_s=30.0, count=1),
+        ],
     )
     assert result.ok, result.violations
     assert result.completed + result.failed == 8
 
 
-def test_bounded_message_fault_sweep_all_clean():
-    results = message_fault_sweep(
+def test_bounded_message_sweep_all_clean():
+    results = fault_sweep(
+        "message",
         seeds=range(2),
         points_per_seed=5,
         rng=random.Random(0xB005),
@@ -73,9 +64,9 @@ def test_bounded_message_fault_sweep_all_clean():
     )
     assert len(results) == 10
     # Every kind appears: points cycle through the kind list.
-    assert {r.kind for r in results} == set(MESSAGE_FAULT_KINDS)
+    assert len({r.faults[0].kind for r in results}) == len(MESSAGE_FAULT_KINDS)
     bad = [r for r in results if not r.ok]
-    assert bad == [], [(r.seed, r.kind, r.violations) for r in bad]
+    assert bad == [], [(r.seed, r.faults, r.violations) for r in bad]
 
 
 def test_message_fault_specs_roundtrip_through_dicts():
