@@ -356,97 +356,44 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    import dataclasses as _dc
-    import random as _random
+    from repro.faults import SPEC_KINDS, standard_fault_schedule
+    from repro.faults.chaos import deploy_rig, run_fault_point
 
-    from repro.cloud.catalog import Catalog, CatalogItem
-    from repro.cloud.director import CloudDirector, DeployRequest
-    from repro.cloud.tenancy import Organization
-    from repro.controlplane.costs import ControlPlaneConfig, DEFAULT_COSTS
-    from repro.controlplane.resilience import BreakerPolicy, NO_RETRY, RetryPolicy
-    from repro.datacenter.templates import MEDIUM_LINUX
-    from repro.faults import (
-        FaultInjector,
-        FaultTargets,
-        SPEC_KINDS,
-        standard_fault_schedule,
-    )
-    from repro.sim.events import AllOf
-
-    costs = _dc.replace(DEFAULT_COSTS, host_call_timeout_s=20.0)
-    if args.no_resilience:
-        config = ControlPlaneConfig()
-        director_policy = NO_RETRY
-    else:
-        config = ControlPlaneConfig(
-            task_deadline_s=240.0,
-            breaker=BreakerPolicy(failure_threshold=3, cooldown_s=45.0),
-        )
-        director_policy = RetryPolicy(max_attempts=6, base_backoff_s=2.0)
-    rig = StormRig(
-        seed=args.seed, hosts=16, datastores=4, host_memory_gb=512.0,
-        costs=costs, config=config,
-    )
-    catalog = Catalog("demo")
-    item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
-    org = Organization("demo-org", quota_vms=1_000_000, quota_storage_gb=1e9)
-    director = CloudDirector(
-        rig.server, rig.cluster, rig.library, catalog,
-        retry_policy=director_policy,
-    )
     try:
         schedule = standard_fault_schedule(args.duration, scale=args.scale)
+        rig = deploy_rig(
+            args.seed, "none" if args.no_resilience else "full",
+            duration_s=args.duration, arrival_rate=args.rate,
+        )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    injector = FaultInjector(
-        rig.sim,
-        FaultTargets.for_server(rig.server),
-        schedule,
-        rng=rig.streams.stream("fault-injector"),
-    ).start()
-
-    requests: list = []
-
-    def one(index: int) -> typing.Generator:
-        yield from director.deploy(
-            DeployRequest(org=org, item=item, vm_count=1, vapp_name=f"req{index}")
-        )
-
-    def arrivals() -> typing.Generator:
-        rng = _random.Random(args.seed)
-        index = 0
-        while rig.sim.now < args.duration:
-            yield rig.sim.timeout(rng.expovariate(args.rate))
-            if rig.sim.now >= args.duration:
-                break
-            requests.append(rig.sim.spawn(one(index), name=f"req-{index}"))
-            index += 1
-
-    source = rig.sim.spawn(arrivals(), name="arrivals")
-    rig.sim.run(until=source)
-    if requests:
-        rig.sim.run(until=AllOf(rig.sim, requests))
-    rig.sim.run(until=rig.sim.spawn(injector.drain(), name="fault-drain"))
+    result = run_fault_point(rig, schedule.specs)
+    counters = result.counters
 
     print(f"fault kinds: {', '.join(sorted(SPEC_KINDS))}")
     print("\nfault timeline:")
-    for line in injector.timeline():
+    for line in result.timeline:
         print(f"  {line}")
-    tasks = rig.server.tasks
-    succeeded = sum(len(vapp.vms) for vapp in director.vapps)
-    timely = sum(
-        len(vapp.vms)
-        for vapp in director.vapps
-        if vapp.deployed_at is not None and vapp.deployed_at <= args.duration
-    )
-    print(f"\noffered:       {len(requests)} deploys over {args.duration:.0f}s")
-    print(f"succeeded:     {succeeded} ({timely} inside the window)")
-    print(f"p99 latency:   {director.deploy_latency_p(0.99):.1f}s")
-    print(f"re-places:     {int(director.metrics.counter('vm_retries').value)}")
-    print(f"task retries:  {int(tasks.metrics.counter('retries').value)}")
-    print(f"dead letters:  {len(tasks.dead_letters)}")
-    print(f"unaccounted:   {len(tasks.unaccounted())}")
+    print(f"\noffered:       {counters['offered']} deploys over {args.duration:.0f}s")
+    print(f"succeeded:     {counters['vms']} ({counters['timely_vms']} inside the window)")
+    print(f"p99 latency:   {counters['p99_latency_s']:.1f}s")
+    print(f"re-places:     {counters['re_places']}")
+    print(f"task retries:  {counters['task_retries']}")
+    print(f"shed:          {counters['shed']}")
+    print(f"dead letters:  {result.dead_letters}")
+    print(f"unaccounted:   {counters['unaccounted']}")
+    return _report_exactly_once(result)
+
+
+def _report_exactly_once(result) -> int:
+    """Print the exactly-once verdict of a fault point; 1 if it broke."""
+    if result.violations:
+        print("exactly-once VIOLATED:")
+        for violation in result.violations:
+            print(f"  - {violation}")
+        return 1
+    print("exactly-once invariant: held")
     return 0
 
 
@@ -489,13 +436,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         )
     print(f"dead letters:  {result.dead_letters}")
     print(f"unaccounted:   {len(server.tasks.unaccounted())}")
-    if result.violations:
-        print("exactly-once VIOLATED:")
-        for violation in result.violations:
-            print(f"  - {violation}")
-        return 1
-    print("exactly-once invariant: held")
-    return 0
+    return _report_exactly_once(result)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -583,21 +524,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    import dataclasses as _dc
-
-    from repro.cloud.api import AdmissionShed, ApiGateway
-    from repro.cloud.catalog import Catalog, CatalogItem
-    from repro.cloud.director import CloudDirector, DeployRequest
-    from repro.cloud.tenancy import Organization, User
-    from repro.controlplane.costs import ControlPlaneConfig, DEFAULT_COSTS
-    from repro.controlplane.resilience import BreakerPolicy, RetryPolicy
-    from repro.datacenter.templates import MEDIUM_LINUX
-    from repro.faults import FaultInjector, FaultTargets, standard_fault_schedule
-    from repro.sim.events import AllOf
+    from repro.faults import standard_fault_schedule
+    from repro.faults.chaos import ALERT_RULES, deploy_rig, run_fault_point
     from repro.telemetry import (
-        BurnWindow,
-        LatencyRule,
-        RatioRule,
         render_dashboard,
         write_alerts,
         write_prometheus,
@@ -605,106 +534,20 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     )
 
     try:
-        if args.duration <= 0:
-            raise ValueError("duration must be positive")
-        if args.rate <= 0:
-            raise ValueError("rate must be positive")
-        if args.interval <= 0:
-            raise ValueError("interval must be positive")
-    except ValueError as error_:
-        print(f"error: {error_}", file=sys.stderr)
-        return 2
-
-    config = ControlPlaneConfig(
-        retry_budget_ratio=0.2,
-        task_deadline_s=240.0,
-        breaker=BreakerPolicy(failure_threshold=3, cooldown_s=45.0),
-    )
-    rig = StormRig(
-        seed=args.seed, hosts=16, datastores=4, host_memory_gb=512.0,
-        costs=_dc.replace(DEFAULT_COSTS, host_call_timeout_s=20.0),
-        config=config, telemetry=True, scrape_interval_s=args.interval,
-        triage=args.triage,
-    )
-    telemetry = rig.telemetry
-    catalog = Catalog("demo")
-    item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
-    org = Organization("demo-org", quota_vms=1_000_000, quota_storage_gb=1e9)
-    director = CloudDirector(
-        rig.server, rig.cluster, rig.library, catalog,
-        retry_policy=RetryPolicy(max_attempts=6, base_backoff_s=2.0),
-    )
-    gateway = ApiGateway(
-        rig.sim, requests_per_minute=600.0, burst=50.0, telemetry=telemetry
-    )
-    gateway.enable_shedding(lambda: rig.server.tasks.queue_depth, 128.0)
-    session = gateway.login(User("tenant", org))
-
-    windows = (
-        BurnWindow(short_s=60.0, long_s=180.0, threshold=2.0),
-        BurnWindow(short_s=180.0, long_s=600.0, threshold=1.0),
-    )
-    success = 'tasks_completed_total{outcome="success"}'
-    error = 'tasks_completed_total{outcome="error"}'
-    telemetry.add_rule(LatencyRule(
-        name="deploy-latency-p99", objective=0.95,
-        metric="director_deploy_latency_s", threshold_s=60.0, windows=windows,
-    ))
-    telemetry.add_rule(RatioRule(
-        name="task-goodput", objective=0.98,
-        bad_metric=error, total_metrics=(success, error), windows=windows,
-    ))
-    telemetry.add_rule(RatioRule(
-        name="dead-letter-rate", objective=0.995,
-        bad_metric="tasks_dead_letter_total",
-        total_metrics=(success, error), windows=windows,
-    ))
-    telemetry.start()
-
-    injector = None
-    if not args.no_faults:
-        try:
-            schedule = standard_fault_schedule(args.duration, scale=args.scale)
-        except ValueError as error_:
-            print(f"error: {error_}", file=sys.stderr)
-            return 2
-        injector = FaultInjector(
-            rig.sim,
-            FaultTargets.for_server(rig.server),
-            schedule,
-            rng=rig.streams.stream("fault-injector"),
-        ).start()
-
-    requests: list = []
-
-    def one(index: int) -> typing.Generator:
-        try:
-            yield from gateway.admit(session)
-        except AdmissionShed:
-            return
-        yield from director.deploy(
-            DeployRequest(org=org, item=item, vm_count=1, vapp_name=f"req{index}")
+        faults = ()
+        if not args.no_faults:
+            faults = standard_fault_schedule(args.duration, scale=args.scale).specs
+        rig = deploy_rig(
+            args.seed, duration_s=args.duration, arrival_rate=args.rate,
+            scrape_interval_s=args.interval, rules=ALERT_RULES, triage=args.triage,
         )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    result = run_fault_point(rig, faults)
+    telemetry = rig.env.telemetry
 
-    def arrivals() -> typing.Generator:
-        rng = rig.streams.stream("arrivals")
-        index = 0
-        while rig.sim.now < args.duration:
-            yield rig.sim.timeout(rng.expovariate(args.rate))
-            if rig.sim.now >= args.duration:
-                break
-            requests.append(rig.sim.spawn(one(index), name=f"req-{index}"))
-            index += 1
-
-    source = rig.sim.spawn(arrivals(), name="arrivals")
-    rig.sim.run(until=source)
-    if requests:
-        rig.sim.run(until=AllOf(rig.sim, requests))
-    if injector is not None:
-        rig.sim.run(until=rig.sim.spawn(injector.drain(), name="fault-drain"))
-    telemetry.stop()
-
-    print(render_dashboard(telemetry, triage=rig.triage))
+    print(render_dashboard(telemetry, triage=rig.env.triage))
     if args.prom_out:
         path = write_prometheus(telemetry, args.prom_out)
         print(f"wrote Prometheus exposition to {path}")
@@ -714,7 +557,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.alerts_out:
         path = write_alerts(telemetry, args.alerts_out)
         print(f"wrote alert timeline to {path}")
-    return 0
+    return _report_exactly_once(result)
 
 
 def cmd_bus(args: argparse.Namespace) -> int:
@@ -854,9 +697,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
         print("error: duration must be positive", file=sys.stderr)
         return 2
 
-    point = run_triage_point(
-        args.seed, kind, duration_s=args.duration
-    )
+    point = run_triage_point(args.seed, kind, duration_s=args.duration)
     print(
         f"chaos run: seed {point.seed}, injected "
         f"{point.kind or 'nothing'}, {point.completed} tasks completed, "
@@ -897,11 +738,7 @@ def cmd_incident(args: argparse.Namespace) -> int:
         return 2
 
     point = run_triage_point(
-        args.seed,
-        kind,
-        duration_s=args.duration,
-        traced=True,
-        sample_budget=args.sample,
+        args.seed, kind, duration_s=args.duration, sample_budget=args.sample,
         recorder=True,
     )
     print(

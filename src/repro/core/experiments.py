@@ -18,7 +18,7 @@ from repro.analysis.bottleneck import phase_breakdown, plane_breakdown
 from repro.analysis.latency import latency_by_type
 from repro.analysis.mix import mix_comparison
 from repro.analysis.report import render_series, render_table
-from repro.analysis.timeseries import arrival_rate_series, peak_to_trough
+from repro.analysis.timeseries import peak_to_trough
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
 from repro.controlplane.bus import MessageBus
 from repro.controlplane.recovery import NULL_JOURNAL, TaskJournal
@@ -27,7 +27,7 @@ from repro.controlplane.shard import ShardedControlPlane
 from repro.core.parallel import run_cells
 from repro.core.scenario import Scenario
 from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Network
-from repro.datacenter.templates import DEFAULT_SPECS, MEDIUM_LINUX, TemplateLibrary
+from repro.datacenter.templates import MEDIUM_LINUX, TemplateLibrary
 from repro.operations.provisioning import CloneVM, DeployFromTemplate
 from repro.operations.reconfiguration import AddHost, RescanDatastore
 from repro.sim.kernel import Simulator
@@ -980,188 +980,69 @@ def experiment_x2_stats_tax(seed: int = 0, quick: bool = False) -> ExperimentRes
     )
 
 
-def experiment_x3_fault_goodput(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def _x3_cell(cell: tuple[int, str, float]):
+    """One R-X3 cell: the deploy storm in one posture under the faults."""
+    from repro.faults import standard_fault_schedule
+    from repro.faults.chaos import deploy_rig, run_fault_point
+
+    seed, posture, duration_s = cell
+    faults = standard_fault_schedule(duration_s, scale=1.5).specs
+    rig = deploy_rig(seed, posture, duration_s=duration_s)
+    return run_fault_point(rig, faults).require_ok()
+
+
+def experiment_x3_fault_goodput(
+    seed: int = 0, quick: bool = False, parallel: int | None = None
+) -> ExperimentResult:
     """R-X3 (extension): provisioning goodput under faults vs resilience.
 
-    An open-loop CLOUD_A-style deploy storm runs against a cluster while a
-    standard fault schedule flaps hosts, degrades host agents (latency +
-    drops), and slows the database. Three resilience postures are ablated:
+    An open-loop CLOUD_A-style deploy storm (1.6 deploys/s, ~0.65 of
+    fault-free capacity) runs against a cluster while a standard fault
+    schedule flaps hosts, degrades host agents (latency + drops), and
+    slows the database. The three resilience postures of
+    :func:`repro.faults.chaos.deploy_rig` are ablated:
 
     - ``none``: first failure is final (the pre-resilience plane);
     - ``retries``: the director re-places failed VMs with backoff;
-    - ``full``: retries plus per-agent circuit breakers (fail fast instead
-      of burning the call timeout), task deadlines, task-level retries for
-      non-host-pinned transients under a retry budget, and admission
-      shedding at the API gateway.
+    - ``full``: re-placement plus per-agent circuit breakers (fail fast
+      instead of burning the call timeout), task deadlines, task-level
+      retries for non-host-pinned transients under a retry budget, and
+      admission shedding at the API gateway.
 
     Goodput counts successfully deployed VMs over the arrival window.
     Acceptance: goodput(none) < goodput(retries) < goodput(full); zero
-    dead letters and zero unaccounted tasks with full resilience.
+    dead letters and zero unaccounted tasks with full resilience; every
+    posture holds exactly-once.
     """
-    from repro.cloud.api import AdmissionShed, ApiGateway
-    from repro.cloud.catalog import Catalog, CatalogItem
-    from repro.cloud.director import CloudDirector, DeployRequest
-    from repro.cloud.tenancy import Organization, User
-    from repro.controlplane.resilience import (
-        BreakerPolicy,
-        NO_RETRY,
-        RetryPolicy,
-        TaskDeadlineExceeded,
-    )
-    from repro.faults import FaultInjector, FaultTargets, standard_fault_schedule
-    from repro.faults.errors import InjectedFault, ShardUnavailable, TransientError
-    from repro.operations.base import OperationError
-    from repro.sim.events import AllOf
-    from repro.storage.copy_engine import CopyFailed
+    from repro.faults.chaos import POSTURES
 
     duration_s = 600.0 if quick else 1500.0
-    arrival_rate = 1.6  # deploys/s — moderate load (~0.65 of fault-free capacity)
-    fault_scale = 1.5
-    # Failure detection compressed to match the storm timescale: a 120s
-    # call timeout against 1500s of faults would spend the run detecting.
-    costs = dataclasses.replace(DEFAULT_COSTS, host_call_timeout_s=20.0)
-
-    # Director-level re-placement: the resilience the *cloud layer* adds.
-    replace_policy = RetryPolicy(
-        max_attempts=6,
-        base_backoff_s=2.0,
-        backoff_multiplier=2.0,
-        max_backoff_s=30.0,
-        jitter=0.5,
-        retry_on=(TransientError, OperationError, TaskDeadlineExceeded),
+    results = run_cells(
+        _x3_cell, [(seed, posture, duration_s) for posture in POSTURES], parallel
     )
-    # Task-level in-place retries: only faults that are not pinned to the
-    # placement decision (DB/shard transients). Host- and datastore-pinned
-    # failures (agent faults, copy faults) must fail fast so the director
-    # re-places them on different resources.
-    in_place_policy = RetryPolicy(
-        max_attempts=3,
-        base_backoff_s=1.0,
-        backoff_multiplier=2.0,
-        max_backoff_s=15.0,
-        jitter=0.5,
-        retry_on=(InjectedFault, ShardUnavailable),
-    )
-    variants: list[tuple[str, ControlPlaneConfig, RetryPolicy, float | None]] = [
-        ("none", ControlPlaneConfig(), NO_RETRY, None),
-        ("retries", ControlPlaneConfig(), replace_policy, None),
-        (
-            "full",
-            ControlPlaneConfig(
-                retry_policy=in_place_policy,
-                retry_budget_ratio=0.2,
-                task_deadline_s=240.0,
-                breaker=BreakerPolicy(
-                    failure_threshold=3, cooldown_s=45.0, half_open_probes=1
-                ),
-            ),
-            replace_policy,
-            128.0,  # shed watermark on the dispatch backlog
-        ),
-    ]
-
     rows = []
     goodputs: dict[str, float] = {}
-    for label, config, director_policy, shed_watermark in variants:
-        rig = StormRig(
-            seed=seed,
-            hosts=16,
-            datastores=4,
-            host_memory_gb=512.0,
-            costs=costs,
-            config=config,
-        )
-        server = rig.server
-        catalog = Catalog("cloud-a")
-        item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
-        org = Organization("acme", quota_vms=100_000, quota_storage_gb=1e9)
-        director = CloudDirector(
-            server, rig.cluster, rig.library, catalog, retry_policy=director_policy
-        )
-        gateway = ApiGateway(rig.sim, requests_per_minute=600.0, burst=50.0)
-        if shed_watermark is not None:
-            gateway.enable_shedding(
-                lambda srv=server: srv.tasks.queue_depth, shed_watermark
-            )
-        session = gateway.login(User("tenant", org))
-
-        injector = FaultInjector(
-            rig.sim,
-            FaultTargets.for_server(server),
-            standard_fault_schedule(duration_s, scale=fault_scale),
-            rng=rig.streams.stream("fault-injector"),
-        ).start()
-
-        shed = {"count": 0}
-        requests: list = []
-
-        def one_request(index: int) -> typing.Generator:
-            try:
-                yield from gateway.admit(session)
-            except AdmissionShed:
-                shed["count"] += 1
-                return
-            yield from director.deploy(
-                DeployRequest(org=org, item=item, vm_count=1, vapp_name=f"req{index}")
-            )
-
-        def arrivals() -> typing.Generator:
-            rng = rig.streams.stream("arrivals")
-            index = 0
-            while rig.sim.now < duration_s:
-                yield rig.sim.timeout(rng.expovariate(arrival_rate))
-                if rig.sim.now >= duration_s:
-                    break
-                requests.append(
-                    rig.sim.spawn(one_request(index), name=f"req-{index}")
-                )
-                index += 1
-
-        source = rig.sim.spawn(arrivals(), name="arrivals")
-        rig.sim.run(until=source)
-        if requests:
-            rig.sim.run(until=AllOf(rig.sim, requests))
-        drain = rig.sim.spawn(injector.drain(), name="fault-drain")
-        rig.sim.run(until=drain)
-        server.tasks.assert_accounted()
-
-        offered = len(requests)  # shed requests are in the list too
-        succeeded = sum(len(vapp.vms) for vapp in director.vapps)
-        # Goodput counts deploys that finished inside the arrival window;
-        # a VM delivered long after the backlog drains helped nobody.
-        timely = sum(
-            len(vapp.vms)
-            for vapp in director.vapps
-            if vapp.deployed_at is not None and vapp.deployed_at <= duration_s
-        )
-        goodput = timely * 3600.0 / duration_s
-        goodputs[label] = goodput
-        p99 = director.deploy_latency_p(0.99)
-        dead = len(server.tasks.dead_letters)
-        unaccounted = len(server.tasks.unaccounted())
-        breaker_opens = sum(
-            server.agent(host).metrics.counter("breaker_opens").value
-            for host in rig.hosts
-        )
+    for posture, result in zip(POSTURES, results):
+        counters = result.counters
+        goodputs[posture] = counters["timely_vms"] * 3600.0 / duration_s
         rows.append(
             [
-                label,
-                offered,
-                f"{succeeded} ({timely})",
-                f"{goodput:.0f}",
-                f"{p99:.1f}",
-                int(director.metrics.counter("vm_retries").value),
-                int(server.tasks.metrics.counter("retries").value),
-                int(breaker_opens),
-                shed["count"],
-                dead,
-                unaccounted,
+                posture,
+                counters["offered"],
+                f"{counters['vms']} ({counters['timely_vms']})",
+                f"{goodputs[posture]:.0f}",
+                f"{counters['p99_latency_s']:.1f}",
+                counters["re_places"],
+                counters["task_retries"],
+                counters["breaker_opens"],
+                counters["shed"],
+                result.dead_letters,
+                counters["unaccounted"],
             ]
         )
     series = {
         "goodput (VMs/hour)": [
-            (float(index), goodputs[label])
-            for index, (label, *_rest) in enumerate(variants)
+            (float(index), goodputs[posture]) for index, posture in enumerate(POSTURES)
         ]
     }
     return ExperimentResult(
@@ -1515,159 +1396,20 @@ def experiment_f_alerts(seed: int = 0, quick: bool = False) -> ExperimentResult:
     Acceptance: every injected fault is surfaced by at least one
     burn-rate alert at or before its goodput trough (lead >= 0).
     """
-    from repro.cloud.api import AdmissionShed, ApiGateway
-    from repro.cloud.catalog import Catalog, CatalogItem
-    from repro.cloud.director import CloudDirector, DeployRequest
-    from repro.cloud.tenancy import Organization, User
-    from repro.controlplane.resilience import (
-        BreakerPolicy,
-        RetryPolicy,
-        TaskDeadlineExceeded,
-    )
-    from repro.faults import FaultInjector, FaultTargets, standard_fault_schedule
-    from repro.faults.errors import InjectedFault, ShardUnavailable, TransientError
-    from repro.operations.base import OperationError
-    from repro.sim.events import AllOf
-    from repro.telemetry.slo import BurnWindow, LatencyRule, RatioRule
+    from repro.faults import standard_fault_schedule
+    from repro.faults.chaos import ALERT_RULES, TASK_SUCCESS, deploy_rig, run_fault_point
 
     duration_s = 600.0 if quick else 1500.0
-    arrival_rate = 1.6
-    fault_scale = 1.5
-    costs = dataclasses.replace(DEFAULT_COSTS, host_call_timeout_s=20.0)
-
-    replace_policy = RetryPolicy(
-        max_attempts=6,
-        base_backoff_s=2.0,
-        backoff_multiplier=2.0,
-        max_backoff_s=30.0,
-        jitter=0.5,
-        retry_on=(TransientError, OperationError, TaskDeadlineExceeded),
+    schedule = standard_fault_schedule(duration_s, scale=1.5)
+    rig = deploy_rig(
+        seed, duration_s=duration_s, scrape_interval_s=5.0, rules=ALERT_RULES
     )
-    in_place_policy = RetryPolicy(
-        max_attempts=3,
-        base_backoff_s=1.0,
-        backoff_multiplier=2.0,
-        max_backoff_s=15.0,
-        jitter=0.5,
-        retry_on=(InjectedFault, ShardUnavailable),
-    )
-    config = ControlPlaneConfig(
-        retry_policy=in_place_policy,
-        retry_budget_ratio=0.2,
-        task_deadline_s=240.0,
-        breaker=BreakerPolicy(failure_threshold=3, cooldown_s=45.0, half_open_probes=1),
-    )
-
-    rig = StormRig(
-        seed=seed,
-        hosts=16,
-        datastores=4,
-        host_memory_gb=512.0,
-        costs=costs,
-        config=config,
-        telemetry=True,
-        scrape_interval_s=5.0,
-    )
-    server = rig.server
-    telemetry = rig.telemetry
-    catalog = Catalog("cloud-a")
-    item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
-    org = Organization("acme", quota_vms=100_000, quota_storage_gb=1e9)
-    director = CloudDirector(
-        server, rig.cluster, rig.library, catalog, retry_policy=replace_policy
-    )
-    gateway = ApiGateway(
-        rig.sim, requests_per_minute=600.0, burst=50.0, telemetry=telemetry
-    )
-    gateway.enable_shedding(lambda: server.tasks.queue_depth, 128.0)
-    session = gateway.login(User("tenant", org))
-
-    # Burn windows sized to the storm timescale: the fast pair catches a
-    # sharp regression within ~1-2 roll-up windows, the slow pair holds
-    # the alert through sustained degradation.
-    windows = (
-        BurnWindow(short_s=60.0, long_s=180.0, threshold=2.0),
-        BurnWindow(short_s=180.0, long_s=600.0, threshold=1.0),
-    )
-    success = 'tasks_completed_total{outcome="success"}'
-    error = 'tasks_completed_total{outcome="error"}'
-    telemetry.add_rule(
-        LatencyRule(
-            name="deploy-latency-p99",
-            objective=0.95,
-            metric="director_deploy_latency_s",
-            threshold_s=60.0,
-            windows=windows,
-        )
-    )
-    telemetry.add_rule(
-        RatioRule(
-            name="task-goodput",
-            objective=0.98,
-            bad_metric=error,
-            total_metrics=(success, error),
-            windows=windows,
-        )
-    )
-    telemetry.add_rule(
-        RatioRule(
-            name="dead-letter-rate",
-            objective=0.995,
-            bad_metric="tasks_dead_letter_total",
-            total_metrics=(success, error),
-            windows=windows,
-        )
-    )
-    telemetry.add_rule(
-        RatioRule(
-            name="admission-shed-rate",
-            objective=0.98,
-            bad_metric="gateway_shed_total",
-            total_metrics=("gateway_admitted_total", "gateway_shed_total"),
-            windows=windows,
-        )
-    )
-
-    schedule = standard_fault_schedule(duration_s, scale=fault_scale)
-    injector = FaultInjector(
-        rig.sim,
-        FaultTargets.for_server(server),
-        schedule,
-        rng=rig.streams.stream("fault-injector"),
-    ).start()
-    telemetry.start()
-
-    requests: list = []
-
-    def one_request(index: int) -> typing.Generator:
-        try:
-            yield from gateway.admit(session)
-        except AdmissionShed:
-            return
-        yield from director.deploy(
-            DeployRequest(org=org, item=item, vm_count=1, vapp_name=f"req{index}")
-        )
-
-    def arrivals() -> typing.Generator:
-        rng = rig.streams.stream("arrivals")
-        index = 0
-        while rig.sim.now < duration_s:
-            yield rig.sim.timeout(rng.expovariate(arrival_rate))
-            if rig.sim.now >= duration_s:
-                break
-            requests.append(rig.sim.spawn(one_request(index), name=f"req-{index}"))
-            index += 1
-
-    source = rig.sim.spawn(arrivals(), name="arrivals")
-    rig.sim.run(until=source)
-    if requests:
-        rig.sim.run(until=AllOf(rig.sim, requests))
-    rig.sim.run(until=rig.sim.spawn(injector.drain(), name="fault-drain"))
-    telemetry.stop()
+    run_fault_point(rig, schedule.specs).require_ok()
+    telemetry = rig.env.telemetry
 
     # Goodput trough per fault: the worst 60 s success-completion window
     # overlapping the fault (extended one window for trailing effects).
-    success_series = telemetry.rollups[success]
+    success_series = telemetry.rollups[TASK_SUCCESS]
     goodput_windows = success_series.windows(level=0)
     fires = [event for event in telemetry.monitor.timeline if event.kind == "fire"]
     rows = []
@@ -1756,7 +1498,9 @@ def _alert_interval(telemetry, fire_event) -> _AlertInterval:
     return _AlertInterval(fire_event.time, float("inf"))
 
 
-def experiment_x6_triage(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_x6_triage(
+    seed: int = 0, quick: bool = False, parallel: int | None = None
+) -> ExperimentResult:
     """R-X6 (extension): automated incident triage scored against ground truth.
 
     Randomized single-fault chaos runs on the bus-mediated,
@@ -1774,7 +1518,7 @@ def experiment_x6_triage(seed: int = 0, quick: bool = False) -> ExperimentResult
 
     kinds = QUICK_KINDS if quick else SWEEP_KINDS
     seeds = range(seed, seed + (len(kinds) if quick else 2 * len(kinds)))
-    report, points = triage_sweep(seeds, kinds=kinds)
+    report, points = triage_sweep(seeds, kinds, parallel)
 
     rows = []
     for kind in sorted(report.per_kind):
@@ -1825,7 +1569,9 @@ def experiment_x6_triage(seed: int = 0, quick: bool = False) -> ExperimentResult
     )
 
 
-def experiment_x7_flight_recorder(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_x7_flight_recorder(
+    seed: int = 0, quick: bool = False, parallel: int | None = None
+) -> ExperimentResult:
     """R-X7 (extension): the incident flight recorder over the chaos sweep.
 
     Re-runs the R-X6 randomized single-fault chaos harness with the tail
@@ -1844,7 +1590,7 @@ def experiment_x7_flight_recorder(seed: int = 0, quick: bool = False) -> Experim
     Acceptance: bundle coverage 100% of alerting runs, and pooled
     retained-span peak <= 25% of the full-trace span count.
     """
-    from repro.triage.harness import QUICK_KINDS, SWEEP_KINDS, run_triage_point
+    from repro.triage.harness import QUICK_KINDS, SWEEP_KINDS, triage_sweep
 
     grace_s = 240.0
     budget = 2048
@@ -1856,17 +1602,12 @@ def experiment_x7_flight_recorder(seed: int = 0, quick: bool = False) -> Experim
     }
     retained_total = 0
     offered_total = 0
-    for index in range(runs_per_kind * len(kinds)):
-        kind = kinds[index % len(kinds)]
-        point = run_triage_point(
-            seed + index,
-            kind,
-            grace_s=grace_s,
-            traced=True,
-            sample_budget=budget,
-            recorder=True,
-        )
-        row = per_kind[kind]
+    _, points = triage_sweep(
+        range(seed, seed + runs_per_kind * len(kinds)), kinds, parallel,
+        grace_s=grace_s, sample_budget=budget, recorder=True,
+    )
+    for point in points:
+        row = per_kind[point.kind]
         row["runs"] += 1
         row["bundles"] += len(point.bundles)
         retained_total += point.retention["retained_spans"]
@@ -2237,7 +1978,8 @@ EXPERIMENTS: dict[str, typing.Callable[..., ExperimentResult]] = {
 
 #: Experiments whose independent sweep cells the parallel runner can fan out.
 PARALLEL_EXPERIMENTS = frozenset(
-    {"R-F3", "R-F5", "R-F6", "R-F9", "R-F-phase", "R-F-hyperscale", "R-T3"}
+    {"R-F3", "R-F5", "R-F6", "R-F9", "R-F-phase", "R-F-hyperscale", "R-T3", "R-X3",
+     "R-X6", "R-X7"}
 )
 
 

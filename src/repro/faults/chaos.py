@@ -13,10 +13,13 @@ points and checks the invariant after every one.
 A fault point is one loop, :func:`run_fault_point`: start a
 :class:`~repro.faults.FaultInjector` on a :class:`FaultRig`'s targets, run
 the rig's workload, drain the fault windows, run to quiescence, and check
-the rig's invariant. Two builders make rigs: :func:`storm_rig` (a
+the rig's invariant. Three builders make rigs: :func:`storm_rig` (a
 closed-loop clone storm on one journaled server, direct or fully
-bus-mediated) and :func:`federation_rig` (a skewed deploy storm over a
-shard federation). :func:`fault_sweep` draws randomized points for one
+bus-mediated), :func:`federation_rig` (a skewed deploy storm over a
+shard federation) and :func:`deploy_rig` (the open-loop tenant deploy
+storm behind R-X3, R-F-alerts, the triage harness and the ``repro
+faults``/``metrics`` demos, in one of three resilience postures).
+:func:`fault_sweep` draws randomized points for one
 mode — ``crash``, ``message`` or ``federation`` — and feeds them to that
 loop; tier-1 runs bounded sweeps, CI larger fixed-seed ones, and
 ``python -m repro.faults.chaos --mode MODE`` the full acceptance sweeps.
@@ -29,7 +32,16 @@ import dataclasses
 import random
 import typing
 
+from repro.controlplane.costs import DEFAULT_COSTS, ControlPlaneConfig
+from repro.controlplane.resilience import (
+    NO_RETRY,
+    BreakerPolicy,
+    RetryPolicy,
+    TaskDeadlineExceeded,
+)
+from repro.faults.errors import InjectedFault, ShardUnavailable, TransientError
 from repro.faults.injector import FaultInjector, FaultTargets
+from repro.faults.manifest import GroundTruthManifest
 from repro.faults.schedule import (
     MESSAGE_FAULT_KINDS,
     MESSAGE_FAULT_RANGES,
@@ -40,6 +52,8 @@ from repro.faults.schedule import (
     draw_intensity,
     message_fault,
 )
+from repro.operations.base import OperationError
+from repro.telemetry.slo import BurnWindow, LatencyRule, RatioRule, SloRule
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.controlplane.server import ManagementServer
@@ -98,11 +112,14 @@ class FaultRig:
     """The parts of a fault point that differ from one rig to the next.
 
     ``workload`` spawns the rig's workload, runs it to completion and
-    returns its makespan. ``outcome`` returns (completed, failed, dead
-    letters), ``check`` the invariant's violations, ``counters`` the
-    rig's own tallies and ``per_shard`` one row per shard, all read once
-    the run has quiesced. ``env`` is the rig's ``StormRig`` or
-    ``FederatedCloud``, for callers that report more than the result holds.
+    returns its makespan. ``stop`` halts the rig's background processes
+    (a telemetry scraper) once the fault windows have drained, so the run
+    can quiesce. ``outcome`` returns (completed, failed, dead letters),
+    ``check`` the invariant's violations, ``counters`` the rig's own
+    tallies and ``per_shard`` one row per shard, all read once the run has
+    quiesced. ``env`` is the rig's ``StormRig`` or ``FederatedCloud``, for
+    callers that report more than the result holds. The injector draws
+    from the ``injector_stream`` random stream.
     """
 
     sim: "Simulator"
@@ -114,11 +131,17 @@ class FaultRig:
     check: typing.Callable[[], list[str]]
     counters: typing.Callable[[], dict[str, float]]
     per_shard: typing.Callable[[], list[dict]] = list
+    stop: typing.Callable[[], None] = lambda: None
+    injector_stream: str = "chaos-injector"
 
 
 @dataclasses.dataclass
 class FaultPointResult:
-    """Outcome of one workload run under one fault schedule."""
+    """Outcome of one workload run under one fault schedule.
+
+    ``ground_truth`` and ``timeline`` are the injector's resolved windows
+    and its arm/disarm log (empty with no faults).
+    """
 
     seed: int
     faults: tuple[FaultSpec, ...]
@@ -129,6 +152,10 @@ class FaultPointResult:
     violations: list[str]
     counters: dict[str, float] = dataclasses.field(default_factory=dict)
     per_shard: list[dict] = dataclasses.field(default_factory=list)
+    ground_truth: GroundTruthManifest = dataclasses.field(
+        default_factory=GroundTruthManifest
+    )
+    timeline: list[str] = dataclasses.field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -140,6 +167,12 @@ class FaultPointResult:
             return 0.0
         return self.completed * 3600.0 / self.makespan_s
 
+    def require_ok(self) -> "FaultPointResult":
+        """This result, or a ``RuntimeError`` listing its violations."""
+        if self.violations:
+            raise RuntimeError("exactly-once violated: " + "; ".join(self.violations))
+        return self
+
 
 def run_fault_point(
     rig: FaultRig, faults: typing.Sequence[FaultSpec] = ()
@@ -149,7 +182,7 @@ def run_fault_point(
     The injector starts before the workload spawns, so a schedule replays
     event for event. With no faults no injector starts: the run is the
     rig's fault-free baseline. Raises if the simulation does not quiesce
-    once every fault window has closed.
+    once every fault window has closed and the rig has stopped.
     """
     faults = tuple(faults)
     injector = None
@@ -158,11 +191,12 @@ def run_fault_point(
             rig.sim,
             rig.targets,
             FaultSchedule(faults),
-            rng=rig.streams.stream("chaos-injector"),
+            rng=rig.streams.stream(rig.injector_stream),
         ).start()
     makespan = rig.workload()
     if injector is not None:
         rig.sim.run(until=rig.sim.spawn(injector.drain(), name="chaos-drain"))
+    rig.stop()
     rig.sim.run()
     if rig.sim.peek() != float("inf"):
         raise RuntimeError("simulation did not quiesce after the fault point")
@@ -177,13 +211,12 @@ def run_fault_point(
         violations=rig.check(),
         counters=rig.counters(),
         per_shard=rig.per_shard(),
+        ground_truth=injector.ground_truth() if injector else GroundTruthManifest(),
+        timeline=injector.timeline() if injector else [],
     )
 
 
-def _retrying_config(max_inflight: int):
-    from repro.controlplane.costs import ControlPlaneConfig
-    from repro.controlplane.resilience import RetryPolicy
-
+def _retrying_config(max_inflight: int) -> ControlPlaneConfig:
     return ControlPlaneConfig(
         max_inflight_tasks=max_inflight,
         retry_policy=RetryPolicy(
@@ -259,14 +292,15 @@ def storm_rig(
         workload=lambda: storm.closed_loop_storm(total, concurrency, linked=linked)[
             "makespan_s"
         ],
-        outcome=lambda: (
-            len(server.tasks.succeeded()),
-            len(server.tasks.failed()),
-            len(server.tasks.dead_letters),
-        ),
+        outcome=lambda: _server_outcome(server),
         check=lambda: check_exactly_once(server),
         counters=counters,
     )
+
+
+def _server_outcome(server: "ManagementServer") -> tuple[int, int, int]:
+    tasks = server.tasks
+    return len(tasks.succeeded()), len(tasks.failed()), len(tasks.dead_letters)
 
 
 def check_federation_exactly_once(cloud) -> list[str]:
@@ -424,6 +458,232 @@ def federation_rig(
         check=lambda: check_federation_exactly_once(cloud),
         counters=counters,
         per_shard=per_shard,
+    )
+
+
+# -- tenant deploy storms ---------------------------------------------------
+#
+# The open-loop provisioning storm of R-X3, R-F-alerts, the triage harness
+# and the ``repro faults``/``metrics`` demos. Its costs, resilience
+# postures, burn windows and alert rules are defined here once.
+
+#: Failure detection compressed to the storm timescale: a 120 s host-call
+#: timeout against 1500 s of faults would spend the run detecting.
+STORM_COSTS = dataclasses.replace(DEFAULT_COSTS, host_call_timeout_s=20.0)
+
+#: Director-level re-placement: the resilience the cloud layer adds.
+REPLACE_POLICY = RetryPolicy(
+    max_attempts=6, base_backoff_s=2.0, backoff_multiplier=2.0, max_backoff_s=30.0,
+    jitter=0.5, retry_on=(TransientError, OperationError, TaskDeadlineExceeded),
+)
+
+#: Task-level in-place retries: only faults that are not pinned to the
+#: placement decision (DB/shard transients). Host- and datastore-pinned
+#: failures (agent faults, copy faults) must fail fast so the director
+#: re-places them on different resources.
+IN_PLACE_POLICY = RetryPolicy(
+    max_attempts=3, base_backoff_s=1.0, backoff_multiplier=2.0, max_backoff_s=15.0,
+    jitter=0.5, retry_on=(InjectedFault, ShardUnavailable),
+)
+
+#: The ``full`` posture's control plane: in-place retries under a retry
+#: budget, task deadlines and per-agent circuit breakers (fail fast instead
+#: of burning the call timeout).
+FULL_CONFIG = ControlPlaneConfig(
+    retry_policy=IN_PLACE_POLICY, retry_budget_ratio=0.2, task_deadline_s=240.0,
+    breaker=BreakerPolicy(failure_threshold=3, cooldown_s=45.0, half_open_probes=1),
+)
+
+#: Resilience posture -> (control-plane config, director re-placement
+#: policy, gateway shed watermark on the dispatch backlog).
+POSTURES: dict[str, tuple[ControlPlaneConfig, RetryPolicy, float | None]] = {
+    "none": (ControlPlaneConfig(), NO_RETRY, None),
+    "retries": (ControlPlaneConfig(), REPLACE_POLICY, None),
+    "full": (FULL_CONFIG, REPLACE_POLICY, 128.0),
+}
+
+#: Burn windows sized to the storm timescale: the fast pair catches a sharp
+#: regression within ~1-2 roll-up windows, the slow pair holds the alert
+#: through sustained degradation.
+STORM_WINDOWS = (
+    BurnWindow(short_s=60.0, long_s=180.0, threshold=2.0),
+    BurnWindow(short_s=180.0, long_s=600.0, threshold=1.0),
+)
+
+TASK_SUCCESS = 'tasks_completed_total{outcome="success"}'
+TASK_ERROR = 'tasks_completed_total{outcome="error"}'
+
+#: The R-F-alerts burn-rate rules: deploy latency p99, task goodput, dead
+#: letters and admission shedding.
+ALERT_RULES: tuple[SloRule, ...] = (
+    LatencyRule(
+        name="deploy-latency-p99", objective=0.95, metric="director_deploy_latency_s",
+        threshold_s=60.0, windows=STORM_WINDOWS,
+    ),
+    RatioRule(
+        name="task-goodput", objective=0.98, bad_metric=TASK_ERROR,
+        total_metrics=(TASK_SUCCESS, TASK_ERROR), windows=STORM_WINDOWS,
+    ),
+    RatioRule(
+        name="dead-letter-rate", objective=0.995, bad_metric="tasks_dead_letter_total",
+        total_metrics=(TASK_SUCCESS, TASK_ERROR), windows=STORM_WINDOWS,
+    ),
+    RatioRule(
+        name="admission-shed-rate", objective=0.98, bad_metric="gateway_shed_total",
+        total_metrics=("gateway_admitted_total", "gateway_shed_total"),
+        windows=STORM_WINDOWS,
+    ),
+)
+
+
+def deploy_rig(
+    seed: int,
+    posture: str = "full",
+    duration_s: float = 1500.0,
+    arrival_rate: float = 1.6,
+    scrape_interval_s: float | None = None,
+    rules: typing.Sequence[SloRule] = (),
+    bus: bool = False,
+    full_clone_every: int | None = None,
+    triage: bool = False,
+    sample_budget: int | None = None,
+    recorder: bool = False,
+) -> FaultRig:
+    """An open-loop Poisson tenant deploy storm in one resilience posture.
+
+    Deploys arrive at ``arrival_rate`` per second for ``duration_s`` and
+    pass a rate-limited ``ApiGateway`` into a ``CloudDirector`` on a
+    16-host server with :data:`STORM_COSTS`. ``posture`` names a row of
+    :data:`POSTURES`: ``none`` (first failure is final), ``retries``
+    (director re-placement) or ``full`` (re-placement, in-place retries,
+    breakers, deadlines and admission shedding).
+
+    ``scrape_interval_s`` turns live telemetry on, evaluating ``rules``
+    after every scrape; ``triage``, ``recorder`` and ``sample_budget``
+    (tail-sampled tracing) attach the incident stack to it. ``bus=True``
+    routes every hop over a mediated message bus with the journal on, and
+    ``full_clone_every=N`` makes every Nth deploy a full clone.
+
+    The injector draws from the ``fault-injector`` stream; ``env`` is the
+    ``StormRig``. Counters: ``offered`` and ``shed`` requests, deployed
+    ``vms`` and ``timely_vms`` (deployed inside the arrival window),
+    ``p99_latency_s``, ``re_places``, ``task_retries``, ``breaker_opens``
+    and ``unaccounted`` tasks.
+    """
+    from repro.cloud.api import AdmissionShed, ApiGateway
+    from repro.cloud.catalog import Catalog, CatalogItem
+    from repro.cloud.director import CloudDirector, DeployRequest
+    from repro.cloud.tenancy import Organization, User
+    from repro.core.experiments import StormRig
+    from repro.datacenter.templates import MEDIUM_LINUX
+    from repro.sim.events import AllOf
+
+    if duration_s <= 0 or arrival_rate <= 0:
+        raise ValueError("duration and arrival rate must be positive")
+    if posture not in POSTURES:
+        raise ValueError(f"unknown posture {posture!r}; known: {sorted(POSTURES)}")
+    config, replace_policy, shed_watermark = POSTURES[posture]
+    storm = StormRig(
+        seed=seed, hosts=16, datastores=4, host_memory_gb=512.0, costs=STORM_COSTS,
+        config=config, traced=sample_budget is not None, sample_budget=sample_budget,
+        telemetry=scrape_interval_s is not None,
+        scrape_interval_s=5.0 if scrape_interval_s is None else scrape_interval_s,
+        journal=bus, bus=bus, direct_calls=not bus, triage=triage, recorder=recorder,
+    )
+    sim, server, telemetry = storm.sim, storm.server, storm.telemetry
+    catalog = Catalog("cloud-a")
+    linked_item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
+    full_item = None
+    if full_clone_every is not None:
+        full_item = catalog.add(
+            CatalogItem(name="db", template_name=MEDIUM_LINUX.name, linked=False)
+        )
+        # Modern-array copy bandwidth: full clones move 40 GB in ~10 s. Every
+        # full clone reads from the template's datastore, so its links are
+        # the copy bottleneck — keep their utilization well under one or
+        # the deploy-latency rule burns with no fault injected.
+        server.copy_engine.default_capacity_bps = 4 * 1024**3
+    org = Organization("acme", quota_vms=100_000, quota_storage_gb=1e9)
+    director = CloudDirector(
+        server, storm.cluster, storm.library, catalog, retry_policy=replace_policy
+    )
+    gateway = ApiGateway(sim, requests_per_minute=600.0, burst=50.0, telemetry=telemetry)
+    if shed_watermark is not None:
+        gateway.enable_shedding(lambda: server.tasks.queue_depth, shed_watermark)
+    session = gateway.login(User("tenant", org))
+    for rule in rules:
+        telemetry.add_rule(rule)
+
+    requests: list = []
+    shed = 0
+
+    def one_request(index: int) -> typing.Generator:
+        nonlocal shed
+        try:
+            yield from gateway.admit(session)
+        except AdmissionShed:
+            shed += 1
+            return
+        full = full_item is not None and index % full_clone_every == 0
+        yield from director.deploy(
+            DeployRequest(
+                org=org, item=full_item if full else linked_item, vm_count=1,
+                vapp_name=f"req{index}",
+            )
+        )
+
+    def arrivals() -> typing.Generator:
+        rng = storm.streams.stream("arrivals")
+        index = 0
+        while sim.now < duration_s:
+            yield sim.timeout(rng.expovariate(arrival_rate))
+            if sim.now >= duration_s:
+                break
+            requests.append(sim.spawn(one_request(index), name=f"req-{index}"))
+            index += 1
+
+    def workload() -> float:
+        telemetry.start()
+        sim.run(until=sim.spawn(arrivals(), name="arrivals"))
+        if requests:
+            sim.run(until=AllOf(sim, requests))
+        return sim.now
+
+    def counters() -> dict[str, float]:
+        vapps = director.vapps
+        return {
+            "offered": len(requests),  # shed requests included
+            "shed": shed,
+            "vms": sum(len(vapp.vms) for vapp in vapps),
+            # A VM delivered long after the backlog drains helped nobody.
+            "timely_vms": sum(
+                len(vapp.vms)
+                for vapp in vapps
+                if vapp.deployed_at is not None and vapp.deployed_at <= duration_s
+            ),
+            "p99_latency_s": director.deploy_latency_p(0.99),
+            "re_places": int(director.metrics.counter("vm_retries").value),
+            "task_retries": int(server.tasks.metrics.counter("retries").value),
+            "breaker_opens": int(
+                sum(
+                    server.agent(host).metrics.counter("breaker_opens").value
+                    for host in storm.hosts
+                )
+            ),
+            "unaccounted": len(server.tasks.unaccounted()),
+        }
+
+    return FaultRig(
+        sim=sim,
+        streams=storm.streams,
+        targets=FaultTargets.for_server(server),
+        env=storm,
+        workload=workload,
+        outcome=lambda: _server_outcome(server),
+        check=lambda: check_exactly_once(server),
+        counters=counters,
+        stop=telemetry.stop,
+        injector_stream="fault-injector",
     )
 
 

@@ -136,6 +136,11 @@ class GroundTruthManifest:
     def __len__(self) -> int:
         return len(self.windows)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroundTruthManifest):
+            return NotImplemented
+        return self.windows == other.windows
+
     def __iter__(self) -> typing.Iterator[GroundTruthWindow]:
         return iter(self.windows)
 

@@ -1,20 +1,24 @@
 """Randomized triage chaos runs: inject a fault, score the verdicts.
 
-The R-X6 rig is the R-F-alerts deploy storm grown three ways: the bus is
-mediated (so message faults have a transport to hit), the journal is on
-(so server crashes recover), and a quarter of deploys are *full* clones
-(so copy faults have bytes to break — linked clones never touch the copy
-engine). On top of the four R-F-alerts burn-rate rules it adds three
-tripwires that make every detectable fault kind alertable: a
-vm-retry-rate rule (catches submission refusals, which complete no tasks
-and would otherwise starve the ratio rules), a bus drop-rate rule, and a
-bus queue-wait latency rule.
+The R-X6 rig is the R-F-alerts deploy storm
+(:func:`repro.faults.chaos.deploy_rig`, ``full`` posture) grown three
+ways: the bus is mediated (so message faults have a transport to hit),
+the journal is on (so server crashes recover), and one deploy in eight is
+a *full* clone (so copy faults have bytes to break — linked clones never
+touch the copy engine). On top of the four R-F-alerts burn-rate rules it
+adds :data:`TRIAGE_RULES`, four tripwires that make every detectable
+fault kind alertable: host availability (a flap placement routes around
+fails no task), a vm-retry-rate rule (catches submission refusals, which
+complete no tasks and would otherwise starve the ratio rules), a bus
+drop-rate rule, and a bus queue-wait latency rule.
 
 ``run_triage_point`` runs one seeded storm with one strong fault window
-of a chosen kind (or none), triage attached, and returns the verdicts
-plus the resolved ground truth. ``triage_sweep`` cycles kinds across
-seeds and pools the scores — the R-X6 exhibit and the CI smoke job
-(``python -m repro.triage.harness --seeds 10``) both sit on it.
+of a chosen kind (or none) through
+:func:`~repro.faults.chaos.run_fault_point`, triage attached, and returns
+the verdicts plus the resolved ground truth. ``triage_sweep`` cycles
+kinds across seeds, optionally across worker processes, and pools the
+scores — the R-X6 and R-X7 exhibits and the CI smoke job (``python -m
+repro.triage.harness --seeds 10``) all sit on it.
 
 ``message_duplicate`` and ``message_reorder`` are deliberately outside
 the sweep: the bus absorbs both by design (idempotency-key dedup,
@@ -29,17 +33,13 @@ import dataclasses
 import random
 import typing
 
-from repro.controlplane.costs import ControlPlaneConfig, DEFAULT_COSTS
-from repro.core.experiments import StormRig
-from repro.datacenter.templates import MEDIUM_LINUX
+from repro.core.parallel import run_cells
 from repro.faults import (
     AgentDegrade,
     CopyFlakiness,
     DatastoreOutage,
     DbSlowdown,
-    FaultInjector,
     FaultSchedule,
-    FaultTargets,
     GroundTruthManifest,
     HostFlap,
     MessageDelay,
@@ -48,8 +48,9 @@ from repro.faults import (
     ShardCrash,
     TopicPartition,
 )
-from repro.telemetry.recorder import NULL_RECORDER, FlightRecorder
-from repro.triage.engine import TriageEngine, Verdict
+from repro.faults.chaos import ALERT_RULES, STORM_WINDOWS, deploy_rig, run_fault_point
+from repro.telemetry.slo import AvailabilityRule, LatencyRule, RatioRule
+from repro.triage.engine import Verdict
 from repro.triage.scoring import ScoreReport, TriageScorer
 
 #: Fault kinds the sweep injects — every kind with an alertable SLO
@@ -75,6 +76,33 @@ QUICK_KINDS: tuple[str, ...] = (
     "datastore_outage",
     "server_crash",
     "message_drop",
+)
+
+
+#: The tripwires the triage rig adds to :data:`~repro.faults.chaos.ALERT_RULES`.
+TRIAGE_RULES = (
+    # A flap the placement engine routes around never fails a task —
+    # fleet availability is the only signal that burns.
+    AvailabilityRule(
+        name="host-availability", objective=0.99, metric_prefix="host_up",
+        windows=STORM_WINDOWS,
+    ),
+    # A shard/server crash refuses submissions: nothing completes, so the
+    # completion-ratio rules starve. Retries-vs-deploys keeps burning.
+    RatioRule(
+        name="vm-retry-rate", objective=0.9, bad_metric="director_vm_retries_total",
+        total_metrics=("director_vm_retries_total", "director_deploys_total"),
+        windows=STORM_WINDOWS,
+    ),
+    RatioRule(
+        name="bus-drop-rate", objective=0.98, bad_metric='bus_dropped_total{bus="bus"}',
+        total_metrics=('bus_delivered_total{bus="bus"}', 'bus_dropped_total{bus="bus"}'),
+        windows=STORM_WINDOWS,
+    ),
+    LatencyRule(
+        name="bus-queue-wait", objective=0.95, metric='bus_queue_wait_s{bus="bus"}',
+        threshold_s=2.0, windows=STORM_WINDOWS,
+    ),
 )
 
 
@@ -145,7 +173,8 @@ class TriagePoint:
     alerts: int
     scrapes: int
     completed: int
-    # Flight-recorder outputs (empty/None unless recorder=True).
+    # Bundles stay empty unless recorder=True; retention is None unless the
+    # run was traced (sample_budget set).
     bundles: list = dataclasses.field(default_factory=list)
     retention: dict | None = None
 
@@ -162,273 +191,66 @@ def run_triage_point(
     kind: str | None,
     duration_s: float = 600.0,
     arrival_rate: float = 1.2,
-    full_clone_every: int = 8,
     triage: bool = True,
-    traced: bool = False,
     grace_s: float = 240.0,
     sample_budget: int | None = None,
     recorder: bool = False,
 ) -> TriagePoint:
     """One storm + one fault window + triage, scored against ground truth.
 
-    ``sample_budget`` (with ``traced=True``) runs the tracer through
-    tail-based retention; ``recorder=True`` attaches the incident flight
-    recorder so every fired alert (and server crash) snapshots a bundle.
+    ``sample_budget`` traces the run through tail-based retention on that
+    span budget; ``recorder=True`` attaches the incident flight recorder
+    so every fired alert (and server crash) snapshots a bundle. Raises if
+    the run breaks exactly-once.
     """
-    from repro.cloud.api import AdmissionShed, ApiGateway
-    from repro.cloud.catalog import Catalog, CatalogItem
-    from repro.cloud.director import CloudDirector, DeployRequest
-    from repro.cloud.tenancy import Organization, User
-    from repro.controlplane.resilience import (
-        BreakerPolicy,
-        RetryPolicy,
-        TaskDeadlineExceeded,
+    rig = deploy_rig(
+        seed, duration_s=duration_s, arrival_rate=arrival_rate, scrape_interval_s=5.0,
+        rules=ALERT_RULES + TRIAGE_RULES, bus=True, full_clone_every=8, triage=triage,
+        sample_budget=sample_budget, recorder=recorder,
     )
-    from repro.faults.errors import InjectedFault, ShardUnavailable, TransientError
-    from repro.operations.base import OperationError
-    from repro.sim.events import AllOf
-    from repro.telemetry.slo import (
-        AvailabilityRule,
-        BurnWindow,
-        LatencyRule,
-        RatioRule,
-    )
-
-    costs = dataclasses.replace(DEFAULT_COSTS, host_call_timeout_s=20.0)
-    replace_policy = RetryPolicy(
-        max_attempts=6,
-        base_backoff_s=2.0,
-        backoff_multiplier=2.0,
-        max_backoff_s=30.0,
-        jitter=0.5,
-        retry_on=(TransientError, OperationError, TaskDeadlineExceeded),
-    )
-    in_place_policy = RetryPolicy(
-        max_attempts=3,
-        base_backoff_s=1.0,
-        backoff_multiplier=2.0,
-        max_backoff_s=15.0,
-        jitter=0.5,
-        retry_on=(InjectedFault, ShardUnavailable),
-    )
-    config = ControlPlaneConfig(
-        retry_policy=in_place_policy,
-        retry_budget_ratio=0.2,
-        task_deadline_s=240.0,
-        breaker=BreakerPolicy(failure_threshold=3, cooldown_s=45.0, half_open_probes=1),
-    )
-    rig = StormRig(
-        seed=seed,
-        hosts=16,
-        datastores=4,
-        host_memory_gb=512.0,
-        costs=costs,
-        config=config,
-        traced=traced,
-        sample_budget=sample_budget,
-        telemetry=True,
-        scrape_interval_s=5.0,
-        journal=True,
-        bus=True,
-        direct_calls=False,
-    )
-    server = rig.server
-    telemetry = rig.telemetry
-    # Modern-array copy bandwidth: full clones move 40 GB in ~10 s. Every
-    # full clone reads from the template's datastore, so its links are the
-    # copy bottleneck — keep their utilization well under one or the
-    # deploy-latency rule burns with no fault injected.
-    server.copy_engine.default_capacity_bps = 4 * 1024**3
-
-    catalog = Catalog("cloud-a")
-    linked_item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
-    full_item = catalog.add(
-        CatalogItem(name="db", template_name=MEDIUM_LINUX.name, linked=False)
-    )
-    org = Organization("acme", quota_vms=100_000, quota_storage_gb=1e9)
-    director = CloudDirector(
-        server, rig.cluster, rig.library, catalog, retry_policy=replace_policy
-    )
-    gateway = ApiGateway(
-        rig.sim, requests_per_minute=600.0, burst=50.0, telemetry=telemetry
-    )
-    gateway.enable_shedding(lambda: server.tasks.queue_depth, 128.0)
-    session = gateway.login(User("tenant", org))
-
-    windows = (
-        BurnWindow(short_s=60.0, long_s=180.0, threshold=2.0),
-        BurnWindow(short_s=180.0, long_s=600.0, threshold=1.0),
-    )
-    success = 'tasks_completed_total{outcome="success"}'
-    error = 'tasks_completed_total{outcome="error"}'
-    telemetry.add_rule(
-        LatencyRule(
-            name="deploy-latency-p99",
-            objective=0.95,
-            metric="director_deploy_latency_s",
-            threshold_s=60.0,
-            windows=windows,
-        )
-    )
-    telemetry.add_rule(
-        RatioRule(
-            name="task-goodput",
-            objective=0.98,
-            bad_metric=error,
-            total_metrics=(success, error),
-            windows=windows,
-        )
-    )
-    telemetry.add_rule(
-        RatioRule(
-            name="dead-letter-rate",
-            objective=0.995,
-            bad_metric="tasks_dead_letter_total",
-            total_metrics=(success, error),
-            windows=windows,
-        )
-    )
-    telemetry.add_rule(
-        RatioRule(
-            name="admission-shed-rate",
-            objective=0.98,
-            bad_metric="gateway_shed_total",
-            total_metrics=("gateway_admitted_total", "gateway_shed_total"),
-            windows=windows,
-        )
-    )
-    # A flap the placement engine routes around never fails a task —
-    # fleet availability is the only signal that burns.
-    telemetry.add_rule(
-        AvailabilityRule(
-            name="host-availability",
-            objective=0.99,
-            metric_prefix="host_up",
-            windows=windows,
-        )
-    )
-    # A shard/server crash refuses submissions: nothing completes, so the
-    # completion-ratio rules starve. Retries-vs-deploys keeps burning.
-    telemetry.add_rule(
-        RatioRule(
-            name="vm-retry-rate",
-            objective=0.9,
-            bad_metric="director_vm_retries_total",
-            total_metrics=("director_vm_retries_total", "director_deploys_total"),
-            windows=windows,
-        )
-    )
-    telemetry.add_rule(
-        RatioRule(
-            name="bus-drop-rate",
-            objective=0.98,
-            bad_metric='bus_dropped_total{bus="bus"}',
-            total_metrics=(
-                'bus_delivered_total{bus="bus"}',
-                'bus_dropped_total{bus="bus"}',
-            ),
-            windows=windows,
-        )
-    )
-    telemetry.add_rule(
-        LatencyRule(
-            name="bus-queue-wait",
-            objective=0.95,
-            metric='bus_queue_wait_s{bus="bus"}',
-            threshold_s=2.0,
-            windows=windows,
-        )
-    )
-
-    engine = TriageEngine(telemetry, tracer=rig.tracer)
-    if triage:
-        engine.attach()
-    # The recorder listens after triage (listener order is call order), so
-    # every alert-triggered bundle already has the fresh verdict to embed.
-    if recorder:
-        flight = FlightRecorder(
-            telemetry,
-            tracer=rig.tracer,
-            bus=rig.bus,
-            triage=engine if triage else None,
-        ).attach(monitor=telemetry.monitor, server=server)
-    else:
-        flight = NULL_RECORDER
-
-    schedule = kind_schedule(kind, rig.streams.stream("triage-schedule"), duration_s)
-    injector = FaultInjector(
-        rig.sim,
-        FaultTargets.for_server(server),
-        schedule,
-        rng=rig.streams.stream("fault-injector"),
-    ).start()
-    telemetry.start()
-
-    requests: list = []
-
-    def one_request(index: int) -> typing.Generator:
-        try:
-            yield from gateway.admit(session)
-        except AdmissionShed:
-            return
-        item = full_item if index % full_clone_every == 0 else linked_item
-        yield from director.deploy(
-            DeployRequest(org=org, item=item, vm_count=1, vapp_name=f"req{index}")
-        )
-
-    def arrivals() -> typing.Generator:
-        rng = rig.streams.stream("arrivals")
-        index = 0
-        while rig.sim.now < duration_s:
-            yield rig.sim.timeout(rng.expovariate(arrival_rate))
-            if rig.sim.now >= duration_s:
-                break
-            requests.append(rig.sim.spawn(one_request(index), name=f"req-{index}"))
-            index += 1
-
-    source = rig.sim.spawn(arrivals(), name="arrivals")
-    rig.sim.run(until=source)
-    if requests:
-        rig.sim.run(until=AllOf(rig.sim, requests))
-    rig.sim.run(until=rig.sim.spawn(injector.drain(), name="fault-drain"))
-    telemetry.stop()
-    server.tasks.assert_accounted()
-
-    manifest = injector.ground_truth()
-    report = TriageScorer(grace_s=grace_s).score(engine.verdicts, manifest)
+    storm = rig.env
+    schedule = kind_schedule(kind, storm.streams.stream("triage-schedule"), duration_s)
+    result = run_fault_point(rig, schedule.specs).require_ok()
+    telemetry = storm.telemetry
     return TriagePoint(
         seed=seed,
         kind=kind,
-        verdicts=list(engine.verdicts),
-        manifest=manifest,
-        report=report,
+        verdicts=list(storm.triage.verdicts),
+        manifest=result.ground_truth,
+        report=TriageScorer(grace_s=grace_s).score(storm.triage.verdicts, result.ground_truth),
         alerts=len([e for e in telemetry.monitor.timeline if e.kind == "fire"]),
         scrapes=telemetry.scraper.scrapes,
-        completed=len(server.tasks.succeeded()),
-        bundles=list(flight.bundles),
+        completed=result.completed,
+        bundles=list(storm.recorder.bundles),
         retention=(
-            rig.tracer.retention_summary()
-            if hasattr(rig.tracer, "retention_summary")
+            storm.tracer.retention_summary()
+            if hasattr(storm.tracer, "retention_summary")
             else None
         ),
     )
 
 
+def _triage_cell(cell: tuple[int, str | None, dict]) -> TriagePoint:
+    seed, kind, options = cell
+    return run_triage_point(seed, kind, **options)
+
+
 def triage_sweep(
     seeds: typing.Iterable[int],
     kinds: typing.Sequence[str] = SWEEP_KINDS,
-    duration_s: float = 600.0,
-    grace_s: float = 240.0,
+    parallel: int | None = None,
+    **options: typing.Any,
 ) -> tuple[ScoreReport, list[TriagePoint]]:
-    """Cycle ``kinds`` across ``seeds``; pool the per-run scores."""
-    points = []
-    for index, seed in enumerate(seeds):
-        kind = kinds[index % len(kinds)]
-        points.append(
-            run_triage_point(seed, kind, duration_s=duration_s, grace_s=grace_s)
-        )
-    merged = TriageScorer.merge(point.report for point in points)
-    return merged, points
+    """Cycle ``kinds`` across ``seeds``; pool the per-run scores.
+
+    ``options`` go to every :func:`run_triage_point`; ``parallel`` fans
+    the runs across worker processes (see :func:`repro.core.parallel.run_cells`).
+    """
+    cells = [
+        (seed, kinds[index % len(kinds)], options) for index, seed in enumerate(seeds)
+    ]
+    points = run_cells(_triage_cell, cells, parallel)
+    return TriageScorer.merge(point.report for point in points), points
 
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
@@ -449,9 +271,7 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     kinds = QUICK_KINDS if args.quick else SWEEP_KINDS
-    report, points = triage_sweep(
-        range(args.seeds), kinds=kinds, duration_s=args.duration
-    )
+    report, points = triage_sweep(range(args.seeds), kinds, duration_s=args.duration)
     for point in points:
         named = [v.named_kind for v in point.verdicts]
         print(

@@ -92,6 +92,10 @@ def test_recover_command(capsys):
         ["federation", "--fault", "drop", "--rate", "0"],
         ["bus", "--fault", "drop", "--rate", "0"],
         ["bus", "--fault", "delay", "--fault-duration", "0"],
+        ["faults", "--rate", "0"],
+        ["faults", "--rate", "-1"],
+        ["metrics", "--rate", "0"],
+        ["metrics", "--interval", "0"],
     ],
 )
 def test_bad_fault_inputs_exit_2(argv, capsys):
@@ -99,6 +103,21 @@ def test_bad_fault_inputs_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+def test_faults_command(capsys):
+    assert main(["faults", "--duration", "120"]) == 0
+    out = capsys.readouterr().out
+    assert "fault timeline:" in out
+    assert "offered:" in out and "dead letters:  0" in out
+    assert "exactly-once invariant: held" in out
+
+
+def test_metrics_command(capsys):
+    assert main(["metrics", "--duration", "120"]) == 0
+    out = capsys.readouterr().out
+    assert "alerts" in out
+    assert "exactly-once invariant: held" in out
 
 
 @pytest.mark.parametrize("flag", ["--seeds", "--points", "--total", "--concurrency"])
