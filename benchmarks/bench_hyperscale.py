@@ -13,9 +13,9 @@ creeping into the kernel hot path.
 import os
 
 #: Peak process RSS (ru_maxrss, MB) allowed for the budget cell. The full
-#: exhibit's 1M-VM cell measures ~405 MB standalone; the budget holds ~2.5x
-#: headroom so interpreter noise never trips it while a per-entry memory
-#: regression of that order still does.
+#: exhibit's 1M-VM cell measures ~170 MB standalone, so the budget holds ~6x
+#: headroom and interpreter noise never trips it. The tight per-timer check
+#: is tests/core/test_hyperscale_cell.py's traced-bytes tripwire.
 HYPERSCALE_RSS_BUDGET_MB = 1024.0
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "0") == "1"

@@ -779,13 +779,17 @@ def cmd_incident(args: argparse.Namespace) -> int:
 def cmd_hyperscale(args: argparse.Namespace) -> int:
     from repro.core.experiments import hyperscale_sweep
 
-    points = hyperscale_sweep(
-        seed=args.seed,
-        quick=args.quick,
-        parallel=args.parallel,
-        fleets=args.fleet,
-        shard_counts=args.shards,
-    )
+    try:
+        points = hyperscale_sweep(
+            seed=args.seed,
+            quick=args.quick,
+            parallel=args.parallel,
+            fleets=args.fleet,
+            shard_counts=args.shards,
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print("hyperscale fleet cells:")
     print(
         f"{'VMs':>9} {'shards':>6} {'deploys':>9} {'expiries':>9} "

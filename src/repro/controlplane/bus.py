@@ -45,7 +45,7 @@ default) is *inert* — ``mediated`` is False, components keep calling each
 other directly, no consumer processes spawn, and the simulated schedule
 is byte-identical to a run with no bus at all (enforced by the
 differential test ``tests/controlplane/test_bus_neutrality.py``, the same
-discipline as ``fast_resume`` and ``NULL_JOURNAL``).
+discipline as ``NULL_JOURNAL``).
 
 Instrumentation: publish / queue-wait / deliver spans ride the caller's
 span tree (``PHASE_BUS`` / ``PHASE_QUEUE``), and telemetry exposes

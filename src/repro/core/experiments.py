@@ -12,6 +12,7 @@ Every experiment accepts ``seed`` (reproducibility) and ``quick``
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 from repro.analysis.bottleneck import phase_breakdown, plane_breakdown
@@ -30,6 +31,7 @@ from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Netw
 from repro.datacenter.templates import MEDIUM_LINUX, TemplateLibrary
 from repro.operations.provisioning import CloneVM, DeployFromTemplate
 from repro.operations.reconfiguration import AddHost, RescanDatastore
+from repro.sim.events import Call
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
 from repro.telemetry.metrics import NULL_TELEMETRY, Telemetry
@@ -1799,11 +1801,12 @@ def _hyperscale_cell(
 
     This deliberately bypasses the management-server task pipeline — the
     question the exhibit answers is whether the *substrate* (event queue,
-    timeout pool, batched sampling) carries a paper-scale fleet, so each VM
-    is exactly two pooled timeouts: an arrival that places it on a host and
-    arms its lifetime, and the lifetime expiry that frees the slot. The
-    VM's host index rides in the timeout's ``_value`` slot, so the cell
-    allocates nothing per VM beyond the recycled timeout itself.
+    batched sampling) carries a paper-scale fleet, so each VM is exactly
+    two kernel timers: an arrival that places it on a host and arms its
+    lifetime, and the lifetime expiry that frees the slot. Nothing waits
+    on or cancels either, so both are :meth:`Simulator.call_later` entries
+    for shared :class:`Call` objects (one for arrivals, one per host for
+    expiries): a pending VM costs one heap tuple and nothing else.
 
     Deterministic outputs (deploys, expiries, peak pending, makespan) are
     pure functions of ``(seed, vms)``; ``wall_s``/``rss_mb`` are measured
@@ -1830,14 +1833,16 @@ def _hyperscale_cell(
     deploys = 0
     expiries = 0
     peak_pending = 0
-    timeout = sim.timeout
+    call_later = sim.call_later
 
-    def expire(event) -> None:
+    def expire(host: int) -> None:
         nonlocal expiries
         expiries += 1
-        slots[event._value] -= 1
+        slots[host] -= 1
 
-    def arrive(_event) -> None:
+    expiry = [Call(functools.partial(expire, host)) for host in range(host_count)]
+
+    def arrive() -> None:
         nonlocal cursor, deploys, peak_pending
         deploys += 1
         host = cursor
@@ -1845,16 +1850,15 @@ def _hyperscale_cell(
             host = host + 1 if host + 1 < host_count else 0
         slots[host] += 1
         cursor = host + 1 if host + 1 < host_count else 0
-        lifetime = timeout(lifetimes.next())
-        lifetime._value = host
-        lifetime.callbacks.append(expire)
+        call_later(lifetimes.next(), expiry[host])
         depth = sim.queue_depth
         if depth > peak_pending:
             peak_pending = depth
         if deploys < vms:
-            timeout(gaps.next()).callbacks.append(arrive)
+            call_later(gaps.next(), arrival)
 
-    timeout(gaps.next()).callbacks.append(arrive)
+    arrival = Call(arrive)
+    call_later(gaps.next(), arrival)
     sim.run()
     return {
         "shard": shard_index,
@@ -1886,6 +1890,8 @@ def hyperscale_sweep(
         fleets = (2_000, 10_000) if quick else (100_000, 1_000_000)
     if shard_counts is None:
         shard_counts = (1, 2) if quick else (1, 4, 8)
+    if min(shard_counts) < 1 or min(fleets) < max(shard_counts):
+        raise ValueError(f"need fleet >= shards >= 1, got {list(fleets)} / {list(shard_counts)}")
     points = []
     for fleet in fleets:
         for shards in shard_counts:

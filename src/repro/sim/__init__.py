@@ -8,7 +8,8 @@ The public surface:
 
 - :class:`~repro.sim.kernel.Simulator` — the event loop.
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf`.
+  :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf`, and
+  :class:`~repro.sim.events.Call` for :meth:`Simulator.call_later`.
 - :class:`~repro.sim.kernel.Process` and
   :class:`~repro.sim.kernel.Interrupt` for failure injection.
 - Resources: :class:`~repro.sim.resources.Resource`,
@@ -18,7 +19,7 @@ The public surface:
 - :mod:`~repro.sim.stats` — counters, gauges, latency recorders, time series.
 """
 
-from repro.sim.events import AllOf, AnyOf, Event, EventCancelled, Timeout
+from repro.sim.events import AllOf, AnyOf, Call, Event, EventCancelled, Timeout
 from repro.sim.kernel import Interrupt, Process, Simulator
 from repro.sim.random import RandomStreams
 from repro.sim.resources import PriorityResource, Resource, Store
@@ -35,6 +36,7 @@ from repro.sim.stats import (
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Call",
     "Counter",
     "Event",
     "EventCancelled",

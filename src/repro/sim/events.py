@@ -219,6 +219,20 @@ class Timeout(Event):
                 pool.append(self)
 
 
+class Call:
+    """A :meth:`Simulator.call_later` payload: always triggered, never waited
+    on or cancelled; firing runs ``fn()``. It may sit in the heap many times."""
+
+    __slots__ = ("fn",)
+    _state = TRIGGERED
+
+    def __init__(self, fn: typing.Callable[[], None]) -> None:
+        self.fn = fn
+
+    def _run_callbacks(self) -> None:
+        self.fn()
+
+
 class Condition(Event):
     """Base for events composed of other events (:class:`AllOf`/:class:`AnyOf`).
 

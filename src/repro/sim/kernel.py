@@ -13,9 +13,8 @@ already-processed event, and ``interrupt()`` — do not allocate relay
 :class:`Event` objects. They go on an *urgent* FIFO of ``(time, sequence,
 callable)`` entries that the loop drains against the heap using the exact
 same ``(time, priority, sequence)`` total order the relay events would have
-had, so the schedule is bit-identical to the pre-fast-path kernel (covered
-by a property test). ``Simulator(fast_resume=False)`` keeps the old
-event-object path for differential testing.
+had, so the schedule is bit-identical to the old relay-event kernel
+(``tests/sim/test_fastpath.py`` pins logs recorded on it).
 
 Heap hygiene: cancelling a scheduled event (fair-share links do this on
 every membership change) leaves a dead heap entry. Dead heads are dropped
@@ -31,6 +30,10 @@ priority, sequence, event)`` entries. It is the only event queue: every
 exhibit and test runs on it, so there is one code path to keep
 deterministic (``docs/performance.md`` records the measurements behind
 that choice).
+
+Standing timers that nothing waits on or cancels skip the :class:`Event`:
+:meth:`Simulator.call_later` pushes a shared :class:`~repro.sim.events.Call`,
+which the loop runs like any triggered event, for one heap tuple per timer.
 
 Timeouts are pooled: a fired :class:`Timeout` that nothing else references
 is recycled onto a per-simulator free list and reused by
@@ -51,6 +54,7 @@ from repro.sim.events import (
     PENDING,
     PROCESSED,
     TRIGGERED,
+    Call,
     Event,
     EventCancelled,
     Timeout,
@@ -99,12 +103,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         # Kick off at the current time, urgently, so spawn order is preserved.
-        if sim._fast_resume:
-            sim._defer(self._bootstrap)
-        else:
-            bootstrap = Event(sim, name=f"start:{self.name}")
-            bootstrap.callbacks.append(self._resume)
-            bootstrap.succeed()
+        sim._defer(self._bootstrap)
 
     def _default_name(self) -> str:
         return getattr(self._generator, "__name__", "process")
@@ -121,14 +120,7 @@ class Process(Event):
         """
         if self.triggered:
             raise RuntimeError(f"cannot interrupt finished process {self.name!r}")
-        if self.sim._fast_resume:
-            self.sim._defer(lambda: self._throw_in(Interrupt(cause)))
-        else:
-            interrupt_event = Event(self.sim, name=f"interrupt:{self.name}")
-            interrupt_event.callbacks.append(
-                lambda _event: self._throw_in(Interrupt(cause))
-            )
-            interrupt_event.succeed()
+        self.sim._defer(lambda: self._throw_in(Interrupt(cause)))
 
     # -- internals --------------------------------------------------------
 
@@ -195,15 +187,7 @@ class Process(Event):
         self._waiting_on = target
         if target._state == PROCESSED:
             # Already fully fired: resume on the next tick of the loop.
-            if self.sim._fast_resume:
-                self.sim._defer(lambda: self._deferred_resume(target))
-            else:
-                relay = Event(self.sim, name=f"relay:{self.name}")
-                relay.callbacks.append(lambda _event: self._deferred_resume(target))
-                if target._exception is None:
-                    relay.succeed(value=target._value)
-                else:
-                    relay.fail(target._exception)
+            self.sim._defer(lambda: self._deferred_resume(target))
         else:
             target.callbacks.append(self._resume)
 
@@ -215,29 +199,19 @@ class Simulator:
     ----------
     start:
         Initial simulated time (seconds by convention throughout this repo).
-    fast_resume:
-        When True (the default) same-tick process resumes use the urgent
-        FIFO instead of relay events. Schedules are identical either way;
-        the flag exists for differential testing.
     pool_events:
         When True (the default) fired timeouts with no outside references
         are recycled through a per-simulator free list. Never affects the
         schedule; the flag exists for differential testing.
     """
 
-    def __init__(
-        self,
-        start: float = 0.0,
-        fast_resume: bool = True,
-        pool_events: bool = True,
-    ) -> None:
+    def __init__(self, start: float = 0.0, pool_events: bool = True) -> None:
         self._now = float(start)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._urgent: deque[tuple[float, int, typing.Callable[[], None]]] = deque()
         self._sequence = 0
         self._spawned = 0
         self._cancelled_in_heap = 0
-        self._fast_resume = fast_resume
         self._timeout_pool: list[Timeout] | None = [] if pool_events else None
 
     @property
@@ -279,13 +253,18 @@ class Simulator:
             return timeout
         return Timeout(self, delay, value=value)
 
+    def call_later(self, delay: float, call: Call) -> None:
+        """Run ``call.fn()`` ``delay`` seconds from now: one heap entry and one
+        sequence number, like :meth:`timeout`, and no allocation beyond them."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self._sequence += 1
+        heappush(self._heap, (self._now + delay, NORMAL, self._sequence, call))
+
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a process at the current simulated time."""
         self._spawned += 1
         return Process(self, generator, name=name or f"proc-{self._spawned}")
-
-    # Alias familiar to SimPy users.
-    process = spawn
 
     # -- scheduling ---------------------------------------------------------
 

@@ -40,13 +40,6 @@ class Request(Event):
         """Remove this request from the resource queue before it is granted."""
         self.resource._withdraw(self)
 
-    @property
-    def wait_time(self) -> float:
-        """Queueing delay; only meaningful once granted."""
-        if self.granted_at is None:
-            raise RuntimeError("request not yet granted")
-        return self.granted_at - self.enqueued_at
-
 
 class Resource:
     """A FCFS server with fixed integer capacity.

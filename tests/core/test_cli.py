@@ -105,6 +105,22 @@ def test_bad_fault_inputs_exit_2(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hyperscale", "--shards", "0"],
+        ["hyperscale", "--fleet", "0"],
+        ["hyperscale", "--fleet", "-5"],
+        ["hyperscale", "--fleet", "10", "--shards", "20"],
+    ],
+)
+def test_bad_hyperscale_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_faults_command(capsys):
     assert main(["faults", "--duration", "120"]) == 0
     out = capsys.readouterr().out

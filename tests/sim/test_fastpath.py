@@ -3,23 +3,28 @@
 The fast path replaces per-spawn bootstrap events, per-processed-yield
 relay events, and per-interrupt events with a direct same-tick resume
 FIFO. The determinism contract says the schedule must be *identical* to
-the event-object path (``Simulator(fast_resume=False)``), so most tests
-here run the same workload through both kernels and compare logs.
+the old relay-event kernel, so mixed workloads are compared against logs
+recorded on that kernel (``mixed_workload_logs.json``).
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.sim import AllOf, Event, EventCancelled, Interrupt, Resource, Simulator
 from repro.storage import FairShareLink
 
+#: ``_mixed_workload`` logs per seed, recorded on the relay-event kernel.
+RELAY_LOGS = json.loads((Path(__file__).parent / "mixed_workload_logs.json").read_text())
+
 
 def _mixed_workload(sim: Simulator, seed: int) -> list:
     """A messy-but-deterministic workload touching every resume path.
 
-    All randomness is drawn up front so the plan is identical across
-    kernels; the log records (time, tag) at every step.
+    All randomness is drawn up front so the plan is a pure function of
+    the seed; the log records (time, tag) at every step.
     """
     rng = random.Random(seed)
     log: list = []
@@ -43,7 +48,7 @@ def _mixed_workload(sim: Simulator, seed: int) -> list:
             value = yield proc
             log.append((sim.now, "join", value))
         # Joining finished processes again exercises the same-tick
-        # (urgent FIFO / relay event) resume path, repeatedly.
+        # (urgent FIFO) resume path, repeatedly.
         for proc in children:
             value = yield proc
             log.append((sim.now, "rejoin", value))
@@ -60,15 +65,28 @@ def _mixed_workload(sim: Simulator, seed: int) -> list:
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 42])
 def test_fast_path_schedule_identical_to_event_path(seed):
-    """Same seed => identical event order with and without the fast path."""
-    fast = _mixed_workload(Simulator(fast_resume=True), seed)
-    slow = _mixed_workload(Simulator(fast_resume=False), seed)
-    assert fast == slow
-    assert len(fast) > 0
+    """Same seed => the event order the relay-event kernel recorded."""
+    log = _mixed_workload(Simulator(), seed)
+    assert [list(entry) for entry in log] == RELAY_LOGS[str(seed)]
+    assert len(log) > 0
 
 
 def test_fast_path_is_the_default():
-    assert Simulator()._fast_resume is True
+    """Spawning and interrupting allocate no relay events: both go on the
+    urgent FIFO, never the heap."""
+    sim = Simulator()
+
+    def sleeper():
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt:
+            pass
+
+    process = sim.spawn(sleeper())
+    assert sim.queue_depth == 0 and len(sim._urgent) == 1
+    sim.step()
+    process.interrupt("wake")
+    assert sim.queue_depth == 1 and len(sim._urgent) == 1
 
 
 def test_same_tick_resume_of_processed_event():
@@ -87,10 +105,9 @@ def test_same_tick_resume_of_processed_event():
     assert log == [(1.0, "value")]
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_interrupt_during_same_tick_resume(fast):
+def test_interrupt_during_same_tick_resume():
     """An interrupt landing after a deferred resume still lands exactly once."""
-    sim = Simulator(fast_resume=fast)
+    sim = Simulator()
     log = []
     gate = sim.event("gate")
     gate.succeed("v")
@@ -114,11 +131,10 @@ def test_interrupt_during_same_tick_resume(fast):
     assert log == [("resumed", 1.0, "v"), ("interrupted", 1.0, "cause")]
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_interrupt_before_same_tick_resume_drains(fast):
+def test_interrupt_before_same_tick_resume_drains():
     """Interrupt queued *before* the deferred resume wins; the stale resume
     entry must not double-advance the generator."""
-    sim = Simulator(fast_resume=fast)
+    sim = Simulator()
     log = []
     gate = sim.event("gate")
     gate.succeed("v")
@@ -146,12 +162,11 @@ def test_interrupt_before_same_tick_resume_drains(fast):
     assert log == [("interrupted", 1.0, "early")]
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_withdraw_on_interrupt_during_same_tick_grant(fast):
+def test_withdraw_on_interrupt_during_same_tick_grant():
     """A request granted in the same tick its owner is interrupted — with the
     interrupt sequenced *before* the grant's callbacks — must hand the slot
     on, not leak it."""
-    sim = Simulator(fast_resume=fast)
+    sim = Simulator()
     resource = Resource(sim, capacity=1, name="slot")
     log = []
     waiter_proc = None
@@ -192,9 +207,8 @@ def test_withdraw_on_interrupt_during_same_tick_grant(fast):
     assert resource.in_use == 0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_interrupt_while_queued_withdraws(fast):
-    sim = Simulator(fast_resume=fast)
+def test_interrupt_while_queued_withdraws():
+    sim = Simulator()
     resource = Resource(sim, capacity=1)
 
     def holder():
