@@ -73,6 +73,10 @@ class CloudDirector:
         self._retry_rng = server.streams.stream(f"{server.name}:director-retry")
         self.metrics = MetricsRegistry(server.sim, prefix="director")
         self.vapps: list[VApp] = []
+        # The vApps not yet being deleted, in deploy order, keyed by id()
+        # because VApp is an unhashable dataclass; running_vapps() filters
+        # this instead of every vApp ever deployed.
+        self._live: dict[int, VApp] = {}
         # Gateway→director hop: on a mediated bus the director consumes
         # deploy requests from its topic (see ApiGateway.submit_deploy);
         # with direct calls the topic never exists.
@@ -177,6 +181,7 @@ class CloudDirector:
             storage_charge_per_vm=storage_per_vm,
         )
         self.vapps.append(vapp)
+        self._live[id(vapp)] = vapp
         self.metrics.counter("deploy_requests").add()
         self.metrics.counter("vm_requests").add(request.vm_count)
 
@@ -343,6 +348,7 @@ class CloudDirector:
         if vapp.state == VAppState.DELETING:
             return vapp
         vapp.state = VAppState.DELETING
+        self._live.pop(id(vapp), None)
         for vm in vapp.vms:
             if vm.power_state == PowerState.ON:
                 power_process = self.server.submit(PowerOff(vm))
@@ -359,7 +365,10 @@ class CloudDirector:
     # -- reporting ---------------------------------------------------------------
 
     def running_vapps(self) -> list[VApp]:
-        return [v for v in self.vapps if v.state in (VAppState.RUNNING, VAppState.PARTIAL)]
+        return [
+            v for v in self._live.values()
+            if v.state in (VAppState.RUNNING, VAppState.PARTIAL)
+        ]
 
     def deploy_latency_p(self, fraction: float) -> float:
         return self.metrics.latency("deploy_latency").percentile(fraction)

@@ -10,6 +10,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.datacenter.vm import VirtualMachine
 
 
+#: Guest memory is accounted in whole MB (see ``Host.powered_on_mb``).
+MB_PER_GB = 1024
+
+
 class HostState(enum.Enum):
     """Connection state of a host as seen by the management server."""
 
@@ -88,25 +92,22 @@ class Host(ManagedEntity):
     datastores: set[Datastore] = dataclasses.field(default_factory=set)
     networks: set[Network] = dataclasses.field(default_factory=set)
     vms: set["VirtualMachine"] = dataclasses.field(default_factory=set)
+    # Running totals over the powered-on members of ``vms``. Only
+    # VirtualMachine writes them, as its power state, memory or host
+    # changes, so admission never recounts the guests. Memory is kept in
+    # whole MB: an integer total stays exact, and for MB-sized guests it
+    # equals the float sum in any order.
+    powered_on_vms: int = dataclasses.field(default=0, init=False, repr=False)
+    powered_on_mb: int = dataclasses.field(default=0, init=False, repr=False)
 
     @property
     def is_usable(self) -> bool:
         return self.state == HostState.CONNECTED
 
     @property
-    def powered_on_vms(self) -> int:
-        from repro.datacenter.vm import PowerState
-
-        return sum(1 for vm in self.vms if vm.power_state == PowerState.ON)
-
-    @property
     def memory_in_use_gb(self) -> float:
         """Guest memory of powered-on VMs (what admission counts)."""
-        from repro.datacenter.vm import PowerState
-
-        return sum(
-            vm.memory_gb for vm in self.vms if vm.power_state == PowerState.ON
-        )
+        return self.powered_on_mb / MB_PER_GB
 
     @property
     def memory_limit_gb(self) -> float:

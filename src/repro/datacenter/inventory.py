@@ -7,6 +7,8 @@ mutation; this class is the in-memory side of that ledger.
 
 from __future__ import annotations
 
+import bisect
+import operator
 import typing
 
 from repro.datacenter.entities import (
@@ -33,6 +35,8 @@ _PREFIXES: dict[type, str] = {
     VirtualMachine: "vm",
 }
 
+_entity_id = operator.attrgetter("entity_id")
+
 
 class Inventory:
     """A registry of managed entities with stable, readable ids."""
@@ -41,6 +45,9 @@ class Inventory:
         self._by_id: dict[str, ManagedEntity] = {}
         self._by_type: dict[type, dict[str, ManagedEntity]] = {}
         self._counters: dict[str, int] = {}
+        # VMs in entity_id order, kept with bisect so target picks never
+        # re-sort the whole inventory.
+        self._vms: list[VirtualMachine] = []
         self.mutations = 0  # total register/unregister events (DB write proxy)
 
     # -- registration --------------------------------------------------------
@@ -57,6 +64,8 @@ class Inventory:
             raise InventoryError(f"duplicate id {entity.entity_id!r}")
         self._by_id[entity.entity_id] = entity
         self._by_type.setdefault(type(entity), {})[entity.entity_id] = entity
+        if type(entity) is VirtualMachine:
+            bisect.insort(self._vms, entity, key=_entity_id)
         self.mutations += 1
         return entity
 
@@ -65,6 +74,8 @@ class Inventory:
             raise InventoryError(f"unknown id {entity.entity_id!r}")
         del self._by_id[entity.entity_id]
         del self._by_type[type(entity)][entity.entity_id]
+        if type(entity) is VirtualMachine:
+            del self._vms[bisect.bisect_left(self._vms, entity.entity_id, key=_entity_id)]
         self.mutations += 1
 
     def create(self, entity_type: type, name: str, **fields: typing.Any) -> typing.Any:
@@ -88,6 +99,10 @@ class Inventory:
 
     def all(self, entity_type: type) -> list[typing.Any]:
         return list(self._by_type.get(entity_type, {}).values())
+
+    def vms_by_id(self) -> list[VirtualMachine]:
+        """Every registered VM in ``entity_id`` order (a live view: do not mutate)."""
+        return self._vms
 
     def count(self, entity_type: type) -> int:
         return len(self._by_type.get(entity_type, {}))

@@ -18,7 +18,7 @@ import enum
 import itertools
 import typing
 
-from repro.datacenter.entities import Datastore, Host, ManagedEntity, Network
+from repro.datacenter.entities import MB_PER_GB, Datastore, Host, ManagedEntity, Network
 
 _backing_ids = itertools.count(1)
 
@@ -102,6 +102,48 @@ class Snapshot:
     children: list["Snapshot"] = dataclasses.field(default_factory=list)
 
 
+class _HostAccounted:
+    """A VM field whose writes keep the host's powered-on totals.
+
+    Every write, including the dataclass ``__init__``, takes the VM's
+    share out of its host, stores the value, and adds the share to the
+    (possibly new) host; writing ``host`` also moves the VM between the
+    hosts' ``vms`` sets. The descriptor has no ``__get__``, so reads fall
+    through to the instance ``__dict__`` like a plain attribute.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __set__(self, vm: "VirtualMachine", value: typing.Any) -> None:
+        state = vm.__dict__
+        host = state.get("host")
+        if host is not None:
+            _count_on(vm, host, -1)
+            if self.name == "host":
+                host.vms.discard(vm)
+        state[self.name] = value
+        host = state.get("host")
+        if host is not None:
+            if self.name == "host":
+                host.vms.add(vm)
+            _count_on(vm, host, 1)
+
+
+def _count_on(vm: "VirtualMachine", host: Host, sign: int) -> None:
+    if vm.power_state is PowerState.ON:
+        host.powered_on_vms += sign
+        host.powered_on_mb += sign * round(vm.memory_gb * MB_PER_GB)
+
+
+def _account_on_host(cls: type) -> type:
+    """Install :class:`_HostAccounted` over the fields admission counts."""
+    for name in ("memory_gb", "power_state", "host"):
+        setattr(cls, name, _HostAccounted(name))
+    return cls
+
+
+@_account_on_host
 @dataclasses.dataclass(eq=False)
 class VirtualMachine(ManagedEntity):
     """A virtual machine (or template, when ``is_template``)."""
@@ -140,14 +182,9 @@ class VirtualMachine(ManagedEntity):
         return any(disk.backing.parent is not None for disk in self.disks)
 
     def place_on(self, host: Host) -> None:
-        if self.host is not None:
-            self.host.vms.discard(self)
         self.host = host
-        host.vms.add(self)
 
     def evacuate(self) -> None:
-        if self.host is not None:
-            self.host.vms.discard(self)
         self.host = None
 
     def attach_disk(self, disk: VirtualDisk) -> None:

@@ -92,45 +92,60 @@ class Gauge:
 
 
 class LatencyRecorder:
-    """A bag of duration samples with percentile queries."""
+    """A bag of duration samples with percentile queries.
 
-    __slots__ = ("name", "_sorted", "_sum")
+    ``record`` appends; the samples are sorted on the first percentile,
+    CDF or samples read after a write. The sort is stable, so equal
+    samples (``0.0`` and ``-0.0`` too) keep their recording order, as an
+    insertion sort would. ``count`` and ``mean`` never sort.
+    """
+
+    __slots__ = ("name", "_samples", "_sum", "_unsorted")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._sorted: list[float] = []
+        self._samples: list[float] = []
         self._sum = 0.0
+        self._unsorted = False
 
     def record(self, duration: float) -> None:
         # NaN compares false against everything, so a plain `< 0` check
-        # would let it through — and one NaN silently corrupts the sorted
-        # sample invariant every later percentile depends on.
+        # would let it through — and one NaN silently corrupts the sort
+        # every later percentile depends on.
         if not math.isfinite(duration):
             raise ValueError(f"duration on {self.name!r} must be finite, got {duration!r}")
         if duration < 0:
             raise ValueError(f"negative duration on {self.name!r}: {duration!r}")
-        bisect.insort(self._sorted, duration)
+        self._samples.append(duration)
+        self._unsorted = True
         self._sum += duration
+
+    def _sorted(self) -> list[float]:
+        if self._unsorted:
+            self._samples.sort()
+            self._unsorted = False
+        return self._samples
 
     @property
     def count(self) -> int:
-        return len(self._sorted)
+        return len(self._samples)
 
     @property
     def mean(self) -> float:
-        return self._sum / len(self._sorted) if self._sorted else 0.0
+        return self._sum / len(self._samples) if self._samples else 0.0
 
     def percentile(self, fraction: float) -> float:
         """Linear-interpolated percentile; ``fraction`` in [0, 1]."""
-        if not self._sorted:
+        if not self._samples:
             return 0.0
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction {fraction} outside [0, 1]")
-        position = fraction * (len(self._sorted) - 1)
+        ordered = self._sorted()
+        position = fraction * (len(ordered) - 1)
         lower = math.floor(position)
         upper = math.ceil(position)
-        low_value = self._sorted[lower]
-        high_value = self._sorted[upper]
+        low_value = ordered[lower]
+        high_value = ordered[upper]
         if lower == upper or low_value == high_value:
             return low_value
         weight = position - lower
@@ -139,20 +154,21 @@ class LatencyRecorder:
 
     def cdf(self, points: int = 50) -> list[tuple[float, float]]:
         """(value, cumulative fraction) pairs suitable for plotting."""
-        if not self._sorted:
+        if not self._samples:
             return []
-        n = len(self._sorted)
+        ordered = self._sorted()
+        n = len(ordered)
         step = max(1, n // points)
         out = [
-            (self._sorted[index], (index + 1) / n)
+            (ordered[index], (index + 1) / n)
             for index in range(0, n, step)
         ]
         if out[-1][1] < 1.0:
-            out.append((self._sorted[-1], 1.0))
+            out.append((ordered[-1], 1.0))
         return out
 
     def samples(self) -> list[float]:
-        return list(self._sorted)
+        return list(self._sorted())
 
 
 class Histogram:

@@ -67,6 +67,8 @@ class WorkloadDriver:
         self._rng = streams.stream("driver")
         self._build_infrastructure()
         self.skipped: dict[str, int] = {}
+        self._deploy_counter = 0
+        self._clone_counter = 0
         self._spares = SparePool(
             hosts=[
                 Host(entity_id=f"host-spare-{index}", name=f"spare{index:02d}")
@@ -223,14 +225,13 @@ class WorkloadDriver:
     # -- targets ----------------------------------------------------------------------
 
     def _tenant_vms(self, predicate=None) -> list[VirtualMachine]:
-        vms = [
+        return [
             vm
-            for vm in self.server.inventory.all(VirtualMachine)
-            if not vm.is_template and vm.host is not None
+            for vm in self.server.inventory.vms_by_id()
+            if not vm.is_template
+            and vm.host is not None
+            and (predicate is None or predicate(vm))
         ]
-        if predicate is not None:
-            vms = [vm for vm in vms if predicate(vm)]
-        return sorted(vms, key=lambda vm: vm.entity_id)
 
     def _pick(self, items: list) -> typing.Any:
         return items[self._rng.randrange(len(items))] if items else None
@@ -249,7 +250,7 @@ class WorkloadDriver:
             size += 1
             if size >= 16:
                 break
-        self._deploy_counter = getattr(self, "_deploy_counter", 0) + 1
+        self._deploy_counter += 1
         request = DeployRequest(
             org=org,
             item=item,
@@ -298,7 +299,7 @@ class WorkloadDriver:
         if host is None or datastore is None:
             self._skip("clone_no_capacity")
             return
-        self._clone_counter = getattr(self, "_clone_counter", 0) + 1
+        self._clone_counter += 1
         operation = CloneVM(
             template,
             f"clone-{self._clone_counter}",

@@ -183,6 +183,60 @@ def test_running_vapps_listing(cloud):
     assert cloud.director.running_vapps() == [second]
 
 
+def test_running_vapps_index_matches_full_scan(cloud):
+    """The live index answers like a filter over every vApp ever deployed."""
+
+    def full_scan():
+        return [
+            vapp for vapp in cloud.director.vapps
+            if vapp.state in (VAppState.RUNNING, VAppState.PARTIAL)
+        ]
+
+    def check():
+        assert cloud.director.running_vapps() == full_scan()
+        live = list(cloud.director._live.values())
+        assert all(
+            vapp.state not in (VAppState.DELETING, VAppState.DELETED) for vapp in live
+        )
+        assert live == [
+            vapp for vapp in cloud.director.vapps
+            if vapp.state not in (VAppState.DELETING, VAppState.DELETED)
+        ]
+
+    running = cloud.run_deploy(request(cloud, count=2, name="running"))
+    # Room for one more 40 GB full clone per datastore: of three, two
+    # deploy (PARTIAL) and the next request finds no space (FAILED).
+    for datastore in cloud.datastores:
+        datastore.capacity_gb = datastore.used_gb + 50.0
+    partial = cloud.run_deploy(request(cloud, item="web-full", count=3, name="partial"))
+    failed = cloud.run_deploy(request(cloud, item="web-full", count=1, name="failed"))
+    assert (running.state, partial.state, failed.state) == (
+        VAppState.RUNNING, VAppState.PARTIAL, VAppState.FAILED,
+    )
+    check()
+    # Mid-delete the vApp is DELETING and already out of the index.
+    process = cloud.sim.spawn(cloud.director.delete(running))
+    cloud.sim.run(until=cloud.sim.now + 1e-6)
+    assert running.state == VAppState.DELETING
+    check()
+    cloud.sim.run(until=process)
+    assert running.state == VAppState.DELETED
+    check()
+    cloud.run_delete(failed)
+    check()
+    assert cloud.director.running_vapps() == [partial]
+
+
+def test_live_index_does_not_grow_with_deploy_delete_cycles(cloud):
+    keep = cloud.run_deploy(request(cloud, count=1, name="keep"))
+    for cycle in range(12):
+        vapp = cloud.run_deploy(request(cloud, count=1, name=f"cycle{cycle}"))
+        cloud.run_delete(vapp)
+    assert len(cloud.director.vapps) == 13
+    assert list(cloud.director._live.values()) == [keep]
+    assert cloud.director.running_vapps() == [keep]
+
+
 def test_deploy_latency_percentiles_available(cloud):
     for index in range(3):
         cloud.run_deploy(request(cloud, count=1, name=f"app{index}"))

@@ -92,6 +92,26 @@ def test_footprint_counts_mounts(inventory):
     assert inventory.footprint() == 5
 
 
+def test_vms_by_id_is_the_sorted_vm_inventory(inventory):
+    def expected():
+        return sorted(inventory.all(VirtualMachine), key=lambda vm: vm.entity_id)
+
+    inventory.create(Host, name="esx01")  # other types stay out of the view
+    vms = [inventory.create(VirtualMachine, name=f"vm{n}") for n in range(1, 13)]
+    # String order: vm-10, vm-11 and vm-12 sort between vm-1 and vm-2.
+    assert [vm.entity_id for vm in inventory.vms_by_id()][:5] == [
+        "vm-1", "vm-10", "vm-11", "vm-12", "vm-2",
+    ]
+    assert inventory.vms_by_id() == expected()
+    for vm in (vms[9], vms[0], vms[8], vms[11]):  # vm-10, vm-1, vm-9, vm-12
+        inventory.unregister(vm)
+        assert inventory.vms_by_id() == expected()
+    inventory.register(vms[0])
+    inventory.create(VirtualMachine, name="vm13")
+    assert inventory.vms_by_id() == expected()
+    assert len(inventory.vms_by_id()) == inventory.count(VirtualMachine) == 10
+
+
 def test_next_id_unknown_type(inventory):
     with pytest.raises(InventoryError):
         inventory.next_id(str)
