@@ -6,30 +6,33 @@ paper's analyses: operation mixes, latency distributions, arrival-rate
 time series, and control-vs-data plane attribution.
 """
 
-from repro.analysis.bottleneck import (
-    phase_breakdown,
-    plane_breakdown,
-    plane_breakdown_by_type,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.bottleneck": (
+            "phase_breakdown",
+            "plane_breakdown",
+            "plane_breakdown_by_type",
+        ),
+        "repro.analysis.burstiness": ("arrival_cov", "burstiness_summary", "index_of_dispersion"),
+        "repro.analysis.comparison": ("compare_traces", "comparison_report"),
+        "repro.analysis.latency": ("latency_by_type", "latency_cdf", "latency_stats"),
+        "repro.analysis.mix": ("mix_comparison", "operation_counts", "operation_mix"),
+        "repro.analysis.report": ("render_series", "render_table"),
+        "repro.analysis.spans": (
+            "aggregate_phase_attribution",
+            "control_plane_share",
+            "critical_path",
+            "critical_path_length",
+            "critical_path_phases",
+            "phase_attribution",
+            "queueing_service_split",
+        ),
+        "repro.analysis.timeseries": ("arrival_rate_series", "completion_rate_series"),
+    },
 )
-from repro.analysis.burstiness import (
-    arrival_cov,
-    burstiness_summary,
-    index_of_dispersion,
-)
-from repro.analysis.comparison import compare_traces, comparison_report
-from repro.analysis.latency import latency_by_type, latency_cdf, latency_stats
-from repro.analysis.mix import mix_comparison, operation_counts, operation_mix
-from repro.analysis.report import render_series, render_table
-from repro.analysis.spans import (
-    aggregate_phase_attribution,
-    control_plane_share,
-    critical_path,
-    critical_path_length,
-    critical_path_phases,
-    phase_attribution,
-    queueing_service_split,
-)
-from repro.analysis.timeseries import arrival_rate_series, completion_rate_series
 
 __all__ = [
     "aggregate_phase_attribution",

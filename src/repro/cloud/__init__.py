@@ -8,16 +8,23 @@ provisioning rates drag "previously infrequent" operations into the hot
 path (the paper's claim 4).
 """
 
-from repro.cloud.api import AdmissionShed, ApiGateway, Session, SessionError
-from repro.cloud.catalog import Catalog, CatalogItem
-from repro.cloud.director import CloudDirector, DeployRequest
-from repro.cloud.elasticity import ElasticityPolicy, SparePool
-from repro.cloud.drs import LoadBalancer
-from repro.cloud.federation import FederatedCloud
-from repro.cloud.ha import FailureInjector, HAManager
-from repro.cloud.placement import PlacementEngine, PlacementError
-from repro.cloud.tenancy import Organization, QuotaExceeded, User
-from repro.cloud.vapp import VApp, VAppState
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.cloud.api": ("AdmissionShed", "ApiGateway", "Session", "SessionError"),
+        "repro.cloud.catalog": ("Catalog", "CatalogItem"),
+        "repro.cloud.director": ("CloudDirector", "DeployRequest"),
+        "repro.cloud.drs": ("LoadBalancer",),
+        "repro.cloud.elasticity": ("ElasticityPolicy", "SparePool"),
+        "repro.cloud.federation": ("FederatedCloud",),
+        "repro.cloud.ha": ("FailureInjector", "HAManager"),
+        "repro.cloud.placement": ("PlacementEngine", "PlacementError"),
+        "repro.cloud.tenancy": ("Organization", "QuotaExceeded", "User"),
+        "repro.cloud.vapp": ("VApp", "VAppState"),
+    },
+)
 
 __all__ = [
     "AdmissionShed",

@@ -11,43 +11,50 @@ Scale-out (:class:`ShardedControlPlane`) partitions hosts across multiple
 servers — the design response the paper's conclusions point at.
 """
 
-from repro.controlplane.bus import (
-    AgentProxy,
-    BusFaultHook,
-    Message,
-    MessageBus,
-    NULL_BUS,
-    OVERFLOW_BLOCK,
-    OVERFLOW_DEAD_LETTER,
-    OVERFLOW_SHED_OLDEST,
-    Topic,
-    TopicStats,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.controlplane.bus": (
+            "AgentProxy",
+            "BusFaultHook",
+            "Message",
+            "MessageBus",
+            "NULL_BUS",
+            "OVERFLOW_BLOCK",
+            "OVERFLOW_DEAD_LETTER",
+            "OVERFLOW_SHED_OLDEST",
+            "Topic",
+            "TopicStats",
+        ),
+        "repro.controlplane.costs": ("ControlPlaneConfig", "ControlPlaneCosts", "DEFAULT_COSTS"),
+        "repro.controlplane.database": ("DatabaseModel",),
+        "repro.controlplane.eventlog": (
+            "AlarmManager",
+            "AlarmRule",
+            "EventLog",
+            "ManagementEvent",
+        ),
+        "repro.controlplane.host_agent": ("HostAgent", "HostAgentError"),
+        "repro.controlplane.locks": ("LockManager",),
+        "repro.controlplane.resilience": (
+            "BreakerPolicy",
+            "BreakerState",
+            "CircuitBreaker",
+            "DeadLetter",
+            "DEFAULT_RETRY",
+            "NO_RETRY",
+            "RetryBudget",
+            "RetryPolicy",
+            "TaskDeadlineExceeded",
+        ),
+        "repro.controlplane.server": ("ManagementServer",),
+        "repro.controlplane.shard": ("ShardedControlPlane",),
+        "repro.controlplane.stats_sync": ("StatsCollector",),
+        "repro.controlplane.task_manager": ("Task", "TaskManager", "TaskState"),
+    },
 )
-from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
-from repro.controlplane.database import DatabaseModel
-from repro.controlplane.eventlog import (
-    AlarmManager,
-    AlarmRule,
-    EventLog,
-    ManagementEvent,
-)
-from repro.controlplane.host_agent import HostAgent, HostAgentError
-from repro.controlplane.locks import LockManager
-from repro.controlplane.resilience import (
-    BreakerPolicy,
-    BreakerState,
-    CircuitBreaker,
-    DeadLetter,
-    DEFAULT_RETRY,
-    NO_RETRY,
-    RetryBudget,
-    RetryPolicy,
-    TaskDeadlineExceeded,
-)
-from repro.controlplane.server import ManagementServer
-from repro.controlplane.shard import ShardedControlPlane
-from repro.controlplane.stats_sync import StatsCollector
-from repro.controlplane.task_manager import Task, TaskManager, TaskState
 
 __all__ = [
     "AgentProxy",

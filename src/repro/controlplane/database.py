@@ -75,14 +75,17 @@ class DatabaseModel:
         self, median: float, kind: str, rows: int, span=NULL_SPAN
     ) -> typing.Generator[typing.Any, typing.Any, float]:
         start = self.sim.now
-        op_span = span.child(f"db.{kind}", phase=PHASE_DB, tags={"rows": rows})
+        traced = not span.is_null
+        op_span = span.child(f"db.{kind}", phase=PHASE_DB, tags={"rows": rows}) if traced else span
         try:
             # Injected DB faults surface before any connection is consumed:
             # one-shot errors fail the statement, latency windows stretch it.
-            factor = self.faults.fire()
+            factor = self.faults.fire() if self.faults.armed else 1.0
             request = self.pool.request()
-            wait_span = op_span.child(
-                "db.pool_wait", phase=PHASE_QUEUE, tags={"wait": True}
+            wait_span = (
+                op_span.child("db.pool_wait", phase=PHASE_QUEUE, tags={"wait": True})
+                if traced
+                else op_span
             )
             yield request
             wait_span.finish()

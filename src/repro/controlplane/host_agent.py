@@ -90,8 +90,10 @@ class HostAgent:
         so it is unused here.
         """
         start = self.sim.now
-        call_span = span.child(
-            f"hostd.{kind}", phase=PHASE_AGENT, tags={"host": self.host.name}
+        call_span = (
+            span.child(f"hostd.{kind}", phase=PHASE_AGENT, tags={"host": self.host.name})
+            if not span.is_null
+            else span
         )
         try:
             yield from self._call(kind, median_s, call_span)
@@ -114,15 +116,17 @@ class HostAgent:
                 raise HostAgentError(
                     f"host {self.host.name} is {self.host.state.value}"
                 )
-            factor = self.faults.fire()
+            factor = self.faults.fire() if self.faults.armed else 1.0
         except Exception:
             self.metrics.counter("call_failures").add()
             self._note_failure()
             raise
         start = self.sim.now
         request = self.slots.request()
-        wait_span = span.child(
-            "hostd.slot_wait", phase=PHASE_QUEUE, tags={"wait": True}
+        wait_span = (
+            span.child("hostd.slot_wait", phase=PHASE_QUEUE, tags={"wait": True})
+            if not span.is_null
+            else span
         )
         yield request
         wait_span.finish()

@@ -305,7 +305,10 @@ class ManagementServer:
         """
         start = self.sim.now
         request = self.cpu.request()
-        wait_span = span.child("cpu.wait", phase=PHASE_QUEUE, tags={"wait": True})
+        traced = not span.is_null
+        wait_span = (
+            span.child("cpu.wait", phase=PHASE_QUEUE, tags={"wait": True}) if traced else span
+        )
         yield request
         wait_span.finish()
         service = bounded(
@@ -313,7 +316,7 @@ class ManagementServer:
             median_s * 0.25,
             median_s * 10.0,
         )
-        work_span = span.child("cpu.work", phase=work_phase)
+        work_span = span.child("cpu.work", phase=work_phase) if traced else span
         try:
             yield self.sim.timeout(service)
         finally:
@@ -415,7 +418,8 @@ class ManagementServer:
             # is transient: the caller may resubmit after the restart.
             if self.crashed:
                 raise ServerCrashed(f"{self.name} is down")
-            self.faults.fire()
+            if self.faults.armed:
+                self.faults.fire()
             holder: dict[str, Task] = {}
 
             def body(task: Task) -> typing.Generator:

@@ -9,16 +9,23 @@ Start here::
     print(result.report())
 """
 
-from repro.core.experiments import (
-    EXPERIMENTS,
-    PARALLEL_EXPERIMENTS,
-    ExperimentResult,
-    run_experiment,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.experiments": (
+            "EXPERIMENTS",
+            "PARALLEL_EXPERIMENTS",
+            "ExperimentResult",
+            "run_experiment",
+        ),
+        "repro.core.parallel": ("derive_seed", "resolve_parallelism", "run_cells"),
+        "repro.core.profiler": ("CloudManagementProfiler", "ProfileResult"),
+        "repro.core.scenario": ("Scenario", "ScenarioResult"),
+        "repro.core.sensitivity": ("sweep",),
+    },
 )
-from repro.core.parallel import derive_seed, resolve_parallelism, run_cells
-from repro.core.profiler import CloudManagementProfiler, ProfileResult
-from repro.core.scenario import Scenario, ScenarioResult
-from repro.core.sensitivity import sweep
 
 __all__ = [
     "CloudManagementProfiler",

@@ -15,18 +15,10 @@ import dataclasses
 import functools
 import typing
 
-from repro.analysis.bottleneck import phase_breakdown, plane_breakdown
-from repro.analysis.latency import latency_by_type
-from repro.analysis.mix import mix_comparison
-from repro.analysis.report import render_series, render_table
-from repro.analysis.timeseries import peak_to_trough
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
 from repro.controlplane.bus import MessageBus
 from repro.controlplane.recovery import NULL_JOURNAL, TaskJournal
 from repro.controlplane.server import ManagementServer
-from repro.controlplane.shard import ShardedControlPlane
-from repro.core.parallel import run_cells
-from repro.core.scenario import Scenario
 from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Network
 from repro.datacenter.templates import MEDIUM_LINUX, TemplateLibrary
 from repro.operations.provisioning import CloneVM, DeployFromTemplate
@@ -35,9 +27,9 @@ from repro.sim.events import Call
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
 from repro.telemetry.metrics import NULL_TELEMETRY, Telemetry
-from repro.telemetry.recorder import NULL_RECORDER, FlightRecorder
-from repro.tracing import NULL_TRACER, RetentionPolicy, SampledTracer, Tracer
-from repro.triage.engine import NULL_TRIAGE, TriageEngine
+from repro.telemetry.recorder import NULL_RECORDER
+from repro.tracing import NULL_TRACER, Tracer
+from repro.triage.engine import NULL_TRIAGE
 from repro.workloads.arrivals import MMPPBurst, Poisson
 from repro.workloads.lifetimes import CLASSIC_DC_LIFETIME, CLOUD_A_LIFETIME
 from repro.workloads.profiles import CLASSIC_DC, CLOUD_A, CLOUD_B
@@ -55,6 +47,8 @@ class ExperimentResult:
     notes: str = ""
 
     def render(self) -> str:
+        from repro.analysis.report import render_series, render_table
+
         parts = [render_table(self.headers, self.rows, title=f"{self.exp_id}: {self.title}")]
         for label, pairs in self.series.items():
             parts.append("")
@@ -97,6 +91,8 @@ class StormRig:
         # sample_budget switches traced runs onto tail-based retention:
         # full span trees inside a fixed budget instead of keep-everything.
         if traced and sample_budget is not None:
+            from repro.tracing.sampling import RetentionPolicy, SampledTracer
+
             self.tracer = SampledTracer(
                 self.sim, RetentionPolicy(span_budget=sample_budget)
             )
@@ -134,25 +130,25 @@ class StormRig:
         # triage=True subscribes the incident-triage engine to the SLO
         # monitor's fire hook; it reads roll-ups/spans only, so schedules
         # stay byte-identical with it attached.
-        self.triage = (
-            TriageEngine(self.telemetry, tracer=self.tracer).attach()
-            if triage and telemetry
-            else NULL_TRIAGE
-        )
+        self.triage = NULL_TRIAGE
+        if triage and telemetry:
+            from repro.triage.engine import TriageEngine
+
+            self.triage = TriageEngine(self.telemetry, tracer=self.tracer).attach()
         # recorder=True attaches the incident flight recorder *after*
         # triage (listener order is call order, and a bundle wants the
         # verdict that triggered it). Read-only like triage, so schedules
         # stay byte-identical with it attached.
-        self.recorder = (
-            FlightRecorder(
+        self.recorder = NULL_RECORDER
+        if recorder and telemetry:
+            from repro.telemetry.recorder import FlightRecorder
+
+            self.recorder = FlightRecorder(
                 self.telemetry,
                 tracer=self.tracer,
                 bus=self.bus,
                 triage=self.triage if triage else None,
             ).attach(server=self.server)
-            if recorder and telemetry
-            else NULL_RECORDER
-        )
         inventory = self.server.inventory
         self.datacenter = inventory.create(Datacenter, name="dc")
         self.cluster = inventory.create(Cluster, name="cluster")
@@ -289,6 +285,9 @@ def experiment_t1_setups(seed: int = 0, quick: bool = False) -> ExperimentResult
 
 def experiment_t2_opmix(seed: int = 0, quick: bool = False) -> ExperimentResult:
     """R-T2: management-operation mix, clouds vs classic datacenter."""
+    from repro.analysis.mix import mix_comparison
+    from repro.core.scenario import Scenario
+
     duration = 2 * 3600.0 if quick else 12 * 3600.0
     traces = {}
     for profile in (CLOUD_A, CLOUD_B, CLASSIC_DC):
@@ -324,6 +323,9 @@ def experiment_t2_opmix(seed: int = 0, quick: bool = False) -> ExperimentResult:
 
 def experiment_f1_arrivals(seed: int = 0, quick: bool = False) -> ExperimentResult:
     """R-F1: operation arrival rate over one day (Cloud A, diurnal)."""
+    from repro.analysis.timeseries import peak_to_trough
+    from repro.core.scenario import Scenario
+
     duration = 6 * 3600.0 if quick else 24 * 3600.0
     result = Scenario(
         profile=_quick_profile(CLOUD_A, quick), duration_s=duration, seed=seed
@@ -351,6 +353,9 @@ def experiment_f1_arrivals(seed: int = 0, quick: bool = False) -> ExperimentResu
 
 def experiment_f2_latency_cdf(seed: int = 0, quick: bool = False) -> ExperimentResult:
     """R-F2: per-operation latency distributions under cloud load."""
+    from repro.analysis.latency import latency_by_type
+    from repro.core.scenario import Scenario
+
     duration = 2 * 3600.0 if quick else 8 * 3600.0
     result = Scenario(
         profile=_quick_profile(CLOUD_B, quick), duration_s=duration, seed=seed
@@ -392,6 +397,8 @@ def experiment_f3_throughput(
     seed: int = 0, quick: bool = False, parallel: int | None = None
 ) -> ExperimentResult:
     """R-F3 (headline): clone throughput vs offered concurrency."""
+    from repro.core.parallel import run_cells
+
     concurrencies = (1, 4, 16, 64) if quick else (1, 2, 4, 8, 16, 32, 64, 128)
     total = 48 if quick else 128
     cells = [
@@ -503,6 +510,8 @@ def experiment_f5_cp_load(
     seed: int = 0, quick: bool = False, parallel: int | None = None
 ) -> ExperimentResult:
     """R-F5: which resource saturates as linked-clone deploy rate rises."""
+    from repro.core.parallel import run_cells
+
     rates = (0.25, 1.0, 4.0) if quick else (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
     duration = 1200.0 if quick else 1800.0
     rows = []
@@ -558,6 +567,8 @@ def experiment_f6_reconfig_scale(
     seed: int = 0, quick: bool = False, parallel: int | None = None
 ) -> ExperimentResult:
     """R-F6: rescan and add-host latency as the inventory grows."""
+    from repro.core.parallel import run_cells
+
     host_counts = (8, 32) if quick else (8, 16, 32, 64, 128)
     datastore_count = 8
     rows = []
@@ -646,6 +657,8 @@ def experiment_f7_queue_depth(seed: int = 0, quick: bool = False) -> ExperimentR
 
 def experiment_f8_breakdown(seed: int = 0, quick: bool = False) -> ExperimentResult:
     """R-F8: where deploy time goes — control vs data plane, full vs linked."""
+    from repro.analysis.bottleneck import phase_breakdown, plane_breakdown
+
     total = 16 if quick else 48
     rows = []
     for linked in (False, True):
@@ -705,6 +718,8 @@ def experiment_t3_ablations(
     seed: int = 0, quick: bool = False, parallel: int | None = None
 ) -> ExperimentResult:
     """R-T3: which control-plane design knobs actually buy throughput."""
+    from repro.core.parallel import run_cells
+
     total = 48 if quick else 128
     concurrency = 32
     variants: list[tuple[str, ControlPlaneConfig]] = [
@@ -754,6 +769,8 @@ def experiment_t3_ablations(
 
 def _f9_cell(cell: tuple[int, int, int, int]) -> tuple[int, float]:
     """One R-F9 sweep cell: a clone storm at one shard count."""
+    from repro.controlplane.shard import ShardedControlPlane
+
     seed, shard_count, total_hosts, clones = cell
     sim = Simulator()
     plane = ShardedControlPlane(sim, RandomStreams(seed), shard_count=shard_count)
@@ -789,6 +806,8 @@ def experiment_f9_shards(
     seed: int = 0, quick: bool = False, parallel: int | None = None
 ) -> ExperimentResult:
     """R-F9: provisioning throughput vs management-server shard count."""
+    from repro.core.parallel import run_cells
+
     shard_counts = (1, 2, 4) if quick else (1, 2, 4, 8)
     total_hosts = 16
     clones = 64 if quick else 192
@@ -1016,6 +1035,7 @@ def experiment_x3_fault_goodput(
     dead letters and zero unaccounted tasks with full resilience; every
     posture holds exactly-once.
     """
+    from repro.core.parallel import run_cells
     from repro.faults.chaos import POSTURES
 
     duration_s = 600.0 if quick else 1500.0
@@ -1334,6 +1354,8 @@ def experiment_f_phase(
     which strip away the data plane — the control-plane trio
     (queue + placement + db) grows to dominate provisioning latency.
     """
+    from repro.core.parallel import run_cells
+
     total = 24 if quick else 96
     concurrencies = (1, 16) if quick else (1, 4, 16, 64)
     cells = [
@@ -1886,6 +1908,8 @@ def hyperscale_sweep(
     fields feed the committed exhibit; ``events_per_s``/``rss_mb`` are for
     the CLI and the perf bench only.
     """
+    from repro.core.parallel import run_cells
+
     if fleets is None:
         fleets = (2_000, 10_000) if quick else (100_000, 1_000_000)
     if shard_counts is None:

@@ -10,22 +10,29 @@ contention live in :mod:`repro.controlplane`, :mod:`repro.storage`, and
 :mod:`repro.operations`, which manipulate these objects.
 """
 
-from repro.datacenter.entities import (
-    Cluster,
-    Datacenter,
-    Datastore,
-    Host,
-    HostState,
-    Network,
-)
-from repro.datacenter.inventory import Inventory, InventoryError
-from repro.datacenter.templates import TemplateLibrary, TemplateSpec
-from repro.datacenter.vm import (
-    DiskBacking,
-    PowerState,
-    Snapshot,
-    VirtualDisk,
-    VirtualMachine,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.datacenter.entities": (
+            "Cluster",
+            "Datacenter",
+            "Datastore",
+            "Host",
+            "HostState",
+            "Network",
+        ),
+        "repro.datacenter.inventory": ("Inventory", "InventoryError"),
+        "repro.datacenter.templates": ("TemplateLibrary", "TemplateSpec"),
+        "repro.datacenter.vm": (
+            "DiskBacking",
+            "PowerState",
+            "Snapshot",
+            "VirtualDisk",
+            "VirtualMachine",
+        ),
+    },
 )
 
 __all__ = [

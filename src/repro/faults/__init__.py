@@ -9,41 +9,44 @@ This package must stay import-light: ``repro.controlplane`` and
 ``repro.storage`` import it, so it never imports them at runtime.
 """
 
-from repro.faults.errors import (
-    InjectedFault,
-    MessageLost,
-    ServerCrashed,
-    ShardUnavailable,
-    TransientError,
-)
-from repro.faults.hooks import ALL_KEYS, FaultHook
-from repro.faults.injector import FaultEvent, FaultInjector, FaultTargets
-from repro.faults.manifest import (
-    GroundTruthManifest,
-    GroundTruthWindow,
-    window_from_spec,
-)
-from repro.faults.schedule import (
-    AgentDegrade,
-    CopyFlakiness,
-    DatastoreOutage,
-    DbSlowdown,
-    FaultSchedule,
-    FaultSpec,
-    HostFlap,
-    MESSAGE_FAULT_KINDS,
-    MessageDelay,
-    MessageDrop,
-    MessageDuplicate,
-    MessageFault,
-    MessageReorder,
-    ServerCrash,
-    ShardCrash,
-    SPEC_KINDS,
-    TopicPartition,
-    message_fault,
-    random_fault_schedule,
-    standard_fault_schedule,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.faults.errors": (
+            "InjectedFault",
+            "MessageLost",
+            "ServerCrashed",
+            "ShardUnavailable",
+            "TransientError",
+        ),
+        "repro.faults.hooks": ("ALL_KEYS", "FaultHook"),
+        "repro.faults.injector": ("FaultEvent", "FaultInjector", "FaultTargets"),
+        "repro.faults.manifest": ("GroundTruthManifest", "GroundTruthWindow", "window_from_spec"),
+        "repro.faults.schedule": (
+            "AgentDegrade",
+            "CopyFlakiness",
+            "DatastoreOutage",
+            "DbSlowdown",
+            "FaultSchedule",
+            "FaultSpec",
+            "HostFlap",
+            "MESSAGE_FAULT_KINDS",
+            "MessageDelay",
+            "MessageDrop",
+            "MessageDuplicate",
+            "MessageFault",
+            "MessageReorder",
+            "ServerCrash",
+            "ShardCrash",
+            "SPEC_KINDS",
+            "TopicPartition",
+            "message_fault",
+            "random_fault_schedule",
+            "standard_fault_schedule",
+        ),
+    },
 )
 
 __all__ = [

@@ -7,26 +7,33 @@ pipeline show the paper's pivot: linked clones delete the data-plane
 phases and leave the control-plane toll intact.
 """
 
-from repro.operations.base import Operation, OperationError, OperationType, phase
-from repro.operations.maintenance import (
-    EnterMaintenance,
-    EvacuateDatastore,
-    ExitMaintenance,
-)
-from repro.operations.lifecycle import (
-    CreateSnapshot,
-    DeleteSnapshot,
-    DestroyVM,
-    ReconfigureVM,
-)
-from repro.operations.migration import MigrateVM, StorageMigrateVM
-from repro.operations.power import PowerOff, PowerOn
-from repro.operations.provisioning import CloneVM, DeployFromTemplate
-from repro.operations.reconfiguration import (
-    AddDatastore,
-    AddHost,
-    NetworkReconfig,
-    RescanDatastore,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.operations.base": ("Operation", "OperationError", "OperationType", "phase"),
+        "repro.operations.lifecycle": (
+            "CreateSnapshot",
+            "DeleteSnapshot",
+            "DestroyVM",
+            "ReconfigureVM",
+        ),
+        "repro.operations.maintenance": (
+            "EnterMaintenance",
+            "EvacuateDatastore",
+            "ExitMaintenance",
+        ),
+        "repro.operations.migration": ("MigrateVM", "StorageMigrateVM"),
+        "repro.operations.power": ("PowerOff", "PowerOn"),
+        "repro.operations.provisioning": ("CloneVM", "DeployFromTemplate"),
+        "repro.operations.reconfiguration": (
+            "AddDatastore",
+            "AddHost",
+            "NetworkReconfig",
+            "RescanDatastore",
+        ),
+    },
 )
 
 __all__ = [

@@ -82,7 +82,9 @@ def phase(
     """
     if plane not in (CONTROL, DATA):
         raise ValueError(f"unknown plane {plane!r}")
-    span = task.span.child(name, phase=tag, tags={"plane": plane})
+    span = task.span
+    if not span.is_null:
+        span = span.child(name, phase=tag, tags={"plane": plane})
     if callable(body):
         body = body(span)
     start = sim_now()
@@ -148,7 +150,7 @@ class Operation:
         body: typing.Generator | typing.Callable[[Span], typing.Generator],
         tag: str = PHASE_TASK,
     ) -> typing.Generator[typing.Any, typing.Any, typing.Any]:
-        return (yield from phase(task, name, plane, lambda: server.sim.now, body, tag=tag))
+        return phase(task, name, plane, lambda: server.sim.now, body, tag=tag)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.op_type.value}>"

@@ -19,18 +19,25 @@ The public surface:
 - :mod:`~repro.sim.stats` — counters, gauges, latency recorders, time series.
 """
 
-from repro.sim.events import AllOf, AnyOf, Call, Event, EventCancelled, Timeout
-from repro.sim.kernel import Interrupt, Process, Simulator
-from repro.sim.random import RandomStreams
-from repro.sim.resources import PriorityResource, Resource, Store
-from repro.sim.stats import (
-    Counter,
-    Gauge,
-    Histogram,
-    LatencyRecorder,
-    LogHistogram,
-    MetricsRegistry,
-    TimeSeries,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.events": ("AllOf", "AnyOf", "Call", "Event", "EventCancelled", "Timeout"),
+        "repro.sim.kernel": ("Interrupt", "Process", "Simulator"),
+        "repro.sim.random": ("RandomStreams",),
+        "repro.sim.resources": ("PriorityResource", "Resource", "Store"),
+        "repro.sim.stats": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "LatencyRecorder",
+            "LogHistogram",
+            "MetricsRegistry",
+            "TimeSeries",
+        ),
+    },
 )
 
 __all__ = [

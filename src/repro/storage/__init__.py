@@ -7,15 +7,22 @@ clones move only metadata. Both go through the same admission scheduler so
 the control plane sees identical task structure either way.
 """
 
-from repro.storage.bandwidth import FairShareLink, Transfer
-from repro.storage.copy_engine import CopyEngine, CopyFailed
-from repro.storage.linked_clone import (
-    LinkedCloneError,
-    consolidate_chain,
-    create_linked_backing,
-    ensure_clone_anchor,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.storage.bandwidth": ("FairShareLink", "Transfer"),
+        "repro.storage.copy_engine": ("CopyEngine", "CopyFailed"),
+        "repro.storage.linked_clone": (
+            "LinkedCloneError",
+            "consolidate_chain",
+            "create_linked_backing",
+            "ensure_clone_anchor",
+        ),
+        "repro.storage.scheduler": ("CopyScheduler",),
+    },
 )
-from repro.storage.scheduler import CopyScheduler
 
 __all__ = [
     "CopyEngine",

@@ -20,47 +20,54 @@ itself a major database workload. Four pieces:
   verdict together; :data:`NULL_RECORDER` is the zero-cost off switch.
 """
 
-from repro.telemetry.dashboard import render_dashboard, sparkline
-from repro.telemetry.export import (
-    alerts_jsonl,
-    prometheus_text,
-    read_incident_bundle,
-    read_incident_bundles,
-    rollups_jsonl,
-    write_alerts,
-    write_incident_bundle,
-    write_incident_bundles,
-    write_prometheus,
-    write_rollups,
-)
-from repro.telemetry.metrics import (
-    NULL_METRIC,
-    NULL_TELEMETRY,
-    MetricFamily,
-    NullMetric,
-    NullTelemetry,
-    Probe,
-    Telemetry,
-    format_metric_id,
-)
-from repro.telemetry.recorder import (
-    NULL_RECORDER,
-    FlightRecorder,
-    IncidentBundle,
-    NullFlightRecorder,
-)
-from repro.telemetry.rollup import DEFAULT_RETENTION, RollupSeries, Window, merge_windows
-from repro.telemetry.scraper import Scraper
-from repro.telemetry.slo import (
-    DEFAULT_BURN_WINDOWS,
-    Alert,
-    AlertEvent,
-    AvailabilityRule,
-    BurnWindow,
-    LatencyRule,
-    RatioRule,
-    SloMonitor,
-    SloRule,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.telemetry.dashboard": ("render_dashboard", "sparkline"),
+        "repro.telemetry.export": (
+            "alerts_jsonl",
+            "prometheus_text",
+            "read_incident_bundle",
+            "read_incident_bundles",
+            "rollups_jsonl",
+            "write_alerts",
+            "write_incident_bundle",
+            "write_incident_bundles",
+            "write_prometheus",
+            "write_rollups",
+        ),
+        "repro.telemetry.metrics": (
+            "NULL_METRIC",
+            "NULL_TELEMETRY",
+            "MetricFamily",
+            "NullMetric",
+            "NullTelemetry",
+            "Probe",
+            "Telemetry",
+            "format_metric_id",
+        ),
+        "repro.telemetry.recorder": (
+            "NULL_RECORDER",
+            "FlightRecorder",
+            "IncidentBundle",
+            "NullFlightRecorder",
+        ),
+        "repro.telemetry.rollup": ("DEFAULT_RETENTION", "RollupSeries", "Window", "merge_windows"),
+        "repro.telemetry.scraper": ("Scraper",),
+        "repro.telemetry.slo": (
+            "DEFAULT_BURN_WINDOWS",
+            "Alert",
+            "AlertEvent",
+            "AvailabilityRule",
+            "BurnWindow",
+            "LatencyRule",
+            "RatioRule",
+            "SloMonitor",
+            "SloRule",
+        ),
+    },
 )
 
 __all__ = [

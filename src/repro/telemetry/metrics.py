@@ -26,10 +26,10 @@ from repro.sim.stats import (
     LogHistogram,
     MetricsRegistry,
 )
-from repro.telemetry.rollup import DEFAULT_RETENTION, RollupSeries
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
+    from repro.telemetry.rollup import RollupSeries
     from repro.telemetry.slo import SloMonitor, SloRule
 
 LabelValues = typing.Tuple[typing.Tuple[str, str], ...]
@@ -207,9 +207,10 @@ class Telemetry:
         self,
         sim: "Simulator",
         scrape_interval_s: float = 5.0,
-        retention: tuple[tuple[float, int], ...] = DEFAULT_RETENTION,
+        retention: tuple[tuple[float, int], ...] | None = None,
         histogram_base: float = LOG_HISTOGRAM_BASE,
     ) -> None:
+        from repro.telemetry.rollup import DEFAULT_RETENTION
         from repro.telemetry.scraper import Scraper
         from repro.telemetry.slo import SloMonitor
 
@@ -217,7 +218,7 @@ class Telemetry:
             raise ValueError("scrape_interval_s must be positive")
         self.sim = sim
         self.scrape_interval_s = scrape_interval_s
-        self.retention = retention
+        self.retention = DEFAULT_RETENTION if retention is None else retention
         self.histogram_base = histogram_base
         self.families: dict[str, MetricFamily] = {}
         self.probes: list[Probe] = []
@@ -269,6 +270,8 @@ class Telemetry:
     def rollup(self, metric_id: str, kind: str) -> RollupSeries:
         series = self.rollups.get(metric_id)
         if series is None:
+            from repro.telemetry.rollup import RollupSeries
+
             series = RollupSeries(
                 metric_id, kind=kind, retention=self.retention, base=self.histogram_base
             )

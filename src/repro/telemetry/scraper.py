@@ -24,16 +24,32 @@ from __future__ import annotations
 import typing
 
 from repro.sim.stats import Counter, Gauge, LatencyRecorder, LogHistogram
-from repro.telemetry.metrics import Probe, THistogram, format_metric_id
+from repro.telemetry.metrics import format_metric_id
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.metrics import Telemetry
+    from repro.telemetry.rollup import RollupSeries
+
+
+class _Binding:
+    """One scraped metric's formatted id and, once created, its series.
+
+    The series is created on the first sample, not when the binding is,
+    so a histogram that has seen no observation still has no series.
+    """
+
+    __slots__ = ("metric_id", "kind", "series")
+
+    def __init__(self, metric_id: str, kind: str) -> None:
+        self.metric_id = metric_id
+        self.kind = kind
+        self.series: "RollupSeries | None" = None
 
 
 class _HistogramCursor:
     """Last-seen cumulative state of one histogram, for delta scrapes."""
 
-    __slots__ = ("buckets", "zeros", "count", "sum", "min", "max")
+    __slots__ = ("buckets", "zeros", "count", "sum")
 
     def __init__(self) -> None:
         self.buckets: dict[int, int] = {}
@@ -52,6 +68,9 @@ class Scraper:
         self._until: float | None = None
         self._last_counter: dict[str, float] = {}
         self._hist_cursor: dict[str, _HistogramCursor] = {}
+        # Family child, probe, or (registry metric, labels[, suffix]) ->
+        # its binding; a latency recorder has a count and a seconds one.
+        self._bindings: dict[typing.Hashable, _Binding] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -78,52 +97,72 @@ class Scraper:
 
     def scrape(self) -> None:
         now = self.telemetry.sim.now
+        bind = self._bind
         for family in self.telemetry.families.values():
+            kind = family.kind
             for child in family.children():
-                metric_id = format_metric_id(child.name, child.labels)
-                if family.kind == "counter":
-                    self._sample_counter(metric_id, child.value, now)
-                elif family.kind == "gauge":
-                    self._sample_gauge(metric_id, child.value, now)
+                binding = bind(child, child.name, child.labels, kind)
+                if kind == "counter":
+                    self._sample_counter(binding, child.value, now)
+                elif kind == "gauge":
+                    self._sample_gauge(binding, child.value, now)
                 else:
-                    self._sample_histogram(metric_id, child.hist, now)
+                    self._sample_histogram(binding, child.hist, now)
         for probe in self.telemetry.probes:
-            metric_id = format_metric_id(probe.name, probe.labels)
-            self._sample_gauge(metric_id, probe.value, now)
+            self._sample_gauge(bind(probe, probe.name, probe.labels, "gauge"), probe.value, now)
         for registry, labels in self.telemetry.watched:
             for key, metric in registry.all().items():
-                metric_id = format_metric_id(key, labels)
                 if isinstance(metric, Counter):
-                    self._sample_counter(metric_id, metric.value, now)
+                    binding = bind((metric, labels), key, labels, "counter")
+                    self._sample_counter(binding, metric.value, now)
                 elif isinstance(metric, Gauge):
-                    self._sample_gauge(metric_id, metric.value, now)
+                    binding = bind((metric, labels), key, labels, "gauge")
+                    self._sample_gauge(binding, metric.value, now)
                 elif isinstance(metric, LatencyRecorder):
                     # Count + total seconds as counters: a trailing
                     # window's seconds-sum over count-sum is the mean
                     # latency in that window (triage leans on this to
                     # compare recent vs baseline service times).
-                    count_id = format_metric_id(f"{key}:count", labels)
-                    self._sample_counter(count_id, float(metric.count), now)
-                    seconds_id = format_metric_id(f"{key}:seconds", labels)
-                    self._sample_counter(
-                        seconds_id, float(metric.mean * metric.count), now
-                    )
+                    count = bind((metric, labels, ":count"), key, labels, "counter", ":count")
+                    self._sample_counter(count, float(metric.count), now)
+                    seconds = bind((metric, labels, ":seconds"), key, labels, "counter", ":seconds")
+                    self._sample_counter(seconds, float(metric.mean * metric.count), now)
                 elif isinstance(metric, LogHistogram):
-                    self._sample_histogram(metric_id, metric, now)
+                    binding = bind((metric, labels), key, labels, "histogram")
+                    self._sample_histogram(binding, metric, now)
                 # Fixed-bin Histogram / TimeSeries keep their own shape;
                 # they are post-run analysis structures, not scrape targets.
         self.scrapes += 1
         self.telemetry.monitor.evaluate(now)
 
-    def _sample_counter(self, metric_id: str, value: float, now: float) -> None:
+    def _bind(
+        self, source: typing.Hashable, name: str, labels: tuple, kind: str, suffix: str = ""
+    ) -> _Binding:
+        """The binding of one scraped source, formatting its id on first use."""
+        binding = self._bindings.get(source)
+        if binding is None:
+            binding = self._bindings[source] = _Binding(
+                format_metric_id(name + suffix, labels), kind
+            )
+        return binding
+
+    def _series(self, binding: _Binding) -> "RollupSeries":
+        series = binding.series
+        if series is None:
+            series = binding.series = self.telemetry.rollup(binding.metric_id, binding.kind)
+        return series
+
+    def _sample_counter(self, binding: _Binding, value: float, now: float) -> None:
+        metric_id = binding.metric_id
         last = self._last_counter.get(metric_id, 0.0)
         self._last_counter[metric_id] = value
-        self.telemetry.rollup(metric_id, "counter").record(now, value - last)
+        self._series(binding).record(now, value - last)
 
-    def _sample_gauge(self, metric_id: str, value: float, now: float) -> None:
-        self.telemetry.rollup(metric_id, "gauge").record(now, value)
+    def _sample_gauge(self, binding: _Binding, value: float, now: float) -> None:
+        self._series(binding).record(now, value)
 
-    def _sample_histogram(self, metric_id: str, hist: LogHistogram, now: float) -> None:
+    def _sample_histogram(self, binding: _Binding, hist: LogHistogram, now: float) -> None:
+        metric_id = binding.metric_id
         cursor = self._hist_cursor.get(metric_id)
         if cursor is None:
             cursor = self._hist_cursor[metric_id] = _HistogramCursor()
@@ -160,4 +199,4 @@ class Scraper:
         cursor.zeros = hist.zeros
         cursor.count = hist.count
         cursor.sum = hist.total
-        self.telemetry.rollup(metric_id, "histogram").absorb_histogram(now, delta)
+        self._series(binding).absorb_histogram(now, delta)

@@ -5,9 +5,16 @@ parser would, so the analysis in :mod:`repro.analysis` is agnostic to
 whether its input is synthetic or real.
 """
 
-from repro.traces.filters import by_op_type, by_success, in_window, provisioning_only
-from repro.traces.io import read_csv, read_jsonl, write_csv, write_jsonl
-from repro.traces.records import TraceRecord
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.traces.filters": ("by_op_type", "by_success", "in_window", "provisioning_only"),
+        "repro.traces.io": ("read_csv", "read_jsonl", "write_csv", "write_jsonl"),
+        "repro.traces.records": ("TraceRecord",),
+    },
+)
 
 __all__ = [
     "TraceRecord",

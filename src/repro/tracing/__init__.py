@@ -26,46 +26,48 @@ See ``docs/tracing.md`` for the instrumentation map and how to open an
 export in ``chrome://tracing``.
 """
 
-from repro.tracing.export import (
-    chrome_trace_events,
-    read_spans_jsonl,
-    retry_flow_events,
-    write_chrome_trace,
-    write_spans_jsonl,
-)
-from repro.tracing.sampling import (
-    KEEP_CLASSES,
-    RetainedTree,
-    RetentionPolicy,
-    SampledTracer,
-    TailSampler,
-)
-from repro.tracing.span import (
-    DATA_PHASES,
-    NULL_SPAN,
-    PHASE_ADMISSION,
-    PHASE_AGENT,
-    PHASE_BUS,
-    PHASE_COPY,
-    PHASE_CPU,
-    PHASE_DB,
-    PHASE_EVENTLOG,
-    PHASE_LOCK,
-    PHASE_PLACEMENT,
-    PHASE_QUEUE,
-    PHASE_RECOVERY,
-    PHASE_REQUEST,
-    PHASE_RETRY,
-    PHASE_TASK,
-    PHASES,
-    Span,
-    SpanContext,
-)
-from repro.tracing.tracer import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    plane_seconds_from_span,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.tracing.export": (
+            "chrome_trace_events",
+            "read_spans_jsonl",
+            "retry_flow_events",
+            "write_chrome_trace",
+            "write_spans_jsonl",
+        ),
+        "repro.tracing.sampling": (
+            "KEEP_CLASSES",
+            "RetainedTree",
+            "RetentionPolicy",
+            "SampledTracer",
+            "TailSampler",
+        ),
+        "repro.tracing.span": (
+            "DATA_PHASES",
+            "NULL_SPAN",
+            "PHASE_ADMISSION",
+            "PHASE_AGENT",
+            "PHASE_BUS",
+            "PHASE_COPY",
+            "PHASE_CPU",
+            "PHASE_DB",
+            "PHASE_EVENTLOG",
+            "PHASE_LOCK",
+            "PHASE_PLACEMENT",
+            "PHASE_QUEUE",
+            "PHASE_RECOVERY",
+            "PHASE_REQUEST",
+            "PHASE_RETRY",
+            "PHASE_TASK",
+            "PHASES",
+            "Span",
+            "SpanContext",
+        ),
+        "repro.tracing.tracer": ("NULL_TRACER", "NullTracer", "Tracer", "plane_seconds_from_span"),
+    },
 )
 
 __all__ = [

@@ -19,16 +19,23 @@ exhibit runs that scoring over randomized chaos runs.
 are untouched (proven by ``tests/triage/test_triage_neutrality.py``).
 """
 
-from repro.triage.engine import (
-    NO_CULPRIT,
-    NULL_TRIAGE,
-    NullTriageEngine,
-    TriageEngine,
-    Verdict,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.triage.engine": (
+            "NO_CULPRIT",
+            "NULL_TRIAGE",
+            "NullTriageEngine",
+            "TriageEngine",
+            "Verdict",
+        ),
+        "repro.triage.evidence": ("Evidence", "EvidenceContext", "Hypothesis", "parse_metric_id"),
+        "repro.triage.rules": ("TriageRule", "default_rules"),
+        "repro.triage.scoring": ("KindScore", "ScoreReport", "TriageScorer"),
+    },
 )
-from repro.triage.evidence import Evidence, EvidenceContext, Hypothesis, parse_metric_id
-from repro.triage.rules import TriageRule, default_rules
-from repro.triage.scoring import KindScore, ScoreReport, TriageScorer
 
 __all__ = [
     "Evidence",

@@ -14,7 +14,8 @@ The engine is **read-only with respect to the simulation**: it runs
 inside the scraper's evaluate step, touches only the roll-up store and
 span store, and schedules stay byte-identical with triage attached
 (``tests/triage/test_triage_neutrality.py``). :data:`NULL_TRIAGE` is the
-zero-cost off switch.
+zero-cost off switch: importing it loads neither the rule catalogue nor
+the evidence layer, which a :class:`TriageEngine` imports when built.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import dataclasses
 import typing
 
 from repro.tracing import NULL_TRACER
-from repro.triage.evidence import Evidence, EvidenceContext, Hypothesis
-from repro.triage.rules import TriageRule, default_rules
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.metrics import Telemetry
     from repro.telemetry.slo import Alert, SloMonitor
+    from repro.triage.evidence import Hypothesis
+    from repro.triage.rules import TriageRule
 
 #: Kind named when no rule clears the confidence bar.
 NO_CULPRIT = "none"
@@ -83,6 +84,8 @@ class TriageEngine:
         max_hypotheses: int = 5,
         refractory_s: float = 60.0,
     ) -> None:
+        from repro.triage.rules import default_rules
+
         self.telemetry = telemetry
         self.tracer = tracer
         self.rules: list[TriageRule] = (
@@ -132,6 +135,8 @@ class TriageEngine:
         Pure over the telemetry/span state: no simulator interaction, no
         randomness — the same state always yields the same verdict.
         """
+        from repro.triage.evidence import Evidence, EvidenceContext, Hypothesis
+
         ctx = EvidenceContext(
             self.telemetry,
             tracer=self.tracer,

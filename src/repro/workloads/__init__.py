@@ -6,27 +6,24 @@ baseline — see :mod:`repro.workloads.profiles` for the parameter
 rationale and DESIGN.md for the substitution argument.
 """
 
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    DiurnalPoisson,
-    MMPPBurst,
-    Poisson,
-)
-from repro.workloads.lifetimes import LifetimeModel
-from repro.workloads.mixes import (
-    CLASSIC_DC_MIX,
-    CLOUD_A_MIX,
-    CLOUD_B_MIX,
-    OperationMix,
-)
-from repro.workloads.profiles import CLASSIC_DC, CLOUD_A, CLOUD_B, CloudProfile
-from repro.workloads.driver import WorkloadDriver
-from repro.workloads.replay import TraceReplayer, replay_against
-from repro.workloads.sampling import (
-    BatchedArrivals,
-    BatchedExponentials,
-    BatchedLifetimes,
-    BatchedUniforms,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.workloads.arrivals": ("ArrivalProcess", "DiurnalPoisson", "MMPPBurst", "Poisson"),
+        "repro.workloads.driver": ("WorkloadDriver",),
+        "repro.workloads.lifetimes": ("LifetimeModel",),
+        "repro.workloads.mixes": ("CLASSIC_DC_MIX", "CLOUD_A_MIX", "CLOUD_B_MIX", "OperationMix"),
+        "repro.workloads.profiles": ("CLASSIC_DC", "CLOUD_A", "CLOUD_B", "CloudProfile"),
+        "repro.workloads.replay": ("TraceReplayer", "replay_against"),
+        "repro.workloads.sampling": (
+            "BatchedArrivals",
+            "BatchedExponentials",
+            "BatchedLifetimes",
+            "BatchedUniforms",
+        ),
+    },
 )
 
 __all__ = [

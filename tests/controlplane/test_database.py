@@ -89,6 +89,28 @@ def test_rows_must_be_positive():
         run_process(sim, database.read(rows=0))
 
 
+def test_rows_error_fails_inside_the_phase_span():
+    # Operation.timed hands back phase()'s generator; the write must still
+    # raise inside it, so the phase span closes with the error.
+    from repro.operations.base import CONTROL, Operation
+    from repro.tracing import Tracer
+
+    sim = Simulator()
+    database = make_db(sim)
+    tracer = Tracer(sim)
+    task = type("Task", (), {"phases": [], "span": tracer.start_trace("task.t")})()
+    server = type("Server", (), {"sim": sim})()
+    timed = Operation().timed(
+        server, task, "commit", CONTROL, lambda span: database.write(rows=0, span=span)
+    )
+    with pytest.raises(ValueError):
+        run_process(sim, timed)
+    (commit,) = [span for span in tracer.spans if span.name == "commit"]
+    assert commit.finished
+    assert commit.tags["error"] == "ValueError"
+    assert task.phases == []
+
+
 def test_slowdown_injection():
     def one_write(slow):
         sim = Simulator()
