@@ -227,7 +227,7 @@ def run_storm_bus_on(total, concurrency):
     """
     from repro.core.experiments import StormRig
 
-    rig = StormRig(seed=0, hosts=8, datastores=2, bus=True, direct_calls=False)
+    rig = StormRig(seed=0, hosts=8, datastores=2, bus=True)
     summary = rig.closed_loop_storm(total=total, concurrency=concurrency, linked=True)
     delivered = sum(stats.delivered for stats in rig.bus.topic_stats().values())
     assert delivered > 0

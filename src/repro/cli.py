@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     federation_cmd.add_argument("--skew", type=float, default=0.8,
                                 help="fraction of deploys aimed at shard 0's orgs")
     federation_cmd.add_argument("--seed", type=int, default=0)
-    federation_cmd.add_argument("--affinity-only", action="store_true",
+    federation_cmd.add_argument("--affinity-only", dest="bus", action="store_false",
                                 help="classic org-pinned routing (no bus federation)")
     federation_cmd.add_argument("--crash-at", type=float, default=None,
                                 help="crash the hot shard at this sim second")
@@ -591,7 +591,7 @@ def cmd_bus(args: argparse.Namespace) -> int:
     )
     rig = StormRig(
         seed=args.seed, hosts=8, datastores=2, config=config,
-        journal=True, bus=True, direct_calls=False,
+        journal=True, bus=True,
     )
     catalog = Catalog("demo")
     item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
@@ -851,11 +851,11 @@ def cmd_federation(args: argparse.Namespace) -> int:
         shards=args.shards,
         orgs=args.orgs,
         skew=args.skew,
-        affinity_only=args.affinity_only,
+        bus=args.bus,
     )
     result = run_fault_point(rig, faults)
     counters = result.counters
-    mode = "affinity-only" if args.affinity_only else "bus-routed"
+    mode = "bus-routed" if args.bus else "affinity-only"
     print(
         f"federation storm ({mode}): {args.deploys} deploys, "
         f"{args.shards} shards, skew={args.skew:.0%}, seed={args.seed}"

@@ -60,22 +60,19 @@ class ApiGateway:
         requests_per_minute: float = 60.0,
         burst: float = 10.0,
         session_idle_timeout_s: float = 1800.0,
-        shed_watermark: float | None = None,
-        queue_depth_probe: typing.Callable[[], float] | None = None,
         telemetry=None,
     ) -> None:
         if requests_per_minute <= 0 or burst <= 0:
             raise ValueError("rate and burst must be positive")
         if session_idle_timeout_s <= 0:
             raise ValueError("session_idle_timeout_s must be positive")
-        if shed_watermark is not None and shed_watermark <= 0:
-            raise ValueError("shed_watermark must be positive")
         self.sim = sim
         self.rate_per_s = requests_per_minute / 60.0
         self.burst = burst
         self.session_idle_timeout_s = session_idle_timeout_s
-        self.shed_watermark = shed_watermark
-        self.queue_depth_probe = queue_depth_probe
+        # Off until enable_shedding sets both.
+        self.shed_watermark: float | None = None
+        self.queue_depth_probe: typing.Callable[[], float] | None = None
         self.metrics = MetricsRegistry(sim, prefix="api")
         self._sessions: dict[int, Session] = {}
         self._buckets: dict[str, TokenBucket] = {}
@@ -173,7 +170,7 @@ class ApiGateway:
         )
         try:
             self.validate(session)
-            if self.shed_watermark is not None and self.queue_depth_probe is not None:
+            if self.queue_depth_probe is not None:
                 depth = self.queue_depth_probe()
                 if depth >= self.shed_watermark:
                     self.metrics.counter("shed").add()

@@ -7,9 +7,10 @@ catalog) behind an org-affinity router, so entire deploy/delete requests
 — placement, quota, customization, power — execute against an N-shard
 design.
 
-Bus-routed federation (``affinity_only=False``) federates the shards over
-the PR 6 message bus instead of pinning every org's work to its home
-shard:
+Routing follows the bus. Without one (``bus=None``) every org's work is
+pinned to its home shard by the org-affinity router. With a
+:class:`~repro.controlplane.bus.MessageBus` the shards are federated over
+it instead:
 
 - **Topics.** Each shard owns an exclusive ``fed.submit:{shard}`` topic
   (the locality-preferred path) and every shard joins one shared
@@ -20,7 +21,7 @@ shard:
   *steal* from the shared pool, so locality is a preference, not a pin.
 - **Spillover.** When the home shard's task queue depth reaches
   ``spill_queue_depth`` (or its retry budget burns below
-  ``spill_retry_tokens``), the submission spills to ``fed.shared`` where
+  :data:`SPILL_RETRY_TOKENS`), the submission spills to ``fed.shared`` where
   any healthy shard picks it up.
 - **Failover.** When a ``shard_crash``/``server_crash`` window fires, new
   submissions for the crashed home are re-routed to ``fed.shared`` at
@@ -31,12 +32,6 @@ shard:
   shards saw a copy. ``check_federation_exactly_once`` in
   :mod:`repro.faults.chaos` asserts no lost or duplicated terminal state
   across shard boundaries.
-
-Compatibility switch: ``affinity_only=True`` (the default) leaves the
-router exactly as it always was — no topics are created, no consumers
-spawn, and the schedule is byte-identical to a bus-free federation (the
-differential test ``tests/cloud/test_federation_neutrality.py``, the same
-discipline as ``direct_calls`` on the bus itself).
 
 Per-shard ``steals`` / ``spills`` / ``reroutes`` / ``remote_completions``
 counters surface through telemetry probes (``federation_*{shard=...}``)
@@ -68,6 +63,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 #: The federation-wide shared submission topic (work-stealing pool).
 SHARED_TOPIC = "fed.shared"
+#: A shard whose retry budget holds fewer tokens counts as saturated.
+SPILL_RETRY_TOKENS = 2.0
+#: How long a down or saturated shard waits before polling the pool again.
+STEAL_POLL_S = 1.0
+#: Datastores each shard's cluster mounts.
+DATASTORES_PER_SHARD = 2
 
 
 def local_topic_name(shard_name: str) -> str:
@@ -116,9 +117,9 @@ class FederatedCloud:
 
     Each org is pinned to one shard (health-aware, least-loaded at first
     sight): tenant state stays shard-local, which is how real federations
-    avoid cross-shard transactions. With ``affinity_only=False`` and a
-    mediated bus, deploys ride federation topics with work-stealing,
-    spillover, and shard-crash failover (see the module docstring).
+    avoid cross-shard transactions. With a bus, deploys ride federation
+    topics with work-stealing, spillover, and shard-crash failover
+    instead (see the module docstring).
     """
 
     def __init__(
@@ -127,20 +128,16 @@ class FederatedCloud:
         streams: RandomStreams,
         shard_count: int,
         hosts_per_shard: int = 8,
-        datastores_per_shard: int = 2,
         datastore_capacity_gb: float = 50_000.0,
         costs: ControlPlaneCosts = DEFAULT_COSTS,
         config: ControlPlaneConfig | None = None,
         bus: "MessageBus | None" = None,
-        affinity_only: bool = True,
         journal: bool = False,
         telemetry=None,
         spill_queue_depth: int = 6,
-        spill_retry_tokens: float | None = 2.0,
-        steal_poll_s: float = 1.0,
     ) -> None:
-        if shard_count < 1 or hosts_per_shard < 1 or datastores_per_shard < 1:
-            raise ValueError("shard/host/datastore counts must be >= 1")
+        if shard_count < 1 or hosts_per_shard < 1:
+            raise ValueError("shard/host counts must be >= 1")
         if spill_queue_depth < 1:
             raise ValueError("spill_queue_depth must be >= 1")
         self.sim = sim
@@ -150,10 +147,7 @@ class FederatedCloud:
         )
         self.metrics = MetricsRegistry(sim, prefix="federation")
         self.bus = bus
-        self.affinity_only = affinity_only
         self.spill_queue_depth = spill_queue_depth
-        self.spill_retry_tokens = spill_retry_tokens
-        self.steal_poll_s = steal_poll_s
         self.directors: list[CloudDirector] = []
         self.shard_stats = [FederationShardStats() for _ in range(shard_count)]
         self._org_to_director: dict[str, CloudDirector] = {}
@@ -176,7 +170,7 @@ class FederatedCloud:
                     name=f"lun-{shard.name}-{i}",
                     capacity_gb=datastore_capacity_gb,
                 )
-                for i in range(datastores_per_shard)
+                for i in range(DATASTORES_PER_SHARD)
             ]
             for _ in range(hosts_per_shard):
                 host = Host(entity_id=f"host-{host_index}", name=f"esx{host_index:03d}")
@@ -221,12 +215,7 @@ class FederatedCloud:
 
         self._local_topics: list = []
         self._shared_topic = None
-        if not affinity_only:
-            if bus is None or not bus.mediated:
-                raise ValueError(
-                    "bus-routed federation needs a mediated MessageBus "
-                    "(direct_calls=False); pass one or keep affinity_only=True"
-                )
+        if bus is not None:
             self._shared_topic = bus.subscribe_shared(SHARED_TOPIC)
             for index, shard in enumerate(self.plane.shards):
                 self._local_topics.append(bus.subscribe(local_topic_name(shard.name)))
@@ -278,11 +267,7 @@ class FederatedCloud:
         if shard.tasks.queue_depth >= self.spill_queue_depth:
             return True
         budget = shard.retry_budget
-        return (
-            budget is not None
-            and self.spill_retry_tokens is not None
-            and budget.tokens < self.spill_retry_tokens
-        )
+        return budget is not None and budget.tokens < SPILL_RETRY_TOKENS
 
     def _route(self, home: int) -> str:
         """Pick the submission topic for a deploy homed on ``home``."""
@@ -300,7 +285,7 @@ class FederatedCloud:
     ) -> typing.Generator[typing.Any, typing.Any, VApp]:
         """Process-style: route and execute one tenant deploy."""
         director = self.director_for(org)
-        if self.affinity_only:
+        if self.bus is None:
             request = DeployRequest(
                 org=org,
                 item=director.catalog.get(item_name),
@@ -366,10 +351,10 @@ class FederatedCloud:
                 self.plane.is_down(self.plane.shards[index])
                 or self._saturated(index)
             ):
-                yield self.sim.timeout(self.steal_poll_s)
+                yield self.sim.timeout(STEAL_POLL_S)
             message = yield topic.get()
             if self.plane.is_down(self.plane.shards[index]):
-                yield self.sim.timeout(self.steal_poll_s)
+                yield self.sim.timeout(STEAL_POLL_S)
                 self.bus.forward(message, SHARED_TOPIC)
                 continue
             if not self.bus.accept(message):

@@ -40,12 +40,11 @@ makes inter-component delivery first-class:
   :mod:`repro.faults.schedule`) injects drop, duplicate, delay, reorder,
   and per-topic partition faults, each scopable to a topic subset.
 
-Compatibility switch: a bus constructed with ``direct_calls=True`` (the
-default) is *inert* — ``mediated`` is False, components keep calling each
-other directly, no consumer processes spawn, and the simulated schedule
-is byte-identical to a run with no bus at all (enforced by the
-differential test ``tests/controlplane/test_bus_neutrality.py``, the same
-discipline as ``NULL_JOURNAL``).
+One rule for the design choice: a :class:`MessageBus` always carries the
+hops, and "no bus" is spelled ``bus=None`` — the server substitutes the
+inert :data:`NULL_BUS` (``mediated`` is False, components call each
+other directly, no consumer processes spawn; the same discipline as
+``NULL_JOURNAL``).
 
 Instrumentation: publish / queue-wait / deliver spans ride the caller's
 span tree (``PHASE_BUS`` / ``PHASE_QUEUE``), and telemetry exposes
@@ -75,6 +74,9 @@ OVERFLOW_SHED_OLDEST = "shed_oldest"  # evict the queue head to dead letters
 OVERFLOW_DEAD_LETTER = "dead_letter"  # reject the incoming message
 
 OVERFLOW_POLICIES = (OVERFLOW_BLOCK, OVERFLOW_SHED_OLDEST, OVERFLOW_DEAD_LETTER)
+
+#: Bound of a topic not configured explicitly at ``subscribe`` time.
+DEFAULT_CAPACITY = 64
 
 
 class Message:
@@ -372,22 +374,19 @@ class BusFaultHook:
 class MessageBus:
     """The in-sim broker; see the module docstring for semantics.
 
+    A topic not configured explicitly at ``subscribe`` time holds
+    :data:`DEFAULT_CAPACITY` messages and blocks its publishers when full.
+
     Parameters
     ----------
-    direct_calls:
-        Compatibility switch. True (the default) leaves the bus inert:
-        components call each other directly, no consumers spawn, and the
-        schedule is byte-identical to a bus-free run. False routes the
-        gateway→director, director→task-manager, and task-manager→host-agent
-        hops through topics.
-    default_capacity / default_overflow:
-        Bound and overflow policy for topics not configured explicitly at
-        ``subscribe`` time.
     redelivery_timeout_s / max_redeliveries:
         At-least-once knobs: how long an unacknowledged message waits
         before the bus re-sends it, and how many expiries it survives
         before being dead-lettered (``MessageLost``).
     """
+
+    #: A bus always carries the control-plane hops (see :data:`NULL_BUS`).
+    mediated = True
 
     def __init__(
         self,
@@ -395,22 +394,12 @@ class MessageBus:
         name: str = "bus",
         rng: random.Random | None = None,
         telemetry=None,
-        direct_calls: bool = True,
-        default_capacity: int = 64,
-        default_overflow: str = OVERFLOW_BLOCK,
         redelivery_timeout_s: float = 30.0,
         max_redeliveries: int = 3,
     ) -> None:
-        if default_overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"unknown overflow policy {default_overflow!r}; known: {OVERFLOW_POLICIES}"
-            )
         self.sim = sim
         self.name = name
         self.rng = rng or random.Random(0)
-        self.direct_calls = direct_calls
-        self.default_capacity = default_capacity
-        self.default_overflow = default_overflow
         self.redelivery_timeout_s = redelivery_timeout_s
         self.max_redeliveries = max_redeliveries
         self.faults = BusFaultHook(self)
@@ -460,11 +449,6 @@ class MessageBus:
             "bus_queue_wait_s", help="enqueue-to-delivery wait", **labels
         )
 
-    @property
-    def mediated(self) -> bool:
-        """True when the bus actually carries the control-plane hops."""
-        return not self.direct_calls
-
     # -- topics ------------------------------------------------------------
 
     def topic(self, name: str, capacity: int | None = None, overflow: str | None = None) -> Topic:
@@ -475,8 +459,8 @@ class MessageBus:
         topic = Topic(
             self,
             name,
-            capacity if capacity is not None else self.default_capacity,
-            overflow if overflow is not None else self.default_overflow,
+            capacity if capacity is not None else DEFAULT_CAPACITY,
+            overflow if overflow is not None else OVERFLOW_BLOCK,
         )
         self._topics[name] = topic
         self._telemetry.probe(
@@ -886,7 +870,6 @@ class _NullBus:
 
     __slots__ = ()
 
-    direct_calls = True
     mediated = False
 
     def topic_stats(self) -> dict[str, TopicStats]:

@@ -11,7 +11,6 @@ the shared database.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
 from repro.sim.kernel import Simulator
@@ -49,17 +48,15 @@ class EventLog:
         sim: Simulator,
         database: DatabaseModel,
         flush_interval_s: float = 10.0,
-        rows_per_event: float = 1.0,
         max_batch: int = 64,
     ) -> None:
         if flush_interval_s <= 0:
             raise ValueError("flush_interval_s must be positive")
-        if rows_per_event <= 0 or max_batch < 1:
-            raise ValueError("rows_per_event and max_batch must be positive")
+        if max_batch < 1:
+            raise ValueError("max_batch must be positive")
         self.sim = sim
         self.database = database
         self.flush_interval_s = flush_interval_s
-        self.rows_per_event = rows_per_event
         self.max_batch = max_batch
         self.metrics = MetricsRegistry(sim, prefix="events")
         # Set by the owning server when tracing is on: flushes get their
@@ -127,12 +124,12 @@ class EventLog:
             self._pending[: self.max_batch],
             self._pending[self.max_batch :],
         )
-        rows = max(1, math.ceil(len(batch) * self.rows_per_event))
         span = self.tracer.start_trace(
             "eventlog.flush", phase=PHASE_EVENTLOG, tags={"events": len(batch)}
         )
         try:
-            yield from self.database.write(rows=rows, span=span)
+            # One row per event; the batch is never empty here.
+            yield from self.database.write(rows=len(batch), span=span)
         except BaseException as exc:
             span.finish(error=type(exc).__name__)
             raise

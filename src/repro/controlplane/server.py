@@ -55,7 +55,6 @@ class ManagementServer:
         costs: ControlPlaneCosts = DEFAULT_COSTS,
         config: ControlPlaneConfig | None = None,
         name: str = "vc-1",
-        storage_capacity_bps: float | None = None,
         tracer=None,
         telemetry=None,
         journal=None,
@@ -106,14 +105,10 @@ class ManagementServer:
         self._cpu_rng = streams.stream(f"{name}:cpu")
         self._cpu_busy = 0.0
 
-        engine_kwargs = {}
-        if storage_capacity_bps is not None:
-            engine_kwargs["default_capacity_bps"] = storage_capacity_bps
         self.copy_engine = CopyEngine(
             sim,
             metrics=MetricsRegistry(sim, prefix=f"{name}.copy"),
             rng=streams.stream(f"{name}:copy-faults"),
-            **engine_kwargs,
         )
         self.copy_scheduler = CopyScheduler(
             sim,
@@ -143,12 +138,11 @@ class ManagementServer:
         # on the first active token only (the incident recorder snapshots
         # here). Listeners must not mutate simulation state.
         self.crash_listeners: list = []
-        # Message bus (NULL_BUS = off). A mediated bus carries the
+        # Message bus (NULL_BUS = off, direct calls). A bus carries the
         # submit and host-agent hops through topics: the submission
         # consumer starts here, per-host consumers start in adopt_host,
         # and bus-level dead letters land in the task manager's
-        # deduplicated sink. A direct_calls bus is inert: no consumers,
-        # no topics, schedules byte-identical to a bus-free run.
+        # deduplicated sink.
         self.bus = bus if bus is not None else NULL_BUS
         self._agent_proxies: dict[str, AgentProxy] = {}
         self._submit_seq = 0
@@ -196,7 +190,6 @@ class ManagementServer:
     def enable_event_logging(
         self,
         flush_interval_s: float = 10.0,
-        rows_per_event: float = 1.0,
         until: float | None = None,
     ):
         """Attach an event log; task completions start posting to it.
@@ -209,10 +202,7 @@ class ManagementServer:
         if self.event_log is not None and self.event_log.active:
             raise RuntimeError("event logging already enabled")
         self.event_log = EventLog(
-            self.sim,
-            self.database,
-            flush_interval_s=flush_interval_s,
-            rows_per_event=rows_per_event,
+            self.sim, self.database, flush_interval_s=flush_interval_s
         )
         self.tasks.event_log = self.event_log
         self.event_log.tracer = self.tracer
@@ -443,10 +433,6 @@ class ManagementServer:
         self._inflight[process] = None
         process.callbacks.append(lambda _event: self._inflight.pop(process, None))
         return process
-
-    def execute(self, operation: "Operation", priority: float = 5.0) -> Process:
-        """Alias of :meth:`submit` (reads better at call sites that wait)."""
-        return self.submit(operation, priority=priority)
 
     # -- bus consumers -------------------------------------------------------
 

@@ -81,11 +81,19 @@ class StormRig:
         scrape_interval_s: float = 5.0,
         journal: bool = False,
         bus: bool = False,
-        direct_calls: bool = True,
+        direct_calls: bool = False,
         triage: bool = False,
         sample_budget: int | None = None,
         recorder: bool = False,
     ) -> None:
+        # A bus always mediates; no bus means direct calls. The keyword is
+        # kept only because perfbench's ObservedBusStorm still passes False.
+        if direct_calls:
+            raise ValueError("direct calls are spelled bus=False")
+        # Triage and the recorder read live telemetry; without it they
+        # would silently be the null engine and the null recorder.
+        if (triage or recorder) and not telemetry:
+            raise ValueError("triage and recorder need telemetry=True")
         self.sim = Simulator()
         self.streams = RandomStreams(seed)
         # sample_budget switches traced runs onto tail-based retention:
@@ -104,16 +112,10 @@ class StormRig:
             else NULL_TELEMETRY
         )
         self.journal = TaskJournal() if journal else NULL_JOURNAL
-        # bus=True attaches a MessageBus; direct_calls=True keeps it inert
-        # (byte-identical schedules), False routes the control-plane hops
-        # through bus topics with at-least-once delivery.
+        # bus=True routes the control-plane hops through bus topics with
+        # at-least-once delivery.
         self.bus = (
-            MessageBus(
-                self.sim,
-                rng=self.streams.stream("bus"),
-                telemetry=self.telemetry,
-                direct_calls=direct_calls,
-            )
+            MessageBus(self.sim, rng=self.streams.stream("bus"), telemetry=self.telemetry)
             if bus
             else None
         )
@@ -131,7 +133,7 @@ class StormRig:
         # monitor's fire hook; it reads roll-ups/spans only, so schedules
         # stay byte-identical with it attached.
         self.triage = NULL_TRIAGE
-        if triage and telemetry:
+        if triage:
             from repro.triage.engine import TriageEngine
 
             self.triage = TriageEngine(self.telemetry, tracer=self.tracer).attach()
@@ -140,7 +142,7 @@ class StormRig:
         # verdict that triggered it). Read-only like triage, so schedules
         # stay byte-identical with it attached.
         self.recorder = NULL_RECORDER
-        if recorder and telemetry:
+        if recorder:
             from repro.telemetry.recorder import FlightRecorder
 
             self.recorder = FlightRecorder(
@@ -1732,18 +1734,18 @@ def experiment_x8_federation(seed: int = 0, quick: bool = False) -> ExperimentRe
     downtime = 40.0
     shard_crash = hot_shard_crash("shard_crash", crash_at, downtime)
 
-    # (label, affinity_only, faults)
+    # (label, bus-routed, faults)
     cells: list[tuple[str, bool, list]] = [
-        ("affinity", True, []),
-        ("affinity+crash", True, [shard_crash]),
-        ("bus", False, []),
-        ("bus+crash", False, [shard_crash]),
-        ("bus+restart", False, [hot_shard_crash("server_crash", crash_at, downtime)]),
+        ("affinity", False, []),
+        ("affinity+crash", False, [shard_crash]),
+        ("bus", True, []),
+        ("bus+crash", True, [shard_crash]),
+        ("bus+restart", True, [hot_shard_crash("server_crash", crash_at, downtime)]),
     ]
     if not quick:
         for kind, intensity in _MESSAGE_CELLS:
             overlay = message_fault(kind, intensity, 5.0, crash_at + downtime)
-            cells.append((f"bus+crash+{kind}", False, [shard_crash, overlay]))
+            cells.append((f"bus+crash+{kind}", True, [shard_crash, overlay]))
 
     rows = []
     goodputs: list[tuple[str, float]] = []
@@ -1752,8 +1754,8 @@ def experiment_x8_federation(seed: int = 0, quick: bool = False) -> ExperimentRe
         total=total, concurrency=concurrency, shards=3, hosts_per_shard=4, orgs=9,
         skew=0.8, spill_queue_depth=3,
     )
-    for label, affinity_only, faults in cells:
-        rig = federation_rig(seed, affinity_only=affinity_only, **common)
+    for label, bus, faults in cells:
+        rig = federation_rig(seed, bus=bus, **common)
         result = run_fault_point(rig, faults)
         if result.violations:
             raise AssertionError(f"{label} violations: {result.violations}")

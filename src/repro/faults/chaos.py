@@ -265,7 +265,7 @@ def storm_rig(
     # (the requeue reconciliation path), not just mid-attempt.
     storm = StormRig(
         seed=seed, hosts=8, datastores=2, config=_retrying_config(max(1, concurrency - 1)),
-        journal=True, bus=bus, direct_calls=not bus,
+        journal=True, bus=bus,
     )
     server = storm.server
 
@@ -361,16 +361,17 @@ def federation_rig(
     hosts_per_shard: int = 4,
     orgs: int = 9,
     skew: float = 0.8,
-    affinity_only: bool = False,
+    bus: bool = True,
     spill_queue_depth: int = 4,
 ) -> FaultRig:
     """A skewed multi-tenant deploy storm over a journaled shard federation.
 
     ``skew`` is the fraction of deploys driven through orgs homed on
-    :data:`HOT_SHARD`. With ``affinity_only=True`` the same storm runs
-    through the classic org-pinned router — the baseline R-X8 compares
-    against — and message faults arm as no-ops. Counters: steals, spills,
-    reroutes, remote completions and the p95 deploy latency.
+    :data:`HOT_SHARD`. ``bus=True`` federates the shards over a message
+    bus; with ``bus=False`` the same storm runs through the classic
+    org-pinned router — the baseline R-X8 compares against — and message
+    faults arm as no-ops. Counters: steals, spills, reroutes, remote
+    completions and the p95 deploy latency.
     """
     from repro.cloud.federation import FederatedCloud
     from repro.cloud.tenancy import Organization
@@ -381,16 +382,14 @@ def federation_rig(
 
     sim = Simulator()
     streams = RandomStreams(seed)
-    bus = None
-    if not affinity_only:
-        bus = MessageBus(sim, rng=streams.stream("fed-bus"), direct_calls=False)
+    fed_bus = MessageBus(sim, rng=streams.stream("fed-bus")) if bus else None
     # Max-inflight well below the worker concurrency: the hot shard's
     # dispatch queue visibly backs up under skew, which is what the
     # spillover threshold (and the hot_shard triage signature) keys on.
     cloud = FederatedCloud(
         sim, streams, shard_count=shards, hosts_per_shard=hosts_per_shard,
-        config=_retrying_config(max(1, concurrency // 2)), bus=bus,
-        affinity_only=affinity_only, journal=True, spill_queue_depth=spill_queue_depth,
+        config=_retrying_config(max(1, concurrency // 2)), bus=fed_bus,
+        journal=True, spill_queue_depth=spill_queue_depth,
     )
     org_objs = [
         Organization(f"org{i}", quota_vms=1_000_000, quota_storage_gb=1e9)
@@ -588,7 +587,7 @@ def deploy_rig(
         config=config, traced=sample_budget is not None, sample_budget=sample_budget,
         telemetry=scrape_interval_s is not None,
         scrape_interval_s=5.0 if scrape_interval_s is None else scrape_interval_s,
-        journal=bus, bus=bus, direct_calls=not bus, triage=triage, recorder=recorder,
+        journal=bus, bus=bus, triage=triage, recorder=recorder,
     )
     sim, server, telemetry = storm.sim, storm.server, storm.telemetry
     catalog = Catalog("cloud-a")

@@ -212,7 +212,7 @@ class Timeout(Event):
             and _getrefcount(self) == _POOL_REFS
         ):
             pool = self.sim._timeout_pool
-            if pool is not None and len(pool) < _POOL_LIMIT:
+            if len(pool) < _POOL_LIMIT:
                 self._name = None
                 self._value = None
                 self._exception = None

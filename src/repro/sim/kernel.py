@@ -38,9 +38,8 @@ which the loop runs like any triggered event, for one heap tuple per timer.
 Timeouts are pooled: a fired :class:`Timeout` that nothing else references
 is recycled onto a per-simulator free list and reused by
 :meth:`Simulator.timeout` (see ``docs/performance.md`` for the lifecycle
-rules). ``Simulator(pool_events=False)`` disables reuse for differential
-testing; pooling never affects sequence numbering, so schedules are
-identical either way.
+rules). There is one kernel: pooling never affects sequence numbering,
+and interpreters other than CPython simply never recycle.
 """
 
 from __future__ import annotations
@@ -199,20 +198,17 @@ class Simulator:
     ----------
     start:
         Initial simulated time (seconds by convention throughout this repo).
-    pool_events:
-        When True (the default) fired timeouts with no outside references
-        are recycled through a per-simulator free list. Never affects the
-        schedule; the flag exists for differential testing.
     """
 
-    def __init__(self, start: float = 0.0, pool_events: bool = True) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._urgent: deque[tuple[float, int, typing.Callable[[], None]]] = deque()
         self._sequence = 0
         self._spawned = 0
         self._cancelled_in_heap = 0
-        self._timeout_pool: list[Timeout] | None = [] if pool_events else None
+        # Fired timeouts nothing else references (Timeout._run_callbacks).
+        self._timeout_pool: list[Timeout] = []
 
     @property
     def now(self) -> float:

@@ -208,7 +208,6 @@ class Telemetry:
         sim: "Simulator",
         scrape_interval_s: float = 5.0,
         retention: tuple[tuple[float, int], ...] | None = None,
-        histogram_base: float = LOG_HISTOGRAM_BASE,
     ) -> None:
         from repro.telemetry.rollup import DEFAULT_RETENTION
         from repro.telemetry.scraper import Scraper
@@ -219,7 +218,6 @@ class Telemetry:
         self.sim = sim
         self.scrape_interval_s = scrape_interval_s
         self.retention = DEFAULT_RETENTION if retention is None else retention
-        self.histogram_base = histogram_base
         self.families: dict[str, MetricFamily] = {}
         self.probes: list[Probe] = []
         self.watched: list[tuple[MetricsRegistry, LabelValues]] = []
@@ -232,7 +230,7 @@ class Telemetry:
     def _family(self, name: str, kind: str, help: str) -> MetricFamily:
         family = self.families.get(name)
         if family is None:
-            family = MetricFamily(name, kind, help=help, base=self.histogram_base)
+            family = MetricFamily(name, kind, help=help)
             self.families[name] = family
         elif family.kind != kind:
             raise ValueError(
@@ -272,9 +270,7 @@ class Telemetry:
         if series is None:
             from repro.telemetry.rollup import RollupSeries
 
-            series = RollupSeries(
-                metric_id, kind=kind, retention=self.retention, base=self.histogram_base
-            )
+            series = RollupSeries(metric_id, kind=kind, retention=self.retention)
             self.rollups[metric_id] = series
         return series
 

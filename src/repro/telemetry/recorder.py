@@ -46,6 +46,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 #: Bundle schema version, embedded in every export.
 BUNDLE_VERSION = 1
 
+#: Span-tree budget of one bundle: at most this many trees and spans.
+MAX_TREES = 24
+MAX_SPANS = 2000
+
 TRIGGER_ALERT = "slo-alert"
 TRIGGER_CRASH = "server-crash"
 
@@ -198,8 +202,6 @@ class FlightRecorder:
         baseline_s: float = 420.0,
         refractory_s: float = 60.0,
         max_bundles: int = 32,
-        max_trees: int = 24,
-        max_spans: int = 2000,
     ) -> None:
         self.telemetry = telemetry
         self.tracer = tracer
@@ -209,8 +211,6 @@ class FlightRecorder:
         self.baseline_s = baseline_s
         self.refractory_s = refractory_s
         self.max_bundles = max_bundles
-        self.max_trees = max_trees
-        self.max_spans = max_spans
         self.bundles: list[IncidentBundle] = []
         self.snapshots = 0
 
@@ -383,8 +383,8 @@ class FlightRecorder:
                 picked.append(tree)
                 seen.add(tree.trace_id)
         out: list[dict[str, typing.Any]] = []
-        span_budget = self.max_spans
-        for tree in picked[: self.max_trees]:
+        span_budget = MAX_SPANS
+        for tree in picked[:MAX_TREES]:
             if span_budget - len(tree.spans) < 0 and out:
                 break
             span_budget -= len(tree.spans)

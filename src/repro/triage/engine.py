@@ -6,7 +6,7 @@ firing builds an :class:`~repro.triage.evidence.EvidenceContext` over the
 recent roll-ups and spans, evaluates the full rule catalogue, and records
 a :class:`Verdict` whose hypotheses are ranked by confidence (ties broken
 by kind/resource so verdicts are deterministic for a fixed seed). When
-nothing clears ``min_confidence`` the verdict leads with a low-confidence
+nothing clears :data:`MIN_CONFIDENCE` the verdict leads with a low-confidence
 ``"none"`` hypothesis — an honest "no culprit identified" beats a
 confidently wrong name.
 
@@ -33,6 +33,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 #: Kind named when no rule clears the confidence bar.
 NO_CULPRIT = "none"
+#: The confidence a leading hypothesis must reach to be named.
+MIN_CONFIDENCE = 0.35
 
 
 @dataclasses.dataclass
@@ -80,7 +82,6 @@ class TriageEngine:
         rules: typing.Sequence[TriageRule] | None = None,
         lookback_s: float = 180.0,
         baseline_s: float = 420.0,
-        min_confidence: float = 0.35,
         max_hypotheses: int = 5,
         refractory_s: float = 60.0,
     ) -> None:
@@ -93,7 +94,6 @@ class TriageEngine:
         )
         self.lookback_s = lookback_s
         self.baseline_s = baseline_s
-        self.min_confidence = min_confidence
         self.max_hypotheses = max_hypotheses
         self.refractory_s = refractory_s
         self.verdicts: list[Verdict] = []
@@ -151,7 +151,7 @@ class TriageEngine:
                 hypotheses.append(hypothesis)
         hypotheses.sort(key=lambda h: (-h.confidence, h.kind, h.resource))
         hypotheses = hypotheses[: self.max_hypotheses]
-        if not hypotheses or hypotheses[0].confidence < self.min_confidence:
+        if not hypotheses or hypotheses[0].confidence < MIN_CONFIDENCE:
             # Low-confidence "no culprit": an alert without a nameable
             # cause must not produce a wrong name.
             no_culprit = Hypothesis(
@@ -163,7 +163,7 @@ class TriageEngine:
                     Evidence(
                         "triage",
                         "no rule cleared the confidence threshold "
-                        f"({self.min_confidence:g})",
+                        f"({MIN_CONFIDENCE:g})",
                         hypotheses[0].confidence if hypotheses else 0.0,
                     ),
                 ),

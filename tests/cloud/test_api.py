@@ -192,5 +192,5 @@ class TestShedding:
         gateway = ApiGateway(sim)
         with pytest.raises(ValueError, match="watermark"):
             gateway.enable_shedding(lambda: 0.0, watermark=0.0)
-        with pytest.raises(ValueError, match="shed_watermark"):
-            ApiGateway(sim, shed_watermark=-1.0)
+        with pytest.raises(ValueError, match="watermark"):
+            gateway.enable_shedding(lambda: 0.0, watermark=-1.0)

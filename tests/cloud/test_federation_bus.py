@@ -1,14 +1,12 @@
 """Bus-routed federation: stealing, spillover, failover, exactly-once.
 
-These tests drive :class:`FederatedCloud` with ``affinity_only=False``
-and a mediated bus, pinning the routing mechanics the module docstring
+These tests drive :class:`FederatedCloud` with a message bus (which
+makes it bus-routed), pinning the routing mechanics the module docstring
 promises: locality-preferred delivery to the healthy home, saturation
 spillover to the shared pool, work-stealing by idle siblings, forwarding
 pending submissions off a crashed shard, and the cross-shard
 exactly-once invariant (``check_federation_exactly_once``).
 """
-
-import pytest
 
 from repro.cloud import FederatedCloud, Organization, VAppState
 from repro.cloud.federation import SHARED_TOPIC, local_topic_name
@@ -22,24 +20,20 @@ from repro.sim.events import AllOf
 def build(
     shards=2,
     seed=11,
-    affinity_only=False,
+    bus=True,
     max_inflight=2,
     spill_queue_depth=2,
     **kw,
 ):
     sim = Simulator()
     streams = RandomStreams(seed)
-    bus = None
-    if not affinity_only:
-        bus = MessageBus(sim, rng=streams.stream("fed-bus"), direct_calls=False)
     cloud = FederatedCloud(
         sim,
         streams,
         shard_count=shards,
         hosts_per_shard=4,
         config=ControlPlaneConfig(max_inflight_tasks=max_inflight),
-        bus=bus,
-        affinity_only=affinity_only,
+        bus=MessageBus(sim, rng=streams.stream("fed-bus")) if bus else None,
         spill_queue_depth=spill_queue_depth,
         **kw,
     )
@@ -67,20 +61,20 @@ def deploy_all(sim, cloud, orgs, count, vms=1, spacing_s=0.0):
     return vapps
 
 
-def test_requires_mediated_bus():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        FederatedCloud(
-            sim, RandomStreams(1), shard_count=2, affinity_only=False, bus=None
-        )
-    with pytest.raises(ValueError):
-        FederatedCloud(
-            sim,
-            RandomStreams(1),
-            shard_count=2,
-            affinity_only=False,
-            bus=MessageBus(sim),  # direct_calls=True — not mediated
-        )
+def test_routing_follows_the_bus():
+    _, routed = build(shards=2)
+    assert set(routed.bus.topic_stats()) == {
+        SHARED_TOPIC, local_topic_name("vc-1"), local_topic_name("vc-2")
+    }
+    sim, pinned = build(shards=2, bus=False)
+    assert pinned.bus is None
+    # Without a bus the affinity router runs the deploy on the home shard.
+    vapps = deploy_all(sim, pinned, [Organization("acme")], count=2)
+    assert all(vapp.state == VAppState.RUNNING for vapp in vapps)
+    assert pinned.federation_totals() == {
+        "steals": 0, "spills": 0, "reroutes": 0, "remote_completions": 0
+    }
+    assert pinned.unresolved_submissions() == []
 
 
 def test_healthy_home_rides_local_topic():
@@ -219,7 +213,7 @@ def shard_of(cloud, org):
 
 
 def test_homing_skips_crashed_shard():
-    sim, cloud = build(shards=3, affinity_only=True)
+    sim, cloud = build(shards=3, bus=False)
     cloud.plane.shards[0].faults.block("test-crash")
     org = Organization("acme")
     assert shard_of(cloud, org) == 1
@@ -227,7 +221,7 @@ def test_homing_skips_crashed_shard():
 
 
 def test_homing_prefers_least_loaded_shard():
-    sim, cloud = build(shards=2, affinity_only=True, max_inflight=1)
+    sim, cloud = build(shards=2, bus=False, max_inflight=1)
     first = Organization("first")
     second = Organization("second")
     assert shard_of(cloud, first) == 0
@@ -246,13 +240,13 @@ def test_homing_prefers_least_loaded_shard():
 
 
 def test_homing_reduces_to_round_robin_when_idle():
-    _, cloud = build(shards=3, affinity_only=True)
+    _, cloud = build(shards=3, bus=False)
     homes = [shard_of(cloud, Organization(f"org-{i}")) for i in range(6)]
     assert homes == [0, 1, 2, 0, 1, 2]
 
 
 def test_homing_all_down_falls_back_to_rotation():
-    _, cloud = build(shards=2, affinity_only=True)
+    _, cloud = build(shards=2, bus=False)
     for shard in cloud.plane.shards:
         shard.faults.block("test-crash")
     org = Organization("acme")

@@ -5,7 +5,8 @@ hand-rolled publisher/consumer processes, pinning the delivery semantics
 docs/bus.md promises: bounded queues with three overflow policies,
 publisher backpressure, at-least-once redelivery with a bounded budget,
 consumer-side idempotency-key dedup, dead-letter-once accounting, and
-partition stall/heal.
+partition stall/heal. One storm-level test checks that routing a whole
+control plane over the bus changes timing but never outcomes.
 """
 
 import random
@@ -26,7 +27,6 @@ from repro.sim.kernel import Simulator
 def make_bus(**kwargs):
     sim = Simulator()
     kwargs.setdefault("rng", random.Random(7))
-    kwargs.setdefault("direct_calls", False)
     bus = MessageBus(sim, **kwargs)
     return sim, bus
 
@@ -294,16 +294,40 @@ def test_message_lost_is_transient():
 
 
 def test_null_bus_is_inert():
-    assert NULL_BUS.direct_calls and not NULL_BUS.mediated
+    assert not NULL_BUS.mediated
     assert NULL_BUS.topic_stats() == {}
     assert NULL_BUS.depths() == {}
 
 
-def test_direct_mode_bus_reports_unmediated():
+def test_message_bus_is_always_mediated():
     sim = Simulator()
-    bus = MessageBus(sim)  # default direct_calls=True
-    assert bus.direct_calls and not bus.mediated
-    assert bus.topic_stats() == {}
+    bus = MessageBus(sim)
+    assert bus.mediated
+    assert bus.topic_stats() == {}  # no topic until someone subscribes
+
+
+def test_mediated_storm_matches_direct_outcomes():
+    """Mediated transport may reshuffle timing, never outcomes.
+
+    Zero-latency publish/deliver hops insert extra sim events, so exact
+    schedule equality is not required — but the same storm must complete
+    the same clones with no dead letters and all messages accounted.
+    """
+    from repro.core.experiments import StormRig
+
+    rig_direct = StormRig(seed=3, hosts=8, datastores=2)
+    summary_direct = rig_direct.closed_loop_storm(total=48, concurrency=12, linked=True)
+    rig_bus = StormRig(seed=3, hosts=8, datastores=2, bus=True)
+    summary_bus = rig_bus.closed_loop_storm(total=48, concurrency=12, linked=True)
+
+    assert rig_direct.bus is None and rig_direct.server.bus is NULL_BUS
+    assert summary_bus["completed"] == summary_direct["completed"]
+    assert len(rig_bus.server.tasks.dead_letters) == 0
+    stats = rig_bus.bus.topic_stats()
+    published = sum(s.published for s in stats.values())
+    delivered = sum(s.delivered for s in stats.values())
+    assert published == delivered > 0
+    assert rig_bus.bus.depths() == {name: 0 for name in stats}
 
 
 # -- shared subscriptions and forwarding (federation primitives) ----------

@@ -45,10 +45,10 @@ def test_phase_helper_rejects_unknown_plane():
     cloud.sim.run(until=cloud.sim.spawn(proc()))
 
 
-def test_server_execute_alias():
+def test_server_submit_returns_the_task():
     cloud = SmallCloud()
     op = CloneVM(cloud.template, "x", cloud.hosts[0], cloud.datastores[0], linked=True)
-    task = cloud.sim.run(until=cloud.server.execute(op))
+    task = cloud.sim.run(until=cloud.server.submit(op))
     assert task.result.name == "x"
 
 

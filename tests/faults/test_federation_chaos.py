@@ -35,9 +35,9 @@ INTENSITY = {"drop": 0.3, "duplicate": 0.3, "delay": 2.0, "reorder": 0.5, "parti
     seed=st.integers(min_value=0, max_value=2**16),
     crash_kind=st.sampled_from(["shard_crash", "server_crash", None]),
     message_kind=st.sampled_from(MESSAGE_FAULT_KINDS + (None,)),
-    affinity_only=st.booleans(),
+    bus=st.booleans(),
 )
-def test_stealing_preserves_exactly_once(seed, crash_kind, message_kind, affinity_only):
+def test_stealing_preserves_exactly_once(seed, crash_kind, message_kind, bus):
     rig = federation_rig(
         seed,
         total=10,
@@ -47,7 +47,7 @@ def test_stealing_preserves_exactly_once(seed, crash_kind, message_kind, affinit
         orgs=6,
         skew=0.8,
         spill_queue_depth=2,
-        affinity_only=affinity_only,
+        bus=bus,
     )
     faults = []
     if crash_kind is not None:
@@ -73,11 +73,11 @@ def test_stealing_preserves_exactly_once(seed, crash_kind, message_kind, affinit
     other_shard=st.sampled_from(["vc-2", "vc-3"]),
     message_kind=st.sampled_from(MESSAGE_FAULT_KINDS),
     message_at=st.floats(min_value=0.0, max_value=15.0),
-    affinity_only=st.booleans(),
+    bus=st.booleans(),
 )
 def test_combined_fault_families_preserve_exactly_once(
     seed, server_crash_at, shard_crash_at, downtime, other_shard, message_kind,
-    message_at, affinity_only,
+    message_at, bus,
 ):
     """One schedule: the hot shard crashes, a sibling rejects, messages misbehave."""
     assert other_shard != HOT_SHARD
@@ -90,7 +90,7 @@ def test_combined_fault_families_preserve_exactly_once(
         orgs=6,
         skew=0.8,
         spill_queue_depth=2,
-        affinity_only=affinity_only,
+        bus=bus,
     )
     faults = [
         hot_shard_crash("server_crash", server_crash_at, downtime),
@@ -119,8 +119,8 @@ def test_crashed_shard_strands_affinity_but_not_bus():
     """The headline R-X8 contrast at property-test scale."""
     common = dict(total=12, concurrency=4, shards=3, hosts_per_shard=3, orgs=6, skew=0.9)
     crash = [hot_shard_crash("shard_crash", 6.0, 40.0)]
-    affinity = run_fault_point(federation_rig(2, affinity_only=True, **common), crash)
-    bus = run_fault_point(federation_rig(2, affinity_only=False, **common), crash)
+    affinity = run_fault_point(federation_rig(2, bus=False, **common), crash)
+    bus = run_fault_point(federation_rig(2, bus=True, **common), crash)
     assert affinity.violations == [] and bus.violations == []
     assert affinity.failed > 0  # hot tenants stranded on the crashed home
     assert bus.failed == 0  # every submission re-routed to survivors

@@ -60,8 +60,7 @@ def test_every_started_task_is_accounted_for(seed, resilient, bus):
         director_policy = NO_RETRY
 
     rig = StormRig(
-        seed=seed, hosts=4, datastores=2, config=config,
-        bus=bus, direct_calls=not bus,
+        seed=seed, hosts=4, datastores=2, config=config, bus=bus,
     )
     catalog = Catalog("prop")
     item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))

@@ -1,18 +1,17 @@
-"""Timeout pooling: recycle-safety and schedule neutrality.
+"""Timeout pooling: recycle-safety.
 
 A fired :class:`Timeout` is recycled onto the simulator's free list only
 when the kernel loop holds the sole remaining references (an exact
 refcount check). Anything still reachable — a process's yielded event, a
-condition constituent, a user variable — must never be recycled, and
-pooling must never change a schedule (it does not touch sequence
-numbering).
+condition constituent, a user variable — must never be recycled. That
+pooling never changes a schedule is pinned by ``test_fastpath``, which
+compares the (pooled) kernel with recorded logs
+(``mixed_workload_logs.json``).
 """
 
 import pytest
 
 from repro.sim import AllOf, Simulator, Timeout
-
-from tests.sim.test_fastpath import _mixed_workload
 
 
 def _drive_chain(sim, cycles=200):
@@ -45,19 +44,6 @@ def test_pool_objects_are_reused():
     sim.spawn(chain())
     sim.run()
     assert len(seen) < 10  # ids repeat: the pool is actually serving
-
-
-def test_pool_can_be_disabled():
-    sim = Simulator(pool_events=False)
-    _drive_chain(sim)
-    assert sim._timeout_pool is None
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 42])
-def test_pooling_never_changes_the_schedule(seed):
-    pooled = _mixed_workload(Simulator(pool_events=True), seed)
-    unpooled = _mixed_workload(Simulator(pool_events=False), seed)
-    assert pooled == unpooled
 
 
 def test_held_timeout_is_never_recycled():
