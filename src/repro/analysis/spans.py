@@ -180,7 +180,7 @@ def roots_in_window(tracer: Tracer, start_s: float, end_s: float) -> list[Span]:
             for root in tracer.roots()
             if root.finished and root.end > start_s and root.start < end_s
         ),
-        key=lambda root: (root.start, root.context.span_id),
+        key=lambda root: (root.start, root.span_id),
     )
 
 

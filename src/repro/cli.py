@@ -480,7 +480,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         # be attributed or walked for a critical path below.
         retained = {tree.trace_id for tree in rig.tracer.retained_trees()}
         tasks = [
-            task for task in tasks if task.span.context.trace_id in retained
+            task for task in tasks if task.span.trace_id in retained
         ]
         roots = [task.span for task in tasks]
         if not roots:

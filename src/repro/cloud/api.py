@@ -191,7 +191,7 @@ class ApiGateway:
         self._t_admitted.add()
         self._t_wait.observe(
             wait,
-            trace_id=None if admit_span.is_null else admit_span.context.trace_id,
+            trace_id=None if admit_span.is_null else admit_span.trace_id,
         )
         return wait
 

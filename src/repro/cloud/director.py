@@ -221,7 +221,7 @@ class CloudDirector:
         self._t_deploys.add()
         self._t_deploy_latency.observe(
             vapp.deploy_latency,
-            trace_id=None if request_span.is_null else request_span.context.trace_id,
+            trace_id=None if request_span.is_null else request_span.trace_id,
         )
         return vapp
 

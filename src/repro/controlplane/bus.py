@@ -133,8 +133,8 @@ class Message:
         self.task = task
         self.span = span
         if trace_id is None and not span.is_null:
-            trace_id = span.context.trace_id
-            origin_span_id = span.context.span_id
+            trace_id = span.trace_id
+            origin_span_id = span.span_id
         self.trace_id = trace_id
         self.origin_span_id = origin_span_id
         self.published_at = published_at

@@ -508,7 +508,7 @@ class TaskManager:
         outcome.add()
         self._t_latency.observe(
             task.latency,
-            trace_id=None if task.span.is_null else task.span.context.trace_id,
+            trace_id=None if task.span.is_null else task.span.trace_id,
         )
         if self.event_log is not None:
             severity = "info" if task.state == TaskState.SUCCESS else "warning"

@@ -246,11 +246,21 @@ class LogHistogram:
     def _index(self, value: float) -> int:
         index = math.floor(math.log(value) / math.log(self.base))
         # Repair float drift so base**index <= value < base**(index+1).
-        if self.base ** index > value:
-            index -= 1
-        elif self.base ** (index + 1) <= value:
-            index += 1
+        try:
+            if self.base ** index > value:
+                index -= 1
+            elif self.base ** (index + 1) <= value:
+                index += 1
+        except OverflowError:
+            pass  # the edge is past the largest float: above any value
         return index
+
+    def _edge(self, index: int) -> float:
+        """``base ** index``, infinite past the largest float."""
+        try:
+            return self.base ** index
+        except OverflowError:
+            return math.inf
 
     def record(
         self, value: float, count: int = 1, exemplar: int | None = None
@@ -272,8 +282,10 @@ class LogHistogram:
                 self.exemplars[index] = (exemplar, value)
         self._count += count
         self._sum += value * count
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
+        if value < self._min:
+            self._min = value
+        if value > self._max:
+            self._max = value
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold ``other`` into this histogram (in place); returns self."""
@@ -322,7 +334,7 @@ class LogHistogram:
 
     def bucket_bounds(self, index: int) -> tuple[float, float]:
         """The [low, high) value range of bucket ``index``."""
-        return (self.base ** index, self.base ** (index + 1))
+        return (self._edge(index), self._edge(index + 1))
 
     def quantile_bounds(self, fraction: float) -> tuple[float, float]:
         """Bounds containing the true ``fraction`` sample quantile.
@@ -369,7 +381,7 @@ class LogHistogram:
         if not self.exemplars:
             return []
         return [
-            (self.base ** (index + 1), trace_id, value)
+            (self._edge(index + 1), trace_id, value)
             for index, (trace_id, value) in sorted(self.exemplars.items())
         ]
 
@@ -379,7 +391,7 @@ class LogHistogram:
         if self.zeros:
             out.append((0.0, self.zeros))
         out.extend(
-            (self.base ** (index + 1), self._buckets[index])
+            (self._edge(index + 1), self._buckets[index])
             for index in sorted(self._buckets)
         )
         return out

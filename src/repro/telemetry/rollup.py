@@ -58,8 +58,12 @@ class Window:
     def record(self, value: float) -> None:
         self.count += 1
         self.sum += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # Comparisons, not min()/max(): same result, no builtin call on
+        # the per-sample scrape path.
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         self.last = value
         self.hist.record(value)
 

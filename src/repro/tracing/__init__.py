@@ -8,9 +8,10 @@ latency as concurrency rises.
 
 Pieces:
 
-- :mod:`repro.tracing.span` — :class:`Span`/:class:`SpanContext`
-  primitives on simulated time, the phase taxonomy, and the zero-cost
-  :data:`NULL_SPAN`;
+- :mod:`repro.tracing.span` — the :class:`Span` primitive on simulated
+  time (its identity is three integer fields on the span itself:
+  ``trace_id``, ``span_id`` and ``parent_id``), the phase taxonomy, and
+  the zero-cost :data:`NULL_SPAN`;
 - :mod:`repro.tracing.tracer` — the :class:`Tracer` registry (and its
   disabled twin :data:`NULL_TRACER`);
 - :mod:`repro.tracing.sampling` — tail-based retention:
@@ -64,7 +65,6 @@ __getattr__, __dir__ = _lazy_exports(
             "PHASE_TASK",
             "PHASES",
             "Span",
-            "SpanContext",
         ),
         "repro.tracing.tracer": ("NULL_TRACER", "NullTracer", "Tracer", "plane_seconds_from_span"),
     },
@@ -95,7 +95,6 @@ __all__ = [
     "RetentionPolicy",
     "SampledTracer",
     "Span",
-    "SpanContext",
     "TailSampler",
     "Tracer",
     "chrome_trace_events",

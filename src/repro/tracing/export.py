@@ -52,7 +52,7 @@ def retry_flow_events(
         number = _attempt_number(span)
         if number is None:
             continue
-        key = (span.context.trace_id, span.context.parent_id)
+        key = (span.trace_id, span.parent_id)
         chains.setdefault(key, []).append((number, span))
     events: list[dict[str, typing.Any]] = []
     flow_id = 0
@@ -64,7 +64,7 @@ def retry_flow_events(
                 "name": "retry",
                 "cat": "retry",
                 "pid": 1,
-                "tid": prev.context.trace_id,
+                "tid": prev.trace_id,
                 "id": flow_id,
             }
             events.append({**common, "ph": "s", "ts": prev.end * _US})
@@ -85,10 +85,9 @@ def chrome_trace_events(spans: typing.Iterable[Span]) -> list[dict[str, typing.A
     for span in spans:
         if not span.finished:
             continue
-        context = span.context
         args: dict[str, typing.Any] = {
-            "span_id": context.span_id,
-            "parent_id": context.parent_id,
+            "span_id": span.span_id,
+            "parent_id": span.parent_id,
         }
         args.update(span.tags)
         events.append(
@@ -99,7 +98,7 @@ def chrome_trace_events(spans: typing.Iterable[Span]) -> list[dict[str, typing.A
                 "ts": span.start * _US,
                 "dur": (span.end - span.start) * _US,
                 "pid": 1,
-                "tid": context.trace_id,
+                "tid": span.trace_id,
                 "args": args,
             }
         )

@@ -100,7 +100,7 @@ class RetainedTree:
 
     @property
     def trace_id(self) -> int:
-        return self.root.context.trace_id
+        return self.root.trace_id
 
     def overlaps(self, lo: float, hi: float) -> bool:
         """Does any simulated time in this tree fall inside [lo, hi]?"""
@@ -293,15 +293,13 @@ class SampledTracer(Tracer):
         return out
 
     def _store(self, span: Span) -> None:
-        self._active.setdefault(span.context.trace_id, []).append(span)
+        self._active.setdefault(span.trace_id, []).append(span)
 
     def _finished(self, span: Span) -> None:
-        if span.context.parent_id is not None:
-            return
-        buffered = self._active.pop(span.context.trace_id, None)
+        buffered = self._active.pop(span.trace_id, None)
         if buffered is None:
             return
-        tree, evicted = self.sampler.offer(span, buffered, sealed_at=self.now)
+        tree, evicted = self.sampler.offer(span, buffered, sealed_at=self.sim.now)
         if tree is None:
             self._forget(buffered)
         for victim in evicted:
@@ -310,7 +308,7 @@ class SampledTracer(Tracer):
     def _forget(self, spans: list[Span]) -> None:
         """Drop a dropped/evicted tree's child-index entries (GC the tree)."""
         for span in spans:
-            self._children.pop(span.context.span_id, None)
+            self._children.pop(span.span_id, None)
 
     # -- retained-set queries ------------------------------------------------
 

@@ -1,11 +1,16 @@
 """Span primitives: causally-linked timed intervals on simulated time.
 
-A :class:`Span` is one named interval of simulated time with a parent
-link, a **phase tag** from the control-plane taxonomy below, and free-form
-tags. Spans form trees: one tree per traced unit of work (a management
-task, a director request, an event-log flush). The tree is the raw
-material for per-phase latency attribution, queueing-vs-service
-decomposition, and critical-path extraction (``repro.analysis.spans``).
+A :class:`Span` is one named interval of simulated time with a **phase
+tag** from the control-plane taxonomy below and free-form tags. Three
+integer fields give its identity: ``trace_id`` (shared by every span of
+one tree), ``span_id`` (unique within its tracer) and ``parent_id``
+(``None`` for a root). They are plain slots on the span, so opening a
+span allocates the span and nothing else beyond its tags dict.
+
+Spans form trees: one tree per traced unit of work (a management task, a
+director request, an event-log flush). The tree is the raw material for
+per-phase latency attribution, queueing-vs-service decomposition, and
+critical-path extraction (``repro.analysis.spans``).
 
 Tracing must cost nothing when disabled, so the module also defines
 :data:`NULL_SPAN`, a shared inert singleton: its ``child`` returns itself
@@ -16,7 +21,6 @@ so an untraced run allocates no span objects at all.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -65,19 +69,20 @@ PHASES = (
 DATA_PHASES = frozenset({PHASE_COPY})
 
 
-@dataclasses.dataclass(frozen=True)
-class SpanContext:
-    """Identity of one span: which trace it belongs to and its parent."""
-
-    trace_id: int
-    span_id: int
-    parent_id: int | None
+_PHASE_SET = frozenset(PHASES)
 
 
 class Span:
-    """One named, phase-tagged interval of simulated time."""
+    """One named, phase-tagged interval of simulated time.
 
-    __slots__ = ("tracer", "name", "phase", "context", "start", "end", "tags")
+    ``trace_id`` names the tree the span belongs to, ``span_id`` the span
+    itself, and ``parent_id`` its parent (``None`` for a root).
+    """
+
+    __slots__ = (
+        "tracer", "name", "phase", "trace_id", "span_id", "parent_id",
+        "start", "end", "tags",
+    )
 
     is_null: typing.ClassVar[bool] = False
 
@@ -86,17 +91,20 @@ class Span:
         tracer: "Tracer",
         name: str,
         phase: str,
-        context: SpanContext,
-        start: float,
+        trace_id: int,
+        span_id: int,
+        parent_id: int | None,
         tags: dict[str, typing.Any] | None = None,
     ) -> None:
-        if phase not in PHASES:
+        if phase not in _PHASE_SET:
             raise ValueError(f"unknown phase {phase!r}; known: {PHASES}")
         self.tracer = tracer
         self.name = name
         self.phase = phase
-        self.context = context
-        self.start = start
+        self.trace_id = trace_id
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.start = tracer.sim.now
         self.end: float | None = None
         self.tags: dict[str, typing.Any] = tags or {}
 
@@ -109,20 +117,22 @@ class Span:
         tags: dict[str, typing.Any] | None = None,
     ) -> "Span":
         """Open a child span at the current simulated time."""
-        return self.tracer.start_span(name, phase=phase, parent=self, tags=tags)
+        return self.tracer._open(name, phase, self.trace_id, self.span_id, tags)
 
     def finish(self, error: str | None = None) -> "Span":
         """Close the span at the current simulated time.
 
         Idempotent: the first finish wins (cleanup paths may race normal
         completion when generators unwind). An ``error`` marks the span's
-        work as failed without hiding its duration.
+        work as failed without hiding its duration. Only a root's finish
+        reaches the tracer's finish hook: that is what seals a tree.
         """
         if self.end is None:
-            self.end = self.tracer.now
+            self.end = self.tracer.sim.now
             if error is not None:
                 self.tags["error"] = error
-            self.tracer._finished(self)
+            if self.parent_id is None:
+                self.tracer._finished(self)
         return self
 
     def annotate(self, key: str, value: typing.Any) -> None:
@@ -146,9 +156,9 @@ class Span:
 
     def to_dict(self) -> dict[str, typing.Any]:
         return {
-            "trace_id": self.context.trace_id,
-            "span_id": self.context.span_id,
-            "parent_id": self.context.parent_id,
+            "trace_id": self.trace_id,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
             "name": self.name,
             "phase": self.phase,
             "start": self.start,
@@ -172,14 +182,6 @@ class _NullSpan:
     __slots__ = ()
 
     is_null: typing.ClassVar[bool] = True
-    phase = PHASE_TASK
-    name = "null"
-    start = 0.0
-    end = 0.0
-    tags: dict[str, typing.Any] = {}
-    finished = True
-    duration = 0.0
-    ok = True
 
     def child(self, name: str, phase: str = PHASE_TASK, tags=None) -> "_NullSpan":
         return self
@@ -189,9 +191,6 @@ class _NullSpan:
 
     def annotate(self, key: str, value: typing.Any) -> None:
         pass
-
-    def __repr__(self) -> str:
-        return "<NullSpan>"
 
 
 NULL_SPAN = _NullSpan()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.tracing.span import NULL_SPAN, PHASE_TASK, Span, SpanContext
+from repro.tracing.span import NULL_SPAN, PHASE_TASK, Span
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -23,8 +23,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 class Tracer:
     """Creates, clocks, and indexes spans for one simulation."""
-
-    enabled: typing.ClassVar[bool] = True
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -36,10 +34,6 @@ class Tracer:
     def _init_store(self) -> None:
         """Set up the span store (subclasses swap in bounded retention)."""
         self.spans: list[Span] = []
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
 
     # -- span construction ---------------------------------------------------
 
@@ -63,9 +57,7 @@ class Tracer:
         """Open a span; with a parent it joins the parent's trace."""
         if parent is None or parent.is_null:
             return self.start_trace(name, phase=phase, tags=tags)
-        return self._open(
-            name, phase, parent.context.trace_id, parent.context.span_id, tags
-        )
+        return self._open(name, phase, parent.trace_id, parent.span_id, tags)
 
     def _open(
         self,
@@ -76,14 +68,7 @@ class Tracer:
         tags: dict[str, typing.Any] | None,
     ) -> Span:
         self._next_span_id += 1
-        span = Span(
-            self,
-            name,
-            phase,
-            SpanContext(trace_id=trace_id, span_id=self._next_span_id, parent_id=parent_id),
-            start=self.sim.now,
-            tags=tags,
-        )
+        span = Span(self, name, phase, trace_id, self._next_span_id, parent_id, tags)
         self._store(span)
         if parent_id is not None:
             self._children.setdefault(parent_id, []).append(span)
@@ -93,7 +78,7 @@ class Tracer:
         self.spans.append(span)
 
     def _finished(self, span: Span) -> None:
-        """Finish hook, called by :meth:`Span.finish` on first close.
+        """Finish hook, called by :meth:`Span.finish` when a root first closes.
 
         The base tracer retains everything, so nothing happens here;
         :class:`~repro.tracing.sampling.SampledTracer` overrides it to
@@ -103,7 +88,7 @@ class Tracer:
     # -- structural queries --------------------------------------------------
 
     def children(self, span: Span) -> list[Span]:
-        return list(self._children.get(span.context.span_id, ()))
+        return list(self._children.get(span.span_id, ()))
 
     def subtree(self, root: Span) -> list[Span]:
         """``root`` and all its descendants, preorder."""
@@ -112,11 +97,11 @@ class Tracer:
         while stack:
             span = stack.pop()
             out.append(span)
-            stack.extend(reversed(self._children.get(span.context.span_id, ())))
+            stack.extend(reversed(self._children.get(span.span_id, ())))
         return out
 
     def roots(self) -> list[Span]:
-        return [span for span in self.spans if span.context.parent_id is None]
+        return [span for span in self.spans if span.parent_id is None]
 
     def finished(self) -> list[Span]:
         return [span for span in self.spans if span.finished]
@@ -133,32 +118,14 @@ class Tracer:
 class NullTracer:
     """Tracing disabled: every span request yields the inert singleton."""
 
-    enabled: typing.ClassVar[bool] = False
-    spans: list[Span] = []
-
     def start_trace(self, name: str, phase: str = PHASE_TASK, tags=None):
         return NULL_SPAN
 
     def start_span(self, name: str, phase: str = PHASE_TASK, parent=None, tags=None):
         return NULL_SPAN
 
-    def children(self, span) -> list:
-        return []
-
-    def subtree(self, root) -> list:
-        return []
-
     def roots(self) -> list:
         return []
-
-    def finished(self) -> list:
-        return []
-
-    def open_spans(self) -> list:
-        return []
-
-    def clear(self) -> None:
-        pass
 
 
 NULL_TRACER = NullTracer()

@@ -8,12 +8,14 @@ invariants the scrape/roll-up pipeline leans on.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.stats import LOG_HISTOGRAM_BASE, LogHistogram
+from repro.telemetry.rollup import Window
 
 samples = st.lists(
     st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False),
@@ -103,6 +105,64 @@ def test_rejects_bad_values():
     for bad in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError):
             hist.record(bad)
+
+
+# Both ends of the float range: signed zeros, subnormals and values up to
+# the largest finite float (whose bucket's upper edge overflows).
+extreme_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.min, sys.float_info.max]),
+    st.floats(
+        min_value=0.0,
+        max_value=sys.float_info.max,
+        allow_nan=False,
+        allow_infinity=False,
+        allow_subnormal=True,
+    ),
+)
+
+
+def _signed(value):
+    """A value with its sign bit, so 0.0 and -0.0 compare unequal."""
+    return (value, math.copysign(1.0, value))
+
+
+@given(st.lists(extreme_values, min_size=1, max_size=100))
+@settings(max_examples=150)
+def test_record_matches_builtin_min_max(values):
+    hist = LogHistogram("h")
+    window = Window(0.0, 60.0)
+    total = 0.0
+    for value in values:
+        hist.record(value)
+        window.record(value)
+        total += value
+    for got_min, got_max, count, got_sum in (
+        (hist.min, hist.max, hist.count, hist.total),
+        (window.min, window.max, window.count, window.sum),
+    ):
+        assert _signed(got_min) == _signed(min(values))
+        assert _signed(got_max) == _signed(max(values))
+        assert count == len(values)
+        assert got_sum == total
+
+
+@given(
+    st.lists(extreme_values, min_size=0, max_size=20),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -1.0, -5e-324, -sys.float_info.max]
+    ),
+)
+@settings(max_examples=80)
+def test_record_still_rejects_nonfinite_and_negative(values, bad):
+    hist = LogHistogram("h")
+    for value in values:
+        hist.record(value)
+    before = (hist.count, hist.total, hist.min, hist.max, hist.buckets())
+    with pytest.raises(ValueError):
+        hist.record(bad)
+    assert (hist.count, hist.total, hist.min, hist.max, hist.buckets()) == before
+    with pytest.raises(ValueError):
+        hist.record(1.0, count=0)
 
 
 def test_merge_requires_matching_base():

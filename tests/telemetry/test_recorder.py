@@ -150,16 +150,16 @@ class TestBundleContents:
         root = tracer.start_trace("op", phase="task")
         sim._now = 30.0
         root.finish(error="Timeout")
-        hist.observe(30.0, trace_id=root.context.trace_id)
+        hist.observe(30.0, trace_id=root.trace_id)
         # The scrape runs the monitor: the rule burns, the alert fires,
         # and the recorder snapshots inside the same evaluate step.
         telemetry.scrape_now()
         assert len(recorder.bundles) == 1
         bundle = recorder.bundles[0]
         trace_ids = {entry["trace_id"] for entry in bundle.exemplars}
-        assert root.context.trace_id in trace_ids
+        assert root.trace_id in trace_ids
         # The exemplar-named tree rode into the trace section.
-        assert root.context.trace_id in bundle.trace_ids
+        assert root.trace_id in bundle.trace_ids
         assert bundle.spans_overlapping(0.0, 30.0) >= 1
         # And the sampler's accounting is embedded.
         assert bundle.retention["retained_trees"] == 1

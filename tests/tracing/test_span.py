@@ -69,8 +69,8 @@ class TestSpan:
     def test_child_links_context(self, tracer):
         root = tracer.start_trace("root", phase="task")
         child = root.child("kid", phase="db")
-        assert child.context.trace_id == root.context.trace_id
-        assert child.context.parent_id == root.context.span_id
+        assert child.trace_id == root.trace_id
+        assert child.parent_id == root.span_id
         assert tracer.children(root) == [child]
 
     def test_annotate(self, tracer):
@@ -89,14 +89,13 @@ class TestNullSpan:
         assert NULL_SPAN.child("x") is NULL_SPAN
         assert NULL_SPAN.finish(error="boom") is NULL_SPAN
         NULL_SPAN.annotate("k", 1)
-        assert NULL_SPAN.tags == {}
+        assert not hasattr(NULL_SPAN, "tags")
 
     def test_null_tracer_allocates_nothing(self, sim):
         assert NULL_TRACER.start_trace("x") is NULL_SPAN
         assert NULL_TRACER.start_span("x", parent=NULL_SPAN) is NULL_SPAN
         assert isinstance(NULL_TRACER, NullTracer)
-        assert NULL_TRACER.spans == []
-        assert NULL_TRACER.children(NULL_SPAN) == []
+        assert NULL_TRACER.roots() == []
 
 
 class TestTracer:
@@ -162,7 +161,7 @@ class TestExport:
         assert [event["ph"] for event in events] == ["X", "X"]
         by_name = {event["name"]: event for event in events}
         assert by_name["task.clone"]["dur"] == pytest.approx(1.5e6)
-        assert by_name["db.write"]["args"]["parent_id"] == root.context.span_id
+        assert by_name["db.write"]["args"]["parent_id"] == root.span_id
         assert by_name["db.write"]["args"]["rows"] == 2
         # Parent sorts before child at the same timestamp (longer first).
         assert events[0]["name"] == "task.clone"
@@ -182,8 +181,8 @@ class TestExport:
         assert write_spans_jsonl(tracer.spans, path) == 2
         loaded = read_spans_jsonl(path)
         assert [row["name"] for row in loaded] == ["task.clone", "db.write"]
-        assert loaded[0]["span_id"] == root.context.span_id
-        assert loaded[1]["parent_id"] == root.context.span_id
+        assert loaded[0]["span_id"] == root.span_id
+        assert loaded[1]["parent_id"] == root.span_id
         assert loaded[0]["end"] == 1.5
 
     def test_jsonl_rejects_malformed(self, tmp_path):

@@ -17,13 +17,13 @@ from repro.core.experiments import StormRig
 
 def assert_tree_invariants(tracer):
     assert tracer.open_spans() == []
-    by_id = {span.context.span_id: span for span in tracer.spans}
+    by_id = {span.span_id: span for span in tracer.spans}
     for span in tracer.spans:
         assert span.end >= span.start
-        parent_id = span.context.parent_id
+        parent_id = span.parent_id
         if parent_id is not None:
             parent = by_id[parent_id]
-            assert span.context.trace_id == parent.context.trace_id
+            assert span.trace_id == parent.trace_id
             assert span.start >= parent.start - 1e-9
             assert span.end <= parent.end + 1e-9
 

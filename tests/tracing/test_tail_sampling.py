@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.experiments import StormRig
 from repro.sim import Simulator
 from repro.tracing import (
     KEEP_CLASSES,
@@ -143,8 +144,8 @@ class TestBudgetEviction:
             roots.append(root)
         retained_ids = {tree.trace_id for tree in sampler.trees()}
         # 4 trees x 3 spans > 9: the first-sealed tree was evicted.
-        assert roots[0].context.trace_id not in retained_ids
-        assert roots[-1].context.trace_id in retained_ids
+        assert roots[0].trace_id not in retained_ids
+        assert roots[-1].trace_id in retained_ids
 
     def test_oversized_tree_still_admitted(self, sim):
         tracer = Tracer(sim)
@@ -252,7 +253,7 @@ class TestSampledTracer:
         tracer = SampledTracer(sim)
         root = seal_trace(sim, tracer, "r")
         assert root in tracer.spans
-        assert tracer.retained_tree(root.context.trace_id) is not None
+        assert tracer.retained_tree(root.trace_id) is not None
 
     def test_open_traces_buffer_until_root_finishes(self, sim):
         tracer = SampledTracer(sim, RetentionPolicy(normal_reservoir=0))
@@ -304,8 +305,50 @@ class TestSampledTracer:
         err = seal_trace(sim, tracer, "bad", error="Boom")
         for index in range(50):
             seal_trace(sim, tracer, f"n{index}")
-        retained = tracer.retained_tree(err.context.trace_id)
+        retained = tracer.retained_tree(err.trace_id)
         assert retained is not None
         assert retained.keep == KEEP_ERROR
         # Structural queries still work on the retained tree.
         assert len(tracer.subtree(err)) == 3
+
+
+class TestRoomySampledTracerMatchesPlain:
+    """With a span budget above the run's span count, and no more trees
+    than the normal reservoir holds, the sampled tracer keeps every tree
+    and hands out the same identities as the plain tracer: tail sampling
+    changes what is kept, never what a span is."""
+
+    @staticmethod
+    def _storm(sample_budget=None):
+        rig = StormRig(seed=3, traced=True, sample_budget=sample_budget)
+        rig.closed_loop_storm(total=12, concurrency=6, linked=True)
+        return rig.tracer
+
+    def test_retained_rows_equal_plain_rows(self):
+        plain = self._storm()
+        sampled = self._storm(sample_budget=1_000_000)
+        summary = sampled.retention_summary()
+        assert summary["dropped"] == 0 and summary["evicted"] == 0
+        assert summary["offered_spans"] == len(plain.spans)
+        assert sampled.open_spans() == []
+
+        def rows(spans):
+            return sorted(
+                (span.to_dict() for span in spans),
+                key=lambda row: row["span_id"],
+            )
+
+        retained = rows(sampled.spans)
+        assert len(retained) == len(plain.spans) > 12
+        assert retained == rows(plain.spans)
+        assert {row["parent_id"] for row in retained} - {None} <= {
+            row["span_id"] for row in retained
+        }
+
+    def test_span_still_rejects_unknown_phase(self):
+        sampled = self._storm(sample_budget=1_000_000)
+        with pytest.raises(ValueError, match="unknown phase"):
+            sampled.start_trace("x", phase="nonsense")
+        root = sampled.start_trace("y", phase="task")
+        with pytest.raises(ValueError, match="unknown phase"):
+            root.child("z", phase="nonsense")
