@@ -16,7 +16,6 @@ __getattr__, __dir__ = _lazy_exports(
             "plane_breakdown",
             "plane_breakdown_by_type",
         ),
-        "repro.analysis.burstiness": ("arrival_cov", "burstiness_summary", "index_of_dispersion"),
         "repro.analysis.comparison": ("compare_traces", "comparison_report"),
         "repro.analysis.latency": ("latency_by_type", "latency_cdf", "latency_stats"),
         "repro.analysis.mix": ("mix_comparison", "operation_counts", "operation_mix"),
@@ -25,12 +24,11 @@ __getattr__, __dir__ = _lazy_exports(
             "aggregate_phase_attribution",
             "control_plane_share",
             "critical_path",
-            "critical_path_length",
             "critical_path_phases",
             "phase_attribution",
             "queueing_service_split",
         ),
-        "repro.analysis.timeseries": ("arrival_rate_series", "completion_rate_series"),
+        "repro.analysis.timeseries": ("arrival_rate_series",),
     },
 )
 
@@ -38,17 +36,12 @@ __all__ = [
     "aggregate_phase_attribution",
     "control_plane_share",
     "critical_path",
-    "critical_path_length",
     "critical_path_phases",
     "phase_attribution",
     "queueing_service_split",
-    "arrival_cov",
     "arrival_rate_series",
-    "burstiness_summary",
     "compare_traces",
     "comparison_report",
-    "index_of_dispersion",
-    "completion_rate_series",
     "latency_by_type",
     "latency_cdf",
     "latency_stats",

@@ -8,8 +8,6 @@ exists. This module provides the standard results — M/M/1, M/M/c
 
 from __future__ import annotations
 
-import math
-
 
 def mm1_mean_wait(arrival_rate: float, service_rate: float) -> float:
     """Mean time in queue (excluding service) for an M/M/1 system."""

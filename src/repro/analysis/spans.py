@@ -28,7 +28,7 @@ from repro.tracing.tracer import Tracer
 
 # Phases counted as control-plane time in exhibit summaries.
 CONTROL_PHASES = frozenset(
-    {"task", "queue", "admission", "placement", "db", "agent", "retry", "cpu", "lock", "request", "eventlog"}
+    {"task", "queue", "admission", "placement", "db", "agent", "retry", "cpu", "lock", "request"}
 )
 
 
@@ -203,20 +203,6 @@ def window_phase_attribution(
         for phase, seconds in phase_attribution(root).items():
             totals[phase] = totals.get(phase, 0.0) + seconds * weight
     return totals
-
-
-def slowest_root_in_window(
-    tracer: Tracer, start_s: float, end_s: float
-) -> Span | None:
-    """The longest finished root overlapping the window (triage drill-down)."""
-    roots = roots_in_window(tracer, start_s, end_s)
-    if not roots:
-        return None
-    return max(roots, key=lambda root: (root.duration, -root.start))
-
-
-def critical_path_length(segments: typing.Sequence[CriticalSegment]) -> float:
-    return sum(segment.duration for segment in segments)
 
 
 def critical_path_phases(segments: typing.Sequence[CriticalSegment]) -> dict[str, float]:

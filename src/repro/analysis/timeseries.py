@@ -1,4 +1,4 @@
-"""Time-series analysis: arrival and completion rates (R-F1, R-F7)."""
+"""Time-series analysis: arrival rates (R-F1, R-F7)."""
 
 from __future__ import annotations
 
@@ -15,16 +15,6 @@ def arrival_rate_series(
     series = TimeSeries("arrivals", bin_width=bin_s)
     for record in records:
         series.record(record.submitted_at)
-    return [(start, count / bin_s) for start, count in series.bins()]
-
-
-def completion_rate_series(
-    records: typing.Iterable[TraceRecord], bin_s: float = 300.0
-) -> list[tuple[float, float]]:
-    """Operations completed per bin: (bin start, ops/second in bin)."""
-    series = TimeSeries("completions", bin_width=bin_s)
-    for record in records:
-        series.record(record.finished_at)
     return [(start, count / bin_s) for start, count in series.bins()]
 
 

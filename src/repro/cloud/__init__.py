@@ -19,7 +19,7 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.cloud.drs": ("LoadBalancer",),
         "repro.cloud.elasticity": ("ElasticityPolicy", "SparePool"),
         "repro.cloud.federation": ("FederatedCloud",),
-        "repro.cloud.ha": ("FailureInjector", "HAManager"),
+        "repro.cloud.ha": ("HAManager",),
         "repro.cloud.placement": ("PlacementEngine", "PlacementError"),
         "repro.cloud.tenancy": ("Organization", "QuotaExceeded", "User"),
         "repro.cloud.vapp": ("VApp", "VAppState"),
@@ -34,7 +34,6 @@ __all__ = [
     "CloudDirector",
     "DeployRequest",
     "ElasticityPolicy",
-    "FailureInjector",
     "FederatedCloud",
     "HAManager",
     "LoadBalancer",

@@ -110,13 +110,6 @@ class ApiGateway:
         self.metrics.counter("logins").add()
         return session
 
-    def logout(self, session: Session) -> None:
-        if session.closed:
-            raise SessionError(f"session {session.session_id} already closed")
-        session.closed = True
-        del self._sessions[session.session_id]
-        self.metrics.counter("logouts").add()
-
     def validate(self, session: Session) -> None:
         """Raise unless the session is live; expire idle sessions."""
         if session.closed or session.session_id not in self._sessions:
@@ -130,23 +123,6 @@ class ApiGateway:
                 f"session {session.session_id} expired after {idle:.0f}s idle"
             )
         session.last_used_at = self.sim.now
-
-    @property
-    def active_sessions(self) -> int:
-        return len(self._sessions)
-
-    def reap_idle(self) -> int:
-        """Expire every idle session now; returns the count reaped."""
-        stale = [
-            session
-            for session in self._sessions.values()
-            if self.sim.now - session.last_used_at > self.session_idle_timeout_s
-        ]
-        for session in stale:
-            session.closed = True
-            del self._sessions[session.session_id]
-            self.metrics.counter("expirations").add()
-        return len(stale)
 
     # -- admission ----------------------------------------------------------------
 

@@ -13,7 +13,7 @@ import typing
 
 from repro.cloud.catalog import Catalog, CatalogItem
 from repro.cloud.placement import PlacementEngine, PlacementError
-from repro.cloud.tenancy import Organization, QuotaExceeded
+from repro.cloud.tenancy import Organization
 from repro.cloud.vapp import VApp, VAppState
 from repro.datacenter.entities import Cluster
 from repro.datacenter.templates import TemplateLibrary

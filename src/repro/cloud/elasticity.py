@@ -28,10 +28,6 @@ class SparePool:
         self.datastore_capacity_gb = datastore_capacity_gb
         self._datastore_count = 0
 
-    @property
-    def hosts_remaining(self) -> int:
-        return len(self._hosts)
-
     def take_host(self) -> Host | None:
         return self._hosts.pop(0) if self._hosts else None
 
@@ -117,9 +113,7 @@ class ElasticityPolicy:
         if self.needs_host():
             host = self.spares.take_host()
             if host is not None:
-                shared = sorted(
-                    self.cluster.shared_datastores(), key=lambda ds: ds.entity_id
-                )
+                shared = self.cluster.shared_datastores()
                 process = self.server.submit(AddHost(host, self.cluster, shared))
                 yield process
                 taken.append("add_host")

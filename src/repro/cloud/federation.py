@@ -258,10 +258,6 @@ class FederatedCloud:
             return self._next_director % count
         return best[1]
 
-    def home_of(self, org: Organization) -> int | None:
-        """The shard index ``org`` is homed on (None before first use)."""
-        return self._org_home.get(org.name)
-
     def _saturated(self, index: int) -> bool:
         shard = self.plane.shards[index]
         if shard.tasks.queue_depth >= self.spill_queue_depth:

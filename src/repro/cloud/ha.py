@@ -13,7 +13,7 @@ import typing
 
 from repro.cloud.placement import PlacementEngine, PlacementError
 from repro.datacenter.entities import Cluster, Host, HostState
-from repro.datacenter.vm import PowerState, VirtualMachine
+from repro.datacenter.vm import PowerState
 from repro.operations.power import PowerOn
 from repro.sim.events import AllOf
 from repro.sim.stats import MetricsRegistry
@@ -101,45 +101,3 @@ class HAManager:
                 pass
 
         return self.server.sim.spawn(swallow())
-
-
-class FailureInjector:
-    """Randomly fails and recovers hosts over a run (resilience studies)."""
-
-    def __init__(
-        self,
-        ha: HAManager,
-        mean_time_between_failures_s: float,
-        recovery_time_s: float = 1800.0,
-        seed_stream=None,
-    ) -> None:
-        if mean_time_between_failures_s <= 0 or recovery_time_s <= 0:
-            raise ValueError("MTBF and recovery time must be positive")
-        self.ha = ha
-        self.mtbf_s = mean_time_between_failures_s
-        self.recovery_time_s = recovery_time_s
-        self.rng = seed_stream
-        self.events: list[tuple[float, str, str]] = []
-
-    def start(self, until: float) -> None:
-        self.ha.server.sim.spawn(self._loop(until), name="failure-injector")
-
-    def _loop(self, until: float) -> typing.Generator:
-        sim = self.ha.server.sim
-        while True:
-            gap = self.rng.expovariate(1.0 / self.mtbf_s)
-            if sim.now + gap >= until:
-                return
-            yield sim.timeout(gap)
-            candidates = self.ha.cluster.usable_hosts
-            if len(candidates) <= 1:
-                continue  # never fail the last host
-            victim = candidates[self.rng.randrange(len(candidates))]
-            self.events.append((sim.now, "fail", victim.name))
-            try:
-                yield from self.ha.fail_host(victim)
-            except Exception:
-                continue
-            yield sim.timeout(self.recovery_time_s)
-            self.ha.recover_host(victim)
-            self.events.append((sim.now, "recover", victim.name))

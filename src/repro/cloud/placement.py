@@ -76,7 +76,7 @@ class PlacementEngine:
         ids) removes known-bad candidates, mirroring ``exclude_hosts`` —
         a datastore that just failed a copy would otherwise stay the
         most-free (it fills slower) and attract every retry."""
-        shared = sorted(cluster.shared_datastores(), key=lambda ds: ds.entity_id)
+        shared = cluster.shared_datastores()
         candidates = [ds for ds in shared if ds.free_gb >= required_gb]
         if exclude_datastores:
             filtered = [

@@ -41,10 +41,6 @@ class Organization:
         self.used_vms = max(0, self.used_vms - vms)
         self.used_storage_gb = max(0.0, self.used_storage_gb - storage_gb)
 
-    @property
-    def vm_headroom(self) -> int:
-        return self.quota_vms - self.used_vms
-
 
 @dataclasses.dataclass(frozen=True)
 class User:

@@ -30,12 +30,6 @@ __getattr__, __dir__ = _lazy_exports(
         ),
         "repro.controlplane.costs": ("ControlPlaneConfig", "ControlPlaneCosts", "DEFAULT_COSTS"),
         "repro.controlplane.database": ("DatabaseModel",),
-        "repro.controlplane.eventlog": (
-            "AlarmManager",
-            "AlarmRule",
-            "EventLog",
-            "ManagementEvent",
-        ),
         "repro.controlplane.host_agent": ("HostAgent", "HostAgentError"),
         "repro.controlplane.locks": ("LockManager",),
         "repro.controlplane.resilience": (
@@ -43,7 +37,6 @@ __getattr__, __dir__ = _lazy_exports(
             "BreakerState",
             "CircuitBreaker",
             "DeadLetter",
-            "DEFAULT_RETRY",
             "NO_RETRY",
             "RetryBudget",
             "RetryPolicy",
@@ -58,17 +51,12 @@ __getattr__, __dir__ = _lazy_exports(
 
 __all__ = [
     "AgentProxy",
-    "AlarmManager",
-    "AlarmRule",
     "BreakerPolicy",
     "BusFaultHook",
     "BreakerState",
     "CircuitBreaker",
     "ControlPlaneConfig",
     "DeadLetter",
-    "DEFAULT_RETRY",
-    "EventLog",
-    "ManagementEvent",
     "ControlPlaneCosts",
     "DEFAULT_COSTS",
     "DatabaseModel",

@@ -872,15 +872,6 @@ class _NullBus:
 
     mediated = False
 
-    def topic_stats(self) -> dict[str, TopicStats]:
-        return {}
-
-    def depths(self) -> dict[str, int]:
-        return {}
-
-    def __repr__(self) -> str:
-        return "<NullBus>"
-
 
 NULL_BUS = _NullBus()
 

@@ -40,17 +40,10 @@ class DatabaseModel:
         self.pool = Resource(sim, capacity=connections, name="db-connections")
         self.faults = FaultHook(sim, name="db", rng=rng)
         self._busy_seconds = 0.0
-        self._slowdown = 1.0
-
-    def set_slowdown(self, factor: float) -> None:
-        """Degrade the database (failure/overload injection). 1.0 = healthy."""
-        if factor < 1.0:
-            raise ValueError("slowdown factor must be >= 1.0")
-        self._slowdown = factor
 
     def _service_time(self, median: float) -> float:
         draw = lognormal_from_median(self.rng, median, self.costs.sigma)
-        return bounded(draw, median * 0.25, median * 10.0) * self._slowdown
+        return bounded(draw, median * 0.25, median * 10.0)
 
     def write(
         self, rows: int = 1, span=NULL_SPAN

@@ -107,16 +107,12 @@ class TaskJournal:
     Appends are plain list/dict updates — no simulated time, no events —
     because each record's durability point is a row the task manager
     already writes (admit insert, completion row); see the module
-    docstring. ``enabled`` mirrors the tracer/telemetry pattern so hot
-    paths can skip formatting work when off.
+    docstring.
     """
-
-    enabled: typing.ClassVar[bool] = True
 
     def __init__(self) -> None:
         self.records: list[JournalRecord] = []
         self._admits: dict[int, JournalRecord] = {}
-        self._dispatches: dict[int, list[JournalRecord]] = {}
         self._terminals: dict[int, JournalRecord] = {}
 
     # -- appends (write-ahead points) --------------------------------------
@@ -143,7 +139,6 @@ class TaskJournal:
             idempotency_key=f"task-{task.task_id}:attempt-{attempt}",
         )
         self.records.append(record)
-        self._dispatches.setdefault(task.task_id, []).append(record)
 
     def record_terminal(self, task: "Task", dead_letter: bool = False) -> None:
         """Journal the terminal state (rides the completion row).
@@ -176,9 +171,6 @@ class TaskJournal:
     def terminal_record(self, task_id: int) -> JournalRecord | None:
         return self._terminals.get(task_id)
 
-    def dispatches(self, task_id: int) -> list[JournalRecord]:
-        return list(self._dispatches.get(task_id, ()))
-
     def open_task_ids(self) -> list[int]:
         """Admitted tasks with no terminal record — replay's worklist."""
         return [tid for tid in self._admits if tid not in self._terminals]
@@ -203,9 +195,6 @@ class TaskJournal:
 class NullJournal:
     """Journal disabled: every append is a no-op, every query is empty."""
 
-    enabled: typing.ClassVar[bool] = False
-    records: list[JournalRecord] = []
-
     def record_admit(self, task: "Task") -> None:
         pass
 
@@ -215,14 +204,8 @@ class NullJournal:
     def record_terminal(self, task: "Task", dead_letter: bool = False) -> None:
         pass
 
-    def admitted(self, task_id: int) -> bool:
-        return False
-
     def terminal_record(self, task_id: int) -> None:
         return None
-
-    def dispatches(self, task_id: int) -> list[JournalRecord]:
-        return []
 
     def open_task_ids(self) -> list[int]:
         return []
@@ -257,12 +240,6 @@ class CrashEpoch:
     reissued: int = 0
     requeued: int = 0
     from_journal: int = 0
-
-    @property
-    def downtime_s(self) -> float:
-        if self.restarted_at is None:
-            return 0.0
-        return self.restarted_at - self.crashed_at
 
     @property
     def replay_s(self) -> float:

@@ -89,9 +89,6 @@ class RetryPolicy:
 #: One attempt, no retries — the pre-resilience behaviour.
 NO_RETRY = RetryPolicy(max_attempts=1, base_backoff_s=0.0, max_backoff_s=0.0, jitter=0.0)
 
-#: Reasonable default for control-plane tasks.
-DEFAULT_RETRY = RetryPolicy()
-
 
 class RetryBudget:
     """Global retry-volume limiter (token bucket, Finagle-style).

@@ -120,7 +120,6 @@ class ManagementServer:
         # Whole-server outage hook (shard crashes): submissions fail while
         # blocked. Armed by repro.faults.ShardCrash windows.
         self.faults = FaultHook(sim, name=name, error_factory=ShardUnavailable)
-        self.event_log = None
         self.started_at = sim.now
         # Crash recovery: the write-ahead task journal (NULL_JOURNAL = off)
         # and the restart reconciler. ServerCrash windows call crash() /
@@ -186,28 +185,6 @@ class ManagementServer:
         telemetry.probe(
             "recovery_parked", lambda: float(self.recovery.parked_count)
         )
-
-    def enable_event_logging(
-        self,
-        flush_interval_s: float = 10.0,
-        until: float | None = None,
-    ):
-        """Attach an event log; task completions start posting to it.
-
-        Returns the :class:`~repro.controlplane.eventlog.EventLog`. The
-        flusher is started immediately (bounded by ``until`` if given).
-        """
-        from repro.controlplane.eventlog import EventLog
-
-        if self.event_log is not None and self.event_log.active:
-            raise RuntimeError("event logging already enabled")
-        self.event_log = EventLog(
-            self.sim, self.database, flush_interval_s=flush_interval_s
-        )
-        self.tasks.event_log = self.event_log
-        self.event_log.tracer = self.tracer
-        self.event_log.start(until=until)
-        return self.event_log
 
     # -- host management -----------------------------------------------------
 

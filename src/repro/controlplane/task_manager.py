@@ -144,9 +144,6 @@ class TaskManager:
         # crash-interrupted task processes until the journal replays.
         self.journal = NULL_JOURNAL
         self.recovery = None
-        # Optional event sink (see controlplane.eventlog); completion posts
-        # one event per task, errors at elevated severity.
-        self.event_log = None
         # Telemetry handles, grabbed once (all NULL_METRIC when disabled —
         # the hot path pays one no-op bound-method call per event).
         telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -510,14 +507,6 @@ class TaskManager:
             task.latency,
             trace_id=None if task.span.is_null else task.span.trace_id,
         )
-        if self.event_log is not None:
-            severity = "info" if task.state == TaskState.SUCCESS else "warning"
-            self.event_log.post(
-                f"task.{task.op_type}",
-                f"task-{task.task_id}",
-                severity=severity,
-                message=task.error or "",
-            )
 
     # -- reporting ----------------------------------------------------------
 
@@ -563,9 +552,6 @@ class TaskManager:
     @property
     def queue_depth(self) -> float:
         return self._depth.value
-
-    def max_queue_depth(self) -> float:
-        return self._depth.maximum
 
     def queue_depth_series(self) -> list[tuple[float, float]]:
         return self._depth.series()

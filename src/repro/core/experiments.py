@@ -1305,15 +1305,13 @@ def experiment_x5_bus_chaos(seed: int = 0, quick: bool = False) -> ExperimentRes
 # --------------------------------------------------------------------------
 
 # Raw span phases folded into the exhibit's stack. Gateway admission folds
-# into "queue" (both are waiting to be let in); the event-log flush folds
-# into "db" (both are database pressure); task/request/retry self time
+# into "queue" (both are waiting to be let in); task/request/retry self time
 # (scheduling gaps, attempt framing, backoff) is "other".
 PHASE_FOLD: dict[str, str] = {
     "queue": "queue",
     "admission": "queue",
     "placement": "placement",
     "db": "db",
-    "eventlog": "db",
     "agent": "agent",
     "cpu": "cpu",
     "lock": "lock",

@@ -8,8 +8,6 @@ distributions, arrival dynamics, and control-vs-data plane attribution.
 
 from __future__ import annotations
 
-import typing
-
 from repro.analysis.report import render_series, render_table
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
 from repro.core.scenario import Scenario, ScenarioResult

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from repro.analysis.bottleneck import plane_breakdown, plane_breakdown_by_type
 from repro.analysis.latency import latency_by_type, latency_cdf, latency_stats
 from repro.analysis.mix import operation_counts, operation_mix
-from repro.analysis.timeseries import arrival_rate_series, completion_rate_series
+from repro.analysis.timeseries import arrival_rate_series
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
@@ -102,9 +101,6 @@ class ScenarioResult:
 
     def arrival_series(self, bin_s: float = 300.0):
         return arrival_rate_series(self.trace, bin_s=bin_s)
-
-    def completion_series(self, bin_s: float = 300.0):
-        return completion_rate_series(self.trace, bin_s=bin_s)
 
     def utilization(self) -> dict[str, float]:
         return self.server.utilization_snapshot()

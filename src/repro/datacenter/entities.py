@@ -121,10 +121,6 @@ class Host(ManagedEntity):
         self.datastores.add(datastore)
         datastore.hosts.add(self)
 
-    def unmount(self, datastore: Datastore) -> None:
-        self.datastores.discard(datastore)
-        datastore.hosts.discard(self)
-
     def attach_network(self, network: Network) -> None:
         self.networks.add(network)
 
@@ -142,10 +138,6 @@ class Cluster(ManagedEntity):
         self.hosts.append(host)
         host.cluster = self
 
-    def remove_host(self, host: Host) -> None:
-        self.hosts.remove(host)
-        host.cluster = None
-
     @property
     def usable_hosts(self) -> list[Host]:
         return [host for host in self.hosts if host.is_usable]
@@ -154,15 +146,16 @@ class Cluster(ManagedEntity):
     def vm_count(self) -> int:
         return sum(len(host.vms) for host in self.hosts)
 
-    def shared_datastores(self) -> set[Datastore]:
-        """Datastores mounted by every usable host (valid placement targets)."""
+    def shared_datastores(self) -> list[Datastore]:
+        """Datastores mounted by every usable host (valid placement
+        targets), in ``entity_id`` order so callers pick deterministically."""
         usable = self.usable_hosts
         if not usable:
-            return set()
+            return []
         shared = set(usable[0].datastores)
         for host in usable[1:]:
             shared &= host.datastores
-        return shared
+        return sorted(shared, key=lambda ds: ds.entity_id)
 
 
 @dataclasses.dataclass(eq=False)

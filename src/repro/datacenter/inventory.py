@@ -104,31 +104,8 @@ class Inventory:
         """Every registered VM in ``entity_id`` order (a live view: do not mutate)."""
         return self._vms
 
-    def count(self, entity_type: type) -> int:
-        return len(self._by_type.get(entity_type, {}))
-
     def __contains__(self, entity_id: str) -> bool:
         return entity_id in self._by_id
 
     def __len__(self) -> int:
         return len(self._by_id)
-
-    # -- summaries ---------------------------------------------------------------
-
-    def size_summary(self) -> dict[str, int]:
-        """Entity counts by type, for R-T1-style setup tables."""
-        return {
-            prefix: self.count(entity_type)
-            for entity_type, prefix in _PREFIXES.items()
-        }
-
-    def footprint(self) -> int:
-        """A proxy for inventory-service memory/DB row count.
-
-        Hosts and VMs dominate (per-entity stats rows); datastores count
-        per mounting host because each mount is a row the rescan touches.
-        """
-        mounts = sum(
-            len(datastore.hosts) for datastore in self.all(Datastore)
-        )
-        return len(self._by_id) + mounts

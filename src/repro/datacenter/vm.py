@@ -160,26 +160,13 @@ class VirtualMachine(ManagedEntity):
     destroyed_at: typing.Optional[float] = None
 
     @property
-    def is_powered_on(self) -> bool:
-        return self.power_state == PowerState.ON
-
-    @property
     def total_disk_gb(self) -> float:
         """Logical (provisioned) disk size across all disks."""
         return sum(disk.provisioned_gb for disk in self.disks)
 
     @property
-    def allocated_disk_gb(self) -> float:
-        """Actually-allocated bytes unique to this VM (leaf links only)."""
-        return sum(disk.backing.size_gb for disk in self.disks)
-
-    @property
     def max_chain_depth(self) -> int:
         return max((disk.chain_depth for disk in self.disks), default=0)
-
-    @property
-    def is_linked_clone(self) -> bool:
-        return any(disk.backing.parent is not None for disk in self.disks)
 
     def place_on(self, host: Host) -> None:
         self.host = host

@@ -83,7 +83,7 @@ def check_exactly_once(server: "ManagementServer") -> list[str]:
     for task_id, count in sorted(terminal_counts.items()):
         if count != 1:
             violations.append(f"task-{task_id} has {count} terminal records")
-        if journal.enabled and not journal.admitted(task_id):
+        if not journal.admitted(task_id):
             violations.append(f"task-{task_id} reached a terminal state unadmitted")
     dead_seen = collections.Counter(letter.task_id for letter in tasks.dead_letters)
     failed_ids = {task.task_id for task in tasks.failed()}

@@ -22,7 +22,6 @@ next to its verdicts.
 from __future__ import annotations
 
 import dataclasses
-import json
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -166,13 +165,6 @@ class GroundTruthManifest:
     @classmethod
     def from_dicts(cls, entries: typing.Sequence[dict]) -> "GroundTruthManifest":
         return cls(GroundTruthWindow.from_dict(entry) for entry in entries)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dicts(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroundTruthManifest":
-        return cls.from_dicts(json.loads(text))
 
     def describe(self) -> list[str]:
         return [

@@ -21,10 +21,9 @@ __getattr__, __dir__ = _lazy_exports(
         ),
         "repro.operations.maintenance": (
             "EnterMaintenance",
-            "EvacuateDatastore",
             "ExitMaintenance",
         ),
-        "repro.operations.migration": ("MigrateVM", "StorageMigrateVM"),
+        "repro.operations.migration": ("MigrateVM",),
         "repro.operations.power": ("PowerOff", "PowerOn"),
         "repro.operations.provisioning": ("CloneVM", "DeployFromTemplate"),
         "repro.operations.reconfiguration": (
@@ -45,7 +44,6 @@ __all__ = [
     "DeployFromTemplate",
     "DestroyVM",
     "EnterMaintenance",
-    "EvacuateDatastore",
     "ExitMaintenance",
     "MigrateVM",
     "NetworkReconfig",
@@ -56,6 +54,5 @@ __all__ = [
     "PowerOn",
     "ReconfigureVM",
     "RescanDatastore",
-    "StorageMigrateVM",
     "phase",
 ]

@@ -27,7 +27,6 @@ class OperationType(enum.Enum):
     SNAPSHOT_CREATE = "snapshot_create"
     SNAPSHOT_DELETE = "snapshot_delete"
     MIGRATE = "migrate"
-    STORAGE_MIGRATE = "storage_migrate"
     DESTROY = "destroy"
     RESCAN_DATASTORE = "rescan_datastore"
     ADD_HOST = "add_host"
@@ -35,25 +34,11 @@ class OperationType(enum.Enum):
     NETWORK_RECONFIG = "network_reconfig"
     ENTER_MAINTENANCE = "enter_maintenance"
     EXIT_MAINTENANCE = "exit_maintenance"
-    EVACUATE_DATASTORE = "evacuate_datastore"
 
     @classmethod
     def provisioning(cls) -> set["OperationType"]:
         """Operations that create or retire capacity (cloud churn)."""
         return {cls.CLONE_FULL, cls.CLONE_LINKED, cls.DEPLOY, cls.DESTROY}
-
-    @classmethod
-    def reconfiguration(cls) -> set["OperationType"]:
-        """Infrastructure reconfiguration — the 'previously infrequent' ops."""
-        return {
-            cls.RESCAN_DATASTORE,
-            cls.ADD_HOST,
-            cls.ADD_DATASTORE,
-            cls.NETWORK_RECONFIG,
-            cls.ENTER_MAINTENANCE,
-            cls.EXIT_MAINTENANCE,
-            cls.EVACUATE_DATASTORE,
-        }
 
 
 class OperationError(Exception):

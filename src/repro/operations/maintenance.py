@@ -86,76 +86,6 @@ class EnterMaintenance(Operation):
         task.result = self.host
 
 
-class EvacuateDatastore(Operation):
-    """Storage-migrate every VM off a datastore (LUN retirement).
-
-    The storage-side analogue of host maintenance: before an array LUN is
-    retired or re-carved, everything on it moves elsewhere. Each move is a
-    full storage vMotion — the data plane pays per-VM logical bytes, and
-    the control plane pays the usual per-op toll times the datastore's VM
-    population (which cloud churn keeps large).
-    """
-
-    op_type = OperationType.EVACUATE_DATASTORE
-
-    def __init__(self, datastore, targets: typing.Sequence) -> None:
-        self.datastore = datastore
-        self.targets = [t for t in targets if t is not datastore]
-
-    def _resident_vms(self, server: "ManagementServer"):
-        from repro.datacenter.vm import VirtualMachine
-
-        residents = []
-        for vm in server.inventory.all(VirtualMachine):
-            if vm.host is None:
-                continue
-            if any(disk.datastore is self.datastore for disk in vm.disks):
-                residents.append(vm)
-        return sorted(residents, key=lambda vm: vm.entity_id)
-
-    def run(self, server: "ManagementServer", task: "Task") -> typing.Generator:
-        from repro.operations.migration import StorageMigrateVM
-
-        costs = server.costs
-        if not self.targets:
-            raise OperationError("no target datastores for evacuation")
-        yield from self.timed(
-            server,
-            task,
-            "validate",
-            CONTROL,
-            lambda span: server.cpu_work(costs.api_validate_s, span=span),
-            tag=PHASE_CPU,
-        )
-        residents = self._resident_vms(server)
-        moved = 0
-        for index, vm in enumerate(residents):
-            target = self.targets[index % len(self.targets)]
-            if target.free_gb < vm.total_disk_gb:
-                raise OperationError(
-                    f"target {target.name!r} lacks space for {vm.name!r}"
-                )
-            process = server.submit(
-                StorageMigrateVM(vm, target), priority=4.0, span=task.span
-            )
-            try:
-                yield process
-            except Exception:
-                raise OperationError(
-                    f"evacuation of {self.datastore.name!r} failed at {vm.name!r}"
-                ) from None
-            moved += 1
-        yield from self.timed(
-            server,
-            task,
-            "retire_db",
-            CONTROL,
-            lambda span: server.database.write(rows=1, span=span),
-            tag=PHASE_DB,
-        )
-        task.result = moved
-
-
 class ExitMaintenance(Operation):
     """Return a host to service."""
 

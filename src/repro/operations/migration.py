@@ -1,16 +1,16 @@
-"""Migration operations: vMotion (compute) and storage vMotion (disk).
+"""Migration operations: vMotion (compute).
 
-Live migration's data plane is the guest-memory transfer; storage
-migration's is the disk copy. Both carry the usual control-plane toll on
-top, paid at both the source and destination host agents.
+Live migration's data plane is the guest-memory transfer. It carries the
+usual control-plane toll on top, paid at both the source and destination
+host agents.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.datacenter.entities import Datastore, Host
-from repro.datacenter.vm import DiskBacking, PowerState, VirtualMachine
+from repro.datacenter.entities import Host
+from repro.datacenter.vm import PowerState, VirtualMachine
 from repro.operations.base import CONTROL, DATA, Operation, OperationError, OperationType
 from repro.tracing import (
     PHASE_AGENT,
@@ -111,84 +111,6 @@ class MigrateVM(Operation):
                 "commit_db",
                 CONTROL,
                 lambda span: server.database.write(rows=2, span=span),
-                tag=PHASE_DB,
-            )
-            task.result = self.vm
-        finally:
-            scope.release(grants)
-
-
-class StorageMigrateVM(Operation):
-    """Storage vMotion: move a VM's disks to another datastore."""
-
-    op_type = OperationType.STORAGE_MIGRATE
-
-    def __init__(self, vm: VirtualMachine, destination: Datastore) -> None:
-        self.vm = vm
-        self.destination = destination
-
-    def run(self, server: "ManagementServer", task: "Task") -> typing.Generator:
-        costs = server.costs
-        if self.vm.host is None:
-            raise OperationError(f"VM {self.vm.name!r} is not placed on a host")
-        yield from self.timed(
-            server,
-            task,
-            "validate",
-            CONTROL,
-            lambda span: server.cpu_work(costs.api_validate_s, span=span),
-            tag=PHASE_CPU,
-        )
-        scope = server.locks.holding([self.vm.entity_id])
-        grants = yield from self.timed(
-            server, task, "lock", CONTROL, scope.acquire(), tag=PHASE_LOCK
-        )
-        try:
-            if self.vm.host is None:
-                raise OperationError(f"VM {self.vm.name!r} was destroyed while queued")
-            agent = server.agent(self.vm.host)
-            yield from self.timed(
-                server,
-                task,
-                "prep",
-                CONTROL,
-                lambda span: agent.call(
-                    "migrate_prep", costs.host_migrate_prep_s, span=span, task=task
-                ),
-                tag=PHASE_AGENT,
-            )
-            for index, disk in enumerate(self.vm.disks):
-                if disk.datastore is self.destination:
-                    continue
-                # Moving a linked clone flattens it: the copy carries the
-                # full logical content to the new datastore.
-                size_gb = disk.backing.logical_size_gb
-                yield from self.timed(
-                    server,
-                    task,
-                    f"disk_copy_{index}",
-                    DATA,
-                    lambda span, ds=disk.datastore, gb=size_gb: (
-                        server.copy_scheduler.scheduled_copy(
-                            ds, self.destination, gb, span=span
-                        )
-                    ),
-                    tag=PHASE_COPY,
-                )
-                old = disk.backing
-                if old.parent is not None:
-                    old.parent.children -= 1
-                if old.children == 0:
-                    old.datastore.reclaim(old.size_gb)
-                disk.backing = DiskBacking(datastore=self.destination, size_gb=size_gb)
-            yield from self.timed(
-                server,
-                task,
-                "commit_db",
-                CONTROL,
-                lambda span: server.database.write(
-                    rows=1 + len(self.vm.disks), span=span
-                ),
                 tag=PHASE_DB,
             )
             task.result = self.vm

@@ -28,7 +28,6 @@ from repro.tracing import (
     PHASE_PLACEMENT,
 )
 from repro.storage.linked_clone import (
-    INITIAL_DELTA_GB,
     create_linked_backing,
     ensure_clone_anchor,
     has_clone_anchor,

@@ -12,9 +12,8 @@ The public surface:
   :class:`~repro.sim.events.Call` for :meth:`Simulator.call_later`.
 - :class:`~repro.sim.kernel.Process` and
   :class:`~repro.sim.kernel.Interrupt` for failure injection.
-- Resources: :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.PriorityResource`,
-  :class:`~repro.sim.resources.Store`.
+- Resources: :class:`~repro.sim.resources.Resource` and
+  :class:`~repro.sim.resources.PriorityResource`.
 - :class:`~repro.sim.random.RandomStreams` — reproducible named substreams.
 - :mod:`~repro.sim.stats` — counters, gauges, latency recorders, time series.
 """
@@ -27,7 +26,7 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.sim.events": ("AllOf", "AnyOf", "Call", "Event", "EventCancelled", "Timeout"),
         "repro.sim.kernel": ("Interrupt", "Process", "Simulator"),
         "repro.sim.random": ("RandomStreams",),
-        "repro.sim.resources": ("PriorityResource", "Resource", "Store"),
+        "repro.sim.resources": ("PriorityResource", "Resource"),
         "repro.sim.stats": (
             "Counter",
             "Gauge",
@@ -58,7 +57,6 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "Simulator",
-    "Store",
     "TimeSeries",
     "Timeout",
 ]

@@ -1,4 +1,4 @@
-"""Shared resources: capacity-limited servers and item stores.
+"""Shared resources: capacity-limited servers and rate limiters.
 
 These are the queueing primitives the control-plane model is built from:
 per-host operation slots, the management-server thread pool, database
@@ -8,7 +8,6 @@ connections, and datastore copy slots are all :class:`Resource` (or
 
 from __future__ import annotations
 
-import heapq
 import typing
 
 from repro.sim.events import Event
@@ -24,14 +23,12 @@ class Request(Event):
     still queued — used to implement request timeouts.
     """
 
-    __slots__ = ("resource", "priority", "enqueued_at", "granted_at")
+    __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
         super().__init__(resource.sim)
         self.resource = resource
         self.priority = priority
-        self.enqueued_at = resource.sim.now
-        self.granted_at: float | None = None
 
     def _default_name(self) -> str:
         return f"request:{self.resource.name}"
@@ -62,7 +59,6 @@ class Resource:
         self.name = name
         self._users: set[Request] = set()
         self._queue: list[Request] = []
-        self._waits: list[float] = []
 
     # -- introspection -----------------------------------------------------
 
@@ -73,11 +69,6 @@ class Resource:
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    @property
-    def wait_times(self) -> list[float]:
-        """Queueing delays of all granted requests, in grant order."""
-        return list(self._waits)
 
     # -- protocol ----------------------------------------------------------
 
@@ -93,13 +84,6 @@ class Resource:
         self._users.discard(request)
         self._dispatch()
 
-    def resize(self, capacity: int) -> None:
-        """Change capacity at runtime (used by reconfiguration ablations)."""
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._dispatch()
-
     # -- internals -----------------------------------------------------------
 
     def _next_index(self) -> int:
@@ -109,8 +93,6 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             request = self._queue.pop(self._next_index())
             self._users.add(request)
-            request.granted_at = self.sim.now
-            self._waits.append(request.granted_at - request.enqueued_at)
             request.succeed(value=request)
 
     def _withdraw(self, request: Request) -> None:
@@ -135,41 +117,6 @@ class PriorityResource(Resource):
             if request.priority < self._queue[best].priority:
                 best = index
         return best
-
-
-class Store:
-    """An unbounded FIFO buffer of items with blocking ``get``.
-
-    Producers call :meth:`put` (never blocks); consumers yield :meth:`get`.
-    Used for work queues (e.g. the host-sync batch queue).
-    """
-
-    def __init__(self, sim: "Simulator", name: str = "store") -> None:
-        self.sim = sim
-        self.name = name
-        self._items: list[typing.Any] = []
-        self._getters: list[Event] = []
-
-    @property
-    def size(self) -> int:
-        return len(self._items)
-
-    def put(self, item: typing.Any) -> None:
-        self._items.append(item)
-        self._drain()
-
-    def get(self) -> Event:
-        event = Event(self.sim, name=f"get:{self.name}")
-        self._getters.append(event)
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        while self._items and self._getters:
-            getter = self._getters.pop(0)
-            if getter.cancelled:
-                continue
-            getter.succeed(value=self._items.pop(0))
 
 
 class TokenBucket:

@@ -456,12 +456,6 @@ class MetricsRegistry:
     def histogram(self, name: str, edges: typing.Sequence[float]) -> Histogram:
         return self._get(name, lambda key: Histogram(key, edges))
 
-    def log_histogram(self, name: str, base: float = LOG_HISTOGRAM_BASE) -> LogHistogram:
-        return self._get(name, lambda key: LogHistogram(key, base=base))
-
-    def timeseries(self, name: str, bin_width: float) -> TimeSeries:
-        return self._get(name, lambda key: TimeSeries(key, bin_width))
-
     def _get(self, name: str, factory: typing.Callable[[str], typing.Any]) -> typing.Any:
         key = self._key(name)
         if key not in self._metrics:

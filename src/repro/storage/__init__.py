@@ -16,7 +16,6 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.storage.copy_engine": ("CopyEngine", "CopyFailed"),
         "repro.storage.linked_clone": (
             "LinkedCloneError",
-            "consolidate_chain",
             "create_linked_backing",
             "ensure_clone_anchor",
         ),
@@ -31,7 +30,6 @@ __all__ = [
     "FairShareLink",
     "LinkedCloneError",
     "Transfer",
-    "consolidate_chain",
     "create_linked_backing",
     "ensure_clone_anchor",
 ]

@@ -10,7 +10,6 @@ are rescheduled whenever membership changes.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -82,17 +81,6 @@ class FairShareLink:
         self._active.append(record)
         self._reschedule()
         return done
-
-    @property
-    def active_count(self) -> int:
-        return len(self._active)
-
-    @property
-    def per_transfer_rate(self) -> float:
-        """Current bytes/second each active transfer receives."""
-        if not self._active:
-            return self.capacity_bps
-        return self.capacity_bps / len(self._active)
 
     def utilization(self, since: float = 0.0) -> float:
         """Fraction of [since, now] during which the link was busy."""

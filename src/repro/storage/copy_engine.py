@@ -51,12 +51,6 @@ class CopyEngine:
             )
         return self._links[datastore.entity_id]
 
-    def set_capacity(self, datastore: Datastore, capacity_bps: float) -> None:
-        """Pin a specific datastore's bandwidth (for heterogeneity studies)."""
-        self._links[datastore.entity_id] = FairShareLink(
-            self.sim, capacity_bps, name=f"link:{datastore.name}"
-        )
-
     def inject_failure(self, error: Exception | None = None) -> None:
         """Make the next copy fail (failure-injection tests)."""
         self.faults.arm_once(error or CopyFailed("injected copy failure"))
@@ -110,7 +104,3 @@ class CopyEngine:
     @property
     def total_bytes_written(self) -> float:
         return self.metrics.counter("bytes_written").value
-
-    @property
-    def total_bytes_read(self) -> float:
-        return self.metrics.counter("bytes_read").value

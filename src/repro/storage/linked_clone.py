@@ -77,27 +77,6 @@ def create_linked_backing(
     return DiskBacking(datastore=datastore, size_gb=initial_gb, parent=anchor)
 
 
-def consolidate_chain(disk: VirtualDisk) -> float:
-    """Collapse a disk's chain into a single base backing.
-
-    Returns the GB of data that must be copied (the data-plane cost of
-    consolidation): the full logical footprint of the chain. The collapsed
-    backing replaces the leaf; ancestors' child counts are decremented but
-    their storage is only reclaimable when unreferenced (caller's job).
-    """
-    chain = disk.backing.chain()
-    if len(chain) == 1:
-        return 0.0
-    moved_gb = disk.backing.logical_size_gb
-    datastore = disk.backing.datastore
-    for link in chain:
-        if link.parent is not None:
-            link.parent.children -= 1
-    datastore.allocate(max(0.0, moved_gb - disk.backing.size_gb))
-    disk.backing = DiskBacking(datastore=datastore, size_gb=moved_gb)
-    return moved_gb
-
-
 def merge_leaf_into_parent(disk: VirtualDisk) -> float:
     """Merge the leaf delta into its parent (snapshot deletion).
 
@@ -123,8 +102,3 @@ def merge_leaf_into_parent(disk: VirtualDisk) -> float:
     parent.children -= 1
     disk.backing = parent
     return moved_gb
-
-
-def reference_counts(backings: list[DiskBacking]) -> dict[int, int]:
-    """Child counts per backing id — used in tests and GC decisions."""
-    return {backing.backing_id: backing.children for backing in backings}

@@ -54,7 +54,7 @@ __getattr__, __dir__ = _lazy_exports(
             "IncidentBundle",
             "NullFlightRecorder",
         ),
-        "repro.telemetry.rollup": ("DEFAULT_RETENTION", "RollupSeries", "Window", "merge_windows"),
+        "repro.telemetry.rollup": ("DEFAULT_RETENTION", "RollupSeries", "Window"),
         "repro.telemetry.scraper": ("Scraper",),
         "repro.telemetry.slo": (
             "DEFAULT_BURN_WINDOWS",
@@ -97,7 +97,6 @@ __all__ = [
     "Window",
     "alerts_jsonl",
     "format_metric_id",
-    "merge_windows",
     "prometheus_text",
     "read_incident_bundle",
     "read_incident_bundles",

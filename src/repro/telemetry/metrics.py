@@ -113,19 +113,11 @@ class THistogram:
 
 
 class NullMetric:
-    """The inert metric: every mutation is a no-op, every read is zero."""
+    """The inert metric handle: every mutation is a no-op."""
 
     __slots__ = ()
 
-    name = ""
-    labels: LabelValues = ()
-    kind = "null"
-    value = 0.0
-
     def add(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
         pass
 
     def observe(self, value: float, trace_id: int | None = None) -> None:
@@ -200,8 +192,6 @@ class Telemetry:
     roll-up store, and the SLO monitor. ``start()`` launches the
     :class:`~repro.telemetry.scraper.Scraper` sim-process.
     """
-
-    enabled: typing.ClassVar[bool] = True
 
     def __init__(
         self,
@@ -295,10 +285,6 @@ class Telemetry:
     def stop(self) -> None:
         self.scraper.stop()
 
-    def scrape_now(self) -> None:
-        """Take one scrape immediately (also evaluates SLO rules)."""
-        self.scraper.scrape()
-
     # -- SLO surface ---------------------------------------------------------
 
     def add_rule(self, rule: "SloRule") -> None:
@@ -317,15 +303,7 @@ class NullTelemetry:
     registrations are dropped on the floor.
     """
 
-    enabled: typing.ClassVar[bool] = False
-    families: dict[str, MetricFamily] = {}
-    probes: list[Probe] = []
-    rollups: dict[str, RollupSeries] = {}
-
     def counter(self, name: str, help: str = "", **labels: str) -> NullMetric:
-        return NULL_METRIC
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> NullMetric:
         return NULL_METRIC
 
     def histogram(self, name: str, help: str = "", **labels: str) -> NullMetric:
@@ -337,30 +315,11 @@ class NullTelemetry:
     def watch_registry(self, registry, **labels) -> None:
         return None
 
-    def rollup(self, metric_id: str, kind: str) -> None:
-        return None
-
-    def series(self, name: str, **labels: str) -> None:
-        return None
-
-    def series_matching(self, prefix: str) -> dict:
-        return {}
-
     def start(self, until: float | None = None) -> "NullTelemetry":
         return self
 
     def stop(self) -> None:
         pass
-
-    def scrape_now(self) -> None:
-        pass
-
-    def add_rule(self, rule) -> None:
-        pass
-
-    @property
-    def alerts(self):
-        return ()
 
 
 NULL_TELEMETRY = NullTelemetry()

@@ -107,10 +107,6 @@ class IncidentBundle:
     def alert_names(self) -> list[str]:
         return [alert["rule"] for alert in self.alerts]
 
-    @property
-    def trace_ids(self) -> list[int]:
-        return [tree["trace_id"] for tree in self.traces]
-
     def spans_overlapping(self, lo: float, hi: float) -> int:
         """Retained spans whose interval intersects [lo, hi]."""
         hits = 0
@@ -481,13 +477,6 @@ class NullFlightRecorder:
 
     is_null = True
     bundles: tuple = ()
-    snapshots = 0
-
-    def attach(self, monitor=None, server=None) -> "NullFlightRecorder":
-        return self
-
-    def render(self) -> list:
-        return []
 
 
 NULL_RECORDER = NullFlightRecorder()

@@ -13,7 +13,6 @@ log bucket for quantiles) — the invariance the property tests pin down.
 from __future__ import annotations
 
 import math
-import typing
 
 from repro.sim.stats import LOG_HISTOGRAM_BASE, LogHistogram
 
@@ -241,11 +240,6 @@ class RollupSeries:
                     merged.hist.merge(window.hist)
         return merged
 
-    def total_windows(self) -> int:
-        return sum(len(level) for level in self._levels) + (
-            1 if self._open is not None else 0
-        ) + sum(1 for agg in self._aggs if agg is not None)
-
     def series(self, level: int = 0, field: str = "mean") -> list[tuple[float, float]]:
         """(window start, field) pairs for plotting/export."""
         out = []
@@ -253,14 +247,3 @@ class RollupSeries:
             summary = window.summary()
             out.append((window.start, summary[field]))
         return out
-
-
-def merge_windows(windows: typing.Iterable[Window], base: float = LOG_HISTOGRAM_BASE) -> Window:
-    """Roll a sequence of windows into one (for tests and reporting)."""
-    windows = list(windows)
-    if not windows:
-        return Window(0.0, 0.0, base=base)
-    merged = Window(windows[0].start, windows[0].width, base=base)
-    for window in windows:
-        merged.merge(window)
-    return merged

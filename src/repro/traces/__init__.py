@@ -10,7 +10,6 @@ from repro import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        "repro.traces.filters": ("by_op_type", "by_success", "in_window", "provisioning_only"),
         "repro.traces.io": ("read_csv", "read_jsonl", "write_csv", "write_jsonl"),
         "repro.traces.records": ("TraceRecord",),
     },
@@ -18,10 +17,6 @@ __getattr__, __dir__ = _lazy_exports(
 
 __all__ = [
     "TraceRecord",
-    "by_op_type",
-    "by_success",
-    "in_window",
-    "provisioning_only",
     "read_csv",
     "read_jsonl",
     "write_csv",

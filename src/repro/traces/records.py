@@ -33,10 +33,6 @@ class TraceRecord:
     def queue_wait(self) -> float:
         return self.started_at - self.submitted_at
 
-    @property
-    def service_time(self) -> float:
-        return self.finished_at - self.started_at
-
     @classmethod
     def from_task(cls, task: "Task", org: str = "") -> "TraceRecord":
         """Convert a completed control-plane task into a trace record.

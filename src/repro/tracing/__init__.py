@@ -3,7 +3,7 @@
 The subsystem answers the question the whole-operation
 :class:`~repro.traces.records.TraceRecord` cannot: *which control-plane
 phase* — gateway admission, placement, task-queue wait, host-agent
-execution, DB/event-log writes, storage copy — dominates an operation's
+execution, DB writes, storage copy — dominates an operation's
 latency as concurrency rises.
 
 Pieces:
@@ -55,7 +55,6 @@ __getattr__, __dir__ = _lazy_exports(
             "PHASE_COPY",
             "PHASE_CPU",
             "PHASE_DB",
-            "PHASE_EVENTLOG",
             "PHASE_LOCK",
             "PHASE_PLACEMENT",
             "PHASE_QUEUE",
@@ -82,7 +81,6 @@ __all__ = [
     "PHASE_COPY",
     "PHASE_CPU",
     "PHASE_DB",
-    "PHASE_EVENTLOG",
     "PHASE_LOCK",
     "PHASE_PLACEMENT",
     "PHASE_QUEUE",

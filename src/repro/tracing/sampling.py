@@ -318,10 +318,6 @@ class SampledTracer(Tracer):
     def retained_tree(self, trace_id: int) -> RetainedTree | None:
         return self.sampler.tree_for(trace_id)
 
-    @property
-    def retained_span_count(self) -> int:
-        return self.sampler.span_count
-
     def open_spans(self) -> list[Span]:
         return [
             span

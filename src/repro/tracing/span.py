@@ -7,8 +7,8 @@ one tree), ``span_id`` (unique within its tracer) and ``parent_id``
 (``None`` for a root). They are plain slots on the span, so opening a
 span allocates the span and nothing else beyond its tags dict.
 
-Spans form trees: one tree per traced unit of work (a management task, a
-director request, an event-log flush). The tree is the raw material for
+Spans form trees: one tree per traced unit of work (a management task or
+a director request). The tree is the raw material for
 per-phase latency attribution, queueing-vs-service decomposition, and
 critical-path extraction (``repro.analysis.spans``).
 
@@ -44,7 +44,6 @@ PHASE_RETRY = "retry"          # backoff between attempts / re-placements
 PHASE_CPU = "cpu"              # management-server CPU phases
 PHASE_LOCK = "lock"            # inventory lock acquisition
 PHASE_REQUEST = "request"      # director request / per-VM framing
-PHASE_EVENTLOG = "eventlog"    # event-log flush machinery
 PHASE_RECOVERY = "recovery"    # post-crash journal replay + reconciliation
 PHASE_BUS = "bus"              # message-bus publish/deliver/redeliver hops
 
@@ -60,7 +59,6 @@ PHASES = (
     PHASE_CPU,
     PHASE_LOCK,
     PHASE_REQUEST,
-    PHASE_EVENTLOG,
     PHASE_RECOVERY,
     PHASE_BUS,
 )

@@ -187,14 +187,5 @@ class NullTriageEngine:
     is_null = True
     verdicts: tuple = ()
 
-    def attach(self, monitor=None) -> "NullTriageEngine":
-        return self
-
-    def triage_now(self, now: float, alerts: typing.Sequence[str] = ()) -> Verdict:
-        return Verdict(fired_at=now, alerts=list(alerts), hypotheses=())
-
-    def render(self, evidence: bool = False) -> list:
-        return []
-
 
 NULL_TRIAGE = NullTriageEngine()

@@ -160,9 +160,6 @@ class EvidenceContext:
         """Counter deltas summed over the lookback (= count in window)."""
         return self.recent(metric_id, seconds).sum
 
-    def recent_rate(self, metric_id: str) -> float:
-        return self.recent(metric_id).sum / self.lookback_s
-
     def baseline_rate(self, metric_id: str) -> float:
         """Counter rate over ``baseline_s`` seconds *before* the lookback."""
         long_sum = self._long(metric_id).sum

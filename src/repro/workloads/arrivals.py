@@ -29,10 +29,6 @@ class ArrivalProcess:
         """
         raise NotImplementedError
 
-    def mean_rate(self) -> float:
-        """Long-run arrivals per second (for load accounting)."""
-        raise NotImplementedError
-
 
 class Poisson(ArrivalProcess):
     """Homogeneous Poisson arrivals at ``rate`` per second."""
@@ -47,9 +43,6 @@ class Poisson(ArrivalProcess):
 
     def batched(self, rng: random.Random, batch: int = 512) -> "sampling.BatchedPoisson":
         return sampling.BatchedPoisson(self, rng, batch)
-
-    def mean_rate(self) -> float:
-        return self.rate
 
 
 class DiurnalPoisson(ArrivalProcess):
@@ -91,9 +84,6 @@ class DiurnalPoisson(ArrivalProcess):
 
     def batched(self, rng: random.Random, batch: int = 512) -> "sampling.BatchedDiurnal":
         return sampling.BatchedDiurnal(self, rng, batch)
-
-    def mean_rate(self) -> float:
-        return self.base_rate
 
 
 class MMPPBurst(ArrivalProcess):
@@ -141,7 +131,3 @@ class MMPPBurst(ArrivalProcess):
 
     def batched(self, rng: random.Random, batch: int = 512) -> "sampling.BatchedMMPP":
         return sampling.BatchedMMPP(self, rng, batch)
-
-    def mean_rate(self) -> float:
-        calm_weight = self.mean_calm_s / (self.mean_calm_s + self.mean_burst_s)
-        return calm_weight * self.calm_rate + (1 - calm_weight) * self.burst_rate

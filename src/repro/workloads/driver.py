@@ -19,7 +19,7 @@ import typing
 from repro.cloud.catalog import Catalog, CatalogItem
 from repro.cloud.director import CloudDirector, DeployRequest
 from repro.cloud.elasticity import SparePool
-from repro.cloud.placement import PlacementEngine, PlacementError
+from repro.cloud.placement import PlacementEngine
 from repro.cloud.tenancy import Organization
 from repro.cloud.vapp import VApp, VAppState
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
@@ -293,9 +293,7 @@ class WorkloadDriver:
         """A raw template clone (trace replay uses these directly)."""
         template = self.library.get(DEFAULT_SPECS[1].name)
         host = self._pick([h for h in self.cluster.usable_hosts])
-        datastore = self._pick(
-            sorted(self.cluster.shared_datastores(), key=lambda ds: ds.entity_id)
-        )
+        datastore = self._pick(self.cluster.shared_datastores())
         if host is None or datastore is None:
             self._skip("clone_no_capacity")
             return
@@ -367,9 +365,7 @@ class WorkloadDriver:
         self._submit_guarded(MigrateVM(vm, destination), "migrate")
 
     def _issue_rescan_datastore(self) -> None:
-        datastore = self._pick(
-            sorted(self.cluster.shared_datastores(), key=lambda ds: ds.entity_id)
-        )
+        datastore = self._pick(self.cluster.shared_datastores())
         if datastore is None:
             self._skip("rescan_no_datastore")
             return
@@ -380,7 +376,7 @@ class WorkloadDriver:
         if host is None:
             self._skip("add_host_no_spares")
             return
-        shared = sorted(self.cluster.shared_datastores(), key=lambda ds: ds.entity_id)
+        shared = self.cluster.shared_datastores()
         self._submit_guarded(
             AddHost(host, self.cluster, shared, networks=[self.network]), "add-host"
         )

@@ -58,13 +58,6 @@ class OperationMix:
             if op in OperationType.provisioning()
         )
 
-    def reconfiguration_fraction(self) -> float:
-        return sum(
-            fraction
-            for op, fraction in self.fractions.items()
-            if op in OperationType.reconfiguration()
-        )
-
     def items(self) -> list[typing.Tuple[OperationType, float]]:
         return [(op, self.fractions[op]) for op in self._ops]
 

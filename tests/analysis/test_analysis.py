@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import (
     arrival_rate_series,
-    completion_rate_series,
     latency_by_type,
     latency_cdf,
     latency_stats,
@@ -85,11 +84,6 @@ class TestTimeseries:
         series = arrival_rate_series(records, bin_s=10.0)
         assert series[0] == (0.0, pytest.approx(0.3))
         assert series[-1] == (100.0, pytest.approx(0.1))
-
-    def test_completion_series(self):
-        records = [record(submitted=0.0, wait=0.0, service=5.0)]
-        series = completion_rate_series(records, bin_s=10.0)
-        assert series == [(0.0, pytest.approx(0.1))]
 
     def test_peak_to_trough(self):
         assert peak_to_trough([(0, 1.0), (1, 4.0), (2, 2.0)]) == pytest.approx(4.0)

@@ -1,27 +1,13 @@
-"""Tests for burstiness metrics."""
+"""Burstiness of the arrival processes: CoV and index of dispersion.
 
-import pytest
+A Poisson stream has inter-arrival CoV and count IDC near one; the MMPP
+burst process that drives self-service clouds sits far above both.
+"""
 
-from repro.analysis import arrival_cov, burstiness_summary, index_of_dispersion
-from repro.analysis.burstiness import coefficient_of_variation, interarrival_times
+import math
+
 from repro.sim import RandomStreams
-from repro.traces import TraceRecord
 from repro.workloads import MMPPBurst, Poisson
-
-
-def records_from_times(times):
-    return [
-        TraceRecord(
-            op_type="deploy",
-            submitted_at=t,
-            started_at=t,
-            finished_at=t + 1.0,
-            success=True,
-            control_s=1.0,
-            data_s=0.0,
-        )
-        for t in times
-    ]
 
 
 def draw_times(process, count, seed=1):
@@ -33,54 +19,41 @@ def draw_times(process, count, seed=1):
     return times
 
 
-def test_interarrival_times_sorted_input_not_required():
-    records = records_from_times([10.0, 0.0, 5.0])
-    assert interarrival_times(records) == [5.0, 5.0]
+def arrival_cov(times):
+    """Coefficient of variation of the inter-arrival gaps."""
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    mean = sum(gaps) / len(gaps)
+    variance = sum((gap - mean) ** 2 for gap in gaps) / (len(gaps) - 1)
+    return math.sqrt(variance) / mean
 
 
-def test_cov_constant_stream_is_zero():
-    assert coefficient_of_variation([2.0, 2.0, 2.0]) == 0.0
-
-
-def test_cov_too_few_samples_is_zero():
-    assert coefficient_of_variation([1.0]) == 0.0
+def index_of_dispersion(times, bin_s):
+    """Variance-to-mean ratio of per-bin arrival counts."""
+    counts = [0] * (int((times[-1] - times[0]) / bin_s) + 1)
+    for time in times:
+        counts[int((time - times[0]) / bin_s)] += 1
+    mean = sum(counts) / len(counts)
+    variance = sum((count - mean) ** 2 for count in counts) / (len(counts) - 1)
+    return variance / mean
 
 
 def test_poisson_cov_near_one():
     times = draw_times(Poisson(rate=1.0), 8000)
-    cov = arrival_cov(records_from_times(times))
-    assert 0.9 < cov < 1.1
+    assert 0.9 < arrival_cov(times) < 1.1
 
 
 def test_mmpp_cov_above_one():
     process = MMPPBurst(calm_rate=0.01, burst_rate=2.0, mean_calm_s=500, mean_burst_s=100)
     times = draw_times(process, 8000, seed=3)
-    cov = arrival_cov(records_from_times(times))
-    assert cov > 1.5
+    assert arrival_cov(times) > 1.5
 
 
 def test_idc_poisson_near_one():
     times = draw_times(Poisson(rate=1.0), 8000)
-    idc = index_of_dispersion(records_from_times(times), bin_s=30.0)
-    assert 0.7 < idc < 1.5
+    assert 0.7 < index_of_dispersion(times, bin_s=30.0) < 1.5
 
 
 def test_idc_bursty_much_greater_than_one():
     process = MMPPBurst(calm_rate=0.01, burst_rate=2.0, mean_calm_s=500, mean_burst_s=100)
     times = draw_times(process, 8000, seed=3)
-    idc = index_of_dispersion(records_from_times(times), bin_s=30.0)
-    assert idc > 5.0
-
-
-def test_empty_inputs():
-    assert arrival_cov([]) == 0.0
-    assert index_of_dispersion([]) == 0.0
-    summary = burstiness_summary([])
-    assert summary["operations"] == 0.0
-
-
-def test_summary_keys():
-    times = draw_times(Poisson(rate=1.0), 100)
-    summary = burstiness_summary(records_from_times(times))
-    assert set(summary) == {"arrival_cov", "index_of_dispersion", "operations"}
-    assert summary["operations"] == 100.0
+    assert index_of_dispersion(times, bin_s=30.0) > 5.0

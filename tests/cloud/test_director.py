@@ -64,11 +64,11 @@ def test_linked_deploy_moves_no_bytes(cloud):
 
 def test_delete_destroys_and_credits(cloud):
     vapp = cloud.run_deploy(request(cloud, count=3))
-    vm_count_before = cloud.server.inventory.count(VirtualMachine)
+    vm_count_before = len(cloud.server.inventory.all(VirtualMachine))
     cloud.run_delete(vapp)
     assert vapp.state == VAppState.DELETED
     assert cloud.org.used_vms == 0
-    assert cloud.server.inventory.count(VirtualMachine) == vm_count_before - 3
+    assert len(cloud.server.inventory.all(VirtualMachine)) == vm_count_before - 3
 
 
 def test_delete_twice_rejected(cloud):

@@ -62,7 +62,7 @@ def test_add_host_exhausts_spare_pool(cloud):
     deploy(cloud, count=8)
     policy = make_policy(cloud, spare_hosts=1, vms_per_host_high=0.5)
     assert run_check(cloud, policy) == ["add_host"]
-    assert policy.spares.hosts_remaining == 0
+    assert policy.spares.take_host() is None
     # Next round: still above watermark but no spares left.
     assert run_check(cloud, policy) == []
 

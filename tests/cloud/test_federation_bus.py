@@ -17,6 +17,11 @@ from repro.sim import RandomStreams, Simulator
 from repro.sim.events import AllOf
 
 
+def home_of(cloud, org):
+    """The shard index ``org`` is homed on (None before its first deploy)."""
+    return cloud._org_home.get(org.name)
+
+
 def build(
     shards=2,
     seed=11,
@@ -84,7 +89,7 @@ def test_healthy_home_rides_local_topic():
     assert all(vapp.state == VAppState.RUNNING for vapp in vapps)
     totals = cloud.federation_totals()
     assert totals["steals"] == totals["spills"] == totals["reroutes"] == 0
-    home = cloud.home_of(org)
+    home = home_of(cloud, org)
     stats = cloud.bus.topic_stats()
     assert stats[local_topic_name(cloud.plane.shards[home].name)].delivered == 3
     assert stats.get(SHARED_TOPIC) is None or stats[SHARED_TOPIC].published == 0
@@ -98,7 +103,7 @@ def test_saturated_home_spills_and_sibling_steals():
     # queue is visibly backed up, which is what trips the spill check.
     vapps = deploy_all(sim, cloud, [org], count=8, spacing_s=2.0)
     assert all(vapp.state == VAppState.RUNNING for vapp in vapps)
-    home = cloud.home_of(org)
+    home = home_of(cloud, org)
     sibling = 1 - home
     assert cloud.shard_stats[home].spills > 0
     assert cloud.shard_stats[sibling].steals > 0
@@ -182,7 +187,7 @@ def test_delete_routes_to_executing_shard():
         vapp
         for vapp in vapps
         if any(
-            vm.host in set(cloud.plane.shards[1 - cloud.home_of(org)].hosts)
+            vm.host in set(cloud.plane.shards[1 - home_of(cloud, org)].hosts)
             for vm in vapp.vms
         )
     ]
@@ -209,7 +214,7 @@ def test_unresolved_submissions_empty_after_quiesce():
 
 def shard_of(cloud, org):
     cloud.director_for(org)
-    return cloud.home_of(org)
+    return home_of(cloud, org)
 
 
 def test_homing_skips_crashed_shard():

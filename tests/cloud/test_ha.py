@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cloud import DeployRequest, HAManager, FailureInjector
+from repro.cloud import DeployRequest, HAManager
 from repro.datacenter import HostState, PowerState
 
 
@@ -97,29 +97,3 @@ def test_restart_storm_goes_through_control_plane(cloud):
     counts = run_failure(cloud, ha, vapp.vms[0].host)
     new_tasks = len(cloud.server.tasks.tasks) - tasks_before
     assert new_tasks == counts["restarted"]
-
-
-def test_failure_injector_fails_and_recovers(cloud):
-    deploy(cloud, count=8)
-    ha = HAManager(cloud.server, cloud.cluster)
-    injector = FailureInjector(
-        ha,
-        mean_time_between_failures_s=600.0,
-        recovery_time_s=300.0,
-        seed_stream=cloud.streams.stream("failures"),
-    )
-    injector.start(until=4000.0)
-    cloud.sim.run(until=4000.0)
-    cloud.sim.run()
-    fails = [event for event in injector.events if event[1] == "fail"]
-    recovers = [event for event in injector.events if event[1] == "recover"]
-    assert fails
-    assert len(recovers) >= len(fails) - 1  # last failure may still be down
-    # Cluster ends the run with at least one usable host.
-    assert cloud.cluster.usable_hosts
-
-
-def test_failure_injector_validation(cloud):
-    ha = HAManager(cloud.server, cloud.cluster)
-    with pytest.raises(ValueError):
-        FailureInjector(ha, mean_time_between_failures_s=0.0)

@@ -11,7 +11,7 @@ class TestOrganization:
         org.charge(3, 30.0)
         assert org.used_vms == 3
         assert org.used_storage_gb == 30.0
-        assert org.vm_headroom == 7
+        assert org.quota_vms - org.used_vms == 7
 
     def test_vm_quota_enforced(self):
         org = Organization("acme", quota_vms=2)

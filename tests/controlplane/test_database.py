@@ -116,7 +116,7 @@ def test_slowdown_injection():
         sim = Simulator()
         database = make_db(sim, seed=5)
         if slow:
-            database.set_slowdown(10.0)
+            database.faults.set_latency("slowdown", 10.0)
         return run_process(sim, database.write())
 
     assert one_write(True) == pytest.approx(one_write(False) * 10.0)
@@ -126,7 +126,7 @@ def test_slowdown_must_be_at_least_one():
     sim = Simulator()
     database = make_db(sim)
     with pytest.raises(ValueError):
-        database.set_slowdown(0.5)
+        database.faults.set_latency("slowdown", 0.5)
 
 
 def test_utilization_bounded_and_positive_under_load():

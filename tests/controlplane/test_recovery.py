@@ -46,12 +46,16 @@ def test_journal_records_full_lifecycle():
     rig.closed_loop_storm(total=4, concurrency=2, linked=True)
 
     journal = rig.server.journal
-    assert journal.enabled
+    assert isinstance(journal, TaskJournal)
     assert len(journal) >= 3 * 4  # admit + >=1 dispatch + terminal per task
     assert journal.open_task_ids() == []
     for task in rig.server.tasks.tasks:
         assert journal.admitted(task.task_id)
-        dispatches = journal.dispatches(task.task_id)
+        dispatches = [
+            record
+            for record in journal.records
+            if record.kind == "dispatch" and record.task_id == task.task_id
+        ]
         assert dispatches
         assert dispatches[0].idempotency_key == f"task-{task.task_id}:attempt-1"
         record = journal.terminal_record(task.task_id)
@@ -77,11 +81,11 @@ def test_null_journal_is_inert():
     NULL_JOURNAL.record_admit(task)
     NULL_JOURNAL.record_dispatch(task, 1)
     NULL_JOURNAL.record_terminal(task)
-    assert not NULL_JOURNAL.enabled
     assert len(NULL_JOURNAL) == 0
-    assert not NULL_JOURNAL.admitted(1)
     assert NULL_JOURNAL.terminal_record(1) is None
     assert NULL_JOURNAL.open_task_ids() == []
+    assert NULL_JOURNAL.terminal_counts() == {}
+    assert vars(NULL_JOURNAL) == {}
 
 
 # -- crash / restart protocol ------------------------------------------------

@@ -11,8 +11,10 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
+import tokenize
 import types
 
 import pytest
@@ -79,3 +81,57 @@ def test_every_module_imports_in_a_fresh_interpreter():
     )
     assert completed.returncode == 0, completed.stderr
     assert int(completed.stdout) > 90
+
+
+# Exported names that no product file mentions on purpose, with the reason.
+KEEP = (
+    ("read_csv", "reads the CSV trace `repro profile --trace-out x.csv` writes"),
+    ("read_jsonl", "reads the JSONL trace `repro profile --trace-out x.jsonl` writes"),
+    ("read_spans_jsonl", "reads the span files `repro trace --jsonl-out` writes"),
+    ("read_incident_bundle", "reads the bundle `repro incident --bundle-out` writes"),
+    ("read_incident_bundles", "reads the JSONL bundles `repro incident --bundle-out` writes"),
+    ("random_fault_schedule", "drives the hypothesis quiesce property in tests/faults"),
+    ("__version__", "package version attribute, mirrors pyproject.toml"),
+)
+
+PRODUCT_DIRS = ("src", "benchmarks", "examples", "perfbench")
+
+
+def _product_sources() -> dict[pathlib.Path, str]:
+    """Every product ``.py`` file except the package export tables, comments stripped."""
+    sources = {}
+    for directory in PRODUCT_DIRS:
+        for path in sorted((SRC.parent / directory).rglob("*.py")):
+            if path.name == "__init__.py" and SRC in path.parents:
+                continue
+            with path.open("rb") as handle:
+                tokens = [
+                    token
+                    for token in tokenize.tokenize(handle.readline)
+                    if token.type != tokenize.COMMENT
+                ]
+            sources[path] = tokenize.untokenize(tokens).decode()
+    return sources
+
+
+def test_every_export_is_used_by_some_product_file():
+    """A name in ``__all__`` that only tests reach is dead weight: delete it or use it."""
+    sources = _product_sources()
+    unused = []
+    for name in PACKAGES:
+        for export in importlib.import_module(name).__all__:
+            definition = re.compile(
+                rf"^\s*(?:(?:async\s+)?def|class)\s+{re.escape(export)}\b"
+                rf"|^{re.escape(export)}\s*(?::[^=]*)?=",
+            )
+            mention = re.compile(rf"\b{re.escape(export)}\b")
+            if not any(
+                mention.search(line) and not definition.match(line)
+                for text in sources.values()
+                for line in text.splitlines()
+            ):
+                unused.append(f"{name}.{export}")
+    kept = {export for export, _ in KEEP}
+    assert sorted(entry for entry in unused if entry.rsplit(".", 1)[1] not in kept) == []
+    # A KEEP entry that a product file now uses, or that no package exports, is stale.
+    assert sorted(kept - {entry.rsplit(".", 1)[1] for entry in unused}) == []

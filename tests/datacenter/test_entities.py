@@ -57,9 +57,6 @@ def test_host_mount_is_bidirectional():
     host.mount(datastore)
     assert datastore in host.datastores
     assert host in datastore.hosts
-    host.unmount(datastore)
-    assert datastore not in host.datastores
-    assert host not in datastore.hosts
 
 
 def test_host_usability_follows_state():
@@ -71,7 +68,7 @@ def test_host_usability_follows_state():
     assert not host.is_usable
 
 
-def test_cluster_add_remove_host():
+def test_cluster_add_host():
     cluster = Cluster(entity_id="cluster-1", name="gold")
     host = make_host()
     cluster.add_host(host)
@@ -79,8 +76,6 @@ def test_cluster_add_remove_host():
     assert cluster.usable_hosts == [host]
     with pytest.raises(ValueError):
         cluster.add_host(host)
-    cluster.remove_host(host)
-    assert host.cluster is None
 
 
 def test_cluster_shared_datastores_intersection():
@@ -92,7 +87,7 @@ def test_cluster_shared_datastores_intersection():
         cluster.add_host(host)
         host.mount(ds_shared)
     cluster.hosts[0].mount(ds_local)
-    assert cluster.shared_datastores() == {ds_shared}
+    assert cluster.shared_datastores() == [ds_shared]
 
 
 def test_cluster_shared_datastores_skips_maintenance_hosts():
@@ -104,12 +99,24 @@ def test_cluster_shared_datastores_skips_maintenance_hosts():
     cluster.add_host(broken)
     healthy.mount(ds)
     broken.state = HostState.MAINTENANCE
-    assert cluster.shared_datastores() == {ds}
+    assert cluster.shared_datastores() == [ds]
+
+
+def test_cluster_shared_datastores_in_entity_id_order():
+    cluster = Cluster(entity_id="cluster-1", name="gold")
+    datastores = [make_datastore(n) for n in (3, 10, 1, 2)]
+    for n in range(2):
+        host = make_host(n)
+        cluster.add_host(host)
+        for datastore in reversed(datastores):
+            host.mount(datastore)
+    ids = [datastore.entity_id for datastore in cluster.shared_datastores()]
+    assert ids == ["ds-1", "ds-10", "ds-2", "ds-3"]
 
 
 def test_cluster_shared_datastores_empty_cluster():
     cluster = Cluster(entity_id="cluster-1", name="empty")
-    assert cluster.shared_datastores() == set()
+    assert cluster.shared_datastores() == []
 
 
 def test_datacenter_aggregates_hosts_and_vms():

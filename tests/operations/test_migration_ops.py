@@ -1,9 +1,9 @@
-"""Tests for vMotion and storage vMotion."""
+"""Tests for vMotion."""
 
 import pytest
 
 from repro.controlplane import TaskState
-from repro.operations import CloneVM, MigrateVM, OperationError, PowerOn, StorageMigrateVM
+from repro.operations import CloneVM, MigrateVM, OperationError, PowerOn
 
 
 @pytest.fixture
@@ -51,30 +51,3 @@ def test_migrate_to_unusable_host_fails(cloud, running_vm):
     process = cloud.server.submit(MigrateVM(running_vm, cloud.hosts[1]))
     with pytest.raises(OperationError, match="unusable"):
         cloud.sim.run(until=process)
-
-
-def test_storage_migrate_moves_and_flattens(cloud, running_vm):
-    assert running_vm.is_linked_clone
-    target = cloud.datastores[0]
-    task = cloud.run_op(StorageMigrateVM(running_vm, target))
-    assert task.state == TaskState.SUCCESS
-    assert running_vm.disks[0].datastore is target
-    # Flattened: no more parent chain.
-    assert not running_vm.is_linked_clone
-    assert task.plane_seconds("data") > 0
-
-
-def test_storage_migrate_releases_source_delta_space(cloud, running_vm):
-    source_ds = cloud.datastores[1]
-    used_before = source_ds.used_gb
-    cloud.run_op(StorageMigrateVM(running_vm, cloud.datastores[0]))
-    assert source_ds.used_gb < used_before
-    anchor = cloud.template.disks[0].backing
-    assert anchor.children == 0
-
-
-def test_storage_migrate_same_datastore_is_noop_copy(cloud, running_vm):
-    written_before = cloud.server.copy_engine.total_bytes_written
-    task = cloud.run_op(StorageMigrateVM(running_vm, cloud.datastores[1]))
-    assert task.state == TaskState.SUCCESS
-    assert cloud.server.copy_engine.total_bytes_written == written_before

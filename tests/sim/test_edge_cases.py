@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, EventCancelled, Simulator, Store
+from repro.sim import Event, EventCancelled, Simulator
 from repro.sim.resources import TokenBucket
 
 
@@ -64,24 +64,6 @@ def test_waiting_on_already_failed_event_raises():
 
     process = sim.spawn(late_waiter())
     assert sim.run(until=process) == "handled"
-
-
-def test_store_getter_cancel_is_skipped():
-    sim = Simulator()
-    store = Store(sim)
-    getter = store.get()
-    getter.cancel()
-    received = []
-
-    def consumer():
-        item = yield store.get()
-        received.append(item)
-
-    sim.spawn(consumer())
-    store.put("x")
-    sim.run()
-    # The cancelled getter was skipped; the live one got the item.
-    assert received == ["x"]
 
 
 def test_token_bucket_caps_at_burst():

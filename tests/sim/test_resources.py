@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import PriorityResource, Resource, Simulator, Store
+from repro.sim import PriorityResource, Resource, Simulator
 from repro.sim.resources import TokenBucket
 
 
@@ -96,24 +96,8 @@ def test_wait_times_recorded():
     sim.spawn(hold(sim, resource, 3.0, log, "a"))
     sim.spawn(hold(sim, resource, 3.0, log, "b"))
     sim.run()
-    assert resource.wait_times == [0.0, 3.0]
-
-
-def test_resize_grants_waiters():
-    sim = Simulator()
-    resource = Resource(sim, capacity=1)
-    log = []
-
-    def grow():
-        yield sim.timeout(1.0)
-        resource.resize(2)
-
-    sim.spawn(hold(sim, resource, 10.0, log, "a"))
-    sim.spawn(hold(sim, resource, 10.0, log, "b"))
-    sim.spawn(grow())
-    sim.run()
     starts = {tag: time for kind, tag, time in log if kind == "start"}
-    assert starts == {"a": 0.0, "b": 1.0}
+    assert starts == {"a": 0.0, "b": 3.0}
 
 
 def test_priority_resource_grants_lowest_priority_first():
@@ -144,54 +128,6 @@ def test_priority_ties_break_fcfs():
     sim.run()
     order = [tag for kind, tag, _ in log if kind == "start"]
     assert order == ["holder", "first", "second"]
-
-
-def test_store_fifo_order():
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    def producer():
-        yield sim.timeout(1.0)
-        for item in ("x", "y", "z"):
-            store.put(item)
-
-    sim.spawn(consumer())
-    sim.spawn(producer())
-    sim.run()
-    assert received == ["x", "y", "z"]
-
-
-def test_store_get_blocks_until_put():
-    sim = Simulator()
-    store = Store(sim)
-    times = []
-
-    def consumer():
-        yield store.get()
-        times.append(sim.now)
-
-    def producer():
-        yield sim.timeout(9.0)
-        store.put(1)
-
-    sim.spawn(consumer())
-    sim.spawn(producer())
-    sim.run()
-    assert times == [9.0]
-
-
-def test_store_size_tracks_buffer():
-    sim = Simulator()
-    store = Store(sim)
-    store.put(1)
-    store.put(2)
-    assert store.size == 2
 
 
 def test_token_bucket_paces_takers():

@@ -67,21 +67,6 @@ def test_capacity_must_be_positive():
         FairShareLink(sim, capacity_bps=0.0)
 
 
-def test_per_transfer_rate_reflects_sharing():
-    sim = Simulator()
-    link = FairShareLink(sim, capacity_bps=100.0)
-
-    def proc():
-        link.transfer(1000.0)
-        link.transfer(1000.0)
-        assert link.per_transfer_rate == pytest.approx(50.0)
-        assert link.active_count == 2
-        yield sim.timeout(0.0)
-
-    sim.spawn(proc())
-    sim.run(until=1.0)
-
-
 def test_utilization_busy_fraction():
     # 100-byte transfer at 100 B/s starting at t=0, then idle to t=10.
     sim, link, finishes = run_transfers(100.0, [(0.0, 100.0)])

@@ -48,7 +48,7 @@ def test_copy_counts_bytes_both_directions(sim):
     src, dst = make_ds(1), make_ds(2)
     run_copy(sim, engine, src, dst, 10.0)
     assert engine.total_bytes_written == pytest.approx(10 * GB)
-    assert engine.total_bytes_read == pytest.approx(10 * GB)
+    assert engine.metrics.counter("bytes_read").value == pytest.approx(10 * GB)
 
 
 def test_injected_failure_raises_and_leaks_nothing(sim):
@@ -97,14 +97,6 @@ def test_copies_to_different_datastores_do_not_interfere(sim):
     sim.run()
     assert finishes["a"] == pytest.approx(10.0 * GB / GB)
     assert finishes["b"] == pytest.approx(10.0 * GB / GB)
-
-
-def test_set_capacity_overrides_default(sim):
-    engine = CopyEngine(sim, default_capacity_bps=GB)
-    src, dst = make_ds(1), make_ds(2)
-    engine.set_capacity(dst, 2 * GB)
-    elapsed = run_copy(sim, engine, src, dst, 10.0)
-    assert elapsed == pytest.approx(5.0)
 
 
 class TestCopyScheduler:

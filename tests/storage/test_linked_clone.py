@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.datacenter import Datastore, DiskBacking, VirtualDisk, VirtualMachine
 from repro.storage import (
     LinkedCloneError,
-    consolidate_chain,
     create_linked_backing,
     ensure_clone_anchor,
 )
@@ -96,35 +95,6 @@ def test_delta_may_live_on_other_datastore():
     delta = create_linked_backing(template.disks[0].backing, other_ds)
     assert delta.datastore is other_ds
     assert other_ds.used_gb == pytest.approx(INITIAL_DELTA_GB)
-
-
-def test_consolidate_collapses_to_depth_one():
-    datastore = make_datastore()
-    template = make_template(datastore, size_gb=40.0)
-    delta = create_linked_backing(template.disks[0].backing, datastore, initial_gb=2.0)
-    disk = VirtualDisk(label="disk-0", backing=delta, provisioned_gb=40.0)
-    moved = consolidate_chain(disk)
-    assert moved == pytest.approx(42.0)
-    assert disk.chain_depth == 1
-    assert disk.backing.size_gb == pytest.approx(42.0)
-
-
-def test_consolidate_flat_chain_is_noop():
-    datastore = make_datastore()
-    backing = DiskBacking(datastore=datastore, size_gb=40.0)
-    disk = VirtualDisk(label="disk-0", backing=backing, provisioned_gb=40.0)
-    assert consolidate_chain(disk) == 0.0
-    assert disk.backing is backing
-
-
-def test_consolidate_decrements_parent_children():
-    datastore = make_datastore()
-    template = make_template(datastore)
-    anchor = template.disks[0].backing
-    delta = create_linked_backing(anchor, datastore)
-    disk = VirtualDisk(label="disk-0", backing=delta, provisioned_gb=40.0)
-    consolidate_chain(disk)
-    assert anchor.children == 0
 
 
 @given(fanout=st.integers(min_value=1, max_value=50))

@@ -94,12 +94,12 @@ class TestExemplarPipeline:
     def test_scraper_delta_carries_only_grown_buckets(self, telemetry):
         hist = telemetry.histogram("latency_s", "latency")
         hist.observe(2.0, trace_id=1)
-        telemetry.scrape_now()
+        telemetry.scraper.scrape()
         # Next aligned window: a new bucket grows; the old one does not,
         # so its (stale) exemplar must not re-enter the fresh window.
         telemetry.sim._now += 60.0
         hist.observe(500.0, trace_id=2)
-        telemetry.scrape_now()
+        telemetry.scraper.scrape()
         series = telemetry.rollups["latency_s"]
         windows = series.windows(level=0, include_open=True)
         assert len(windows) == 2
@@ -113,7 +113,7 @@ class TestExemplarPipeline:
         for index in range(4):
             hist.observe(10.0 * (index + 1), trace_id=100 + index)
             telemetry.sim._now += 5.0
-            telemetry.scrape_now()
+            telemetry.scraper.scrape()
         series = telemetry.rollups["latency_s"]
         trailing = series.trailing(60.0, now=telemetry.sim.now)
         traces = {entry[1] for entry in trailing.hist.exemplar_entries()}

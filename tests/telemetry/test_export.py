@@ -33,7 +33,7 @@ def telemetry():
     gauge.set(0.4)
     for value in (0.1, 0.2, 0.8):
         hist.observe(value)
-    t.scrape_now()
+    t.scraper.scrape()
     return t
 
 
@@ -109,7 +109,7 @@ class TestDashboard:
             t.probe("federation_reroutes", lambda: 1.0, shard=shard)
             t.probe("federation_remote_completions", lambda s=shard: counters[s],
                     shard=shard)
-        t.scrape_now()
+        t.scraper.scrape()
         text = render_dashboard(t)
         assert "-- federation (per shard) --" in text
         lines = [line for line in text.splitlines() if line.strip().startswith("vc-")]

@@ -12,6 +12,7 @@ import pytest
 from repro.core.experiments import StormRig
 from repro.faults.injector import FaultInjector, FaultTargets
 from repro.faults.schedule import standard_fault_schedule
+from repro.telemetry.metrics import NULL_TELEMETRY
 
 
 def schedule_of(rig):
@@ -61,4 +62,4 @@ def test_task_schedule_identical_with_and_without_telemetry(faults):
     # not vacuous.
     assert rig_on.telemetry.scraper.scrapes > 10
     assert rig_on.telemetry.rollups
-    assert rig_off.telemetry.rollups == {}
+    assert rig_off.telemetry is NULL_TELEMETRY

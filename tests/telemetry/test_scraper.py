@@ -20,9 +20,9 @@ def telemetry(sim):
 def test_counter_scraped_as_delta(telemetry):
     counter = telemetry.counter("reqs_total")
     counter.add(3.0)
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
     counter.add(7.0)
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
     series = telemetry.series("reqs_total")
     window = series.latest()
     # Both scrapes land in one aligned window: deltas 3 then 7.
@@ -34,9 +34,9 @@ def test_counter_scraped_as_delta(telemetry):
 def test_gauge_scraped_as_level(telemetry):
     gauge = telemetry.gauge("depth")
     gauge.set(4.0)
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
     gauge.set(2.0)
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
     window = telemetry.series("depth").latest()
     assert window.max == 4.0
     assert window.last == 2.0
@@ -45,9 +45,9 @@ def test_gauge_scraped_as_level(telemetry):
 def test_probe_sampled_each_scrape(telemetry):
     state = {"v": 1.0}
     telemetry.probe("util", lambda: state["v"], host="h1")
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
     state["v"] = 3.0
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
     series = telemetry.series("util", host="h1")
     assert series is not None
     assert series.latest().count == 2
@@ -58,9 +58,9 @@ def test_histogram_scraped_as_bucket_delta(telemetry):
     hist = telemetry.histogram("latency_s")
     hist.observe(1.0)
     hist.observe(2.0)
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
     hist.observe(4.0)
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
     window = telemetry.series("latency_s").latest()
     assert window.count == 3
     assert window.sum == pytest.approx(7.0)
@@ -72,8 +72,8 @@ def test_histogram_scraped_as_bucket_delta(telemetry):
 def test_unchanged_histogram_not_resampled(telemetry):
     hist = telemetry.histogram("latency_s")
     hist.observe(1.0)
-    telemetry.scrape_now()
-    telemetry.scrape_now()  # no new observations
+    telemetry.scraper.scrape()
+    telemetry.scraper.scrape()  # no new observations
     window = telemetry.series("latency_s").latest()
     assert window.count == 1
 
@@ -87,7 +87,7 @@ def test_watched_registry_scraped_with_labels(sim, telemetry):
     rows.add(10.0)
     queue.set(3.0)
     seen.record(0.5)
-    telemetry.scrape_now()
+    telemetry.scraper.scrape()
 
     assert telemetry.series("vc-1.stats.rows", component="statsd").latest().sum == 10.0
     assert telemetry.series("vc-1.queue", component="statsd").last_value() == 3.0
@@ -137,4 +137,5 @@ def test_rollup_store_memory_bounded(sim):
     series = telemetry.series("reqs_total")
     assert telemetry.scraper.scrapes >= 900
     # 3 level-0 + 2 level-1 + open + agg — far less than one per scrape.
-    assert series.total_windows() <= 3 + 2 + 2
+    windows = sum(len(series.windows(level=level)) for level in range(len(series.retention)))
+    assert windows <= 3 + 2 + 2

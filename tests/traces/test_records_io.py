@@ -1,4 +1,4 @@
-"""Tests for trace records, IO round-trips, and filters."""
+"""Tests for trace records and IO round-trips."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +6,6 @@ from hypothesis import strategies as st
 
 from repro.traces import (
     TraceRecord,
-    by_op_type,
-    by_success,
-    in_window,
-    provisioning_only,
     read_csv,
     read_jsonl,
     write_csv,
@@ -34,7 +30,6 @@ def test_derived_metrics():
     record = make_record()
     assert record.latency == 5.0
     assert record.queue_wait == 1.0
-    assert record.service_time == 4.0
 
 
 def test_from_dict_rejects_unknown_fields():
@@ -85,33 +80,3 @@ def test_csv_roundtrip_property(submitted, service, wait, success):
         path = pathlib.Path(tmp) / "prop.csv"
         write_csv([record], path)
         assert read_csv(path) == [record]
-
-
-class TestFilters:
-    def records(self):
-        return [
-            make_record(op="deploy", submitted=0.0),
-            make_record(op="power_on", submitted=10.0, success=False),
-            make_record(op="destroy", submitted=20.0),
-            make_record(op="rescan_datastore", submitted=30.0),
-        ]
-
-    def test_by_op_type(self):
-        out = by_op_type(self.records(), "deploy", "destroy")
-        assert [r.op_type for r in out] == ["deploy", "destroy"]
-
-    def test_by_success(self):
-        assert len(by_success(self.records())) == 3
-        assert len(by_success(self.records(), success=False)) == 1
-
-    def test_in_window(self):
-        out = in_window(self.records(), 5.0, 25.0)
-        assert [r.op_type for r in out] == ["power_on", "destroy"]
-
-    def test_in_window_validation(self):
-        with pytest.raises(ValueError):
-            in_window(self.records(), 10.0, 5.0)
-
-    def test_provisioning_only(self):
-        out = provisioning_only(self.records())
-        assert {r.op_type for r in out} == {"deploy", "destroy"}

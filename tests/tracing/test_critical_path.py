@@ -6,7 +6,6 @@ from repro.analysis.spans import (
     aggregate_phase_attribution,
     control_plane_share,
     critical_path,
-    critical_path_length,
     critical_path_phases,
     exclusive_time,
     phase_attribution,
@@ -99,7 +98,7 @@ class TestCriticalPath:
         make_span(tracer, sim, "b", "agent", 4.0, 10.0, parent=root)
         segments = critical_path(root)
         assert [segment.span.name for segment in segments] == ["a", "b"]
-        assert critical_path_length(segments) == pytest.approx(10.0)
+        assert sum(segment.duration for segment in segments) == pytest.approx(10.0)
         starts = [segment.start for segment in segments]
         assert starts == sorted(starts)
 
@@ -116,7 +115,7 @@ class TestCriticalPath:
         make_span(tracer, sim, "a", "db", 1.0, 3.0, parent=root)
         make_span(tracer, sim, "b", "agent", 5.0, 9.0, parent=root)
         segments = critical_path(root)
-        assert critical_path_length(segments) == pytest.approx(10.0)
+        assert sum(segment.duration for segment in segments) == pytest.approx(10.0)
         phases = critical_path_phases(segments)
         assert phases["task"] == pytest.approx(4.0)  # 0-1, 3-5, 9-10
         assert phases["db"] == pytest.approx(2.0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.spans import critical_path, critical_path_length, phase_attribution
+from repro.analysis.spans import critical_path, phase_attribution
 from repro.core.experiments import StormRig
 
 
@@ -33,7 +33,7 @@ def assert_root_invariants(tracer, roots):
         attribution = phase_attribution(root)
         assert sum(attribution.values()) == pytest.approx(root.duration)
         segments = critical_path(root)
-        length = critical_path_length(segments)
+        length = sum(segment.duration for segment in segments)
         assert length <= root.duration + 1e-9
         assert length == pytest.approx(root.duration)
         bounds = [(segment.start, segment.end) for segment in segments]

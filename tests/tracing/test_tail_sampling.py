@@ -280,11 +280,11 @@ class TestSampledTracer:
             seal_trace(sim, plain, f"p{index}")
             seal_trace(sim, sampled, f"s{index}")
         assert len(plain.spans) == 300
-        assert sampled.retained_span_count <= budget
+        assert sampled.sampler.span_count <= budget
         summary = sampled.retention_summary()
         assert summary["offered"] == 100
         assert summary["offered_spans"] == 300
-        assert summary["retained_spans"] == sampled.retained_span_count
+        assert summary["retained_spans"] == sampled.sampler.span_count
         assert summary["span_budget"] == budget
 
     def test_dropped_trees_release_child_index(self, sim):

@@ -5,6 +5,7 @@ import types
 import pytest
 
 from repro.sim.kernel import Simulator
+from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.metrics import Telemetry
 from repro.triage.engine import NO_CULPRIT, NULL_TRIAGE, TriageEngine
 from repro.triage.rules import TriageRule
@@ -116,10 +117,6 @@ class TestRefractoryRefinement:
 
 
 class TestNullTriage:
-    def test_null_engine_is_inert(self):
+    def test_null_engine_is_inert(self, telemetry):
         assert NULL_TRIAGE.is_null
-        assert NULL_TRIAGE.attach() is NULL_TRIAGE
-        assert NULL_TRIAGE.verdicts == ()
-        assert NULL_TRIAGE.render() == []
-        verdict = NULL_TRIAGE.triage_now(10.0, alerts=("a",))
-        assert verdict.named_kind == NO_CULPRIT
+        assert "-- triage" not in render_dashboard(telemetry, triage=NULL_TRIAGE)
