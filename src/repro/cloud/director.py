@@ -128,13 +128,11 @@ class CloudDirector:
 
     def _tripped_hosts(self) -> set[str]:
         """Hosts whose agent circuit breaker is currently open."""
+        agents = self.server.agents_by_host
         out: set[str] = set()
         for host in self.cluster.hosts:
-            try:
-                agent = self.server.agent(host)
-            except KeyError:
-                continue
-            if agent.breaker is not None and agent.breaker.engaged:
+            agent = agents.get(host.entity_id)
+            if agent is not None and agent.breaker is not None and agent.breaker.engaged:
                 out.add(host.entity_id)
         return out
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import typing
 
-from repro.datacenter.entities import Cluster, Datastore, Host
+from repro.datacenter.entities import MB_PER_GB, Cluster, Datastore, Host
 
 
 class PlacementError(Exception):
@@ -45,26 +45,41 @@ class PlacementEngine:
         director passes hosts that already failed this VM's deploy so a
         retry re-places elsewhere.
         """
-        candidates = cluster.usable_hosts
-        if exclude_hosts:
-            candidates = [
-                host for host in candidates if host.entity_id not in exclude_hosts
-            ]
-        if not candidates:
+        candidates: list[Host] = []
+        usable = False  # a usable host survived the exclusions
+        best: Host | None = None  # min over (len(vms), entity_id)
+        best_load = 0
+        for host in cluster.usable_hosts:
+            if host.entity_id in exclude_hosts:
+                continue
+            usable = True
+            # Host.can_admit, inlined with the same float operations.
+            if memory_gb > 0.0 and not (
+                host.powered_on_mb / MB_PER_GB + memory_gb
+                <= host.memory_gb * host.memory_overcommit + 1e-9
+            ):
+                continue
+            candidates.append(host)
+            load = len(host.vms)
+            if (
+                best is None
+                or load < best_load
+                or (load == best_load and host.entity_id < best.entity_id)
+            ):
+                best, best_load = host, load
+        if not usable:
             raise PlacementError(f"cluster {cluster.name!r} has no usable hosts")
-        if memory_gb > 0.0:
-            candidates = [host for host in candidates if host.can_admit(memory_gb)]
-            if not candidates:
-                raise PlacementError(
-                    f"no host in {cluster.name!r} can admit {memory_gb:.0f} GB"
-                )
+        if best is None:
+            raise PlacementError(
+                f"no host in {cluster.name!r} can admit {memory_gb:.0f} GB"
+            )
         if self.policy == "round_robin":
             host = candidates[self._host_cursor % len(candidates)]
             self._host_cursor += 1
             return host
         if self.policy == "random":
             return self.rng.choice(candidates)
-        return min(candidates, key=lambda host: (len(host.vms), host.entity_id))
+        return best
 
     def choose_datastore(
         self,
@@ -76,14 +91,25 @@ class PlacementEngine:
         ids) removes known-bad candidates, mirroring ``exclude_hosts`` —
         a datastore that just failed a copy would otherwise stay the
         most-free (it fills slower) and attract every retry."""
-        shared = cluster.shared_datastores()
-        candidates = [ds for ds in shared if ds.free_gb >= required_gb]
-        if exclude_datastores:
-            filtered = [
-                ds for ds in candidates if ds.entity_id not in exclude_datastores
-            ]
-            if filtered:
-                candidates = filtered
+        roomy: list[Datastore] = []  # shared datastores with room
+        kept: list[Datastore] = []  # those of them not excluded
+        # max over (free_gb, entity_id) of each list. shared_datastores()
+        # is in entity_id order, so ``>=`` breaks ties toward the larger id.
+        best = best_kept = None
+        best_free = best_kept_free = 0.0
+        for datastore in cluster.shared_datastores():
+            free = datastore.capacity_gb - datastore.used_gb  # Datastore.free_gb
+            if not free >= required_gb:
+                continue
+            roomy.append(datastore)
+            if best is None or free >= best_free:
+                best, best_free = datastore, free
+            if datastore.entity_id in exclude_datastores:
+                continue
+            kept.append(datastore)
+            if best_kept is None or free >= best_kept_free:
+                best_kept, best_kept_free = datastore, free
+        candidates = kept or roomy
         if not candidates:
             raise PlacementError(
                 f"no shared datastore in {cluster.name!r} with {required_gb:.1f} GB free"
@@ -94,7 +120,7 @@ class PlacementEngine:
             return datastore
         if self.policy == "random":
             return self.rng.choice(candidates)
-        return max(candidates, key=lambda ds: (ds.free_gb, ds.entity_id))
+        return best_kept if kept else best
 
     def choose(
         self,

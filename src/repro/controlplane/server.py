@@ -251,6 +251,12 @@ class ManagementServer:
         return proxy if proxy is not None else agent
 
     @property
+    def agents_by_host(self) -> dict[str, HostAgent]:
+        """The real agent of each adopted host, by host ``entity_id`` (a
+        live view; do not mutate)."""
+        return self._agents
+
+    @property
     def hosts(self) -> list[Host]:
         return [agent.host for agent in self._agents.values()]
 

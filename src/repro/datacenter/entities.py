@@ -120,27 +120,73 @@ class Host(ManagedEntity):
     def mount(self, datastore: Datastore) -> None:
         self.datastores.add(datastore)
         datastore.hosts.add(self)
+        if self.cluster is not None:
+            self.cluster.views_changed()
 
     def attach_network(self, network: Network) -> None:
         self.networks.add(network)
 
 
+class _ClusterViewed:
+    """A Host field whose writes clear its cluster's cached views.
+
+    The descriptor has no ``__get__``, so reads fall through to the
+    instance ``__dict__`` like a plain attribute.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __set__(self, host: Host, value: typing.Any) -> None:
+        host.__dict__[self.name] = value
+        cluster = host.__dict__.get("cluster")
+        if cluster is not None:
+            cluster.views_changed()
+
+
+Host.state = _ClusterViewed("state")  # type: ignore[assignment]
+
+
 @dataclasses.dataclass(eq=False)
 class Cluster(ManagedEntity):
-    """A DRS/HA cluster of hosts sharing placement decisions."""
+    """A DRS/HA cluster of hosts sharing placement decisions.
 
-    hosts: list[Host] = dataclasses.field(default_factory=list)
+    Hosts join only through ``add_host``. ``usable_hosts`` and
+    ``shared_datastores()`` are kept, not rebuilt per call: the writes
+    that can change them (``Host.state``, ``Host.mount`` and ``add_host``)
+    clear them, and the next read recomputes. A cleared view is replaced,
+    never edited, so a caller holding an old list keeps a consistent
+    snapshot.
+    """
+
+    hosts: list[Host] = dataclasses.field(default_factory=list, init=False)
     drs_enabled: bool = True
+    _usable: typing.Optional[list[Host]] = dataclasses.field(
+        default=None, init=False, repr=False
+    )
+    _shared: typing.Optional[list[Datastore]] = dataclasses.field(
+        default=None, init=False, repr=False
+    )
 
     def add_host(self, host: Host) -> None:
         if host in self.hosts:
             raise ValueError(f"host {host.name!r} already in cluster {self.name!r}")
         self.hosts.append(host)
         host.cluster = self
+        self.views_changed()
+
+    def views_changed(self) -> None:
+        """Drop the cached views; the next read recomputes them."""
+        self._usable = None
+        self._shared = None
 
     @property
     def usable_hosts(self) -> list[Host]:
-        return [host for host in self.hosts if host.is_usable]
+        """Connected hosts in join order (a live view; do not mutate)."""
+        usable = self._usable
+        if usable is None:
+            usable = self._usable = [host for host in self.hosts if host.is_usable]
+        return usable
 
     @property
     def vm_count(self) -> int:
@@ -148,14 +194,16 @@ class Cluster(ManagedEntity):
 
     def shared_datastores(self) -> list[Datastore]:
         """Datastores mounted by every usable host (valid placement
-        targets), in ``entity_id`` order so callers pick deterministically."""
-        usable = self.usable_hosts
-        if not usable:
-            return []
-        shared = set(usable[0].datastores)
-        for host in usable[1:]:
-            shared &= host.datastores
-        return sorted(shared, key=lambda ds: ds.entity_id)
+        targets), in ``entity_id`` order so callers pick deterministically
+        (a live view; do not mutate)."""
+        shared = self._shared
+        if shared is None:
+            usable = self.usable_hosts
+            common = set(usable[0].datastores) if usable else set()
+            for host in usable[1:]:
+                common &= host.datastores
+            shared = self._shared = sorted(common, key=lambda ds: ds.entity_id)
+        return shared
 
 
 @dataclasses.dataclass(eq=False)

@@ -35,7 +35,9 @@ class DiskBacking:
 
     ``parent`` is None for a base backing; linked clones hang delta
     backings off shared read-only parents. ``size_gb`` is the *allocated*
-    size of this link only (deltas start small and grow).
+    size of this link only (deltas start small and grow). ``chain_depth``
+    counts the links from this backing to the base (base == 1); it is set
+    once here, since ``parent`` never changes after construction.
     """
 
     datastore: Datastore
@@ -44,22 +46,14 @@ class DiskBacking:
     read_only: bool = False
     backing_id: int = dataclasses.field(default_factory=lambda: next(_backing_ids))
     children: int = 0
+    chain_depth: int = dataclasses.field(default=1, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size_gb < 0:
             raise ValueError(f"negative backing size {self.size_gb}")
         if self.parent is not None:
             self.parent.children += 1
-
-    @property
-    def chain_depth(self) -> int:
-        """Number of links from this backing to the base (base == 1)."""
-        depth = 1
-        backing = self
-        while backing.parent is not None:
-            depth += 1
-            backing = backing.parent
-        return depth
+            self.chain_depth = self.parent.chain_depth + 1
 
     def chain(self) -> list["DiskBacking"]:
         """This backing and all ancestors, leaf first."""
@@ -166,7 +160,11 @@ class VirtualMachine(ManagedEntity):
 
     @property
     def max_chain_depth(self) -> int:
-        return max((disk.chain_depth for disk in self.disks), default=0)
+        depth = 0
+        for disk in self.disks:
+            if disk.backing.chain_depth > depth:
+                depth = disk.backing.chain_depth
+        return depth
 
     def place_on(self, host: Host) -> None:
         self.host = host

@@ -10,6 +10,7 @@ from repro.tracing.span import PHASE_TASK, Span
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.controlplane.server import ManagementServer
     from repro.controlplane.task_manager import Task
+    from repro.sim.kernel import Simulator
 
 CONTROL = "control"
 DATA = "data"
@@ -49,7 +50,7 @@ def phase(
     task: "Task",
     name: str,
     plane: str,
-    sim_now: typing.Callable[[], float],
+    sim: "Simulator",
     body: typing.Generator | typing.Callable[[Span], typing.Generator],
     tag: str = PHASE_TASK,
 ) -> typing.Generator[typing.Any, typing.Any, typing.Any]:
@@ -57,7 +58,7 @@ def phase(
 
     Usage inside an operation::
 
-        result = yield from phase(task, "validate", CONTROL, lambda: server.sim.now,
+        result = yield from phase(task, "validate", CONTROL, server.sim,
                                   server.cpu_work(costs.api_validate_s))
 
     When tracing is on (``task.span`` is real) the phase also opens a
@@ -72,14 +73,14 @@ def phase(
         span = span.child(name, phase=tag, tags={"plane": plane})
     if callable(body):
         body = body(span)
-    start = sim_now()
+    start = sim.now
     try:
         result = yield from body
     except BaseException as exc:
         span.finish(error=type(exc).__name__)
         raise
     span.finish()
-    task.phases.append((name, plane, sim_now() - start))
+    task.phases.append((name, plane, sim.now - start))
     return result
 
 
@@ -135,7 +136,7 @@ class Operation:
         body: typing.Generator | typing.Callable[[Span], typing.Generator],
         tag: str = PHASE_TASK,
     ) -> typing.Generator[typing.Any, typing.Any, typing.Any]:
-        return phase(task, name, plane, lambda: server.sim.now, body, tag=tag)
+        return phase(task, name, plane, server.sim, body, tag=tag)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.op_type.value}>"

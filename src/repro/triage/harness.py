@@ -191,7 +191,6 @@ def run_triage_point(
     kind: str | None,
     duration_s: float = 600.0,
     arrival_rate: float = 1.2,
-    triage: bool = True,
     grace_s: float = 240.0,
     sample_budget: int | None = None,
     recorder: bool = False,
@@ -205,7 +204,7 @@ def run_triage_point(
     """
     rig = deploy_rig(
         seed, duration_s=duration_s, arrival_rate=arrival_rate, scrape_interval_s=5.0,
-        rules=ALERT_RULES + TRIAGE_RULES, bus=True, full_clone_every=8, triage=triage,
+        rules=ALERT_RULES + TRIAGE_RULES, bus=True, full_clone_every=8, triage=True,
         sample_budget=sample_budget, recorder=recorder,
     )
     storm = rig.env

@@ -224,13 +224,16 @@ class WorkloadDriver:
 
     # -- targets ----------------------------------------------------------------------
 
-    def _tenant_vms(self, predicate=None) -> list[VirtualMachine]:
+    def _tenant_vms(self, power: PowerState | None = None) -> list[VirtualMachine]:
+        """Placed non-template VMs in ``entity_id`` order; with ``power``,
+        only those in that power state."""
+        vms = self.server.inventory.vms_by_id()
+        if power is None:
+            return [vm for vm in vms if not vm.is_template and vm.host is not None]
         return [
             vm
-            for vm in self.server.inventory.vms_by_id()
-            if not vm.is_template
-            and vm.host is not None
-            and (predicate is None or predicate(vm))
+            for vm in vms
+            if vm.power_state is power and not vm.is_template and vm.host is not None
         ]
 
     def _pick(self, items: list) -> typing.Any:
@@ -292,7 +295,7 @@ class WorkloadDriver:
     def _issue_clone(self, linked: bool) -> None:
         """A raw template clone (trace replay uses these directly)."""
         template = self.library.get(DEFAULT_SPECS[1].name)
-        host = self._pick([h for h in self.cluster.usable_hosts])
+        host = self._pick(self.cluster.usable_hosts)
         datastore = self._pick(self.cluster.shared_datastores())
         if host is None or datastore is None:
             self._skip("clone_no_capacity")
@@ -308,14 +311,14 @@ class WorkloadDriver:
         self._submit_guarded(operation, "clone")
 
     def _issue_power_on(self) -> None:
-        vm = self._pick(self._tenant_vms(lambda vm: vm.power_state == PowerState.OFF))
+        vm = self._pick(self._tenant_vms(PowerState.OFF))
         if vm is None:
             self._skip("power_on_no_target")
             return
         self._submit_guarded(PowerOn(vm), "power-on")
 
     def _issue_power_off(self) -> None:
-        vm = self._pick(self._tenant_vms(lambda vm: vm.power_state == PowerState.ON))
+        vm = self._pick(self._tenant_vms(PowerState.ON))
         if vm is None:
             self._skip("power_off_no_target")
             return
@@ -332,7 +335,13 @@ class WorkloadDriver:
 
     def _issue_snapshot_create(self) -> None:
         vm = self._pick(
-            self._tenant_vms(lambda vm: vm.max_chain_depth < MAX_CHAIN_DEPTH - 2)
+            [
+                vm
+                for vm in self.server.inventory.vms_by_id()
+                if not vm.is_template
+                and vm.host is not None
+                and vm.max_chain_depth < MAX_CHAIN_DEPTH - 2
+            ]
         )
         if vm is None:
             self._skip("snapshot_no_target")
@@ -340,7 +349,13 @@ class WorkloadDriver:
         self._submit_guarded(CreateSnapshot(vm, f"auto-{self.sim.now:.0f}"), "snapshot")
 
     def _issue_snapshot_delete(self) -> None:
-        vm = self._pick(self._tenant_vms(lambda vm: bool(vm.snapshots)))
+        vm = self._pick(
+            [
+                vm
+                for vm in self.server.inventory.vms_by_id()
+                if vm.snapshots and not vm.is_template and vm.host is not None
+            ]
+        )
         if vm is None:
             self._skip("snapshot_delete_no_target")
             return
@@ -353,7 +368,7 @@ class WorkloadDriver:
         self._submit_guarded(DeleteSnapshot(vm, written_gb=written_gb), "snapshot-delete")
 
     def _issue_migrate(self) -> None:
-        vm = self._pick(self._tenant_vms(lambda vm: vm.power_state == PowerState.ON))
+        vm = self._pick(self._tenant_vms(PowerState.ON))
         if vm is None:
             self._skip("migrate_no_target")
             return

@@ -44,7 +44,7 @@ def test_phase_helper_rejects_unknown_plane():
 
     def proc():
         with pytest.raises(ValueError, match="unknown plane"):
-            yield from phase(task, "x", "quantum", lambda: 0.0, iter(()))
+            yield from phase(task, "x", "quantum", cloud.sim, iter(()))
         yield cloud.sim.timeout(0.0)
 
     cloud.sim.run(until=cloud.sim.spawn(proc()))

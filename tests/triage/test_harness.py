@@ -65,10 +65,3 @@ class TestRunTriagePoint:
             v.render() for v in second.verdicts
         ]
         assert first.manifest.to_dicts() == second.manifest.to_dicts()
-
-    def test_triage_off_records_nothing(self):
-        point = run_triage_point(
-            seed=5, kind="server_crash", duration_s=420.0, triage=False
-        )
-        assert point.verdicts == []
-        assert point.alerts >= 1  # alerts still fire; nobody listens
