@@ -5,9 +5,10 @@ Builds a loaded cluster, then exercises the availability machinery:
 
 1. a host fails → the HA manager restarts its VMs elsewhere (a power-on
    storm through the control plane);
-2. the DRS balancer smooths the resulting skew with live migrations;
-3. the failed host comes back and is rotated through maintenance mode
-   (evacuate → fence → unfence), the rolling-patch routine clouds run.
+2. the failed host comes back empty and the DRS balancer smooths the
+   skew with live migrations;
+3. a loaded host is rotated through maintenance mode (evacuate → fence →
+   unfence), the rolling-patch routine clouds run.
 
 Everything is ordinary management-plane work — the example prints how
 many tasks each stage cost and where the time went.
@@ -53,18 +54,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    import random
-
-    from repro.cloud import PlacementEngine
-
     rig = StormRig(seed=args.seed, hosts=6, datastores=4)
     seed_residents(rig, args.vms)
-    # Random restart placement (a panicked HA pass), so DRS has work to do.
-    ha = HAManager(
-        rig.server,
-        rig.cluster,
-        placement=PlacementEngine(policy="random", rng=random.Random(args.seed)),
-    )
+    ha = HAManager(rig.server, rig.cluster)
     rows = []
 
     # Stage 1: host failure and HA restart storm.
@@ -86,7 +78,8 @@ def main() -> None:
         ]
     )
 
-    # Stage 2: DRS smooths the skew the restarts created.
+    # Stage 2: the failed host returns empty; DRS smooths the skew.
+    ha.recover_host(victim)
     balancer = LoadBalancer(
         rig.server, rig.cluster, imbalance_threshold=1, max_moves_per_round=4
     )
@@ -108,9 +101,8 @@ def main() -> None:
         ]
     )
 
-    # Stage 3: the failed host returns; rotate a *loaded* host through
-    # maintenance (the rolling-patch routine).
-    ha.recover_host(victim)
+    # Stage 3: rotate a *loaded* host through maintenance (the
+    # rolling-patch routine).
     patched = max(rig.hosts, key=lambda host: len(host.vms))
     mark = len(rig.server.tasks.tasks)
     start = rig.sim.now
@@ -140,7 +132,7 @@ def main() -> None:
             title=f"Availability workflow costs ({args.vms} VMs/host, 6 hosts)",
         )
     )
-    restart_p95 = ha.metrics.latency("restart_latency").percentile(0.95)
+    restart_p95 = ha.restart_latency.percentile(0.95)
     print(f"\nHA restart p95: {restart_p95:.1f}s — all of it control-plane work.")
 
 

@@ -119,20 +119,18 @@ def main() -> None:
     sim.run(until=horizon)
     sim.run()  # drain
 
-    deploys = director.metrics.counter("deploy_requests").value
-    vms = director.metrics.counter("vm_requests").value
     print(
         render_table(
             ["metric", "value"],
             [
                 ["simulated hours", f"{args.hours:.0f}"],
-                ["vApp deploy requests", f"{deploys:.0f}"],
-                ["VMs requested", f"{vms:.0f}"],
+                ["vApp deploy requests", f"{director.deploy_requests:.0f}"],
+                ["VMs requested", f"{director.vm_requests:.0f}"],
                 ["deploy p50 (s)", f"{director.deploy_latency_p(0.5):.1f}"],
                 ["deploy p95 (s)", f"{director.deploy_latency_p(0.95):.1f}"],
                 ["cluster hosts (started with 8)", len(cluster.hosts)],
-                ["elastic add-host actions", f"{policy.metrics.counter('add_host').value:.0f}"],
-                ["elastic add-datastore actions", f"{policy.metrics.counter('add_datastore').value:.0f}"],
+                ["elastic add-host actions", f"{policy.add_host:.0f}"],
+                ["elastic add-datastore actions", f"{policy.add_datastore:.0f}"],
                 ["management tasks completed", len(server.tasks.succeeded())],
             ],
             title="A day of self-service",

@@ -17,7 +17,6 @@ from repro.cloud.tenancy import Organization, User
 from repro.faults.errors import TransientError
 from repro.sim.kernel import Simulator
 from repro.sim.resources import TokenBucket
-from repro.sim.stats import MetricsRegistry
 from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.tracing import NULL_SPAN, PHASE_ADMISSION
 
@@ -73,7 +72,6 @@ class ApiGateway:
         # Off until enable_shedding sets both.
         self.shed_watermark: float | None = None
         self.queue_depth_probe: typing.Callable[[], float] | None = None
-        self.metrics = MetricsRegistry(sim, prefix="api")
         self._sessions: dict[int, Session] = {}
         self._buckets: dict[str, TokenBucket] = {}
         self._next_id = 0
@@ -107,7 +105,6 @@ class ApiGateway:
             last_used_at=self.sim.now,
         )
         self._sessions[session.session_id] = session
-        self.metrics.counter("logins").add()
         return session
 
     def validate(self, session: Session) -> None:
@@ -118,7 +115,6 @@ class ApiGateway:
         if idle > self.session_idle_timeout_s:
             session.closed = True
             del self._sessions[session.session_id]
-            self.metrics.counter("expirations").add()
             raise SessionError(
                 f"session {session.session_id} expired after {idle:.0f}s idle"
             )
@@ -149,7 +145,6 @@ class ApiGateway:
             if self.queue_depth_probe is not None:
                 depth = self.queue_depth_probe()
                 if depth >= self.shed_watermark:
-                    self.metrics.counter("shed").add()
                     self._t_shed.add()
                     raise AdmissionShed(
                         f"task backlog {depth:.0f} >= watermark "
@@ -162,8 +157,6 @@ class ApiGateway:
             raise
         admit_span.finish()
         wait = self.sim.now - start
-        self.metrics.counter("admitted").add()
-        self.metrics.latency("admission_wait").record(wait)
         self._t_admitted.add()
         self._t_wait.observe(
             wait,

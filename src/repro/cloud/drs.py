@@ -13,7 +13,6 @@ import typing
 from repro.datacenter.entities import Cluster, Host
 from repro.datacenter.vm import PowerState, VirtualMachine
 from repro.operations.migration import MigrateVM
-from repro.sim.stats import MetricsRegistry
 from repro.controlplane.server import ManagementServer
 
 
@@ -42,7 +41,6 @@ class LoadBalancer:
         self.check_interval_s = check_interval_s
         self.imbalance_threshold = imbalance_threshold
         self.max_moves_per_round = max_moves_per_round
-        self.metrics = MetricsRegistry(server.sim, prefix="drs")
         self._until: float | None = None
         self._running = False
 
@@ -96,10 +94,8 @@ class LoadBalancer:
             try:
                 yield process
             except Exception:
-                self.metrics.counter("failed_moves").add()
                 continue
             completed += 1
-            self.metrics.counter("moves").add()
         return completed
 
     def start(self, until: float | None = None) -> None:
@@ -121,4 +117,4 @@ class LoadBalancer:
             try:
                 yield from self.rebalance_once()
             except Exception:
-                self.metrics.counter("errors").add()
+                pass  # a failed round must not stop the balancer

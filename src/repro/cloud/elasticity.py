@@ -12,7 +12,6 @@ import typing
 
 from repro.datacenter.entities import Cluster, Datastore, Host
 from repro.operations.reconfiguration import AddDatastore, AddHost
-from repro.sim.stats import MetricsRegistry
 from repro.controlplane.server import ManagementServer
 
 
@@ -67,7 +66,9 @@ class ElasticityPolicy:
         self.check_interval_s = check_interval_s
         self.vms_per_host_high = vms_per_host_high
         self.datastore_free_fraction_low = datastore_free_fraction_low
-        self.metrics = MetricsRegistry(server.sim, prefix="elasticity")
+        # Grow actions taken (the self-service example prints them).
+        self.add_host = 0
+        self.add_datastore = 0
         self.actions: list[tuple[float, str]] = []
         self._running = False
         self._until: float | None = None
@@ -117,7 +118,7 @@ class ElasticityPolicy:
                 process = self.server.submit(AddHost(host, self.cluster, shared))
                 yield process
                 taken.append("add_host")
-                self.metrics.counter("add_host").add()
+                self.add_host += 1
         if self.needs_datastore():
             datastore = self.spares.make_datastore()
             process = self.server.submit(
@@ -125,7 +126,7 @@ class ElasticityPolicy:
             )
             yield process
             taken.append("add_datastore")
-            self.metrics.counter("add_datastore").add()
+            self.add_datastore += 1
         for action in taken:
             self.actions.append((self.server.sim.now, action))
         return taken
@@ -140,4 +141,4 @@ class ElasticityPolicy:
             except Exception:
                 # A failed grow attempt (e.g. host handshake timeout) must
                 # not kill the watcher; it retries next interval.
-                self.metrics.counter("errors").add()
+                pass

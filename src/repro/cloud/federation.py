@@ -55,7 +55,7 @@ from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Netw
 from repro.datacenter.templates import DEFAULT_SPECS, TemplateLibrary
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
-from repro.sim.stats import MetricsRegistry
+from repro.sim.stats import LatencyRecorder
 from repro.telemetry import NULL_TELEMETRY
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -145,7 +145,8 @@ class FederatedCloud:
             sim, streams, shard_count=shard_count, costs=costs, config=config,
             journal=journal,
         )
-        self.metrics = MetricsRegistry(sim, prefix="federation")
+        # Tenant-perceived deploy latency (its percentiles are read).
+        self.deploy_latency = LatencyRecorder("deploy_latency")
         self.bus = bus
         self.spill_queue_depth = spill_queue_depth
         self.directors: list[CloudDirector] = []
@@ -193,7 +194,7 @@ class FederatedCloud:
                     cluster,
                     library,
                     catalog,
-                    placement=PlacementEngine(policy="least_loaded"),
+                    placement=PlacementEngine(),
                 )
             )
 
@@ -240,7 +241,6 @@ class FederatedCloud:
             self._next_director = index + 1
             self._org_to_director[org.name] = self.directors[index]
             self._org_home[org.name] = index
-            self.metrics.counter("orgs_homed").add()
         return self._org_to_director[org.name]
 
     def _home_index_for_new_org(self) -> int:
@@ -290,7 +290,7 @@ class FederatedCloud:
             )
             vapp = yield from director.deploy(request)
             self._vapp_director[id(vapp)] = director
-            self.metrics.latency("deploy_latency").record(vapp.deploy_latency)
+            self.deploy_latency.record(vapp.deploy_latency)
             return vapp
         home = self._org_home[org.name]
         started = self.sim.now
@@ -308,7 +308,7 @@ class FederatedCloud:
         # Tenant-perceived latency: publish through completion, bus queue
         # wait included (the affinity path's vapp.deploy_latency starts at
         # director admission, which is the same instant there).
-        self.metrics.latency("deploy_latency").record(self.sim.now - started)
+        self.deploy_latency.record(self.sim.now - started)
         return vapp
 
     # -- federation consumers ------------------------------------------------
@@ -396,7 +396,7 @@ class FederatedCloud:
         return len(self.directors)
 
     def deploy_latency_p(self, fraction: float) -> float:
-        return self.metrics.latency("deploy_latency").percentile(fraction)
+        return self.deploy_latency.percentile(fraction)
 
     def completed_tasks(self) -> int:
         return self.plane.completed_tasks()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 import typing
 
 from repro.datacenter.entities import MB_PER_GB, Cluster, Datastore, Host
@@ -13,25 +12,8 @@ class PlacementError(Exception):
 
 
 class PlacementEngine:
-    """Host/datastore selection with pluggable policies.
-
-    Policies:
-
-    - ``least_loaded`` (default): fewest VMs per host, most free space per
-      datastore — a DRS-like greedy heuristic.
-    - ``round_robin``: cycles deterministically (reproducible spreads).
-    - ``random``: uniform choice from the seeded stream.
-    """
-
-    POLICIES = ("least_loaded", "round_robin", "random")
-
-    def __init__(self, policy: str = "least_loaded", rng: random.Random | None = None) -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown placement policy {policy!r}")
-        self.policy = policy
-        self.rng = rng or random.Random(0)
-        self._host_cursor = 0
-        self._ds_cursor = 0
+    """Least-loaded host/datastore selection: fewest VMs per host, most
+    free space per datastore — a DRS-like greedy heuristic."""
 
     def choose_host(
         self,
@@ -45,7 +27,6 @@ class PlacementEngine:
         director passes hosts that already failed this VM's deploy so a
         retry re-places elsewhere.
         """
-        candidates: list[Host] = []
         usable = False  # a usable host survived the exclusions
         best: Host | None = None  # min over (len(vms), entity_id)
         best_load = 0
@@ -59,7 +40,6 @@ class PlacementEngine:
                 <= host.memory_gb * host.memory_overcommit + 1e-9
             ):
                 continue
-            candidates.append(host)
             load = len(host.vms)
             if (
                 best is None
@@ -73,12 +53,6 @@ class PlacementEngine:
             raise PlacementError(
                 f"no host in {cluster.name!r} can admit {memory_gb:.0f} GB"
             )
-        if self.policy == "round_robin":
-            host = candidates[self._host_cursor % len(candidates)]
-            self._host_cursor += 1
-            return host
-        if self.policy == "random":
-            return self.rng.choice(candidates)
         return best
 
     def choose_datastore(
@@ -91,36 +65,26 @@ class PlacementEngine:
         ids) removes known-bad candidates, mirroring ``exclude_hosts`` —
         a datastore that just failed a copy would otherwise stay the
         most-free (it fills slower) and attract every retry."""
-        roomy: list[Datastore] = []  # shared datastores with room
-        kept: list[Datastore] = []  # those of them not excluded
-        # max over (free_gb, entity_id) of each list. shared_datastores()
-        # is in entity_id order, so ``>=`` breaks ties toward the larger id.
+        # max over (free_gb, entity_id) of the shared datastores with room,
+        # and of those not excluded. shared_datastores() is in entity_id
+        # order, so ``>=`` breaks ties toward the larger id.
         best = best_kept = None
         best_free = best_kept_free = 0.0
         for datastore in cluster.shared_datastores():
             free = datastore.capacity_gb - datastore.used_gb  # Datastore.free_gb
             if not free >= required_gb:
                 continue
-            roomy.append(datastore)
             if best is None or free >= best_free:
                 best, best_free = datastore, free
             if datastore.entity_id in exclude_datastores:
                 continue
-            kept.append(datastore)
             if best_kept is None or free >= best_kept_free:
                 best_kept, best_kept_free = datastore, free
-        candidates = kept or roomy
-        if not candidates:
+        if best is None:
             raise PlacementError(
                 f"no shared datastore in {cluster.name!r} with {required_gb:.1f} GB free"
             )
-        if self.policy == "round_robin":
-            datastore = candidates[self._ds_cursor % len(candidates)]
-            self._ds_cursor += 1
-            return datastore
-        if self.policy == "random":
-            return self.rng.choice(candidates)
-        return best_kept if kept else best
+        return best_kept if best_kept is not None else best
 
     def choose(
         self,

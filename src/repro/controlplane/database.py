@@ -15,7 +15,7 @@ from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Simulator
 from repro.sim.random import bounded, lognormal_from_median
 from repro.sim.resources import Resource
-from repro.sim.stats import MetricsRegistry
+from repro.telemetry.metrics import NULL_SCOPE
 from repro.tracing import NULL_SPAN, PHASE_DB, PHASE_QUEUE
 from repro.controlplane.costs import ControlPlaneCosts
 
@@ -30,13 +30,17 @@ class DatabaseModel:
         connections: int,
         rng: random.Random,
         batching: bool = False,
-        metrics: MetricsRegistry | None = None,
+        telemetry=None,
     ) -> None:
         self.sim = sim
         self.costs = costs
         self.batching = batching
         self.rng = rng
-        self.metrics = metrics or MetricsRegistry(sim, prefix="db")
+        # Rows and statement latency per kind ("reads", "writes"), under
+        # the server's scope (``vc-1.db.writes``, ``vc-1.db.writes_latency``).
+        scope = telemetry if telemetry is not None else NULL_SCOPE
+        self._t_rows = {kind: scope.counter(kind) for kind in ("reads", "writes")}
+        self._t_latency = {kind: scope.duration(f"{kind}_latency") for kind in ("reads", "writes")}
         self.pool = Resource(sim, capacity=connections, name="db-connections")
         self.faults = FaultHook(sim, name="db", rng=rng)
         self._busy_seconds = 0.0
@@ -72,7 +76,7 @@ class DatabaseModel:
         op_span = span.child(f"db.{kind}", phase=PHASE_DB, tags={"rows": rows}) if traced else span
         try:
             # Injected DB faults surface before any connection is consumed:
-            # one-shot errors fail the statement, latency windows stretch it.
+            # outages and drops fail the statement, latency windows stretch it.
             factor = self.faults.fire() if self.faults.armed else 1.0
             request = self.pool.request()
             wait_span = (
@@ -92,8 +96,8 @@ class DatabaseModel:
             raise
         op_span.finish()
         self._busy_seconds += service
-        self.metrics.counter(kind).add(rows)
-        self.metrics.latency(f"{kind}_latency").record(self.sim.now - start)
+        self._t_rows[kind].add(rows)
+        self._t_latency[kind].observe(self.sim.now - start)
         return self.sim.now - start
 
     def utilization(self, since: float = 0.0) -> float:

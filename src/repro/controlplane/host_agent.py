@@ -6,8 +6,8 @@ operations fan calls out to these agents; a disconnected or wedged agent
 surfaces as a call timeout.
 
 Fault injection enters through ``self.faults`` (a
-:class:`~repro.faults.hooks.FaultHook`): one-shot errors, probabilistic
-drops, and latency multipliers. An optional per-agent
+:class:`~repro.faults.hooks.FaultHook`): outages, probabilistic drops,
+and latency multipliers. An optional per-agent
 :class:`~repro.controlplane.resilience.CircuitBreaker` makes repeated
 failures fail fast instead of burning the full call timeout each try.
 """
@@ -23,7 +23,7 @@ from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Simulator
 from repro.sim.random import bounded, lognormal_from_median
 from repro.sim.resources import Resource
-from repro.sim.stats import MetricsRegistry
+from repro.telemetry.metrics import NULL_SCOPE
 from repro.tracing import NULL_SPAN, PHASE_AGENT, PHASE_QUEUE
 from repro.controlplane.costs import ControlPlaneCosts
 
@@ -49,23 +49,25 @@ class HostAgent:
         costs: ControlPlaneCosts,
         rng: random.Random,
         op_slots: int = 8,
-        metrics: MetricsRegistry | None = None,
+        telemetry=None,
     ) -> None:
         self.sim = sim
         self.host = host
         self.costs = costs
         self.rng = rng
         self.slots = Resource(sim, capacity=op_slots, name=f"hostd:{host.name}")
-        self.metrics = metrics or MetricsRegistry(sim, prefix=f"hostd.{host.entity_id}")
+        # Ids under the server's per-host scope (``vc-1.hostd.host-1.calls``).
+        scope = telemetry if telemetry is not None else NULL_SCOPE
+        self._t_breaker_rejections = scope.counter("breaker_rejections")
+        self._t_call_failures = scope.counter("call_failures")
+        self._t_timeouts = scope.counter("timeouts")
+        self._t_calls = scope.counter("calls")
+        self._t_call_latency = scope.duration("call_latency")
         self.faults = FaultHook(
             sim, name=host.name, rng=rng, error_factory=HostAgentError
         )
         self.breaker: "CircuitBreaker | None" = None
         self._busy_seconds = 0.0
-
-    def inject_failure(self, error: Exception | None = None) -> None:
-        """Fail the next call (failure-injection tests and R-T3 rows)."""
-        self.faults.arm_once(error)
 
     def _note_success(self) -> None:
         if self.breaker is not None:
@@ -107,7 +109,7 @@ class HostAgent:
         self, kind: str, median_s: float, span
     ) -> typing.Generator[typing.Any, typing.Any, None]:
         if self.breaker is not None and not self.breaker.allow():
-            self.metrics.counter("breaker_rejections").add()
+            self._t_breaker_rejections.add()
             raise HostAgentError(
                 f"{kind} on {self.host.name}: circuit breaker open"
             )
@@ -118,7 +120,7 @@ class HostAgent:
                 )
             factor = self.faults.fire() if self.faults.armed else 1.0
         except Exception:
-            self.metrics.counter("call_failures").add()
+            self._t_call_failures.add()
             self._note_failure()
             raise
         start = self.sim.now
@@ -146,7 +148,7 @@ class HostAgent:
                 # count it — timeout storms are exactly when it matters.
                 yield self.sim.timeout(self.costs.host_call_timeout_s)
                 self._busy_seconds += self.costs.host_call_timeout_s
-                self.metrics.counter("timeouts").add()
+                self._t_timeouts.add()
                 self._note_failure()
                 raise HostAgentError(
                     f"{kind} on {self.host.name} timed out after "
@@ -157,8 +159,8 @@ class HostAgent:
             self.slots.release(request)
         self._busy_seconds += service
         self._note_success()
-        self.metrics.counter("calls").add()
-        self.metrics.latency("call_latency").record(self.sim.now - start)
+        self._t_calls.add()
+        self._t_call_latency.observe(self.sim.now - start)
 
     @property
     def queue_depth(self) -> int:

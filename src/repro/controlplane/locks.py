@@ -16,7 +16,8 @@ import typing
 
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.stats import MetricsRegistry
+from repro.sim.stats import LatencyRecorder
+from repro.telemetry.metrics import NULL_SCOPE
 
 READ = "read"
 WRITE = "write"
@@ -106,13 +107,17 @@ class LockManager:
         self,
         sim: Simulator,
         granularity: str = "fine",
-        metrics: MetricsRegistry | None = None,
+        telemetry=None,
     ) -> None:
         if granularity not in ("fine", "coarse"):
             raise ValueError(f"unknown granularity {granularity!r}")
         self.sim = sim
         self.granularity = granularity
-        self.metrics = metrics or MetricsRegistry(sim, prefix="locks")
+        # Every acquisition's wait: its mean is the contention figure, and
+        # the scope exports the count and seconds (``vc-1.locks.acquire_wait``).
+        self.acquire_wait = LatencyRecorder("acquire_wait")
+        scope = telemetry if telemetry is not None else NULL_SCOPE
+        self._t_acquire_wait = scope.duration("acquire_wait")
         self._locks: dict[str, RWLock] = {}
 
     def _lock(self, key: str) -> RWLock:
@@ -166,7 +171,9 @@ class LockManager:
                     held.lock.release(held)
                 raise
             grants.append(grant)
-        self.metrics.latency("acquire_wait").record(self.sim.now - start)
+        wait = self.sim.now - start
+        self.acquire_wait.record(wait)
+        self._t_acquire_wait.observe(wait)
         return grants
 
     def release(self, grants: list[RWGrant]) -> None:
@@ -194,7 +201,7 @@ class LockManager:
 
     def contention(self) -> float:
         """Mean lock-acquire wait across all acquisitions (seconds)."""
-        return self.metrics.latency("acquire_wait").mean
+        return self.acquire_wait.mean
 
 
 class LockScope:

@@ -30,10 +30,10 @@ import random
 import typing
 
 from repro.faults.errors import TransientError
+from repro.telemetry.metrics import NULL_SCOPE
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-    from repro.sim.stats import MetricsRegistry
 
 
 class TaskDeadlineExceeded(Exception):
@@ -165,6 +165,10 @@ class CircuitBreaker:
     ``half_open_probes`` calls → CLOSED on a success, back to OPEN on a
     failure. Callers ask :meth:`allow` before the call and report the
     outcome with :meth:`record_success` / :meth:`record_failure`.
+
+    ``telemetry`` is the owning agent's scope: it exports
+    ``breaker_opens``, ``breaker_fast_fails`` and, from the first trip
+    on, ``breaker_state``.
     """
 
     def __init__(
@@ -172,23 +176,20 @@ class CircuitBreaker:
         sim: "Simulator",
         policy: BreakerPolicy,
         name: str = "",
-        metrics: "MetricsRegistry | None" = None,
+        telemetry=None,
     ) -> None:
         self.sim = sim
         self.policy = policy
         self.name = name
-        self.metrics = metrics
+        self._scope = telemetry if telemetry is not None else NULL_SCOPE
+        self._t_fast_fails = self._scope.counter("breaker_fast_fails")
+        self._t_opens = self._scope.counter("breaker_opens")
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at: float | None = None
         self.opens = 0
         self.fast_fails = 0
         self._probes_inflight = 0
-
-    def _set_state(self, state: BreakerState) -> None:
-        self.state = state
-        if self.metrics is not None:
-            self.metrics.gauge("breaker_state").set(BREAKER_STATE_VALUE[state])
 
     @property
     def engaged(self) -> bool:
@@ -214,26 +215,23 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             assert self.opened_at is not None
             if self.sim.now - self.opened_at >= self.policy.cooldown_s:
-                self._set_state(BreakerState.HALF_OPEN)
+                self.state = BreakerState.HALF_OPEN
                 self._probes_inflight = 0
             else:
                 self.fast_fails += 1
-                if self.metrics is not None:
-                    self.metrics.counter("breaker_fast_fails").add()
+                self._t_fast_fails.add()
                 return False
         if self.state is BreakerState.HALF_OPEN:
             if self._probes_inflight >= self.policy.half_open_probes:
                 self.fast_fails += 1
-                if self.metrics is not None:
-                    self.metrics.counter("breaker_fast_fails").add()
+                self._t_fast_fails.add()
                 return False
             self._probes_inflight += 1
         return True
 
     def record_success(self) -> None:
         self.consecutive_failures = 0
-        if self.state is not BreakerState.CLOSED:
-            self._set_state(BreakerState.CLOSED)
+        self.state = BreakerState.CLOSED
         self._probes_inflight = 0
 
     def record_failure(self) -> None:
@@ -247,12 +245,13 @@ class CircuitBreaker:
             self._trip()
 
     def _trip(self) -> None:
-        self._set_state(BreakerState.OPEN)
+        if self.opened_at is None:  # the first trip: the state joins the scrape
+            self._scope.probe("breaker_state", lambda: BREAKER_STATE_VALUE[self.state])
+        self.state = BreakerState.OPEN
         self.opened_at = self.sim.now
         self.opens += 1
         self._probes_inflight = 0
-        if self.metrics is not None:
-            self.metrics.counter("breaker_opens").add()
+        self._t_opens.add()
 
 
 @dataclasses.dataclass(frozen=True)

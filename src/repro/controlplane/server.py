@@ -23,7 +23,6 @@ from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Process, Simulator
 from repro.sim.random import RandomStreams, bounded, lognormal_from_median
 from repro.sim.resources import Resource
-from repro.sim.stats import MetricsRegistry
 from repro.storage.copy_engine import CopyEngine
 from repro.storage.scheduler import CopyScheduler
 from repro.controlplane.bus import AgentProxy, NULL_BUS
@@ -67,7 +66,6 @@ class ManagementServer:
         self.streams = streams
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.metrics = MetricsRegistry(sim, prefix=name)
         self.inventory = Inventory()
 
         self.database = DatabaseModel(
@@ -76,12 +74,12 @@ class ManagementServer:
             connections=self.config.db_connections,
             rng=streams.stream(f"{name}:db"),
             batching=self.config.db_batching,
-            metrics=MetricsRegistry(sim, prefix=f"{name}.db"),
+            telemetry=self.telemetry.scope(f"{name}.db", component="db"),
         )
         self.locks = LockManager(
             sim,
             granularity=self.config.lock_granularity,
-            metrics=MetricsRegistry(sim, prefix=f"{name}.locks"),
+            telemetry=self.telemetry.scope(f"{name}.locks", component="locks"),
         )
         self.retry_budget = (
             RetryBudget(ratio=self.config.retry_budget_ratio)
@@ -93,13 +91,12 @@ class ManagementServer:
             self.database,
             max_inflight=self.config.max_inflight_tasks,
             per_type_limits=self.config.per_type_limits,
-            metrics=MetricsRegistry(sim, prefix=f"{name}.tasks"),
             retry_policy=self.config.retry_policy,
             retry_budget=self.retry_budget,
             task_deadline_s=self.config.task_deadline_s,
             rng=streams.stream(f"{name}:retry"),
             tracer=self.tracer,
-            telemetry=self.telemetry,
+            telemetry=self.telemetry.scope(f"{name}.tasks", component="tasks"),
         )
         self.cpu = Resource(sim, capacity=self.config.cpu_workers, name=f"{name}-cpu")
         self._cpu_rng = streams.stream(f"{name}:cpu")
@@ -107,14 +104,14 @@ class ManagementServer:
 
         self.copy_engine = CopyEngine(
             sim,
-            metrics=MetricsRegistry(sim, prefix=f"{name}.copy"),
+            telemetry=self.telemetry.scope(f"{name}.copy", component="copy"),
             rng=streams.stream(f"{name}:copy-faults"),
         )
         self.copy_scheduler = CopyScheduler(
             sim,
             self.copy_engine,
             slots_per_datastore=self.config.copy_slots_per_datastore,
-            metrics=MetricsRegistry(sim, prefix=f"{name}.copysched"),
+            telemetry=self.telemetry.scope(f"{name}.copysched", component="copysched"),
         )
         self._agents: dict[str, HostAgent] = {}
         # Whole-server outage hook (shard crashes): submissions fail while
@@ -152,18 +149,9 @@ class ManagementServer:
         self._register_telemetry()
 
     def _register_telemetry(self) -> None:
-        """Expose every child registry and resource to the scraper.
-
-        Registries are *watched* (the scraper reads them; nothing in the
-        hot path changes) and instantaneous resource levels are exposed as
-        read-only probes — both no-ops on :data:`NULL_TELEMETRY`.
-        """
+        """Expose instantaneous resource levels to the scraper as
+        read-only probes (no-ops on :data:`NULL_TELEMETRY`)."""
         telemetry = self.telemetry
-        telemetry.watch_registry(self.database.metrics, component="db")
-        telemetry.watch_registry(self.tasks.metrics, component="tasks")
-        telemetry.watch_registry(self.locks.metrics, component="locks")
-        telemetry.watch_registry(self.copy_engine.metrics, component="copy")
-        telemetry.watch_registry(self.copy_scheduler.metrics, component="copysched")
         telemetry.probe(
             "cpu_utilization", lambda: self.cpu.in_use / self.cpu.capacity
         )
@@ -192,23 +180,23 @@ class ManagementServer:
         """Register an (already-inventoried) host's agent channel."""
         if host.entity_id in self._agents:
             raise ValueError(f"host {host.name!r} already adopted by {self.name}")
+        scope = self.telemetry.scope(f"{self.name}.hostd.{host.entity_id}", host=host.name)
         agent = HostAgent(
             self.sim,
             host,
             self.costs,
             rng=self.streams.stream(f"{self.name}:hostd:{host.entity_id}"),
             op_slots=self.config.per_host_op_slots,
-            metrics=MetricsRegistry(self.sim, prefix=f"{self.name}.hostd.{host.entity_id}"),
+            telemetry=scope,
         )
         if self.config.breaker is not None:
             agent.breaker = CircuitBreaker(
                 self.sim,
                 self.config.breaker,
                 name=host.name,
-                metrics=agent.metrics,
+                telemetry=scope,
             )
         self._agents[host.entity_id] = agent
-        self.telemetry.watch_registry(agent.metrics, host=host.name)
         self.telemetry.probe(
             "hostd_utilization",
             lambda a=agent: a.slots.in_use / a.slots.capacity,
@@ -331,7 +319,6 @@ class ManagementServer:
         if not first:
             return
         victims = [p for p in self._inflight if p.is_alive]
-        self.metrics.counter("crashes").add()
         self.recovery.on_crash(interrupted=len(victims))
         for listener in self.crash_listeners:
             listener(self, self.sim.now)
@@ -481,7 +468,7 @@ class ManagementServer:
             "db": self.database.utilization(since),
             "hostd_mean": hostd,
             "lock_wait_mean_s": self.locks.contention(),
-            "task_queue_mean": self.tasks.metrics.gauge("queue_depth").time_average(since),
+            "task_queue_mean": self.tasks.depth.time_average(since),
         }
 
     def bottleneck(self, since: float = 0.0) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.stats import MetricsRegistry
 from repro.controlplane.server import ManagementServer
 
 # Rows written per host per collection cycle at each stats level
@@ -40,11 +39,13 @@ class StatsCollector:
         self.server = server
         self.interval_s = interval_s
         self.level = level
-        self.metrics = MetricsRegistry(server.sim, prefix=f"{server.name}.stats")
         # The stats pipeline is itself a scrape target: its rows/cycles
         # counters become per-window rates in the telemetry roll-ups
         # (R-X2 reads the modeled stats load through this path).
-        server.telemetry.watch_registry(self.metrics, component="statsd")
+        scope = server.telemetry.scope(f"{server.name}.stats", component="statsd")
+        self._t_pull_errors = scope.counter("pull_errors")
+        self._t_cycles = scope.counter("cycles")
+        self._t_rows = scope.counter("rows")
         self._until: float | None = None
         self._running = False
 
@@ -78,8 +79,8 @@ class StatsCollector:
         try:
             yield from agent.call("stats_pull", PULL_MEDIAN_S)
         except Exception:
-            self.metrics.counter("pull_errors").add()
+            self._t_pull_errors.add()
             return
         yield from self.server.database.write(rows=self.rows_per_cycle_per_host)
-        self.metrics.counter("cycles").add()
-        self.metrics.counter("rows").add(self.rows_per_cycle_per_host)
+        self._t_cycles.add()
+        self._t_rows.add(self.rows_per_cycle_per_host)

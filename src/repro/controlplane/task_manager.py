@@ -13,7 +13,7 @@ and retryable failures that exhaust their attempts/budget/deadline leave a
 :class:`~repro.controlplane.resilience.DeadLetter` record — the retry
 machinery never gives up silently. Observable via the ``retries``,
 ``dead_letter``, ``deadline_exceeded``, and ``retry_budget_denied``
-counters.
+ids under the manager's telemetry scope.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import typing
 from repro.sim.events import AnyOf
 from repro.sim.kernel import Simulator
 from repro.sim.resources import PriorityResource
-from repro.sim.stats import MetricsRegistry
+from repro.sim.stats import Gauge
 from repro.controlplane.database import DatabaseModel
 from repro.controlplane.recovery import (
     NULL_JOURNAL,
@@ -40,7 +40,7 @@ from repro.controlplane.resilience import (
     RetryPolicy,
     TaskDeadlineExceeded,
 )
-from repro.telemetry.metrics import NULL_TELEMETRY
+from repro.telemetry.metrics import NULL_SCOPE
 from repro.tracing import (
     NULL_SPAN,
     NULL_TRACER,
@@ -110,7 +110,6 @@ class TaskManager:
         database: DatabaseModel,
         max_inflight: int,
         per_type_limits: typing.Mapping[str, int] | None = None,
-        metrics: MetricsRegistry | None = None,
         retry_policy: RetryPolicy | None = None,
         retry_budget: RetryBudget | None = None,
         task_deadline_s: float | None = None,
@@ -128,7 +127,6 @@ class TaskManager:
             op_type: PriorityResource(sim, capacity=limit, name=f"limit:{op_type}")
             for op_type, limit in (per_type_limits or {}).items()
         }
-        self.metrics = metrics or MetricsRegistry(sim, prefix="tasks")
         self.retry_policy = retry_policy
         self.retry_budget = retry_budget
         self.task_deadline_s = task_deadline_s
@@ -137,7 +135,10 @@ class TaskManager:
         self.dead_letters: list[DeadLetter] = []
         self._dead_lettered: set[int] = set()
         self._next_id = 0
-        self._depth = self.metrics.gauge("queue_depth")
+        # Retries granted (chaos sweeps read it; the scope exports it too).
+        self.retries = 0
+        # Time-weighted queue depth: R-F7's series and mean.
+        self.depth = Gauge(sim, "queue_depth")
         # Crash-recovery attachments, wired by ManagementServer after
         # construction: the write-ahead journal (NULL_JOURNAL = off, the
         # schedule-neutral default) and the recovery manager that parks
@@ -145,13 +146,31 @@ class TaskManager:
         self.journal = NULL_JOURNAL
         self.recovery = None
         # Telemetry handles, grabbed once (all NULL_METRIC when disabled —
-        # the hot path pays one no-op bound-method call per event).
-        telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self._t_success = telemetry.counter("tasks_completed_total", outcome="success")
-        self._t_error = telemetry.counter("tasks_completed_total", outcome="error")
-        self._t_retries = telemetry.counter("tasks_retries_total")
-        self._t_dead_letter = telemetry.counter("tasks_dead_letter_total")
-        self._t_latency = telemetry.histogram("tasks_latency_s")
+        # the hot path pays one no-op bound-method call per event): the
+        # hub's families, then the ids under this manager's scope
+        # (``vc-1.tasks.retries``), which join the scrape at first write.
+        self._scope = telemetry if telemetry is not None else NULL_SCOPE
+        hub = self._scope.hub
+        self._t_success = hub.counter("tasks_completed_total", outcome="success")
+        self._t_error = hub.counter("tasks_completed_total", outcome="error")
+        self._t_retries_total = hub.counter("tasks_retries_total")
+        self._t_dead_letter_total = hub.counter("tasks_dead_letter_total")
+        self._t_latency = hub.histogram("tasks_latency_s")
+        scope = self._scope
+        self._t_insert_failures = scope.counter("insert_failures")
+        self._t_deadline_exceeded = scope.counter("deadline_exceeded")
+        self._t_crash_reissues = scope.counter("crash_reissues")
+        self._t_retries = scope.counter("retries")
+        self._t_crash_parked = scope.counter("crash_parked")
+        self._t_crash_adopted = scope.counter("crash_adopted")
+        self._t_retry_budget_denied = scope.counter("retry_budget_denied")
+        self._t_dead_letter_deduped = scope.counter("dead_letter_deduped")
+        self._t_dead_letter = scope.counter("dead_letter")
+        self._t_completion_write_failures = scope.counter("completion_write_failures")
+        self._t_latency_all = scope.duration("latency.all")
+        # op type -> its (retries, completed, latency) handles.
+        self._t_by_op: dict[str, tuple] = {}
+        scope.probe("queue_depth", lambda: self.depth.value)
 
     def run_task(
         self,
@@ -226,12 +245,12 @@ class TaskManager:
             if cause is not None:
                 error = cause
             self._fail_terminally(task, error)
-            self.metrics.counter("insert_failures").add()
+            self._t_insert_failures.add()
             raise error
         self.journal.record_admit(task)
         if self.retry_budget is not None:
             self.retry_budget.deposit()
-        self._depth.add(1)
+        self.depth.add(1)
         # Per-category cap first (if configured), then the global limit —
         # matching the real dispatch order (a capped clone can't consume a
         # datacenter-wide slot while waiting on its category). Queue waits
@@ -250,10 +269,10 @@ class TaskManager:
                 break
             except TaskDeadlineExceeded as error:
                 wait_span.finish(error=type(error).__name__)
-                self._depth.add(-1)
+                self.depth.add(-1)
                 for pool, request in granted:
                     pool.release(request)
-                self.metrics.counter("deadline_exceeded").add()
+                self._t_deadline_exceeded.add()
                 self._fail_terminally(task, error)
                 yield from self._finalize(task)
                 raise
@@ -268,7 +287,7 @@ class TaskManager:
                 granted.clear()
                 yield from self._park(task, "dispatch")
         wait_span.finish()
-        self._depth.add(-1)
+        self.depth.add(-1)
         task.state = TaskState.RUNNING
         task.started_at = self.sim.now
         try:
@@ -294,7 +313,7 @@ class TaskManager:
                             verdict = yield from self._park(task, "attempt")
                             if self._settle(task, verdict, cause):
                                 break
-                            self.metrics.counter("crash_reissues").add()
+                            self._t_crash_reissues.add()
                             continue
                         delay = self._retry_delay(task, error)
                         if delay is None:
@@ -302,9 +321,10 @@ class TaskManager:
                             task.error = f"{type(error).__name__}: {error}"
                             self._record_dead_letter(task, error)
                             raise
-                        self.metrics.counter("retries").add()
-                        self.metrics.counter(f"retries.{op_type}").add()
+                        self.retries += 1
                         self._t_retries.add()
+                        self._op_handles(op_type)[0].add()
+                        self._t_retries_total.add()
                         if delay > 0:
                             backoff_span = root_span.child(
                                 "task.backoff",
@@ -324,7 +344,7 @@ class TaskManager:
                                 verdict = yield from self._park(task, "backoff")
                                 if self._settle(task, verdict, cause):
                                     break
-                                self.metrics.counter("crash_reissues").add()
+                                self._t_crash_reissues.add()
                                 continue
                             backoff_span.finish()
                     else:
@@ -377,7 +397,7 @@ class TaskManager:
                 f"task {task.task_id} crash-interrupted but no recovery "
                 f"manager is attached"
             )
-        self.metrics.counter("crash_parked").add()
+        self._t_crash_parked.add()
         verdict = yield from self.recovery.park(task, stage)
         return verdict
 
@@ -392,7 +412,7 @@ class TaskManager:
         """
         if verdict == VERDICT_ADOPT:
             task.state = TaskState.SUCCESS
-            self.metrics.counter("crash_adopted").add()
+            self._t_crash_adopted.add()
             return True
         if verdict == VERDICT_FAILED:
             record = self.journal.terminal_record(task.task_id)
@@ -412,13 +432,13 @@ class TaskManager:
         if task.attempts >= policy.max_attempts:
             return None
         if self.retry_budget is not None and not self.retry_budget.withdraw():
-            self.metrics.counter("retry_budget_denied").add()
+            self._t_retry_budget_denied.add()
             return None
         delay = policy.backoff_s(task.attempts, self.rng)
         if task.deadline is not None and self.sim.now + delay >= task.deadline:
             # A retry that cannot finish by the deadline only deepens the
             # backlog; give up now.
-            self.metrics.counter("deadline_exceeded").add()
+            self._t_deadline_exceeded.add()
             return None
         return delay
 
@@ -449,7 +469,7 @@ class TaskManager:
             task.task_id in self._dead_lettered
             or self.journal.terminal_record(task.task_id) is not None
         ):
-            self.metrics.counter("dead_letter_deduped").add()
+            self._t_dead_letter_deduped.add()
             return
         self._dead_lettered.add(task.task_id)
         self.dead_letters.append(
@@ -462,8 +482,8 @@ class TaskManager:
                 error=task.error or "",
             )
         )
-        self.metrics.counter("dead_letter").add()
         self._t_dead_letter.add()
+        self._t_dead_letter_total.add()
 
     def record_message_dead_letter(self, task: Task, error: BaseException) -> None:
         """Bus-level dead letter for a task-linked message: one shared sink.
@@ -497,16 +517,30 @@ class TaskManager:
         try:
             yield from self.database.write(rows=1, span=task.span)
         except Exception:
-            self.metrics.counter("completion_write_failures").add()
-        self.metrics.counter(f"completed.{task.op_type}").add()
-        self.metrics.latency(f"latency.{task.op_type}").record(task.latency)
-        self.metrics.latency("latency.all").record(task.latency)
+            self._t_completion_write_failures.add()
+        _, completed, latency = self._op_handles(task.op_type)
+        completed.add()
+        latency.observe(task.latency)
+        self._t_latency_all.observe(task.latency)
         outcome = self._t_success if task.state is TaskState.SUCCESS else self._t_error
         outcome.add()
         self._t_latency.observe(
             task.latency,
             trace_id=None if task.span.is_null else task.span.trace_id,
         )
+
+    def _op_handles(self, op_type: str) -> tuple:
+        """One op type's (retries, completed, latency) handles, made on
+        first use; each joins the scrape at its own first write."""
+        handles = self._t_by_op.get(op_type)
+        if handles is None:
+            scope = self._scope
+            handles = self._t_by_op[op_type] = (
+                scope.counter(f"retries.{op_type}"),
+                scope.counter(f"completed.{op_type}"),
+                scope.duration(f"latency.{op_type}"),
+            )
+        return handles
 
     # -- reporting ----------------------------------------------------------
 
@@ -551,7 +585,7 @@ class TaskManager:
 
     @property
     def queue_depth(self) -> float:
-        return self._depth.value
+        return self.depth.value
 
     def queue_depth_series(self) -> list[tuple[float, float]]:
-        return self._depth.series()
+        return self.depth.series()

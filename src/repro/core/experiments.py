@@ -637,7 +637,7 @@ def experiment_f7_queue_depth(seed: int = 0, quick: bool = False) -> ExperimentR
     rig.sim.run()
     depth_series = rig.server.tasks.queue_depth_series()
     max_depth = max((depth for _, depth in depth_series), default=0.0)
-    mean_depth = rig.server.tasks.metrics.gauge("queue_depth").time_average()
+    mean_depth = rig.server.tasks.depth.time_average()
     return ExperimentResult(
         exp_id="R-F7",
         title="Task-queue depth under bursty provisioning",
@@ -917,7 +917,7 @@ def experiment_x1_restart_storm(seed: int = 0, quick: bool = False) -> Experimen
         process = rig.sim.spawn(recover())
         rig.sim.run(until=process)
         recovery_s = rig.sim.now - start
-        p95 = ha.metrics.latency("restart_latency").percentile(0.95)
+        p95 = ha.restart_latency.percentile(0.95)
         rows.append(
             [density, outcome["restarted"], f"{recovery_s:.1f}", f"{p95:.1f}"]
         )
@@ -940,7 +940,7 @@ def experiment_x2_stats_tax(seed: int = 0, quick: bool = False) -> ExperimentRes
     monitoring fidelity competing directly with provisioning throughput.
 
     The modeled stats load itself is read back through the telemetry
-    scraper: the collector's ``rows`` counter is watched, scraped into
+    scraper: the collector's scoped ``rows`` counter is scraped into
     roll-up windows, and the reported rows/s comes from the roll-up sums
     — the same windowing the modeled vCenter hierarchy applies, one
     implementation serving both the model and its observation.

@@ -661,13 +661,11 @@ def deploy_rig(
                 if vapp.deployed_at is not None and vapp.deployed_at <= duration_s
             ),
             "p99_latency_s": director.deploy_latency_p(0.99),
-            "re_places": int(director.metrics.counter("vm_retries").value),
-            "task_retries": int(server.tasks.metrics.counter("retries").value),
-            "breaker_opens": int(
-                sum(
-                    server.agent(host).metrics.counter("breaker_opens").value
-                    for host in storm.hosts
-                )
+            "re_places": director.vm_retries,
+            "task_retries": server.tasks.retries,
+            "breaker_opens": sum(
+                agent.breaker.opens if agent.breaker is not None else 0
+                for agent in map(server.agent, storm.hosts)
             ),
             "unaccounted": len(server.tasks.unaccounted()),
         }

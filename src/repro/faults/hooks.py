@@ -2,9 +2,8 @@
 
 Every injectable component (host agent, database, copy engine, management
 server) owns one :class:`FaultHook` and consults it at the top of each
-operation via :meth:`FaultHook.fire`. The hook composes four fault shapes:
+operation via :meth:`FaultHook.fire`. The hook composes three fault shapes:
 
-- **one-shot errors** (``arm_once``) — the legacy ``inject_failure`` path;
 - **probabilistic drops** (``set_drop``) — each fire fails with probability
   ``rate``;
 - **latency degradation** (``set_latency``) — ``fire`` returns a service
@@ -44,16 +43,11 @@ class FaultHook:
         self.rng = rng or random.Random(0)
         self.error_factory = error_factory
         self.injected = 0
-        self._once: list[BaseException] = []
         self._drops: dict[object, float] = {}
         self._latency: dict[object, float] = {}
         self._blocks: dict[object, str] = {}
 
     # -- arming ------------------------------------------------------------
-
-    def arm_once(self, error: BaseException | None = None) -> None:
-        """Fail exactly one future fire with ``error``."""
-        self._once.append(error or self.error_factory(f"injected fault on {self.name}"))
 
     def set_drop(self, source: object, rate: float) -> None:
         """Fail each fire with probability ``rate`` while ``source`` is armed."""
@@ -105,7 +99,7 @@ class FaultHook:
 
     @property
     def armed(self) -> bool:
-        return bool(self._once or self._drops or self._latency or self._blocks)
+        return bool(self._drops or self._latency or self._blocks)
 
     def blocked(self, key: str | None = None) -> bool:
         for blocked_key in self._blocks.values():
@@ -122,9 +116,6 @@ class FaultHook:
         ``key`` scopes keyed outages (e.g. a datastore entity id); pass
         ``None`` at unkeyed injection points.
         """
-        if self._once:
-            self.injected += 1
-            raise self._once.pop(0)
         if self.blocked(key):
             self.injected += 1
             scope = key if key is not None else "all"

@@ -36,7 +36,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.controlplane.server import ManagementServer
     from repro.faults.hooks import FaultHook
     from repro.sim.kernel import Process, Simulator
-    from repro.sim.stats import MetricsRegistry
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,16 +179,12 @@ class FaultInjector:
         targets: FaultTargets,
         schedule: FaultSchedule,
         rng: random.Random | None = None,
-        metrics: "MetricsRegistry | None" = None,
         name: str = "faults",
     ) -> None:
-        from repro.sim.stats import MetricsRegistry
-
         self.sim = sim
         self.targets = targets
         self.schedule = schedule
         self.rng = rng or random.Random(0x5EED)
-        self.metrics = metrics or MetricsRegistry(sim, prefix=name)
         self.name = name
         self.events: list[FaultEvent] = []
         self.processes: list["Process"] = []
@@ -218,8 +213,6 @@ class FaultInjector:
         description = spec.describe(selection)
         spec.arm(self.targets, token, selection)
         self.active += 1
-        self.metrics.counter("windows_armed").add()
-        self.metrics.gauge("active_windows").set(self.active)
         self.events.append(FaultEvent(self.sim.now, "arm", description))
         # Ground truth is recorded as *resolved*: actual arm instant and
         # the target names drawn from the live infrastructure.
@@ -240,7 +233,6 @@ class FaultInjector:
         finally:
             spec.disarm(self.targets, token, selection)
             self.active -= 1
-            self.metrics.gauge("active_windows").set(self.active)
             self.events.append(FaultEvent(self.sim.now, "disarm", description))
             self._injected[window_index] = dataclasses.replace(
                 self._injected[window_index], end_s=self.sim.now

@@ -213,7 +213,9 @@ class CloneVM(Operation):
             # consult the copy-path fault hook (keyed by datastore) so
             # outages and copy flakiness gate linked clones too, without
             # charging any data-plane time.
-            server.copy_engine.faults.fire(key=self.target_datastore.entity_id)
+            faults = server.copy_engine.faults
+            if faults.armed:
+                faults.fire(key=self.target_datastore.entity_id)
             backing = create_linked_backing(anchor, self.target_datastore)
             vm.attach_disk(
                 VirtualDisk(

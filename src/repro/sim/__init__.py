@@ -15,7 +15,7 @@ The public surface:
 - Resources: :class:`~repro.sim.resources.Resource` and
   :class:`~repro.sim.resources.PriorityResource`.
 - :class:`~repro.sim.random.RandomStreams` — reproducible named substreams.
-- :mod:`~repro.sim.stats` — counters, gauges, latency recorders, time series.
+- :mod:`~repro.sim.stats` — gauges, latency recorders, log histograms, time series.
 """
 
 from repro import _lazy_exports
@@ -28,12 +28,9 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.sim.random": ("RandomStreams",),
         "repro.sim.resources": ("PriorityResource", "Resource"),
         "repro.sim.stats": (
-            "Counter",
             "Gauge",
-            "Histogram",
             "LatencyRecorder",
             "LogHistogram",
-            "MetricsRegistry",
             "TimeSeries",
         ),
     },
@@ -43,15 +40,12 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Call",
-    "Counter",
     "Event",
     "EventCancelled",
     "Gauge",
-    "Histogram",
     "Interrupt",
     "LatencyRecorder",
     "LogHistogram",
-    "MetricsRegistry",
     "PriorityResource",
     "Process",
     "RandomStreams",

@@ -1,34 +1,18 @@
-"""Metrics primitives: counters, time-weighted gauges, latency recorders.
+"""Metrics primitives: time-weighted gauges, latency recorders, sketches.
 
-Every model component publishes into a :class:`MetricsRegistry`; the
-analysis pipeline (``repro.analysis``) reads registries after a run.
+Components keep the values product code reads as plain attributes (or
+one of these recorders); what only the scrape reads goes through
+:mod:`repro.telemetry.metrics` handles.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+import types
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-
-
-class Counter:
-    """A monotonically increasing count (events, bytes, errors)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        if not math.isfinite(amount):
-            raise ValueError(f"counter {self.name!r} increment must be finite, got {amount!r}")
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (got {amount!r})")
-        self.value += amount
 
 
 class Gauge:
@@ -167,38 +151,6 @@ class LatencyRecorder:
             out.append((ordered[-1], 1.0))
         return out
 
-    def samples(self) -> list[float]:
-        return list(self._sorted())
-
-
-class Histogram:
-    """Fixed-bin histogram for bounded quantities (e.g. chain depth)."""
-
-    __slots__ = ("name", "edges", "counts", "underflow", "overflow")
-
-    def __init__(self, name: str, edges: typing.Sequence[float]) -> None:
-        if list(edges) != sorted(edges) or len(edges) < 2:
-            raise ValueError("edges must be a sorted sequence of >= 2 values")
-        self.name = name
-        self.edges = list(edges)
-        self.counts = [0] * (len(edges) - 1)
-        self.underflow = 0
-        self.overflow = 0
-
-    def record(self, value: float) -> None:
-        if value < self.edges[0]:
-            self.underflow += 1
-            return
-        if value >= self.edges[-1]:
-            self.overflow += 1
-            return
-        index = bisect.bisect_right(self.edges, value) - 1
-        self.counts[index] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
 
 #: Default growth factor for :class:`LogHistogram` buckets — four buckets
 #: per octave, so any quantile estimate is within ~9% relative error.
@@ -306,11 +258,6 @@ class LogHistogram:
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
         return self
-
-    def copy(self) -> "LogHistogram":
-        out = LogHistogram(self.name, base=self.base)
-        out.merge(self)
-        return out
 
     @property
     def count(self) -> int:
@@ -431,40 +378,18 @@ class TimeSeries:
         ]
 
 
-class MetricsRegistry:
-    """A namespace of metrics owned by one model component."""
+class CounterView:
+    """Read-only ``counter(name).value`` over an owner's count attributes.
 
-    __slots__ = ("sim", "prefix", "_metrics")
+    ``perfbench/workloads.py`` reads ``copy_engine.metrics.counter(...)``
+    and ``director.metrics.counter(...)``; this view keeps those reads
+    working until that benchmark reads the attributes.
+    """
 
-    def __init__(self, sim: "Simulator", prefix: str = "") -> None:
-        self.sim = sim
-        self.prefix = prefix
-        self._metrics: dict[str, typing.Any] = {}
+    __slots__ = ("_owner",)
 
-    def _key(self, name: str) -> str:
-        return f"{self.prefix}.{name}" if self.prefix else name
+    def __init__(self, owner: object) -> None:
+        self._owner = owner
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, lambda key: Counter(key))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, lambda key: Gauge(self.sim, key))
-
-    def latency(self, name: str) -> LatencyRecorder:
-        return self._get(name, lambda key: LatencyRecorder(key))
-
-    def histogram(self, name: str, edges: typing.Sequence[float]) -> Histogram:
-        return self._get(name, lambda key: Histogram(key, edges))
-
-    def _get(self, name: str, factory: typing.Callable[[str], typing.Any]) -> typing.Any:
-        key = self._key(name)
-        if key not in self._metrics:
-            self._metrics[key] = factory(key)
-        metric = self._metrics[key]
-        return metric
-
-    def all(self) -> dict[str, typing.Any]:
-        return dict(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return self._key(name) in self._metrics
+    def counter(self, name: str) -> types.SimpleNamespace:
+        return types.SimpleNamespace(value=float(getattr(self._owner, name)))

@@ -14,8 +14,8 @@ import typing
 from repro.datacenter.entities import Datastore
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
-from repro.sim.stats import MetricsRegistry
 from repro.storage.copy_engine import CopyEngine
+from repro.telemetry.metrics import NULL_SCOPE
 from repro.tracing import NULL_SPAN, PHASE_COPY
 
 # Default per-datastore concurrent-copy cap, matching the era's
@@ -31,14 +31,16 @@ class CopyScheduler:
         sim: Simulator,
         engine: CopyEngine,
         slots_per_datastore: int = DEFAULT_COPY_SLOTS,
-        metrics: MetricsRegistry | None = None,
+        telemetry=None,
     ) -> None:
         if slots_per_datastore < 1:
             raise ValueError("slots_per_datastore must be >= 1")
         self.sim = sim
         self.engine = engine
         self.slots_per_datastore = slots_per_datastore
-        self.metrics = metrics or MetricsRegistry(sim, prefix="copysched")
+        scope = telemetry if telemetry is not None else NULL_SCOPE
+        self._t_queue_wait = scope.duration("queue_wait")
+        self._t_copy_total = scope.duration("copy_total")
         self._slots: dict[str, Resource] = {}
 
     def _pool(self, datastore: Datastore) -> Resource:
@@ -75,11 +77,11 @@ class CopyScheduler:
         )
         yield request
         wait_span.finish()
-        self.metrics.latency("queue_wait").record(self.sim.now - start)
+        self._t_queue_wait.observe(self.sim.now - start)
         try:
             yield from self.engine.copy(source, destination, size_gb, span=span)
         finally:
             pool.release(request)
         total = self.sim.now - start
-        self.metrics.latency("copy_total").record(total)
+        self._t_copy_total.observe(total)
         return total

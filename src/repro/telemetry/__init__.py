@@ -4,11 +4,12 @@ The observability layer for the reproduced control plane, modeled on the
 paper's observation that the management server's statistics pipeline is
 itself a major database workload. Four pieces:
 
-- :mod:`~repro.telemetry.metrics` — labeled families (counter / gauge /
-  log-bucket histogram), read-only probes, and the :class:`Telemetry`
-  hub; :data:`NULL_TELEMETRY` keeps the disabled path allocation-free.
+- :mod:`~repro.telemetry.metrics` — labeled families (counter / duration
+  / log-bucket histogram), read-only probes, per-component scopes, and
+  the :class:`Telemetry` hub; :data:`NULL_TELEMETRY` keeps the disabled
+  path allocation-free.
 - :mod:`~repro.telemetry.scraper` — a sim-process snapshotting every
-  registry on a cadence into bounded roll-up time-series.
+  family and probe on a cadence into bounded roll-up time-series.
 - :mod:`~repro.telemetry.rollup` — vCenter-style multi-level windowed
   roll-ups (min/mean/max/p99 per window, fold-up retention).
 - :mod:`~repro.telemetry.slo` — multi-window burn-rate SLO rules and the

@@ -1,7 +1,7 @@
 """Exporters: Prometheus text exposition and JSONL roll-up/alert dumps.
 
 The Prometheus exporter renders the *live* cumulative state of every
-family, probe, and watched registry — what a real scrape endpoint would
+family and probe — what a real scrape endpoint would
 serve at that instant of simulated time. The JSONL exporters dump the
 scraped roll-up store (one line per window) and the alert timeline, the
 machine-readable companions to the R-F-alerts exhibit.
@@ -13,7 +13,7 @@ import json
 import pathlib
 import typing
 
-from repro.sim.stats import Counter, Gauge, LatencyRecorder, LogHistogram
+from repro.sim.stats import LogHistogram
 from repro.telemetry.metrics import Telemetry
 
 
@@ -57,6 +57,12 @@ def prometheus_text(telemetry: Telemetry) -> str:
     lines: list[str] = []
     for family in telemetry.families.values():
         name = _prom_name(family.name)
+        if family.kind == "duration":
+            lines.append(f"# TYPE {name}_seconds summary")
+            for child in family.children():
+                lines.append(f"{name}_seconds_sum{_prom_labels(child.labels)} {child.seconds:.6g}")
+                lines.append(f"{name}_seconds_count{_prom_labels(child.labels)} {child.count}")
+            continue
         if family.help:
             lines.append(f"# HELP {name} {family.help}")
         lines.append(f"# TYPE {name} {family.kind}")
@@ -69,30 +75,6 @@ def prometheus_text(telemetry: Telemetry) -> str:
         name = _prom_name(probe.name)
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name}{_prom_labels(probe.labels)} {probe.value:.6g}")
-    for registry, labels in telemetry.watched:
-        for key, metric in registry.all().items():
-            name = _prom_name(key)
-            if isinstance(metric, Counter):
-                lines.append(f"# TYPE {name} counter")
-                lines.append(f"{name}{_prom_labels(labels)} {metric.value:.6g}")
-            elif isinstance(metric, Gauge):
-                lines.append(f"# TYPE {name} gauge")
-                lines.append(f"{name}{_prom_labels(labels)} {metric.value:.6g}")
-            elif isinstance(metric, LatencyRecorder):
-                lines.append(f"# TYPE {name}_seconds summary")
-                for q in (0.5, 0.99):
-                    lines.append(
-                        f'{name}_seconds{_prom_labels(labels, {"quantile": f"{q:g}"})} '
-                        f"{metric.percentile(q):.6g}"
-                    )
-                lines.append(
-                    f"{name}_seconds_sum{_prom_labels(labels)} "
-                    f"{metric.mean * metric.count:.6g}"
-                )
-                lines.append(f"{name}_seconds_count{_prom_labels(labels)} {metric.count}")
-            elif isinstance(metric, LogHistogram):
-                lines.append(f"# TYPE {name} histogram")
-                lines.extend(_hist_lines(name, labels, metric))
     return "\n".join(lines) + "\n"
 
 

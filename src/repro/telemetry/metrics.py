@@ -9,11 +9,15 @@ grab *handles* once::
     ...
     self._t_calls.add()          # hot path: one bound-method call
 
+A :class:`MetricScope` names one component's ids (``vc-1.db.writes``
+under ``component="db"``); its handles join the families at their first
+write, so an id a run never writes is never scraped or exported.
+
 :data:`NULL_TELEMETRY` is the disabled twin (mirroring tracing's
 ``NULL_TRACER``): every family request returns the shared
-:data:`NULL_METRIC` singleton and probes/watches are dropped, so a
-simulation constructed without telemetry allocates nothing per event and
-pays only a no-op method call at each instrumentation point.
+:data:`NULL_METRIC` singleton and probes are dropped, so a simulation
+constructed without telemetry allocates nothing per event and pays only a
+no-op method call at each instrumentation point.
 """
 
 from __future__ import annotations
@@ -21,11 +25,7 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.sim.stats import (
-    LOG_HISTOGRAM_BASE,
-    LogHistogram,
-    MetricsRegistry,
-)
+from repro.sim.stats import LOG_HISTOGRAM_BASE, LogHistogram
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -49,7 +49,7 @@ def format_metric_id(name: str, labels: LabelValues) -> str:
 class TCounter:
     """A labeled child counter: monotone, finite increments only."""
 
-    __slots__ = ("name", "labels", "value")
+    __slots__ = ("name", "labels", "value", "_join")
 
     kind = "counter"
 
@@ -57,6 +57,8 @@ class TCounter:
         self.name = name
         self.labels = labels
         self.value = 0.0
+        # The hub a scope's handle joins at its first write (None once in).
+        self._join: Telemetry | None = None
 
     def add(self, amount: float = 1.0) -> None:
         if not math.isfinite(amount) or amount < 0:
@@ -64,29 +66,46 @@ class TCounter:
                 f"counter {self.name!r} increment must be finite and >= 0, got {amount!r}"
             )
         self.value += amount
+        if self._join is not None:
+            self._join._adopt(self)
+            self._join = None
 
 
-class TGauge:
-    """A labeled child gauge: an instantaneous level."""
+class TDuration:
+    """A labeled count and running total of durations.
 
-    __slots__ = ("name", "labels", "value")
+    Scraped as two counters, ``<name>:count`` and ``<name>:seconds``: a
+    trailing window's seconds over its count is the mean duration in
+    that window (triage compares recent and baseline service times so).
+    """
 
-    kind = "gauge"
+    __slots__ = ("name", "labels", "count", "total", "_join")
+
+    kind = "duration"
 
     def __init__(self, name: str, labels: LabelValues = ()) -> None:
         self.name = name
         self.labels = labels
-        self.value = 0.0
+        self.count = 0
+        self.total = 0.0
+        self._join: Telemetry | None = None
 
-    def set(self, value: float) -> None:
-        if not math.isfinite(value):
-            raise ValueError(f"gauge {self.name!r} level must be finite, got {value!r}")
-        self.value = value
+    def observe(self, seconds: float) -> None:
+        if not math.isfinite(seconds) or seconds < 0:
+            raise ValueError(
+                f"duration on {self.name!r} must be finite and >= 0, got {seconds!r}"
+            )
+        self.count += 1
+        self.total += seconds
+        if self._join is not None:
+            self._join._adopt(self)
+            self._join = None
 
-    def add(self, delta: float) -> None:
-        if not math.isfinite(delta):
-            raise ValueError(f"gauge {self.name!r} delta must be finite, got {delta!r}")
-        self.value += delta
+    @property
+    def seconds(self) -> float:
+        """The mean times the count. It can differ from ``total`` in the
+        last bit; the committed roll-up exports are pinned to this form."""
+        return self.total / self.count * self.count if self.count else 0.0
 
 
 class THistogram:
@@ -134,7 +153,7 @@ class MetricFamily:
 
     FACTORIES: typing.ClassVar[dict[str, type]] = {
         "counter": TCounter,
-        "gauge": TGauge,
+        "duration": TDuration,
         "histogram": THistogram,
     }
 
@@ -185,11 +204,40 @@ class Probe:
         return float(self.fn())
 
 
+class MetricScope:
+    """One component's metric ids: ``<prefix>.<name>`` under fixed labels.
+
+    The component grabs its handles once, at construction; each joins
+    the hub's families at its first write, so an id appears in the
+    scrape from the window of its first write on.
+    """
+
+    __slots__ = ("hub", "prefix", "labels")
+
+    def __init__(self, hub: "Telemetry", prefix: str, labels: LabelValues) -> None:
+        self.hub = hub
+        self.prefix = prefix
+        self.labels = labels
+
+    def counter(self, name: str) -> TCounter:
+        child = TCounter(f"{self.prefix}.{name}", self.labels)
+        child._join = self.hub
+        return child
+
+    def duration(self, name: str) -> TDuration:
+        child = TDuration(f"{self.prefix}.{name}", self.labels)
+        child._join = self.hub
+        return child
+
+    def probe(self, name: str, fn: typing.Callable[[], float]) -> None:
+        self.hub.probes.append(Probe(f"{self.prefix}.{name}", fn, self.labels))
+
+
 class Telemetry:
     """The live telemetry pipeline for one simulation.
 
-    Owns metric families, probes, watched legacy registries, the scraped
-    roll-up store, and the SLO monitor. ``start()`` launches the
+    Owns metric families, probes, the scraped roll-up store, and the SLO
+    monitor. ``start()`` launches the
     :class:`~repro.telemetry.scraper.Scraper` sim-process.
     """
 
@@ -210,7 +258,6 @@ class Telemetry:
         self.retention = DEFAULT_RETENTION if retention is None else retention
         self.families: dict[str, MetricFamily] = {}
         self.probes: list[Probe] = []
-        self.watched: list[tuple[MetricsRegistry, LabelValues]] = []
         self.rollups: dict[str, RollupSeries] = {}
         self.scraper = Scraper(self)
         self.monitor: "SloMonitor" = SloMonitor(self)
@@ -228,11 +275,12 @@ class Telemetry:
             )
         return family
 
+    def _adopt(self, child: TCounter | TDuration) -> None:
+        """Add a scope's handle to its family (at its first write)."""
+        self._family(child.name, child.kind, "")._children[child.labels] = child
+
     def counter(self, name: str, help: str = "", **labels: str) -> TCounter:
         return self._family(name, "counter", help).labels(**labels)
-
-    def gauge(self, name: str, help: str = "", **labels: str) -> TGauge:
-        return self._family(name, "gauge", help).labels(**labels)
 
     def histogram(self, name: str, help: str = "", **labels: str) -> THistogram:
         return self._family(name, "histogram", help).labels(**labels)
@@ -244,14 +292,8 @@ class Telemetry:
         self.probes.append(probe)
         return probe
 
-    def watch_registry(self, registry: MetricsRegistry, **labels: str) -> None:
-        """Include a legacy :class:`MetricsRegistry` in every scrape.
-
-        Counters become per-window rates, gauges become sampled levels,
-        latency recorders contribute their count as a rate. The registry
-        is only ever read.
-        """
-        self.watched.append((registry, _label_key(labels)))
+    def scope(self, prefix: str, **labels: str) -> MetricScope:
+        return MetricScope(self, prefix, _label_key(labels))
 
     # -- scrape store --------------------------------------------------------
 
@@ -263,10 +305,6 @@ class Telemetry:
             series = RollupSeries(metric_id, kind=kind, retention=self.retention)
             self.rollups[metric_id] = series
         return series
-
-    def series(self, name: str, **labels: str) -> RollupSeries | None:
-        """The scraped roll-up series for one metric id, if any."""
-        return self.rollups.get(format_metric_id(name, _label_key(labels)))
 
     def series_matching(self, prefix: str) -> dict[str, RollupSeries]:
         return {
@@ -290,16 +328,12 @@ class Telemetry:
     def add_rule(self, rule: "SloRule") -> None:
         self.monitor.add(rule)
 
-    @property
-    def alerts(self):
-        return self.monitor.timeline
-
 
 class NullTelemetry:
     """Telemetry disabled: every request yields the inert singleton.
 
     Shared module-wide (:data:`NULL_TELEMETRY`), so the disabled path
-    allocates nothing — handles are the one NULL_METRIC, probe and watch
+    allocates nothing — handles are the one NULL_METRIC, probe
     registrations are dropped on the floor.
     """
 
@@ -312,8 +346,8 @@ class NullTelemetry:
     def probe(self, name: str, fn, help: str = "", **labels: str) -> None:
         return None
 
-    def watch_registry(self, registry, **labels) -> None:
-        return None
+    def scope(self, prefix: str, **labels: str) -> NullScope:
+        return NULL_SCOPE
 
     def start(self, until: float | None = None) -> "NullTelemetry":
         return self
@@ -323,3 +357,23 @@ class NullTelemetry:
 
 
 NULL_TELEMETRY = NullTelemetry()
+
+
+class NullScope:
+    """The disabled scope: inert handles, dropped probes."""
+
+    __slots__ = ()
+
+    hub = NULL_TELEMETRY
+
+    def counter(self, name: str) -> NullMetric:
+        return NULL_METRIC
+
+    def duration(self, name: str) -> NullMetric:
+        return NULL_METRIC
+
+    def probe(self, name: str, fn) -> None:
+        return None
+
+
+NULL_SCOPE = NullScope()

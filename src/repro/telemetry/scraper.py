@@ -1,12 +1,12 @@
 """The scraper: a sim-process that snapshots metrics on a cadence.
 
-Each tick it reads every telemetry family, every probe, and every watched
-legacy :class:`~repro.sim.stats.MetricsRegistry`, and lands one sample per
-metric in that metric's :class:`~repro.telemetry.rollup.RollupSeries`:
+Each tick it reads every telemetry family and every probe, and lands one
+sample per metric in that metric's
+:class:`~repro.telemetry.rollup.RollupSeries`:
 
-- counters (and latency-recorder counts) contribute the *delta* since the
-  previous scrape, so window sums read as rates;
-- gauges and probes contribute their instantaneous level;
+- counters (and a duration's count and seconds) contribute the *delta*
+  since the previous scrape, so window sums read as rates;
+- probes contribute their instantaneous level;
 - log-bucket histograms contribute the bucket-wise delta, merged into the
   window's sketch.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.stats import Counter, Gauge, LatencyRecorder, LogHistogram
+from repro.sim.stats import LogHistogram
 from repro.telemetry.metrics import format_metric_id
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -59,7 +59,7 @@ class _HistogramCursor:
 
 
 class Scraper:
-    """Snapshots every registry on a cadence into roll-up series."""
+    """Snapshots every family and probe on a cadence into roll-up series."""
 
     def __init__(self, telemetry: "Telemetry") -> None:
         self.telemetry = telemetry
@@ -68,8 +68,8 @@ class Scraper:
         self._until: float | None = None
         self._last_counter: dict[str, float] = {}
         self._hist_cursor: dict[str, _HistogramCursor] = {}
-        # Family child, probe, or (registry metric, labels[, suffix]) ->
-        # its binding; a latency recorder has a count and a seconds one.
+        # Family child, probe, or (duration child, suffix) -> its binding;
+        # a duration has a count and a seconds one.
         self._bindings: dict[typing.Hashable, _Binding] = {}
 
     # -- lifecycle -----------------------------------------------------------
@@ -101,37 +101,21 @@ class Scraper:
         for family in self.telemetry.families.values():
             kind = family.kind
             for child in family.children():
-                binding = bind(child, child.name, child.labels, kind)
                 if kind == "counter":
+                    binding = bind(child, child.name, child.labels, kind)
                     self._sample_counter(binding, child.value, now)
-                elif kind == "gauge":
-                    self._sample_gauge(binding, child.value, now)
-                else:
+                elif kind == "histogram":
+                    binding = bind(child, child.name, child.labels, kind)
                     self._sample_histogram(binding, child.hist, now)
+                else:
+                    count = bind((child, ":count"), child.name, child.labels, "counter", ":count")
+                    self._sample_counter(count, float(child.count), now)
+                    seconds = bind(
+                        (child, ":seconds"), child.name, child.labels, "counter", ":seconds"
+                    )
+                    self._sample_counter(seconds, child.seconds, now)
         for probe in self.telemetry.probes:
             self._sample_gauge(bind(probe, probe.name, probe.labels, "gauge"), probe.value, now)
-        for registry, labels in self.telemetry.watched:
-            for key, metric in registry.all().items():
-                if isinstance(metric, Counter):
-                    binding = bind((metric, labels), key, labels, "counter")
-                    self._sample_counter(binding, metric.value, now)
-                elif isinstance(metric, Gauge):
-                    binding = bind((metric, labels), key, labels, "gauge")
-                    self._sample_gauge(binding, metric.value, now)
-                elif isinstance(metric, LatencyRecorder):
-                    # Count + total seconds as counters: a trailing
-                    # window's seconds-sum over count-sum is the mean
-                    # latency in that window (triage leans on this to
-                    # compare recent vs baseline service times).
-                    count = bind((metric, labels, ":count"), key, labels, "counter", ":count")
-                    self._sample_counter(count, float(metric.count), now)
-                    seconds = bind((metric, labels, ":seconds"), key, labels, "counter", ":seconds")
-                    self._sample_counter(seconds, float(metric.mean * metric.count), now)
-                elif isinstance(metric, LogHistogram):
-                    binding = bind((metric, labels), key, labels, "histogram")
-                    self._sample_histogram(binding, metric, now)
-                # Fixed-bin Histogram / TimeSeries keep their own shape;
-                # they are post-run analysis structures, not scrape targets.
         self.scrapes += 1
         self.telemetry.monitor.evaluate(now)
 

@@ -128,7 +128,7 @@ class WorkloadDriver:
             self.cluster,
             self.library,
             self.catalog,
-            placement=PlacementEngine(policy="least_loaded"),
+            placement=PlacementEngine(),
         )
         self._seed_initial_population()
 

@@ -21,7 +21,7 @@ class SelfServiceCloud(SmallCloud):
             self.cluster,
             self.library,
             self.catalog,
-            placement=PlacementEngine(policy="round_robin"),
+            placement=PlacementEngine(),
         )
 
     def run_deploy(self, request):

@@ -5,6 +5,7 @@ import pytest
 from repro.cloud import Organization, User
 from repro.cloud.api import ApiGateway, SessionError
 from repro.sim import Simulator
+from repro.telemetry.metrics import Telemetry
 
 
 @pytest.fixture
@@ -54,7 +55,8 @@ class TestSessions:
         sim.run(until=process)
         with pytest.raises(SessionError, match="expired"):
             gateway.validate(session)
-        assert gateway.metrics.counter("expirations").value == 1
+        with pytest.raises(SessionError, match="closed"):
+            gateway.validate(session)
 
     def test_activity_keeps_session_alive(self, sim, user):
         gateway = ApiGateway(sim, session_idle_timeout_s=100.0)
@@ -112,7 +114,8 @@ class TestAdmission:
         assert sim.run(until=process) == 0.0
 
     def test_admission_wait_recorded(self, sim, user):
-        gateway = ApiGateway(sim, requests_per_minute=60.0, burst=1.0)
+        telemetry = Telemetry(sim)
+        gateway = ApiGateway(sim, requests_per_minute=60.0, burst=1.0, telemetry=telemetry)
         session = gateway.login(user)
 
         def proc():
@@ -120,9 +123,9 @@ class TestAdmission:
             yield from gateway.admit(session)
 
         sim.run(until=sim.spawn(proc()))
-        recorder = gateway.metrics.latency("admission_wait")
-        assert recorder.count == 2
-        assert recorder.percentile(1.0) == pytest.approx(1.0)
+        waits = telemetry.histogram("gateway_admission_wait_s").hist
+        assert waits.count == 2
+        assert waits.max == pytest.approx(1.0)
 
     def test_validation_errors(self, sim):
         with pytest.raises(ValueError):
@@ -138,7 +141,8 @@ class TestShedding:
         from repro.cloud.api import AdmissionShed
 
         depth = {"value": 10.0}
-        gateway = ApiGateway(sim)
+        telemetry = Telemetry(sim)
+        gateway = ApiGateway(sim, telemetry=telemetry)
         gateway.enable_shedding(lambda: depth["value"], watermark=5.0)
         session = gateway.login(user)
 
@@ -148,20 +152,21 @@ class TestShedding:
             return True
 
         assert sim.run(until=sim.spawn(proc())) is True
-        assert gateway.metrics.counter("shed").value == 1
+        assert telemetry.counter("gateway_shed_total").value == 1
         # A shed request never reached the token bucket.
-        assert gateway.metrics.counter("admitted").value == 0
+        assert telemetry.counter("gateway_admitted_total").value == 0
 
     def test_admits_below_watermark(self, sim, user):
         depth = {"value": 10.0}
-        gateway = ApiGateway(sim)
+        telemetry = Telemetry(sim)
+        gateway = ApiGateway(sim, telemetry=telemetry)
         gateway.enable_shedding(lambda: depth["value"], watermark=5.0)
         session = gateway.login(user)
         depth["value"] = 4.0
         wait = drive(sim, gateway.admit(session))
         assert wait == 0.0
-        assert gateway.metrics.counter("shed").value == 0
-        assert gateway.metrics.counter("admitted").value == 1
+        assert telemetry.counter("gateway_shed_total").value == 0
+        assert telemetry.counter("gateway_admitted_total").value == 1
 
     def test_watermark_validation(self, sim):
         gateway = ApiGateway(sim)

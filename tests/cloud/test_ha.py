@@ -46,7 +46,7 @@ def test_restart_latency_recorded(cloud):
     vapp = deploy(cloud, count=4)
     ha = HAManager(cloud.server, cloud.cluster)
     run_failure(cloud, ha, vapp.vms[0].host)
-    recorder = ha.metrics.latency("restart_latency")
+    recorder = ha.restart_latency
     assert recorder.count >= 1
     assert recorder.percentile(0.5) > 0
 

@@ -1,7 +1,5 @@
 """Unit tests for the placement engine."""
 
-import random
-
 import pytest
 
 from repro.cloud import PlacementEngine, PlacementError
@@ -19,32 +17,12 @@ def cluster():
     return cluster
 
 
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        PlacementEngine(policy="best-fit-ish")
-
-
 def test_least_loaded_prefers_empty_host(cluster):
-    engine = PlacementEngine(policy="least_loaded")
+    engine = PlacementEngine()
     vm = VirtualMachine(entity_id="vm-1", name="busy")
     vm.place_on(cluster.hosts[0])
     chosen = engine.choose_host(cluster)
     assert chosen is not cluster.hosts[0]
-
-
-def test_round_robin_cycles(cluster):
-    engine = PlacementEngine(policy="round_robin")
-    picks = [engine.choose_host(cluster) for _ in range(6)]
-    assert picks[:3] == cluster.hosts
-    assert picks[3:] == cluster.hosts
-
-
-def test_random_policy_deterministic_with_seed(cluster):
-    a = PlacementEngine(policy="random", rng=random.Random(5))
-    b = PlacementEngine(policy="random", rng=random.Random(5))
-    assert [a.choose_host(cluster).name for _ in range(5)] == [
-        b.choose_host(cluster).name for _ in range(5)
-    ]
 
 
 def test_no_usable_hosts_raises(cluster):
@@ -89,7 +67,7 @@ def test_exclude_datastores_redirects(cluster):
     smaller = Datastore(entity_id="ds-2", name="lun1", capacity_gb=500.0)
     for host in cluster.hosts:
         host.mount(smaller)
-    engine = PlacementEngine(policy="least_loaded")
+    engine = PlacementEngine()
     # ds-1 is most-free and would win every round; excluding it redirects.
     assert engine.choose_datastore(cluster, 10.0).entity_id == "ds-1"
     chosen = engine.choose_datastore(cluster, 10.0, exclude_datastores={"ds-1"})

@@ -5,6 +5,8 @@ import pytest
 from repro.controlplane import DEFAULT_COSTS
 from repro.controlplane.database import DatabaseModel
 from repro.sim import RandomStreams, Simulator
+from repro.telemetry.metrics import Telemetry
+from tests.scoped import scoped
 
 
 def run_process(sim, generator):
@@ -19,13 +21,14 @@ def run_process(sim, generator):
     return box["value"]
 
 
-def make_db(sim, connections=4, batching=False, seed=1):
+def make_db(sim, connections=4, batching=False, seed=1, telemetry=None):
     return DatabaseModel(
         sim,
         DEFAULT_COSTS,
         connections=connections,
         rng=RandomStreams(seed).stream("db"),
         batching=batching,
+        telemetry=telemetry.scope("db", component="db") if telemetry else None,
     )
 
 
@@ -146,8 +149,10 @@ def test_utilization_bounded_and_positive_under_load():
 
 def test_metrics_counters_track_rows():
     sim = Simulator()
-    database = make_db(sim)
+    telemetry = Telemetry(sim)
+    database = make_db(sim, telemetry=telemetry)
     run_process(sim, database.write(rows=3))
     run_process(sim, database.read(rows=2))
-    assert database.metrics.counter("writes").value == 3
-    assert database.metrics.counter("reads").value == 2
+    assert scoped(telemetry, "db.writes") == 3
+    assert scoped(telemetry, "db.reads") == 2
+    assert scoped(telemetry, "db.writes_latency") == 1

@@ -7,12 +7,15 @@ import pytest
 from repro.controlplane import DEFAULT_COSTS, HostAgent, HostAgentError
 from repro.datacenter import Host, HostState
 from repro.sim import RandomStreams, Simulator
+from repro.telemetry.metrics import Telemetry
+from tests.scoped import scoped
 
 
-def make_agent(sim, op_slots=8, costs=DEFAULT_COSTS, seed=1):
+def make_agent(sim, op_slots=8, costs=DEFAULT_COSTS, seed=1, telemetry=None):
     host = Host(entity_id="host-1", name="esx01")
     agent = HostAgent(
-        sim, host, costs, rng=RandomStreams(seed).stream("hostd"), op_slots=op_slots
+        sim, host, costs, rng=RandomStreams(seed).stream("hostd"), op_slots=op_slots,
+        telemetry=telemetry.scope("hostd", host=host.name) if telemetry else None,
     )
     return host, agent
 
@@ -37,7 +40,8 @@ def test_call_takes_about_median():
 
 def test_slots_limit_concurrent_calls():
     sim = Simulator()
-    _, agent = make_agent(sim, op_slots=1)
+    telemetry = Telemetry(sim)
+    _, agent = make_agent(sim, op_slots=1, telemetry=telemetry)
     finishes = []
 
     def proc():
@@ -48,7 +52,8 @@ def test_slots_limit_concurrent_calls():
     sim.spawn(proc())
     sim.run()
     assert finishes[1] > finishes[0]
-    assert agent.metrics.counter("calls").value == 2
+    assert scoped(telemetry, "hostd.calls") == 2
+    assert scoped(telemetry, "hostd.call_latency") == 2
 
 
 def test_unusable_host_raises():
@@ -68,12 +73,12 @@ def test_unusable_host_raises():
 def test_injected_failure_raises_once():
     sim = Simulator()
     _, agent = make_agent(sim)
-    agent.inject_failure()
+    agent.faults.block("outage")
 
     def proc():
-        with pytest.raises(HostAgentError, match="injected"):
+        with pytest.raises(HostAgentError, match="outage"):
             yield from agent.call("op", 1.0)
-        # Next call succeeds.
+        agent.faults.disarm("outage")
         yield from agent.call("op", 1.0)
         return "recovered"
 
@@ -83,8 +88,9 @@ def test_injected_failure_raises_once():
 
 def test_call_timeout_surfaces_as_error():
     sim = Simulator()
+    telemetry = Telemetry(sim)
     costs = dataclasses.replace(DEFAULT_COSTS, host_call_timeout_s=0.5)
-    _, agent = make_agent(sim, costs=costs)
+    _, agent = make_agent(sim, costs=costs, telemetry=telemetry)
 
     def proc():
         with pytest.raises(HostAgentError, match="timed out"):
@@ -94,7 +100,7 @@ def test_call_timeout_surfaces_as_error():
     process = sim.spawn(proc())
     # Gave up exactly at the timeout deadline.
     assert sim.run(until=process) == pytest.approx(0.5)
-    assert agent.metrics.counter("timeouts").value == 1
+    assert scoped(telemetry, "hostd.timeouts") == 1
 
 
 def test_slot_released_after_timeout():
@@ -148,15 +154,18 @@ def test_open_breaker_fails_fast_without_holding_a_slot():
     from repro.controlplane.resilience import BreakerPolicy, CircuitBreaker
 
     sim = Simulator()
-    _, agent = make_agent(sim)
+    telemetry = Telemetry(sim)
+    _, agent = make_agent(sim, telemetry=telemetry)
     agent.breaker = CircuitBreaker(
-        sim, BreakerPolicy(failure_threshold=1, cooldown_s=60.0), name="esx01"
+        sim, BreakerPolicy(failure_threshold=1, cooldown_s=60.0), name="esx01",
+        telemetry=telemetry.scope("hostd", host="esx01"),
     )
-    agent.inject_failure()
+    agent.faults.block("outage")
 
     def proc():
-        with pytest.raises(HostAgentError, match="injected"):
+        with pytest.raises(HostAgentError, match="outage"):
             yield from agent.call("op", 1.0)
+        agent.faults.disarm("outage")
         start = sim.now
         with pytest.raises(HostAgentError, match="circuit breaker open"):
             yield from agent.call("op", 1.0)
@@ -166,5 +175,10 @@ def test_open_breaker_fails_fast_without_holding_a_slot():
 
     process = sim.spawn(proc())
     sim.run(until=process)
-    assert agent.metrics.counter("breaker_rejections").value == 1
-    assert agent.breaker.fast_fails == 1
+    assert scoped(telemetry, "hostd.breaker_rejections") == 1
+    assert scoped(telemetry, "hostd.call_failures") == 1
+    assert agent.breaker.fast_fails == scoped(telemetry, "hostd.breaker_fast_fails") == 1
+    assert agent.breaker.opens == scoped(telemetry, "hostd.breaker_opens") == 1
+    # The state id joins at the first trip and reads the live state.
+    (state,) = [probe for probe in telemetry.probes if probe.name == "hostd.breaker_state"]
+    assert state.value == 2.0

@@ -25,6 +25,8 @@ from repro.faults.schedule import ServerCrash
 from repro.operations.base import Operation
 from repro.sim import RandomStreams, Simulator
 from repro.sim.kernel import Interrupt
+from repro.telemetry.metrics import Telemetry
+from tests.scoped import scoped
 
 
 # -- crash_cause -------------------------------------------------------------
@@ -212,21 +214,26 @@ def test_crash_requeues_tasks_waiting_at_dispatch():
 # -- dead-letter dedup on replay (the fixed bug) -----------------------------
 
 
-def _manager_with_retries():
+def _server_with_retries():
     sim = Simulator()
-    server = ManagementServer(
+    return ManagementServer(
         sim,
         RandomStreams(seed=1),
         config=ControlPlaneConfig(
             retry_policy=RetryPolicy(max_attempts=2, base_backoff_s=0.1)
         ),
         journal=TaskJournal(),
+        telemetry=Telemetry(sim),
     )
-    return server.tasks
+
+
+def _manager_with_retries():
+    return _server_with_retries().tasks
 
 
 def test_dead_letter_deduped_when_failed_twice():
-    tasks = _manager_with_retries()
+    server = _server_with_retries()
+    tasks = server.tasks
     task = Task(task_id=1, op_type="clone", submitted_at=0.0)
     tasks.tasks.append(task)
     error = ServerCrashed("boom")  # retryable: dead letters apply
@@ -235,11 +242,12 @@ def test_dead_letter_deduped_when_failed_twice():
     assert len(tasks.dead_letters) == 1
     tasks._fail_terminally(task, error)  # replay reaches the terminal again
     assert len(tasks.dead_letters) == 1
-    assert tasks.metrics.counter("dead_letter_deduped").value == 1
+    assert scoped(server.telemetry, "vc-1.tasks.dead_letter_deduped") == 1
 
 
 def test_journal_terminal_record_blocks_second_dead_letter():
-    tasks = _manager_with_retries()
+    server = _server_with_retries()
+    tasks = server.tasks
     task = Task(task_id=2, op_type="clone", submitted_at=0.0)
     tasks.tasks.append(task)
     task.state = TaskState.ERROR
@@ -251,7 +259,7 @@ def test_journal_terminal_record_blocks_second_dead_letter():
 
     tasks._record_dead_letter(task, ServerCrashed("boom"))
     assert tasks.dead_letters == []
-    assert tasks.metrics.counter("dead_letter_deduped").value == 1
+    assert scoped(server.telemetry, "vc-1.tasks.dead_letter_deduped") == 1
 
 
 def test_check_exactly_once_flags_duplicate_dead_letters():

@@ -16,6 +16,8 @@ from repro.controlplane.resilience import (
 )
 from repro.controlplane.task_manager import TaskManager
 from repro.faults import InjectedFault, TransientError
+from repro.telemetry.metrics import Telemetry
+from tests.scoped import scoped
 
 
 class TestRetryPolicy:
@@ -177,9 +179,20 @@ class TestCircuitBreaker:
             BreakerPolicy(half_open_probes=0)
 
 
+@pytest.fixture
+def telemetry(sim):
+    return Telemetry(sim)
+
+
 class TestDeadLetters:
+    @pytest.fixture(autouse=True)
+    def _telemetry(self, telemetry):
+        self.telemetry = telemetry
+
     def make_tm(self, sim, database, **kwargs):
-        return TaskManager(sim, database, max_inflight=4, **kwargs)
+        return TaskManager(
+            sim, database, max_inflight=4, telemetry=self.telemetry.scope("tasks"), **kwargs
+        )
 
     def run_one(self, sim, manager, body, op_type="op"):
         def proc():
@@ -212,7 +225,8 @@ class TestDeadLetters:
         assert letter.op_type == "clone"
         assert letter.attempts == 3
         assert "flaky forever" in letter.error
-        assert manager.metrics.counter("retries").value == 2
+        assert manager.retries == scoped(self.telemetry, "tasks.retries") == 2
+        assert scoped(self.telemetry, "tasks.retries.clone") == 2
 
     def test_retry_masks_transient_failure(self, sim, database):
         manager = self.make_tm(
@@ -245,7 +259,7 @@ class TestDeadLetters:
         error = self.run_one(sim, manager, body)
         assert isinstance(error, RuntimeError)
         assert manager.dead_letters == []
-        assert manager.metrics.counter("retries").value == 0
+        assert manager.retries == scoped(self.telemetry, "tasks.retries") == 0
 
     def test_no_policy_means_no_promise_no_dead_letter(self, sim, database):
         manager = self.make_tm(sim, database)
@@ -273,14 +287,15 @@ class TestDeadLetters:
         (task,) = manager.tasks
         # One retry funded by the initial token, then the budget runs dry.
         assert task.attempts == 2
-        assert manager.metrics.counter("retry_budget_denied").value == 1
+        assert scoped(self.telemetry, "tasks.retry_budget_denied") == 1
         assert len(manager.dead_letters) == 1
 
 
 class TestDeadlines:
-    def test_queued_past_deadline_is_withdrawn(self, sim, database):
+    def test_queued_past_deadline_is_withdrawn(self, sim, database, telemetry):
         manager = TaskManager(
-            sim, database, max_inflight=1, task_deadline_s=5.0
+            sim, database, max_inflight=1, task_deadline_s=5.0,
+            telemetry=telemetry.scope("tasks"),
         )
 
         def slow(task):
@@ -307,16 +322,17 @@ class TestDeadlines:
         # before the slot-holder finishes its 60s body.
         assert isinstance(outcomes[0], TaskDeadlineExceeded)
         assert outcomes[1] is None
-        assert manager.metrics.counter("deadline_exceeded").value == 1
+        assert scoped(telemetry, "tasks.deadline_exceeded") == 1
         stuck = [t for t in manager.tasks if t.state == TaskState.ERROR]
         assert len(stuck) == 1
         assert manager.unaccounted() == []
         # TaskDeadlineExceeded is not transient: no dead letter by default.
         assert manager.dead_letters == []
 
-    def test_retry_that_cannot_beat_deadline_fails_now(self, sim, database):
+    def test_retry_that_cannot_beat_deadline_fails_now(self, sim, database, telemetry):
         manager = TaskManager(
             sim, database, max_inflight=4, task_deadline_s=10.0,
+            telemetry=telemetry.scope("tasks"),
             retry_policy=RetryPolicy(
                 max_attempts=5, base_backoff_s=30.0, jitter=0.0
             ),
@@ -338,6 +354,6 @@ class TestDeadlines:
         assert isinstance(error, InjectedFault)
         (task,) = manager.tasks
         assert task.attempts == 1  # the 30s backoff would blow the deadline
-        assert manager.metrics.counter("deadline_exceeded").value == 1
+        assert scoped(telemetry, "tasks.deadline_exceeded") == 1
         assert len(manager.dead_letters) == 1
         assert sim.now < 10.0

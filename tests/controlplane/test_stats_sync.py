@@ -6,10 +6,11 @@ from repro.controlplane import StatsCollector
 from repro.controlplane.stats_sync import ROWS_PER_LEVEL
 
 from tests.operations.conftest import SmallCloud
+from tests.scoped import scoped
 
 
 def run_collection(level=1, interval=20.0, horizon=200.0, hosts=4):
-    cloud = SmallCloud(seed=8, hosts=hosts)
+    cloud = SmallCloud(seed=8, hosts=hosts, telemetry=True)
     collector = StatsCollector(cloud.server, interval_s=interval, level=level)
     collector.start(until=horizon)
     cloud.sim.run(until=horizon)
@@ -19,58 +20,62 @@ def run_collection(level=1, interval=20.0, horizon=200.0, hosts=4):
 
 def test_collection_writes_rows_per_host():
     cloud, collector = run_collection(level=1, interval=20.0, horizon=200.0, hosts=4)
-    cycles = collector.metrics.counter("cycles").value
+    cycles = scoped(cloud.telemetry, "vc-1.stats.cycles")
     # ~9 intervals x 4 hosts (the final wake-up exits before collecting).
     assert cycles == 9 * 4
-    assert collector.metrics.counter("rows").value == cycles
+    assert scoped(cloud.telemetry, "vc-1.stats.rows") == cycles
 
 
 def test_higher_level_writes_more_rows():
-    _, low = run_collection(level=1)
-    _, high = run_collection(level=4)
+    low, _ = run_collection(level=1)
+    high, _ = run_collection(level=4)
     assert (
-        high.metrics.counter("rows").value
-        == low.metrics.counter("rows").value * ROWS_PER_LEVEL[4]
+        scoped(high.telemetry, "vc-1.stats.rows")
+        == scoped(low.telemetry, "vc-1.stats.rows") * ROWS_PER_LEVEL[4]
     )
 
 
 def test_collection_consumes_database():
     cloud, _ = run_collection(level=4, horizon=400.0)
-    assert cloud.server.database.metrics.counter("writes").value > 0
+    assert scoped(cloud.telemetry, "vc-1.db.writes") > 0
     assert cloud.server.database.utilization() > 0
 
 
 def test_unusable_hosts_skipped():
     from repro.datacenter import HostState
 
-    cloud = SmallCloud(seed=8, hosts=2)
+    cloud = SmallCloud(seed=8, hosts=2, telemetry=True)
     cloud.hosts[0].state = HostState.MAINTENANCE
     collector = StatsCollector(cloud.server, interval_s=20.0)
     collector.start(until=100.0)
     cloud.sim.run(until=100.0)
     cloud.sim.run()
     # Only the usable host was polled.
-    assert collector.metrics.counter("cycles").value == 4 * 1
+    assert scoped(cloud.telemetry, "vc-1.stats.cycles") == 4 * 1
 
 
 def test_pull_errors_counted():
-    cloud = SmallCloud(seed=8, hosts=1)
-    cloud.server.agent(cloud.hosts[0]).inject_failure()
+    cloud = SmallCloud(seed=8, hosts=1, telemetry=True)
+    agent = cloud.server.agent(cloud.hosts[0])
+    agent.faults.block("outage")
     collector = StatsCollector(cloud.server, interval_s=20.0)
     collector.start(until=50.0)
+    cloud.sim.run(until=30.0)  # the t=20 pull fails
+    agent.faults.disarm("outage")
     cloud.sim.run(until=50.0)
     cloud.sim.run()
-    assert collector.metrics.counter("pull_errors").value == 1
+    assert scoped(cloud.telemetry, "vc-1.stats.pull_errors") == 1
+    assert scoped(cloud.telemetry, "vc-1.stats.cycles") == 1
 
 
 def test_stop_halts_collection():
-    cloud = SmallCloud(seed=8, hosts=1)
+    cloud = SmallCloud(seed=8, hosts=1, telemetry=True)
     collector = StatsCollector(cloud.server, interval_s=10.0)
     collector.start()
     cloud.sim.run(until=35.0)
     collector.stop()
     cloud.sim.run()
-    assert collector.metrics.counter("cycles").value == 3
+    assert scoped(cloud.telemetry, "vc-1.stats.cycles") == 3
 
 
 def test_validation():

@@ -4,6 +4,8 @@ import pytest
 
 from repro.controlplane import TaskState
 from repro.controlplane.task_manager import TaskManager
+from repro.telemetry.metrics import Telemetry
+from tests.scoped import scoped
 
 
 def make_tm(sim, database, max_inflight=4):
@@ -130,7 +132,8 @@ def test_queue_depth_series_returns_steps(sim, database):
 
 
 def test_latency_metrics_recorded_per_type(sim, database):
-    manager = make_tm(sim, database)
+    telemetry = Telemetry(sim)
+    manager = TaskManager(sim, database, max_inflight=4, telemetry=telemetry.scope("tasks"))
 
     def body(task):
         yield sim.timeout(1.0)
@@ -141,9 +144,10 @@ def test_latency_metrics_recorded_per_type(sim, database):
     sim.spawn(proc("clone"))
     sim.spawn(proc("power_on"))
     sim.run()
-    assert manager.metrics.latency("latency.clone").count == 1
-    assert manager.metrics.latency("latency.power_on").count == 1
-    assert manager.metrics.latency("latency.all").count == 2
+    assert scoped(telemetry, "tasks.latency.clone") == 1
+    assert scoped(telemetry, "tasks.latency.power_on") == 1
+    assert scoped(telemetry, "tasks.latency.all") == 2
+    assert scoped(telemetry, "tasks.completed.clone") == 1
 
 
 class TestPerTypeLimits:

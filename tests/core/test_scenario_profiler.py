@@ -144,8 +144,8 @@ def test_scenario_with_stats_collection_runs_and_loads_db():
     noisy = Scenario(
         profile=tiny(), duration_s=900.0, seed=4, stats_interval_s=20.0, stats_level=4
     ).run()
-    quiet_writes = quiet.server.database.metrics.counter("writes").value
-    noisy_writes = noisy.server.database.metrics.counter("writes").value
-    assert noisy_writes > quiet_writes * 2
+    # The stats rows keep the database busy: more than twice the quiet load.
+    quiet_load = quiet.server.database.utilization()
+    assert noisy.server.database.utilization() > quiet_load * 2
     # Workload itself still completed.
     assert len(noisy.trace) > 0

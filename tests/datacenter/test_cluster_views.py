@@ -8,8 +8,6 @@ scans and ``min``/``max`` key expressions below are the definitions they
 replace; they live only here.
 """
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,16 +77,6 @@ def outcome(pick, *args, **kwargs):
         return str(exc)
 
 
-def round_robin(pick_name, cluster, count, *args, **kwargs):
-    """``count`` picks of one fresh round-robin engine: the candidate list."""
-    engine = PlacementEngine("round_robin")
-    pick = getattr(engine, pick_name)
-    first = outcome(pick, cluster, *args, **kwargs)
-    if isinstance(first, str):
-        return first
-    return [first] + [pick(cluster, *args, **kwargs) for _ in range(count - 1)]
-
-
 def admission_edges(cluster: Cluster) -> list[float]:
     """Guest sizes at and around each usable host's 1e-9 admission edge."""
     sizes = [0.0, 1.0, 4.0]
@@ -125,9 +113,6 @@ def check(cluster: Cluster, vms: list[VirtualMachine], exclusions) -> None:
                 assert got == expected
                 continue
             assert got is min(expected, key=lambda host: (len(host.vms), host.entity_id))
-            assert round_robin(
-                "choose_host", cluster, len(expected), memory_gb=memory_gb, exclude_hosts=exclude
-            ) == expected
 
     for required_gb in (0.0, 10.0, 50.0, 99.0, 100.0, 1e9):
         # Excluding every datastore falls back to the unexcluded pick.
@@ -140,10 +125,6 @@ def check(cluster: Cluster, vms: list[VirtualMachine], exclusions) -> None:
                 assert got == expected
                 continue
             assert got is max(expected, key=lambda ds: (ds.free_gb, ds.entity_id))
-            assert round_robin(
-                "choose_datastore", cluster, len(expected), required_gb,
-                exclude_datastores=exclude,
-            ) == expected
 
 
 index = st.integers(min_value=0, max_value=7)
@@ -267,21 +248,3 @@ def test_old_view_list_is_not_edited_by_a_change():
     host.state = HostState.MAINTENANCE
     assert usable == [host] and shared == [datastore]
     assert cluster.usable_hosts == [] and cluster.shared_datastores() == []
-
-
-def test_random_policy_draws_from_the_same_candidates():
-    cluster = Cluster(entity_id="cluster-1", name="gold")
-    datastores = [Datastore(entity_id=f"ds-{n}", name=f"lun{n}") for n in range(4)]
-    for n in range(5):
-        host = Host(entity_id=f"host-{n}", name=f"esx{n}")
-        cluster.add_host(host)
-        for datastore in datastores:
-            host.mount(datastore)
-    cluster.hosts[2].state = HostState.MAINTENANCE
-    engine = PlacementEngine("random", rng=random.Random(7))
-    reference = random.Random(7)
-    for _ in range(20):
-        assert engine.choose_host(cluster, exclude_hosts={"host-0"}) is reference.choice(
-            [host for host in scan_usable(cluster) if host.entity_id != "host-0"]
-        )
-        assert engine.choose_datastore(cluster, 1.0) is reference.choice(scan_shared(cluster))

@@ -19,32 +19,6 @@ def test_unarmed_hook_returns_unit_factor(hook):
     assert hook.injected == 0
 
 
-def test_arm_once_fires_exactly_once(hook):
-    hook.arm_once()
-    with pytest.raises(InjectedFault):
-        hook.fire()
-    assert hook.fire() == 1.0
-    assert hook.injected == 1
-
-
-def test_arm_once_custom_error(hook):
-    class Weird(TransientError):
-        pass
-
-    hook.arm_once(Weird("boom"))
-    with pytest.raises(Weird, match="boom"):
-        hook.fire()
-
-
-def test_arm_once_queues_in_order(hook):
-    hook.arm_once(InjectedFault("first"))
-    hook.arm_once(InjectedFault("second"))
-    with pytest.raises(InjectedFault, match="first"):
-        hook.fire()
-    with pytest.raises(InjectedFault, match="second"):
-        hook.fire()
-
-
 def test_drop_rate_fails_probabilistically(hook):
     hook.set_drop("window", 0.5)
     outcomes = []

@@ -13,16 +13,21 @@ from repro.datacenter import (
 )
 from repro.datacenter.templates import MEDIUM_LINUX
 from repro.sim import RandomStreams, Simulator
+from repro.telemetry.metrics import Telemetry
 
 
 class SmallCloud:
     """A 4-host, 2-datastore managed setup used across operation tests."""
 
-    def __init__(self, seed=42, config=None, hosts=4, datastores=2):
+    def __init__(self, seed=42, config=None, hosts=4, datastores=2, telemetry=False):
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
+        # With ``telemetry`` the server's scoped ids are live (tests read
+        # them through ``self.telemetry``).
+        self.telemetry = Telemetry(self.sim) if telemetry else None
         self.server = ManagementServer(
-            self.sim, self.streams, config=config or ControlPlaneConfig()
+            self.sim, self.streams, config=config or ControlPlaneConfig(),
+            telemetry=self.telemetry,
         )
         inventory = self.server.inventory
         self.datacenter = inventory.create(Datacenter, name="dc01")

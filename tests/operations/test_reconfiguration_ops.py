@@ -13,21 +13,24 @@ from repro.operations import (
 )
 
 from tests.operations.conftest import SmallCloud
+from tests.scoped import scoped
 
 
-def test_rescan_touches_every_mounting_host(cloud):
+def test_rescan_touches_every_mounting_host():
+    cloud = SmallCloud(telemetry=True)
     task = cloud.run_op(RescanDatastore(cloud.datastores[0]))
     assert task.state == TaskState.SUCCESS
     assert task.result == len(cloud.hosts)
     for host in cloud.hosts:
-        assert cloud.server.agent(host).metrics.counter("calls").value >= 1
+        assert scoped(cloud.telemetry, f"vc-1.hostd.{host.entity_id}.calls") >= 1
 
 
-def test_rescan_skips_unusable_hosts(cloud):
+def test_rescan_skips_unusable_hosts():
+    cloud = SmallCloud(telemetry=True)
     cloud.hosts[0].state = HostState.MAINTENANCE
     task = cloud.run_op(RescanDatastore(cloud.datastores[0]))
     assert task.state == TaskState.SUCCESS
-    assert cloud.server.agent(cloud.hosts[0]).metrics.counter("calls").value == 0
+    assert scoped(cloud.telemetry, f"vc-1.hostd.{cloud.hosts[0].entity_id}.calls") == 0
 
 
 def test_rescan_unmounted_datastore_fails(cloud):

@@ -2,24 +2,25 @@
 
 import pytest
 
-from repro.sim import Counter, Gauge, Histogram, LatencyRecorder, MetricsRegistry, Simulator, TimeSeries
+from repro.sim import Gauge, LatencyRecorder, LogHistogram, Simulator, TimeSeries
+from repro.telemetry.metrics import TCounter, Telemetry
 
 
 def test_counter_accumulates():
-    counter = Counter("ops")
+    counter = TCounter("ops")
     counter.add()
     counter.add(4)
     assert counter.value == 5
 
 
 def test_counter_rejects_decrease():
-    counter = Counter("ops")
-    with pytest.raises(ValueError, match="cannot decrease"):
+    counter = TCounter("ops")
+    with pytest.raises(ValueError, match=">= 0"):
         counter.add(-1)
 
 
 def test_counter_rejects_non_finite():
-    counter = Counter("ops")
+    counter = TCounter("ops")
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="must be finite"):
             counter.add(bad)
@@ -131,20 +132,19 @@ def test_latency_cdf_is_monotone_and_complete():
 
 
 def test_histogram_binning():
-    histogram = Histogram("depth", edges=[0, 1, 2, 4])
-    for value in [0, 0.5, 1, 3, 5, -1]:
+    histogram = LogHistogram("depth", base=2.0)
+    for value in [0, 0.5, 1, 3, 5]:
         histogram.record(value)
-    assert histogram.counts == [2, 1, 1]
-    assert histogram.overflow == 1
-    assert histogram.underflow == 1
-    assert histogram.total == 6
+    # Bucket i covers [2**i, 2**(i+1)); zeros keep their own bucket.
+    assert histogram.buckets() == [(0.0, 1), (1.0, 1), (2.0, 1), (4.0, 1), (8.0, 1)]
+    assert histogram.count == 5
 
 
 def test_histogram_validates_edges():
     with pytest.raises(ValueError):
-        Histogram("bad", edges=[2, 1])
+        LogHistogram("bad", base=1.0)
     with pytest.raises(ValueError):
-        Histogram("bad", edges=[1])
+        LogHistogram("bad").record(-1.0)
 
 
 def test_timeseries_bins_and_gap_fill():
@@ -167,18 +167,17 @@ def test_timeseries_validates_width():
 
 
 def test_registry_reuses_metrics_by_name():
-    sim = Simulator()
-    registry = MetricsRegistry(sim, prefix="host1")
-    first = registry.counter("ops")
-    second = registry.counter("ops")
-    assert first is second
-    assert "ops" in registry
-    assert "host1.ops" in registry.all()
+    telemetry = Telemetry(Simulator())
+    first = telemetry.counter("ops", host="host1")
+    assert telemetry.counter("ops", host="host1") is first
+    assert telemetry.families["ops"].children() == [first]
 
 
 def test_registry_prefix_isolation():
-    sim = Simulator()
-    one = MetricsRegistry(sim, prefix="a")
-    two = MetricsRegistry(sim, prefix="b")
+    telemetry = Telemetry(Simulator())
+    one = telemetry.scope("a")
+    two = telemetry.scope("b")
     one.counter("ops").add(5)
-    assert two.counter("ops").value == 0
+    two.counter("ops")  # never written: never joins the families
+    assert telemetry.families["a.ops"].children()[0].value == 5
+    assert "b.ops" not in telemetry.families

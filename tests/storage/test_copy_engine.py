@@ -6,6 +6,8 @@ from repro.datacenter import Datastore
 from repro.sim import Simulator
 from repro.storage import CopyEngine, CopyFailed, CopyScheduler
 from repro.storage.copy_engine import GB
+from repro.telemetry.metrics import Telemetry
+from tests.scoped import scoped
 
 
 @pytest.fixture
@@ -44,17 +46,20 @@ def test_copy_allocates_destination_space(sim):
 
 
 def test_copy_counts_bytes_both_directions(sim):
-    engine = CopyEngine(sim, default_capacity_bps=GB)
+    telemetry = Telemetry(sim)
+    engine = CopyEngine(sim, default_capacity_bps=GB, telemetry=telemetry.scope("copy"))
     src, dst = make_ds(1), make_ds(2)
     run_copy(sim, engine, src, dst, 10.0)
     assert engine.total_bytes_written == pytest.approx(10 * GB)
-    assert engine.metrics.counter("bytes_read").value == pytest.approx(10 * GB)
+    assert scoped(telemetry, "copy.bytes_read") == pytest.approx(10 * GB)
+    assert engine.copies == scoped(telemetry, "copy.copies") == 1
+    assert scoped(telemetry, f"copy.attempts.{dst.name}") == 1
 
 
 def test_injected_failure_raises_and_leaks_nothing(sim):
     engine = CopyEngine(sim, default_capacity_bps=GB)
     src, dst = make_ds(1), make_ds(2)
-    engine.inject_failure()
+    engine.faults.block("outage", key=dst.entity_id)
 
     def proc():
         with pytest.raises(CopyFailed):
@@ -64,6 +69,7 @@ def test_injected_failure_raises_and_leaks_nothing(sim):
     process = sim.spawn(proc())
     assert sim.run(until=process) == "done"
     assert dst.used_gb == 0.0
+    assert engine.failures == 1
 
 
 def test_concurrent_copies_share_destination_link(sim):
@@ -117,8 +123,11 @@ class TestCopyScheduler:
         assert finishes == [pytest.approx(10.0), pytest.approx(20.0)]
 
     def test_queue_wait_recorded(self, sim):
+        telemetry = Telemetry(sim)
         engine = CopyEngine(sim, default_capacity_bps=GB)
-        scheduler = CopyScheduler(sim, engine, slots_per_datastore=1)
+        scheduler = CopyScheduler(
+            sim, engine, slots_per_datastore=1, telemetry=telemetry.scope("copysched")
+        )
         src, dst = make_ds(1), make_ds(2)
 
         def proc():
@@ -127,21 +136,22 @@ class TestCopyScheduler:
         sim.spawn(proc())
         sim.spawn(proc())
         sim.run()
-        waits = scheduler.metrics.latency("queue_wait")
+        waits = telemetry.families["copysched.queue_wait"].children()[0]
         assert waits.count == 2
-        assert waits.percentile(1.0) == pytest.approx(10.0)
+        assert waits.total == pytest.approx(10.0)  # one waited, one did not
 
     def test_slot_released_on_copy_failure(self, sim):
         engine = CopyEngine(sim, default_capacity_bps=GB)
         scheduler = CopyScheduler(sim, engine, slots_per_datastore=1)
         src, dst = make_ds(1), make_ds(2)
-        engine.inject_failure()
+        engine.faults.block("outage", key=dst.entity_id)
         outcomes = []
 
         def failing():
             try:
                 yield from scheduler.scheduled_copy(src, dst, 10.0)
             except CopyFailed:
+                engine.faults.disarm("outage")
                 outcomes.append("failed")
 
         def following():

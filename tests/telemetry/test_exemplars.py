@@ -73,7 +73,7 @@ class TestLogHistogramExemplars:
     def test_copy_preserves_exemplars(self):
         hist = LogHistogram("h")
         hist.record(10.0, exemplar=3)
-        dup = hist.copy()
+        dup = LogHistogram("h").merge(hist)
         assert dup.exemplar_entries() == hist.exemplar_entries()
         # And they are independent.
         dup.record(10.1, exemplar=4)

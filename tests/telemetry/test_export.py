@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.stats import MetricsRegistry
 from repro.telemetry.dashboard import bar, render_dashboard, sparkline
 from repro.telemetry.export import (
     prometheus_text,
@@ -22,15 +21,13 @@ def telemetry():
     sim = Simulator()
     t = Telemetry(sim, scrape_interval_s=5.0)
     counter = t.counter("reqs_total", help="requests", host="h1")
-    gauge = t.gauge("cpu_utilization")
     hist = t.histogram("latency_s")
     t.probe("queue_depth", lambda: 7.0)
-    registry = MetricsRegistry(sim, prefix="vc")
-    registry.counter("rows").add(12.0)
-    registry.latency("call").record(0.25)
-    t.watch_registry(registry, component="statsd")
+    t.probe("cpu_utilization", lambda: 0.4)
+    scope = t.scope("vc", component="statsd")
+    scope.counter("rows").add(12.0)
+    scope.duration("call").observe(0.25)
     counter.add(5.0)
-    gauge.set(0.4)
     for value in (0.1, 0.2, 0.8):
         hist.observe(value)
     t.scraper.scrape()
@@ -54,11 +51,12 @@ class TestPrometheus:
         assert counts == sorted(counts)  # cumulative
         assert "latency_s_count 3" in lines
 
-    def test_watched_registry_rendered(self, telemetry):
+    def test_scope_rendered(self, telemetry):
         text = prometheus_text(telemetry)
         assert 'vc_rows{component="statsd"} 12' in text
-        # Latency recorders render as summaries.
-        assert 'vc_call_seconds{component="statsd",quantile="0.99"}' in text
+        # Durations render as summaries without quantiles.
+        assert "# TYPE vc_call_seconds summary" in text
+        assert 'vc_call_seconds_sum{component="statsd"} 0.25' in text
         assert 'vc_call_seconds_count{component="statsd"} 1' in text
 
 

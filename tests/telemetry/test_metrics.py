@@ -32,14 +32,14 @@ class TestFamilies:
         assert len(family.children()) == 2
 
     def test_label_order_is_canonical(self, telemetry):
-        a = telemetry.gauge("depth", zone="z1", host="h1")
-        b = telemetry.gauge("depth", host="h1", zone="z1")
+        a = telemetry.counter("reqs_total", zone="z1", host="h1")
+        b = telemetry.counter("reqs_total", host="h1", zone="z1")
         assert a is b
 
     def test_kind_conflict_rejected(self, telemetry):
         telemetry.counter("reqs_total")
         with pytest.raises(ValueError, match="already registered as counter"):
-            telemetry.gauge("reqs_total")
+            telemetry.histogram("reqs_total")
 
     def test_counter_rejects_negative_and_nonfinite(self, telemetry):
         counter = telemetry.counter("reqs_total")
@@ -48,13 +48,17 @@ class TestFamilies:
         with pytest.raises(ValueError):
             counter.add(float("nan"))
 
-    def test_gauge_rejects_nonfinite(self, telemetry):
-        gauge = telemetry.gauge("depth")
+    def test_duration_rejects_negative_and_nonfinite(self, telemetry):
+        duration = telemetry.scope("db").duration("writes_latency")
         with pytest.raises(ValueError):
-            gauge.set(float("inf"))
-        gauge.set(3.0)
-        gauge.add(-1.0)
-        assert gauge.value == 2.0
+            duration.observe(float("inf"))
+        with pytest.raises(ValueError):
+            duration.observe(-1.0)
+        duration.observe(0.1)
+        duration.observe(0.2)
+        assert (duration.count, duration.total) == (2, 0.1 + 0.2)
+        # The scraped seconds are the mean times the count.
+        assert duration.seconds == (0.1 + 0.2) / 2 * 2
 
     def test_histogram_observe(self, telemetry):
         hist = telemetry.histogram("latency_s")
@@ -94,7 +98,10 @@ class TestNullTelemetry:
 
     def test_registrations_dropped(self):
         assert NULL_TELEMETRY.probe("p", lambda: 1.0) is None
-        assert NULL_TELEMETRY.watch_registry(object()) is None
+        scope = NULL_TELEMETRY.scope("vc-1.db", component="db")
+        assert scope.counter("writes") is scope.duration("writes_latency") is NULL_METRIC
+        assert scope.probe("p", lambda: 1.0) is None
+        assert scope.hub is NULL_TELEMETRY
         assert vars(NULL_TELEMETRY) == {}
 
     def test_lifecycle_is_inert(self):

@@ -1,9 +1,8 @@
-"""Scraper behavior: delta sampling, cadence, watched registries, bounds."""
+"""Scraper behavior: delta sampling, cadence, scoped ids, bounds."""
 
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.stats import MetricsRegistry
 from repro.telemetry.metrics import Telemetry
 
 
@@ -23,7 +22,7 @@ def test_counter_scraped_as_delta(telemetry):
     telemetry.scraper.scrape()
     counter.add(7.0)
     telemetry.scraper.scrape()
-    series = telemetry.series("reqs_total")
+    series = telemetry.rollups["reqs_total"]
     window = series.latest()
     # Both scrapes land in one aligned window: deltas 3 then 7.
     assert window.count == 2
@@ -32,12 +31,13 @@ def test_counter_scraped_as_delta(telemetry):
 
 
 def test_gauge_scraped_as_level(telemetry):
-    gauge = telemetry.gauge("depth")
-    gauge.set(4.0)
+    # Instantaneous levels are probes.
+    level = {"depth": 4.0}
+    telemetry.probe("depth", lambda: level["depth"])
     telemetry.scraper.scrape()
-    gauge.set(2.0)
+    level["depth"] = 2.0
     telemetry.scraper.scrape()
-    window = telemetry.series("depth").latest()
+    window = telemetry.rollups["depth"].latest()
     assert window.max == 4.0
     assert window.last == 2.0
 
@@ -48,7 +48,7 @@ def test_probe_sampled_each_scrape(telemetry):
     telemetry.scraper.scrape()
     state["v"] = 3.0
     telemetry.scraper.scrape()
-    series = telemetry.series("util", host="h1")
+    series = telemetry.rollups['util{host="h1"}']
     assert series is not None
     assert series.latest().count == 2
     assert series.last_value() == 3.0
@@ -61,7 +61,7 @@ def test_histogram_scraped_as_bucket_delta(telemetry):
     telemetry.scraper.scrape()
     hist.observe(4.0)
     telemetry.scraper.scrape()
-    window = telemetry.series("latency_s").latest()
+    window = telemetry.rollups["latency_s"].latest()
     assert window.count == 3
     assert window.sum == pytest.approx(7.0)
     assert window.hist.count == 3
@@ -74,27 +74,30 @@ def test_unchanged_histogram_not_resampled(telemetry):
     hist.observe(1.0)
     telemetry.scraper.scrape()
     telemetry.scraper.scrape()  # no new observations
-    window = telemetry.series("latency_s").latest()
+    window = telemetry.rollups["latency_s"].latest()
     assert window.count == 1
 
 
-def test_watched_registry_scraped_with_labels(sim, telemetry):
-    registry = MetricsRegistry(sim, prefix="vc-1")
-    rows = registry.counter("stats.rows")
-    queue = registry.gauge("queue")
-    seen = registry.latency("call")
-    telemetry.watch_registry(registry, component="statsd")
+def test_scope_scraped_with_labels(telemetry):
+    scope = telemetry.scope("vc-1", component="statsd")
+    rows = scope.counter("stats.rows")
+    seen = scope.duration("call")
+    scope.probe("queue", lambda: 3.0)
+    idle = scope.counter("idle")
     rows.add(10.0)
-    queue.set(3.0)
-    seen.record(0.5)
+    seen.observe(0.5)
     telemetry.scraper.scrape()
 
-    assert telemetry.series("vc-1.stats.rows", component="statsd").latest().sum == 10.0
-    assert telemetry.series("vc-1.queue", component="statsd").last_value() == 3.0
-    # Latency recorders contribute their count as a counter delta.
-    assert telemetry.series("vc-1.call:count", component="statsd").latest().sum == 1.0
-    # The registry itself is only read.
-    assert rows.value == 10.0
+    assert telemetry.rollups['vc-1.stats.rows{component="statsd"}'].latest().sum == 10.0
+    assert telemetry.rollups['vc-1.queue{component="statsd"}'].last_value() == 3.0
+    # A duration contributes its count and seconds as counter deltas.
+    assert telemetry.rollups['vc-1.call:count{component="statsd"}'].latest().sum == 1.0
+    assert telemetry.rollups['vc-1.call:seconds{component="statsd"}'].latest().sum == 0.5
+    # A handle joins the scrape at its first write, not before.
+    assert 'vc-1.idle{component="statsd"}' not in telemetry.rollups
+    idle.add()
+    telemetry.scraper.scrape()
+    assert telemetry.rollups['vc-1.idle{component="statsd"}'].latest().sum == 1.0
 
 
 def test_scraper_runs_on_cadence(sim, telemetry):
@@ -110,7 +113,7 @@ def test_scraper_runs_on_cadence(sim, telemetry):
     sim.run(until=30.0)
     # Scrapes at t=5,10,15,20 (cadence 5 s, stop after until).
     assert telemetry.scraper.scrapes == 4
-    series = telemetry.series("ticks_total")
+    series = telemetry.rollups["ticks_total"]
     assert sum(window.sum for window in series.windows()) == 20.0
 
 
@@ -134,7 +137,7 @@ def test_rollup_store_memory_bounded(sim):
     sim.spawn(workload(), name="load")
     telemetry.start()
     sim.run(until=5000.0)
-    series = telemetry.series("reqs_total")
+    series = telemetry.rollups["reqs_total"]
     assert telemetry.scraper.scrapes >= 900
     # 3 level-0 + 2 level-1 + open + agg — far less than one per scrape.
     windows = sum(len(series.windows(level=level)) for level in range(len(series.retention)))
