@@ -476,8 +476,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"{summary['retained_trees']} trees kept ({kept}), "
             f"{summary['dropped']} dropped, {summary['evicted']} evicted"
         )
-        # Dropped trees lost their child index — only retained trees can
-        # be attributed or walked for a critical path below.
+        # The tracer holds no spans of a dropped tree — only retained
+        # trees can be attributed or walked for a critical path below.
         retained = {tree.trace_id for tree in rig.tracer.retained_trees()}
         tasks = [
             task for task in tasks if task.span.trace_id in retained

@@ -137,8 +137,10 @@ class ApiGateway:
         With shedding enabled, an overloaded control plane rejects the
         request up front (:class:`AdmissionShed`) instead of queueing it.
         """
-        admit_span = span.child(
-            "gateway.admit", phase=PHASE_ADMISSION, tags={"wait": True}
+        admit_span = (
+            span.child("gateway.admit", phase=PHASE_ADMISSION, tags={"wait": True})
+            if not span.is_null
+            else span
         )
         try:
             self.validate(session)

@@ -246,7 +246,11 @@ class CloudDirector:
         how self-service portals mask transient faults from tenants.
         Returns the VM, or None after exhausting retries.
         """
-        vm_span = request_span.child(f"vm-{index}", phase=PHASE_REQUEST)
+        vm_span = (
+            request_span.child(f"vm-{index}", phase=PHASE_REQUEST)
+            if not request_span.is_null
+            else request_span
+        )
         try:
             result = yield from self._deploy_one_traced(
                 request, template, vapp, index, storage_per_vm, vm_span
@@ -324,10 +328,12 @@ class CloudDirector:
                     return None
                 delay = policy.backoff_s(attempt + 1, self._retry_rng)
                 if delay > 0:
-                    backoff_span = vm_span.child(
-                        "replacement.backoff",
-                        phase=PHASE_RETRY,
-                        tags={"wait": True},
+                    backoff_span = (
+                        vm_span.child(
+                            "replacement.backoff", phase=PHASE_RETRY, tags={"wait": True}
+                        )
+                        if not vm_span.is_null
+                        else vm_span
                     )
                     yield self.sim.timeout(delay)
                     backoff_span.finish()

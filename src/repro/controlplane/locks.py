@@ -16,7 +16,6 @@ import typing
 
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.stats import LatencyRecorder
 from repro.telemetry.metrics import NULL_SCOPE
 
 READ = "read"
@@ -113,9 +112,11 @@ class LockManager:
             raise ValueError(f"unknown granularity {granularity!r}")
         self.sim = sim
         self.granularity = granularity
-        # Every acquisition's wait: its mean is the contention figure, and
-        # the scope exports the count and seconds (``vc-1.locks.acquire_wait``).
-        self.acquire_wait = LatencyRecorder("acquire_wait")
+        # Acquisitions and their summed wait: the mean is the contention
+        # figure, and the scope exports the count and seconds
+        # (``vc-1.locks.acquire_wait``).
+        self.acquisitions = 0
+        self.acquire_wait_s = 0.0
         scope = telemetry if telemetry is not None else NULL_SCOPE
         self._t_acquire_wait = scope.duration("acquire_wait")
         self._locks: dict[str, RWLock] = {}
@@ -172,7 +173,8 @@ class LockManager:
                 raise
             grants.append(grant)
         wait = self.sim.now - start
-        self.acquire_wait.record(wait)
+        self.acquisitions += 1
+        self.acquire_wait_s += wait
         self._t_acquire_wait.observe(wait)
         return grants
 
@@ -201,7 +203,9 @@ class LockManager:
 
     def contention(self) -> float:
         """Mean lock-acquire wait across all acquisitions (seconds)."""
-        return self.acquire_wait.mean
+        if not self.acquisitions:
+            return 0.0
+        return self.acquire_wait_s / self.acquisitions
 
 
 class LockScope:

@@ -412,10 +412,14 @@ class RecoveryManager:
         probe = PROBE_ABSENT
         if operation is not None:
             probe = operation.recovery_probe(self.server, task)
-        child = span.child(
-            f"reconcile.task-{task.task_id}",
-            phase=PHASE_RECOVERY,
-            tags={"probe": probe, "stage": stage},
+        child = (
+            span.child(
+                f"reconcile.task-{task.task_id}",
+                phase=PHASE_RECOVERY,
+                tags={"probe": probe, "stage": stage},
+            )
+            if not span.is_null
+            else span
         )
         if probe == PROBE_COMPLETE:
             operation.recovery_adopt(self.server, task)

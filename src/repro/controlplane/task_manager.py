@@ -257,8 +257,11 @@ class TaskManager:
         # are bounded by the task deadline: a request still queued at the
         # deadline is withdrawn and the task dead-lettered.
         granted: list[tuple[PriorityResource, typing.Any]] = []
-        wait_span = root_span.child(
-            "task.dispatch_wait", phase=PHASE_QUEUE, tags={"wait": True}
+        traced = not root_span.is_null
+        wait_span = (
+            root_span.child("task.dispatch_wait", phase=PHASE_QUEUE, tags={"wait": True})
+            if traced
+            else root_span
         )
         while True:
             try:
@@ -294,8 +297,10 @@ class TaskManager:
             while True:
                 task.attempts += 1
                 self.journal.record_dispatch(task, task.attempts)
-                attempt_span = root_span.child(
-                    f"attempt-{task.attempts}", phase=PHASE_TASK
+                attempt_span = (
+                    root_span.child(f"attempt-{task.attempts}", phase=PHASE_TASK)
+                    if traced
+                    else root_span
                 )
                 task.span = attempt_span
                 try:
@@ -326,10 +331,12 @@ class TaskManager:
                         self._op_handles(op_type)[0].add()
                         self._t_retries_total.add()
                         if delay > 0:
-                            backoff_span = root_span.child(
-                                "task.backoff",
-                                phase=PHASE_RETRY,
-                                tags={"wait": True},
+                            backoff_span = (
+                                root_span.child(
+                                    "task.backoff", phase=PHASE_RETRY, tags={"wait": True}
+                                )
+                                if traced
+                                else root_span
                             )
                             try:
                                 yield self.sim.timeout(delay)

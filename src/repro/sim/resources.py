@@ -93,7 +93,9 @@ class Resource:
         while self._queue and len(self._users) < self.capacity:
             request = self._queue.pop(self._next_index())
             self._users.add(request)
-            request.succeed(value=request)
+            # No value: a request holding itself would be a reference
+            # cycle that only the cyclic collector frees.
+            request.succeed()
 
     def _withdraw(self, request: Request) -> None:
         if request in self._queue:

@@ -99,10 +99,14 @@ class CopyEngine:
                 self._fail(handles[1])
                 raise
         start = self.sim.now
-        transfer_span = span.child(
-            "copy.transfer",
-            phase=PHASE_COPY,
-            tags={"size_gb": size_gb, "destination": destination.name},
+        transfer_span = (
+            span.child(
+                "copy.transfer",
+                phase=PHASE_COPY,
+                tags={"size_gb": size_gb, "destination": destination.name},
+            )
+            if not span.is_null
+            else span
         )
         destination.allocate(size_gb)
         try:

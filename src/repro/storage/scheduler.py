@@ -72,8 +72,10 @@ class CopyScheduler:
         start = self.sim.now
         pool = self._pool(destination)
         request = pool.request()
-        wait_span = span.child(
-            "copy.slot_wait", phase=PHASE_COPY, tags={"wait": True}
+        wait_span = (
+            span.child("copy.slot_wait", phase=PHASE_COPY, tags={"wait": True})
+            if not span.is_null
+            else span
         )
         yield request
         wait_span.finish()

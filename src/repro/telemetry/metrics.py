@@ -257,6 +257,9 @@ class Telemetry:
         self.scrape_interval_s = scrape_interval_s
         self.retention = DEFAULT_RETENTION if retention is None else retention
         self.families: dict[str, MetricFamily] = {}
+        # Bumped at every family lookup, which may add a family or a
+        # child: the scraper re-walks the families only when it moved.
+        self.generation = 0
         self.probes: list[Probe] = []
         self.rollups: dict[str, RollupSeries] = {}
         self.scraper = Scraper(self)
@@ -265,6 +268,7 @@ class Telemetry:
     # -- family construction -------------------------------------------------
 
     def _family(self, name: str, kind: str, help: str) -> MetricFamily:
+        self.generation += 1
         family = self.families.get(name)
         if family is None:
             family = MetricFamily(name, kind, help=help)

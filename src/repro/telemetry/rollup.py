@@ -13,6 +13,7 @@ log bucket for quantiles) — the invariance the property tests pin down.
 from __future__ import annotations
 
 import math
+import typing
 
 from repro.sim.stats import LOG_HISTOGRAM_BASE, LogHistogram
 
@@ -55,16 +56,46 @@ class Window:
         return self.sum / self.width if self.width > 0 else 0.0
 
     def record(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
-        # Comparisons, not min()/max(): same result, no builtin call on
-        # the per-sample scrape path.
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.last = value
-        self.hist.record(value)
+        _check_sample(value)
+        self.record_all((value,))
+
+    def record_all(self, values: typing.Sequence[float]) -> None:
+        """Land checked samples in order, as one :meth:`record` each would.
+
+        One loop updates the scalars and the sketch. Sums accumulate in
+        sample order, and a value equal to the one before it reuses that
+        value's bucket index.
+        """
+        hist = self.hist
+        buckets = hist._buckets
+        total, hist_total = self.sum, hist._sum
+        low, high, hist_low, hist_high = self.min, self.max, hist._min, hist._max
+        zeros = 0
+        previous = index = None
+        for value in values:
+            total += value
+            hist_total += value
+            # Comparisons, not min()/max(): same result, no builtin call.
+            if value < low:
+                low = value
+            if value > high:
+                high = value
+            if value < hist_low:
+                hist_low = value
+            if value > hist_high:
+                hist_high = value
+            if value == 0.0:
+                zeros += 1
+            else:
+                if value != previous:
+                    index = hist._index(value)
+                    previous = value
+                buckets[index] = buckets.get(index, 0) + 1
+        self.count += len(values)
+        self.sum, self.min, self.max, self.last = total, low, high, values[-1]
+        hist.zeros += zeros
+        hist._count += len(values)
+        hist._sum, hist._min, hist._max = hist_total, hist_low, hist_high
 
     def absorb_histogram(self, delta: LogHistogram) -> None:
         """Fold a pre-aggregated histogram delta (scraped cumulative diff)."""
@@ -77,8 +108,8 @@ class Window:
         self.last = delta.max
         self.hist.merge(delta)
 
-    def merge(self, other: "Window") -> None:
-        """Fold a later window into this one (coarser-level roll-up)."""
+    def add(self, other: "Window") -> None:
+        """Fold a later window's samples into this one; the span stays."""
         if other.count:
             self.count += other.count
             self.sum += other.sum
@@ -86,6 +117,10 @@ class Window:
             self.max = max(self.max, other.max)
             self.last = other.last
             self.hist.merge(other.hist)
+
+    def merge(self, other: "Window") -> None:
+        """Fold a later window into this one (coarser-level roll-up)."""
+        self.add(other)
         self.width = max(self.width, other.end - self.start)
 
     def p(self, fraction: float) -> float:
@@ -107,6 +142,17 @@ class Window:
         }
 
 
+def _check_sample(value: float) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"roll-up sample must be finite and >= 0, got {value!r}")
+
+
+#: Horizons one series keeps a closed-window merge for. The rules and
+#: triage query a few fixed horizons; a caller passing a new horizon each
+#: time resets the cache instead of growing it.
+_MAX_CACHED_HORIZONS = 8
+
+
 class RollupSeries:
     """A bounded multi-level roll-up of one metric's scraped samples.
 
@@ -115,9 +161,17 @@ class RollupSeries:
     retention it folds its oldest windows into level ``i+1``; the top
     level evicts. Total memory is therefore fixed by the retention spec,
     independent of run length — the strict bound the scraper relies on.
+
+    A recorded sample waits in a pending list; the open window takes the
+    whole list in one :meth:`Window.record_all` when it closes or when a
+    reader looks at it. ``trailing`` keeps, per horizon, the merge of the
+    closed windows it last covered, so a query merges only what changed.
     """
 
-    __slots__ = ("name", "kind", "retention", "base", "_levels", "_open", "_aggs")
+    __slots__ = (
+        "name", "kind", "retention", "base", "_levels", "_open", "_aggs",
+        "_pending", "_time", "_trailing",
+    )
 
     def __init__(
         self,
@@ -150,6 +204,12 @@ class RollupSeries:
         self._open: Window | None = None
         # Per-level aggregation windows being assembled for the next level.
         self._aggs: list[Window | None] = [None] * len(retention)
+        # Samples recorded into the open window but not yet folded into it.
+        self._pending: list[float] = []
+        # The last sample time, known to fall in the open window.
+        self._time: float | None = None
+        # Horizon -> (first, last closed window covered, their merge).
+        self._trailing: dict[float, tuple[Window, Window, Window]] = {}
 
     # -- recording -----------------------------------------------------------
 
@@ -166,17 +226,31 @@ class RollupSeries:
             raise ValueError(
                 f"sample at {time} predates open window {open_window.start}"
             )
+        self._time = time
         return open_window
 
     def record(self, time: float, value: float) -> None:
         """Land one scalar sample (gauge level or counter delta)."""
-        self._window_for(time).record(value)
+        if time != self._time:
+            self._window_for(time)
+        _check_sample(value)
+        self._pending.append(value)
 
     def absorb_histogram(self, time: float, delta: LogHistogram) -> None:
         """Land one scraped histogram delta."""
-        self._window_for(time).absorb_histogram(delta)
+        window = self._window_for(time)
+        self._fold()
+        window.absorb_histogram(delta)
+
+    def _fold(self) -> None:
+        """Land the pending samples in the open window."""
+        pending = self._pending
+        if pending:
+            self._open.record_all(pending)
+            self._pending = []
 
     def _close(self, window: Window) -> None:
+        self._fold()
         self._push(0, window)
 
     def _push(self, level: int, window: Window) -> None:
@@ -205,6 +279,7 @@ class RollupSeries:
 
     def windows(self, level: int = 0, include_open: bool = True) -> list[Window]:
         """Windows at one level, oldest first (open window last)."""
+        self._fold()
         out = list(self._levels[level])
         if level > 0 and self._aggs[level] is not None:
             out.append(self._aggs[level])
@@ -213,6 +288,7 @@ class RollupSeries:
         return out
 
     def latest(self) -> Window | None:
+        self._fold()
         if self._open is not None:
             return self._open
         return self._levels[0][-1] if self._levels[0] else None
@@ -226,19 +302,56 @@ class RollupSeries:
 
         This is the roll-up-of-roll-ups path: the result is identical (to
         within one log bucket on quantiles) to rolling up the raw samples.
+        Windows merge oldest first, the closed ones through the horizon's
+        cached merge, so every sum and extreme is the same as merging
+        them one by one.
         """
+        self._fold()
         cutoff = now - seconds
         merged = Window(cutoff, seconds, base=self.base)
-        for window in self.windows(level=0, include_open=True):
-            if window.end > cutoff and window.start < now:
-                if window.count:
-                    merged.count += window.count
-                    merged.sum += window.sum
-                    merged.min = min(merged.min, window.min)
-                    merged.max = max(merged.max, window.max)
-                    merged.last = window.last
-                    merged.hist.merge(window.hist)
+        # Closed level-0 windows are in time order and all as wide, so
+        # the ones overlapping the horizon are one run: [first, last).
+        closed = self._levels[0]
+        last = len(closed)
+        while last and closed[last - 1].start >= now:
+            last -= 1
+        first = last
+        while first and closed[first - 1].end > cutoff:
+            first -= 1
+        if first < last:
+            merged.add(self._closed_merge(seconds, closed, first, last))
+        open_window = self._open
+        if open_window is not None and open_window.end > cutoff and open_window.start < now:
+            merged.add(open_window)
         return merged
+
+    def _closed_merge(
+        self, seconds: float, closed: list[Window], first: int, last: int
+    ) -> Window:
+        """The merge of ``closed[first:last]``, cached for one horizon.
+
+        Closed windows never change, so a cached merge with the same
+        first window stays valid; windows closed since are merged onto it.
+        """
+        head, tail = closed[first], closed[last - 1]
+        cached = self._trailing.get(seconds)
+        if cached is not None and cached[0] is head:
+            part = cached[2]
+            index = last - 1
+            while index >= first and closed[index] is not cached[1]:
+                index -= 1
+            if index >= first:
+                for window in closed[index + 1:last]:
+                    part.add(window)
+                self._trailing[seconds] = (head, tail, part)
+                return part
+        part = Window(head.start, 0.0, base=self.base)
+        for window in closed[first:last]:
+            part.add(window)
+        if cached is None and len(self._trailing) >= _MAX_CACHED_HORIZONS:
+            self._trailing.clear()
+        self._trailing[seconds] = (head, tail, part)
+        return part
 
     def series(self, level: int = 0, field: str = "mean") -> list[tuple[float, float]]:
         """(window start, field) pairs for plotting/export."""

@@ -46,6 +46,13 @@ class _Binding:
         self.series: "RollupSeries | None" = None
 
 
+# What a family entry reads from its child at each scrape.
+_COUNTER = "counter"
+_HISTOGRAM = "histogram"
+_DURATION_COUNT = ":count"
+_DURATION_SECONDS = ":seconds"
+
+
 class _HistogramCursor:
     """Last-seen cumulative state of one histogram, for delta scrapes."""
 
@@ -71,6 +78,13 @@ class Scraper:
         # Family child, probe, or (duration child, suffix) -> its binding;
         # a duration has a count and a seconds one.
         self._bindings: dict[typing.Hashable, _Binding] = {}
+        # What each scrape samples, in family then probe order: (what to
+        # read, child, binding) per family entry, (probe, binding) per
+        # probe. Families are re-walked when the hub's generation moves;
+        # probes are only ever appended, so new ones are bound on sight.
+        self._family_entries: list[tuple[str, typing.Any, _Binding]] = []
+        self._generation = -1
+        self._probe_entries: list[tuple[typing.Any, _Binding]] = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -96,28 +110,66 @@ class Scraper:
     # -- one scrape ----------------------------------------------------------
 
     def scrape(self) -> None:
-        now = self.telemetry.sim.now
+        telemetry = self.telemetry
+        now = telemetry.sim.now
+        if self._generation != telemetry.generation:
+            self._bind_families()
+        probes = telemetry.probes
+        bound = len(self._probe_entries)
+        if bound < len(probes):
+            for probe in probes[bound:]:
+                binding = self._bind(probe, probe.name, probe.labels, "gauge")
+                self._probe_entries.append((probe, binding))
+        last_counter = self._last_counter
+        for read, child, binding in self._family_entries:
+            if read is _HISTOGRAM:
+                self._sample_histogram(binding, child.hist, now)
+                continue
+            if read is _COUNTER:
+                value = child.value
+            elif read is _DURATION_COUNT:
+                value = float(child.count)
+            else:
+                value = child.seconds
+            metric_id = binding.metric_id
+            last = last_counter.get(metric_id, 0.0)
+            last_counter[metric_id] = value
+            series = binding.series
+            if series is None:
+                series = self._series(binding)
+            series.record(now, value - last)
+        for probe, binding in self._probe_entries:
+            value = float(probe.fn())
+            series = binding.series
+            if series is None:
+                series = self._series(binding)
+            series.record(now, value)
+        self.scrapes += 1
+        telemetry.monitor.evaluate(now)
+
+    def _bind_families(self) -> None:
+        """Walk every family child, binding the ones not seen before."""
         bind = self._bind
+        entries: list[tuple[str, typing.Any, _Binding]] = []
         for family in self.telemetry.families.values():
             kind = family.kind
             for child in family.children():
                 if kind == "counter":
-                    binding = bind(child, child.name, child.labels, kind)
-                    self._sample_counter(binding, child.value, now)
-                elif kind == "histogram":
-                    binding = bind(child, child.name, child.labels, kind)
-                    self._sample_histogram(binding, child.hist, now)
-                else:
-                    count = bind((child, ":count"), child.name, child.labels, "counter", ":count")
-                    self._sample_counter(count, float(child.count), now)
-                    seconds = bind(
-                        (child, ":seconds"), child.name, child.labels, "counter", ":seconds"
+                    entries.append(
+                        (_COUNTER, child, bind(child, child.name, child.labels, kind))
                     )
-                    self._sample_counter(seconds, child.seconds, now)
-        for probe in self.telemetry.probes:
-            self._sample_gauge(bind(probe, probe.name, probe.labels, "gauge"), probe.value, now)
-        self.scrapes += 1
-        self.telemetry.monitor.evaluate(now)
+                elif kind == "histogram":
+                    entries.append(
+                        (_HISTOGRAM, child, bind(child, child.name, child.labels, kind))
+                    )
+                else:
+                    for read in (_DURATION_COUNT, _DURATION_SECONDS):
+                        binding = bind(
+                            (child, read), child.name, child.labels, "counter", read
+                        )
+                        entries.append((read, child, binding))
+        self._family_entries = entries
+        self._generation = self.telemetry.generation
 
     def _bind(
         self, source: typing.Hashable, name: str, labels: tuple, kind: str, suffix: str = ""
@@ -135,15 +187,6 @@ class Scraper:
         if series is None:
             series = binding.series = self.telemetry.rollup(binding.metric_id, binding.kind)
         return series
-
-    def _sample_counter(self, binding: _Binding, value: float, now: float) -> None:
-        metric_id = binding.metric_id
-        last = self._last_counter.get(metric_id, 0.0)
-        self._last_counter[metric_id] = value
-        self._series(binding).record(now, value - last)
-
-    def _sample_gauge(self, binding: _Binding, value: float, now: float) -> None:
-        self._series(binding).record(now, value)
 
     def _sample_histogram(self, binding: _Binding, hist: LogHistogram, now: float) -> None:
         metric_id = binding.metric_id

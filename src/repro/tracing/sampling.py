@@ -147,12 +147,13 @@ class TailSampler:
 
     def classify(self, root: Span, spans: list[Span]) -> str:
         """Which keep class a sealed tree falls in (strongest claim wins)."""
+        retried = False
         for span in spans:
             if "error" in span.tags:
                 return KEEP_ERROR
-        if root.tags.get("attempts", 1) > 1 or any(
-            span.phase == PHASE_RETRY for span in spans
-        ):
+            if span.phase == PHASE_RETRY:
+                retried = True
+        if root.tags.get("attempts", 1) > 1 or retried:
             return KEEP_RETRY
         threshold = self.slow_threshold()
         if threshold is not None and root.duration >= threshold:
@@ -164,10 +165,7 @@ class TailSampler:
     def offer(
         self, root: Span, spans: list[Span], sealed_at: float
     ) -> tuple[RetainedTree | None, list[RetainedTree]]:
-        """Offer one sealed tree; returns (admitted tree or None, evicted).
-
-        The caller owns forgetting dropped/evicted trees' index entries.
-        """
+        """Offer one sealed tree; returns (admitted tree or None, evicted)."""
         self.offered += 1
         self.offered_spans += len(spans)
         keep = self.classify(root, spans)
@@ -297,18 +295,19 @@ class SampledTracer(Tracer):
 
     def _finished(self, span: Span) -> None:
         buffered = self._active.pop(span.trace_id, None)
-        if buffered is None:
-            return
-        tree, evicted = self.sampler.offer(span, buffered, sealed_at=self.sim.now)
-        if tree is None:
-            self._forget(buffered)
-        for victim in evicted:
-            self._forget(victim.spans)
+        if buffered is not None:
+            self.sampler.offer(span, buffered, sealed_at=self.sim.now)
 
-    def _forget(self, spans: list[Span]) -> None:
-        """Drop a dropped/evicted tree's child-index entries (GC the tree)."""
-        for span in spans:
-            self._children.pop(span.span_id, None)
+    def _trace_spans(self, trace_id: int) -> typing.Sequence[Span]:
+        # An open trace's buffer, or a retained tree's spans; a dropped or
+        # evicted tree is held nowhere, so its spans have no children.
+        tree = self.sampler.tree_for(trace_id)
+        buffered = self._active.get(trace_id)
+        if tree is None:
+            return buffered or ()
+        if buffered is None:
+            return tree.spans
+        return tree.spans + buffered
 
     # -- retained-set queries ------------------------------------------------
 
@@ -328,7 +327,6 @@ class SampledTracer(Tracer):
 
     def clear(self) -> None:
         self._active.clear()
-        self._children.clear()
         self.sampler.reset()
 
     def retention_summary(self) -> dict[str, int]:

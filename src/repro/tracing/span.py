@@ -115,7 +115,13 @@ class Span:
         tags: dict[str, typing.Any] | None = None,
     ) -> "Span":
         """Open a child span at the current simulated time."""
-        return self.tracer._open(name, phase, self.trace_id, self.span_id, tags)
+        tracer = self.tracer
+        tracer._next_span_id += 1
+        span = Span(
+            tracer, name, phase, self.trace_id, tracer._next_span_id, self.span_id, tags
+        )
+        tracer._store(span)
+        return span
 
     def finish(self, error: str | None = None) -> "Span":
         """Close the span at the current simulated time.

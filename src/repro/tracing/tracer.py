@@ -26,7 +26,6 @@ class Tracer:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._children: dict[int, list[Span]] = {}
         self._next_trace_id = 0
         self._next_span_id = 0
         self._init_store()
@@ -34,6 +33,8 @@ class Tracer:
     def _init_store(self) -> None:
         """Set up the span store (subclasses swap in bounded retention)."""
         self.spans: list[Span] = []
+        # Each trace's spans in open order: what the structural queries read.
+        self._traces: dict[int, list[Span]] = {}
 
     # -- span construction ---------------------------------------------------
 
@@ -45,7 +46,10 @@ class Tracer:
     ) -> Span:
         """Open a new root span (a fresh trace id)."""
         self._next_trace_id += 1
-        return self._open(name, phase, self._next_trace_id, None, tags)
+        self._next_span_id += 1
+        span = Span(self, name, phase, self._next_trace_id, self._next_span_id, None, tags)
+        self._store(span)
+        return span
 
     def start_span(
         self,
@@ -57,25 +61,11 @@ class Tracer:
         """Open a span; with a parent it joins the parent's trace."""
         if parent is None or parent.is_null:
             return self.start_trace(name, phase=phase, tags=tags)
-        return self._open(name, phase, parent.trace_id, parent.span_id, tags)
-
-    def _open(
-        self,
-        name: str,
-        phase: str,
-        trace_id: int,
-        parent_id: int | None,
-        tags: dict[str, typing.Any] | None,
-    ) -> Span:
-        self._next_span_id += 1
-        span = Span(self, name, phase, trace_id, self._next_span_id, parent_id, tags)
-        self._store(span)
-        if parent_id is not None:
-            self._children.setdefault(parent_id, []).append(span)
-        return span
+        return parent.child(name, phase, tags)
 
     def _store(self, span: Span) -> None:
         self.spans.append(span)
+        self._traces.setdefault(span.trace_id, []).append(span)
 
     def _finished(self, span: Span) -> None:
         """Finish hook, called by :meth:`Span.finish` when a root first closes.
@@ -87,17 +77,27 @@ class Tracer:
 
     # -- structural queries --------------------------------------------------
 
+    def _trace_spans(self, trace_id: int) -> typing.Sequence[Span]:
+        """Every span of one trace this tracer still holds, in open order."""
+        return self._traces.get(trace_id, ())
+
     def children(self, span: Span) -> list[Span]:
-        return list(self._children.get(span.span_id, ()))
+        """``span``'s direct children, in open order."""
+        span_id = span.span_id
+        return [s for s in self._trace_spans(span.trace_id) if s.parent_id == span_id]
 
     def subtree(self, root: Span) -> list[Span]:
         """``root`` and all its descendants, preorder."""
+        kids: dict[int, list[Span]] = {}
+        for span in self._trace_spans(root.trace_id):
+            if span.parent_id is not None:
+                kids.setdefault(span.parent_id, []).append(span)
         out: list[Span] = []
         stack = [root]
         while stack:
             span = stack.pop()
             out.append(span)
-            stack.extend(reversed(self._children.get(span.span_id, ())))
+            stack.extend(reversed(kids.get(span.span_id, ())))
         return out
 
     def roots(self) -> list[Span]:
@@ -112,7 +112,7 @@ class Tracer:
     def clear(self) -> None:
         """Forget all recorded spans (long-running sweeps between points)."""
         self.spans.clear()
-        self._children.clear()
+        self._traces.clear()
 
 
 class NullTracer:

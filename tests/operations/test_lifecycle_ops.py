@@ -145,4 +145,4 @@ def test_lock_serializes_ops_on_same_vm(cloud, vm):
     assert p1.ok and p2.ok
     assert vm.vcpus in (4, 8)
     # Lock wait shows up in the metrics.
-    assert cloud.server.locks.acquire_wait.count >= 2
+    assert cloud.server.locks.acquisitions >= 2

@@ -165,3 +165,31 @@ def test_token_bucket_validates_parameters():
         TokenBucket(sim, rate=0.0, burst=1.0)
     with pytest.raises(ValueError):
         TokenBucket(sim, rate=1.0, burst=0.0)
+
+
+def test_granted_requests_are_freed_without_the_cycle_collector():
+    """A granted request holds no reference to itself, so a storm of
+    grant/release pairs leaves no unreachable Request for the cyclic
+    collector: refcounting frees each one at its release."""
+    import gc
+
+    from repro.sim.resources import Request
+
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulator()
+        resource = Resource(sim, capacity=2)
+        log = []
+        for index in range(40):
+            sim.spawn(hold(sim, resource, 1.0, log, index))
+        sim.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, Request)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert len(log) == 80
+    assert leaked == []

@@ -9,6 +9,9 @@ the normal reservoir, and the SampledTracer's bookkeeping against the
 plain keep-everything tracer.
 """
 
+import gc
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,11 +32,33 @@ from repro.tracing.sampling import (
     KEEP_RETRY,
     KEEP_SLOW,
 )
+from repro.tracing.span import Span
 
 
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+def _spans_reachable_from(tracer):
+    """Every span the tracer's own state still refers to.
+
+    Walks object references from the tracer, stopping at spans, the
+    simulator, classes, modules and functions (whose globals reach
+    everything).
+    """
+    stop = (Simulator, type, types.ModuleType, types.FunctionType)
+    found, seen, stack = [], set(), list(gc.get_referents(tracer))
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Span):
+            found.append(obj)
+        elif not isinstance(obj, stop):
+            stack.extend(gc.get_referents(obj))
+    return found
 
 
 def seal_trace(sim, tracer, name, child_count=2, duration=1.0, error=None,
@@ -287,16 +312,28 @@ class TestSampledTracer:
         assert summary["retained_spans"] == sampled.sampler.span_count
         assert summary["span_budget"] == budget
 
-    def test_dropped_trees_release_child_index(self, sim):
+    def test_dropped_tree_leaves_no_state(self, sim):
         # min_slow_samples high keeps the slow threshold unarmed, so every
         # one of these healthy identical traces is a dropped normal.
         tracer = SampledTracer(
             sim, RetentionPolicy(normal_reservoir=0, min_slow_samples=1000)
         )
-        for index in range(50):
-            seal_trace(sim, tracer, f"n{index}")
-        assert tracer._children == {}
+        roots = [seal_trace(sim, tracer, f"n{index}") for index in range(50)]
+        assert tracer.sampler.dropped == 50
         assert tracer._active == {}
+        assert tracer.spans == []
+        assert _spans_reachable_from(tracer) == []
+        for root in roots:
+            assert tracer.children(root) == []
+            assert tracer.subtree(root) == [root]
+
+    def test_reachability_walk_sees_retained_spans(self, sim):
+        tracer = SampledTracer(sim, RetentionPolicy(normal_reservoir=0))
+        err = seal_trace(sim, tracer, "bad", error="Boom")
+        seal_trace(sim, tracer, "n")
+        assert sorted(s.span_id for s in _spans_reachable_from(tracer)) == [
+            s.span_id for s in tracer.subtree(err)
+        ]
 
     def test_error_trees_survive_normal_churn(self, sim):
         tracer = SampledTracer(
