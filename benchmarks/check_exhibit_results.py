@@ -5,10 +5,10 @@ Every registered exhibit is deterministic given the seed, so a rerun at
 seed 0 must reproduce ``benchmarks/results/<ID>.txt`` (and ``.csv``, or
 an empty series where none is committed) byte for byte. The seventeen fast
 exhibits are compared in the unit suite (``tests/core/test_exhibit_results.py``);
-this script covers the slow seven, serially. ``--parallel N`` checks every
-member of ``PARALLEL_EXPERIMENTS`` instead, with its cells fanned across N
-worker processes, which must change nothing. Nothing under
-``benchmarks/results/`` is written.
+this script covers the slow seven, serially. ``--parallel N`` checks all
+24 registered exhibits instead, each with its cells fanned across N worker
+processes (an exhibit with one cell runs in-process), which must change
+nothing. Nothing under ``benchmarks/results/`` is written.
 
 Usage::
 
@@ -26,7 +26,7 @@ import tempfile
 import time
 
 from repro.analysis.report import export_series_csv
-from repro.core.experiments import PARALLEL_EXPERIMENTS, run_experiment
+from repro.core.experiments import EXPERIMENTS, run_experiment
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
@@ -60,11 +60,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
-        help="check the pooled exhibits on N worker processes (default: the "
+        help="check every exhibit on N worker processes (default: the "
         "slow seven, serially)",
     )
     args = parser.parse_args(argv)
-    exp_ids = SLOW_EXHIBITS if args.parallel is None else sorted(PARALLEL_EXPERIMENTS)
+    exp_ids = SLOW_EXHIBITS if args.parallel is None else sorted(EXPERIMENTS)
 
     scratch = pathlib.Path(tempfile.mkdtemp()) / "series.csv"
     failures = []

@@ -19,7 +19,7 @@ import argparse
 
 from repro.analysis.report import render_table
 from repro.controlplane import ControlPlaneConfig
-from repro.core.experiments import StormRig, experiment_f9_shards
+from repro.core.experiments import StormRig, run_experiment
 
 
 def tuning_study(clones: int, seed: int) -> None:
@@ -50,7 +50,7 @@ def main() -> None:
 
     tuning_study(args.clones, args.seed)
     print()
-    result = experiment_f9_shards(seed=args.seed, quick=True)
+    result = run_experiment("R-F9", seed=args.seed, quick=True)
     print(result.render())
     print(
         "\nReading: single-server tuning helps until the next resource "

@@ -41,7 +41,8 @@ import argparse
 import sys
 import typing
 
-from repro.core.experiments import EXPERIMENTS, StormRig, run_experiment
+from repro.controlplane.costs import DEFAULT_COSTS
+from repro.core.experiments import EXPERIMENTS, StormRig, run_experiment, storm_cell
 from repro.core.profiler import CloudManagementProfiler
 from repro.traces.io import write_csv, write_jsonl
 from repro.workloads.profiles import ALL_PROFILES
@@ -281,6 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: object) -> int:
+    """Report a bad argument on stderr; the exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     profiler = CloudManagementProfiler(PROFILES[args.name], seed=args.seed)
     result = profiler.run(duration=args.hours * 3600.0)
@@ -291,8 +298,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         elif args.trace_out.endswith(".csv"):
             count = write_csv(result.trace, args.trace_out)
         else:
-            print("error: --trace-out must end in .csv or .jsonl", file=sys.stderr)
-            return 2
+            return _fail("--trace-out must end in .csv or .jsonl")
         print(f"\nwrote {count} trace records to {args.trace_out}")
     return 0
 
@@ -303,23 +309,22 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             args.exp_id, seed=args.seed, quick=args.quick, parallel=args.parallel
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     print(result.render())
     return 0
 
 
 def cmd_storm(args: argparse.Namespace) -> int:
-    rig = StormRig(seed=args.seed, hosts=args.hosts, datastores=4)
-    outcome = rig.closed_loop_storm(
-        args.clones, args.concurrency, linked=not args.full
+    outcome = storm_cell(
+        (args.seed, args.hosts, 4, DEFAULT_COSTS, None, args.clones, args.concurrency,
+         not args.full)
     )
     mode = "full" if args.full else "linked"
     print(f"{mode} storm: {outcome['completed']} clones in {outcome['makespan_s']:.0f}s")
     print(f"  throughput: {outcome['throughput_per_hour']:.0f} clones/hour")
     print(f"  p50 latency: {outcome['latency_p50']:.1f}s")
     print(f"  data written: {outcome['bytes_written_gb']:.0f} GB")
-    print(f"  bottleneck: {rig.server.bottleneck()}")
+    print(f"  bottleneck: {outcome['bottleneck']}")
     return 0
 
 
@@ -349,8 +354,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             linked=not args.full,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     print(result.render())
     return 0
 
@@ -366,8 +370,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
             duration_s=args.duration, arrival_rate=args.rate,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     result = run_fault_point(rig, schedule.specs)
     counters = result.counters
 
@@ -383,14 +386,14 @@ def cmd_faults(args: argparse.Namespace) -> int:
     print(f"shed:          {counters['shed']}")
     print(f"dead letters:  {result.dead_letters}")
     print(f"unaccounted:   {counters['unaccounted']}")
-    return _report_exactly_once(result)
+    return _report_exactly_once(result.violations)
 
 
-def _report_exactly_once(result) -> int:
-    """Print the exactly-once verdict of a fault point; 1 if it broke."""
-    if result.violations:
+def _report_exactly_once(violations: list[str]) -> int:
+    """Print an exactly-once verdict; 1 if it broke."""
+    if violations:
         print("exactly-once VIOLATED:")
-        for violation in result.violations:
+        for violation in violations:
             print(f"  - {violation}")
         return 1
     print("exactly-once invariant: held")
@@ -402,11 +405,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
     from repro.faults.chaos import run_fault_point, storm_rig
 
     if args.clones < 1 or args.concurrency < 1:
-        print("error: --clones and --concurrency must be >= 1", file=sys.stderr)
-        return 2
+        return _fail("--clones and --concurrency must be >= 1")
     if args.crash_at <= 0 or args.downtime <= 0:
-        print("error: --crash-at and --downtime must be positive", file=sys.stderr)
-        return 2
+        return _fail("--crash-at and --downtime must be positive")
     rig = storm_rig(args.seed, args.clones, args.concurrency, linked=not args.full)
     result = run_fault_point(
         rig, [ServerCrash(start_s=args.crash_at, duration_s=args.downtime, count=1)]
@@ -436,7 +437,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         )
     print(f"dead letters:  {result.dead_letters}")
     print(f"unaccounted:   {len(server.tasks.unaccounted())}")
-    return _report_exactly_once(result)
+    return _report_exactly_once(result.violations)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -449,8 +450,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.tracing import write_chrome_trace, write_spans_jsonl
 
     if args.sample is not None and args.sample < 1:
-        print("error: --sample must be >= 1", file=sys.stderr)
-        return 2
+        return _fail("--sample must be >= 1")
     rig = StormRig(seed=args.seed, traced=True, sample_budget=args.sample)
     outcome = rig.closed_loop_storm(
         args.clones, args.concurrency, linked=not args.full
@@ -542,8 +542,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             scrape_interval_s=args.interval, rules=ALERT_RULES, triage=args.triage,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     result = run_fault_point(rig, faults)
     telemetry = rig.env.telemetry
 
@@ -557,7 +556,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if args.alerts_out:
         path = write_alerts(telemetry, args.alerts_out)
         print(f"wrote alert timeline to {path}")
-    return _report_exactly_once(result)
+    return _report_exactly_once(result.violations)
 
 
 def cmd_bus(args: argparse.Namespace) -> int:
@@ -565,16 +564,13 @@ def cmd_bus(args: argparse.Namespace) -> int:
     from repro.cloud.catalog import Catalog, CatalogItem
     from repro.cloud.director import CloudDirector, DeployRequest
     from repro.cloud.tenancy import Organization, User
-    from repro.controlplane.costs import ControlPlaneConfig
-    from repro.controlplane.resilience import RetryPolicy
     from repro.datacenter.templates import MEDIUM_LINUX
     from repro.faults import FaultInjector, FaultSchedule, FaultTargets, message_fault
-    from repro.faults.chaos import check_exactly_once
+    from repro.faults.chaos import retrying_config, check_exactly_once
     from repro.sim.events import AllOf
 
     if args.deploys < 1 or args.concurrency < 1:
-        print("error: --deploys and --concurrency must be >= 1", file=sys.stderr)
-        return 2
+        return _fail("--deploys and --concurrency must be >= 1")
     faults = []
     if args.fault != "none":
         try:
@@ -582,15 +578,9 @@ def cmd_bus(args: argparse.Namespace) -> int:
                 message_fault(args.fault, args.rate, args.fault_at, args.fault_duration)
             )
         except ValueError as error_:
-            print(f"error: {error_}", file=sys.stderr)
-            return 2
-    config = ControlPlaneConfig(
-        retry_policy=RetryPolicy(
-            max_attempts=4, base_backoff_s=1.0, max_backoff_s=10.0, jitter=0.5
-        ),
-    )
+            return _fail(error_)
     rig = StormRig(
-        seed=args.seed, hosts=8, datastores=2, config=config,
+        seed=args.seed, hosts=8, datastores=2, config=retrying_config(96),
         journal=True, bus=True,
     )
     catalog = Catalog("demo")
@@ -672,30 +662,34 @@ def cmd_bus(args: argparse.Namespace) -> int:
     tasks = rig.server.tasks
     print(f"deployed VMs:  {deployed}")
     print(f"dead letters:  {len(tasks.dead_letters)}")
-    violations = check_exactly_once(rig.server)
-    if violations:
-        print("exactly-once VIOLATED:")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    print("exactly-once invariant: held")
-    return 0
+    return _report_exactly_once(check_exactly_once(rig.server))
 
 
-def cmd_triage(args: argparse.Namespace) -> int:
-    from repro.triage.harness import SWEEP_KINDS, run_triage_point
+def _chaos_kind(args: argparse.Namespace) -> str | None:
+    """The fault kind ``triage`` and ``incident`` inject (None for 'none').
+
+    Raises ValueError for an unknown kind or a non-positive duration.
+    """
+    from repro.triage.harness import SWEEP_KINDS
 
     kind = None if args.kind == "none" else args.kind
     if kind is not None and kind not in SWEEP_KINDS:
-        print(
-            f"error: unknown fault kind {args.kind!r} "
-            f"(choose from: none, {', '.join(SWEEP_KINDS)})",
-            file=sys.stderr,
+        raise ValueError(
+            f"unknown fault kind {args.kind!r} "
+            f"(choose from: none, {', '.join(SWEEP_KINDS)})"
         )
-        return 2
     if args.duration <= 0:
-        print("error: duration must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("duration must be positive")
+    return kind
+
+
+def cmd_triage(args: argparse.Namespace) -> int:
+    from repro.triage.harness import run_triage_point
+
+    try:
+        kind = _chaos_kind(args)
+    except ValueError as error:
+        return _fail(error)
 
     point = run_triage_point(args.seed, kind, duration_s=args.duration)
     print(
@@ -720,22 +714,14 @@ def cmd_triage(args: argparse.Namespace) -> int:
 
 def cmd_incident(args: argparse.Namespace) -> int:
     from repro.telemetry import write_incident_bundle, write_incident_bundles
-    from repro.triage.harness import SWEEP_KINDS, run_triage_point
+    from repro.triage.harness import run_triage_point
 
-    kind = None if args.kind == "none" else args.kind
-    if kind is not None and kind not in SWEEP_KINDS:
-        print(
-            f"error: unknown fault kind {args.kind!r} "
-            f"(choose from: none, {', '.join(SWEEP_KINDS)})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.duration <= 0:
-        print("error: duration must be positive", file=sys.stderr)
-        return 2
+    try:
+        kind = _chaos_kind(args)
+    except ValueError as error:
+        return _fail(error)
     if args.sample < 1:
-        print("error: --sample must be >= 1", file=sys.stderr)
-        return 2
+        return _fail("--sample must be >= 1")
 
     point = run_triage_point(
         args.seed, kind, duration_s=args.duration, sample_budget=args.sample,
@@ -788,8 +774,7 @@ def cmd_hyperscale(args: argparse.Namespace) -> int:
             shard_counts=args.shards,
         )
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _fail(error)
     print("hyperscale fleet cells:")
     print(
         f"{'VMs':>9} {'shards':>6} {'deploys':>9} {'expiries':>9} "
@@ -830,11 +815,9 @@ def cmd_federation(args: argparse.Namespace) -> int:
     from repro.faults.chaos import federation_rig, hot_shard_crash, run_fault_point
 
     if args.deploys < 1 or args.concurrency < 1 or args.shards < 1 or args.orgs < 1:
-        print("error: counts must be >= 1", file=sys.stderr)
-        return 2
+        return _fail("counts must be >= 1")
     if not 0.0 <= args.skew <= 1.0:
-        print("error: --skew must be in [0, 1]", file=sys.stderr)
-        return 2
+        return _fail("--skew must be in [0, 1]")
     faults = []
     try:
         if args.crash_at is not None:
@@ -842,8 +825,7 @@ def cmd_federation(args: argparse.Namespace) -> int:
         if args.fault != "none":
             faults.append(message_fault(args.fault, args.rate, 5.0, 30.0))
     except ValueError as error_:
-        print(f"error: {error_}", file=sys.stderr)
-        return 2
+        return _fail(error_)
     rig = federation_rig(
         args.seed,
         total=args.deploys,

@@ -16,7 +16,6 @@ __getattr__, __dir__ = _lazy_exports(
     {
         "repro.core.experiments": (
             "EXPERIMENTS",
-            "PARALLEL_EXPERIMENTS",
             "ExperimentResult",
             "run_experiment",
         ),
@@ -31,7 +30,6 @@ __all__ = [
     "CloudManagementProfiler",
     "EXPERIMENTS",
     "ExperimentResult",
-    "PARALLEL_EXPERIMENTS",
     "ProfileResult",
     "Scenario",
     "ScenarioResult",

@@ -1,12 +1,15 @@
 """The experiment registry: one entry per reconstructed table/figure.
 
-Each experiment function builds its workload, runs the simulation, and
-returns an :class:`ExperimentResult` whose rows/series are what the
-paper's corresponding exhibit reports. ``benchmarks/`` wraps these;
-EXPERIMENTS.md records the expected shapes.
-
-Every experiment accepts ``seed`` (reproducibility) and ``quick``
-(shrunken sizes for CI; benches run the full sizes).
+Every exhibit has one shape. ``experiment_*(seed, quick, parallel)``
+builds a list of picklable cells from ``seed`` and ``quick`` (shrunken
+sizes for CI; benches run the full sizes), runs them through
+:func:`repro.core.parallel.run_cells` (serially in-process, or across
+``parallel`` worker processes; results come back in cell order), and
+renders the outcomes as the rows and series of an
+:class:`ExperimentResult`. Runs of the same shape share one module-level
+cell: the closed-loop storm, the open-loop storm, the profile scenario
+and the fault point. ``benchmarks/`` wraps these; EXPERIMENTS.md records
+the expected shapes.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ class StormRig:
         seed: int = 0,
         hosts: int = 16,
         datastores: int = 4,
-        datastore_capacity_gb: float = 100_000.0,
         host_memory_gb: float = 128.0,
         costs: ControlPlaneCosts = DEFAULT_COSTS,
         config: ControlPlaneConfig | None = None,
@@ -157,9 +159,7 @@ class StormRig:
         self.datacenter.add_cluster(self.cluster)
         self.network = inventory.create(Network, name="net")
         self.datastores = [
-            inventory.create(
-                Datastore, name=f"lun{i:02d}", capacity_gb=datastore_capacity_gb
-            )
+            inventory.create(Datastore, name=f"lun{i:02d}", capacity_gb=100_000.0)
             for i in range(datastores)
         ]
         self.hosts = []
@@ -230,15 +230,94 @@ class StormRig:
         }
 
 
-def _quick_profile(profile, quick: bool):
-    if not quick:
-        return profile
-    return dataclasses.replace(
-        profile,
-        hosts=max(4, profile.hosts // 4),
-        datastores=max(2, profile.datastores // 2),
-        initial_vms_per_host=2,
-    )
+# --------------------------------------------------------------------------
+# Shared cells: one per run shape.
+# --------------------------------------------------------------------------
+
+
+def storm_cell(
+    cell: tuple[int, int, int, ControlPlaneCosts, ControlPlaneConfig | None, int, int, bool]
+) -> dict[str, typing.Any]:
+    """A closed-loop clone storm on its own rig, plus the rig's bottleneck.
+
+    The cell is ``(seed, hosts, datastores, costs, config, total,
+    concurrency, linked)``. R-F3, R-F4, R-T3, ``sensitivity.sweep`` and
+    ``repro storm`` are this cell over different factors.
+    """
+    seed, hosts, datastores, costs, config, total, concurrency, linked = cell
+    rig = StormRig(seed=seed, hosts=hosts, datastores=datastores, costs=costs, config=config)
+    outcome: dict[str, typing.Any] = rig.closed_loop_storm(total, concurrency, linked)
+    outcome["bottleneck"] = rig.server.bottleneck()
+    return outcome
+
+
+def _open_loop_cell(cell: tuple[int, typing.Any, float, ControlPlaneConfig | None]):
+    """An open-loop linked-clone storm: arrivals until ``duration``, then drain.
+
+    The cell is ``(seed, arrivals, duration, config)``; the arrival
+    process draws from the rig's ``"arrivals"`` stream. R-F5 and R-F7.
+    """
+    seed, arrivals, duration, config = cell
+    rig = StormRig(seed=seed, hosts=16, datastores=4, config=config)
+    rng = rig.streams.stream("arrivals")
+
+    def open_loop() -> typing.Generator:
+        index = 0
+        while True:
+            next_time = arrivals.next_arrival(rig.sim.now, rng)
+            if next_time >= duration:
+                return
+            yield rig.sim.timeout(next_time - rig.sim.now)
+            rig.server.submit(rig.clone_op(index, linked=True))
+            index += 1
+
+    rig.sim.spawn(open_loop(), name="open-loop")
+    rig.sim.run(until=duration)
+    rig.sim.run()  # drain
+    tasks = rig.server.tasks
+    snapshot = rig.server.utilization_snapshot()
+    done = tasks.succeeded()
+    latencies = sorted(task.latency for task in done) or [0.0]
+    return {
+        "done": len(done),
+        "cpu": snapshot["cpu"],
+        "db": snapshot["db"],
+        "hostd_mean": snapshot["hostd_mean"],
+        "p50": latencies[len(latencies) // 2],
+        "bottleneck": rig.server.bottleneck(),
+        "depth_series": tasks.queue_depth_series(),
+        "mean_depth": tasks.depth.time_average(),
+    }
+
+
+def _scenario_cell(cell: tuple[typing.Any, bool, float, int]) -> list:
+    """One profile run, ``(profile, quick, duration, seed)``: its trace.
+
+    ``quick`` shrinks the profile's inventory. R-T2, R-F1 and R-F2.
+    """
+    from repro.core.scenario import Scenario
+
+    profile, quick, duration, seed = cell
+    if quick:
+        profile = dataclasses.replace(
+            profile,
+            hosts=max(4, profile.hosts // 4),
+            datastores=max(2, profile.datastores // 2),
+            initial_vms_per_host=2,
+        )
+    return Scenario(profile, duration, seed).run().trace
+
+
+def _fault_point_cell(cell: tuple[typing.Callable, dict, list]):
+    """One fault point, ``(rig builder, its options, faults)``.
+
+    Raises unless the exactly-once invariant held. R-X3, R-X4, R-X5 and
+    R-X8 over the rig builders of :mod:`repro.faults.chaos`.
+    """
+    from repro.faults.chaos import run_fault_point
+
+    rig, options, faults = cell
+    return run_fault_point(rig(**options), faults).require_ok()
 
 
 # --------------------------------------------------------------------------
@@ -246,8 +325,11 @@ def _quick_profile(profile, quick: bool):
 # --------------------------------------------------------------------------
 
 
-def experiment_t1_setups(seed: int = 0, quick: bool = False) -> ExperimentResult:
-    """R-T1: the two clouds' (and baseline's) infrastructure shapes."""
+def experiment_t1_setups(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
+    """R-T1: the two clouds' (and baseline's) infrastructure shapes.
+
+    Profile constants only: nothing is simulated, so there are no cells.
+    """
     rows = []
     for profile in (CLOUD_A, CLOUD_B, CLASSIC_DC):
         rows.append(
@@ -285,18 +367,19 @@ def experiment_t1_setups(seed: int = 0, quick: bool = False) -> ExperimentResult
 # --------------------------------------------------------------------------
 
 
-def experiment_t2_opmix(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_t2_opmix(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-T2: management-operation mix, clouds vs classic datacenter."""
     from repro.analysis.mix import mix_comparison
-    from repro.core.scenario import Scenario
+    from repro.core.parallel import run_cells
 
     duration = 2 * 3600.0 if quick else 12 * 3600.0
-    traces = {}
-    for profile in (CLOUD_A, CLOUD_B, CLASSIC_DC):
-        result = Scenario(
-            profile=_quick_profile(profile, quick), duration_s=duration, seed=seed
-        ).run()
-        traces[profile.name] = result.trace
+    profiles = (CLOUD_A, CLOUD_B, CLASSIC_DC)
+    outcomes = run_cells(
+        _scenario_cell,
+        [(profile, quick, duration, seed) for profile in profiles],
+        parallel,
+    )
+    traces = {profile.name: trace for profile, trace in zip(profiles, outcomes)}
     headers, rows = mix_comparison(traces)
     provisioning = {
         label: sum(
@@ -323,25 +406,23 @@ def experiment_t2_opmix(seed: int = 0, quick: bool = False) -> ExperimentResult:
 # --------------------------------------------------------------------------
 
 
-def experiment_f1_arrivals(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_f1_arrivals(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F1: operation arrival rate over one day (Cloud A, diurnal)."""
-    from repro.analysis.timeseries import peak_to_trough
-    from repro.core.scenario import Scenario
+    from repro.analysis.timeseries import arrival_rate_series, peak_to_trough
+    from repro.core.parallel import run_cells
 
     duration = 6 * 3600.0 if quick else 24 * 3600.0
-    result = Scenario(
-        profile=_quick_profile(CLOUD_A, quick), duration_s=duration, seed=seed
-    ).run()
-    series = result.arrival_series(bin_s=1800.0)
+    (trace,) = run_cells(_scenario_cell, [(CLOUD_A, quick, duration, seed)], parallel)
+    series = arrival_rate_series(trace, bin_s=1800.0)
     ratio = peak_to_trough(series)
     return ExperimentResult(
         exp_id="R-F1",
         title="Arrival rate over the day (Cloud A)",
         headers=["metric", "value"],
         rows=[
-            ["operations", len(result.trace)],
+            ["operations", len(trace)],
             ["peak/trough rate ratio", f"{ratio:.1f}"],
-            ["mean ops/s", f"{len(result.trace) / duration:.4f}"],
+            ["mean ops/s", f"{len(trace) / duration:.4f}"],
         ],
         series={"arrival rate (ops/s)": series},
         notes="Expect a pronounced diurnal envelope (ratio >> 1).",
@@ -353,16 +434,14 @@ def experiment_f1_arrivals(seed: int = 0, quick: bool = False) -> ExperimentResu
 # --------------------------------------------------------------------------
 
 
-def experiment_f2_latency_cdf(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_f2_latency_cdf(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F2: per-operation latency distributions under cloud load."""
-    from repro.analysis.latency import latency_by_type
-    from repro.core.scenario import Scenario
+    from repro.analysis.latency import latency_by_type, latency_cdf
+    from repro.core.parallel import run_cells
 
     duration = 2 * 3600.0 if quick else 8 * 3600.0
-    result = Scenario(
-        profile=_quick_profile(CLOUD_B, quick), duration_s=duration, seed=seed
-    ).run()
-    stats = latency_by_type(result.trace)
+    (trace,) = run_cells(_scenario_cell, [(CLOUD_B, quick, duration, seed)], parallel)
+    stats = latency_by_type(trace)
     rows = [
         [op, s["count"], f"{s['p50']:.2f}", f"{s['p95']:.2f}", f"{s['p99']:.2f}"]
         for op, s in stats.items()
@@ -370,7 +449,7 @@ def experiment_f2_latency_cdf(seed: int = 0, quick: bool = False) -> ExperimentR
     ]
     series = {}
     for op in ("deploy", "power_on", "rescan_datastore"):
-        cdf = result.latency_cdf(op_type=op)
+        cdf = latency_cdf([record for record in trace if record.op_type == op], points=50)
         if cdf:
             series[f"{op} latency CDF"] = cdf
     return ExperimentResult(
@@ -388,30 +467,22 @@ def experiment_f2_latency_cdf(seed: int = 0, quick: bool = False) -> ExperimentR
 # --------------------------------------------------------------------------
 
 
-def _f3_cell(cell: tuple[int, int, int, bool]) -> dict[str, float]:
-    """One R-F3 sweep cell: its own rig, seed, and storm."""
-    seed, total, concurrency, linked = cell
-    rig = StormRig(seed=seed, hosts=16, datastores=4)
-    return rig.closed_loop_storm(total, concurrency, linked)
-
-
-def experiment_f3_throughput(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
-) -> ExperimentResult:
+def experiment_f3_throughput(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F3 (headline): clone throughput vs offered concurrency."""
     from repro.core.parallel import run_cells
 
     concurrencies = (1, 4, 16, 64) if quick else (1, 2, 4, 8, 16, 32, 64, 128)
     total = 48 if quick else 128
-    cells = [
-        (seed, total, concurrency, linked)
-        for linked in (True, False)
-        for concurrency in concurrencies
-    ]
-    outcomes = run_cells(_f3_cell, cells, parallel=parallel)
+    points = [(linked, concurrency) for linked in (True, False) for concurrency in concurrencies]
+    outcomes = run_cells(
+        storm_cell,
+        [(seed, 16, 4, DEFAULT_COSTS, None, total, concurrency, linked)
+         for linked, concurrency in points],
+        parallel,
+    )
     rows = []
     series: dict[str, list[tuple[float, float]]] = {"linked": [], "full": []}
-    for (cell_seed, cell_total, concurrency, linked), outcome in zip(cells, outcomes):
+    for (linked, concurrency), outcome in zip(points, outcomes):
         label = "linked" if linked else "full"
         rows.append(
             [
@@ -441,13 +512,19 @@ def experiment_f3_throughput(
 # --------------------------------------------------------------------------
 
 
-def experiment_f4_bandwidth(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_f4_bandwidth(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F4: data-plane bytes per provision, full vs linked."""
+    from repro.core.parallel import run_cells
+
     total = 24 if quick else 64
+    modes = (False, True)
+    outcomes = run_cells(
+        storm_cell,
+        [(seed, 8, 4, DEFAULT_COSTS, None, total, 8, linked) for linked in modes],
+        parallel,
+    )
     rows = []
-    for linked in (False, True):
-        rig = StormRig(seed=seed, hosts=8, datastores=4)
-        outcome = rig.closed_loop_storm(total, concurrency=8, linked=linked)
+    for linked, outcome in zip(modes, outcomes):
         per_vm_gb = outcome["bytes_written_gb"] / max(1, outcome["completed"])
         rows.append(
             [
@@ -475,42 +552,7 @@ def experiment_f4_bandwidth(seed: int = 0, quick: bool = False) -> ExperimentRes
 # --------------------------------------------------------------------------
 
 
-def _f5_cell(cell: tuple[int, float, float]) -> dict[str, typing.Any]:
-    """One R-F5 sweep cell: an open-loop storm at one arrival rate."""
-    seed, rate, duration = cell
-    rig = StormRig(seed=seed, hosts=16, datastores=4)
-    arrivals = Poisson(rate=rate)
-    rng = rig.streams.stream("arrivals")
-
-    def open_loop() -> typing.Generator:
-        index = 0
-        while rig.sim.now < duration:
-            next_time = arrivals.next_arrival(rig.sim.now, rng)
-            if next_time >= duration:
-                return
-            yield rig.sim.timeout(next_time - rig.sim.now)
-            rig.server.submit(rig.clone_op(index, linked=True))
-            index += 1
-
-    rig.sim.spawn(open_loop(), name="open-loop")
-    rig.sim.run(until=duration)
-    rig.sim.run()  # drain
-    snapshot = rig.server.utilization_snapshot()
-    done = rig.server.tasks.succeeded()
-    latencies = sorted(task.latency for task in done) or [0.0]
-    return {
-        "done": len(done),
-        "cpu": snapshot["cpu"],
-        "db": snapshot["db"],
-        "hostd_mean": snapshot["hostd_mean"],
-        "p50": latencies[len(latencies) // 2],
-        "bottleneck": rig.server.bottleneck(),
-    }
-
-
-def experiment_f5_cp_load(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
-) -> ExperimentResult:
+def experiment_f5_cp_load(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F5: which resource saturates as linked-clone deploy rate rises."""
     from repro.core.parallel import run_cells
 
@@ -519,7 +561,7 @@ def experiment_f5_cp_load(
     rows = []
     series = {"cpu": [], "db": [], "hostd": []}
     outcomes = run_cells(
-        _f5_cell, [(seed, rate, duration) for rate in rates], parallel=parallel
+        _open_loop_cell, [(seed, Poisson(rate=rate), duration, None) for rate in rates], parallel
     )
     for rate, outcome in zip(rates, outcomes):
         rows.append(
@@ -566,7 +608,7 @@ def _f6_cell(cell: tuple[int, int, int]) -> tuple[float, float]:
 
 
 def experiment_f6_reconfig_scale(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
+    seed: int, quick: bool, parallel: int | None
 ) -> ExperimentResult:
     """R-F6: rescan and add-host latency as the inventory grows."""
     from repro.core.parallel import run_cells
@@ -579,7 +621,7 @@ def experiment_f6_reconfig_scale(
     outcomes = run_cells(
         _f6_cell,
         [(seed, host_count, datastore_count) for host_count in host_counts],
-        parallel=parallel,
+        parallel,
     )
     for host_count, (rescan_latency, addhost_latency) in zip(host_counts, outcomes):
         rows.append(
@@ -610,42 +652,31 @@ def experiment_f6_reconfig_scale(
 # --------------------------------------------------------------------------
 
 
-def experiment_f7_queue_depth(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_f7_queue_depth(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F7: management task queue during an MMPP provisioning burst."""
+    from repro.core.parallel import run_cells
+
     duration = 1800.0 if quick else 7200.0
-    config = ControlPlaneConfig(max_inflight_tasks=24)
-    rig = StormRig(seed=seed, hosts=16, datastores=4, config=config)
     # Burst rate is far above the control plane's ~3 ops/s service ceiling,
     # so every burst builds a backlog that drains through the calm phase.
     arrivals = MMPPBurst(
         calm_rate=0.02, burst_rate=6.0, mean_calm_s=900.0, mean_burst_s=150.0
     )
-    rng = rig.streams.stream("arrivals")
-
-    def open_loop() -> typing.Generator:
-        index = 0
-        while True:
-            next_time = arrivals.next_arrival(rig.sim.now, rng)
-            if next_time >= duration:
-                return
-            yield rig.sim.timeout(next_time - rig.sim.now)
-            rig.server.submit(rig.clone_op(index, linked=True))
-            index += 1
-
-    rig.sim.spawn(open_loop(), name="burst-loop")
-    rig.sim.run(until=duration)
-    rig.sim.run()
-    depth_series = rig.server.tasks.queue_depth_series()
+    (outcome,) = run_cells(
+        _open_loop_cell,
+        [(seed, arrivals, duration, ControlPlaneConfig(max_inflight_tasks=24))],
+        parallel,
+    )
+    depth_series = outcome["depth_series"]
     max_depth = max((depth for _, depth in depth_series), default=0.0)
-    mean_depth = rig.server.tasks.depth.time_average()
     return ExperimentResult(
         exp_id="R-F7",
         title="Task-queue depth under bursty provisioning",
         headers=["metric", "value"],
         rows=[
-            ["clones completed", len(rig.server.tasks.succeeded())],
+            ["clones completed", outcome["done"]],
             ["max queue depth", f"{max_depth:.0f}"],
-            ["time-mean queue depth", f"{mean_depth:.2f}"],
+            ["time-mean queue depth", f"{outcome['mean_depth']:.2f}"],
         ],
         series={"queue depth": [(t, d) for t, d in depth_series]},
         notes="Bursts overwhelm the dispatch limit; depth spikes then drains.",
@@ -657,42 +688,47 @@ def experiment_f7_queue_depth(seed: int = 0, quick: bool = False) -> ExperimentR
 # --------------------------------------------------------------------------
 
 
-def experiment_f8_breakdown(seed: int = 0, quick: bool = False) -> ExperimentResult:
-    """R-F8: where deploy time goes — control vs data plane, full vs linked."""
+def _f8_cell(cell: tuple[int, int, bool]) -> tuple[dict[str, float], str]:
+    """One R-F8 cell: a deploy batch's plane split and its top three phases."""
     from repro.analysis.bottleneck import phase_breakdown, plane_breakdown
+    from repro.traces.records import TraceRecord
+
+    seed, total, linked = cell
+    rig = StormRig(seed=seed, hosts=8, datastores=4)
+    for index in range(total):
+        rig.server.submit(
+            DeployFromTemplate(
+                rig.template,
+                f"deploy-{index}",
+                rig.hosts[index % len(rig.hosts)],
+                rig.datastores[index % len(rig.datastores)],
+                linked=linked,
+            )
+        )
+    rig.sim.run()
+    tasks = rig.server.tasks.succeeded()
+    breakdown = plane_breakdown([TraceRecord.from_task(task) for task in tasks])
+    top_phases = phase_breakdown(tasks)[:3]
+    return breakdown, ", ".join(f"{name}({plane[0]})" for name, plane, _ in top_phases)
+
+
+def experiment_f8_breakdown(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
+    """R-F8: where deploy time goes — control vs data plane, full vs linked."""
+    from repro.core.parallel import run_cells
 
     total = 16 if quick else 48
-    rows = []
-    for linked in (False, True):
-        rig = StormRig(seed=seed, hosts=8, datastores=4)
-        processes = [
-            rig.server.submit(
-                DeployFromTemplate(
-                    rig.template,
-                    f"deploy-{index}",
-                    rig.hosts[index % len(rig.hosts)],
-                    rig.datastores[index % len(rig.datastores)],
-                    linked=linked,
-                )
-            )
-            for index in range(total)
+    modes = (False, True)
+    outcomes = run_cells(_f8_cell, [(seed, total, linked) for linked in modes], parallel)
+    rows = [
+        [
+            "linked" if linked else "full",
+            f"{breakdown['control'] * 100:.0f}",
+            f"{breakdown['data'] * 100:.0f}",
+            f"{breakdown['unattributed'] * 100:.0f}",
+            top_phases,
         ]
-        rig.sim.run()
-        tasks = rig.server.tasks.succeeded()
-        from repro.traces.records import TraceRecord
-
-        records = [TraceRecord.from_task(task) for task in tasks]
-        breakdown = plane_breakdown(records)
-        top_phases = phase_breakdown(tasks)[:3]
-        rows.append(
-            [
-                "linked" if linked else "full",
-                f"{breakdown['control'] * 100:.0f}",
-                f"{breakdown['data'] * 100:.0f}",
-                f"{breakdown['unattributed'] * 100:.0f}",
-                ", ".join(f"{name}({plane[0]})" for name, plane, _ in top_phases),
-            ]
-        )
+        for linked, (breakdown, top_phases) in zip(modes, outcomes)
+    ]
     return ExperimentResult(
         exp_id="R-F8",
         title="Deploy latency breakdown by plane",
@@ -707,18 +743,7 @@ def experiment_f8_breakdown(seed: int = 0, quick: bool = False) -> ExperimentRes
 # --------------------------------------------------------------------------
 
 
-def _t3_cell(
-    cell: tuple[int, int, int, ControlPlaneConfig]
-) -> dict[str, float]:
-    """One R-T3 ablation cell: a storm under one config variant."""
-    seed, total, concurrency, config = cell
-    rig = StormRig(seed=seed, hosts=16, datastores=4, config=config)
-    return rig.closed_loop_storm(total, concurrency, linked=True)
-
-
-def experiment_t3_ablations(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
-) -> ExperimentResult:
+def experiment_t3_ablations(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-T3: which control-plane design knobs actually buy throughput."""
     from repro.core.parallel import run_cells
 
@@ -734,24 +759,21 @@ def experiment_t3_ablations(
         ("coarse locks", ControlPlaneConfig(lock_granularity="coarse")),
     ]
     outcomes = run_cells(
-        _t3_cell,
-        [(seed, total, concurrency, config) for _label, config in variants],
-        parallel=parallel,
+        storm_cell,
+        [(seed, 16, 4, DEFAULT_COSTS, config, total, concurrency, True)
+         for _label, config in variants],
+        parallel,
     )
-    rows = []
-    baseline_tph = None
-    for (label, _config), outcome in zip(variants, outcomes):
-        tph = outcome["throughput_per_hour"]
-        if baseline_tph is None:
-            baseline_tph = tph
-        rows.append(
-            [
-                label,
-                f"{tph:.0f}",
-                f"{tph / baseline_tph:.2f}x",
-                f"{outcome['latency_p50']:.1f}",
-            ]
-        )
+    baseline_tph = outcomes[0]["throughput_per_hour"]
+    rows = [
+        [
+            label,
+            f"{outcome['throughput_per_hour']:.0f}",
+            f"{outcome['throughput_per_hour'] / baseline_tph:.2f}x",
+            f"{outcome['latency_p50']:.1f}",
+        ]
+        for (label, _config), outcome in zip(variants, outcomes)
+    ]
     return ExperimentResult(
         exp_id="R-T3",
         title="Linked-clone storm throughput under design ablations",
@@ -804,9 +826,7 @@ def _f9_cell(cell: tuple[int, int, int, int]) -> tuple[int, float]:
     return plane.completed_tasks(), throughput
 
 
-def experiment_f9_shards(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
-) -> ExperimentResult:
+def experiment_f9_shards(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F9: provisioning throughput vs management-server shard count."""
     from repro.core.parallel import run_cells
 
@@ -818,7 +838,7 @@ def experiment_f9_shards(
     outcomes = run_cells(
         _f9_cell,
         [(seed, shard_count, total_hosts, clones) for shard_count in shard_counts],
-        parallel=parallel,
+        parallel,
     )
     for shard_count, (completed, throughput) in zip(shard_counts, outcomes):
         rows.append([shard_count, completed, f"{throughput:.0f}"])
@@ -838,20 +858,33 @@ def experiment_f9_shards(
 # --------------------------------------------------------------------------
 
 
-def experiment_f10_lifetimes(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def _f10_cell(cell: tuple[int, str, typing.Any, int]) -> list[float]:
+    """One R-F10 cell: ``samples`` sorted lifetimes from one model.
+
+    The stream is derived from the seed by the label's name, so each
+    cell draws the same lifetimes however the cells are scheduled.
+    """
+    seed, label, model, samples = cell
+    rng = RandomStreams(seed).stream(f"life:{label}")
+    return sorted(model.sample(rng) for _ in range(samples))
+
+
+def experiment_f10_lifetimes(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F10: VM lifetime CDFs, cloud vs classic datacenter."""
+    from repro.core.parallel import run_cells
+
     samples = 2000 if quick else 20000
-    streams = RandomStreams(seed)
+    models = (("cloud_a", CLOUD_A_LIFETIME), ("classic_dc", CLASSIC_DC_LIFETIME))
+    outcomes = run_cells(
+        _f10_cell, [(seed, label, model, samples) for label, model in models], parallel
+    )
     series = {}
     rows = []
-    for label, model in (("cloud_a", CLOUD_A_LIFETIME), ("classic_dc", CLASSIC_DC_LIFETIME)):
-        rng = streams.stream(f"life:{label}")
-        drawn = sorted(model.sample(rng) for _ in range(samples))
-        cdf = [
+    for (label, _model), drawn in zip(models, outcomes):
+        series[f"{label} lifetime CDF (hours)"] = [
             (drawn[int(fraction * (samples - 1))] / 3600.0, fraction)
             for fraction in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
         ]
-        series[f"{label} lifetime CDF (hours)"] = cdf
         rows.append(
             [
                 label,
@@ -876,51 +909,59 @@ def experiment_f10_lifetimes(seed: int = 0, quick: bool = False) -> ExperimentRe
 # --------------------------------------------------------------------------
 
 
-def experiment_x1_restart_storm(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def _x1_cell(cell: tuple[int, int]) -> tuple[int, float, float]:
+    """One R-X1 cell: fail a host holding ``density`` VMs and restart them.
+
+    Returns (VMs restarted, full recovery seconds, p95 restart latency).
+    """
+    from repro.cloud.ha import HAManager
+    from repro.datacenter.vm import PowerState, VirtualDisk, VirtualMachine
+    from repro.storage.linked_clone import create_linked_backing
+
+    seed, density = cell
+    rig = StormRig(seed=seed, hosts=8, datastores=4)
+    anchor = rig.template.disks[0].backing
+    victim = rig.hosts[0]
+    for index in range(density):
+        # Seeded directly: the experiment measures recovery, not
+        # provisioning.
+        vm = rig.server.inventory.create(
+            VirtualMachine,
+            name=f"resident-{index}",
+            power_state=PowerState.ON,
+        )
+        backing = create_linked_backing(anchor, rig.datastores[index % 4])
+        vm.attach_disk(
+            VirtualDisk(label="disk-0", backing=backing, provisioned_gb=40.0)
+        )
+        vm.place_on(victim)
+    ha = HAManager(rig.server, rig.cluster)
+    outcome = {}
+
+    def recover():
+        outcome.update((yield from ha.fail_host(victim)))
+
+    start = rig.sim.now
+    process = rig.sim.spawn(recover())
+    rig.sim.run(until=process)
+    return outcome["restarted"], rig.sim.now - start, ha.restart_latency.percentile(0.95)
+
+
+def experiment_x1_restart_storm(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-X1 (extension): HA restart storm cost vs VMs per failed host.
 
     When a host dies, its VMs restart elsewhere — a placement + power-on
     burst through the control plane. Time-to-recovery scales with the VM
     density clouds run at.
     """
-    from repro.cloud.ha import HAManager
-    from repro.datacenter.vm import PowerState, VirtualDisk, VirtualMachine
-    from repro.storage.linked_clone import create_linked_backing
+    from repro.core.parallel import run_cells
 
     densities = (4, 16) if quick else (4, 8, 16, 32, 64)
+    outcomes = run_cells(_x1_cell, [(seed, density) for density in densities], parallel)
     rows = []
     series = []
-    for density in densities:
-        rig = StormRig(seed=seed, hosts=8, datastores=4)
-        anchor = rig.template.disks[0].backing
-        victim = rig.hosts[0]
-        for index in range(density):
-            # Seeded directly: the experiment measures recovery, not
-            # provisioning.
-            vm = rig.server.inventory.create(
-                VirtualMachine,
-                name=f"resident-{index}",
-                power_state=PowerState.ON,
-            )
-            backing = create_linked_backing(anchor, rig.datastores[index % 4])
-            vm.attach_disk(
-                VirtualDisk(label="disk-0", backing=backing, provisioned_gb=40.0)
-            )
-            vm.place_on(victim)
-        ha = HAManager(rig.server, rig.cluster)
-        outcome = {}
-
-        def recover():
-            outcome.update((yield from ha.fail_host(victim)))
-
-        start = rig.sim.now
-        process = rig.sim.spawn(recover())
-        rig.sim.run(until=process)
-        recovery_s = rig.sim.now - start
-        p95 = ha.restart_latency.percentile(0.95)
-        rows.append(
-            [density, outcome["restarted"], f"{recovery_s:.1f}", f"{p95:.1f}"]
-        )
+    for density, (restarted, recovery_s, p95) in zip(densities, outcomes):
+        rows.append([density, restarted, f"{recovery_s:.1f}", f"{p95:.1f}"])
         series.append((density, recovery_s))
     return ExperimentResult(
         exp_id="R-X1",
@@ -932,7 +973,39 @@ def experiment_x1_restart_storm(seed: int = 0, quick: bool = False) -> Experimen
     )
 
 
-def experiment_x2_stats_tax(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def _x2_cell(cell: tuple[int, int, int]) -> tuple[float, float, float]:
+    """One R-X2 cell: a linked-clone storm beside stats collection at ``level``.
+
+    Returns (clones/hour, database utilization, scraped stats rows/s).
+    """
+    from repro.controlplane.stats_sync import StatsCollector
+
+    seed, level, total = cell
+    rig = StormRig(
+        seed=seed,
+        hosts=16,
+        datastores=4,
+        config=ControlPlaneConfig(db_connections=4),
+        telemetry=True,
+    )
+    rig.telemetry.start()
+    if level > 0:
+        collector = StatsCollector(rig.server, interval_s=5.0, level=level)
+        collector.start(until=36_000.0)
+    outcome = rig.closed_loop_storm(total, concurrency=32, linked=True)
+    elapsed = rig.sim.now
+    rows_series = rig.telemetry.rollups.get(
+        f'{rig.server.name}.stats.rows{{component="statsd"}}'
+    )
+    scraped_rows = rows_series.trailing(elapsed, elapsed).sum if rows_series else 0.0
+    return (
+        outcome["throughput_per_hour"],
+        rig.server.database.utilization(),
+        scraped_rows / elapsed if elapsed else 0.0,
+    )
+
+
+def experiment_x2_stats_tax(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-X2 (extension): the statistics-collection tax on provisioning.
 
     Periodic per-host stats collection is the control plane's always-on
@@ -945,46 +1018,16 @@ def experiment_x2_stats_tax(seed: int = 0, quick: bool = False) -> ExperimentRes
     — the same windowing the modeled vCenter hierarchy applies, one
     implementation serving both the model and its observation.
     """
-    from repro.controlplane.stats_sync import StatsCollector
+    from repro.core.parallel import run_cells
 
     levels = (0, 4) if quick else (0, 1, 2, 3, 4)
     total = 48 if quick else 96
-    rows = []
-    series = []
-    baseline = None
-    for level in levels:
-        rig = StormRig(
-            seed=seed,
-            hosts=16,
-            datastores=4,
-            config=ControlPlaneConfig(db_connections=4),
-            telemetry=True,
-        )
-        rig.telemetry.start()
-        if level > 0:
-            collector = StatsCollector(rig.server, interval_s=5.0, level=level)
-            collector.start(until=36_000.0)
-        outcome = rig.closed_loop_storm(total, concurrency=32, linked=True)
-        tph = outcome["throughput_per_hour"]
-        if baseline is None:
-            baseline = tph
-        elapsed = rig.sim.now
-        rows_series = rig.telemetry.rollups.get(
-            f'{rig.server.name}.stats.rows{{component="statsd"}}'
-        )
-        scraped_rows = (
-            rows_series.trailing(elapsed, elapsed).sum if rows_series else 0.0
-        )
-        rows.append(
-            [
-                level,
-                f"{tph:.0f}",
-                f"{tph / baseline:.2f}x",
-                f"{rig.server.database.utilization():.2f}",
-                f"{scraped_rows / elapsed if elapsed else 0.0:.1f}",
-            ]
-        )
-        series.append((level, tph))
+    outcomes = run_cells(_x2_cell, [(seed, level, total) for level in levels], parallel)
+    baseline = outcomes[0][0]
+    rows = [
+        [level, f"{tph:.0f}", f"{tph / baseline:.2f}x", f"{db:.2f}", f"{rows_per_s:.1f}"]
+        for level, (tph, db, rows_per_s) in zip(levels, outcomes)
+    ]
     return ExperimentResult(
         exp_id="R-X2",
         title="Provisioning throughput vs stats-collection level (extension)",
@@ -996,26 +1039,15 @@ def experiment_x2_stats_tax(seed: int = 0, quick: bool = False) -> ExperimentRes
             "stats rows/s (scraped)",
         ],
         rows=rows,
-        series={"clones/hour": series},
+        series={"clones/hour": [(level, tph) for level, (tph, _, _) in zip(levels, outcomes)]},
         notes="Richer monitoring (level 4 = 27x rows) erodes provisioning "
         "headroom. The rows/s column is read from the telemetry scraper's "
         "roll-ups, not the raw counter.",
     )
 
 
-def _x3_cell(cell: tuple[int, str, float]):
-    """One R-X3 cell: the deploy storm in one posture under the faults."""
-    from repro.faults import standard_fault_schedule
-    from repro.faults.chaos import deploy_rig, run_fault_point
-
-    seed, posture, duration_s = cell
-    faults = standard_fault_schedule(duration_s, scale=1.5).specs
-    rig = deploy_rig(seed, posture, duration_s=duration_s)
-    return run_fault_point(rig, faults).require_ok()
-
-
 def experiment_x3_fault_goodput(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
+    seed: int, quick: bool, parallel: int | None
 ) -> ExperimentResult:
     """R-X3 (extension): provisioning goodput under faults vs resilience.
 
@@ -1038,11 +1070,18 @@ def experiment_x3_fault_goodput(
     posture holds exactly-once.
     """
     from repro.core.parallel import run_cells
-    from repro.faults.chaos import POSTURES
+    from repro.faults import standard_fault_schedule
+    from repro.faults.chaos import POSTURES, deploy_rig
 
     duration_s = 600.0 if quick else 1500.0
+    faults = standard_fault_schedule(duration_s, scale=1.5).specs
     results = run_cells(
-        _x3_cell, [(seed, posture, duration_s) for posture in POSTURES], parallel
+        _fault_point_cell,
+        [
+            (deploy_rig, {"seed": seed, "posture": posture, "duration_s": duration_s}, faults)
+            for posture in POSTURES
+        ],
+        parallel,
     )
     rows = []
     goodputs: dict[str, float] = {}
@@ -1097,7 +1136,7 @@ def experiment_x3_fault_goodput(
     )
 
 
-def experiment_x4_crash_mttr(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_x4_crash_mttr(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-X4 (extension): crash recovery — MTTR and goodput vs downtime.
 
     A closed-loop full-clone storm runs with the task journal on while a
@@ -1116,7 +1155,8 @@ def experiment_x4_crash_mttr(seed: int = 0, quick: bool = False) -> ExperimentRe
     violations, zero lost tasks), and MTTR grows with downtime while
     goodput falls.
     """
-    from repro.faults.chaos import run_fault_point, storm_rig
+    from repro.core.parallel import run_cells
+    from repro.faults.chaos import storm_rig
     from repro.faults.schedule import ServerCrash
 
     total = 10 if quick else 20
@@ -1125,13 +1165,23 @@ def experiment_x4_crash_mttr(seed: int = 0, quick: bool = False) -> ExperimentRe
     # (~400s of copy work) — otherwise re-work noise hides the trend.
     downtimes = (10.0, 300.0) if quick else (10.0, 180.0, 600.0)
     fractions = (0.3, 0.6) if quick else (0.15, 0.4, 0.7)
-
-    def storm():
-        return storm_rig(seed, total, concurrency, linked=False)
-
-    baseline = run_fault_point(storm())
-    if baseline.violations:
-        raise AssertionError(f"baseline violations: {baseline.violations}")
+    storm = {"seed": seed, "total": total, "concurrency": concurrency, "linked": False}
+    # The crash points are fractions of the no-crash makespan, so the
+    # baseline runs first, on its own; the crash cells then pool.
+    baseline = _fault_point_cell((storm_rig, storm, []))
+    crashes = [
+        (downtime, fraction * baseline.makespan_s, fraction)
+        for downtime in downtimes
+        for fraction in fractions
+    ]
+    results = run_cells(
+        _fault_point_cell,
+        [
+            (storm_rig, storm, [ServerCrash(start_s=crash_at, duration_s=downtime, count=1)])
+            for downtime, crash_at, _fraction in crashes
+        ],
+        parallel,
+    )
 
     def row(downtime_label: str, crash_label: str, result) -> list:
         counters = result.counters
@@ -1151,20 +1201,10 @@ def experiment_x4_crash_mttr(seed: int = 0, quick: bool = False) -> ExperimentRe
     rows = [row("none", "-", baseline)]
     mttr_by_downtime: dict[float, list[float]] = {d: [] for d in downtimes}
     goodput_by_downtime: dict[float, list[float]] = {d: [] for d in downtimes}
-    for downtime in downtimes:
-        for fraction in fractions:
-            crash_at = fraction * baseline.makespan_s
-            result = run_fault_point(
-                storm(), [ServerCrash(start_s=crash_at, duration_s=downtime, count=1)]
-            )
-            if result.violations:
-                raise AssertionError(
-                    f"exactly-once violated (downtime={downtime}, "
-                    f"crash_at={crash_at:.0f}): {result.violations}"
-                )
-            mttr_by_downtime[downtime].append(result.counters["mttr_s"])
-            goodput_by_downtime[downtime].append(result.goodput_per_hour)
-            rows.append(row(f"{downtime:.0f}", f"{crash_at:.0f} ({fraction:.0%})", result))
+    for (downtime, crash_at, fraction), result in zip(crashes, results):
+        mttr_by_downtime[downtime].append(result.counters["mttr_s"])
+        goodput_by_downtime[downtime].append(result.goodput_per_hour)
+        rows.append(row(f"{downtime:.0f}", f"{crash_at:.0f} ({fraction:.0%})", result))
     series = {
         "MTTR (s) vs downtime (s)": [
             (downtime, sum(values) / len(values))
@@ -1208,7 +1248,7 @@ _MESSAGE_CELLS = (
 )
 
 
-def experiment_x5_bus_chaos(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_x5_bus_chaos(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-X5 (extension): direct calls vs a bus-mediated control plane under chaos.
 
     The same closed-loop linked-clone restart storm (journal on, one
@@ -1224,14 +1264,18 @@ def experiment_x5_bus_chaos(seed: int = 0, quick: bool = False) -> ExperimentRes
     idempotency-key dedup is what keeps the invariant intact while
     messages are being dropped and cloned.
     """
-    from repro.faults.chaos import run_fault_point, storm_rig
+    from repro.core.parallel import run_cells
+    from repro.faults.chaos import storm_rig
     from repro.faults.schedule import ServerCrash, message_fault
 
     total = 8 if quick else 16
     concurrency = 4
     downtime = 30.0
+    storm = {"seed": seed, "total": total, "concurrency": concurrency}
 
-    baseline = run_fault_point(storm_rig(seed, total, concurrency))
+    # The fault-free direct run is both the first row and the clock the
+    # crash and fault windows are placed by, so it runs first, on its own.
+    baseline = _fault_point_cell((storm_rig, storm, []))
     crash_at = 0.35 * baseline.makespan_s
     crash = ServerCrash(start_s=crash_at, duration_s=downtime, count=1)
     # The message-fault window opens before the crash and stays armed
@@ -1239,25 +1283,26 @@ def experiment_x5_bus_chaos(seed: int = 0, quick: bool = False) -> ExperimentRes
     # against recovery traffic too, not just the steady-state storm.
     fault_at = max(1.0, 0.2 * baseline.makespan_s)
     fault_s = (crash_at - fault_at) + downtime + 20.0
-    # (label, bus-mediated, faults); the fault-free direct cell is the baseline.
-    cells: list[tuple[str, bool, list]] = [
-        ("direct", False, []),
+    # (label, bus-mediated, faults)
+    designs: list[tuple[str, bool, list]] = [
         ("direct+crash", False, [crash]),
         ("bus", True, [crash]),
     ]
     for kind, intensity in _MESSAGE_CELLS:
-        cells.append(
+        designs.append(
             (f"bus+{kind}", True, [message_fault(kind, intensity, fault_at, fault_s), crash])
         )
+    results = run_cells(
+        _fault_point_cell,
+        [(storm_rig, {**storm, "bus": bus}, faults) for _label, bus, faults in designs],
+        parallel,
+    )
 
     rows = []
     goodputs: list[tuple[str, float]] = []
-    for label, bus, faults in cells:
-        result = baseline
-        if faults:
-            result = run_fault_point(storm_rig(seed, total, concurrency, bus=bus), faults)
-        if result.violations:
-            raise AssertionError(f"{label} violations: {result.violations}")
+    for (label, bus, _faults), result in zip(
+        [("direct", False, [])] + designs, [baseline] + results
+    ):
         tallies: list = ["-"] * 4
         wait_ms = "-"
         if bus:
@@ -1341,9 +1386,7 @@ def _f_phase_cell(cell: tuple[int, int, int, bool]) -> dict[str, float]:
     return folded
 
 
-def experiment_f_phase(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
-) -> ExperimentResult:
+def experiment_f_phase(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F-phase: where each provisioning second goes, phase by phase.
 
     Traced closed-loop clone storms swept over concurrency, full vs
@@ -1405,7 +1448,7 @@ def experiment_f_phase(
 # --------------------------------------------------------------------------
 
 
-def experiment_f_alerts(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_f_alerts(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F-alerts: SLO burn-rate alerts vs injected faults (observability).
 
     The R-X3 ``full``-resilience deploy storm re-run with the live
@@ -1419,6 +1462,9 @@ def experiment_f_alerts(seed: int = 0, quick: bool = False) -> ExperimentResult:
 
     Acceptance: every injected fault is surfaced by at least one
     burn-rate alert at or before its goodput trough (lead >= 0).
+
+    One run whose analysis reads its live telemetry, so it runs
+    in-process whatever ``parallel`` asks for.
     """
     from repro.faults import standard_fault_schedule
     from repro.faults.chaos import ALERT_RULES, TASK_SUCCESS, deploy_rig, run_fault_point
@@ -1450,7 +1496,7 @@ def experiment_f_alerts(seed: int = 0, quick: bool = False) -> ExperimentResult:
             event
             for event in fires
             if event.time <= trough_time
-            and _alert_interval(telemetry, event).intersects(spec.start_s, trough_time)
+            and _alert_end(telemetry, event) >= spec.start_s
         ]
         first = min(covering, key=lambda event: event.time) if covering else None
         if first is not None:
@@ -1501,30 +1547,15 @@ def experiment_f_alerts(seed: int = 0, quick: bool = False) -> ExperimentResult:
     )
 
 
-class _AlertInterval:
-    """Half-open firing interval of one alert, for coverage tests."""
-
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: float, end: float) -> None:
-        self.start = start
-        self.end = end
-
-    def intersects(self, lo: float, hi: float) -> bool:
-        return self.start <= hi and self.end >= lo
-
-
-def _alert_interval(telemetry, fire_event) -> _AlertInterval:
+def _alert_end(telemetry, fire_event) -> float:
+    """When the alert a fire event opened resolved (inf while it fires)."""
     for alert in telemetry.monitor.alerts:
         if alert.rule == fire_event.rule and alert.fired_at == fire_event.time:
-            end = alert.resolved_at if alert.resolved_at is not None else float("inf")
-            return _AlertInterval(alert.fired_at, end)
-    return _AlertInterval(fire_event.time, float("inf"))
+            return alert.resolved_at if alert.resolved_at is not None else float("inf")
+    return float("inf")
 
 
-def experiment_x6_triage(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
-) -> ExperimentResult:
+def experiment_x6_triage(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-X6 (extension): automated incident triage scored against ground truth.
 
     Randomized single-fault chaos runs on the bus-mediated,
@@ -1593,9 +1624,7 @@ def experiment_x6_triage(
     )
 
 
-def experiment_x7_flight_recorder(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
-) -> ExperimentResult:
+def experiment_x7_flight_recorder(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-X7 (extension): the incident flight recorder over the chaos sweep.
 
     Re-runs the R-X6 randomized single-fault chaos harness with the tail
@@ -1620,10 +1649,8 @@ def experiment_x7_flight_recorder(
     budget = 2048
     kinds = QUICK_KINDS if quick else SWEEP_KINDS
     runs_per_kind = 1 if quick else 2
-    per_kind: dict[str, dict[str, int]] = {
-        kind: {"runs": 0, "alerting": 0, "bundles": 0, "covered": 0}
-        for kind in kinds
-    }
+    # Per kind: runs, alerting runs, bundles, covered alerting runs.
+    per_kind = {kind: [0, 0, 0, 0] for kind in kinds}
     retained_total = 0
     offered_total = 0
     _, points = triage_sweep(
@@ -1631,48 +1658,26 @@ def experiment_x7_flight_recorder(
         grace_s=grace_s, sample_budget=budget, recorder=True,
     )
     for point in points:
-        row = per_kind[point.kind]
-        row["runs"] += 1
-        row["bundles"] += len(point.bundles)
         retained_total += point.retention["retained_spans"]
         offered_total += point.retention["offered_spans"]
+        tally = per_kind[point.kind]
+        tally[0] += 1
+        tally[2] += len(point.bundles)
         if point.alerts == 0:
             continue
-        row["alerting"] += 1
+        tally[1] += 1
         window = point.manifest.windows[0]
         if any(
             bundle.spans_overlapping(window.start_s, window.end_s + grace_s) > 0
             for bundle in point.bundles
         ):
-            row["covered"] += 1
-
-    rows = []
-    for kind in kinds:
-        row = per_kind[kind]
-        rows.append(
-            [
-                kind,
-                row["runs"],
-                row["alerting"],
-                row["bundles"],
-                row["covered"],
-                "PASS" if row["covered"] == row["alerting"] else "FAIL",
-            ]
-        )
-    alerting = sum(r["alerting"] for r in per_kind.values())
-    covered = sum(r["covered"] for r in per_kind.values())
-    bundles = sum(r["bundles"] for r in per_kind.values())
-    runs = sum(r["runs"] for r in per_kind.values())
-    rows.append(
-        [
-            "overall",
-            runs,
-            alerting,
-            bundles,
-            covered,
-            "PASS" if covered == alerting else "FAIL",
-        ]
-    )
+            tally[3] += 1
+    totals = [sum(column) for column in zip(*per_kind.values())]
+    rows = [
+        [label, *tally, "PASS" if tally[3] == tally[1] else "FAIL"]
+        for label, tally in [*per_kind.items(), ("overall", totals)]
+    ]
+    runs, alerting, bundles, covered = totals
 
     ratio = retained_total / offered_total if offered_total else 0.0
     coverage_ok = covered == alerting and alerting > 0
@@ -1704,7 +1709,7 @@ def experiment_x7_flight_recorder(
 # --------------------------------------------------------------------------
 
 
-def experiment_x8_federation(seed: int = 0, quick: bool = False) -> ExperimentResult:
+def experiment_x8_federation(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-X8 (extension): affinity-only vs bus-routed federation under skew.
 
     The same skewed multi-tenant deploy storm (80% of deploys driven
@@ -1723,7 +1728,8 @@ def experiment_x8_federation(seed: int = 0, quick: bool = False) -> ExperimentRe
     shard's submissions to survivors is what keeps tenant-visible
     goodput flat while the affinity router strands its hot tenants.
     """
-    from repro.faults.chaos import federation_rig, hot_shard_crash, run_fault_point
+    from repro.core.parallel import run_cells
+    from repro.faults.chaos import federation_rig, hot_shard_crash
     from repro.faults.schedule import message_fault
 
     total = 24 if quick else 48
@@ -1733,7 +1739,7 @@ def experiment_x8_federation(seed: int = 0, quick: bool = False) -> ExperimentRe
     shard_crash = hot_shard_crash("shard_crash", crash_at, downtime)
 
     # (label, bus-routed, faults)
-    cells: list[tuple[str, bool, list]] = [
+    designs: list[tuple[str, bool, list]] = [
         ("affinity", False, []),
         ("affinity+crash", False, [shard_crash]),
         ("bus", True, []),
@@ -1743,20 +1749,21 @@ def experiment_x8_federation(seed: int = 0, quick: bool = False) -> ExperimentRe
     if not quick:
         for kind, intensity in _MESSAGE_CELLS:
             overlay = message_fault(kind, intensity, 5.0, crash_at + downtime)
-            cells.append((f"bus+crash+{kind}", True, [shard_crash, overlay]))
+            designs.append((f"bus+crash+{kind}", True, [shard_crash, overlay]))
+    common = dict(
+        seed=seed, total=total, concurrency=concurrency, shards=3, hosts_per_shard=4,
+        orgs=9, skew=0.8, spill_queue_depth=3,
+    )
+    results = run_cells(
+        _fault_point_cell,
+        [(federation_rig, {**common, "bus": bus}, faults) for _label, bus, faults in designs],
+        parallel,
+    )
 
     rows = []
     goodputs: list[tuple[str, float]] = []
     p95s: list[tuple[str, float]] = []
-    common = dict(
-        total=total, concurrency=concurrency, shards=3, hosts_per_shard=4, orgs=9,
-        skew=0.8, spill_queue_depth=3,
-    )
-    for label, bus, faults in cells:
-        rig = federation_rig(seed, bus=bus, **common)
-        result = run_fault_point(rig, faults)
-        if result.violations:
-            raise AssertionError(f"{label} violations: {result.violations}")
+    for (label, _bus, _faults), result in zip(designs, results):
         counters = result.counters
         rows.append(
             [
@@ -1941,9 +1948,7 @@ def hyperscale_sweep(
     return points
 
 
-def experiment_f_hyperscale(
-    seed: int = 0, quick: bool = False, parallel: int | None = None
-) -> ExperimentResult:
+def experiment_f_hyperscale(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F-hyperscale: fleet cells to 1M VMs on the hyperscale kernel."""
     points = hyperscale_sweep(seed=seed, quick=quick, parallel=parallel)
     rows = []
@@ -1978,7 +1983,7 @@ def experiment_f_hyperscale(
     )
 
 
-EXPERIMENTS: dict[str, typing.Callable[..., ExperimentResult]] = {
+EXPERIMENTS: dict[str, typing.Callable[[int, bool, int | None], ExperimentResult]] = {
     "R-T1": experiment_t1_setups,
     "R-T2": experiment_t2_opmix,
     "R-T3": experiment_t3_ablations,
@@ -2006,21 +2011,14 @@ EXPERIMENTS: dict[str, typing.Callable[..., ExperimentResult]] = {
 }
 
 
-#: Experiments whose independent sweep cells the parallel runner can fan out.
-PARALLEL_EXPERIMENTS = frozenset(
-    {"R-F3", "R-F5", "R-F6", "R-F9", "R-F-phase", "R-F-hyperscale", "R-T3", "R-X3",
-     "R-X6", "R-X7"}
-)
-
-
 def run_experiment(
     exp_id: str, seed: int = 0, quick: bool = False, parallel: int | None = None
 ) -> ExperimentResult:
     """Run one registered experiment by id (e.g. ``"R-F3"``).
 
-    ``parallel`` fans independent sweep cells across processes for the
-    experiments in :data:`PARALLEL_EXPERIMENTS`; single-cell experiments
-    ignore it. ``None`` defers to ``REPRO_BENCH_PARALLEL``.
+    ``parallel`` fans the exhibit's cells across that many worker
+    processes (an exhibit with one cell runs in-process); ``None`` defers
+    to ``REPRO_BENCH_PARALLEL``.
     """
     try:
         experiment = EXPERIMENTS[exp_id]
@@ -2028,6 +2026,4 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-    if exp_id in PARALLEL_EXPERIMENTS:
-        return experiment(seed=seed, quick=quick, parallel=parallel)
-    return experiment(seed=seed, quick=quick)
+    return experiment(seed, quick, parallel)

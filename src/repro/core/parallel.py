@@ -1,7 +1,7 @@
 """Parallel sweep runner: independent experiment cells across processes.
 
-Every multi-cell exhibit (R-F3, R-F5, R-F6, R-F-phase, R-F9, R-T3) is a
-sweep whose cells are *embarrassingly parallel*: each cell builds its own
+Every exhibit runs as a list of cells, and the cells of a sweep are
+*embarrassingly parallel*: each cell builds its own
 :class:`~repro.sim.kernel.Simulator` and its own seeded
 :class:`~repro.sim.random.RandomStreams`, runs to completion, and reports
 plain numbers. Nothing is shared, so the cells can run on as many cores as

@@ -3,7 +3,8 @@
 A reproduction whose conclusions hinge on calibration guesses should make
 probing those guesses one line. ``sweep()`` varies a single
 ``costs.<field>`` or ``config.<field>`` across values and reruns the
-canonical linked-clone storm, reporting throughput and latency per value.
+canonical linked-clone storm (the exhibits' shared storm cell), reporting
+throughput, latency and the bottleneck per value.
 """
 
 from __future__ import annotations
@@ -11,12 +12,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.controlplane.costs import (
-    ControlPlaneConfig,
-    ControlPlaneCosts,
-    DEFAULT_COSTS,
-)
-from repro.core.experiments import ExperimentResult, StormRig
+from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
+from repro.core.experiments import ExperimentResult, storm_cell
+from repro.core.parallel import run_cells
 
 
 def _apply(parameter: str, value: typing.Any) -> tuple[ControlPlaneCosts, ControlPlaneConfig]:
@@ -28,19 +26,13 @@ def _apply(parameter: str, value: typing.Any) -> tuple[ControlPlaneCosts, Contro
             f"parameter must look like 'costs.<field>' or 'config.<field>', "
             f"got {parameter!r}"
         ) from None
-    costs = DEFAULT_COSTS
-    config = ControlPlaneConfig()
-    if namespace == "costs":
-        if not hasattr(costs, field):
-            raise ValueError(f"unknown costs field {field!r}")
-        costs = dataclasses.replace(costs, **{field: value})
-    elif namespace == "config":
-        if not hasattr(config, field):
-            raise ValueError(f"unknown config field {field!r}")
-        config = dataclasses.replace(config, **{field: value})
-    else:
+    knobs = {"costs": DEFAULT_COSTS, "config": ControlPlaneConfig()}
+    if namespace not in knobs:
         raise ValueError(f"unknown namespace {namespace!r} (use costs/config)")
-    return costs, config
+    if not hasattr(knobs[namespace], field):
+        raise ValueError(f"unknown {namespace} field {field!r}")
+    knobs[namespace] = dataclasses.replace(knobs[namespace], **{field: value})
+    return knobs["costs"], knobs["config"]
 
 
 def sweep(
@@ -52,26 +44,27 @@ def sweep(
     linked: bool = True,
     hosts: int = 16,
 ) -> ExperimentResult:
-    """Sweep one constant over ``values`` under the canonical clone storm."""
+    """Sweep one constant over ``values``: one storm cell per value, pooled
+    like an exhibit's cells (``REPRO_BENCH_PARALLEL`` sets the workers)."""
     if not values:
         raise ValueError("values must be non-empty")
+    cells = [
+        (seed, hosts, 4, *_apply(parameter, value), total, concurrency, linked)
+        for value in values
+    ]
+    outcomes = run_cells(storm_cell, cells)
+    baseline_tph = outcomes[0]["throughput_per_hour"]
     rows = []
     series = []
-    baseline_tph: float | None = None
-    for value in values:
-        costs, config = _apply(parameter, value)
-        rig = StormRig(seed=seed, hosts=hosts, datastores=4, costs=costs, config=config)
-        outcome = rig.closed_loop_storm(total, concurrency, linked)
+    for value, outcome in zip(values, outcomes):
         tph = outcome["throughput_per_hour"]
-        if baseline_tph is None:
-            baseline_tph = tph
         rows.append(
             [
                 value,
                 f"{tph:.0f}",
                 f"{tph / baseline_tph:.2f}x",
                 f"{outcome['latency_p50']:.1f}",
-                rig.server.bottleneck(),
+                outcome["bottleneck"],
             ]
         )
         try:

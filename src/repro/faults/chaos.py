@@ -216,7 +216,8 @@ def run_fault_point(
     )
 
 
-def _retrying_config(max_inflight: int) -> ControlPlaneConfig:
+def retrying_config(max_inflight: int) -> ControlPlaneConfig:
+    """``max_inflight`` dispatch slots and in-place retries with backoff."""
     return ControlPlaneConfig(
         max_inflight_tasks=max_inflight,
         retry_policy=RetryPolicy(
@@ -264,7 +265,7 @@ def storm_rig(
     # occupied, so crashes also land on tasks parked at the dispatch wait
     # (the requeue reconciliation path), not just mid-attempt.
     storm = StormRig(
-        seed=seed, hosts=8, datastores=2, config=_retrying_config(max(1, concurrency - 1)),
+        seed=seed, hosts=8, datastores=2, config=retrying_config(max(1, concurrency - 1)),
         journal=True, bus=bus,
     )
     server = storm.server
@@ -388,7 +389,7 @@ def federation_rig(
     # spillover threshold (and the hot_shard triage signature) keys on.
     cloud = FederatedCloud(
         sim, streams, shard_count=shards, hosts_per_shard=hosts_per_shard,
-        config=_retrying_config(max(1, concurrency // 2)), bus=fed_bus,
+        config=retrying_config(max(1, concurrency // 2)), bus=fed_bus,
         journal=True, spill_queue_depth=spill_queue_depth,
     )
     org_objs = [

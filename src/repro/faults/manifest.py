@@ -14,9 +14,8 @@ verdicts against. Two sources produce :class:`GroundTruthManifest`\\ s:
   updated to the actual disarm instant (planned end if the run stops
   while the window is still armed).
 
-Windows serialize to plain dicts / JSON and round-trip exactly (pinned by
-``tests/faults/test_manifest.py``), so a chaos run can persist its oracle
-next to its verdicts.
+Windows are frozen dataclasses and manifests compare by value, so two
+runs of one seed can be checked for the same oracle with ``==``.
 """
 
 from __future__ import annotations
@@ -73,27 +72,6 @@ class GroundTruthWindow:
 
     def overlaps(self, other: "GroundTruthWindow") -> bool:
         return self.start_s < other.end_s and other.start_s < self.end_s
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "targets": list(self.targets),
-            "intensity": self.intensity,
-            "params": dict(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, entry: dict) -> "GroundTruthWindow":
-        return cls(
-            kind=entry["kind"],
-            start_s=float(entry["start_s"]),
-            end_s=float(entry["end_s"]),
-            targets=tuple(entry.get("targets", ())),
-            intensity=float(entry.get("intensity", 1.0)),
-            params=dict(entry.get("params", {})),
-        )
 
 
 def window_from_spec(
@@ -156,15 +134,6 @@ class GroundTruthManifest:
             (w for w in self.windows if w.active(at_s, grace_s)),
             key=lambda w: (abs(at_s - w.start_s), w.start_s, w.kind),
         )
-
-    # -- (de)serialization -------------------------------------------------
-
-    def to_dicts(self) -> list[dict]:
-        return [window.to_dict() for window in self.windows]
-
-    @classmethod
-    def from_dicts(cls, entries: typing.Sequence[dict]) -> "GroundTruthManifest":
-        return cls(GroundTruthWindow.from_dict(entry) for entry in entries)
 
     def describe(self) -> list[str]:
         return [

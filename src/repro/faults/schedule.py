@@ -3,9 +3,8 @@
 A :class:`FaultSchedule` is an ordered collection of timed
 :class:`FaultSpec` windows; the :class:`~repro.faults.injector.FaultInjector`
 arms each spec at ``start_s`` and disarms it at ``start_s + duration_s``.
-Specs are frozen dataclasses so schedules are serializable
-(:meth:`FaultSchedule.from_dicts` / :meth:`FaultSchedule.to_dicts`) and
-hashable-by-value for reproducibility.
+Specs are frozen dataclasses, so schedules compare and hash by value
+for reproducibility.
 
 Spec catalogue:
 
@@ -489,34 +488,6 @@ class FaultSchedule:
 
     def __iter__(self) -> typing.Iterator[FaultSpec]:
         return iter(self._specs)
-
-    # -- (de)serialization -------------------------------------------------
-
-    @classmethod
-    def from_dicts(cls, entries: typing.Sequence[dict]) -> "FaultSchedule":
-        """Build a schedule from ``[{"kind": ..., **fields}, ...]`` entries."""
-        schedule = cls()
-        for entry in entries:
-            fields = dict(entry)
-            kind = fields.pop("kind", None)
-            if kind not in SPEC_KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r}; known: {sorted(SPEC_KINDS)}"
-                )
-            spec_cls = SPEC_KINDS[kind]
-            for name in ("hosts", "datastores", "shards", "topics"):
-                if name in fields:
-                    fields[name] = tuple(fields[name])
-            schedule.add(spec_cls(**fields))
-        return schedule
-
-    def to_dicts(self) -> list[dict]:
-        out = []
-        for spec in self._specs:
-            entry = dataclasses.asdict(spec)
-            entry["kind"] = spec.kind
-            out.append(entry)
-        return out
 
     def ground_truth(self) -> GroundTruthManifest:
         """The *planned* injection oracle: one window per spec.

@@ -266,7 +266,8 @@ class SampledTracer(Tracer):
     """A tracer whose finished traces pass through the tail sampler.
 
     Open traces buffer per trace id; when a root finishes, the whole tree
-    seals and the sampler decides. Structural queries (``children`` /
+    seals and the sampler decides. A span opened in a trace that has
+    already sealed is held nowhere. Structural queries (``children`` /
     ``subtree``) keep working on retained trees; ``spans`` reflects
     retained plus still-open spans, so exports and phase attribution run
     unchanged — just over the bounded set.
@@ -291,7 +292,14 @@ class SampledTracer(Tracer):
         return out
 
     def _store(self, span: Span) -> None:
-        self._active.setdefault(span.trace_id, []).append(span)
+        buffered = self._active.get(span.trace_id)
+        if buffered is None:
+            if span.parent_id is not None:
+                # A late span under a sealed trace: the sampler has already
+                # decided that tree, and a fresh buffer would never seal.
+                return
+            buffered = self._active[span.trace_id] = []
+        buffered.append(span)
 
     def _finished(self, span: Span) -> None:
         buffered = self._active.pop(span.trace_id, None)

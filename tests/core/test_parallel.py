@@ -94,10 +94,10 @@ class TestExperimentEquality:
     """Parallel and serial sweeps must produce identical exhibits."""
 
     def test_f6_parallel_equals_serial(self):
-        from repro.core.experiments import experiment_f6_reconfig_scale
+        from repro.core.experiments import run_experiment
 
-        serial = experiment_f6_reconfig_scale(seed=0, quick=True, parallel=1)
-        parallel = experiment_f6_reconfig_scale(seed=0, quick=True, parallel=2)
+        serial = run_experiment("R-F6", seed=0, quick=True, parallel=1)
+        parallel = run_experiment("R-F6", seed=0, quick=True, parallel=2)
         assert parallel.render() == serial.render()
 
     def test_run_experiment_passes_parallel_through(self):

@@ -1,6 +1,5 @@
 """Ground-truth manifests: windows, spec resolution, JSON round-trip."""
 
-import json
 
 import pytest
 
@@ -83,24 +82,6 @@ class TestWindowFromSpec:
 
 
 class TestManifest:
-    def test_round_trip_json(self):
-        manifest = GroundTruthManifest(
-            [
-                window(),
-                window(
-                    kind="agent_degrade",
-                    start=50.0,
-                    end=80.0,
-                    targets=("esx01",),
-                    intensity=0.5,
-                    params={"latency_factor": 4.0},
-                ),
-            ]
-        )
-        restored = GroundTruthManifest.from_dicts(json.loads(json.dumps(manifest.to_dicts())))
-        assert restored.to_dicts() == manifest.to_dicts()
-        assert restored.windows == manifest.windows
-
     def test_active_at_sorted_by_proximity(self):
         manifest = GroundTruthManifest(
             [window(start=0.0, end=500.0), window(kind="db_slowdown", start=140.0, end=300.0)]

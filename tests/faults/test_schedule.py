@@ -58,26 +58,6 @@ def test_horizon_is_latest_window_end():
     assert FaultSchedule().horizon_s == 0.0
 
 
-def test_roundtrip_through_dicts():
-    schedule = FaultSchedule(
-        [
-            HostFlap(start_s=5.0, duration_s=10.0, hosts=("esx01",)),
-            AgentDegrade(
-                start_s=20.0, duration_s=40.0, count=2, latency_factor=3.0
-            ),
-            CopyFlakiness(start_s=1.0, duration_s=9.0, fail_rate=0.3),
-        ]
-    )
-    rebuilt = FaultSchedule.from_dicts(schedule.to_dicts())
-    assert rebuilt.to_dicts() == schedule.to_dicts()
-    assert [spec.kind for spec in rebuilt] == [spec.kind for spec in schedule]
-
-
-def test_from_dicts_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown fault kind"):
-        FaultSchedule.from_dicts([{"kind": "meteor_strike", "start_s": 0.0}])
-
-
 def test_spec_kinds_registry_complete():
     assert set(SPEC_KINDS) == {
         "host_flap",
@@ -127,7 +107,7 @@ def test_standard_schedule_duration_validation():
 def test_random_schedule_bounded_and_deterministic():
     a = random_fault_schedule(random.Random(3), 500.0)
     b = random_fault_schedule(random.Random(3), 500.0)
-    assert a.to_dicts() == b.to_dicts()
+    assert a.specs == b.specs
     assert 1 <= len(a) <= 6
     for spec in a:
         assert spec.end_s <= 500.0 * 0.8 + 500.0 * 0.5 + 1e-9

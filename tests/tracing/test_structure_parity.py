@@ -5,7 +5,8 @@ trace's own span list when asked. This pins those answers to what an
 index appended at every span open would say — children in open order,
 subtrees in preorder — on the plain tracer for every span, and on the
 sampled tracer for every open or retained tree. A tree the sampler
-dropped or evicted is held nowhere, so its spans have no children.
+dropped or evicted is held nowhere, so its spans have no children; nor
+is a span opened after its tree sealed.
 """
 
 from hypothesis import given, settings
@@ -24,33 +25,32 @@ STEP = st.one_of(
 )
 
 
-def run_program(tracer, sim, steps, sealed_parents=True):
-    """Drive ``tracer`` through ``steps``; return the reference index.
+def run_program(tracer, sim, steps):
+    """Drive ``tracer`` through ``steps``; return spans, index and late ids.
 
-    The reference maps each span id to its children in open order, as
-    an index appended at every open would hold them. Without
-    ``sealed_parents`` a child opens only under a span whose root is
-    still open, as instrumentation does: once a tree is sealed the
-    sampler has decided its fate, and no run opens a span in it.
+    The reference index maps each span id to its children in open order,
+    as an index appended at every open would hold them. ``late`` holds
+    the ids of spans opened in a trace whose root had already finished:
+    the sampler has decided such a tree, so it holds none of them.
     """
     index: dict[int, list] = {}
     roots: dict[int, object] = {}
+    late: set[int] = set()
     spans, open_spans = [], []
     for kind, pick, flag in steps:
-        parents = open_spans
-        if not sealed_parents:
-            parents = [s for s in open_spans if not roots[s.trace_id].finished]
-        if kind == "root" or (kind == "child" and not parents):
+        if kind == "root" or (kind == "child" and not open_spans):
             span = tracer.start_trace(f"r{len(spans)}", phase="task")
             roots[span.trace_id] = span
         elif kind == "child":
-            parent = parents[pick % len(parents)]
+            parent = open_spans[pick % len(open_spans)]
             phase = "retry" if flag else "db"
             if flag:
                 span = tracer.start_span(f"c{len(spans)}", phase=phase, parent=parent)
             else:
                 span = parent.child(f"c{len(spans)}", phase=phase)
             index.setdefault(parent.span_id, []).append(span)
+            if roots[span.trace_id].finished:
+                late.add(span.span_id)
         elif kind == "finish":
             if not open_spans:
                 continue
@@ -62,7 +62,7 @@ def run_program(tracer, sim, steps, sealed_parents=True):
             continue
         spans.append(span)
         open_spans.append(span)
-    return spans, index
+    return spans, index, late
 
 
 def reference_subtree(index, root):
@@ -79,7 +79,7 @@ def reference_subtree(index, root):
 def test_plain_tracer_matches_reference_index(steps):
     sim = Simulator()
     tracer = Tracer(sim)
-    spans, index = run_program(tracer, sim, steps)
+    spans, index, _late = run_program(tracer, sim, steps)
     for span in spans:
         assert tracer.children(span) == index.get(span.span_id, [])
         assert tracer.subtree(span) == reference_subtree(index, span)
@@ -97,10 +97,14 @@ def test_sampled_tracer_matches_reference_index(steps, budget, reservoir):
         sim,
         RetentionPolicy(span_budget=budget, normal_reservoir=reservoir, min_slow_samples=2),
     )
-    spans, index = run_program(tracer, sim, steps, sealed_parents=False)
+    spans, index, late = run_program(tracer, sim, steps)
+    index = {
+        span_id: [kid for kid in kids if kid.span_id not in late]
+        for span_id, kids in index.items()
+    }
     for span in spans:
         held = span.trace_id in tracer._active or tracer.retained_tree(span.trace_id)
-        if held:
+        if held and span.span_id not in late:
             assert tracer.children(span) == index.get(span.span_id, [])
             assert tracer.subtree(span) == reference_subtree(index, span)
         else:
@@ -131,3 +135,25 @@ def test_sampled_tracer_holds_open_and_retained_trees():
     assert tracer.children(a) == [a1]
     assert tracer.children(dropped) == []
     assert tracer.subtree(dropped) == [dropped]
+
+
+def test_late_span_under_sealed_trace_is_held_nowhere():
+    # A root finishes while its child is open, then a grandchild opens:
+    # the tree is already sealed, so the grandchild must not start a
+    # buffer that nothing would ever seal.
+    sim = Simulator()
+    tracer = SampledTracer(sim, RetentionPolicy(normal_reservoir=0))
+    root = tracer.start_trace("root", phase="task")
+    child = root.child("child", phase="db")
+    sim._now = 1.0
+    root.finish(error="Boom")
+    grandchild = child.child("grandchild", phase="db")
+    assert tracer._active == {}
+    assert grandchild not in tracer.spans
+    assert tracer.open_spans() == []
+    grandchild.finish()
+    child.finish()
+    # The retained tree is what sealed: root and the child open at the time.
+    assert tracer.retained_tree(root.trace_id).spans == [root, child]
+    assert tracer.children(child) == []
+    assert tracer.spans == [root, child]

@@ -64,4 +64,4 @@ class TestRunTriagePoint:
         assert [v.render() for v in first.verdicts] == [
             v.render() for v in second.verdicts
         ]
-        assert first.manifest.to_dicts() == second.manifest.to_dicts()
+        assert first.manifest.windows == second.manifest.windows
