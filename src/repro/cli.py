@@ -566,7 +566,7 @@ def cmd_bus(args: argparse.Namespace) -> int:
     from repro.cloud.tenancy import Organization, User
     from repro.datacenter.templates import MEDIUM_LINUX
     from repro.faults import FaultInjector, FaultSchedule, FaultTargets, message_fault
-    from repro.faults.chaos import retrying_config, check_exactly_once
+    from repro.faults.chaos import check_exactly_once, retrying_config
     from repro.sim.events import AllOf
 
     if args.deploys < 1 or args.concurrency < 1:

@@ -607,9 +607,7 @@ def _f6_cell(cell: tuple[int, int, int]) -> tuple[float, float]:
     return rescan_task.latency, addhost_task.latency
 
 
-def experiment_f6_reconfig_scale(
-    seed: int, quick: bool, parallel: int | None
-) -> ExperimentResult:
+def experiment_f6_reconfig_scale(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-F6: rescan and add-host latency as the inventory grows."""
     from repro.core.parallel import run_cells
 
@@ -621,7 +619,7 @@ def experiment_f6_reconfig_scale(
     outcomes = run_cells(
         _f6_cell,
         [(seed, host_count, datastore_count) for host_count in host_counts],
-        parallel,
+        parallel=parallel,
     )
     for host_count, (rescan_latency, addhost_latency) in zip(host_counts, outcomes):
         rows.append(
@@ -838,7 +836,7 @@ def experiment_f9_shards(seed: int, quick: bool, parallel: int | None) -> Experi
     outcomes = run_cells(
         _f9_cell,
         [(seed, shard_count, total_hosts, clones) for shard_count in shard_counts],
-        parallel,
+        parallel=parallel,
     )
     for shard_count, (completed, throughput) in zip(shard_counts, outcomes):
         rows.append([shard_count, completed, f"{throughput:.0f}"])
@@ -1046,9 +1044,7 @@ def experiment_x2_stats_tax(seed: int, quick: bool, parallel: int | None) -> Exp
     )
 
 
-def experiment_x3_fault_goodput(
-    seed: int, quick: bool, parallel: int | None
-) -> ExperimentResult:
+def experiment_x3_fault_goodput(seed: int, quick: bool, parallel: int | None) -> ExperimentResult:
     """R-X3 (extension): provisioning goodput under faults vs resilience.
 
     An open-loop CLOUD_A-style deploy storm (1.6 deploys/s, ~0.65 of

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.analysis.bottleneck import plane_breakdown, plane_breakdown_by_type
-from repro.analysis.latency import latency_by_type, latency_cdf, latency_stats
+from repro.analysis.latency import latency_by_type, latency_stats
 from repro.analysis.mix import operation_counts, operation_mix
 from repro.analysis.timeseries import arrival_rate_series
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
@@ -86,12 +86,6 @@ class ScenarioResult:
 
     def latency_by_type(self) -> dict[str, dict[str, float]]:
         return latency_by_type(self.trace)
-
-    def latency_cdf(self, op_type: str | None = None, points: int = 50):
-        records = self.trace
-        if op_type is not None:
-            records = [r for r in records if r.op_type == op_type]
-        return latency_cdf(records, points=points)
 
     def plane_breakdown(self) -> dict[str, float]:
         return plane_breakdown(self.trace)
