@@ -30,8 +30,8 @@ from repro.core.experiments import EXPERIMENTS, run_experiment
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
-#: The exhibits too slow for the unit suite (~165 s serial together on a
-#: 2-core container).
+#: The exhibits too slow for the unit suite (60-110 s serial together on a
+#: 2-core container, by host load).
 SLOW_EXHIBITS = (
     "R-F1", "R-F5", "R-F-alerts", "R-X3", "R-X6", "R-X7", "R-F-hyperscale",
 )

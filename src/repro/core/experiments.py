@@ -251,7 +251,9 @@ def storm_cell(
     return outcome
 
 
-def _open_loop_cell(cell: tuple[int, typing.Any, float, ControlPlaneConfig | None]):
+def _open_loop_cell(
+    cell: tuple[int, typing.Any, float, ControlPlaneConfig | None]
+) -> dict[str, typing.Any]:
     """An open-loop linked-clone storm: arrivals until ``duration``, then drain.
 
     The cell is ``(seed, arrivals, duration, config)``; the arrival
