@@ -44,6 +44,7 @@ import typing
 from repro.controlplane.costs import DEFAULT_COSTS
 from repro.core.experiments import EXPERIMENTS, StormRig, run_experiment, storm_cell
 from repro.core.profiler import CloudManagementProfiler
+from repro.faults.schedule import MESSAGE_FAULT_KINDS
 from repro.traces.io import write_csv, write_jsonl
 from repro.workloads.profiles import ALL_PROFILES
 
@@ -174,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     bus_cmd.add_argument("--seed", type=int, default=0)
     bus_cmd.add_argument(
         "--fault",
-        choices=("none", "drop", "duplicate", "delay", "reorder", "partition"),
+        choices=("none", *MESSAGE_FAULT_KINDS),
         default="none",
         help="message fault to arm mid-storm (default none)",
     )
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     federation_cmd.add_argument(
         "--fault",
-        choices=("none", "drop", "duplicate", "delay", "reorder", "partition"),
+        choices=("none", *MESSAGE_FAULT_KINDS),
         default="none",
         help="message fault to arm on the federation topics (default none)",
     )
@@ -560,14 +561,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_bus(args: argparse.Namespace) -> int:
-    from repro.cloud.api import ApiGateway
-    from repro.cloud.catalog import Catalog, CatalogItem
-    from repro.cloud.director import CloudDirector, DeployRequest
-    from repro.cloud.tenancy import Organization, User
-    from repro.datacenter.templates import MEDIUM_LINUX
-    from repro.faults import FaultInjector, FaultSchedule, FaultTargets, message_fault
-    from repro.faults.chaos import check_exactly_once, retrying_config
-    from repro.sim.events import AllOf
+    from repro.faults import message_fault
+    from repro.faults.chaos import bus_rig, run_fault_point
 
     if args.deploys < 1 or args.concurrency < 1:
         return _fail("--deploys and --concurrency must be >= 1")
@@ -579,56 +574,12 @@ def cmd_bus(args: argparse.Namespace) -> int:
             )
         except ValueError as error_:
             return _fail(error_)
-    rig = StormRig(
-        seed=args.seed, hosts=8, datastores=2, config=retrying_config(96),
-        journal=True, bus=True,
-    )
-    catalog = Catalog("demo")
-    item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
-    org = Organization("demo-org", quota_vms=1_000_000, quota_storage_gb=1e9)
-    # The director sees the mediated bus on the server and subscribes its
-    # deploy topic; the gateway publishes to it through submit_deploy.
-    director = CloudDirector(rig.server, rig.cluster, rig.library, catalog)
-    gateway = ApiGateway(rig.sim, requests_per_minute=6000.0, burst=100.0)
-    session = gateway.login(User("tenant", org))
+    rig = bus_rig(args.seed, args.deploys, args.concurrency)
+    result = run_fault_point(rig, faults)
+    # Measured to quiescence (fault windows drained), from t=0.
+    makespan = rig.sim.now
 
-    injector = None
-    if faults:
-        injector = FaultInjector(
-            rig.sim,
-            FaultTargets.for_server(rig.server),
-            FaultSchedule(faults),
-            rng=rig.streams.stream("bus-injector"),
-        ).start()
-
-    queue = list(range(args.deploys))
-
-    def worker() -> typing.Generator:
-        while queue:
-            index = queue.pop(0)
-            try:
-                yield from gateway.submit_deploy(
-                    session,
-                    director,
-                    DeployRequest(
-                        org=org, item=item, vm_count=1, vapp_name=f"req{index}"
-                    ),
-                )
-            except Exception:
-                pass
-
-    workers = [
-        rig.sim.spawn(worker(), name=f"bus-worker-{w}")
-        for w in range(min(args.concurrency, args.deploys))
-    ]
-    start = rig.sim.now
-    rig.sim.run(until=AllOf(rig.sim, workers))
-    if injector is not None:
-        rig.sim.run(until=rig.sim.spawn(injector.drain(), name="bus-drain"))
-    rig.sim.run()
-    makespan = rig.sim.now - start
-
-    bus = rig.bus
+    bus = rig.env.bus
     print(
         f"bus {bus.name!r}: {args.deploys} deploys through "
         f"{len(bus.topic_stats())} topics in {makespan:.1f}s"
@@ -658,11 +609,9 @@ def cmd_bus(args: argparse.Namespace) -> int:
         f"{totals['deduped']} deduped, {totals['dropped']} dropped in transit, "
         f"{totals['shed']} shed, {totals['dead_lettered']} dead-lettered"
     )
-    deployed = sum(len(vapp.vms) for vapp in director.vapps)
-    tasks = rig.server.tasks
-    print(f"deployed VMs:  {deployed}")
-    print(f"dead letters:  {len(tasks.dead_letters)}")
-    return _report_exactly_once(check_exactly_once(rig.server))
+    print(f"deployed VMs:  {result.counters['vms']}")
+    print(f"dead letters:  {result.dead_letters}")
+    return _report_exactly_once(result.violations)
 
 
 def _chaos_kind(args: argparse.Namespace) -> str | None:

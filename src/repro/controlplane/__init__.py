@@ -18,13 +18,9 @@ __getattr__, __dir__ = _lazy_exports(
     {
         "repro.controlplane.bus": (
             "AgentProxy",
-            "BusFaultHook",
             "Message",
             "MessageBus",
             "NULL_BUS",
-            "OVERFLOW_BLOCK",
-            "OVERFLOW_DEAD_LETTER",
-            "OVERFLOW_SHED_OLDEST",
             "Topic",
             "TopicStats",
         ),
@@ -52,7 +48,6 @@ __getattr__, __dir__ = _lazy_exports(
 __all__ = [
     "AgentProxy",
     "BreakerPolicy",
-    "BusFaultHook",
     "BreakerState",
     "CircuitBreaker",
     "ControlPlaneConfig",
@@ -68,9 +63,6 @@ __all__ = [
     "MessageBus",
     "NO_RETRY",
     "NULL_BUS",
-    "OVERFLOW_BLOCK",
-    "OVERFLOW_DEAD_LETTER",
-    "OVERFLOW_SHED_OLDEST",
     "Topic",
     "TopicStats",
     "RetryBudget",

@@ -7,10 +7,9 @@ tiers, message loss, duplication, reordering, and partitions. This module
 makes inter-component delivery first-class:
 
 - **Named topics** with one subscriber each (point-to-point queues, the
-  shape every control-plane hop here has). Queues are bounded; the
-  overflow policy is configurable per topic: ``block`` (publisher
-  backpressure), ``shed_oldest`` (evict the head to dead letters), or
-  ``dead_letter`` (reject the incoming message). A topic claimed with
+  shape every control-plane hop here has). Every queue holds
+  :data:`DEFAULT_CAPACITY` messages and blocks its publishers when full
+  (backpressure). A topic claimed with
   :meth:`MessageBus.subscribe_shared` instead admits *many* consumers —
   waiting getters are served FIFO, so a shared topic is a work-stealing
   pool (the shard-federation submission topic in
@@ -23,9 +22,10 @@ makes inter-component delivery first-class:
   a crashed shard's topic moves to the survivors' shared topic, and the
   key discipline still guarantees at-most-once execution.
 - **At-least-once delivery.** Every message carries an idempotency key
-  and arms a redelivery timer when offered; a copy lost in transit (a
-  ``message_drop`` fault window) is re-sent when the timer fires, up to
-  ``max_redeliveries`` times, after which the bus gives up: the message
+  and arms a :data:`REDELIVERY_TIMEOUT_S` timer when offered; a copy lost
+  in transit (a ``message_drop`` fault window) is re-sent when the timer
+  fires, up to :data:`MAX_REDELIVERIES` times, after which the bus gives
+  up: the message
   is dead-lettered and its reply fails with
   :class:`~repro.faults.errors.MessageLost` (a ``TransientError``, so the
   ordinary retry machinery owns the outcome).
@@ -35,10 +35,13 @@ makes inter-component delivery first-class:
   keys reuse the journal's ``task-{id}:attempt-{n}`` identity, so a
   duplicated or redelivered message can never re-execute work an earlier
   copy performed.
-- **Message-level chaos.** A :class:`BusFaultHook` (armed by the
-  ``message_*`` / ``topic_partition`` specs in
-  :mod:`repro.faults.schedule`) injects drop, duplicate, delay, reorder,
-  and per-topic partition faults, each scopable to a topic subset.
+- **Message-level chaos.** ``bus.faults`` is the same
+  :class:`~repro.faults.hooks.FaultHook` every other injection point
+  owns, armed by the ``message_*`` / ``topic_partition`` specs in
+  :mod:`repro.faults.schedule`. The bus reads its drop, duplicate and
+  reorder rates and its delay, and rolls its own stream against them; an
+  all-keys block partitions every topic, and :meth:`MessageBus.drain_all`
+  delivers the backlog when the partition heals.
 
 One rule for the design choice: a :class:`MessageBus` always carries the
 hops, and "no bus" is spelled ``bus=None`` — the server substitutes the
@@ -50,7 +53,7 @@ Instrumentation: publish / queue-wait / deliver spans ride the caller's
 span tree (``PHASE_BUS`` / ``PHASE_QUEUE``), and telemetry exposes
 per-topic queue-depth probes plus published / delivered / redelivered /
 deduped / dropped / shed / dead-letter counters and a queue-wait
-histogram. ``python -m repro bus`` demos all of it.
+histogram (the shed counters read zero: full queues block, never shed). ``python -m repro bus`` demos all of it.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.faults.errors import MessageLost
+from repro.faults.hooks import FaultHook
 from repro.sim.events import Event
 from repro.telemetry import NULL_TELEMETRY
 from repro.tracing import NULL_SPAN, PHASE_BUS, PHASE_QUEUE
@@ -68,15 +72,14 @@ from repro.tracing import NULL_SPAN, PHASE_BUS, PHASE_QUEUE
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
-# Overflow policies for bounded topic queues.
-OVERFLOW_BLOCK = "block"            # publisher waits for space (backpressure)
-OVERFLOW_SHED_OLDEST = "shed_oldest"  # evict the queue head to dead letters
-OVERFLOW_DEAD_LETTER = "dead_letter"  # reject the incoming message
-
-OVERFLOW_POLICIES = (OVERFLOW_BLOCK, OVERFLOW_SHED_OLDEST, OVERFLOW_DEAD_LETTER)
-
-#: Bound of a topic not configured explicitly at ``subscribe`` time.
+#: Messages a topic holds before its publishers block.
 DEFAULT_CAPACITY = 64
+
+#: How long an unacknowledged message waits before the bus re-sends it.
+REDELIVERY_TIMEOUT_S = 30.0
+
+#: Redelivery expiries a message survives before it is dead-lettered.
+MAX_REDELIVERIES = 3
 
 
 class Message:
@@ -218,8 +221,6 @@ class Topic:
     __slots__ = (
         "bus",
         "name",
-        "capacity",
-        "overflow",
         "queue",
         "getters",
         "putters",
@@ -229,15 +230,9 @@ class Topic:
         "recent_dead",
     )
 
-    def __init__(self, bus: "MessageBus", name: str, capacity: int, overflow: str) -> None:
-        if capacity < 1:
-            raise ValueError(f"topic capacity must be >= 1, got {capacity}")
-        if overflow not in OVERFLOW_POLICIES:
-            raise ValueError(f"unknown overflow policy {overflow!r}; known: {OVERFLOW_POLICIES}")
+    def __init__(self, bus: "MessageBus", name: str) -> None:
         self.bus = bus
         self.name = name
-        self.capacity = capacity
-        self.overflow = overflow
         self.queue: deque[Message] = deque()
         self.getters: deque[Event] = deque()
         self.putters: deque[_PutRequest] = deque()
@@ -251,10 +246,6 @@ class Topic:
         )
 
     @property
-    def full(self) -> bool:
-        return len(self.queue) >= self.capacity
-
-    @property
     def depth(self) -> int:
         return len(self.queue)
 
@@ -266,124 +257,8 @@ class Topic:
         return event
 
 
-_MISSING = object()
-
-
-class BusFaultHook:
-    """Message-level fault state for one bus, armed per *source* token.
-
-    The same composition idiom as :class:`~repro.faults.hooks.FaultHook`:
-    each fault window registers under an opaque source token, overlapping
-    windows compose (drop/duplicate/reorder rates combine as independent
-    events, delays take the max), and disarming one window leaves the
-    others armed. Every entry may be scoped to a topic subset; an empty
-    scope means *all* topics. Healing the last partition on a topic drains
-    any backlog it stalled.
-    """
-
-    def __init__(self, bus: "MessageBus") -> None:
-        self._bus = bus
-        self._drops: dict[object, tuple[frozenset[str] | None, float]] = {}
-        self._duplicates: dict[object, tuple[frozenset[str] | None, float]] = {}
-        self._delays: dict[object, tuple[frozenset[str] | None, float]] = {}
-        self._reorders: dict[object, tuple[frozenset[str] | None, float]] = {}
-        self._partitions: dict[object, frozenset[str] | None] = {}
-
-    @staticmethod
-    def _scope(topics: typing.Iterable[str] | None) -> frozenset[str] | None:
-        if not topics:
-            return None
-        return frozenset(topics)
-
-    # -- arming ------------------------------------------------------------
-
-    def set_drop(self, source: object, rate: float, topics=None) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"drop rate must be in [0, 1], got {rate}")
-        self._drops[source] = (self._scope(topics), rate)
-
-    def set_duplicate(self, source: object, rate: float, topics=None) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"duplicate rate must be in [0, 1], got {rate}")
-        self._duplicates[source] = (self._scope(topics), rate)
-
-    def set_delay(self, source: object, delay_s: float, topics=None) -> None:
-        if delay_s < 0.0:
-            raise ValueError(f"delay must be >= 0, got {delay_s}")
-        self._delays[source] = (self._scope(topics), delay_s)
-
-    def set_reorder(self, source: object, rate: float, topics=None) -> None:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"reorder rate must be in [0, 1], got {rate}")
-        self._reorders[source] = (self._scope(topics), rate)
-
-    def set_partition(self, source: object, topics=None) -> None:
-        self._partitions[source] = self._scope(topics)
-
-    def disarm(self, source: object) -> None:
-        """Remove every fault registered under ``source``."""
-        self._drops.pop(source, None)
-        self._duplicates.pop(source, None)
-        self._delays.pop(source, None)
-        self._reorders.pop(source, None)
-        healed = self._partitions.pop(source, _MISSING) is not _MISSING
-        if healed:
-            self._bus._drain_all()
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def armed(self) -> bool:
-        return bool(
-            self._drops
-            or self._duplicates
-            or self._delays
-            or self._reorders
-            or self._partitions
-        )
-
-    @staticmethod
-    def _matching(table, topic: str):
-        for scope, value in table.values():
-            if scope is None or topic in scope:
-                yield value
-
-    @staticmethod
-    def _combined(rates: typing.Iterable[float]) -> float:
-        survive = 1.0
-        for rate in rates:
-            survive *= 1.0 - rate
-        return 1.0 - survive
-
-    def drop_rate(self, topic: str) -> float:
-        return self._combined(self._matching(self._drops, topic))
-
-    def duplicate_rate(self, topic: str) -> float:
-        return self._combined(self._matching(self._duplicates, topic))
-
-    def reorder_rate(self, topic: str) -> float:
-        return self._combined(self._matching(self._reorders, topic))
-
-    def delay_s(self, topic: str) -> float:
-        return max(self._matching(self._delays, topic), default=0.0)
-
-    def partitioned(self, topic: str) -> bool:
-        return any(scope is None or topic in scope for scope in self._partitions.values())
-
-
 class MessageBus:
-    """The in-sim broker; see the module docstring for semantics.
-
-    A topic not configured explicitly at ``subscribe`` time holds
-    :data:`DEFAULT_CAPACITY` messages and blocks its publishers when full.
-
-    Parameters
-    ----------
-    redelivery_timeout_s / max_redeliveries:
-        At-least-once knobs: how long an unacknowledged message waits
-        before the bus re-sends it, and how many expiries it survives
-        before being dead-lettered (``MessageLost``).
-    """
+    """The in-sim broker; see the module docstring for semantics."""
 
     #: A bus always carries the control-plane hops (see :data:`NULL_BUS`).
     mediated = True
@@ -394,18 +269,14 @@ class MessageBus:
         name: str = "bus",
         rng: random.Random | None = None,
         telemetry=None,
-        redelivery_timeout_s: float = 30.0,
-        max_redeliveries: int = 3,
     ) -> None:
         self.sim = sim
         self.name = name
         self.rng = rng or random.Random(0)
-        self.redelivery_timeout_s = redelivery_timeout_s
-        self.max_redeliveries = max_redeliveries
-        self.faults = BusFaultHook(self)
+        self.faults = FaultHook(sim, name=name, rng=self.rng)
         # Where a bus-level dead letter for a task-linked message lands;
         # the management server points this at the task manager's
-        # deduplicated sink so bus sheds and retry-layer dead letters are
+        # deduplicated sink so bus and retry-layer dead letters are
         # counted once (see TaskManager.record_message_dead_letter).
         self.dead_letter_sink: typing.Callable[[typing.Any, BaseException], None] | None = None
         self._topics: dict[str, Topic] = {}
@@ -431,9 +302,9 @@ class MessageBus:
         self._t_dropped = t.counter(
             "bus_dropped_total", help="copies lost in transit (drop faults)", **labels
         )
-        self._t_shed = t.counter(
-            "bus_shed_total", help="messages evicted by queue overflow", **labels
-        )
+        # Full queues block rather than shed, so this family stays at zero;
+        # it is kept because the metric catalogue exports it.
+        t.counter("bus_shed_total", help="messages evicted by queue overflow", **labels)
         self._t_dead_letter = t.counter(
             "bus_dead_letter_total", help="messages the bus gave up on", **labels
         )
@@ -451,17 +322,12 @@ class MessageBus:
 
     # -- topics ------------------------------------------------------------
 
-    def topic(self, name: str, capacity: int | None = None, overflow: str | None = None) -> Topic:
-        """Get or create a topic; config applies only on first creation."""
+    def topic(self, name: str) -> Topic:
+        """Get or create a topic."""
         existing = self._topics.get(name)
         if existing is not None:
             return existing
-        topic = Topic(
-            self,
-            name,
-            capacity if capacity is not None else DEFAULT_CAPACITY,
-            overflow if overflow is not None else OVERFLOW_BLOCK,
-        )
+        topic = Topic(self, name)
         self._topics[name] = topic
         self._telemetry.probe(
             "bus_queue_depth",
@@ -495,9 +361,9 @@ class MessageBus:
             )
         return topic
 
-    def subscribe(self, name: str, capacity: int | None = None, overflow: str | None = None) -> Topic:
+    def subscribe(self, name: str) -> Topic:
         """Claim a topic's consumer side; topics are single-subscriber."""
-        topic = self.topic(name, capacity=capacity, overflow=overflow)
+        topic = self.topic(name)
         if topic.shared:
             raise RuntimeError(f"topic {name!r} is shared; use subscribe_shared")
         if topic.subscribed:
@@ -505,9 +371,7 @@ class MessageBus:
         topic.subscribed = True
         return topic
 
-    def subscribe_shared(
-        self, name: str, capacity: int | None = None, overflow: str | None = None
-    ) -> Topic:
+    def subscribe_shared(self, name: str) -> Topic:
         """Join a shared topic as one of many consumers (work-stealing).
 
         Waiting getters are served FIFO, so whichever consumer has been
@@ -516,7 +380,7 @@ class MessageBus:
         versa: the two subscription modes are mutually exclusive per
         topic.
         """
-        topic = self.topic(name, capacity=capacity, overflow=overflow)
+        topic = self.topic(name)
         if topic.subscribed and not topic.shared:
             raise RuntimeError(f"topic {name!r} already has an exclusive subscriber")
         topic.subscribed = True
@@ -542,11 +406,10 @@ class MessageBus:
     ):
         """Publish one message (process-style generator; may block).
 
-        Order of hazards models a real hop: delay faults hold the send,
-        the overflow policy gates admission (``block`` backpressures the
-        publisher here), and only then does the copy cross the "network",
-        where a drop fault may lose it — the redelivery timer re-sends
-        lost copies, so delivery is at-least-once.
+        Order of hazards models a real hop: delay faults hold the send, a
+        full queue backpressures the publisher here, and only then does
+        the copy cross the "network", where a drop fault may lose it — the
+        redelivery timer re-sends lost copies, so delivery is at-least-once.
         """
         topic = self.topic(topic_name)
         message = Message(
@@ -566,27 +429,14 @@ class MessageBus:
                 f"bus.publish:{topic_name}", phase=PHASE_BUS, tags={"key": key}
             )
         try:
-            delay = self.faults.delay_s(topic_name)
+            delay = self.faults.delay_s
             if delay > 0.0:
                 topic.stats.delayed += 1
                 yield self.sim.timeout(delay)
-            if topic.overflow == OVERFLOW_BLOCK:
-                while topic.full:
-                    request = _PutRequest(self.sim, topic)
-                    topic.putters.append(request)
-                    yield request
-            elif topic.overflow == OVERFLOW_SHED_OLDEST:
-                if topic.full and topic.queue:
-                    victim = topic.queue.popleft()
-                    victim.in_queue = False
-                    topic.stats.shed += 1
-                    self._t_shed.add()
-                    self._kill(topic, victim, "shed by overflow")
-            elif topic.full:  # OVERFLOW_DEAD_LETTER
-                topic.stats.shed += 1
-                self._t_shed.add()
-                self._kill(topic, message, "rejected by full queue")
-                return
+            while len(topic.queue) >= DEFAULT_CAPACITY:
+                request = _PutRequest(self.sim, topic)
+                topic.putters.append(request)
+                yield request
             self._offer(topic, message)
         finally:
             pub_span.finish()
@@ -598,7 +448,7 @@ class MessageBus:
 
     def _offer(self, topic: Topic, message: Message) -> None:
         """Send one copy across the wire: it lands in the queue or is lost."""
-        if self._roll(self.faults.drop_rate(topic.name)):
+        if self._roll(self.faults.drop_rate):
             message.in_queue = False
             topic.stats.dropped += 1
             self._t_dropped.add()
@@ -617,7 +467,7 @@ class MessageBus:
             message.wait_span = message.span.child(
                 f"bus.queue_wait:{topic.name}", phase=PHASE_QUEUE, tags={"wait": True}
             )
-        if topic.queue and self._roll(self.faults.reorder_rate(topic.name)):
+        if topic.queue and self._roll(self.faults.reorder_rate):
             topic.stats.reordered += 1
             topic.queue.insert(self.rng.randrange(len(topic.queue) + 1), message)
         else:
@@ -632,7 +482,7 @@ class MessageBus:
         old = message.timer
         if old is not None and not old.processed:
             old.cancel()
-        timer = self.sim.timeout(self.redelivery_timeout_s)
+        timer = self.sim.timeout(REDELIVERY_TIMEOUT_S)
         timer.callbacks.append(lambda _event, t=topic, m=message: self._redeliver(t, m))
         message.timer = timer
 
@@ -641,7 +491,7 @@ class MessageBus:
         if message.acked:
             return
         message.redeliveries += 1
-        if message.redeliveries > self.max_redeliveries:
+        if message.redeliveries > MAX_REDELIVERIES:
             self._kill(topic, message, "redelivery budget exhausted")
             return
         if message.in_queue:
@@ -657,7 +507,7 @@ class MessageBus:
 
     def _drain(self, topic: Topic) -> None:
         """Match queued messages to waiting getters (unless partitioned)."""
-        if self.faults.partitioned(topic.name):
+        if self.faults.blocked():
             return
         while topic.queue and topic.getters:
             message = topic.queue.popleft()
@@ -679,7 +529,7 @@ class MessageBus:
                     tags={"redeliveries": message.redeliveries},
                 ).finish()
             getter.succeed(message)
-            if self._roll(self.faults.duplicate_rate(topic.name)):
+            if self._roll(self.faults.duplicate_rate):
                 clone = message.clone(self.sim.now)
                 topic.stats.duplicated += 1
                 self._t_duplicated.add()
@@ -693,7 +543,7 @@ class MessageBus:
         re-blocks), but releasing one per slot avoids thundering the whole
         line every delivery.
         """
-        free = topic.capacity - topic.depth
+        free = DEFAULT_CAPACITY - topic.depth
         while free > 0 and topic.putters:
             waiter = topic.putters.popleft()
             if waiter.triggered or waiter.cancelled:
@@ -701,9 +551,18 @@ class MessageBus:
             waiter.succeed()
             free -= 1
 
-    def _drain_all(self) -> None:
+    def drain_all(self) -> None:
+        """Deliver every topic's backlog; healing a partition calls this."""
         for topic in self._topics.values():
             self._drain(topic)
+
+    @staticmethod
+    def _ack(message: Message) -> None:
+        """Stop a message's redelivery: no timer re-sends or kills it."""
+        message.acked = True
+        if message.timer is not None and not message.timer.processed:
+            message.timer.cancel()
+            message.timer = None
 
     def _kill(self, topic: Topic, message: Message, reason: str) -> None:
         """Give up on a message: dead-letter it exactly once per key.
@@ -713,9 +572,7 @@ class MessageBus:
         alone, so a late duplicate can never fail work that another copy
         completed.
         """
-        message.acked = True
-        if message.timer is not None and not message.timer.processed:
-            message.timer.cancel()
+        self._ack(message)
         if message.in_queue:
             try:
                 topic.queue.remove(message)
@@ -753,17 +610,14 @@ class MessageBus:
         is still executable exactly once wherever it lands. The fresh
         copy carries the same key, payload, reply, task link, and trace
         identity; publication goes through the normal hazard pipeline
-        (delay faults, overflow policy, drop faults) as a spawned
+        (delay faults, backpressure, drop faults) as a spawned
         process, whose event is returned.
 
         This is the shard-failover primitive: a consumer that finds its
         shard inside a crash window forwards pending submissions to the
         survivors' shared topic instead of accepting them.
         """
-        message.acked = True
-        if message.timer is not None and not message.timer.processed:
-            message.timer.cancel()
-            message.timer = None
+        self._ack(message)
         source = self._topics[message.topic]
         source.stats.forwarded += 1
         self._t_forwarded.add()
@@ -791,10 +645,7 @@ class MessageBus:
         of a dead key) acknowledge but return False and count as dedups.
         Consumers call this first and skip work when it returns False.
         """
-        message.acked = True
-        if message.timer is not None and not message.timer.processed:
-            message.timer.cancel()
-            message.timer = None
+        self._ack(message)
         topic = self._topics[message.topic]
         if message.key in self._done_keys or message.key in self._dead_keys:
             topic.stats.deduped += 1
@@ -877,14 +728,9 @@ NULL_BUS = _NullBus()
 
 __all__ = [
     "AgentProxy",
-    "BusFaultHook",
     "Message",
     "MessageBus",
     "NULL_BUS",
-    "OVERFLOW_BLOCK",
-    "OVERFLOW_DEAD_LETTER",
-    "OVERFLOW_POLICIES",
-    "OVERFLOW_SHED_OLDEST",
     "Topic",
     "TopicStats",
 ]

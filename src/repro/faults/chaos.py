@@ -13,10 +13,12 @@ points and checks the invariant after every one.
 A fault point is one loop, :func:`run_fault_point`: start a
 :class:`~repro.faults.FaultInjector` on a :class:`FaultRig`'s targets, run
 the rig's workload, drain the fault windows, run to quiescence, and check
-the rig's invariant. Three builders make rigs: :func:`storm_rig` (a
+the rig's invariant. Four builders make rigs: :func:`storm_rig` (a
 closed-loop clone storm on one journaled server, direct or fully
-bus-mediated), :func:`federation_rig` (a skewed deploy storm over a
-shard federation) and :func:`deploy_rig` (the open-loop tenant deploy
+bus-mediated), :func:`bus_rig` (the ``repro bus`` closed-loop tenant
+deploy storm through the gateway, every hop on the bus),
+:func:`federation_rig` (a skewed deploy storm over a shard federation)
+and :func:`deploy_rig` (the open-loop tenant deploy
 storm behind R-X3, R-F-alerts, the triage harness and the ``repro
 faults``/``metrics`` demos, in one of three resilience postures).
 :func:`fault_sweep` draws randomized points for one
@@ -296,6 +298,66 @@ def storm_rig(
         outcome=lambda: _server_outcome(server),
         check=lambda: check_exactly_once(server),
         counters=counters,
+    )
+
+
+def bus_rig(seed: int, total: int, concurrency: int) -> FaultRig:
+    """The ``repro bus`` storm: ``total`` one-VM catalog deploys pushed by
+    ``concurrency`` workers through an ``ApiGateway`` and ``CloudDirector``
+    on an 8-host, 2-datastore journaled, retrying server, every hop on one
+    mediated bus. The injector draws from the ``bus-injector`` stream;
+    ``env`` is the ``StormRig``. Counters: deployed ``vms``.
+    """
+    from repro.cloud.api import ApiGateway
+    from repro.cloud.catalog import Catalog, CatalogItem
+    from repro.cloud.director import CloudDirector, DeployRequest
+    from repro.cloud.tenancy import Organization, User
+    from repro.core.experiments import StormRig
+    from repro.datacenter.templates import MEDIUM_LINUX
+    from repro.sim.events import AllOf
+
+    storm = StormRig(
+        seed=seed, hosts=8, datastores=2, config=retrying_config(96),
+        journal=True, bus=True,
+    )
+    sim, server = storm.sim, storm.server
+    catalog = Catalog("demo")
+    item = catalog.add(CatalogItem(name="web", template_name=MEDIUM_LINUX.name))
+    org = Organization("demo-org", quota_vms=1_000_000, quota_storage_gb=1e9)
+    # The director sees the mediated bus on the server and subscribes its
+    # deploy topic; the gateway publishes to it through submit_deploy.
+    director = CloudDirector(server, storm.cluster, storm.library, catalog)
+    gateway = ApiGateway(sim, requests_per_minute=6000.0, burst=100.0)
+    session = gateway.login(User("tenant", org))
+    queue = list(range(total))
+
+    def worker() -> typing.Generator:
+        while queue:
+            index = queue.pop(0)
+            try:
+                request = DeployRequest(org=org, item=item, vm_count=1, vapp_name=f"req{index}")
+                yield from gateway.submit_deploy(session, director, request)
+            except Exception:  # noqa: BLE001 — a failed deploy is counted below
+                pass
+
+    def workload() -> float:
+        workers = [
+            sim.spawn(worker(), name=f"bus-worker-{w}")
+            for w in range(min(concurrency, total))
+        ]
+        sim.run(until=AllOf(sim, workers))
+        return sim.now
+
+    return FaultRig(
+        sim=sim,
+        streams=storm.streams,
+        targets=FaultTargets.for_server(server),
+        env=storm,
+        workload=workload,
+        outcome=lambda: _server_outcome(server),
+        check=lambda: check_exactly_once(server),
+        counters=lambda: {"vms": sum(len(vapp.vms) for vapp in director.vapps)},
+        injector_stream="bus-injector",
     )
 
 

@@ -26,22 +26,10 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.schedule import FaultSpec
 
-#: Spec field holding the headline intensity per fault kind. Kinds not
-#: listed (crashes, outages, partitions) are binary: intensity 1.0.
-_INTENSITY_FIELD: dict[str, str] = {
-    "agent_degrade": "drop_rate",
-    "db_slowdown": "factor",
-    "copy_flakiness": "fail_rate",
-    "message_drop": "rate",
-    "message_duplicate": "rate",
-    "message_delay": "delay_s",
-    "message_reorder": "rate",
-}
-
 #: Spec fields that name targets or the window itself — everything else
 #: is an intensity/shape parameter worth keeping in ``params``.
 _NON_PARAM_FIELDS = frozenset(
-    {"start_s", "duration_s", "hosts", "datastores", "shards", "topics"}
+    {"start_s", "duration_s", "hosts", "datastores", "shards"}
 )
 
 
@@ -85,12 +73,10 @@ def window_from_spec(
     params = {
         key: value for key, value in entry.items() if key not in _NON_PARAM_FIELDS
     }
-    field = _INTENSITY_FIELD.get(spec.kind)
-    intensity = float(entry[field]) if field is not None else 1.0
     if targets is None:
         # Planned view: requested names only; random picks are unresolved.
         targets = ()
-        for name in ("hosts", "datastores", "shards", "topics"):
+        for name in ("hosts", "datastores", "shards"):
             if entry.get(name):
                 targets = tuple(entry[name])
                 break
@@ -99,7 +85,7 @@ def window_from_spec(
         start_s=spec.start_s if start_s is None else start_s,
         end_s=spec.end_s if end_s is None else end_s,
         targets=tuple(targets),
-        intensity=intensity,
+        intensity=spec.intensity,
         params=params,
     )
 

@@ -30,6 +30,9 @@ Spec catalogue:
                     (queues build; healing drains them)
 ==================  =========================================================
 
+:attr:`FaultSpec.intensity` is a spec's headline rate, factor or delay
+(1.0 for binary kinds). Message faults cover every topic on the bus.
+
 Targets are referenced *by name* (host names, datastore names, server
 names); empty target tuples mean "pick ``count`` at random from the live
 infrastructure" using the injector's seeded stream, keeping schedules
@@ -66,6 +69,11 @@ class FaultSpec:
     @property
     def end_s(self) -> float:
         return self.start_s + self.duration_s
+
+    @property
+    def intensity(self) -> float:
+        """The headline magnitude; 1.0 for binary kinds (crashes, outages)."""
+        return 1.0
 
     # The injector calls select() once at arm time (resolving names and
     # random picks into live components), then arm()/disarm() with the
@@ -130,6 +138,10 @@ class AgentDegrade(FaultSpec):
         if self.latency_factor == 1.0 and self.drop_rate == 0.0:
             raise ValueError("agent_degrade must degrade latency or drop calls")
 
+    @property
+    def intensity(self) -> float:
+        return float(self.drop_rate)
+
     def select(self, targets, rng):
         return targets.pick_hosts(self.hosts, self.count, rng)
 
@@ -158,6 +170,10 @@ class DbSlowdown(FaultSpec):
         super().__post_init__()
         if self.factor <= 1.0:
             raise ValueError("factor must be > 1.0")
+
+    @property
+    def intensity(self) -> float:
+        return float(self.factor)
 
     def select(self, targets, rng):
         return targets.database_hooks()
@@ -194,7 +210,7 @@ class DatastoreOutage(FaultSpec):
     def disarm(self, targets, token, selection):
         for datastore in selection:
             for hook in targets.copy_hooks():
-                hook.unblock((token, datastore.entity_id))
+                hook.disarm((token, datastore.entity_id))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,6 +225,10 @@ class CopyFlakiness(FaultSpec):
         super().__post_init__()
         if not 0.0 < self.fail_rate <= 1.0:
             raise ValueError("fail_rate must be in (0, 1]")
+
+    @property
+    def intensity(self) -> float:
+        return float(self.fail_rate)
 
     def select(self, targets, rng):
         return targets.copy_hooks()
@@ -243,7 +263,7 @@ class ShardCrash(FaultSpec):
 
     def disarm(self, targets, token, selection):
         for server in selection:
-            server.faults.unblock(token)
+            server.faults.disarm(token)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,71 +296,75 @@ class ServerCrash(FaultSpec):
             server.restart(token)
 
 
+#: The bus-hook setter each message fault arms with its intensity; a
+#: kind not listed (``topic_partition``) blocks every key instead.
+_HOOK_SETTERS = {
+    "message_drop": "set_drop",
+    "message_duplicate": "set_duplicate",
+    "message_delay": "set_delay",
+    "message_reorder": "set_reorder",
+}
+
+
 @dataclasses.dataclass(frozen=True)
 class MessageFault(FaultSpec):
-    """Shared skeleton for bus-level message faults.
+    """Shared skeleton for bus-level message faults, on every topic.
 
     Targets every mediated bus (direct-call rigs have none, so these
     windows arm as no-ops there — random schedules stay portable).
-    ``topics`` narrows the blast radius to the named topics; empty means
-    every topic on the bus.
     """
-
-    topics: tuple[str, ...] = ()
 
     def select(self, targets, rng):
         return targets.buses()
 
-    def _scope(self) -> tuple[str, ...] | None:
-        return self.topics or None
+    def arm(self, targets, token, selection):
+        setter = _HOOK_SETTERS.get(self.kind)
+        for bus in selection:
+            if setter is None:
+                bus.faults.block(token)
+            else:
+                getattr(bus.faults, setter)(token, self.intensity)
+
+    def disarm(self, targets, token, selection):
+        for bus in selection:
+            bus.faults.disarm(token)
+            if self.kind not in _HOOK_SETTERS:
+                bus.drain_all()  # a healed partition delivers its backlog
 
     def describe(self, selection):
-        scope = ",".join(self.topics) if self.topics else "*"
-        return f"{self.kind}[{scope}]"
+        return f"{self.kind}[*]"
 
 
 @dataclasses.dataclass(frozen=True)
-class MessageDrop(MessageFault):
+class _RateFault(MessageFault):
+    """A message fault whose intensity is a probability ``rate`` in (0, 1]."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 < self.rate <= 1.0:
+            raise ValueError("rate must be in (0, 1]")
+
+    @property
+    def intensity(self) -> float:
+        return float(self.rate)
+
+
+@dataclasses.dataclass(frozen=True)
+class MessageDrop(_RateFault):
     """Bus messages vanish in transit with probability ``rate``."""
 
     rate: float = 0.3
 
     kind: typing.ClassVar[str] = "message_drop"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError("rate must be in (0, 1]")
-
-    def arm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.set_drop(token, self.rate, topics=self._scope())
-
-    def disarm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.disarm(token)
-
 
 @dataclasses.dataclass(frozen=True)
-class MessageDuplicate(MessageFault):
+class MessageDuplicate(_RateFault):
     """Delivered bus messages are cloned with probability ``rate``."""
 
     rate: float = 0.3
 
     kind: typing.ClassVar[str] = "message_duplicate"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError("rate must be in (0, 1]")
-
-    def arm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.set_duplicate(token, self.rate, topics=self._scope())
-
-    def disarm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.disarm(token)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -356,35 +380,18 @@ class MessageDelay(MessageFault):
         if self.delay_s <= 0.0:
             raise ValueError("delay_s must be > 0")
 
-    def arm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.set_delay(token, self.delay_s, topics=self._scope())
-
-    def disarm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.disarm(token)
+    @property
+    def intensity(self) -> float:
+        return float(self.delay_s)
 
 
 @dataclasses.dataclass(frozen=True)
-class MessageReorder(MessageFault):
+class MessageReorder(_RateFault):
     """Bus messages jump the queue with probability ``rate``."""
 
     rate: float = 0.5
 
     kind: typing.ClassVar[str] = "message_reorder"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError("rate must be in (0, 1]")
-
-    def arm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.set_reorder(token, self.rate, topics=self._scope())
-
-    def disarm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.disarm(token)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -398,14 +405,6 @@ class TopicPartition(MessageFault):
     """
 
     kind: typing.ClassVar[str] = "topic_partition"
-
-    def arm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.set_partition(token, topics=self._scope())
-
-    def disarm(self, targets, token, selection):
-        for bus in selection:
-            bus.faults.disarm(token)
 
 
 MESSAGE_FAULT_KINDS = ("drop", "duplicate", "delay", "reorder", "partition")

@@ -121,7 +121,7 @@ def test_crashed_home_reroutes_new_submissions():
 
     def heal():
         yield sim.timeout(60.0)
-        home_shard.faults.unblock("test-crash")
+        home_shard.faults.disarm("test-crash")
 
     sim.spawn(heal(), name="heal")
     vapps = deploy_all(sim, cloud, [org], count=4)
@@ -164,7 +164,7 @@ def test_pending_submissions_forward_off_crashed_shard():
     # Heal before draining: the down shard's pool consumer polls for
     # health every interval, so a permanently-blocked shard never lets
     # the simulation quiesce.
-    home_shard.faults.unblock("test-crash")
+    home_shard.faults.disarm("test-crash")
     sim.run()
     vapp = reply.value
     assert vapp.state == VAppState.RUNNING
@@ -222,7 +222,7 @@ def test_homing_skips_crashed_shard():
     cloud.plane.shards[0].faults.block("test-crash")
     org = Organization("acme")
     assert shard_of(cloud, org) == 1
-    cloud.plane.shards[0].faults.unblock("test-crash")
+    cloud.plane.shards[0].faults.disarm("test-crash")
 
 
 def test_homing_prefers_least_loaded_shard():

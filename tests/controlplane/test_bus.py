@@ -2,8 +2,8 @@
 
 Each test drives a bare :class:`MessageBus` (no management server) with
 hand-rolled publisher/consumer processes, pinning the delivery semantics
-docs/bus.md promises: bounded queues with three overflow policies,
-publisher backpressure, at-least-once redelivery with a bounded budget,
+docs/bus.md promises: bounded queues that backpressure their
+publishers, at-least-once redelivery with a bounded budget,
 consumer-side idempotency-key dedup, dead-letter-once accounting, and
 partition stall/heal. One storm-level test checks that routing a whole
 control plane over the bus changes timing but never outcomes.
@@ -14,13 +14,13 @@ import random
 import pytest
 
 from repro.controlplane.bus import (
-    MessageBus,
+    DEFAULT_CAPACITY,
+    MAX_REDELIVERIES,
     NULL_BUS,
-    OVERFLOW_BLOCK,
-    OVERFLOW_DEAD_LETTER,
-    OVERFLOW_SHED_OLDEST,
+    REDELIVERY_TIMEOUT_S,
+    MessageBus,
 )
-from repro.faults import MessageLost, TransientError
+from repro.faults import MessageLost, TopicPartition, TransientError
 from repro.sim.kernel import Simulator
 
 
@@ -99,95 +99,31 @@ def test_duplicate_key_deduped_at_consumer():
 
 def test_block_overflow_backpressures_publisher():
     sim, bus = make_bus()
-    topic = bus.subscribe("t", capacity=1, overflow=OVERFLOW_BLOCK)
+    topic = bus.subscribe("t")
     order = []
 
     def tracked(key):
         yield from bus.publish("t", key, key=key)
         order.append(key)
 
-    sim.spawn(tracked("k1"), name="p1")
-    second = sim.spawn(tracked("k2"), name="p2")
+    keys = [f"k{i}" for i in range(DEFAULT_CAPACITY + 1)]
+    publishers = [sim.spawn(tracked(key), name=key) for key in keys]
     sim.run(until=sim.timeout(0.0))
-    # k1 filled the queue; k2 is parked on a put request, not enqueued.
-    assert order == ["k1"]
-    assert not second.processed
-    assert topic.depth == 1
+    # The first DEFAULT_CAPACITY filled the queue; the last publisher is
+    # parked on a put request, not enqueued.
+    assert order == keys[:-1]
+    assert not publishers[-1].processed
+    assert topic.depth == DEFAULT_CAPACITY
     results = []
-    consume(bus, topic, results, 2)
+    consume(bus, topic, results, len(keys))
     sim.run()
-    assert order == ["k1", "k2"]
-    assert results == ["k1", "k2"]
+    assert order == keys
+    assert results == keys
     assert topic.stats.shed == 0
 
 
-def test_shed_oldest_evicts_head_to_dead_letters():
-    sim, bus = make_bus()
-    topic = bus.subscribe("t", capacity=1, overflow=OVERFLOW_SHED_OLDEST)
-    outcomes = {}
-
-    def tracked(key):
-        reply = sim.event(name=f"reply:{key}")
-        yield from bus.publish("t", key, key=key, reply=reply)
-        try:
-            yield reply
-            outcomes[key] = "ok"
-        except MessageLost:
-            outcomes[key] = "lost"
-
-    sim.spawn(tracked("old"), name="p1")
-    sim.spawn(tracked("new"), name="p2")
-    results = []
-
-    def consumer():
-        message = yield topic.get()
-        assert bus.accept(message)
-        results.append(message.payload)
-        message.reply.succeed("done")
-
-    sim.spawn(consumer(), name="consumer")
-    sim.run()
-    # The head ("old") was evicted to make room; the newcomer delivered.
-    assert results == ["new"]
-    assert outcomes == {"old": "lost", "new": "ok"}
-    assert topic.stats.shed == 1
-    assert topic.stats.dead_lettered == 1
-
-
-def test_dead_letter_overflow_rejects_incoming():
-    sim, bus = make_bus()
-    topic = bus.subscribe("t", capacity=1, overflow=OVERFLOW_DEAD_LETTER)
-    outcomes = {}
-
-    def tracked(key):
-        reply = sim.event(name=f"reply:{key}")
-        yield from bus.publish("t", key, key=key, reply=reply)
-        try:
-            yield reply
-            outcomes[key] = "ok"
-        except MessageLost:
-            outcomes[key] = "lost"
-
-    sim.spawn(tracked("kept"), name="p1")
-    sim.spawn(tracked("rejected"), name="p2")
-    results = []
-
-    def consumer():
-        yield sim.timeout(1.0)  # let both publishes race the full queue
-        message = yield topic.get()
-        assert bus.accept(message)
-        results.append(message.payload)
-        message.reply.succeed("done")
-
-    sim.spawn(consumer(), name="consumer")
-    sim.run()
-    assert results == ["kept"]
-    assert outcomes == {"kept": "ok", "rejected": "lost"}
-    assert topic.stats.dead_lettered == 1
-
-
 def test_drop_fault_triggers_redelivery():
-    sim, bus = make_bus(redelivery_timeout_s=5.0)
+    sim, bus = make_bus()
     topic = bus.subscribe("t")
     results = []
     consume(bus, topic, results, 1)
@@ -200,12 +136,13 @@ def test_drop_fault_triggers_redelivery():
     sim.run()
     # The redelivery timer re-sent the copy after the window healed.
     assert results == ["payload"]
+    assert sim.now == REDELIVERY_TIMEOUT_S
     assert topic.stats.redelivered == 1
     assert topic.stats.delivered == 1
 
 
 def test_redelivery_budget_exhaustion_dead_letters_once():
-    sim, bus = make_bus(redelivery_timeout_s=2.0, max_redeliveries=2)
+    sim, bus = make_bus()
     bus.subscribe("t")
     bus.faults.set_drop("w", 1.0)  # never heals: every copy is lost
     outcomes = []
@@ -224,69 +161,68 @@ def test_redelivery_budget_exhaustion_dead_letters_once():
     assert "redelivery budget exhausted" in outcomes[0]
     stats = bus.topic_stats()["t"]
     assert stats.dead_lettered == 1
-    assert stats.redelivered == bus.max_redeliveries
+    assert stats.redelivered == MAX_REDELIVERIES
     assert stats.delivered == 0
+    assert sim.now == (MAX_REDELIVERIES + 1) * REDELIVERY_TIMEOUT_S
 
 
 def test_partition_stalls_then_heals():
-    sim, bus = make_bus(redelivery_timeout_s=1000.0)
+    sim, bus = make_bus()
     topic = bus.subscribe("t")
     results = []
     consume(bus, topic, results, 1)
-    bus.faults.set_partition("w", topics=["t"])
+    partition = TopicPartition(start_s=0.0, duration_s=10.0)
+    partition.arm(None, "w", [bus])
+    assert bus.faults.blocked()  # a partition is an all-keys block
     publish(bus, "t", "p", key="k")
     sim.run(until=sim.timeout(10.0))
     # Queued but parked: the consumer is waiting, the message is not lost.
     assert results == []
     assert topic.depth == 1
-    bus.faults.disarm("w")  # heal drains the backlog immediately
+    partition.disarm(None, "w", [bus])  # heal drains the backlog immediately
+    assert results == [] and topic.depth == 0
     sim.run()
     assert results == ["p"]
-    assert topic.depth == 0
-
-
-def test_partition_scope_only_hits_named_topics():
-    _sim, bus = make_bus()
-    bus.faults.set_partition("w", topics=["a"])
-    assert bus.faults.partitioned("a")
-    assert not bus.faults.partitioned("b")
-    bus.faults.disarm("w")
-    assert not bus.faults.armed
+    assert sim.now == 10.0
 
 
 def test_overlapping_fault_windows_compose():
     _sim, bus = make_bus()
     bus.faults.set_drop("w1", 0.5)
-    bus.faults.set_drop("w2", 0.5, topics=["t"])
+    bus.faults.set_drop("w2", 0.5)
     # Independent events: 1 - 0.5 * 0.5.
-    assert bus.faults.drop_rate("t") == pytest.approx(0.75)
-    assert bus.faults.drop_rate("other") == pytest.approx(0.5)
+    assert bus.faults.drop_rate == pytest.approx(0.75)
     bus.faults.set_delay("w1", 2.0)
     bus.faults.set_delay("w2", 5.0)
-    assert bus.faults.delay_s("t") == 5.0  # delays take the max
+    assert bus.faults.delay_s == 5.0  # delays take the max
     bus.faults.disarm("w2")
-    assert bus.faults.drop_rate("t") == pytest.approx(0.5)
+    assert bus.faults.drop_rate == pytest.approx(0.5)
+    assert bus.faults.delay_s == 2.0
     bus.faults.disarm("w1")
     assert not bus.faults.armed
 
 
 def test_late_kill_never_fails_completed_work():
-    """A duplicate dead-lettered after its key succeeded is a dedup only."""
+    """A copy dead-lettered after its key succeeded is a dedup only."""
     sim, bus = make_bus()
-    topic = bus.subscribe("t", capacity=1, overflow=OVERFLOW_SHED_OLDEST)
+    topic = bus.subscribe("t")
     results = []
     consume(bus, topic, results, 1)
     reply = sim.event(name="reply:k")
     publish(bus, "t", "p", key="k", reply=reply)
-    sim.run()
+    sim.run(until=sim.timeout(1.0))
     assert results == ["p"]  # key "k" is done
-    # A late copy of the same key arrives and is evicted by a newcomer.
-    publish(bus, "t", "p-again", key="k")
-    publish(bus, "t", "q", key="k2")
-    sim.run(until=sim.timeout(0.0))
-    assert not reply.triggered or reply.ok  # the done key's reply never failed
-    assert topic.stats.deduped >= 1
-    assert bus.topic_stats()["t"].dead_lettered == 0
+    # A late copy of the same key finds no consumer: it sits queued until
+    # its redelivery budget runs out and the bus kills it.
+    late_reply = sim.event(name="reply:k-late")
+    publish(bus, "t", "p-again", key="k", reply=late_reply)
+    sim.run()
+    assert sim.now == 1.0 + (MAX_REDELIVERIES + 1) * REDELIVERY_TIMEOUT_S
+    assert topic.depth == 0
+    # Neither reply failed: the done key's late copy is a dedup only.
+    assert not reply.triggered and not late_reply.triggered
+    assert topic.stats.deduped == 1
+    assert topic.stats.dead_lettered == 0
 
 
 def test_message_lost_is_transient():

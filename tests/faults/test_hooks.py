@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import ALL_KEYS, FaultHook, InjectedFault, TransientError
 from repro.sim import Simulator
@@ -37,7 +39,7 @@ def test_drop_rates_compose_as_independent_events(hook):
     hook.set_drop("a", 0.5)
     hook.set_drop("b", 0.5)
     assert hook.drop_rate == pytest.approx(0.75)
-    hook.clear_drop("a")
+    hook.disarm("a")
     assert hook.drop_rate == pytest.approx(0.5)
 
 
@@ -50,7 +52,7 @@ def test_latency_factors_multiply_across_sources(hook):
     hook.set_latency("a", 2.0)
     hook.set_latency("b", 3.0)
     assert hook.fire() == pytest.approx(6.0)
-    hook.clear_latency("b")
+    hook.disarm("b")
     assert hook.fire() == pytest.approx(2.0)
 
 
@@ -93,3 +95,97 @@ def test_error_factory_controls_exception_type():
     hook.block("w")
     with pytest.raises(AgentDown):
         hook.fire()
+
+
+@pytest.mark.parametrize(
+    "setter,value,match",
+    [
+        ("set_duplicate", 1.5, "duplicate rate"),
+        ("set_reorder", -0.1, "reorder rate"),
+        ("set_delay", -1.0, "delay"),
+    ],
+)
+def test_message_shapes_validated(hook, setter, value, match):
+    with pytest.raises(ValueError, match=match):
+        getattr(hook, setter)("w", value)
+
+
+# -- composition property ---------------------------------------------------
+
+TOKENS = ("w1", "w2", "w3")
+RATE_SHAPES = ("drop", "duplicate", "reorder")
+
+_step = st.one_of(
+    st.tuples(
+        st.sampled_from(RATE_SHAPES), st.sampled_from(TOKENS),
+        st.floats(0.0, 1.0, allow_nan=False),
+    ),
+    st.tuples(
+        st.just("delay"), st.sampled_from(TOKENS), st.floats(0.0, 60.0, allow_nan=False)
+    ),
+    st.tuples(
+        st.just("latency"), st.sampled_from(TOKENS), st.floats(1.0, 20.0, allow_nan=False)
+    ),
+    st.tuples(st.just("block"), st.sampled_from(TOKENS), st.sampled_from((ALL_KEYS, "ds-1"))),
+    st.tuples(st.just("disarm"), st.sampled_from(TOKENS), st.none()),
+)
+
+
+def _arm(hook, shape, token, value):
+    {
+        "drop": hook.set_drop,
+        "duplicate": hook.set_duplicate,
+        "reorder": hook.set_reorder,
+        "delay": hook.set_delay,
+        "latency": hook.set_latency,
+        "block": lambda source, key: hook.block(source, key=key),
+    }[shape](token, value)
+
+
+def _combined(rates):
+    survive = 1.0
+    for rate in rates:
+        survive *= 1.0 - rate
+    return 1.0 - survive
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(_step, max_size=30))
+def test_combined_queries_follow_the_live_windows(steps):
+    """Every combined query equals a recomputation over the live windows.
+
+    The model is a plain list of live ``(token, shape, value)`` windows in
+    arming order: re-arming a shape under a live token replaces its value
+    in place, and disarming a token removes every window it armed.
+    """
+    hook = FaultHook(Simulator(), name="prop")
+    live: list[list] = []
+    for shape, token, value in steps:
+        if shape == "disarm":
+            hook.disarm(token)
+            live = [entry for entry in live if entry[0] != token]
+        else:
+            _arm(hook, shape, token, value)
+            for entry in live:
+                if entry[0] == token and entry[1] == shape:
+                    entry[2] = value
+                    break
+            else:
+                live.append([token, shape, value])
+
+        def values(wanted):
+            return [value for _, shape, value in live if shape == wanted]
+
+        assert hook.armed == bool(live)
+        assert hook.drop_rate == _combined(values("drop"))
+        assert hook.duplicate_rate == _combined(values("duplicate"))
+        assert hook.reorder_rate == _combined(values("reorder"))
+        assert hook.delay_s == max(values("delay"), default=0.0)
+        factor = 1.0
+        for latency in values("latency"):
+            factor *= latency
+        assert hook.latency_factor == factor
+        blocks = values("block")
+        assert hook.blocked() == (ALL_KEYS in blocks)
+        assert hook.blocked("ds-1") == bool(blocks)
+        assert hook.blocked("ds-2") == (ALL_KEYS in blocks)

@@ -71,15 +71,17 @@ def test_bounded_message_sweep_all_clean():
 def test_message_fault_specs_describe():
     specs = [
         MessageDrop(start_s=1.0, duration_s=10.0, rate=0.4),
-        MessageDuplicate(start_s=2.0, duration_s=10.0, rate=0.2, topics=("a", "b")),
+        MessageDuplicate(start_s=2.0, duration_s=10.0, rate=0.2),
         MessageDelay(start_s=3.0, duration_s=10.0, delay_s=1.5),
-        MessageReorder(start_s=4.0, duration_s=10.0, rate=0.7, topics=("a",)),
-        TopicPartition(start_s=5.0, duration_s=10.0, topics=("tasks.submit:vc-1",)),
+        MessageReorder(start_s=4.0, duration_s=10.0, rate=0.7),
+        TopicPartition(start_s=5.0, duration_s=10.0),
     ]
+    # Message faults cover every topic on the bus.
     assert [spec.describe([]) for spec in specs] == [
         "message_drop[*]",
-        "message_duplicate[a,b]",
+        "message_duplicate[*]",
         "message_delay[*]",
-        "message_reorder[a]",
-        "topic_partition[tasks.submit:vc-1]",
+        "message_reorder[*]",
+        "topic_partition[*]",
     ]
+    assert [spec.intensity for spec in specs] == [0.4, 0.2, 1.5, 0.7, 1.0]
