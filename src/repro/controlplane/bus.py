@@ -53,7 +53,8 @@ Instrumentation: publish / queue-wait / deliver spans ride the caller's
 span tree (``PHASE_BUS`` / ``PHASE_QUEUE``), and telemetry exposes
 per-topic queue-depth probes plus published / delivered / redelivered /
 deduped / dropped / shed / dead-letter counters and a queue-wait
-histogram (the shed counters read zero: full queues block, never shed). ``python -m repro bus`` demos all of it.
+histogram (the shed counters read zero: full queues block, never shed).
+``python -m repro bus`` demos all of it.
 """
 
 from __future__ import annotations

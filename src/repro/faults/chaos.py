@@ -337,7 +337,7 @@ def bus_rig(seed: int, total: int, concurrency: int) -> FaultRig:
             try:
                 request = DeployRequest(org=org, item=item, vm_count=1, vapp_name=f"req{index}")
                 yield from gateway.submit_deploy(session, director, request)
-            except Exception:  # noqa: BLE001 — a failed deploy is counted below
+            except Exception:  # noqa: BLE001 — a failed deploy shows in the outcome
                 pass
 
     def workload() -> float:
