@@ -7,7 +7,7 @@ speed — the quantity that bounds how large a datacenter we can simulate.
 
 import random
 
-from repro.sim import AllOf, Event, Resource, Simulator
+from repro.sim import AllOf, AnyOf, Event, Resource, Simulator
 from repro.storage import FairShareLink
 
 
@@ -52,6 +52,68 @@ def test_resource_handoff_throughput(benchmark):
     """100 processes x 50 acquire/hold/release cycles on one pool."""
     result = benchmark(run_resource_contention, 100, 50)
     assert result == 100
+
+
+def run_uncontended_cycles(cycles):
+    """Request/release on a pool that always has a free slot: every
+    request is granted at once, the path most control-plane waits take."""
+    sim = Simulator()
+    resource = Resource(sim, capacity=4)
+    granted = 0
+
+    def proc():
+        nonlocal granted
+        for _ in range(cycles):
+            request = resource.request()
+            yield request
+            granted += 1
+            resource.release(request)
+
+    sim.spawn(proc())
+    sim.run()
+    return granted
+
+
+def test_uncontended_request_release(benchmark):
+    """20k request/yield/release cycles that never queue."""
+    result = benchmark(run_uncontended_cycles, 20_000)
+    assert result == 20_000
+
+
+def run_deep_priority_queue(waiters, seed=0):
+    """A deep prioritised queue whose waiters give up at a deadline.
+
+    All waiters arrive at once on a one-slot pool with random priorities
+    and deadlines, as tasks queue behind the task manager's dispatch slot.
+    Returns (granted, withdrawn).
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    resource = Resource(sim, capacity=1)
+    outcome = [0, 0]
+
+    def waiter(priority, deadline):
+        request = resource.request(priority=priority)
+        yield AnyOf(sim, [request, sim.timeout(deadline)])
+        if not request.triggered:
+            request.withdraw()
+            outcome[1] += 1
+            return
+        outcome[0] += 1
+        yield sim.timeout(1.0)
+        resource.release(request)
+
+    for _ in range(waiters):
+        sim.spawn(waiter(rng.choice((1.0, 5.0, 10.0)), rng.uniform(1.0, 2.0 * waiters)))
+    sim.run()
+    return tuple(outcome)
+
+
+def test_deep_priority_queue_with_deadlines(benchmark):
+    """2,000 prioritised waiters on one slot; about a fifth give up."""
+    granted, withdrawn = benchmark(run_deep_priority_queue, 2_000)
+    assert granted + withdrawn == 2_000
+    assert granted > 0 and withdrawn > 0
 
 
 def run_fair_share_churn(transfers):

@@ -20,7 +20,6 @@ __getattr__, __dir__ = _lazy_exports(
             "AgentProxy",
             "Message",
             "MessageBus",
-            "NULL_BUS",
             "Topic",
             "TopicStats",
         ),
@@ -38,7 +37,7 @@ __getattr__, __dir__ = _lazy_exports(
             "RetryPolicy",
             "TaskDeadlineExceeded",
         ),
-        "repro.controlplane.server": ("ManagementServer",),
+        "repro.controlplane.server": ("ManagementServer", "NULL_BUS"),
         "repro.controlplane.shard": ("ShardedControlPlane",),
         "repro.controlplane.stats_sync": ("StatsCollector",),
         "repro.controlplane.task_manager": ("Task", "TaskManager", "TaskState"),

@@ -45,7 +45,7 @@ makes inter-component delivery first-class:
 
 One rule for the design choice: a :class:`MessageBus` always carries the
 hops, and "no bus" is spelled ``bus=None`` — the server substitutes the
-inert :data:`NULL_BUS` (``mediated`` is False, components call each
+inert :data:`~repro.controlplane.server.NULL_BUS` (``mediated`` is False, components call each
 other directly, no consumer processes spawn; the same discipline as
 ``NULL_JOURNAL``).
 
@@ -261,7 +261,7 @@ class Topic:
 class MessageBus:
     """The in-sim broker; see the module docstring for semantics."""
 
-    #: A bus always carries the control-plane hops (see :data:`NULL_BUS`).
+    #: A bus always carries the control-plane hops (see :data:`~repro.controlplane.server.NULL_BUS`).
     mediated = True
 
     def __init__(
@@ -713,25 +713,10 @@ class AgentProxy:
         return result
 
 
-class _NullBus:
-    """The inert bus: ``mediated`` is False and nothing ever runs.
-
-    A shared singleton (:data:`NULL_BUS`) stands in for "no bus
-    configured", so the server and director need no None checks.
-    """
-
-    __slots__ = ()
-
-    mediated = False
-
-
-NULL_BUS = _NullBus()
-
 __all__ = [
     "AgentProxy",
     "Message",
     "MessageBus",
-    "NULL_BUS",
     "Topic",
     "TopicStats",
 ]

@@ -13,7 +13,7 @@ import typing
 
 from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Simulator
-from repro.sim.random import bounded, lognormal_from_median
+from repro.sim.random import service_time
 from repro.sim.resources import Resource
 from repro.telemetry.metrics import NULL_SCOPE
 from repro.tracing import NULL_SPAN, PHASE_DB, PHASE_QUEUE
@@ -44,10 +44,6 @@ class DatabaseModel:
         self.pool = Resource(sim, capacity=connections, name="db-connections")
         self.faults = FaultHook(sim, name="db", rng=rng)
         self._busy_seconds = 0.0
-
-    def _service_time(self, median: float) -> float:
-        draw = lognormal_from_median(self.rng, median, self.costs.sigma)
-        return bounded(draw, median * 0.25, median * 10.0)
 
     def write(
         self, rows: int = 1, span=NULL_SPAN
@@ -86,7 +82,7 @@ class DatabaseModel:
             )
             yield request
             wait_span.finish()
-            service = self._service_time(median) * factor
+            service = service_time(self.rng, median, self.costs.sigma) * factor
             try:
                 yield self.sim.timeout(service)
             finally:

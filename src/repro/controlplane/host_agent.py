@@ -21,7 +21,7 @@ from repro.datacenter.entities import Host
 from repro.faults.errors import TransientError
 from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Simulator
-from repro.sim.random import bounded, lognormal_from_median
+from repro.sim.random import service_time
 from repro.sim.resources import Resource
 from repro.telemetry.metrics import NULL_SCOPE
 from repro.tracing import NULL_SPAN, PHASE_AGENT, PHASE_QUEUE
@@ -132,14 +132,7 @@ class HostAgent:
         )
         yield request
         wait_span.finish()
-        service = (
-            bounded(
-                lognormal_from_median(self.rng, median_s, self.costs.sigma),
-                median_s * 0.25,
-                median_s * 10.0,
-            )
-            * factor
-        )
+        service = service_time(self.rng, median_s, self.costs.sigma) * factor
         try:
             if service > self.costs.host_call_timeout_s:
                 # The call would exceed the timeout: the server gives up at

@@ -14,12 +14,33 @@ import collections
 import dataclasses
 import typing
 
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 from repro.sim.kernel import Simulator
 from repro.telemetry.metrics import NULL_SCOPE
 
 READ = "read"
 WRITE = "write"
+
+
+class LockWait(Event):
+    """An acquire of an :class:`RWLock`; fires with its :class:`RWGrant`."""
+
+    __slots__ = ("lock", "mode")
+
+    def __init__(self, lock: "RWLock", mode: str) -> None:
+        # Inlined Event.__init__; the label is formatted only when a repr
+        # or an error message asks for it.
+        self.sim = lock.sim
+        self._name = None
+        self.callbacks = []
+        self._state = PENDING
+        self._value = None
+        self._exception = None
+        self.lock = lock
+        self.mode = mode
+
+    def _default_name(self) -> str:
+        return f"{self.mode}:{self.lock.name}"
 
 
 @dataclasses.dataclass
@@ -48,7 +69,17 @@ class RWLock:
     def acquire(self, mode: str) -> Event:
         if mode not in (READ, WRITE):
             raise ValueError(f"unknown lock mode {mode!r}")
-        event = Event(self.sim, name=f"{mode}:{self.name}")
+        event = LockWait(self, mode)
+        # A free lock with nobody queued grants at once.
+        if not self._queue and not self.writer:
+            if mode == READ:
+                self.readers += 1
+                event.succeed(value=RWGrant(self, READ))
+                return event
+            if not self.readers:
+                self.writer = True
+                event.succeed(value=RWGrant(self, WRITE))
+                return event
         self._queue.append((mode, event))
         self._dispatch()
         return event

@@ -13,8 +13,10 @@ pieces:
   in-memory bookkeeping — they charge **no additional simulated time**,
   so a journal-on run is schedule-identical to a journal-off run (the
   differential test in ``tests/controlplane/test_journal_neutrality.py``
-  holds this to byte identity). :data:`NULL_JOURNAL` is the zero-cost
-  off switch, mirroring ``NULL_TRACER`` / ``NULL_TELEMETRY``.
+  holds this to byte identity). :data:`~repro.controlplane.task_manager.NULL_JOURNAL`
+  is the zero-cost off switch, mirroring ``NULL_TRACER`` /
+  ``NULL_TELEMETRY``; it lives with the task manager, so a run without a
+  journal and without a crash never imports this module.
 
 - :class:`RecoveryManager` — parks task processes that a
   :class:`~repro.faults.schedule.ServerCrash` window interrupts, and on
@@ -38,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.faults.errors import ServerCrashed
+from repro.faults.errors import crash_cause
 from repro.sim.kernel import Event, Interrupt
 from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.tracing import NULL_TRACER, PHASE_RECOVERY
@@ -57,20 +59,6 @@ VERDICT_FAILED = "failed"        # journal terminal record says error
 PROBE_COMPLETE = "complete"
 PROBE_PARTIAL = "partial"
 PROBE_ABSENT = "absent"
-
-
-def crash_cause(error: BaseException) -> ServerCrashed | None:
-    """The :class:`ServerCrashed` behind ``error``, if it is one.
-
-    Crash interrupts arrive as :class:`~repro.sim.kernel.Interrupt` with a
-    ``ServerCrashed`` cause; resources unwound mid-crash may re-raise the
-    cause bare. Anything else is not a crash.
-    """
-    if isinstance(error, Interrupt) and isinstance(error.cause, ServerCrashed):
-        return error.cause
-    if isinstance(error, ServerCrashed):
-        return error
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -190,34 +178,6 @@ class TaskJournal:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-class NullJournal:
-    """Journal disabled: every append is a no-op, every query is empty."""
-
-    def record_admit(self, task: "Task") -> None:
-        pass
-
-    def record_dispatch(self, task: "Task", attempt: int) -> None:
-        pass
-
-    def record_terminal(self, task: "Task", dead_letter: bool = False) -> None:
-        pass
-
-    def terminal_record(self, task_id: int) -> None:
-        return None
-
-    def open_task_ids(self) -> list[int]:
-        return []
-
-    def terminal_counts(self) -> dict[int, int]:
-        return {}
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_JOURNAL = NullJournal()
 
 
 # --------------------------------------------------------------------------

@@ -21,27 +21,43 @@ from repro.datacenter.inventory import Inventory
 from repro.faults.errors import ServerCrashed, ShardUnavailable
 from repro.faults.hooks import FaultHook
 from repro.sim.kernel import Process, Simulator
-from repro.sim.random import RandomStreams, bounded, lognormal_from_median
+from repro.sim.random import RandomStreams, service_time
 from repro.sim.resources import Resource
 from repro.storage.copy_engine import CopyEngine
 from repro.storage.scheduler import CopyScheduler
-from repro.controlplane.bus import AgentProxy, NULL_BUS
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
 from repro.controlplane.database import DatabaseModel
 from repro.controlplane.host_agent import HostAgent
 from repro.controlplane.locks import LockManager
-from repro.controlplane.recovery import NULL_JOURNAL, RecoveryManager
 from repro.controlplane.resilience import (
     BREAKER_STATE_VALUE,
     CircuitBreaker,
     RetryBudget,
 )
-from repro.controlplane.task_manager import Task, TaskManager
+from repro.controlplane.task_manager import NULL_JOURNAL, Task, TaskManager
 from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.tracing import NULL_SPAN, NULL_TRACER, PHASE_CPU, PHASE_QUEUE
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.controlplane.recovery import RecoveryManager
     from repro.operations.base import Operation
+
+
+class _NullBus:
+    """The inert bus: ``mediated`` is False and nothing ever runs.
+
+    A shared singleton (:data:`NULL_BUS`) stands in for "no bus
+    configured", so the server and director need no None checks. It lives
+    here, not with :class:`~repro.controlplane.bus.MessageBus`, so a run
+    without a bus never loads the bus module.
+    """
+
+    __slots__ = ()
+
+    mediated = False
+
+
+NULL_BUS = _NullBus()
 
 
 class ManagementServer:
@@ -123,9 +139,14 @@ class ManagementServer:
         # restart(); in-flight task processes are interrupted on crash and
         # park in the recovery manager until the journal replays.
         self.journal = journal if journal is not None else NULL_JOURNAL
-        self.recovery = RecoveryManager(self)
         self.tasks.journal = self.journal
-        self.tasks.recovery = self.recovery
+        # Building the recovery manager is passive, so a server without
+        # telemetry builds it at its first crash (see ``recovery``) and a
+        # run that never crashes never loads its module. With telemetry it
+        # is built now: its metric families register at construction.
+        self._recovery: RecoveryManager | None = None
+        if self.telemetry is not NULL_TELEMETRY:
+            self._build_recovery()
         self._crash_tokens: set = set()
         # Insertion-ordered, so a crash interrupts in admission order: set
         # order follows object addresses and would leak into the schedule.
@@ -140,7 +161,7 @@ class ManagementServer:
         # and bus-level dead letters land in the task manager's
         # deduplicated sink.
         self.bus = bus if bus is not None else NULL_BUS
-        self._agent_proxies: dict[str, AgentProxy] = {}
+        self._agent_proxies: dict[str, typing.Any] = {}
         self._submit_seq = 0
         if self.bus.mediated:
             self.bus.dead_letter_sink = self.tasks.record_message_dead_letter
@@ -215,6 +236,8 @@ class ManagementServer:
             host=host.name,
         )
         if self.bus.mediated:
+            from repro.controlplane.bus import AgentProxy
+
             topic = self.bus.subscribe(f"agent.{host.entity_id}")
             proxy = AgentProxy(self.bus, agent, topic.name)
             self._agent_proxies[host.entity_id] = proxy
@@ -272,11 +295,7 @@ class ManagementServer:
         )
         yield request
         wait_span.finish()
-        service = bounded(
-            lognormal_from_median(self._cpu_rng, median_s, self.costs.sigma),
-            median_s * 0.25,
-            median_s * 10.0,
-        )
+        service = service_time(self._cpu_rng, median_s, self.costs.sigma)
         work_span = span.child("cpu.work", phase=work_phase) if traced else span
         try:
             yield self.sim.timeout(service)
@@ -303,6 +322,19 @@ class ManagementServer:
     def inflight_tasks(self) -> int:
         """Live task lifecycles — the crash-interruptible process count."""
         return len(self._inflight)
+
+    @property
+    def recovery(self) -> "RecoveryManager":
+        """The restart reconciler; built on first use without telemetry."""
+        if self._recovery is None:
+            self._build_recovery()
+        return self._recovery
+
+    def _build_recovery(self) -> None:
+        from repro.controlplane.recovery import RecoveryManager
+
+        self._recovery = RecoveryManager(self)
+        self.tasks.recovery = self._recovery
 
     def crash(self, token: typing.Hashable) -> None:
         """Take the server down (fault-window arm).

@@ -25,21 +25,16 @@ import typing
 
 from repro.sim.events import AnyOf
 from repro.sim.kernel import Simulator
-from repro.sim.resources import PriorityResource
+from repro.sim.resources import Resource
 from repro.sim.stats import Gauge
 from repro.controlplane.database import DatabaseModel
-from repro.controlplane.recovery import (
-    NULL_JOURNAL,
-    VERDICT_ADOPT,
-    VERDICT_FAILED,
-    crash_cause,
-)
 from repro.controlplane.resilience import (
     DeadLetter,
     RetryBudget,
     RetryPolicy,
     TaskDeadlineExceeded,
 )
+from repro.faults.errors import crash_cause
 from repro.telemetry.metrics import NULL_SCOPE
 from repro.tracing import (
     NULL_SPAN,
@@ -101,6 +96,39 @@ class Task:
         return sum(seconds for _, p, seconds in self.phases if p == plane)
 
 
+class NullJournal:
+    """Journal disabled: every append is a no-op, every query is empty.
+
+    The off switch for :class:`~repro.controlplane.recovery.TaskJournal`
+    lives here, with its one consumer, so a run without a journal never
+    loads the recovery module.
+    """
+
+    def record_admit(self, task: Task) -> None:
+        pass
+
+    def record_dispatch(self, task: Task, attempt: int) -> None:
+        pass
+
+    def record_terminal(self, task: Task, dead_letter: bool = False) -> None:
+        pass
+
+    def terminal_record(self, task_id: int) -> None:
+        return None
+
+    def open_task_ids(self) -> list[int]:
+        return []
+
+    def terminal_counts(self) -> dict[int, int]:
+        return {}
+
+    def __len__(self) -> int:
+        return 0
+
+
+NULL_JOURNAL = NullJournal()
+
+
 class TaskManager:
     """Admits tasks under the in-flight limit and records their lifecycle."""
 
@@ -122,9 +150,9 @@ class TaskManager:
         self.sim = sim
         self.database = database
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.dispatch = PriorityResource(sim, capacity=max_inflight, name="task-dispatch")
-        self._type_limits: dict[str, PriorityResource] = {
-            op_type: PriorityResource(sim, capacity=limit, name=f"limit:{op_type}")
+        self.dispatch = Resource(sim, capacity=max_inflight, name="task-dispatch")
+        self._type_limits: dict[str, Resource] = {
+            op_type: Resource(sim, capacity=limit, name=f"limit:{op_type}")
             for op_type, limit in (per_type_limits or {}).items()
         }
         self.retry_policy = retry_policy
@@ -256,7 +284,7 @@ class TaskManager:
         # datacenter-wide slot while waiting on its category). Queue waits
         # are bounded by the task deadline: a request still queued at the
         # deadline is withdrawn and the task dead-lettered.
-        granted: list[tuple[PriorityResource, typing.Any]] = []
+        granted: list[tuple[Resource, typing.Any]] = []
         traced = not root_span.is_null
         wait_span = (
             root_span.child("task.dispatch_wait", phase=PHASE_QUEUE, tags={"wait": True})
@@ -370,7 +398,7 @@ class TaskManager:
 
     def _acquire(
         self,
-        pool: PriorityResource,
+        pool: Resource,
         priority: float,
         task: Task,
         granted: list,
@@ -417,6 +445,9 @@ class TaskManager:
         letter, if any, was recorded before the crash and is never
         duplicated (see :meth:`_record_dead_letter`).
         """
+        # Only a parked task gets here, so the recovery module is loaded.
+        from repro.controlplane.recovery import VERDICT_ADOPT, VERDICT_FAILED
+
         if verdict == VERDICT_ADOPT:
             task.state = TaskState.SUCCESS
             self._t_crash_adopted.add()

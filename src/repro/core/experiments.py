@@ -19,9 +19,8 @@ import functools
 import typing
 
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
-from repro.controlplane.bus import MessageBus
-from repro.controlplane.recovery import NULL_JOURNAL, TaskJournal
 from repro.controlplane.server import ManagementServer
+from repro.controlplane.task_manager import NULL_JOURNAL
 from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Network
 from repro.datacenter.templates import MEDIUM_LINUX, TemplateLibrary
 from repro.operations.provisioning import CloneVM, DeployFromTemplate
@@ -29,8 +28,7 @@ from repro.operations.reconfiguration import AddHost, RescanDatastore
 from repro.sim.events import Call
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
-from repro.telemetry.metrics import NULL_TELEMETRY, Telemetry
-from repro.telemetry.recorder import NULL_RECORDER
+from repro.telemetry.metrics import NULL_RECORDER, NULL_TELEMETRY, Telemetry
 from repro.tracing import NULL_TRACER, Tracer
 from repro.triage.engine import NULL_TRIAGE
 from repro.workloads.arrivals import MMPPBurst, Poisson
@@ -113,14 +111,20 @@ class StormRig:
             if telemetry
             else NULL_TELEMETRY
         )
-        self.journal = TaskJournal() if journal else NULL_JOURNAL
+        self.journal = NULL_JOURNAL
+        if journal:
+            from repro.controlplane.recovery import TaskJournal
+
+            self.journal = TaskJournal()
         # bus=True routes the control-plane hops through bus topics with
         # at-least-once delivery.
-        self.bus = (
-            MessageBus(self.sim, rng=self.streams.stream("bus"), telemetry=self.telemetry)
-            if bus
-            else None
-        )
+        self.bus = None
+        if bus:
+            from repro.controlplane.bus import MessageBus
+
+            self.bus = MessageBus(
+                self.sim, rng=self.streams.stream("bus"), telemetry=self.telemetry
+            )
         self.server = ManagementServer(
             self.sim,
             self.streams.spawn("server"),

@@ -9,6 +9,8 @@ default to retrying exactly that set.
 
 from __future__ import annotations
 
+from repro.sim.kernel import Interrupt
+
 
 class TransientError(Exception):
     """A modeled, possibly-transient infrastructure failure.
@@ -50,3 +52,17 @@ class MessageLost(TransientError):
     deduplicate by idempotency key, so a retried send never re-executes
     work a late copy already performed.
     """
+
+
+def crash_cause(error: BaseException) -> ServerCrashed | None:
+    """The :class:`ServerCrashed` behind ``error``, if it is one.
+
+    Crash interrupts arrive as :class:`~repro.sim.kernel.Interrupt` with a
+    ``ServerCrashed`` cause; resources unwound mid-crash may re-raise the
+    cause bare. Anything else is not a crash.
+    """
+    if isinstance(error, Interrupt) and isinstance(error.cause, ServerCrashed):
+        return error.cause
+    if isinstance(error, ServerCrashed):
+        return error
+    return None

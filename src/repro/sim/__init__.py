@@ -12,8 +12,8 @@ The public surface:
   :class:`~repro.sim.events.Call` for :meth:`Simulator.call_later`.
 - :class:`~repro.sim.kernel.Process` and
   :class:`~repro.sim.kernel.Interrupt` for failure injection.
-- Resources: :class:`~repro.sim.resources.Resource` and
-  :class:`~repro.sim.resources.PriorityResource`.
+- :class:`~repro.sim.resources.Resource` — capacity-limited servers,
+  FCFS or prioritised.
 - :class:`~repro.sim.random.RandomStreams` — reproducible named substreams.
 - :mod:`~repro.sim.stats` — gauges, latency recorders, log histograms, time series.
 """
@@ -26,7 +26,7 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.sim.events": ("AllOf", "AnyOf", "Call", "Event", "EventCancelled", "Timeout"),
         "repro.sim.kernel": ("Interrupt", "Process", "Simulator"),
         "repro.sim.random": ("RandomStreams",),
-        "repro.sim.resources": ("PriorityResource", "Resource"),
+        "repro.sim.resources": ("Resource",),
         "repro.sim.stats": (
             "Gauge",
             "LatencyRecorder",
@@ -46,7 +46,6 @@ __all__ = [
     "Interrupt",
     "LatencyRecorder",
     "LogHistogram",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 import typing
+from heapq import heappush
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -24,6 +25,10 @@ PENDING = "pending"
 TRIGGERED = "triggered"  # scheduled on the queue, value decided
 PROCESSED = "processed"  # callbacks have run
 CANCELLED = "cancelled"
+
+# Heap priority of every scheduled event. Same-tick kernel resumes on the
+# urgent FIFO sort with it too, so ties fall to the sequence number.
+NORMAL = 1
 
 # Timeout pooling: a fired timeout is recycled only when the kernel loop
 # holds the sole remaining references. At the recycle check those are the
@@ -116,9 +121,14 @@ class Event:
         """Mark the event successful and schedule its callbacks."""
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} already {self._state}")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         self._state = TRIGGERED
         self._value = value
-        self.sim._enqueue(self, delay)
+        # Inlined Simulator._enqueue: every grant and wake-up comes here.
+        sim = self.sim
+        sim._sequence += 1
+        heappush(sim._heap, (sim.now + delay, NORMAL, sim._sequence, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -127,6 +137,8 @@ class Event:
             raise RuntimeError(f"{self!r} already {self._state}")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
         self._state = TRIGGERED
         self._exception = exception
         self.sim._enqueue(self, delay)
@@ -187,7 +199,8 @@ class Timeout(Event):
         self._value = value
         self._exception = None
         self.delay = delay
-        sim._enqueue(self, delay)
+        sim._sequence += 1
+        heappush(sim._heap, (sim.now + delay, NORMAL, sim._sequence, self))
 
     def _default_name(self) -> str:
         return f"timeout({self.delay})"

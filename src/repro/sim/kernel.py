@@ -50,6 +50,7 @@ from heapq import heapify, heappop, heappush
 
 from repro.sim.events import (
     CANCELLED,
+    NORMAL,
     PENDING,
     PROCESSED,
     TRIGGERED,
@@ -60,11 +61,6 @@ from repro.sim.events import (
 )
 
 ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
-
-# Priorities for same-timestamp ordering: kernel internals (process resume)
-# run before ordinary events so resource handoffs are prompt.
-URGENT = 0
-NORMAL = 1
 
 _INF = float("inf")
 
@@ -124,7 +120,7 @@ class Process(Event):
     # -- internals --------------------------------------------------------
 
     def _bootstrap(self) -> None:
-        self._step(self._generator.send, None)
+        self._step(None, None)
 
     def _detach(self) -> None:
         if self._waiting_on is not None and self._resume in self._waiting_on.callbacks:
@@ -146,16 +142,14 @@ class Process(Event):
                 resource = getattr(waited, "resource", None)
                 if resource is not None:
                     resource.release(waited)
-        self._step(self._generator.throw, exc)
+        self._step(None, exc)
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
         if event._state == CANCELLED:
-            self._step(self._generator.throw, EventCancelled(event.name))
-        elif event._exception is None:
-            self._step(self._generator.send, event._value)
+            self._step(None, EventCancelled(event.name))
         else:
-            self._step(self._generator.throw, event._exception)
+            self._step(event._value, event._exception)
 
     def _deferred_resume(self, target: Event) -> None:
         # Guards the same-tick resume of an already-processed yield: an
@@ -164,9 +158,13 @@ class Process(Event):
         if self._waiting_on is target:
             self._resume(target)
 
-    def _step(self, advance: typing.Callable[[typing.Any], Event], arg: typing.Any) -> None:
+    def _step(self, value: typing.Any, exc: BaseException | None) -> None:
+        """Advance the generator: send ``value``, or throw ``exc`` if set."""
         try:
-            target = advance(arg)
+            if exc is None:
+                target = self._generator.send(value)
+            else:
+                target = self._generator.throw(exc)
         except StopIteration as stop:
             self.succeed(value=stop.value)
             return
@@ -201,7 +199,8 @@ class Simulator:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+        #: Current simulated time in seconds. Only the kernel writes it.
+        self.now = float(start)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._urgent: deque[tuple[float, int, typing.Callable[[], None]]] = deque()
         self._sequence = 0
@@ -209,11 +208,6 @@ class Simulator:
         self._cancelled_in_heap = 0
         # Fired timeouts nothing else references (Timeout._run_callbacks).
         self._timeout_pool: list[Timeout] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def queue_depth(self) -> int:
@@ -245,7 +239,7 @@ class Simulator:
             timeout._value = value
             timeout.delay = delay
             self._sequence += 1
-            heappush(self._heap, (self._now + delay, NORMAL, self._sequence, timeout))
+            heappush(self._heap, (self.now + delay, NORMAL, self._sequence, timeout))
             return timeout
         return Timeout(self, delay, value=value)
 
@@ -255,7 +249,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._sequence += 1
-        heappush(self._heap, (self._now + delay, NORMAL, self._sequence, call))
+        heappush(self._heap, (self.now + delay, NORMAL, self._sequence, call))
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a process at the current simulated time."""
@@ -264,11 +258,10 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+    def _enqueue(self, event: Event, delay: float) -> None:
+        """Put a triggered event on the heap; the caller checked ``delay``."""
         self._sequence += 1
-        heappush(self._heap, (self._now + delay, priority, self._sequence, event))
+        heappush(self._heap, (self.now + delay, NORMAL, self._sequence, event))
 
     def _defer(self, fn: typing.Callable[[], None]) -> None:
         """Schedule a same-tick kernel resume without an Event allocation.
@@ -278,7 +271,7 @@ class Simulator:
         Time never moves backwards, so the FIFO is sorted by construction.
         """
         self._sequence += 1
-        self._urgent.append((self._now, self._sequence, fn))
+        self._urgent.append((self.now, self._sequence, fn))
 
     def _note_cancelled(self) -> None:
         """A scheduled queue entry died; compact when the dead dominate."""
@@ -322,16 +315,16 @@ class Simulator:
             entry = urgent[0]
             if head is None or (entry[0], NORMAL, entry[1]) <= head[:3]:
                 urgent.popleft()
-                self._now = entry[0]
+                self.now = entry[0]
                 entry[2]()
                 return
         if head is None:
             raise RuntimeError("step() on an empty schedule")
         when, _priority, _seq, event = heappop(self._heap)
         head = None  # drop the entry tuple so the timeout pool's refcount guard holds
-        if when < self._now:
+        if when < self.now:
             raise RuntimeError("event scheduled in the past; kernel invariant broken")
-        self._now = when
+        self.now = when
         event._run_callbacks()
 
     def run(self, until: float | Event | None = None) -> typing.Any:
@@ -350,8 +343,8 @@ class Simulator:
             target = until
         elif until is not None:
             horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(f"until={horizon} is in the past (now={self._now})")
+            if horizon < self.now:
+                raise ValueError(f"until={horizon} is in the past (now={self.now})")
         # One inlined drain loop for all three modes: per-event dispatch is
         # the simulator's innermost loop, so heap/urgent/method lookups are
         # bound locally and the cancelled scan happens exactly once per
@@ -372,7 +365,7 @@ class Simulator:
                     if horizon is not None and when > horizon:
                         break
                     urgent.popleft()
-                    self._now = when
+                    self.now = when
                     entry[2]()
                     continue
             elif not heap:
@@ -386,8 +379,8 @@ class Simulator:
                 # Not yet due: put it back and stop at the horizon.
                 heappush(heap, (when, _priority, _seq, event))
                 break
-            self._now = when
+            self.now = when
             event._run_callbacks()
         if horizon is not None:
-            self._now = horizon
+            self.now = horizon
         return None

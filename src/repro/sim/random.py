@@ -60,6 +60,19 @@ def bounded(value: float, low: float, high: float) -> float:
     return max(low, min(high, value))
 
 
+def service_time(rng: random.Random, median: float, sigma: float) -> float:
+    """A control-plane service time: a lognormal draw around ``median``,
+    clamped to [median/4, 10 x median].
+
+    The one service-time draw of the CPU pool, the database and the host
+    agents. A median <= 0 gives 0.0 without touching ``rng``.
+    """
+    if median <= 0:
+        return 0.0
+    draw = median * math.exp(rng.gauss(0.0, sigma))
+    return max(median * 0.25, min(median * 10.0, draw))
+
+
 def pareto(rng: random.Random, shape: float, scale: float) -> float:
     """Pareto variate (heavy tail for VM lifetimes)."""
     if shape <= 0 or scale <= 0:

@@ -2,18 +2,23 @@
 
 These are the queueing primitives the control-plane model is built from:
 per-host operation slots, the management-server thread pool, database
-connections, and datastore copy slots are all :class:`Resource` (or
-:class:`PriorityResource`) instances.
+connections, datastore copy slots and the task-dispatch queue are all
+:class:`Resource` instances.
 """
 
 from __future__ import annotations
 
 import typing
+from heapq import heapify, heappop, heappush
 
-from repro.sim.events import Event
+from repro.sim.events import CANCELLED, PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
+
+# Withdrawn requests left on a resource heap before it is compacted: a
+# compaction happens once they also outnumber the live waiters.
+_COMPACT_AFTER = 32
 
 
 class Request(Event):
@@ -26,7 +31,14 @@ class Request(Event):
     __slots__ = ("resource", "priority")
 
     def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
-        super().__init__(resource.sim)
+        # Inlined Event.__init__, as Timeout's is: every control-plane wait
+        # builds one.
+        self.sim = resource.sim
+        self._name = None
+        self.callbacks = []
+        self._state = PENDING
+        self._value = None
+        self._exception = None
         self.resource = resource
         self.priority = priority
 
@@ -39,7 +51,12 @@ class Request(Event):
 
 
 class Resource:
-    """A FCFS server with fixed integer capacity.
+    """A server with fixed integer capacity.
+
+    Waiting requests are granted lowest ``priority`` first, ties in arrival
+    order, so callers that pass no priority get FCFS. The task manager
+    passes one: interactive operations overtake (in ordering, not service)
+    bulk provisioning.
 
     Usage from a process::
 
@@ -49,6 +66,11 @@ class Resource:
             ...  # hold the slot
         finally:
             resource.release(request)
+
+    A request that finds a free slot and nobody waiting is granted at once
+    and never touches the queue. Queued requests sit on a heap of
+    ``(priority, arrival, request)`` entries; a withdrawn one is cancelled
+    in place and skipped when it reaches the top.
     """
 
     def __init__(self, sim: "Simulator", capacity: int, name: str = "resource") -> None:
@@ -58,7 +80,11 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._users: set[Request] = set()
-        self._queue: list[Request] = []
+        self._queue: list[tuple[float, int, Request]] = []
+        self._arrivals = 0
+        # Live waiters, and withdrawn entries still on the heap.
+        self._waiting = 0
+        self._withdrawn = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -68,57 +94,60 @@ class Resource:
 
     @property
     def queue_depth(self) -> int:
-        return len(self._queue)
+        return self._waiting
 
     # -- protocol ----------------------------------------------------------
 
     def request(self, priority: float = 0.0) -> Request:
-        request = Request(self, priority=priority)
-        self._queue.append(request)
-        self._dispatch()
-        return request
-
-    def release(self, request: Request) -> None:
-        if request not in self._users:
-            raise RuntimeError(f"release of non-held request on {self.name!r}")
-        self._users.discard(request)
-        self._dispatch()
-
-    # -- internals -----------------------------------------------------------
-
-    def _next_index(self) -> int:
-        return 0
-
-    def _dispatch(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            request = self._queue.pop(self._next_index())
-            self._users.add(request)
+        request = Request(self, priority)
+        users = self._users
+        if not self._waiting and len(users) < self.capacity:
+            users.add(request)
             # No value: a request holding itself would be a reference
             # cycle that only the cyclic collector frees.
             request.succeed()
+        else:
+            self._arrivals += 1
+            heappush(self._queue, (priority, self._arrivals, request))
+            self._waiting += 1
+        return request
+
+    def release(self, request: Request) -> None:
+        users = self._users
+        if request not in users:
+            raise RuntimeError(f"release of non-held request on {self.name!r}")
+        users.discard(request)
+        if self._waiting:
+            self._dispatch()
+
+    # -- internals -----------------------------------------------------------
+
+    def _dispatch(self) -> None:
+        queue = self._queue
+        users = self._users
+        while self._waiting and len(users) < self.capacity:
+            request = heappop(queue)[2]
+            if request._state == CANCELLED:
+                self._withdrawn -= 1
+                continue
+            self._waiting -= 1
+            users.add(request)
+            request.succeed()
 
     def _withdraw(self, request: Request) -> None:
-        if request in self._queue:
-            self._queue.remove(request)
+        if request._state == PENDING:
+            # Pending means queued: a grant triggers the request at once.
             request.cancel()
+            self._waiting -= 1
+            self._withdrawn += 1
+            if self._withdrawn > _COMPACT_AFTER and self._withdrawn > self._waiting:
+                self._queue = [
+                    entry for entry in self._queue if entry[2]._state != CANCELLED
+                ]
+                heapify(self._queue)
+                self._withdrawn = 0
         elif request in self._users:
             raise RuntimeError("cannot withdraw a granted request; release it")
-
-
-class PriorityResource(Resource):
-    """A resource that grants the lowest ``priority`` value first.
-
-    Ties break FCFS. Used for the management server's task queue where
-    interactive operations preempt (in ordering, not service) bulk
-    provisioning.
-    """
-
-    def _next_index(self) -> int:
-        best = 0
-        for index, request in enumerate(self._queue):
-            if request.priority < self._queue[best].priority:
-                best = index
-        return best
 
 
 class TokenBucket:

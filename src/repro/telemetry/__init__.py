@@ -41,20 +41,17 @@ __getattr__, __dir__ = _lazy_exports(
         ),
         "repro.telemetry.metrics": (
             "NULL_METRIC",
+            "NULL_RECORDER",
             "NULL_TELEMETRY",
             "MetricFamily",
+            "NullFlightRecorder",
             "NullMetric",
             "NullTelemetry",
             "Probe",
             "Telemetry",
             "format_metric_id",
         ),
-        "repro.telemetry.recorder": (
-            "NULL_RECORDER",
-            "FlightRecorder",
-            "IncidentBundle",
-            "NullFlightRecorder",
-        ),
+        "repro.telemetry.recorder": ("FlightRecorder", "IncidentBundle"),
         "repro.telemetry.rollup": ("DEFAULT_RETENTION", "RollupSeries", "Window"),
         "repro.telemetry.scraper": ("Scraper",),
         "repro.telemetry.slo": (

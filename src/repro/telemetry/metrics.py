@@ -363,6 +363,21 @@ class NullTelemetry:
 NULL_TELEMETRY = NullTelemetry()
 
 
+class NullFlightRecorder:
+    """Recorder off: nothing is ever recorded.
+
+    The off switch for :class:`~repro.telemetry.recorder.FlightRecorder`
+    lives with the other telemetry twins, so a run without a recorder
+    never loads the recorder module.
+    """
+
+    is_null = True
+    bundles: tuple = ()
+
+
+NULL_RECORDER = NullFlightRecorder()
+
+
 class NullScope:
     """The disabled scope: inert handles, dropped probes."""
 

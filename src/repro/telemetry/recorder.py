@@ -27,8 +27,9 @@ Like every observability layer here, the recorder is **read-only with
 respect to the simulation**: it runs inside the scraper's evaluate step
 (or the crash call), touches only roll-ups/spans/stats, draws no
 randomness, and schedules stay byte-identical with it attached
-(``tests/telemetry/test_recorder_neutrality.py``). :data:`NULL_RECORDER`
-is the zero-cost off switch.
+(``tests/telemetry/test_recorder_neutrality.py``).
+:data:`~repro.telemetry.metrics.NULL_RECORDER` is the zero-cost off
+switch.
 """
 
 from __future__ import annotations
@@ -470,13 +471,3 @@ class _NamedAlert:
 
     def __init__(self, rule: str) -> None:
         self.rule = rule
-
-
-class NullFlightRecorder:
-    """Recorder off: attaching is a no-op and nothing is ever recorded."""
-
-    is_null = True
-    bundles: tuple = ()
-
-
-NULL_RECORDER = NullFlightRecorder()

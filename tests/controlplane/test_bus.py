@@ -16,10 +16,10 @@ import pytest
 from repro.controlplane.bus import (
     DEFAULT_CAPACITY,
     MAX_REDELIVERIES,
-    NULL_BUS,
     REDELIVERY_TIMEOUT_S,
     MessageBus,
 )
+from repro.controlplane.server import NULL_BUS
 from repro.faults import MessageLost, TopicPartition, TransientError
 from repro.sim.kernel import Simulator
 

@@ -9,18 +9,13 @@ dead-letter dedup regression (journal terminal record wins on replay).
 import pytest
 
 from repro.controlplane import ControlPlaneConfig
-from repro.controlplane.recovery import (
-    NULL_JOURNAL,
-    PROBE_ABSENT,
-    TaskJournal,
-    crash_cause,
-)
+from repro.controlplane.recovery import PROBE_ABSENT, TaskJournal
 from repro.controlplane.resilience import RetryPolicy
 from repro.controlplane.server import ManagementServer
-from repro.controlplane.task_manager import Task, TaskState
+from repro.controlplane.task_manager import NULL_JOURNAL, Task, TaskState
 from repro.core.experiments import StormRig
 from repro.faults.chaos import check_exactly_once, run_fault_point, storm_rig
-from repro.faults.errors import ServerCrashed
+from repro.faults.errors import ServerCrashed, crash_cause
 from repro.faults.schedule import ServerCrash
 from repro.operations.base import Operation
 from repro.sim import RandomStreams, Simulator

@@ -15,6 +15,8 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 #: Optional layers that a plain simulation never builds.
 OFF_PATH = (
     "repro.core.experiments",
+    "repro.controlplane.bus",
+    "repro.controlplane.recovery",
     "repro.telemetry.recorder",
     "repro.telemetry.slo",
     "repro.telemetry.scraper",
@@ -64,6 +66,18 @@ def test_scenario_path_loads_no_optional_layer():
     assert "repro.core.scenario" in loaded
     assert sorted(name for name in OFF_PATH if name in loaded) == []
     assert sorted(name for name in loaded if name.startswith("repro.triage")) == []
+
+
+def test_bare_storm_rig_loads_no_bus_journal_or_recorder():
+    """A rig without a bus, a journal or a recorder builds their null
+    twins only, and those live outside the layers' modules."""
+    loaded = loaded_after(
+        "from repro.core.experiments import StormRig",
+        "StormRig(seed=0, hosts=2, datastores=1)",
+    )
+    assert "repro.controlplane.server" in loaded
+    layers = ("repro.controlplane.bus", "repro.controlplane.recovery", "repro.telemetry.recorder")
+    assert sorted(name for name in layers if name in loaded) == []
 
 
 def test_package_import_loads_no_submodule():

@@ -8,7 +8,7 @@ gets the null engine and the null recorder. Direct calls are spelled
 
 import pytest
 
-from repro.controlplane.bus import NULL_BUS
+from repro.controlplane.server import NULL_BUS
 from repro.core.experiments import StormRig
 
 

@@ -21,6 +21,37 @@ def test_event_repr_shows_state_and_name():
     assert "pending" in repr(event)
 
 
+@pytest.mark.parametrize("outcome", ["succeed", "fail"])
+def test_negative_delay_is_rejected_before_the_event_changes_state(outcome):
+    """A refused trigger leaves the event pending and off the heap, so it
+    can still be triggered properly afterwards."""
+    sim = Simulator()
+    event = sim.event("gate")
+    with pytest.raises(ValueError, match="negative delay"):
+        if outcome == "succeed":
+            event.succeed("early", delay=-1.0)
+        else:
+            event.fail(RuntimeError("early"), delay=-1.0)
+    assert not event.triggered
+    assert sim.queue_depth == 0
+    event.succeed("on time", delay=2.0)
+    sim.run()
+    assert event.value == "on time"
+    assert sim.now == 2.0
+
+
+def test_lock_wait_label_is_formatted_on_demand():
+    from repro.controlplane.locks import READ, WRITE, RWLock
+
+    sim = Simulator()
+    lock = RWLock(sim, name="vm-7")
+    reader = lock.acquire(READ)
+    writer = lock.acquire(WRITE)
+    assert reader._name is None and writer._name is None
+    assert reader.name == "read:vm-7"
+    assert "write:vm-7" in repr(writer)
+
+
 def test_cancel_processed_event_rejected():
     sim = Simulator()
     event = sim.event()

@@ -1,8 +1,8 @@
-"""Unit tests for resources: FCFS server, priority server, store, bucket."""
+"""Unit tests for resources: the FCFS/prioritised server and the token bucket."""
 
 import pytest
 
-from repro.sim import PriorityResource, Resource, Simulator
+from repro.sim import Resource, Simulator
 from repro.sim.resources import TokenBucket
 
 
@@ -102,7 +102,7 @@ def test_wait_times_recorded():
 
 def test_priority_resource_grants_lowest_priority_first():
     sim = Simulator()
-    resource = PriorityResource(sim, capacity=1)
+    resource = Resource(sim, capacity=1)
     log = []
 
     def submit():
@@ -120,7 +120,7 @@ def test_priority_resource_grants_lowest_priority_first():
 
 def test_priority_ties_break_fcfs():
     sim = Simulator()
-    resource = PriorityResource(sim, capacity=1)
+    resource = Resource(sim, capacity=1)
     log = []
     sim.spawn(hold(sim, resource, 2.0, log, "holder"))
     sim.spawn(hold(sim, resource, 1.0, log, "first", priority=5.0))

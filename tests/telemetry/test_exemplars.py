@@ -97,7 +97,7 @@ class TestExemplarPipeline:
         telemetry.scraper.scrape()
         # Next aligned window: a new bucket grows; the old one does not,
         # so its (stale) exemplar must not re-enter the fresh window.
-        telemetry.sim._now += 60.0
+        telemetry.sim.now += 60.0
         hist.observe(500.0, trace_id=2)
         telemetry.scraper.scrape()
         series = telemetry.rollups["latency_s"]
@@ -112,7 +112,7 @@ class TestExemplarPipeline:
         hist = telemetry.histogram("latency_s", "latency")
         for index in range(4):
             hist.observe(10.0 * (index + 1), trace_id=100 + index)
-            telemetry.sim._now += 5.0
+            telemetry.sim.now += 5.0
             telemetry.scraper.scrape()
         series = telemetry.rollups["latency_s"]
         trailing = series.trailing(60.0, now=telemetry.sim.now)

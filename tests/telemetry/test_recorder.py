@@ -59,7 +59,7 @@ def burn(telemetry, time, good=50.0, bad=50.0):
 
 
 def fire(telemetry, now):
-    telemetry.sim._now = now
+    telemetry.sim.now = now
     burn(telemetry, now)
     telemetry.monitor.evaluate(now)
 
@@ -148,7 +148,7 @@ class TestBundleContents:
         hist = telemetry.histogram("op_latency_s", "op latency")
         # One slow errored trace, observed with its trace id as exemplar.
         root = tracer.start_trace("op", phase="task")
-        sim._now = 30.0
+        sim.now = 30.0
         root.finish(error="Timeout")
         hist.observe(30.0, trace_id=root.trace_id)
         # The scrape runs the monitor: the rule burns, the alert fires,

@@ -13,7 +13,7 @@ shift.
 from repro.core.experiments import StormRig
 from repro.faults.injector import FaultInjector, FaultTargets
 from repro.faults.schedule import standard_fault_schedule
-from repro.telemetry.recorder import NULL_RECORDER
+from repro.telemetry import NULL_RECORDER
 from repro.telemetry.slo import AvailabilityRule, BurnWindow, RatioRule
 
 

@@ -26,12 +26,12 @@ def tracer(sim):
 
 
 def make_span(tracer, sim, name, phase, start, end, parent=None, tags=None):
-    sim._now = start
+    sim.now = start
     if parent is None:
         span = tracer.start_trace(name, phase=phase, tags=tags)
     else:
         span = parent.child(name, phase=phase, tags=tags)
-    sim._now = end
+    sim.now = end
     span.finish()
     return span
 

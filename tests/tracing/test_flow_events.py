@@ -29,10 +29,10 @@ def run_attempts(sim, root, count, gap=2.0, width=1.0):
     spans = []
     for number in range(1, count + 1):
         attempt = root.child(f"attempt-{number}", phase="task")
-        sim._now += width
+        sim.now += width
         attempt.finish(error="Boom" if number < count else None)
         spans.append(attempt)
-        sim._now += gap
+        sim.now += gap
     return spans
 
 
@@ -82,7 +82,7 @@ def test_chains_do_not_cross_traces(sim, tracer):
 def test_non_attempt_spans_ignored(sim, tracer):
     root = tracer.start_trace("task.clone", phase="task")
     child = root.child("placement", phase="placement")
-    sim._now = 1.0
+    sim.now = 1.0
     child.finish()
     root.finish()
     assert retry_flow_events(tracer.spans) == []
@@ -91,7 +91,7 @@ def test_non_attempt_spans_ignored(sim, tracer):
 def test_unfinished_attempts_skipped(sim, tracer):
     root = tracer.start_trace("task.clone", phase="task")
     first = root.child("attempt-1", phase="task")
-    sim._now = 1.0
+    sim.now = 1.0
     first.finish(error="Boom")
     root.child("attempt-2", phase="task")  # still open
     assert retry_flow_events(tracer.spans) == []

@@ -34,7 +34,7 @@ class TestSpan:
     def test_lifecycle_on_simulated_time(self, sim, tracer):
         span = tracer.start_trace("task.clone", phase="task")
         assert not span.finished
-        sim._now = 2.5  # the kernel owns time; tests may poke it directly
+        sim.now = 2.5  # the kernel owns time; tests may poke it directly
         span.finish()
         assert span.finished
         assert span.duration == 2.5
@@ -46,16 +46,16 @@ class TestSpan:
 
     def test_finish_is_idempotent_first_wins(self, sim, tracer):
         span = tracer.start_trace("x", phase="task")
-        sim._now = 1.0
+        sim.now = 1.0
         span.finish()
-        sim._now = 9.0
+        sim.now = 9.0
         span.finish(error="TooLate")
         assert span.end == 1.0
         assert span.ok  # the late error did not stick
 
     def test_error_finish_keeps_duration(self, sim, tracer):
         span = tracer.start_trace("x", phase="agent")
-        sim._now = 3.0
+        sim.now = 3.0
         span.finish(error="HostTimeout")
         assert span.duration == 3.0
         assert not span.ok
@@ -129,16 +129,16 @@ class TestTracer:
     def test_plane_seconds_counts_only_ok_plane_tagged(self, sim, tracer):
         root = tracer.start_trace("r", phase="task")
         ctl = root.child("validate", phase="cpu", tags={"plane": "control"})
-        sim._now = 1.0
+        sim.now = 1.0
         ctl.finish()
         data = root.child("copy", phase="copy", tags={"plane": "data"})
-        sim._now = 4.0
+        sim.now = 4.0
         data.finish()
         failed = root.child("retry", phase="cpu", tags={"plane": "control"})
-        sim._now = 6.0
+        sim.now = 6.0
         failed.finish(error="Boom")
         untagged = root.child("db.write", phase="db")
-        sim._now = 7.0
+        sim.now = 7.0
         untagged.finish()
         root.finish()
         assert plane_seconds_from_span(root, "control") == 1.0
@@ -149,9 +149,9 @@ class TestExport:
     def _make_tree(self, sim, tracer):
         root = tracer.start_trace("task.clone", phase="task", tags={"task_id": 7})
         child = root.child("db.write", phase="db", tags={"rows": 2})
-        sim._now = 0.25
+        sim.now = 0.25
         child.finish()
-        sim._now = 1.5
+        sim.now = 1.5
         root.finish()
         return root, child
 

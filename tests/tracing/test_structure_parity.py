@@ -58,7 +58,7 @@ def run_program(tracer, sim, steps):
             span.finish(error="Boom" if flag and pick % 7 == 0 else None)
             continue
         else:
-            sim._now += pick
+            sim.now += pick
             continue
         spans.append(span)
         open_spans.append(span)
@@ -125,7 +125,7 @@ def test_sampled_tracer_holds_open_and_retained_trees():
     assert tracer.children(kept) == [a, b]
     assert tracer.subtree(kept) == [kept, a, a1, b]
     assert tracer.children(dropped) == [d]
-    sim._now = 1.0
+    sim.now = 1.0
     for span in (a1, a, b, d):
         span.finish()
     kept.finish(error="Boom")
@@ -145,7 +145,7 @@ def test_late_span_under_sealed_trace_is_held_nowhere():
     tracer = SampledTracer(sim, RetentionPolicy(normal_reservoir=0))
     root = tracer.start_trace("root", phase="task")
     child = root.child("child", phase="db")
-    sim._now = 1.0
+    sim.now = 1.0
     root.finish(error="Boom")
     grandchild = child.child("grandchild", phase="db")
     assert tracer._active == {}

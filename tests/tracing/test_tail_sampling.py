@@ -68,7 +68,7 @@ def seal_trace(sim, tracer, name, child_count=2, duration=1.0, error=None,
     if attempts > 1:
         root.annotate("attempts", attempts)
     children = [root.child(f"{name}-c{i}", phase="db") for i in range(child_count)]
-    sim._now += duration
+    sim.now += duration
     for child in children:
         child.finish()
     root.finish(error=error)
@@ -81,7 +81,7 @@ class TestClassification:
         sampler = TailSampler()
         root = tracer.start_trace("r", phase="task")
         child = root.child("c", phase="db")
-        sim._now = 1.0
+        sim.now = 1.0
         child.finish(error="Boom")
         root.finish()
         assert sampler.classify(root, [root, child]) == KEEP_ERROR
@@ -97,7 +97,7 @@ class TestClassification:
         sampler = TailSampler()
         root = tracer.start_trace("r", phase="task")
         backoff = root.child("backoff", phase="retry")
-        sim._now = 1.0
+        sim.now = 1.0
         backoff.finish()
         root.finish()
         assert sampler.classify(root, [root, backoff]) == KEEP_RETRY
@@ -284,7 +284,7 @@ class TestSampledTracer:
         tracer = SampledTracer(sim, RetentionPolicy(normal_reservoir=0))
         root = tracer.start_trace("r", phase="task")
         child = root.child("c", phase="db")
-        sim._now = 1.0
+        sim.now = 1.0
         child.finish()
         # Root still open: everything visible, nothing offered yet.
         assert tracer.sampler.offered == 0
