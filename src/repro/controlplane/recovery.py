@@ -13,10 +13,11 @@ pieces:
   in-memory bookkeeping — they charge **no additional simulated time**,
   so a journal-on run is schedule-identical to a journal-off run (the
   differential test in ``tests/controlplane/test_journal_neutrality.py``
-  holds this to byte identity). :data:`~repro.controlplane.task_manager.NULL_JOURNAL`
-  is the zero-cost off switch, mirroring ``NULL_TRACER`` /
-  ``NULL_TELEMETRY``; it lives with the task manager, so a run without a
-  journal and without a crash never imports this module.
+  holds this to byte identity).
+  :data:`~repro.controlplane.task_manager.NULL_JOURNAL` is the zero-cost
+  off switch, mirroring ``NULL_TRACER`` / ``NULL_TELEMETRY``; it lives
+  with the task manager, so a run without a journal and without a crash
+  never imports this module.
 
 - :class:`RecoveryManager` — parks task processes that a
   :class:`~repro.faults.schedule.ServerCrash` window interrupts, and on

@@ -39,6 +39,7 @@ from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.tracing import NULL_SPAN, NULL_TRACER, PHASE_CPU, PHASE_QUEUE
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.controlplane.bus import AgentProxy
     from repro.controlplane.recovery import RecoveryManager
     from repro.operations.base import Operation
 
@@ -143,7 +144,8 @@ class ManagementServer:
         # Building the recovery manager is passive, so a server without
         # telemetry builds it at its first crash (see ``recovery``) and a
         # run that never crashes never loads its module. With telemetry it
-        # is built now: its metric families register at construction.
+        # is built now: its metric families register at construction, and
+        # the roll-up export follows registration order.
         self._recovery: RecoveryManager | None = None
         if self.telemetry is not NULL_TELEMETRY:
             self._build_recovery()
@@ -161,7 +163,7 @@ class ManagementServer:
         # and bus-level dead letters land in the task manager's
         # deduplicated sink.
         self.bus = bus if bus is not None else NULL_BUS
-        self._agent_proxies: dict[str, typing.Any] = {}
+        self._agent_proxies: dict[str, AgentProxy] = {}
         self._submit_seq = 0
         if self.bus.mediated:
             self.bus.dead_letter_sink = self.tasks.record_message_dead_letter

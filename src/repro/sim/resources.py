@@ -17,7 +17,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
 # Withdrawn requests left on a resource heap before it is compacted: a
-# compaction happens once they also outnumber the live waiters.
+# compaction happens once they also outnumber the live waiters, so a long
+# stall that times out many waiters holds little more than the live queue.
 _COMPACT_AFTER = 32
 
 
