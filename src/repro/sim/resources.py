@@ -29,9 +29,9 @@ class Request(Event):
     still queued — used to implement request timeouts.
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: float = 0.0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         # Inlined Event.__init__, as Timeout's is: every control-plane wait
         # builds one.
         self.sim = resource.sim
@@ -41,7 +41,6 @@ class Request(Event):
         self._value = None
         self._exception = None
         self.resource = resource
-        self.priority = priority
 
     def _default_name(self) -> str:
         return f"request:{self.resource.name}"
@@ -100,7 +99,7 @@ class Resource:
     # -- protocol ----------------------------------------------------------
 
     def request(self, priority: float = 0.0) -> Request:
-        request = Request(self, priority)
+        request = Request(self)
         users = self._users
         if not self._waiting and len(users) < self.capacity:
             users.add(request)
