@@ -125,7 +125,7 @@ class Event:
             raise ValueError(f"negative delay {delay!r}")
         self._state = TRIGGERED
         self._value = value
-        # Inlined Simulator._enqueue: every grant and wake-up comes here.
+        # The heap push, written out: every grant and wake-up comes here.
         sim = self.sim
         sim._sequence += 1
         heappush(sim._heap, (sim.now + delay, NORMAL, sim._sequence, self))
@@ -141,7 +141,9 @@ class Event:
             raise ValueError(f"negative delay {delay!r}")
         self._state = TRIGGERED
         self._exception = exception
-        self.sim._enqueue(self, delay)
+        sim = self.sim
+        sim._sequence += 1
+        heappush(sim._heap, (sim.now + delay, NORMAL, sim._sequence, self))
         return self
 
     def cancel(self) -> None:

@@ -258,11 +258,6 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: float) -> None:
-        """Put a triggered event on the heap; the caller checked ``delay``."""
-        self._sequence += 1
-        heappush(self._heap, (self.now + delay, NORMAL, self._sequence, event))
-
     def _defer(self, fn: typing.Callable[[], None]) -> None:
         """Schedule a same-tick kernel resume without an Event allocation.
 

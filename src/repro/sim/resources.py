@@ -11,15 +11,10 @@ from __future__ import annotations
 import typing
 from heapq import heapify, heappop, heappush
 
-from repro.sim.events import CANCELLED, PENDING, Event
+from repro.sim.events import PENDING, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
-
-# Withdrawn requests left on a resource heap before it is compacted: a
-# compaction happens once they also outnumber the live waiters, so a long
-# stall that times out many waiters holds little more than the live queue.
-_COMPACT_AFTER = 32
 
 
 class Request(Event):
@@ -69,8 +64,8 @@ class Resource:
 
     A request that finds a free slot and nobody waiting is granted at once
     and never touches the queue. Queued requests sit on a heap of
-    ``(priority, arrival, request)`` entries; a withdrawn one is cancelled
-    in place and skipped when it reaches the top.
+    ``(priority, arrival, request)`` entries; a withdrawn one is taken off
+    it at once.
     """
 
     def __init__(self, sim: "Simulator", capacity: int, name: str = "resource") -> None:
@@ -82,9 +77,6 @@ class Resource:
         self._users: set[Request] = set()
         self._queue: list[tuple[float, int, Request]] = []
         self._arrivals = 0
-        # Live waiters, and withdrawn entries still on the heap.
-        self._waiting = 0
-        self._withdrawn = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -94,14 +86,14 @@ class Resource:
 
     @property
     def queue_depth(self) -> int:
-        return self._waiting
+        return len(self._queue)
 
     # -- protocol ----------------------------------------------------------
 
     def request(self, priority: float = 0.0) -> Request:
         request = Request(self)
         users = self._users
-        if not self._waiting and len(users) < self.capacity:
+        if not self._queue and len(users) < self.capacity:
             users.add(request)
             # No value: a request holding itself would be a reference
             # cycle that only the cyclic collector frees.
@@ -109,7 +101,6 @@ class Resource:
         else:
             self._arrivals += 1
             heappush(self._queue, (priority, self._arrivals, request))
-            self._waiting += 1
         return request
 
     def release(self, request: Request) -> None:
@@ -117,7 +108,7 @@ class Resource:
         if request not in users:
             raise RuntimeError(f"release of non-held request on {self.name!r}")
         users.discard(request)
-        if self._waiting:
+        if self._queue:
             self._dispatch()
 
     # -- internals -----------------------------------------------------------
@@ -125,27 +116,17 @@ class Resource:
     def _dispatch(self) -> None:
         queue = self._queue
         users = self._users
-        while self._waiting and len(users) < self.capacity:
+        while queue and len(users) < self.capacity:
             request = heappop(queue)[2]
-            if request._state == CANCELLED:
-                self._withdrawn -= 1
-                continue
-            self._waiting -= 1
             users.add(request)
             request.succeed()
 
     def _withdraw(self, request: Request) -> None:
         if request._state == PENDING:
             # Pending means queued: a grant triggers the request at once.
+            self._queue = [entry for entry in self._queue if entry[2] is not request]
+            heapify(self._queue)
             request.cancel()
-            self._waiting -= 1
-            self._withdrawn += 1
-            if self._withdrawn > _COMPACT_AFTER and self._withdrawn > self._waiting:
-                self._queue = [
-                    entry for entry in self._queue if entry[2]._state != CANCELLED
-                ]
-                heapify(self._queue)
-                self._withdrawn = 0
         elif request in self._users:
             raise RuntimeError("cannot withdraw a granted request; release it")
 
