@@ -207,12 +207,13 @@ def test_cancel_storm_heap_bounded(benchmark):
 def run_batch_sampling(draws, batched):
     """Workload variate generation: arrival gap + lifetime per deploy.
 
-    ``batched=False`` is the per-event path the driver used before batching
-    (``rng.expovariate`` + ``LifetimeModel.sample``); ``batched=True`` is
-    the prefetched path it uses now. Both consume the streams identically,
-    so the checksum doubles as a value-identity spot check.
+    ``batched=False`` is the per-event path (``rng.expovariate`` +
+    ``LifetimeModel.sample``); ``batched=True`` is the prefetched path the
+    workloads use (``exponentials`` + ``LifetimeModel.draws``). Both
+    consume the streams identically, so the checksum doubles as a
+    value-identity spot check.
     """
-    from repro.workloads import BatchedExponentials, BatchedLifetimes
+    from repro.sim.random import exponentials
     from repro.workloads.lifetimes import CLOUD_A_LIFETIME
 
     arrivals = random.Random(0)
@@ -220,10 +221,10 @@ def run_batch_sampling(draws, batched):
     rate = 1.0 / 300.0
     total = 0.0
     if batched:
-        gaps = BatchedExponentials(arrivals, rate)
-        draws_iter = BatchedLifetimes(CLOUD_A_LIFETIME, lifetimes)
+        gap = exponentials(arrivals, rate)
+        lifetime = CLOUD_A_LIFETIME.draws(lifetimes)
         for _ in range(draws):
-            total += gaps.next() + draws_iter.next()
+            total += gap() + lifetime()
     else:
         expovariate = arrivals.expovariate
         sample = CLOUD_A_LIFETIME.sample

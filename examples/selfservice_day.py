@@ -87,13 +87,16 @@ def main() -> None:
     )
     horizon = args.hours * 3600.0
     policy.start(until=horizon)
-    arrivals = DiurnalPoisson(base_rate=1 / 120.0, amplitude=0.7)
-    rng = streams.stream("tenant-arrivals")
+    # The sampler prefetches from its stream, so it gets one of its own.
+    next_arrival = DiurnalPoisson(base_rate=1 / 120.0, amplitude=0.7).sampler(
+        streams.stream("tenant-arrivals")
+    )
+    rng = streams.stream("tenant-requests")
 
     def tenant_loop():
         index = 0
         while True:
-            next_time = arrivals.next_arrival(sim.now, rng)
+            next_time = next_arrival(sim.now)
             if next_time >= horizon:
                 return
             yield sim.timeout(next_time - sim.now)

@@ -36,7 +36,7 @@ def main() -> None:
         datastores=4,
         orgs=4,
         initial_vms_per_host=4,
-        arrival_factory=lambda: Poisson(rate=0.3),
+        arrivals=Poisson(rate=0.3),
     )
 
     print(f"Recording {args.hours:.1f}h of {profile.name} "

@@ -308,9 +308,10 @@ class TaskManager:
                 yield from self._finalize(task)
                 raise
             except Exception as error:
-                # A crash interrupt while queued: the kernel has already
-                # withdrawn the in-flight request; give back any slot we
-                # did win, park until the journal replays, then requeue.
+                # A crash interrupt while queued: the in-flight request is
+                # already withdrawn (by the kernel for a bare wait, by
+                # _acquire for a deadline-bounded one); give back any slot
+                # we did win, park until the journal replays, then requeue.
                 if crash_cause(error) is None:
                     raise
                 for pool, request in granted:
@@ -416,7 +417,16 @@ class TaskManager:
                     f"before dispatch"
                 )
             timer = self.sim.timeout(remaining)
-            yield AnyOf(self.sim, [request, timer])
+            try:
+                yield AnyOf(self.sim, [request, timer])
+            except Exception:
+                # The kernel withdraws only a request yielded bare; one
+                # waited on through a condition is ours to give back.
+                if request.triggered:
+                    pool.release(request)
+                else:
+                    request.withdraw()
+                raise
             if not request.triggered:
                 request.withdraw()
                 raise TaskDeadlineExceeded(

@@ -27,7 +27,7 @@ from repro.operations.provisioning import CloneVM, DeployFromTemplate
 from repro.operations.reconfiguration import AddHost, RescanDatastore
 from repro.sim.events import Call
 from repro.sim.kernel import Simulator
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, exponentials
 from repro.telemetry.metrics import NULL_RECORDER, NULL_TELEMETRY, Telemetry
 from repro.tracing import NULL_TRACER, Tracer
 from repro.triage.engine import NULL_TRIAGE
@@ -261,16 +261,16 @@ def _open_loop_cell(
     """An open-loop linked-clone storm: arrivals until ``duration``, then drain.
 
     The cell is ``(seed, arrivals, duration, config)``; the arrival
-    process draws from the rig's ``"arrivals"`` stream. R-F5 and R-F7.
+    process's sampler owns the rig's ``"arrivals"`` stream. R-F5 and R-F7.
     """
     seed, arrivals, duration, config = cell
     rig = StormRig(seed=seed, hosts=16, datastores=4, config=config)
-    rng = rig.streams.stream("arrivals")
+    next_arrival = arrivals.sampler(rig.streams.stream("arrivals"))
 
     def open_loop() -> typing.Generator:
         index = 0
         while True:
-            next_time = arrivals.next_arrival(rig.sim.now, rng)
+            next_time = next_arrival(rig.sim.now)
             if next_time >= duration:
                 return
             yield rig.sim.timeout(next_time - rig.sim.now)
@@ -1832,7 +1832,7 @@ def _hyperscale_cell(
 
     This deliberately bypasses the management-server task pipeline — the
     question the exhibit answers is whether the *substrate* (event queue,
-    batched sampling) carries a paper-scale fleet, so each VM is exactly
+    prefetched sampling) carries a paper-scale fleet, so each VM is exactly
     two kernel timers: an arrival that places it on a host and arms its
     lifetime, and the lifetime expiry that frees the slot. Nothing waits
     on or cancels either, so both are :meth:`Simulator.call_later` entries
@@ -1847,7 +1847,6 @@ def _hyperscale_cell(
     import time as _time
 
     from repro.core.parallel import derive_seed
-    from repro.workloads.sampling import BatchedExponentials, BatchedLifetimes
 
     seed, shard_index, vms = cell
     started = _time.perf_counter()
@@ -1856,8 +1855,8 @@ def _hyperscale_cell(
     # One simulated hour of arrivals, CLOUD_A lifetimes (median 6h): nearly
     # the whole fleet is still pending when arrivals stop, which is what
     # builds the deep standing timer set the exhibit exists to demonstrate.
-    gaps = BatchedExponentials(streams.stream("arrivals"), vms / 3600.0)
-    lifetimes = BatchedLifetimes(CLOUD_A_LIFETIME, streams.stream("lifetimes"))
+    gap = exponentials(streams.stream("arrivals"), vms / 3600.0)
+    lifetime = CLOUD_A_LIFETIME.draws(streams.stream("lifetimes"))
     host_count = vms // 128 + 1  # capacity 256/host: 2x headroom, short scans
     slots = [0] * host_count
     cursor = 0
@@ -1881,15 +1880,15 @@ def _hyperscale_cell(
             host = host + 1 if host + 1 < host_count else 0
         slots[host] += 1
         cursor = host + 1 if host + 1 < host_count else 0
-        call_later(lifetimes.next(), expiry[host])
+        call_later(lifetime(), expiry[host])
         depth = sim.queue_depth
         if depth > peak_pending:
             peak_pending = depth
         if deploys < vms:
-            call_later(gaps.next(), arrival)
+            call_later(gap(), arrival)
 
     arrival = Call(arrive)
-    call_later(gaps.next(), arrival)
+    call_later(gap(), arrival)
     sim.run()
     return {
         "shard": shard_index,

@@ -639,6 +639,7 @@ def deploy_rig(
     from repro.core.experiments import StormRig
     from repro.datacenter.templates import MEDIUM_LINUX
     from repro.sim.events import AllOf
+    from repro.sim.random import exponentials
 
     if duration_s <= 0 or arrival_rate <= 0:
         raise ValueError("duration and arrival rate must be positive")
@@ -695,10 +696,10 @@ def deploy_rig(
         )
 
     def arrivals() -> typing.Generator:
-        rng = storm.streams.stream("arrivals")
+        gap = exponentials(storm.streams.stream("arrivals"), arrival_rate)
         index = 0
         while sim.now < duration_s:
-            yield sim.timeout(rng.expovariate(arrival_rate))
+            yield sim.timeout(gap())
             if sim.now >= duration_s:
                 break
             requests.append(sim.spawn(one_request(index), name=f"req-{index}"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import typing
 
 
 def _derive_seed(root_seed: int, name: str) -> int:
@@ -36,11 +37,49 @@ class RandomStreams:
         return RandomStreams(_derive_seed(self.seed, f"spawn:{name}"))
 
 
-def exponential(rng: random.Random, mean: float) -> float:
-    """Exponential variate with the given mean (mean <= 0 returns 0)."""
-    if mean <= 0:
-        return 0.0
-    return rng.expovariate(1.0 / mean)
+#: Draws prefetched per refill by :func:`uniforms`, :func:`exponentials`
+#: and :meth:`repro.workloads.lifetimes.LifetimeModel.draws`.
+CHUNK = 512
+
+
+def uniforms(rng: random.Random) -> typing.Callable[[], float]:
+    """``rng.random()`` draws, prefetched in chunks and served in draw order.
+
+    Returns the bound ``__next__`` of an endless generator that yields
+    each chunk through ``yield from``: a C-level resume per draw, with no
+    method dispatch or index bookkeeping. The sampler runs ahead of
+    ``rng``, so it must own the stream: any other draw from ``rng`` would
+    land between chunks, not where a per-event draw would.
+    """
+
+    def serve() -> typing.Iterator[float]:
+        draw = rng.random
+        span = range(CHUNK)
+        while True:
+            yield from [draw() for _ in span]
+
+    return serve().__next__
+
+
+def exponentials(rng: random.Random, lambd: float) -> typing.Callable[[], float]:
+    """Prefetched exponential variates, bit for bit ``rng.expovariate(lambd)``.
+
+    Same ownership rule as :func:`uniforms`. numpy is no substitute: its
+    generators are not draw-compatible with :class:`random.Random`.
+    """
+    if lambd <= 0:
+        raise ValueError("lambd must be positive")
+
+    def serve() -> typing.Iterator[float]:
+        draw = rng.random
+        log = math.log
+        span = range(CHUNK)
+        while True:
+            # random.Random.expovariate's arithmetic: a division by lambd,
+            # not a multiply by its reciprocal, so values match to the bit.
+            yield from [-log(1.0 - draw()) / lambd for _ in span]
+
+    return serve().__next__
 
 
 def lognormal_from_median(rng: random.Random, median: float, sigma: float) -> float:

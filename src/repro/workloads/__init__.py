@@ -17,21 +17,11 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.workloads.mixes": ("CLASSIC_DC_MIX", "CLOUD_A_MIX", "CLOUD_B_MIX", "OperationMix"),
         "repro.workloads.profiles": ("CLASSIC_DC", "CLOUD_A", "CLOUD_B", "CloudProfile"),
         "repro.workloads.replay": ("TraceReplayer", "replay_against"),
-        "repro.workloads.sampling": (
-            "BatchedArrivals",
-            "BatchedExponentials",
-            "BatchedLifetimes",
-            "BatchedUniforms",
-        ),
     },
 )
 
 __all__ = [
     "ArrivalProcess",
-    "BatchedArrivals",
-    "BatchedExponentials",
-    "BatchedLifetimes",
-    "BatchedUniforms",
     "CLASSIC_DC",
     "CLASSIC_DC_MIX",
     "CLOUD_A",

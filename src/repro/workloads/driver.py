@@ -44,7 +44,6 @@ from repro.sim.random import RandomStreams
 from repro.storage.linked_clone import MAX_CHAIN_DEPTH, create_linked_backing
 from repro.traces.records import TraceRecord
 from repro.workloads.profiles import CloudProfile
-from repro.workloads.sampling import BatchedLifetimes
 
 
 class WorkloadDriver:
@@ -76,12 +75,9 @@ class WorkloadDriver:
             ],
             datastore_capacity_gb=profile.datastore_capacity_gb,
         )
-        self._arrivals = profile.make_arrivals()
-        # Batched samplers: each prefetches from its own dedicated named
-        # stream in exact per-event draw order (see repro.workloads.sampling),
-        # so the trace is byte-identical to per-event sampling.
-        self._arrival_source = self._arrivals.batched(streams.stream("arrivals"))
-        self._lifetimes = BatchedLifetimes(profile.lifetime, streams.stream("lifetimes"))
+        # Each sampler prefetches from a named stream that only it draws.
+        self._next_arrival = profile.arrivals.sampler(streams.stream("arrivals"))
+        self._next_lifetime = profile.lifetime.draws(streams.stream("lifetimes"))
         self._stopped = False
 
     # -- construction ------------------------------------------------------------
@@ -179,9 +175,9 @@ class WorkloadDriver:
         self.sim.run()
 
     def _arrival_loop(self, horizon: float) -> typing.Generator:
-        arrivals = self._arrival_source
+        next_arrival = self._next_arrival
         while True:
-            next_time = arrivals.next_arrival(self.sim.now)
+            next_time = next_arrival(self.sim.now)
             if next_time >= horizon:
                 return
             yield self.sim.timeout(next_time - self.sim.now)
@@ -265,7 +261,7 @@ class WorkloadDriver:
     def _deploy_and_schedule_death(self, request: DeployRequest) -> typing.Generator:
         vapp = yield from self.director.deploy(request)
         if vapp.state in (VAppState.RUNNING, VAppState.PARTIAL):
-            lifetime = self._lifetimes.next()
+            lifetime = self._next_lifetime()
             self._spawn_guarded(self._delete_after(vapp, lifetime), "lifetime-delete")
 
     def _delete_after(self, vapp: VApp, delay: float) -> typing.Generator:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import typing
 
-from repro.sim.random import lognormal_from_median, pareto
+from repro.sim.random import CHUNK, lognormal_from_median, pareto
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,6 +39,20 @@ class LifetimeModel:
         if rng.random() < self.tail_fraction:
             return pareto(rng, self.tail_shape, self.tail_scale_s)
         return lognormal_from_median(rng, self.median_s, self.sigma)
+
+    def draws(self, rng: random.Random) -> typing.Callable[[], float]:
+        """:meth:`sample` draws from ``rng``, prefetched ``CHUNK`` at a time.
+
+        The stream rule of :func:`repro.sim.random.uniforms` applies: the
+        returned callable must own ``rng``.
+        """
+
+        def serve() -> typing.Iterator[float]:
+            sample_batch = self.sample_batch
+            while True:
+                yield from sample_batch(rng, CHUNK)
+
+        return serve().__next__
 
     def sample_batch(self, rng: random.Random, count: int) -> list[float]:
         """``count`` draws, identical to ``count`` calls of :meth:`sample`.

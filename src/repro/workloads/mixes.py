@@ -48,9 +48,6 @@ class OperationMix:
                 return op
         return self._ops[-1]
 
-    def fraction(self, op: OperationType) -> float:
-        return self.fractions.get(op, 0.0)
-
     def provisioning_fraction(self) -> float:
         return sum(
             fraction

@@ -11,7 +11,6 @@ records the substitution argument.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from repro.workloads.arrivals import ArrivalProcess, DiurnalPoisson, MMPPBurst, Poisson
 from repro.workloads.lifetimes import (
@@ -21,8 +20,6 @@ from repro.workloads.lifetimes import (
     LifetimeModel,
 )
 from repro.workloads.mixes import CLASSIC_DC_MIX, CLOUD_A_MIX, CLOUD_B_MIX, OperationMix
-
-ArrivalFactory = typing.Callable[[], ArrivalProcess]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,7 +38,7 @@ class CloudProfile:
     # Workload.
     mix: OperationMix
     lifetime: LifetimeModel
-    arrival_factory: "ArrivalFactory"
+    arrivals: ArrivalProcess
     linked_clone_fraction: float   # fraction of deploys using linked clones
     vapp_size_mean: float          # mean VMs per deploy request
 
@@ -56,29 +53,6 @@ class CloudProfile:
         if self.vapp_size_mean < 1.0:
             raise ValueError("vapp_size_mean must be >= 1")
 
-    def make_arrivals(self) -> ArrivalProcess:
-        return self.arrival_factory()
-
-
-def _cloud_a_arrivals() -> ArrivalProcess:
-    # ~1 op every 12 s at the diurnal peak: a busy self-service portal.
-    return DiurnalPoisson(base_rate=1 / 20.0, amplitude=0.7)
-
-
-def _cloud_b_arrivals() -> ArrivalProcess:
-    # Calm ~1/90 s with bursts to ~1/8 s (batch deployments).
-    return MMPPBurst(
-        calm_rate=1 / 90.0,
-        burst_rate=1 / 8.0,
-        mean_calm_s=3_600.0,
-        mean_burst_s=600.0,
-    )
-
-
-def _classic_dc_arrivals() -> ArrivalProcess:
-    # Human-paced administration: ~1 op every 5 minutes.
-    return Poisson(rate=1 / 300.0)
-
 
 CLOUD_A = CloudProfile(
     name="cloud_a",
@@ -92,7 +66,8 @@ CLOUD_A = CloudProfile(
     orgs=12,
     mix=CLOUD_A_MIX,
     lifetime=CLOUD_A_LIFETIME,
-    arrival_factory=_cloud_a_arrivals,
+    # ~1 op every 12 s at the diurnal peak: a busy self-service portal.
+    arrivals=DiurnalPoisson(base_rate=1 / 20.0, amplitude=0.7),
     linked_clone_fraction=0.95,
     vapp_size_mean=3.0,
     initial_vms_per_host=6,
@@ -110,7 +85,13 @@ CLOUD_B = CloudProfile(
     orgs=6,
     mix=CLOUD_B_MIX,
     lifetime=CLOUD_B_LIFETIME,
-    arrival_factory=_cloud_b_arrivals,
+    # Calm ~1/90 s with bursts to ~1/8 s (batch deployments).
+    arrivals=MMPPBurst(
+        calm_rate=1 / 90.0,
+        burst_rate=1 / 8.0,
+        mean_calm_s=3_600.0,
+        mean_burst_s=600.0,
+    ),
     linked_clone_fraction=0.80,
     vapp_size_mean=2.0,
     initial_vms_per_host=5,
@@ -128,7 +109,8 @@ CLASSIC_DC = CloudProfile(
     orgs=1,
     mix=CLASSIC_DC_MIX,
     lifetime=CLASSIC_DC_LIFETIME,
-    arrival_factory=_classic_dc_arrivals,
+    # Human-paced administration: ~1 op every 5 minutes.
+    arrivals=Poisson(rate=1 / 300.0),
     linked_clone_fraction=0.05,
     vapp_size_mean=1.0,
     initial_vms_per_host=8,

@@ -11,10 +11,10 @@ from repro.workloads import MMPPBurst, Poisson
 
 
 def draw_times(process, count, seed=1):
-    rng = RandomStreams(seed).stream("arrivals")
+    next_arrival = process.sampler(RandomStreams(seed).stream("arrivals"))
     now, times = 0.0, []
     for _ in range(count):
-        now = process.next_arrival(now, rng)
+        now = next_arrival(now)
         times.append(now)
     return times
 

@@ -16,7 +16,8 @@ from repro.controlplane.task_manager import NULL_JOURNAL, Task, TaskState
 from repro.core.experiments import StormRig
 from repro.faults.chaos import check_exactly_once, run_fault_point, storm_rig
 from repro.faults.errors import ServerCrashed, crash_cause
-from repro.faults.schedule import ServerCrash
+from repro.faults.injector import FaultInjector, FaultTargets
+from repro.faults.schedule import FaultSchedule, ServerCrash
 from repro.operations.base import Operation
 from repro.sim import RandomStreams, Simulator
 from repro.sim.kernel import Interrupt
@@ -187,6 +188,31 @@ def test_crash_interrupts_inflight_tasks_in_admission_order():
     rig.sim.run()
     assert parked == admitted
     rig.server.tasks.assert_accounted()
+
+
+def test_crash_during_deadline_bounded_dispatch_wait_frees_the_slot():
+    # With a task deadline the dispatch wait is AnyOf([request, timer]),
+    # which the kernel does not withdraw on an interrupt. A crash there
+    # must still give the queued request back, or it is granted later,
+    # never released, and the tasks queued behind it strand.
+    rig = StormRig(
+        seed=0,
+        hosts=4,
+        journal=True,
+        config=ControlPlaneConfig(max_inflight_tasks=4, task_deadline_s=600),
+    )
+    FaultInjector(
+        rig.sim,
+        FaultTargets.for_server(rig.server),
+        FaultSchedule([ServerCrash(start_s=5.0, duration_s=20.0, count=1)]),
+        rng=rig.streams.stream("chaos-injector"),
+    ).start()
+    outcome = rig.closed_loop_storm(40, 20, linked=True)
+    rig.sim.run()
+    assert rig.server.recovery.crashes[0].parked > 0
+    assert outcome["completed"] == 40
+    assert rig.server.tasks.dispatch.in_use == 0
+    assert rig.server.tasks.dispatch.queue_depth == 0
 
 
 def test_crash_point_reruns_identically_in_one_process():

@@ -14,8 +14,8 @@ import pytest
 from repro.core.experiments import _hyperscale_cell
 from repro.core.parallel import derive_seed
 from repro.sim import RandomStreams, Simulator
+from repro.sim.random import exponentials
 from repro.workloads.lifetimes import CLOUD_A_LIFETIME
-from repro.workloads.sampling import BatchedExponentials, BatchedLifetimes
 
 #: Traced bytes allowed per pending timer at the cell's peak: one heap
 #: tuple with its time float and sequence int is ~140 bytes; a Timeout
@@ -27,8 +27,8 @@ def _reference_cell(seed: int, vms: int) -> dict:
     """The cell on ``sim.timeout``: one Timeout per arrival and lifetime."""
     sim = Simulator()
     streams = RandomStreams(derive_seed(seed, 0))
-    gaps = BatchedExponentials(streams.stream("arrivals"), vms / 3600.0)
-    lifetimes = BatchedLifetimes(CLOUD_A_LIFETIME, streams.stream("lifetimes"))
+    gap = exponentials(streams.stream("arrivals"), vms / 3600.0)
+    lifetime = CLOUD_A_LIFETIME.draws(streams.stream("lifetimes"))
     host_count = vms // 128 + 1
     slots = [0] * host_count
     state = {"cursor": 0, "deploys": 0, "expiries": 0, "peak_pending": 0}
@@ -44,12 +44,12 @@ def _reference_cell(seed: int, vms: int) -> dict:
             host = (host + 1) % host_count
         slots[host] += 1
         state["cursor"] = (host + 1) % host_count
-        sim.timeout(lifetimes.next(), value=host).callbacks.append(expire)
+        sim.timeout(lifetime(), value=host).callbacks.append(expire)
         state["peak_pending"] = max(state["peak_pending"], sim.queue_depth)
         if state["deploys"] < vms:
-            sim.timeout(gaps.next()).callbacks.append(arrive)
+            sim.timeout(gap()).callbacks.append(arrive)
 
-    sim.timeout(gaps.next()).callbacks.append(arrive)
+    sim.timeout(gap()).callbacks.append(arrive)
     sim.run()
     del state["cursor"]
     return {**state, "makespan_s": sim.now}

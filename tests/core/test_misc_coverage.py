@@ -83,7 +83,7 @@ def test_profile_result_report_handles_empty_window():
         hosts=2,
         datastores=2,
         initial_vms_per_host=0,
-        arrival_factory=lambda: Poisson(rate=1e-9),
+        arrivals=Poisson(rate=1e-9),
     )
     result = CloudManagementProfiler(sleepy, seed=1).run(duration=60.0)
     report = result.report()

@@ -16,7 +16,7 @@ def tiny(profile=profiles.CLOUD_A):
         datastores=2,
         orgs=2,
         initial_vms_per_host=2,
-        arrival_factory=lambda: Poisson(rate=0.1),
+        arrivals=Poisson(rate=0.1),
     )
 
 

@@ -23,7 +23,7 @@ def run_fuzz(seed, duration=2400.0, rate=0.25):
         datastores=2,
         orgs=2,
         initial_vms_per_host=3,
-        arrival_factory=lambda: Poisson(rate=rate),
+        arrivals=Poisson(rate=rate),
     )
     sim = Simulator()
     driver = WorkloadDriver(sim, RandomStreams(seed), profile)

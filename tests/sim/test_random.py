@@ -5,7 +5,7 @@ import random
 from repro.sim import RandomStreams
 from repro.sim.random import (
     bounded,
-    exponential,
+    exponentials,
     lognormal_from_median,
     pareto,
     service_time,
@@ -45,16 +45,18 @@ def test_spawn_child_is_independent():
 
 
 def test_exponential_mean_rough():
-    rng = RandomStreams(seed=3).stream("exp")
-    samples = [exponential(rng, 10.0) for _ in range(20000)]
+    draw = exponentials(RandomStreams(seed=3).stream("exp"), 0.1)
+    samples = [draw() for _ in range(20000)]
     mean = sum(samples) / len(samples)
     assert 9.0 < mean < 11.0
 
 
-def test_exponential_nonpositive_mean_is_zero():
+def test_exponentials_reject_nonpositive_rate():
     rng = RandomStreams(seed=3).stream("exp")
-    assert exponential(rng, 0.0) == 0.0
-    assert exponential(rng, -5.0) == 0.0
+    with pytest.raises(ValueError):
+        exponentials(rng, 0.0)
+    with pytest.raises(ValueError):
+        exponentials(rng, -5.0)
 
 
 def test_lognormal_median_rough():

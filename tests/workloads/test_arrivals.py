@@ -7,11 +7,11 @@ from repro.workloads import DiurnalPoisson, MMPPBurst, Poisson
 
 
 def draw(process, count, seed=1):
-    rng = RandomStreams(seed).stream("arrivals")
+    next_arrival = process.sampler(RandomStreams(seed).stream("arrivals"))
     times = []
     now = 0.0
     for _ in range(count):
-        now = process.next_arrival(now, rng)
+        now = next_arrival(now)
         times.append(now)
     return times
 

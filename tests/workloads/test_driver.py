@@ -17,7 +17,7 @@ def small_profile(base=CLOUD_A, **overrides) -> CloudProfile:
         datastores=2,
         orgs=2,
         initial_vms_per_host=3,
-        arrival_factory=lambda: Poisson(rate=0.2),
+        arrivals=Poisson(rate=0.2),
     )
     defaults.update(overrides)
     return dataclasses.replace(base, **defaults)

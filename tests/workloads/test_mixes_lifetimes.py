@@ -45,7 +45,7 @@ class TestOperationMix:
         )
 
         def share(mix):
-            return sum(mix.fraction(op) for op in reconfiguration)
+            return sum(mix.fractions.get(op, 0.0) for op in reconfiguration)
 
         assert share(CLOUD_A_MIX) > share(CLASSIC_DC_MIX)
 
@@ -63,8 +63,8 @@ class TestOperationMix:
 
     def test_unnormalized_weights_are_normalized(self):
         mix = OperationMix({OperationType.DEPLOY: 3.0, OperationType.DESTROY: 1.0})
-        assert mix.fraction(OperationType.DEPLOY) == pytest.approx(0.75)
-        assert mix.fraction(OperationType.POWER_ON) == 0.0
+        assert mix.fractions.get(OperationType.DEPLOY, 0.0) == pytest.approx(0.75)
+        assert mix.fractions.get(OperationType.POWER_ON, 0.0) == 0.0
 
     @given(
         weights=st.dictionaries(

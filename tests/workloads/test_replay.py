@@ -20,7 +20,7 @@ def small_profile():
         datastores=2,
         orgs=2,
         initial_vms_per_host=3,
-        arrival_factory=lambda: Poisson(rate=0.2),
+        arrivals=Poisson(rate=0.2),
     )
 
 
