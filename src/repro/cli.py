@@ -587,7 +587,7 @@ def cmd_bus(args: argparse.Namespace) -> int:
     )
     print(
         f"\n{'topic':<28} {'pub':>5} {'dlvr':>5} {'redlv':>5} {'dedup':>5} "
-        f"{'drop':>5} {'shed':>5} {'dead':>5} {'depth':>5} {'wait(ms)':>9}"
+        f"{'drop':>5} {'dead':>5} {'depth':>5} {'wait(ms)':>9}"
     )
     depths = bus.depths()
     for name, stats in bus.topic_stats().items():
@@ -595,19 +595,19 @@ def cmd_bus(args: argparse.Namespace) -> int:
         print(
             f"{name:<28} {stats.published:>5} {stats.delivered:>5} "
             f"{stats.redelivered:>5} {stats.deduped:>5} {stats.dropped:>5} "
-            f"{stats.shed:>5} {stats.dead_lettered:>5} {depths[name]:>5} "
+            f"{stats.dead_lettered:>5} {depths[name]:>5} "
             f"{wait_ms:>9.1f}"
         )
     totals = {
         name: sum(getattr(stats, name) for stats in bus.topic_stats().values())
         for name in ("published", "delivered", "redelivered", "deduped", "dropped",
-                     "shed", "dead_lettered")
+                     "dead_lettered")
     }
     print(
         f"\ntotals: {totals['published']} published, "
         f"{totals['delivered']} delivered, {totals['redelivered']} redelivered, "
         f"{totals['deduped']} deduped, {totals['dropped']} dropped in transit, "
-        f"{totals['shed']} shed, {totals['dead_lettered']} dead-lettered"
+        f"{totals['dead_lettered']} dead-lettered"
     )
     print(f"deployed VMs:  {result.counters['vms']}")
     print(f"dead letters:  {result.dead_letters}")

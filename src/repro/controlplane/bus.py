@@ -52,8 +52,8 @@ other directly, no consumer processes spawn; the same discipline as
 Instrumentation: publish / queue-wait / deliver spans ride the caller's
 span tree (``PHASE_BUS`` / ``PHASE_QUEUE``), and telemetry exposes
 per-topic queue-depth probes plus published / delivered / redelivered /
-deduped / dropped / shed / dead-letter counters and a queue-wait
-histogram (the shed counters read zero: full queues block, never shed).
+deduped / dropped / dead-letter counters and a queue-wait histogram
+(full queues block publishers, so nothing is ever shed).
 ``python -m repro bus`` demos all of it.
 """
 
@@ -179,7 +179,6 @@ class TopicStats:
     dropped: int = 0
     delayed: int = 0
     reordered: int = 0
-    shed: int = 0
     dead_lettered: int = 0
     forwarded: int = 0
     max_depth: int = 0
@@ -303,9 +302,6 @@ class MessageBus:
         self._t_dropped = t.counter(
             "bus_dropped_total", help="copies lost in transit (drop faults)", **labels
         )
-        # Full queues block rather than shed, so this family stays at zero;
-        # it is kept because the metric catalogue exports it.
-        t.counter("bus_shed_total", help="messages evicted by queue overflow", **labels)
         self._t_dead_letter = t.counter(
             "bus_dead_letter_total", help="messages the bus gave up on", **labels
         )
@@ -349,7 +345,6 @@ class MessageBus:
             ("dropped", "copies lost in transit (drop faults)"),
             ("delayed", "publishes stalled by delay faults"),
             ("reordered", "messages that jumped the queue"),
-            ("shed", "messages evicted by queue overflow"),
             ("dead_lettered", "messages this topic gave up on"),
             ("forwarded", "messages re-routed to another topic"),
         ):

@@ -58,7 +58,6 @@ class HostAgent:
         self.slots = Resource(sim, capacity=op_slots, name=f"hostd:{host.name}")
         # Ids under the server's per-host scope (``vc-1.hostd.host-1.calls``).
         scope = telemetry if telemetry is not None else NULL_SCOPE
-        self._t_breaker_rejections = scope.counter("breaker_rejections")
         self._t_call_failures = scope.counter("call_failures")
         self._t_timeouts = scope.counter("timeouts")
         self._t_calls = scope.counter("calls")
@@ -109,7 +108,6 @@ class HostAgent:
         self, kind: str, median_s: float, span
     ) -> typing.Generator[typing.Any, typing.Any, None]:
         if self.breaker is not None and not self.breaker.allow():
-            self._t_breaker_rejections.add()
             raise HostAgentError(
                 f"{kind} on {self.host.name}: circuit breaker open"
             )

@@ -167,8 +167,8 @@ class CircuitBreaker:
     outcome with :meth:`record_success` / :meth:`record_failure`.
 
     ``telemetry`` is the owning agent's scope: it exports
-    ``breaker_opens``, ``breaker_fast_fails`` and, from the first trip
-    on, ``breaker_state``.
+    ``breaker_opens`` and ``breaker_fast_fails``. The state is the hub's
+    ``hostd_breaker_state{host}`` probe, which the server registers.
     """
 
     def __init__(
@@ -181,9 +181,9 @@ class CircuitBreaker:
         self.sim = sim
         self.policy = policy
         self.name = name
-        self._scope = telemetry if telemetry is not None else NULL_SCOPE
-        self._t_fast_fails = self._scope.counter("breaker_fast_fails")
-        self._t_opens = self._scope.counter("breaker_opens")
+        scope = telemetry if telemetry is not None else NULL_SCOPE
+        self._t_fast_fails = scope.counter("breaker_fast_fails")
+        self._t_opens = scope.counter("breaker_opens")
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at: float | None = None
@@ -245,8 +245,6 @@ class CircuitBreaker:
             self._trip()
 
     def _trip(self) -> None:
-        if self.opened_at is None:  # the first trip: the state joins the scrape
-            self._scope.probe("breaker_state", lambda: BREAKER_STATE_VALUE[self.state])
         self.state = BreakerState.OPEN
         self.opened_at = self.sim.now
         self.opens += 1

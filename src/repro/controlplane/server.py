@@ -212,26 +212,24 @@ class ManagementServer:
             op_slots=self.config.per_host_op_slots,
             telemetry=scope,
         )
-        if self.config.breaker is not None:
-            agent.breaker = CircuitBreaker(
-                self.sim,
-                self.config.breaker,
-                name=host.name,
-                telemetry=scope,
-            )
         self._agents[host.entity_id] = agent
         self.telemetry.probe(
             "hostd_utilization",
             lambda a=agent: a.slots.in_use / a.slots.capacity,
             host=host.name,
         )
-        self.telemetry.probe(
-            "hostd_breaker_state",
-            lambda a=agent: float(BREAKER_STATE_VALUE[a.breaker.state])
-            if a.breaker is not None
-            else 0.0,
-            host=host.name,
-        )
+        if self.config.breaker is not None:
+            breaker = agent.breaker = CircuitBreaker(
+                self.sim,
+                self.config.breaker,
+                name=host.name,
+                telemetry=scope,
+            )
+            self.telemetry.probe(
+                "hostd_breaker_state",
+                lambda b=breaker: BREAKER_STATE_VALUE[b.state],
+                host=host.name,
+            )
         self.telemetry.probe(
             "host_up",
             lambda h=host: 1.0 if h.is_usable else 0.0,

@@ -11,9 +11,10 @@ a global :class:`~repro.controlplane.resilience.RetryBudget`), optional
 per-task deadlines bound queue wait and forbid retries past the deadline,
 and retryable failures that exhaust their attempts/budget/deadline leave a
 :class:`~repro.controlplane.resilience.DeadLetter` record — the retry
-machinery never gives up silently. Observable via the ``retries``,
-``dead_letter``, ``deadline_exceeded``, and ``retry_budget_denied``
-ids under the manager's telemetry scope.
+machinery never gives up silently. Observable via the hub's
+``tasks_retries_total`` and ``tasks_dead_letter_total`` families and the
+``deadline_exceeded`` and ``retry_budget_denied`` ids under the manager's
+telemetry scope.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class TaskManager:
         self.dead_letters: list[DeadLetter] = []
         self._dead_lettered: set[int] = set()
         self._next_id = 0
-        # Retries granted (chaos sweeps read it; the scope exports it too).
+        # Retries granted (chaos sweeps read it; the hub exports it too).
         self.retries = 0
         # Time-weighted queue depth: R-F7's series and mean.
         self.depth = Gauge(sim, "queue_depth")
@@ -176,7 +177,8 @@ class TaskManager:
         # Telemetry handles, grabbed once (all NULL_METRIC when disabled —
         # the hot path pays one no-op bound-method call per event): the
         # hub's families, then the ids under this manager's scope
-        # (``vc-1.tasks.retries``), which join the scrape at first write.
+        # (``vc-1.tasks.crash_parked``), which join the scrape at first
+        # write. A scoped id exports only what no hub family does.
         self._scope = telemetry if telemetry is not None else NULL_SCOPE
         hub = self._scope.hub
         self._t_success = hub.counter("tasks_completed_total", outcome="success")
@@ -188,17 +190,13 @@ class TaskManager:
         self._t_insert_failures = scope.counter("insert_failures")
         self._t_deadline_exceeded = scope.counter("deadline_exceeded")
         self._t_crash_reissues = scope.counter("crash_reissues")
-        self._t_retries = scope.counter("retries")
         self._t_crash_parked = scope.counter("crash_parked")
         self._t_crash_adopted = scope.counter("crash_adopted")
         self._t_retry_budget_denied = scope.counter("retry_budget_denied")
         self._t_dead_letter_deduped = scope.counter("dead_letter_deduped")
-        self._t_dead_letter = scope.counter("dead_letter")
         self._t_completion_write_failures = scope.counter("completion_write_failures")
-        self._t_latency_all = scope.duration("latency.all")
         # op type -> its (retries, completed, latency) handles.
         self._t_by_op: dict[str, tuple] = {}
-        scope.probe("queue_depth", lambda: self.depth.value)
 
     def run_task(
         self,
@@ -356,7 +354,6 @@ class TaskManager:
                             self._record_dead_letter(task, error)
                             raise
                         self.retries += 1
-                        self._t_retries.add()
                         self._op_handles(op_type)[0].add()
                         self._t_retries_total.add()
                         if delay > 0:
@@ -530,13 +527,12 @@ class TaskManager:
                 error=task.error or "",
             )
         )
-        self._t_dead_letter.add()
         self._t_dead_letter_total.add()
 
     def record_message_dead_letter(self, task: Task, error: BaseException) -> None:
         """Bus-level dead letter for a task-linked message: one shared sink.
 
-        The message bus points its ``dead_letter_sink`` here so bus sheds
+        The message bus points its ``dead_letter_sink`` here so bus-level
         and resilience-layer dead letters are counted once, through the
         same dedup (``_dead_lettered`` + the journal's terminal record).
         Only a terminally-failed task records anything: while the task is
@@ -569,7 +565,6 @@ class TaskManager:
         _, completed, latency = self._op_handles(task.op_type)
         completed.add()
         latency.observe(task.latency)
-        self._t_latency_all.observe(task.latency)
         outcome = self._t_success if task.state is TaskState.SUCCESS else self._t_error
         outcome.add()
         self._t_latency.observe(

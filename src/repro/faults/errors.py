@@ -46,11 +46,10 @@ class MessageLost(TransientError):
     """The message bus gave up on a message.
 
     Raised into the publisher's reply when a message exhausts its
-    redelivery budget (repeatedly dropped in transit), is shed by a
-    bounded queue's overflow policy, or dead-lettered on arrival at a
-    full queue. Transient: the send itself may be retried — consumers
-    deduplicate by idempotency key, so a retried send never re-executes
-    work a late copy already performed.
+    redelivery budget (repeatedly dropped in transit); a full queue
+    blocks its publishers instead. Transient: the send itself may be
+    retried — consumers deduplicate by idempotency key, so a retried
+    send never re-executes work a late copy already performed.
     """
 
 

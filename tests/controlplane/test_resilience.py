@@ -225,7 +225,7 @@ class TestDeadLetters:
         assert letter.op_type == "clone"
         assert letter.attempts == 3
         assert "flaky forever" in letter.error
-        assert manager.retries == scoped(self.telemetry, "tasks.retries") == 2
+        assert manager.retries == scoped(self.telemetry, "tasks_retries_total") == 2
         assert scoped(self.telemetry, "tasks.retries.clone") == 2
 
     def test_retry_masks_transient_failure(self, sim, database):
@@ -259,7 +259,7 @@ class TestDeadLetters:
         error = self.run_one(sim, manager, body)
         assert isinstance(error, RuntimeError)
         assert manager.dead_letters == []
-        assert manager.retries == scoped(self.telemetry, "tasks.retries") == 0
+        assert manager.retries == scoped(self.telemetry, "tasks_retries_total") == 0
 
     def test_no_policy_means_no_promise_no_dead_letter(self, sim, database):
         manager = self.make_tm(sim, database)

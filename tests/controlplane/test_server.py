@@ -73,6 +73,27 @@ def test_linked_storm_bottleneck_is_control_plane():
     assert data == 0.0
 
 
+def test_breaker_state_probe_exists_only_with_a_breaker():
+    from repro.controlplane.resilience import BreakerPolicy
+
+    def state_probes(cloud):
+        return [
+            probe for probe in cloud.telemetry.probes if probe.name == "hostd_breaker_state"
+        ]
+
+    assert state_probes(SmallCloud(telemetry=True)) == []
+    cloud = SmallCloud(
+        config=ControlPlaneConfig(breaker=BreakerPolicy(failure_threshold=1)),
+        telemetry=True,
+    )
+    probes = state_probes(cloud)
+    assert [dict(probe.labels)["host"] for probe in probes] == [
+        host.name for host in cloud.hosts
+    ]
+    cloud.server.agent(cloud.hosts[1]).breaker.record_failure()
+    assert [probe.value for probe in probes] == [0.0, 2.0, 0.0, 0.0]
+
+
 def test_adopt_host_twice_rejected():
     cloud = SmallCloud()
     with pytest.raises(ValueError, match="already adopted"):

@@ -146,7 +146,7 @@ def test_latency_metrics_recorded_per_type(sim, database):
     sim.run()
     assert scoped(telemetry, "tasks.latency.clone") == 1
     assert scoped(telemetry, "tasks.latency.power_on") == 1
-    assert scoped(telemetry, "tasks.latency.all") == 2
+    assert telemetry.families["tasks_latency_s"].labels().hist.count == 2
     assert scoped(telemetry, "tasks.completed.clone") == 1
 
 

@@ -23,18 +23,18 @@ DIGESTS = [
     ("sweep config.cpu_workers 4,8 --clones 16",
      "3b68ac95ce451a6d5929cfe66abb7ff62846a71148ee3d7179a1d63615aa1c2c"),
     ("bus --deploys 12 --concurrency 4",
-     "1861d01129505350e7349466cc462a13a04f8dac3a6137d21f0c9dfbbac6d613"),
+     "3768c4690e00252f58da35c9d05ed68081e4a7dbd75a6f138302b0240d6f253e"),
     ("bus --deploys 12 --concurrency 4 --fault drop --rate 0.5 --fault-at 2 "
      "--fault-duration 60",
-     "b98174ab49e11e615117ec14922586e23992bc980e9261618fe90f01c33a3d2d"),
+     "0b68293fc2821c9c4920ec2d444f95d35123bb3351754e02cfe2d2ddfd53380d"),
     ("bus --deploys 12 --concurrency 4 --fault duplicate --fault-at 2 --fault-duration 40",
-     "994835f45faf7d4a0eea02258ffb30fb2153becf339fd4b6960ba53e7cc2ec3a"),
+     "940047c5b196b40da64f6da68d977475c60a6f9e808b64ffb5d1546ce06e51cf"),
     ("bus --deploys 12 --concurrency 4 --fault delay --fault-at 2 --fault-duration 40",
-     "559702a0db9474ea40692aef2340ce747ca7c54939b285569fa1f46ede1211ca"),
+     "f8a4a7a476de550ae77e56f34e4ca0353069f4b928d174c3937cac17be5ff2df"),
     ("bus --deploys 12 --concurrency 4 --fault reorder --fault-at 2 --fault-duration 40",
-     "26408990782add558ea188e5062704494216cb4f140acdb5a1f973ce77fb1d7a"),
+     "1982a8ea032ebdc4b114d6adab71a37cd0852050394389552f20949d4fa4d968"),
     ("bus --deploys 12 --concurrency 4 --fault partition --fault-at 2 --fault-duration 40",
-     "f560b149b8c4a10997bee52af49e5f3e5429ddb864df7f54d8fceea30927dc2e"),
+     "83b9be53c0136ba6431f4896dd592d095397c3a56b73779f833e245d4cc91dc2"),
     ("recover --clones 8 --concurrency 3 --crash-at 3",
      "a58832ac59ab20312dfd85beda93c13300ae1ca36d099c64c8eead06c427cc27"),
     ("federation --deploys 24 --concurrency 8 --crash-at 10",

@@ -16,7 +16,7 @@ from repro.faults.chaos import ALERT_RULES, deploy_rig, run_fault_point
 from repro.telemetry.export import alerts_jsonl, rollups_jsonl
 
 CATALOGUE = pathlib.Path(__file__).with_name("metric_catalogue.txt")
-EXPORT_SHA256 = "ef6e9187a630756713b9f4b126eb297e4c50a88318b3acc6a7b95c57253eb230"
+EXPORT_SHA256 = "dd8be1aad155b32013d27febb5b40413c9e43a004235c5ba9105b00ec542689d"
 
 
 def test_metrics_command_exports_the_recorded_catalogue():
