@@ -232,6 +232,10 @@ class LockManager:
         """
         return LockScope(self, write_ids, read_ids)
 
+    def held(self) -> list[str]:
+        """The keys of the locks that are held or have waiters."""
+        return [key for key, lock in self._locks.items() if not lock.idle]
+
     def contention(self) -> float:
         """Mean lock-acquire wait across all acquisitions (seconds)."""
         if not self.acquisitions:

@@ -630,5 +630,10 @@ class TaskManager:
     def queue_depth(self) -> float:
         return self.depth.value
 
+    @property
+    def pools(self) -> list[Resource]:
+        """The dispatch slots, then each per-type limit."""
+        return [self.dispatch, *self._type_limits.values()]
+
     def queue_depth_series(self) -> list[tuple[float, float]]:
         return self.depth.series()

@@ -69,8 +69,10 @@ def check_exactly_once(server: "ManagementServer") -> list[str]:
     Checks, in order: no task stranded mid-lifecycle; every journaled
     admit has exactly one journaled terminal record; at most one dead
     letter per task; every dead letter maps to a task that ended ERROR;
-    and no VM name is placed twice (a re-issued clone must never
-    materialize its VM twice).
+    no VM name is placed twice (a re-issued clone must never
+    materialize its VM twice); and, read at quiescence, nothing is held:
+    every dispatch, per-type, CPU, database and host-agent slot pool has
+    no holder and no waiter, and every lock is idle.
     """
     violations: list[str] = []
     tasks = server.tasks
@@ -106,6 +108,15 @@ def check_exactly_once(server: "ManagementServer") -> list[str]:
     for name, count in sorted(placed_names.items()):
         if count > 1:
             violations.append(f"VM name {name!r} placed {count} times")
+    pools = [*tasks.pools, server.cpu, server.database.pool]
+    pools.extend(agent.slots for agent in server.agents)
+    for pool in pools:
+        if pool.in_use or pool.queue_depth:
+            violations.append(
+                f"{pool.name} holds {pool.in_use} and queues {pool.queue_depth} "
+                f"at quiescence"
+            )
+    violations.extend(f"lock {key} held at quiescence" for key in server.locks.held())
     return violations
 
 

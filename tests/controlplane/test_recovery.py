@@ -295,6 +295,20 @@ def test_check_exactly_once_flags_duplicate_dead_letters():
     assert any("dead-lettered 2 times" in v for v in violations)
 
 
+def test_check_exactly_once_flags_anything_held_at_quiescence():
+    server = _server_with_retries()
+    assert check_exactly_once(server) == []
+    held = server.tasks.dispatch.request()
+    assert check_exactly_once(server) == ["task-dispatch holds 1 and queues 0 at quiescence"]
+    server.tasks.dispatch.release(held)
+    locks = server.locks.holding(["vm-1"])
+    process = server.sim.spawn(locks.acquire())
+    server.sim.run()
+    assert check_exactly_once(server) == ["lock vm-1 held at quiescence"]
+    locks.release(process.value)
+    assert check_exactly_once(server) == []
+
+
 # -- accounting invariant ----------------------------------------------------
 
 

@@ -83,8 +83,7 @@ def test_resources_fully_released(fuzzed):
 
 
 def test_locks_all_idle(fuzzed):
-    for lock in fuzzed.server.locks._locks.values():
-        assert lock.idle, f"lock {lock.name} still held"
+    assert fuzzed.server.locks.held() == []
 
 
 def test_org_accounting_never_negative(fuzzed):
