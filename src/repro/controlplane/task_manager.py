@@ -430,6 +430,10 @@ class TaskManager:
                     f"task {task.task_id} ({task.op_type}) queued past its "
                     f"deadline ({self.task_deadline_s:.0f}s)"
                 )
+            # Granted in time: the deadline timer must not keep the run
+            # alive until it would have fired.
+            if not timer.processed:
+                timer.cancel()
         granted.append((pool, request))
 
     def _park(self, task: Task, stage: str) -> typing.Generator[typing.Any, typing.Any, str]:

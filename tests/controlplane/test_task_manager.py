@@ -230,3 +230,23 @@ class TestPerTypeLimits:
         windows = sorted((t.started_at, t.finished_at) for t in tasks)
         for (s1, f1), (s2, f2) in zip(windows, windows[1:]):
             assert s2 >= f1 - 1e-9
+
+
+def test_granted_deadline_wait_cancels_its_timer():
+    # A dispatch wait granted before its deadline cancels the deadline
+    # timer, so the run quiesces when the storm ends (36.0 s), not when
+    # the last granted task's deadline would have fired (618.5 s).
+    from repro.controlplane import ControlPlaneConfig
+    from repro.core.experiments import StormRig
+
+    rig = StormRig(
+        seed=0,
+        hosts=4,
+        config=ControlPlaneConfig(max_inflight_tasks=4, task_deadline_s=600),
+    )
+    outcome = rig.closed_loop_storm(40, 20, linked=True)
+    storm_end = rig.sim.now
+    rig.sim.run()
+    assert outcome["completed"] == 40
+    assert storm_end == pytest.approx(36.05, abs=0.01)
+    assert rig.sim.now == storm_end
