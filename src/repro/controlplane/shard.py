@@ -107,19 +107,6 @@ class ShardedControlPlane:
         """Aggregate permanently failed (dead-lettered) tasks."""
         return sum(len(shard.tasks.dead_letters) for shard in self.shards)
 
-    def throughput(self, since: float = 0.0) -> float:
-        """Aggregate successful tasks per second over [since, now]."""
-        span = self.sim.now - since
-        if span <= 0:
-            return 0.0
-        done = sum(
-            1
-            for shard in self.shards
-            for task in shard.tasks.succeeded()
-            if task.finished_at is not None and task.finished_at >= since
-        )
-        return done / span
-
     def utilization_snapshot(self, since: float = 0.0) -> dict[str, float]:
         """Mean per-resource utilization across shards."""
         snapshots = [shard.utilization_snapshot(since) for shard in self.shards]

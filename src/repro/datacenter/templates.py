@@ -74,8 +74,5 @@ class TemplateLibrary:
         except KeyError:
             raise KeyError(f"no template named {name!r}") from None
 
-    def names(self) -> list[str]:
-        return sorted(self._templates)
-
     def __len__(self) -> int:
         return len(self._templates)

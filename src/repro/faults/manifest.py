@@ -111,9 +111,6 @@ class GroundTruthManifest:
         self.windows.append(window)
         return self
 
-    def kinds(self) -> list[str]:
-        return sorted({window.kind for window in self.windows})
-
     def active_at(self, at_s: float, grace_s: float = 0.0) -> list[GroundTruthWindow]:
         """Windows armed at ``at_s``, nearest start first."""
         return sorted(

@@ -286,41 +286,16 @@ class Simulator:
             heappop(heap)
             self._cancelled_in_heap -= 1
 
-    def _head(self) -> tuple[float, int, int, Event] | None:
-        """The minimum live queue entry, pruning dead heads — or ``None``."""
-        self._prune()
-        heap = self._heap
-        return heap[0] if heap else None
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        head = self._head()
-        head_time = head[0] if head is not None else _INF
+        self._prune()
+        heap = self._heap
+        head_time = heap[0][0] if heap else _INF
         if self._urgent:
             urgent_time = self._urgent[0][0]
             if urgent_time < head_time:
                 return urgent_time
         return head_time
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        head = self._head()
-        urgent = self._urgent
-        if urgent:
-            entry = urgent[0]
-            if head is None or (entry[0], NORMAL, entry[1]) <= head[:3]:
-                urgent.popleft()
-                self.now = entry[0]
-                entry[2]()
-                return
-        if head is None:
-            raise RuntimeError("step() on an empty schedule")
-        when, _priority, _seq, event = heappop(self._heap)
-        head = None  # drop the entry tuple so the timeout pool's refcount guard holds
-        if when < self.now:
-            raise RuntimeError("event scheduled in the past; kernel invariant broken")
-        self.now = when
-        event._run_callbacks()
 
     def run(self, until: float | Event | None = None) -> typing.Any:
         """Run the event loop.

@@ -63,15 +63,6 @@ def test_server_datastores_listing():
     assert names == {"lun00", "lun01"}
 
 
-def test_shard_throughput_respects_since_window():
-    from repro.controlplane import ShardedControlPlane
-    from repro.sim import RandomStreams, Simulator
-
-    sim = Simulator()
-    plane = ShardedControlPlane(sim, RandomStreams(1), shard_count=1)
-    assert plane.throughput(since=0.0) == 0.0
-
-
 def test_profile_result_report_handles_empty_window():
     import dataclasses
 

@@ -108,7 +108,6 @@ class TestTemplateLibrary:
         assert template.disks[0].backing.read_only
         assert datastore.used_gb == MEDIUM_LINUX.disk_gb
         assert library.get(MEDIUM_LINUX.name) is template
-        assert library.names() == [MEDIUM_LINUX.name]
         assert len(library) == 1
 
     def test_publish_twice_rejected(self, inventory):

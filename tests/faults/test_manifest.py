@@ -90,8 +90,12 @@ class TestManifest:
         assert [w.kind for w in active] == ["db_slowdown", "host_flap"]
 
     def test_kinds(self):
-        manifest = GroundTruthManifest([window(), window(kind="db_slowdown")])
-        assert manifest.kinds() == ["db_slowdown", "host_flap"]
+        # The CLI's ground-truth listing names every window's kind.
+        manifest = GroundTruthManifest([window(), window(kind="db_slowdown", start=150.0)])
+        assert manifest.describe() == [
+            "   100.0-   200.0s  host_flap          x1  [*]",
+            "   150.0-   200.0s  db_slowdown        x1  [*]",
+        ]
 
 
 class TestScheduleGroundTruth:

@@ -54,16 +54,16 @@ def test_run_until_horizon_puts_a_later_call_back():
     assert fired == [5.0]
 
 
-def test_peek_and_step_agree():
+def test_peek_and_run_agree():
     sim = Simulator()
     fired = []
     sim.call_later(3.0, Call(lambda: fired.append(("call", sim.now))))
     sim.timeout(1.0).callbacks.append(lambda _event: fired.append(("timeout", sim.now)))
     assert sim.peek() == 1.0
-    sim.step()
+    sim.run(until=sim.peek())
     assert fired == [("timeout", 1.0)]
     assert sim.peek() == 3.0
-    sim.step()
+    sim.run(until=sim.peek())
     assert fired == [("timeout", 1.0), ("call", 3.0)]
     assert sim.peek() == float("inf")
 

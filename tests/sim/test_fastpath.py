@@ -84,7 +84,7 @@ def test_fast_path_is_the_default():
 
     process = sim.spawn(sleeper())
     assert sim.queue_depth == 0 and len(sim._urgent) == 1
-    sim.step()
+    sim.run(until=0.0)
     process.interrupt("wake")
     assert sim.queue_depth == 1 and len(sim._urgent) == 1
 
@@ -294,7 +294,7 @@ def test_compaction_preserves_order():
     assert order == list(range(100))
 
 
-def test_peek_and_step_agree_after_cancellations():
+def test_peek_and_run_agree_after_cancellations():
     sim = Simulator()
     cancelled = Event(sim)
     cancelled.succeed(delay=1.0)
@@ -304,7 +304,7 @@ def test_peek_and_step_agree_after_cancellations():
     kept.succeed(delay=2.0)
     cancelled.cancel()
     assert sim.peek() == 2.0
-    sim.step()
+    sim.run(until=sim.peek())
     assert fired == [2.0]
 
 

@@ -333,12 +333,6 @@ def test_run_until_event_deadlock_detected():
         sim.run(until=process)
 
 
-def test_step_on_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(RuntimeError):
-        sim.step()
-
-
 def test_peek_empty_is_infinite():
     sim = Simulator()
     assert sim.peek() == float("inf")
