@@ -3,9 +3,9 @@
 
 Every registered exhibit is deterministic given the seed, so a rerun at
 seed 0 must reproduce ``benchmarks/results/<ID>.txt`` (and ``.csv``, or
-an empty series where none is committed) byte for byte. The seventeen fast
+an empty series where none is committed) byte for byte. The eighteen fast
 exhibits are compared in the unit suite (``tests/core/test_exhibit_results.py``);
-this script covers the slow seven, serially. ``--parallel N`` checks all
+this script covers the slow six, serially. ``--parallel N`` checks all
 24 registered exhibits instead, each with its cells fanned across N worker
 processes (an exhibit with one cell runs in-process), which must change
 nothing. Nothing under ``benchmarks/results/`` is written.
@@ -30,10 +30,10 @@ from repro.core.experiments import EXPERIMENTS, run_experiment
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
-#: The exhibits too slow for the unit suite (60-110 s serial together on a
+#: The exhibits too slow for the unit suite (55-105 s serial together on a
 #: 2-core container, by host load).
 SLOW_EXHIBITS = (
-    "R-F1", "R-F5", "R-F-alerts", "R-X3", "R-X6", "R-X7", "R-F-hyperscale",
+    "R-F5", "R-F-alerts", "R-X3", "R-X6", "R-X7", "R-F-hyperscale",
 )
 
 
@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
         help="check every exhibit on N worker processes (default: the "
-        "slow seven, serially)",
+        "slow six, serially)",
     )
     args = parser.parse_args(argv)
     exp_ids = SLOW_EXHIBITS if args.parallel is None else sorted(EXPERIMENTS)
