@@ -13,7 +13,7 @@ Usage::
 
 import argparse
 
-from repro import CloudManagementProfiler
+from repro import Scenario
 from repro.workloads.profiles import ALL_PROFILES
 
 
@@ -32,8 +32,7 @@ def main() -> None:
 
     profile = profiles_by_name[args.profile]
     print(f"Profiling {profile.name}: {profile.description}\n")
-    profiler = CloudManagementProfiler(profile, seed=args.seed)
-    result = profiler.run(duration=args.duration * 3600.0)
+    result = Scenario(profile, duration_s=args.duration * 3600.0, seed=args.seed).run()
     print(result.report())
 
     print()

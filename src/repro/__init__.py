@@ -13,10 +13,9 @@ in cloud provisioning.
 
 Quickstart::
 
-    from repro import CloudManagementProfiler, profiles
+    from repro import Scenario, profiles
 
-    profiler = CloudManagementProfiler(profiles.CLOUD_A, seed=7)
-    result = profiler.run(duration=4 * 3600.0)
+    result = Scenario(profiles.CLOUD_A, duration_s=4 * 3600.0, seed=7).run()
     print(result.report())
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -66,7 +65,6 @@ __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
         "repro.core.experiments": ("EXPERIMENTS", "ExperimentResult", "run_experiment"),
-        "repro.core.profiler": ("CloudManagementProfiler", "ProfileResult"),
         "repro.core.scenario": ("Scenario", "ScenarioResult"),
         "repro.workloads": ("profiles",),
     },
@@ -75,10 +73,8 @@ __getattr__, __dir__ = _lazy_exports(
 __version__ = "1.0.0"
 
 __all__ = [
-    "CloudManagementProfiler",
     "EXPERIMENTS",
     "ExperimentResult",
-    "ProfileResult",
     "Scenario",
     "ScenarioResult",
     "profiles",

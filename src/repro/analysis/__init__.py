@@ -11,11 +11,7 @@ from repro import _lazy_exports
 __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        "repro.analysis.bottleneck": (
-            "phase_breakdown",
-            "plane_breakdown",
-            "plane_breakdown_by_type",
-        ),
+        "repro.analysis.bottleneck": ("phase_breakdown", "plane_breakdown"),
         "repro.analysis.comparison": ("compare_traces", "comparison_report"),
         "repro.analysis.latency": ("latency_by_type", "latency_cdf", "latency_stats"),
         "repro.analysis.mix": ("mix_comparison", "operation_counts", "operation_mix"),
@@ -50,7 +46,6 @@ __all__ = [
     "operation_mix",
     "phase_breakdown",
     "plane_breakdown",
-    "plane_breakdown_by_type",
     "render_series",
     "render_table",
 ]

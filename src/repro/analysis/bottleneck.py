@@ -34,15 +34,6 @@ def plane_breakdown(records: typing.Sequence[TraceRecord]) -> dict[str, float]:
     }
 
 
-def plane_breakdown_by_type(
-    records: typing.Sequence[TraceRecord],
-) -> dict[str, dict[str, float]]:
-    groups: dict[str, list[TraceRecord]] = {}
-    for record in records:
-        groups.setdefault(record.op_type, []).append(record)
-    return {op: plane_breakdown(group) for op, group in sorted(groups.items())}
-
-
 def phase_breakdown(tasks: typing.Sequence[Task]) -> list[tuple[str, str, float]]:
     """Aggregate (phase, plane, total seconds) across tasks, largest first.
 

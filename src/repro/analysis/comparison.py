@@ -8,15 +8,19 @@ from repro.analysis.latency import latency_by_type
 from repro.analysis.report import render_table
 from repro.traces.records import TraceRecord
 
+#: Fewest records of an op type, per trace, for a p50 worth comparing.
+MIN_SAMPLES = 3
+
 
 def compare_traces(
     baseline: typing.Sequence[TraceRecord],
     variant: typing.Sequence[TraceRecord],
     baseline_label: str = "baseline",
     variant_label: str = "variant",
-    min_samples: int = 3,
 ) -> tuple[list[str], list[list[str]]]:
     """Per-op-type p50 latency comparison, biggest improvement first.
+
+    An op type needs :data:`MIN_SAMPLES` records on each side to be compared.
 
     Returns (headers, rows); render with
     :func:`repro.analysis.report.render_table`.
@@ -27,7 +31,7 @@ def compare_traces(
     for op in sorted(set(base_stats) & set(var_stats)):
         base = base_stats[op]
         var = var_stats[op]
-        if base["count"] < min_samples or var["count"] < min_samples:
+        if base["count"] < MIN_SAMPLES or var["count"] < MIN_SAMPLES:
             continue
         speedup = base["p50"] / var["p50"] if var["p50"] > 0 else float("inf")
         rows.append(

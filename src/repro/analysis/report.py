@@ -6,6 +6,10 @@ import csv
 import pathlib
 import typing
 
+#: How many points :func:`render_series` keeps, and its widest bar.
+SERIES_POINTS = 40
+BAR_WIDTH = 40
+
 
 def render_table(
     headers: typing.Sequence[str],
@@ -59,19 +63,18 @@ def render_series(
     pairs: typing.Sequence[tuple[float, float]],
     x_name: str = "x",
     y_name: str = "y",
-    max_points: int = 40,
-    bar_width: int = 40,
 ) -> str:
-    """A series with an inline bar chart, downsampled to ``max_points``."""
+    """A series with an inline bar chart, downsampled to about
+    :data:`SERIES_POINTS` rows of bars up to :data:`BAR_WIDTH` wide."""
     if not pairs:
         return f"{label}: (empty)"
-    step = max(1, len(pairs) // max_points)
+    step = max(1, len(pairs) // SERIES_POINTS)
     sampled = list(pairs[::step])
     if sampled[-1] != pairs[-1]:
         sampled.append(pairs[-1])
     peak = max(y for _, y in sampled)
     out = [f"{label}  ({x_name} vs {y_name})"]
     for x, y in sampled:
-        bar = "#" * (int(bar_width * y / peak) if peak > 0 else 0)
+        bar = "#" * (int(BAR_WIDTH * y / peak) if peak > 0 else 0)
         out.append(f"  {x:>12.1f}  {y:>12.4f}  {bar}")
     return "\n".join(out)

@@ -43,7 +43,7 @@ import typing
 
 from repro.controlplane.costs import DEFAULT_COSTS
 from repro.core.experiments import EXPERIMENTS, StormRig, run_experiment, storm_cell
-from repro.core.profiler import CloudManagementProfiler
+from repro.core.scenario import Scenario
 from repro.faults.schedule import MESSAGE_FAULT_KINDS
 from repro.traces.io import write_csv, write_jsonl
 from repro.workloads.profiles import ALL_PROFILES
@@ -290,8 +290,9 @@ def _fail(message: object) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    profiler = CloudManagementProfiler(PROFILES[args.name], seed=args.seed)
-    result = profiler.run(duration=args.hours * 3600.0)
+    result = Scenario(
+        PROFILES[args.name], duration_s=args.hours * 3600.0, seed=args.seed
+    ).run()
     print(result.report())
     if args.trace_out:
         if args.trace_out.endswith(".jsonl"):

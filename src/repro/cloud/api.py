@@ -20,6 +20,9 @@ from repro.sim.resources import TokenBucket
 from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.tracing import NULL_SPAN, PHASE_ADMISSION
 
+#: A session idle for longer than this expires at its next use.
+SESSION_IDLE_TIMEOUT_S = 1800.0
+
 
 class SessionError(Exception):
     """Invalid or expired session usage."""
@@ -58,17 +61,13 @@ class ApiGateway:
         sim: Simulator,
         requests_per_minute: float = 60.0,
         burst: float = 10.0,
-        session_idle_timeout_s: float = 1800.0,
         telemetry=None,
     ) -> None:
         if requests_per_minute <= 0 or burst <= 0:
             raise ValueError("rate and burst must be positive")
-        if session_idle_timeout_s <= 0:
-            raise ValueError("session_idle_timeout_s must be positive")
         self.sim = sim
         self.rate_per_s = requests_per_minute / 60.0
         self.burst = burst
-        self.session_idle_timeout_s = session_idle_timeout_s
         # Off until enable_shedding sets both.
         self.shed_watermark: float | None = None
         self.queue_depth_probe: typing.Callable[[], float] | None = None
@@ -112,7 +111,7 @@ class ApiGateway:
         if session.closed or session.session_id not in self._sessions:
             raise SessionError(f"session {session.session_id} is closed")
         idle = self.sim.now - session.last_used_at
-        if idle > self.session_idle_timeout_s:
+        if idle > SESSION_IDLE_TIMEOUT_S:
             session.closed = True
             del self._sessions[session.session_id]
             raise SessionError(

@@ -31,6 +31,21 @@ from repro.storage.copy_engine import CopyFailed
 from repro.tracing import PHASE_REQUEST, PHASE_RETRY
 
 
+#: The per-VM retry policy a director uses unless given one: one
+#: re-placement after backoff. Deploy retries also cover
+#: :class:`OperationError`: a host flapping between placement and
+#: execution surfaces as a precondition failure, and re-placement
+#: elsewhere is exactly the right response.
+DEPLOY_RETRY_POLICY = RetryPolicy(
+    max_attempts=2,
+    base_backoff_s=2.0,
+    backoff_multiplier=2.0,
+    max_backoff_s=30.0,
+    jitter=0.5,
+    retry_on=(TransientError, OperationError),
+)
+
+
 @dataclasses.dataclass
 class DeployRequest:
     """A tenant's request: N instances of a catalog item as one vApp."""
@@ -55,21 +70,16 @@ class CloudDirector:
         library: TemplateLibrary,
         catalog: Catalog,
         placement: PlacementEngine | None = None,
-        retries_per_vm: int = 1,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if retries_per_vm < 0:
-            raise ValueError("retries_per_vm must be >= 0")
         self.server = server
         self.sim = server.sim
         self.cluster = cluster
         self.library = library
         self.catalog = catalog
         self.placement = placement or PlacementEngine()
-        self.retries_per_vm = retries_per_vm
-        # Explicit policy wins; otherwise one is derived from retries_per_vm
-        # at deploy time (the attribute is mutable for ablations).
-        self.retry_policy = retry_policy
+        # The per-VM retry policy; the attribute is mutable for ablations.
+        self.retry_policy = retry_policy if retry_policy is not None else DEPLOY_RETRY_POLICY
         self._retry_rng = server.streams.stream(f"{server.name}:director-retry")
         # Requests and re-placements (examples and chaos sweeps read them)
         # and every settled vApp's deploy latency (its percentiles).
@@ -143,24 +153,6 @@ class CloudDirector:
             if agent is not None and agent.breaker is not None and agent.breaker.engaged:
                 out.add(host.entity_id)
         return out
-
-    def _effective_policy(self) -> RetryPolicy:
-        """The per-VM retry policy for this deploy.
-
-        Deploy retries also cover :class:`OperationError`: a host flapping
-        between placement and execution surfaces as a precondition failure,
-        and re-placement elsewhere is exactly the right response.
-        """
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return RetryPolicy(
-            max_attempts=1 + self.retries_per_vm,
-            base_backoff_s=2.0,
-            backoff_multiplier=2.0,
-            max_backoff_s=30.0,
-            jitter=0.5,
-            retry_on=(TransientError, OperationError),
-        )
 
     # -- deploy ----------------------------------------------------------------
 
@@ -270,7 +262,7 @@ class CloudDirector:
         storage_per_vm: float,
         vm_span,
     ) -> typing.Generator[typing.Any, typing.Any, typing.Any]:
-        policy = self._effective_policy()
+        policy = self.retry_policy
         excluded: set[str] = set()
         excluded_ds: set[str] = set()
         for attempt in range(policy.max_attempts):

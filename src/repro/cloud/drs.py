@@ -17,32 +17,27 @@ from repro.controlplane.server import ManagementServer
 
 
 class LoadBalancer:
-    """Periodic greedy rebalancer over a cluster.
+    """Greedy rebalancer over a cluster, one round per :meth:`rebalance_once`.
 
     Imbalance metric: max - min powered-on VMs per usable host. When it
     exceeds ``imbalance_threshold``, up to ``max_moves_per_round`` VMs
-    migrate from the most- to the least-loaded host.
+    migrate from the most- to the least-loaded host. The caller decides
+    when rounds run (for example, until a round moves nothing).
     """
 
     def __init__(
         self,
         server: ManagementServer,
         cluster: Cluster,
-        check_interval_s: float = 300.0,
         imbalance_threshold: int = 2,
         max_moves_per_round: int = 2,
     ) -> None:
-        if check_interval_s <= 0:
-            raise ValueError("check_interval_s must be positive")
         if imbalance_threshold < 1 or max_moves_per_round < 1:
             raise ValueError("threshold and moves must be >= 1")
         self.server = server
         self.cluster = cluster
-        self.check_interval_s = check_interval_s
         self.imbalance_threshold = imbalance_threshold
         self.max_moves_per_round = max_moves_per_round
-        self._until: float | None = None
-        self._running = False
 
     # -- scoring ------------------------------------------------------------
 
@@ -97,24 +92,3 @@ class LoadBalancer:
                 continue
             completed += 1
         return completed
-
-    def start(self, until: float | None = None) -> None:
-        if self._running:
-            raise RuntimeError("load balancer already started")
-        self._running = True
-        self._until = until
-        self.server.sim.spawn(self._loop(), name="drs")
-
-    def stop(self) -> None:
-        self._until = self.server.sim.now
-
-    def _loop(self) -> typing.Generator:
-        sim = self.server.sim
-        while True:
-            yield sim.timeout(self.check_interval_s)
-            if self._until is not None and sim.now >= self._until:
-                return
-            try:
-                yield from self.rebalance_once()
-            except Exception:
-                pass  # a failed round must not stop the balancer

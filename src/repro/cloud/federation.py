@@ -401,9 +401,6 @@ class FederatedCloud:
     def completed_tasks(self) -> int:
         return self.plane.completed_tasks()
 
-    def utilization_snapshot(self, since: float = 0.0) -> dict[str, float]:
-        return self.plane.utilization_snapshot(since)
-
     def unresolved_submissions(self) -> list[str]:
         """Keys of bus-routed submissions whose reply never settled."""
         return [key for key, reply in self._submissions if not reply.triggered]

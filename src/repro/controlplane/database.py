@@ -96,9 +96,9 @@ class DatabaseModel:
         self._t_latency[kind].observe(self.sim.now - start)
         return self.sim.now - start
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Mean fraction of the pool busy over [since, now]."""
-        span = self.sim.now - since
+    def utilization(self) -> float:
+        """Mean fraction of the pool busy over [0, now]."""
+        span = self.sim.now
         if span <= 0:
             return 0.0
         return min(1.0, self._busy_seconds / (span * self.pool.capacity))

@@ -157,8 +157,8 @@ class HostAgent:
     def queue_depth(self) -> int:
         return self.slots.queue_depth
 
-    def utilization(self, since: float = 0.0) -> float:
-        span = self.sim.now - since
+    def utilization(self) -> float:
+        span = self.sim.now
         if span <= 0:
             return 0.0
         return min(1.0, self._busy_seconds / (span * self.slots.capacity))

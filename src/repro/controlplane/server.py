@@ -305,8 +305,8 @@ class ManagementServer:
         self._cpu_busy += service
         return self.sim.now - start
 
-    def cpu_utilization(self, since: float = 0.0) -> float:
-        span = self.sim.now - since
+    def cpu_utilization(self) -> float:
+        span = self.sim.now
         if span <= 0:
             return 0.0
         return min(1.0, self._cpu_busy / (span * self.cpu.capacity))
@@ -487,25 +487,25 @@ class ManagementServer:
 
     # -- reporting ------------------------------------------------------------------
 
-    def utilization_snapshot(self, since: float = 0.0) -> dict[str, float]:
-        """Utilization of each contended resource over [since, now]."""
+    def utilization_snapshot(self) -> dict[str, float]:
+        """Utilization of each contended resource over [0, now]."""
         agents = self.agents
         hostd = (
-            sum(agent.utilization(since) for agent in agents) / len(agents)
+            sum(agent.utilization() for agent in agents) / len(agents)
             if agents
             else 0.0
         )
         return {
-            "cpu": self.cpu_utilization(since),
-            "db": self.database.utilization(since),
+            "cpu": self.cpu_utilization(),
+            "db": self.database.utilization(),
             "hostd_mean": hostd,
             "lock_wait_mean_s": self.locks.contention(),
-            "task_queue_mean": self.tasks.depth.time_average(since),
+            "task_queue_mean": self.tasks.depth.time_average(),
         }
 
-    def bottleneck(self, since: float = 0.0) -> str:
+    def bottleneck(self) -> str:
         """Name of the most-utilized control-plane resource."""
-        snapshot = self.utilization_snapshot(since)
+        snapshot = self.utilization_snapshot()
         candidates = {k: snapshot[k] for k in ("cpu", "db", "hostd_mean")}
         return max(candidates, key=candidates.get)
 

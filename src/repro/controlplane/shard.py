@@ -107,11 +107,3 @@ class ShardedControlPlane:
         """Aggregate permanently failed (dead-lettered) tasks."""
         return sum(len(shard.tasks.dead_letters) for shard in self.shards)
 
-    def utilization_snapshot(self, since: float = 0.0) -> dict[str, float]:
-        """Mean per-resource utilization across shards."""
-        snapshots = [shard.utilization_snapshot(since) for shard in self.shards]
-        keys = snapshots[0].keys()
-        return {
-            key: sum(snapshot[key] for snapshot in snapshots) / len(snapshots)
-            for key in keys
-        }

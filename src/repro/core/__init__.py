@@ -1,11 +1,10 @@
-"""Public API: scenarios, the profiler, and the experiment registry.
+"""Public API: scenarios and the experiment registry.
 
 Start here::
 
-    from repro import CloudManagementProfiler, profiles
+    from repro import Scenario, profiles
 
-    profiler = CloudManagementProfiler(profiles.CLOUD_A, seed=7)
-    result = profiler.run(duration=6 * 3600.0)
+    result = Scenario(profiles.CLOUD_A, duration_s=6 * 3600.0, seed=7).run()
     print(result.report())
 """
 
@@ -20,17 +19,14 @@ __getattr__, __dir__ = _lazy_exports(
             "run_experiment",
         ),
         "repro.core.parallel": ("derive_seed", "resolve_parallelism", "run_cells"),
-        "repro.core.profiler": ("CloudManagementProfiler", "ProfileResult"),
         "repro.core.scenario": ("Scenario", "ScenarioResult"),
         "repro.core.sensitivity": ("sweep",),
     },
 )
 
 __all__ = [
-    "CloudManagementProfiler",
     "EXPERIMENTS",
     "ExperimentResult",
-    "ProfileResult",
     "Scenario",
     "ScenarioResult",
     "derive_seed",

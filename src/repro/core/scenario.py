@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.analysis.bottleneck import plane_breakdown, plane_breakdown_by_type
-from repro.analysis.latency import latency_by_type, latency_stats
+from repro.analysis.bottleneck import plane_breakdown
+from repro.analysis.latency import latency_by_type
 from repro.analysis.mix import operation_counts, operation_mix
+from repro.analysis.report import render_series, render_table
 from repro.analysis.timeseries import arrival_rate_series
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
 from repro.sim.kernel import Simulator
@@ -18,21 +19,13 @@ from repro.workloads.profiles import CloudProfile
 
 @dataclasses.dataclass
 class Scenario:
-    """A fully-specified run: profile + duration + seed + knobs.
-
-    ``stats_interval_s``/``stats_level`` optionally run the always-on
-    statistics-collection load alongside the workload (off by default so
-    headline exhibits isolate the operation stream; R-X2 studies the
-    interaction explicitly).
-    """
+    """A fully-specified run: profile + duration + seed + knobs."""
 
     profile: CloudProfile
     duration_s: float = 4 * 3600.0
     seed: int = 0
     costs: ControlPlaneCosts = DEFAULT_COSTS
     config: ControlPlaneConfig | None = None
-    stats_interval_s: float | None = None
-    stats_level: int = 1
 
     def run(self) -> "ScenarioResult":
         if self.duration_s <= 0:
@@ -45,21 +38,12 @@ class Scenario:
             costs=self.costs,
             config=self.config,
         )
-        if self.stats_interval_s is not None:
-            from repro.controlplane.stats_sync import StatsCollector
-
-            collector = StatsCollector(
-                driver.server,
-                interval_s=self.stats_interval_s,
-                level=self.stats_level,
-            )
-            collector.start(until=self.duration_s)
         driver.run(self.duration_s)
         return ScenarioResult(scenario=self, driver=driver)
 
 
 class ScenarioResult:
-    """The outcome of one scenario run: trace plus analysis accessors."""
+    """The outcome of one scenario run: trace, analyses and a text report."""
 
     def __init__(self, scenario: Scenario, driver: WorkloadDriver) -> None:
         self.scenario = scenario
@@ -81,17 +65,11 @@ class ScenarioResult:
     def operation_counts(self) -> dict[str, int]:
         return operation_counts(self.trace)
 
-    def latency_stats(self) -> dict[str, float]:
-        return latency_stats(self.trace)
-
     def latency_by_type(self) -> dict[str, dict[str, float]]:
         return latency_by_type(self.trace)
 
     def plane_breakdown(self) -> dict[str, float]:
         return plane_breakdown(self.trace)
-
-    def plane_breakdown_by_type(self) -> dict[str, dict[str, float]]:
-        return plane_breakdown_by_type(self.trace)
 
     def arrival_series(self, bin_s: float = 300.0):
         return arrival_rate_series(self.trace, bin_s=bin_s)
@@ -99,16 +77,69 @@ class ScenarioResult:
     def utilization(self) -> dict[str, float]:
         return self.server.utilization_snapshot()
 
-    def queue_depth_series(self) -> list[tuple[float, float]]:
-        return self.server.tasks.queue_depth_series()
-
     def failure_rate(self) -> float:
         if not self.trace:
             return 0.0
         return sum(1 for record in self.trace if not record.success) / len(self.trace)
 
-    def throughput(self) -> float:
-        """Completed operations per second over the full run."""
-        if self.server.sim.now <= 0:
-            return 0.0
-        return len(self.trace) / self.server.sim.now
+    def report(self) -> str:
+        """The full text characterization, section per analysis."""
+        sections = [
+            f"=== Management-workload profile: {self.scenario.profile.name} ===",
+            f"window: {self.scenario.duration_s:.0f}s  seed: {self.scenario.seed}  "
+            f"operations: {len(self.trace)}  failure rate: {self.failure_rate():.1%}",
+            "",
+        ]
+        mix_rows = sorted(
+            self.operation_mix().items(), key=lambda item: -item[1]
+        )
+        counts = self.operation_counts()
+        sections.append(
+            render_table(
+                ["operation", "share (%)", "count"],
+                [
+                    [op, f"{fraction * 100:.1f}", counts[op]]
+                    for op, fraction in mix_rows
+                ],
+                title="Operation mix",
+            )
+        )
+        sections.append("")
+        latency_rows = [
+            [op, f"{s['p50']:.2f}", f"{s['p95']:.2f}", f"{s['p99']:.2f}", s["count"]]
+            for op, s in self.latency_by_type().items()
+        ]
+        sections.append(
+            render_table(
+                ["operation", "p50 (s)", "p95 (s)", "p99 (s)", "n"],
+                latency_rows,
+                title="Operation latency",
+            )
+        )
+        sections.append("")
+        breakdown = self.plane_breakdown()
+        sections.append(
+            render_table(
+                ["plane", "share of wall time (%)"],
+                [[plane, f"{fraction * 100:.1f}"] for plane, fraction in breakdown.items()],
+                title="Plane attribution",
+            )
+        )
+        sections.append("")
+        utilization = self.utilization()
+        sections.append(
+            render_table(
+                ["resource", "value"],
+                [[key, f"{value:.3f}"] for key, value in utilization.items()],
+                title="Control-plane utilization",
+            )
+        )
+        series = self.arrival_series()
+        if series:
+            sections.append("")
+            sections.append(
+                render_series(
+                    "Arrival rate", series, x_name="t (s)", y_name="ops/s"
+                )
+            )
+        return "\n".join(sections)

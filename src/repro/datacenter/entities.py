@@ -40,8 +40,6 @@ class ManagedEntity:
 class Network(ManagedEntity):
     """A virtual network (port group). VMs attach NICs to networks."""
 
-    vlan: int = 0
-
 
 @dataclasses.dataclass(eq=False)
 class Datastore(ManagedEntity):
@@ -84,7 +82,6 @@ class Host(ManagedEntity):
     sharing make >1.0 the norm).
     """
 
-    cpu_cores: int = 16
     memory_gb: float = 128.0
     memory_overcommit: float = 1.5
     state: HostState = HostState.CONNECTED
@@ -160,7 +157,6 @@ class Cluster(ManagedEntity):
     """
 
     hosts: list[Host] = dataclasses.field(default_factory=list, init=False)
-    drs_enabled: bool = True
     _usable: typing.Optional[list[Host]] = dataclasses.field(
         default=None, init=False, repr=False
     )

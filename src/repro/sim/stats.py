@@ -22,26 +22,18 @@ class Gauge:
     the current simulated time; :meth:`time_average` integrates it.
     """
 
-    __slots__ = ("sim", "name", "value", "maximum", "_area", "_stamp", "_samples")
+    __slots__ = ("sim", "name", "value", "maximum", "_samples")
 
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name
         self.value = 0.0
         self.maximum = 0.0
-        self._area = 0.0
-        self._stamp = sim.now
         self._samples: list[tuple[float, float]] = [(sim.now, 0.0)]
-
-    def _settle(self) -> None:
-        now = self.sim.now
-        self._area += self.value * (now - self._stamp)
-        self._stamp = now
 
     def set(self, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"gauge {self.name!r} level must be finite, got {value!r}")
-        self._settle()
         self.value = value
         self.maximum = max(self.maximum, value)
         self._samples.append((self.sim.now, value))
@@ -51,24 +43,20 @@ class Gauge:
             raise ValueError(f"gauge {self.name!r} delta must be finite, got {delta!r}")
         self.set(self.value + delta)
 
-    def time_average(self, since: float = 0.0) -> float:
-        """Time-weighted mean level over [since, now]."""
-        self._settle()
-        span = self._stamp - since
-        if span <= 0:
+    def time_average(self) -> float:
+        """Time-weighted mean level over [0, now], integrated from the samples."""
+        now = self.sim.now
+        if now <= 0:
             return self.value
-        # Recompute the area restricted to [since, now] from samples.
         area = 0.0
         prev_time, prev_value = self._samples[0]
         for time, value in self._samples[1:]:
-            lo = max(prev_time, since)
-            hi = min(time, self._stamp)
-            if hi > lo:
-                area += prev_value * (hi - lo)
+            if time > prev_time:
+                area += prev_value * (time - prev_time)
             prev_time, prev_value = time, value
-        if self._stamp > max(prev_time, since):
-            area += prev_value * (self._stamp - max(prev_time, since))
-        return area / span
+        if now > prev_time:
+            area += prev_value * (now - prev_time)
+        return area / now
 
     def series(self) -> list[tuple[float, float]]:
         """The raw (time, level) step series."""

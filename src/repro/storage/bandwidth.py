@@ -82,10 +82,10 @@ class FairShareLink:
         self._reschedule()
         return done
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of [since, now] during which the link was busy."""
+    def utilization(self) -> float:
+        """Fraction of [0, now] during which the link was busy."""
         self._advance()
-        span = self.sim.now - since
+        span = self.sim.now
         if span <= 0:
             return 0.0
         return min(1.0, self._busy_area / span)

@@ -253,14 +253,6 @@ class TailSampler:
     def counts_by_class(self) -> dict[str, int]:
         return {cls: len(bucket) for cls, bucket in self._by_class.items()}
 
-    def reset(self) -> None:
-        for bucket in self._by_class.values():
-            bucket.clear()
-        self._by_trace.clear()
-        self._durations = LogHistogram("root_durations")
-        self._span_count = 0
-        self._normal_seen = 0
-
 
 class SampledTracer(Tracer):
     """A tracer whose finished traces pass through the tail sampler.
@@ -332,10 +324,6 @@ class SampledTracer(Tracer):
             for span in buffered
             if not span.finished
         ]
-
-    def clear(self) -> None:
-        self._active.clear()
-        self.sampler.reset()
 
     def retention_summary(self) -> dict[str, int]:
         """Counters for reports: offered/admitted/dropped/evicted + sizes."""

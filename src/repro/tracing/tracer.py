@@ -103,16 +103,8 @@ class Tracer:
     def roots(self) -> list[Span]:
         return [span for span in self.spans if span.parent_id is None]
 
-    def finished(self) -> list[Span]:
-        return [span for span in self.spans if span.finished]
-
     def open_spans(self) -> list[Span]:
         return [span for span in self.spans if not span.finished]
-
-    def clear(self) -> None:
-        """Forget all recorded spans (long-running sweeps between points)."""
-        self.spans.clear()
-        self._traces.clear()
 
 
 class NullTracer:

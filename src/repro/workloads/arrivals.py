@@ -24,6 +24,10 @@ from repro.sim.random import exponentials, uniforms
 
 NextArrival = typing.Callable[[float], float]
 
+#: The diurnal envelope's period (one day) and its peak time (14:00).
+DIURNAL_PERIOD_S = 86_400.0
+DIURNAL_PEAK_AT_S = 14 * 3600.0
+
 
 class ArrivalProcess:
     """Base: an arrival process, sampled through :meth:`sampler`."""
@@ -60,15 +64,14 @@ class Poisson(ArrivalProcess):
 class DiurnalPoisson(ArrivalProcess):
     """Non-homogeneous Poisson with a sinusoidal daily envelope.
 
-    Rate(t) = base · (1 + amplitude · cos(2π (t - peak) / period)), sampled
-    by thinning. ``amplitude`` in [0, 1): 0 is flat, 0.9 nearly shuts down
+    Rate(t) = base · (1 + amplitude · cos(2π (t - peak) / period)), with
+    the period and peak of :data:`DIURNAL_PERIOD_S` and
+    :data:`DIURNAL_PEAK_AT_S`, sampled by thinning. ``amplitude`` in [0, 1): 0 is flat, 0.9 nearly shuts down
     overnight.
     """
 
     base_rate: float
     amplitude: float = 0.6
-    period_s: float = 86_400.0
-    peak_at_s: float = 14 * 3600.0
 
     def __post_init__(self) -> None:
         if self.base_rate <= 0:
@@ -77,7 +80,7 @@ class DiurnalPoisson(ArrivalProcess):
             raise ValueError("amplitude must be in [0, 1)")
 
     def rate_at(self, time: float) -> float:
-        phase = 2.0 * math.pi * (time - self.peak_at_s) / self.period_s
+        phase = 2.0 * math.pi * (time - DIURNAL_PEAK_AT_S) / DIURNAL_PERIOD_S
         return self.base_rate * (1.0 + self.amplitude * math.cos(phase))
 
     def sampler(self, rng: random.Random) -> NextArrival:

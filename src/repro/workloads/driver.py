@@ -30,7 +30,6 @@ from repro.datacenter.templates import DEFAULT_SPECS, TemplateLibrary
 from repro.datacenter.vm import PowerState, VirtualDisk, VirtualMachine
 from repro.operations.base import OperationType
 from repro.operations.lifecycle import CreateSnapshot, DeleteSnapshot, ReconfigureVM
-from repro.operations.provisioning import CloneVM
 from repro.operations.migration import MigrateVM
 from repro.operations.power import PowerOff, PowerOn
 from repro.operations.reconfiguration import (
@@ -67,7 +66,6 @@ class WorkloadDriver:
         self._build_infrastructure()
         self.skipped: dict[str, int] = {}
         self._deploy_counter = 0
-        self._clone_counter = 0
         self._spares = SparePool(
             hosts=[
                 Host(entity_id=f"host-spare-{index}", name=f"spare{index:02d}")
@@ -281,30 +279,6 @@ class WorkloadDriver:
     def _delete_now(self, vapp: VApp) -> typing.Generator:
         if vapp.state not in (VAppState.DELETED, VAppState.DELETING):
             yield from self.director.delete(vapp)
-
-    def _issue_clone_linked(self) -> None:
-        self._issue_clone(linked=True)
-
-    def _issue_clone_full(self) -> None:
-        self._issue_clone(linked=False)
-
-    def _issue_clone(self, linked: bool) -> None:
-        """A raw template clone (trace replay uses these directly)."""
-        template = self.library.get(DEFAULT_SPECS[1].name)
-        host = self._pick(self.cluster.usable_hosts)
-        datastore = self._pick(self.cluster.shared_datastores())
-        if host is None or datastore is None:
-            self._skip("clone_no_capacity")
-            return
-        self._clone_counter += 1
-        operation = CloneVM(
-            template,
-            f"clone-{self._clone_counter}",
-            host,
-            datastore,
-            linked=linked,
-        )
-        self._submit_guarded(operation, "clone")
 
     def _issue_power_on(self) -> None:
         vm = self._pick(self._tenant_vms(PowerState.OFF))

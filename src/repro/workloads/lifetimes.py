@@ -14,20 +14,23 @@ import typing
 
 from repro.sim.random import CHUNK, lognormal_from_median, pareto
 
+#: The Pareto shape of the long-lived tail.
+TAIL_SHAPE = 1.2
+
 
 @dataclasses.dataclass(frozen=True)
 class LifetimeModel:
     """A mixture: lognormal body plus a Pareto tail.
 
-    ``tail_fraction`` of VMs are long-lived (Pareto, heavy tail from
-    ``tail_scale_s``); the rest draw lognormal around ``median_s``.
+    ``tail_fraction`` of VMs are long-lived (Pareto of shape
+    :data:`TAIL_SHAPE`, heavy tail from ``tail_scale_s``); the rest draw
+    lognormal around ``median_s``.
     """
 
     median_s: float
     sigma: float = 1.0
     tail_fraction: float = 0.10
     tail_scale_s: float = 7 * 86_400.0
-    tail_shape: float = 1.2
 
     def __post_init__(self) -> None:
         if self.median_s <= 0:
@@ -37,7 +40,7 @@ class LifetimeModel:
 
     def sample(self, rng: random.Random) -> float:
         if rng.random() < self.tail_fraction:
-            return pareto(rng, self.tail_shape, self.tail_scale_s)
+            return pareto(rng, TAIL_SHAPE, self.tail_scale_s)
         return lognormal_from_median(rng, self.median_s, self.sigma)
 
     def draws(self, rng: random.Random) -> typing.Callable[[], float]:
@@ -74,7 +77,7 @@ class LifetimeModel:
         sin = math.sin
         twopi = 2.0 * math.pi
         tail_fraction = self.tail_fraction
-        tail_exponent = -1.0 / self.tail_shape
+        tail_exponent = -1.0 / TAIL_SHAPE
         tail_scale = self.tail_scale_s
         median = self.median_s
         sigma = self.sigma

@@ -11,10 +11,10 @@ from repro.analysis import (
     operation_counts,
     operation_mix,
     plane_breakdown,
-    plane_breakdown_by_type,
     render_series,
     render_table,
 )
+from repro.analysis.report import BAR_WIDTH, SERIES_POINTS
 from repro.analysis.timeseries import peak_to_trough
 from repro.traces import TraceRecord
 
@@ -104,10 +104,17 @@ class TestBreakdown:
         assert out == {"control": 0.0, "data": 0.0, "unattributed": 0.0}
 
     def test_by_type(self):
+        """One op type's records split on their own, as R-F8 splits a
+        deploy batch."""
         records = [record("a", data=0.0), record("b", control=0.0)]
-        out = plane_breakdown_by_type(records)
+        out = {
+            op: plane_breakdown([r for r in records if r.op_type == op])
+            for op in ("a", "b")
+        }
         assert out["a"]["data"] == 0.0
+        assert out["a"]["control"] == pytest.approx(2.0 / 5.0)
         assert out["b"]["control"] == 0.0
+        assert out["b"]["data"] == pytest.approx(1.0 / 5.0)
 
 
 class TestReport:
@@ -126,10 +133,16 @@ class TestReport:
         assert "(empty)" in render_series("x", [])
 
     def test_render_series_bars_scale(self):
-        text = render_series("rate", [(0.0, 1.0), (1.0, 2.0)], bar_width=10)
+        text = render_series("rate", [(0.0, 1.0), (1.0, 2.0)])
         lines = text.splitlines()
-        assert lines[1].count("#") == 5
-        assert lines[2].count("#") == 10
+        assert lines[1].count("#") == BAR_WIDTH // 2
+        assert lines[2].count("#") == BAR_WIDTH
+
+    def test_render_series_downsamples_keeping_the_last_point(self):
+        pairs = [(float(x), 1.0) for x in range(3 * SERIES_POINTS + 2)]
+        lines = render_series("rate", pairs).splitlines()[1:]
+        assert len(lines) == SERIES_POINTS + 2
+        assert lines[-1].split()[0] == f"{3 * SERIES_POINTS + 1:.1f}"
 
 
 class TestExportSeriesCsv:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloud import Organization, User
-from repro.cloud.api import ApiGateway, SessionError
+from repro.cloud.api import SESSION_IDLE_TIMEOUT_S as IDLE_S, ApiGateway, SessionError
 from repro.sim import Simulator
 from repro.telemetry.metrics import Telemetry
 
@@ -36,20 +36,20 @@ def drive(sim, generator):
 
 class TestSessions:
     def test_closed_session_fails_validation(self, sim, user):
-        gateway = ApiGateway(sim, session_idle_timeout_s=100.0)
+        gateway = ApiGateway(sim)
         session = gateway.login(user)
-        sim.run(until=200.0)
+        sim.run(until=2 * IDLE_S)
         with pytest.raises(SessionError, match="expired"):
             gateway.validate(session)
         with pytest.raises(SessionError, match="closed"):
             gateway.validate(session)
 
     def test_idle_session_expires(self, sim, user):
-        gateway = ApiGateway(sim, session_idle_timeout_s=100.0)
+        gateway = ApiGateway(sim)
         session = gateway.login(user)
 
         def proc():
-            yield sim.timeout(200.0)
+            yield sim.timeout(2 * IDLE_S)
 
         process = sim.spawn(proc())
         sim.run(until=process)
@@ -59,12 +59,12 @@ class TestSessions:
             gateway.validate(session)
 
     def test_activity_keeps_session_alive(self, sim, user):
-        gateway = ApiGateway(sim, session_idle_timeout_s=100.0)
+        gateway = ApiGateway(sim)
         session = gateway.login(user)
 
         def proc():
             for _ in range(5):
-                yield sim.timeout(90.0)
+                yield sim.timeout(0.9 * IDLE_S)
                 gateway.validate(session)
             return "alive"
 
@@ -132,8 +132,6 @@ class TestAdmission:
             ApiGateway(sim, requests_per_minute=0.0)
         with pytest.raises(ValueError):
             ApiGateway(sim, burst=0.0)
-        with pytest.raises(ValueError):
-            ApiGateway(sim, session_idle_timeout_s=0.0)
 
 
 class TestShedding:

@@ -1,8 +1,11 @@
 """Integration tests for the cloud director."""
 
+import dataclasses
+
 import pytest
 
 from repro.cloud import DeployRequest, QuotaExceeded, VAppState
+from repro.cloud.director import DEPLOY_RETRY_POLICY
 from repro.datacenter import PowerState, VirtualMachine
 
 
@@ -82,7 +85,7 @@ def test_delete_twice_rejected(cloud):
 def test_partial_failure_from_host_fault_without_retries(cloud):
     # Every member lands on hosts[0]; a flaky agent there drops some of
     # their calls, and with retries disabled those members fail.
-    cloud.director.retries_per_vm = 0
+    cloud.director.retry_policy = dataclasses.replace(DEPLOY_RETRY_POLICY, max_attempts=1)
     cloud.server.agent(cloud.hosts[0]).faults.set_drop("flaky", 0.1)
     vapp = cloud.run_deploy(request(cloud, count=4))
     assert vapp.state == VAppState.PARTIAL
@@ -163,19 +166,6 @@ def test_breaker_engaged_host_avoided(cloud):
     # Steered around the tripped host up front: no failed attempt at all.
     assert vm.host is not cloud.hosts[0]
     assert cloud.director.vm_retries == 0
-
-
-def test_retries_validation(cloud):
-    from repro.cloud import CloudDirector
-
-    with pytest.raises(ValueError):
-        CloudDirector(
-            cloud.server,
-            cloud.cluster,
-            cloud.library,
-            cloud.catalog,
-            retries_per_vm=-1,
-        )
 
 
 def test_running_vapps_listing(cloud):

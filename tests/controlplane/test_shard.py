@@ -80,13 +80,6 @@ def test_more_shards_more_throughput():
     assert sim4.now < sim1.now
 
 
-def test_aggregate_utilization_snapshot():
-    sim, plane = run_storm(shard_count=2)
-    snapshot = plane.utilization_snapshot()
-    assert 0.0 <= snapshot["cpu"] <= 1.0
-    assert 0.0 <= snapshot["db"] <= 1.0
-
-
 def test_throughput_zero_before_time_advances():
     # An R-F9 cell with no clones never advances the clock: its rate is 0.
     from repro.core.experiments import _f9_cell

@@ -66,7 +66,7 @@ def test_server_datastores_listing():
 def test_profile_result_report_handles_empty_window():
     import dataclasses
 
-    from repro import CloudManagementProfiler, profiles
+    from repro import Scenario, profiles
     from repro.workloads.arrivals import Poisson
 
     sleepy = dataclasses.replace(
@@ -76,10 +76,10 @@ def test_profile_result_report_handles_empty_window():
         initial_vms_per_host=0,
         arrivals=Poisson(rate=1e-9),
     )
-    result = CloudManagementProfiler(sleepy, seed=1).run(duration=60.0)
+    result = Scenario(sleepy, duration_s=60.0, seed=1).run()
     report = result.report()
     assert "operations: 0" in report
-    assert result.throughput() == 0.0
+    assert result.trace == []
     assert result.failure_rate() == 0.0
 
 

@@ -1,10 +1,11 @@
-"""Integration tests for Scenario, the profiler, and the experiment registry."""
+"""Integration tests for Scenario, its report, and the experiment registry."""
 
 import dataclasses
 
 import pytest
 
-from repro import CloudManagementProfiler, Scenario, profiles, run_experiment
+from repro import Scenario, profiles, run_experiment
+from repro.analysis import plane_breakdown
 from repro.core.experiments import EXPERIMENTS, StormRig
 from repro.workloads.arrivals import Poisson
 
@@ -20,13 +21,19 @@ def tiny(profile=profiles.CLOUD_A):
     )
 
 
+def deploys(result):
+    records = [record for record in result.trace if record.op_type == "deploy"]
+    assert records
+    return records
+
+
 def test_scenario_runs_and_analyzes():
     result = Scenario(profile=tiny(), duration_s=1800.0, seed=3).run()
     assert len(result.trace) > 5
     mix = result.operation_mix()
     assert sum(mix.values()) == pytest.approx(1.0)
     assert 0.0 <= result.failure_rate() <= 1.0
-    assert result.throughput() > 0
+    assert sum(result.operation_counts().values()) == len(result.trace)
 
 
 def test_scenario_duration_validation():
@@ -38,12 +45,11 @@ def test_scenario_reproducible():
     a = Scenario(profile=tiny(), duration_s=900.0, seed=11).run()
     b = Scenario(profile=tiny(), duration_s=900.0, seed=11).run()
     assert [r.op_type for r in a.trace] == [r.op_type for r in b.trace]
-    assert a.latency_stats() == b.latency_stats()
+    assert a.latency_by_type() == b.latency_by_type()
 
 
 def test_profiler_report_sections():
-    profiler = CloudManagementProfiler(tiny(), seed=5)
-    result = profiler.run(duration=1800.0)
+    result = Scenario(profile=tiny(), duration_s=1800.0, seed=5).run()
     report = result.report()
     assert "Operation mix" in report
     assert "Operation latency" in report
@@ -56,21 +62,19 @@ def test_profiler_plane_breakdown_mostly_control_for_linked_cloud():
     """The paper's pivot, through the public API: once *all* provisioning
     is linked, aggregate management time is control-plane dominated."""
     all_linked = dataclasses.replace(tiny(), linked_clone_fraction=1.0)
-    result = CloudManagementProfiler(all_linked, seed=5).run(duration=1800.0)
+    result = Scenario(profile=all_linked, duration_s=1800.0, seed=5).run()
     breakdown = result.plane_breakdown()
     assert breakdown["control"] > breakdown["data"]
     # And per-type: linked deploys specifically are control-bound.
-    deploy = result.plane_breakdown_by_type().get("deploy")
-    assert deploy is not None
+    deploy = plane_breakdown(deploys(result))
     assert deploy["control"] > 0.9
 
 
 def test_profiler_mixed_cloud_data_time_dominated_by_minority_full_clones():
     """With even 5% full clones, the few byte-copies dominate wall time —
     the asymmetry that motivated clouds to go linked in the first place."""
-    result = CloudManagementProfiler(tiny(), seed=5).run(duration=1800.0)
-    deploy = result.plane_breakdown_by_type().get("deploy")
-    assert deploy is not None
+    result = Scenario(profile=tiny(), duration_s=1800.0, seed=5).run()
+    deploy = plane_breakdown(deploys(result))
     assert deploy["data"] > 0.5
 
 
@@ -140,12 +144,22 @@ def test_headline_linked_beats_full_and_is_control_bound():
 
 
 def test_scenario_with_stats_collection_runs_and_loads_db():
-    quiet = Scenario(profile=tiny(), duration_s=900.0, seed=4).run()
-    noisy = Scenario(
-        profile=tiny(), duration_s=900.0, seed=4, stats_interval_s=20.0, stats_level=4
-    ).run()
+    """A collector beside a profile's workload, built on the driver's
+    server as R-X2's cell builds one beside its storm."""
+    from repro.controlplane.stats_sync import StatsCollector
+    from repro.sim import RandomStreams, Simulator
+    from repro.workloads.driver import WorkloadDriver
+
+    def run(level):
+        driver = WorkloadDriver(Simulator(), RandomStreams(4), tiny())
+        if level:
+            StatsCollector(driver.server, interval_s=20.0, level=level).start(until=900.0)
+        driver.run(900.0)
+        return driver
+
+    quiet, noisy = run(0), run(4)
     # The stats rows keep the database busy: more than twice the quiet load.
     quiet_load = quiet.server.database.utilization()
     assert noisy.server.database.utilization() > quiet_load * 2
     # Workload itself still completed.
-    assert len(noisy.trace) > 0
+    assert len(noisy.trace()) > 0

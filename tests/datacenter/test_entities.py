@@ -131,4 +131,5 @@ def test_datacenter_aggregates_hosts_and_vms():
 
 def test_network_defaults():
     network = Network(entity_id="net-1", name="vm-net")
-    assert network.vlan == 0
+    assert network == Network(entity_id="net-1", name="renamed")
+    assert {network: 1}[Network(entity_id="net-1", name="vm-net")] == 1

@@ -105,12 +105,12 @@ def test_add_datastore_without_hosts_fails(cloud):
 
 
 def test_network_reconfig_pushes_to_cluster(cloud):
-    vlan_net = Network(entity_id="net-new", name="tenant-42", vlan=42)
-    cloud.server.inventory.register(vlan_net)
-    task = cloud.run_op(NetworkReconfig(cloud.cluster, vlan_net))
+    tenant_net = Network(entity_id="net-new", name="tenant-42")
+    cloud.server.inventory.register(tenant_net)
+    task = cloud.run_op(NetworkReconfig(cloud.cluster, tenant_net))
     assert task.state == TaskState.SUCCESS
     for host in cloud.cluster.usable_hosts:
-        assert vlan_net in host.networks
+        assert tenant_net in host.networks
 
 
 def test_network_reconfig_empty_cluster_fails(cloud):

@@ -68,22 +68,6 @@ def test_gauge_time_average():
     assert gauge.maximum == 6.0
 
 
-def test_gauge_time_average_since_window():
-    sim = Simulator()
-    gauge = Gauge(sim, "depth")
-
-    def proc():
-        gauge.set(10.0)
-        yield sim.timeout(5.0)
-        gauge.set(0.0)
-        yield sim.timeout(5.0)
-
-    sim.spawn(proc())
-    sim.run()
-    assert gauge.time_average(since=5.0) == pytest.approx(0.0)
-    assert gauge.time_average(since=0.0) == pytest.approx(5.0)
-
-
 def test_gauge_add_is_relative():
     sim = Simulator()
     gauge = Gauge(sim, "depth")

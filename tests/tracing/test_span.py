@@ -120,12 +120,6 @@ class TestTracer:
         root.finish()
         assert tracer.open_spans() == []
 
-    def test_clear(self, tracer):
-        tracer.start_trace("r", phase="task")
-        tracer.clear()
-        assert tracer.spans == []
-        assert tracer.roots() == []
-
     def test_plane_seconds_counts_only_ok_plane_tagged(self, sim, tracer):
         root = tracer.start_trace("r", phase="task")
         ctl = root.child("validate", phase="cpu", tags={"plane": "control"})

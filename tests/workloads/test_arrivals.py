@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import RandomStreams
 from repro.workloads import DiurnalPoisson, MMPPBurst, Poisson
+from repro.workloads.arrivals import DIURNAL_PEAK_AT_S, DIURNAL_PERIOD_S
 
 
 def draw(process, count, seed=1):
@@ -33,18 +34,20 @@ def test_poisson_validation():
 
 
 def test_diurnal_peak_denser_than_trough():
-    process = DiurnalPoisson(base_rate=0.1, amplitude=0.8, peak_at_s=12 * 3600.0)
+    # The peak is at 14:00, the trough at 02:00.
+    process = DiurnalPoisson(base_rate=0.1, amplitude=0.8)
     times = draw(process, 40000, seed=3)
     one_day = [t % 86400 for t in times if t < 10 * 86400]
-    peak_window = sum(1 for t in one_day if 10 * 3600 <= t < 14 * 3600)
-    trough_window = sum(1 for t in one_day if 22 * 3600 <= t or t < 2 * 3600)
+    peak_window = sum(1 for t in one_day if 12 * 3600 <= t < 16 * 3600)
+    trough_window = sum(1 for t in one_day if t < 4 * 3600)
     assert peak_window > 3 * trough_window
 
 
 def test_diurnal_rate_at_peak_and_trough():
-    process = DiurnalPoisson(base_rate=1.0, amplitude=0.5, peak_at_s=0.0)
-    assert process.rate_at(0.0) == pytest.approx(1.5)
-    assert process.rate_at(43200.0) == pytest.approx(0.5)
+    process = DiurnalPoisson(base_rate=1.0, amplitude=0.5)
+    assert process.rate_at(DIURNAL_PEAK_AT_S) == pytest.approx(1.5)
+    assert process.rate_at(DIURNAL_PEAK_AT_S + DIURNAL_PERIOD_S) == pytest.approx(1.5)
+    assert process.rate_at(DIURNAL_PEAK_AT_S - DIURNAL_PERIOD_S / 2) == pytest.approx(0.5)
 
 
 def test_diurnal_validation():

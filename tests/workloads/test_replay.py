@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.comparison import compare_traces, comparison_report
+from repro.analysis.comparison import MIN_SAMPLES, compare_traces, comparison_report
 from repro.controlplane import ControlPlaneConfig
 from repro.sim import RandomStreams, Simulator
 from repro.traces import TraceRecord
@@ -117,7 +117,8 @@ class TestComparison:
 
     def test_min_samples_filters(self, recorded):
         rare = [r for r in recorded if r.op_type == "deploy"][:1]
-        headers, rows = compare_traces(rare, rare, min_samples=3)
+        assert len(rare) < MIN_SAMPLES
+        headers, rows = compare_traces(rare, rare)
         assert rows == []
 
     def test_report_contains_summary(self, recorded):
