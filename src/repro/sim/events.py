@@ -253,13 +253,16 @@ class Condition(Event):
 
     The condition evaluates each time a constituent fires. A failing
     constituent fails the condition immediately with the same exception.
+    ``_next`` is :class:`AllOf`'s scan cursor: every constituent before it
+    has been processed and succeeded.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("events", "_next")
 
     def __init__(self, sim: "Simulator", events: typing.Sequence[Event], name: str = "") -> None:
         super().__init__(sim, name=name)
         self.events = list(events)
+        self._next = 0
         for event in self.events:
             if event.sim is not sim:
                 raise ValueError("all constituent events must share a simulator")
@@ -295,12 +298,27 @@ class Condition(Event):
 
 
 class AllOf(Condition):
-    """Succeeds once every constituent event has succeeded."""
+    """Succeeds once every constituent event has succeeded.
+
+    A processed, successful event stays so (the condition holds it, so it
+    is never recycled), so each evaluation resumes the scan at the cursor
+    instead of rescanning from the head: a fan-out over N events costs
+    O(N) checks in all, not O(N) per completion.
+    """
 
     __slots__ = ()
 
     def _evaluate(self) -> bool:
-        return all(event.processed and event.ok for event in self.events)
+        events = self.events
+        index = self._next
+        count = len(events)
+        while index < count:
+            event = events[index]
+            if event._state != PROCESSED or event._exception is not None:
+                break
+            index += 1
+        self._next = index
+        return index == count
 
 
 class AnyOf(Condition):
@@ -309,4 +327,5 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def _evaluate(self) -> bool:
-        return any(event.processed and event.ok for event in self.events)
+        # Reached only from ``_check`` with a processed, successful event.
+        return True
