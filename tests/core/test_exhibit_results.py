@@ -2,10 +2,10 @@
 
 Every registered exhibit is deterministic given the seed: the same
 ``.txt`` and ``.csv`` come out whatever ran earlier in the process and
-whatever ``PYTHONHASHSEED`` is. The eighteen below take at most a few
-seconds each at full size (R-T2, R-F7 and R-F1 the longest), so the exact
-comparison runs in the fast suite instead of the inequality asserts of
-the benches. The slow six (R-F5, R-F-alerts, R-X3, R-X6, R-X7,
+whatever ``PYTHONHASHSEED`` is. The nineteen below take at most a few
+seconds each at full size (R-T2, R-F7, R-F1 and R-F-alerts the longest),
+so the exact comparison runs in the fast suite instead of the inequality
+asserts of the benches. The slow five (R-F5, R-X3, R-X6, R-X7,
 R-F-hyperscale) are compared by ``benchmarks/check_exhibit_results.py``.
 """
 
@@ -21,7 +21,8 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "resu
 
 FAST_EXHIBITS = [
     "R-T1", "R-T2", "R-T3", "R-F1", "R-F2", "R-F3", "R-F4", "R-F6", "R-F7", "R-F8",
-    "R-F9", "R-F10", "R-F-phase", "R-X1", "R-X2", "R-X4", "R-X5", "R-X8",
+    "R-F9", "R-F10", "R-F-phase", "R-F-alerts", "R-X1", "R-X2", "R-X4", "R-X5",
+    "R-X8",
 ]
 
 
