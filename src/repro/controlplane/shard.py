@@ -106,4 +106,3 @@ class ShardedControlPlane:
     def dead_letters(self) -> int:
         """Aggregate permanently failed (dead-lettered) tasks."""
         return sum(len(shard.tasks.dead_letters) for shard in self.shards)
-
