@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""List the functions under ``src/`` that no shipped run enters.
+"""List the functions under ``src/`` that no shipped run enters, and the
+parameter defaults that no shipped run overrides.
 
 One process runs, under a function-level trace (``sys.settrace``; the
 global trace function sees only the call event of each new frame):
@@ -12,15 +13,31 @@ global trace function sees only the call event of each new frame):
 - the six examples, with CI's and the smoke tests' arguments;
 - the four perfbench workloads at small size, with their summaries.
 
-It then prints each function, method, property or nested function
-defined under ``src/repro`` whose code never started, with its size in
-lines, and a total. A name listed here is reached only by tests (or by
-nothing): delete it with its tests rewritten onto the live path, or say
-why it stays. Lambdas and class bodies are not listed.
+It then prints two lists, each with a total:
 
-Takes about 80 s on a 2-core container and writes only to a temporary
+1. each function, method, property or nested function defined under
+   ``src/repro`` whose code never started, with its size in lines.
+   Lambdas and class bodies are not listed;
+2. each defaulted parameter of a function or dataclass under
+   ``src/repro`` that did run, but never with that parameter set to
+   another value. The same trace sees every call's arguments; passing
+   the default's own value counts as leaving it unset. Only functions
+   reachable from a module's namespace are covered (module functions,
+   methods, static and class methods, and the ``__init__`` a dataclass
+   generates), not nested functions or lambdas.
+
+A name in either list is reached or set only by tests (or by nothing):
+delete it with its tests rewritten onto the live path or onto a
+constant, or say why it stays. Every module is imported under the trace
+before the runs start, and a call made while a module is being imported
+does not count as setting a parameter. So a value set only where a
+module-level constant is built (say, a config object in a table of
+postures) looks unset to the trace: grep for the parameter before
+deleting it.
+
+Takes about 110 s on a 2-core container and writes only to a temporary
 directory. Not part of CI; rerun it for each pass over what no run
-reaches::
+reaches or sets::
 
     PYTHONPATH=src python benchmarks/unreached.py
 """
@@ -29,13 +46,18 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import dis
+import importlib
+import inspect
 import io
 import os
 import pathlib
+import pkgutil
 import runpy
 import sys
 import tempfile
 import time
+import types
 import typing
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -132,6 +154,90 @@ def defined_functions() -> list[Function]:
     return found
 
 
+#: Code flags of functions whose frame resumes, raising a call event per resume.
+_RESUMES = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+
+
+class Defaulted(typing.NamedTuple):
+    """The defaulted parameters of one function, by name."""
+
+    path: str
+    line: int
+    qualname: str
+    defaults: dict[str, typing.Any]
+    # For a generator, the instruction its first call event stops at;
+    # later call events are resumes, whose locals the body has changed.
+    entry: int | None
+
+
+def _where(obj: typing.Any) -> tuple[str, int]:
+    path = pathlib.Path(inspect.getsourcefile(obj)).resolve()
+    return str(path.relative_to(ROOT)), inspect.getsourcelines(obj)[1]
+
+
+def defaulted_parameters() -> dict[types.CodeType, Defaulted]:
+    """Every module-reachable function under ``src/repro`` with defaults.
+
+    Imports every module of the package.
+    """
+    import repro
+
+    found: dict[types.CodeType, Defaulted] = {}
+
+    def add(function: typing.Any, owner: typing.Any) -> None:
+        """Record ``function``'s defaults, listed at ``owner``'s definition."""
+        function = inspect.unwrap(function)
+        if not isinstance(function, types.FunctionType):
+            return
+        code = function.__code__
+        positional = code.co_varnames[: code.co_argcount]
+        values = function.__defaults__ or ()
+        defaults = dict(zip(positional[len(positional) - len(values):], values))
+        defaults.update(function.__kwdefaults__ or {})
+        if not defaults or code in found:
+            return
+        entry = None
+        if code.co_flags & _RESUMES:
+            entry = next(i.offset for i in dis.get_instructions(code) if i.opname == "RESUME")
+        found[code] = Defaulted(*_where(owner), owner.__qualname__, defaults, entry)
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if isinstance(value, types.FunctionType):
+                add(value, value)
+            elif isinstance(value, type):
+                for member in vars(value).values():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if not isinstance(member, types.FunctionType):
+                        continue
+                    filename = pathlib.Path(member.__code__.co_filename)
+                    if not filename.is_file():  # generated, e.g. a dataclass __init__
+                        add(member, value)
+                    elif filename.resolve().is_relative_to(SRC):
+                        add(member, member)
+    return found
+
+
+def _short_repr(value: typing.Any) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _unchanged(value: typing.Any, default: typing.Any) -> bool:
+    if value is default:
+        return True
+    try:
+        return type(value) is type(default) and bool(value == default)
+    except Exception:  # an __eq__ that cannot answer counts as a change
+        return False
+
+
 def run_all(tmp: str) -> list[str]:
     """Drive every run; return a description of each that did not exit 0."""
     from repro.analysis.report import export_series_csv
@@ -198,15 +304,28 @@ def run_all(tmp: str) -> list[str]:
 
 def main() -> int:
     functions = defined_functions()
+    parameters: dict[types.CodeType, Defaulted] = {}
+    # Code -> names of its defaulted parameters no call has set yet.
+    unset: dict[types.CodeType, set[str]] = {}
     entered: set[tuple[str, int, str]] = set()
     codes: set = set()
 
     def trace(frame, event, arg):
-        codes.add(frame.f_code)
+        code = frame.f_code
+        codes.add(code)
+        names = unset.get(code)
+        if names:
+            entry = parameters[code]
+            if entry.entry is None or frame.f_lasti == entry.entry:
+                values = frame.f_locals
+                for name in [n for n in names if not _unchanged(values[n], entry.defaults[n])]:
+                    names.discard(name)
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.settrace(trace)
         try:
+            parameters.update(defaulted_parameters())
+            unset.update((code, set(entry.defaults)) for code, entry in parameters.items())
             failures = run_all(tmp)
         finally:
             sys.settrace(None)
@@ -223,7 +342,19 @@ def main() -> int:
         print(f"{relative}:{function.line}  {function.qualname}  ({function.size} lines)")
     print(
         f"\n{len(unreached)} of {len(functions)} functions under src/repro unreached, "
-        f"{sum(function.size for function in unreached)} lines"
+        f"{sum(function.size for function in unreached)} lines\n"
+    )
+    ran = [code for code in parameters if code in codes]
+    never_set = sorted(
+        ((parameters[code], name) for code in ran for name in unset[code]),
+        key=lambda pair: (pair[0].path, pair[0].line, pair[0].qualname, pair[1]),
+    )
+    for entry, name in never_set:
+        default = _short_repr(entry.defaults[name])
+        print(f"{entry.path}:{entry.line}  {entry.qualname}({name}={default})")
+    print(
+        f"\n{len(never_set)} of {sum(len(parameters[code].defaults) for code in ran)} "
+        "defaulted parameters of entered functions under src/repro never set"
     )
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)

@@ -28,7 +28,7 @@ from repro.tracing.tracer import Tracer
 
 # Phases counted as control-plane time in exhibit summaries.
 CONTROL_PHASES = frozenset(
-    {"task", "queue", "admission", "placement", "db", "agent", "retry", "cpu", "lock", "request"}
+    {"task", "queue", "placement", "db", "agent", "retry", "cpu", "lock", "request"}
 )
 
 
@@ -99,7 +99,7 @@ def queueing_service_split(root: Span) -> dict[str, float]:
 
     Wait spans are marked with a ``wait`` tag by the instrumentation
     (dispatch-queue waits, CPU/DB/agent pool waits, copy-slot waits,
-    gateway admission, retry backoff). Exclusive time is used on both
+    retry backoff). Exclusive time is used on both
     sides, so the two buckets sum to the attributed total.
     """
     if root.is_null:

@@ -18,7 +18,6 @@ from repro.faults.errors import TransientError
 from repro.sim.kernel import Simulator
 from repro.sim.resources import TokenBucket
 from repro.telemetry.metrics import NULL_TELEMETRY
-from repro.tracing import NULL_SPAN, PHASE_ADMISSION
 
 #: A session idle for longer than this expires at its next use.
 SESSION_IDLE_TIMEOUT_S = 1800.0
@@ -128,45 +127,30 @@ class ApiGateway:
             )
         return self._buckets[org.name]
 
-    def admit(
-        self, session: Session, cost: float = 1.0, span=NULL_SPAN
-    ) -> typing.Generator[typing.Any, typing.Any, float]:
+    def admit(self, session: Session) -> typing.Generator[typing.Any, typing.Any, float]:
         """Process-style: validate + throttle; returns the admission wait.
 
         With shedding enabled, an overloaded control plane rejects the
         request up front (:class:`AdmissionShed`) instead of queueing it.
         """
-        admit_span = (
-            span.child("gateway.admit", phase=PHASE_ADMISSION, tags={"wait": True})
-            if not span.is_null
-            else span
-        )
-        try:
-            self.validate(session)
-            if self.queue_depth_probe is not None:
-                depth = self.queue_depth_probe()
-                if depth >= self.shed_watermark:
-                    self._t_shed.add()
-                    raise AdmissionShed(
-                        f"task backlog {depth:.0f} >= watermark "
-                        f"{self.shed_watermark:.0f}; request shed"
-                    )
-            start = self.sim.now
-            yield from self._bucket(session.user.org).take(cost)
-        except BaseException as exc:
-            admit_span.finish(error=type(exc).__name__)
-            raise
-        admit_span.finish()
+        self.validate(session)
+        if self.queue_depth_probe is not None:
+            depth = self.queue_depth_probe()
+            if depth >= self.shed_watermark:
+                self._t_shed.add()
+                raise AdmissionShed(
+                    f"task backlog {depth:.0f} >= watermark "
+                    f"{self.shed_watermark:.0f}; request shed"
+                )
+        start = self.sim.now
+        yield from self._bucket(session.user.org).take()
         wait = self.sim.now - start
         self._t_admitted.add()
-        self._t_wait.observe(
-            wait,
-            trace_id=None if admit_span.is_null else admit_span.trace_id,
-        )
+        self._t_wait.observe(wait)
         return wait
 
     def submit_deploy(
-        self, session: Session, director, request, cost: float = 1.0, span=NULL_SPAN
+        self, session: Session, director, request
     ) -> typing.Generator[typing.Any, typing.Any, typing.Any]:
         """Process-style: admit, then hand the deploy to the director.
 
@@ -175,7 +159,7 @@ class ApiGateway:
         this waits on the reply; with direct calls it is a plain director
         call. Returns the settled vApp either way.
         """
-        yield from self.admit(session, cost=cost, span=span)
+        yield from self.admit(session)
         bus = director.server.bus
         if not bus.mediated:
             vapp = yield from director.deploy(request)
@@ -184,7 +168,7 @@ class ApiGateway:
         key = f"deploy:{request.vapp_name}:{self._deploy_seq}"
         reply = self.sim.event(name=f"bus-reply:{key}")
         yield from bus.publish(
-            director.deploy_topic_name, request, key=key, reply=reply, span=span
+            director.deploy_topic_name, request, key=key, reply=reply
         )
         vapp = yield reply
         return vapp

@@ -34,9 +34,7 @@ it instead:
   across shard boundaries.
 
 Per-shard ``steals`` / ``spills`` / ``reroutes`` / ``remote_completions``
-counters surface through telemetry probes (``federation_*{shard=...}``)
-and a dedicated section in the ``repro-top`` dashboard; the ``hot_shard``
-triage rule pattern-matches on them. R-X8 is the exhibit.
+counters live in :attr:`FederatedCloud.shard_stats`. R-X8 is the exhibit.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from repro.datacenter.templates import DEFAULT_SPECS, TemplateLibrary
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
 from repro.sim.stats import LatencyRecorder
-from repro.telemetry import NULL_TELEMETRY
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.controlplane.bus import Message, MessageBus
@@ -133,7 +130,6 @@ class FederatedCloud:
         config: ControlPlaneConfig | None = None,
         bus: "MessageBus | None" = None,
         journal: bool = False,
-        telemetry=None,
         spill_queue_depth: int = 6,
     ) -> None:
         if shard_count < 1 or hosts_per_shard < 1:
@@ -197,22 +193,6 @@ class FederatedCloud:
                     placement=PlacementEngine(),
                 )
             )
-
-        t = telemetry if telemetry is not None else NULL_TELEMETRY
-        for index, shard in enumerate(self.plane.shards):
-            stats = self.shard_stats[index]
-            for field, help_text in (
-                ("steals", "submissions pulled from the shared pool for another home"),
-                ("spills", "submissions spilled off this shard by saturation"),
-                ("reroutes", "submissions re-routed off this shard by a crash window"),
-                ("remote_completions", "stolen submissions carried to completion here"),
-            ):
-                t.probe(
-                    f"federation_{field}",
-                    lambda s=stats, f=field: float(getattr(s, f)),
-                    help=help_text,
-                    shard=shard.name,
-                )
 
         self._local_topics: list = []
         self._shared_topic = None

@@ -1062,9 +1062,11 @@ def experiment_x3_fault_goodput(seed: int, quick: bool, parallel: int | None) ->
     - ``none``: first failure is final (the pre-resilience plane);
     - ``retries``: the director re-places failed VMs with backoff;
     - ``full``: re-placement plus per-agent circuit breakers (fail fast
-      instead of burning the call timeout), task deadlines, task-level
-      retries for non-host-pinned transients under a retry budget, and
-      admission shedding at the API gateway.
+      instead of burning the call timeout), task deadlines, and admission
+      shedding at the API gateway. Its control plane also arms task-level
+      retries for ``InjectedFault``/``ShardUnavailable``, but the standard
+      schedule raises only ``HostAgentError`` and ``CopyFailed`` into
+      tasks, so none fires: the ``task retries`` column reads 0.
 
     Goodput counts successfully deployed VMs over the arrival window.
     Acceptance: goodput(none) < goodput(retries) < goodput(full); zero
@@ -1351,12 +1353,10 @@ def experiment_x5_bus_chaos(seed: int, quick: bool, parallel: int | None) -> Exp
 # R-F-phase — stacked per-phase provisioning-latency breakdown.
 # --------------------------------------------------------------------------
 
-# Raw span phases folded into the exhibit's stack. Gateway admission folds
-# into "queue" (both are waiting to be let in); task/request/retry self time
-# (scheduling gaps, attempt framing, backoff) is "other".
+# Raw span phases folded into the exhibit's stack. Task/request/retry self
+# time (scheduling gaps, attempt framing, backoff) is "other".
 PHASE_FOLD: dict[str, str] = {
     "queue": "queue",
-    "admission": "queue",
     "placement": "placement",
     "db": "db",
     "agent": "agent",
@@ -1646,8 +1646,8 @@ def experiment_x7_flight_recorder(seed: int, quick: bool, parallel: int | None) 
     retained-span peak <= 25% of the full-trace span count.
     """
     from repro.triage.harness import QUICK_KINDS, SWEEP_KINDS, triage_sweep
+    from repro.triage.scoring import GRACE_S
 
-    grace_s = 240.0
     budget = 2048
     kinds = QUICK_KINDS if quick else SWEEP_KINDS
     runs_per_kind = 1 if quick else 2
@@ -1657,7 +1657,7 @@ def experiment_x7_flight_recorder(seed: int, quick: bool, parallel: int | None) 
     offered_total = 0
     _, points = triage_sweep(
         range(seed, seed + runs_per_kind * len(kinds)), kinds, parallel,
-        grace_s=grace_s, sample_budget=budget, recorder=True,
+        sample_budget=budget, recorder=True,
     )
     for point in points:
         retained_total += point.retention["retained_spans"]
@@ -1670,7 +1670,7 @@ def experiment_x7_flight_recorder(seed: int, quick: bool, parallel: int | None) 
         tally[1] += 1
         window = point.manifest.windows[0]
         if any(
-            bundle.spans_overlapping(window.start_s, window.end_s + grace_s) > 0
+            bundle.spans_overlapping(window.start_s, window.end_s + GRACE_S) > 0
             for bundle in point.bundles
         ):
             tally[3] += 1
@@ -1691,7 +1691,7 @@ def experiment_x7_flight_recorder(seed: int, quick: bool, parallel: int | None) 
             f"produced {bundles} incident bundles",
             f"bundle coverage: {covered}/{alerting} alerting runs have a "
             f"bundle whose retained spans overlap the injected fault window "
-            f"(+{grace_s:g}s grace): {'PASS' if coverage_ok else 'FAIL'}",
+            f"(+{GRACE_S:g}s grace): {'PASS' if coverage_ok else 'FAIL'}",
             f"retention: {retained_total} retained spans vs {offered_total} "
             f"full-trace spans = {ratio:.1%} (gate <= 25%): "
             f"{'PASS' if retention_ok else 'FAIL'}",

@@ -48,14 +48,12 @@ class CloneVM(Operation):
         target_host: Host,
         target_datastore: Datastore,
         linked: bool,
-        power_on_after: bool = False,
     ) -> None:
         self.source = source
         self.name = name
         self.target_host = target_host
         self.target_datastore = target_datastore
         self.linked = linked
-        self.power_on_after = power_on_after
         self.op_type = OperationType.CLONE_LINKED if linked else OperationType.CLONE_FULL
 
     def run(self, server: "ManagementServer", task: "Task") -> typing.Generator:
@@ -132,27 +130,6 @@ class CloneVM(Operation):
                 tag=PHASE_DB,
             )
             vm.place_on(self.target_host)
-
-            if self.power_on_after:
-                yield from self.timed(
-                    server,
-                    task,
-                    "power_on",
-                    CONTROL,
-                    lambda span: agent.call(
-                        "power_on", costs.host_power_on_s, span=span, task=task
-                    ),
-                    tag=PHASE_AGENT,
-                )
-                vm.power_state = PowerState.ON
-                yield from self.timed(
-                    server,
-                    task,
-                    "power_on_db",
-                    CONTROL,
-                    lambda span: server.database.write(rows=1, span=span),
-                    tag=PHASE_DB,
-                )
 
             yield from self.timed(
                 server,
@@ -292,9 +269,7 @@ class CloneVM(Operation):
         ]
 
     def _is_complete(self, vm: VirtualMachine) -> bool:
-        if vm.host is None:
-            return False
-        return not self.power_on_after or vm.power_state is PowerState.ON
+        return vm.host is not None
 
     def recovery_probe(self, server: "ManagementServer", task: "Task") -> str:
         leftovers = self._leftovers(server)
@@ -340,14 +315,7 @@ class DeployFromTemplate(Operation):
     ) -> None:
         if not template.is_template:
             raise OperationError(f"{template.name!r} is not a template")
-        self.clone = CloneVM(
-            template,
-            name,
-            target_host,
-            target_datastore,
-            linked=linked,
-            power_on_after=False,
-        )
+        self.clone = CloneVM(template, name, target_host, target_datastore, linked=linked)
         self.target_host = target_host
         self.linked = linked
 

@@ -140,21 +140,22 @@ class LatencyRecorder:
         return out
 
 
-#: Default growth factor for :class:`LogHistogram` buckets — four buckets
-#: per octave, so any quantile estimate is within ~9% relative error.
+#: Growth factor of :class:`LogHistogram` buckets — four buckets per
+#: octave, so any quantile estimate is within ~9% relative error.
 LOG_HISTOGRAM_BASE = 2.0 ** 0.25
+_LOG_BASE = math.log(LOG_HISTOGRAM_BASE)
 
 
 class LogHistogram:
     """Fixed-log-bucket histogram: a mergeable latency sketch.
 
-    Bucket ``i`` covers ``[base**i, base**(i+1))``; recording keeps only a
-    sparse ``{bucket index: count}`` map plus exact count/sum/min/max, so
-    memory is bounded by the dynamic range (a few dozen buckets for
-    second-scale latencies) rather than the sample count. Two histograms
-    with the same base merge exactly (bucket-wise addition), which is what
-    lets scrape-window rollups collapse into coarser windows without
-    revisiting raw samples.
+    Bucket ``i`` covers ``[base**i, base**(i+1))`` for ``base`` =
+    :data:`LOG_HISTOGRAM_BASE`; recording keeps only a sparse
+    ``{bucket index: count}`` map plus exact count/sum/min/max, so memory
+    is bounded by the dynamic range (a few dozen buckets for second-scale
+    latencies) rather than the sample count. Two histograms merge exactly
+    (bucket-wise addition), which is what lets scrape-window rollups
+    collapse into coarser windows without revisiting raw samples.
 
     Buckets may optionally carry an **exemplar** — the trace id (plus the
     exact value) of one recent observation that landed in the bucket.
@@ -165,15 +166,12 @@ class LogHistogram:
     """
 
     __slots__ = (
-        "name", "base", "zeros", "_buckets", "_count", "_sum", "_min", "_max",
+        "name", "zeros", "_buckets", "_count", "_sum", "_min", "_max",
         "exemplars",
     )
 
-    def __init__(self, name: str = "", base: float = LOG_HISTOGRAM_BASE) -> None:
-        if not base > 1.0:
-            raise ValueError(f"base must be > 1, got {base!r}")
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.base = base
         self.zeros = 0
         self._buckets: dict[int, int] = {}
         self._count = 0
@@ -184,12 +182,12 @@ class LogHistogram:
         self.exemplars: dict[int, tuple[int, float]] | None = None
 
     def _index(self, value: float) -> int:
-        index = math.floor(math.log(value) / math.log(self.base))
+        index = math.floor(math.log(value) / _LOG_BASE)
         # Repair float drift so base**index <= value < base**(index+1).
         try:
-            if self.base ** index > value:
+            if LOG_HISTOGRAM_BASE ** index > value:
                 index -= 1
-            elif self.base ** (index + 1) <= value:
+            elif LOG_HISTOGRAM_BASE ** (index + 1) <= value:
                 index += 1
         except OverflowError:
             pass  # the edge is past the largest float: above any value
@@ -198,7 +196,7 @@ class LogHistogram:
     def _edge(self, index: int) -> float:
         """``base ** index``, infinite past the largest float."""
         try:
-            return self.base ** index
+            return LOG_HISTOGRAM_BASE ** index
         except OverflowError:
             return math.inf
 
@@ -229,10 +227,6 @@ class LogHistogram:
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold ``other`` into this histogram (in place); returns self."""
-        if other.base != self.base:
-            raise ValueError(
-                f"cannot merge histograms with bases {self.base!r} and {other.base!r}"
-            )
         self.zeros += other.zeros
         for index, count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + count

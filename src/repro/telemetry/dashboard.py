@@ -7,7 +7,6 @@ after the fact. Shown by ``python -m repro metrics``.
 
 from __future__ import annotations
 
-import re
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -16,14 +15,16 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 SPARK_TICKS = "▁▂▃▄▅▆▇█"
 BREAKER_NAMES = {0: "closed", 1: "half-open", 2: "OPEN"}
-_SHARD_LABEL = re.compile(r'shard="([^"]+)"')
+#: Characters in one sparkline, and in one utilization bar's body.
+SPARK_WIDTH = 24
+BAR_WIDTH = 20
 
 
-def sparkline(values: typing.Sequence[float], width: int = 24) -> str:
+def sparkline(values: typing.Sequence[float]) -> str:
     """Compress a value series into a fixed-width unicode sparkline."""
     if not values:
-        return " " * width
-    values = list(values)[-width:]
+        return " " * SPARK_WIDTH
+    values = list(values)[-SPARK_WIDTH:]
     low = min(values)
     high = max(values)
     span = high - low
@@ -34,14 +35,14 @@ def sparkline(values: typing.Sequence[float], width: int = 24) -> str:
         else:
             index = int((value - low) / span * (len(SPARK_TICKS) - 1))
             ticks.append(SPARK_TICKS[index])
-    return "".join(ticks).rjust(width)
+    return "".join(ticks).rjust(SPARK_WIDTH)
 
 
-def bar(fraction: float, width: int = 20) -> str:
+def bar(fraction: float) -> str:
     """A bounded utilization bar: ``[#####---------------]``."""
     fraction = min(1.0, max(0.0, fraction))
-    filled = int(round(fraction * width))
-    return "[" + "#" * filled + "-" * (width - filled) + "]"
+    filled = int(round(fraction * BAR_WIDTH))
+    return "[" + "#" * filled + "-" * (BAR_WIDTH - filled) + "]"
 
 
 def _series_values(series: "RollupSeries", field: str = "mean") -> list[float]:
@@ -52,19 +53,14 @@ def _fmt_row(label: str, body: str) -> str:
     return f"  {label:<46} {body}"
 
 
-def render_dashboard(
-    telemetry: "Telemetry", title: str = "repro top", triage=None, recorder=None
-) -> str:
+def render_dashboard(telemetry: "Telemetry", triage=None) -> str:
     """Render the current telemetry state as a text dashboard.
 
     Pass the rig's :class:`~repro.triage.engine.TriageEngine` as
     ``triage`` to append the incident drill-down: one block per verdict
-    with its ranked hypotheses and evidence chains. Pass the
-    :class:`~repro.telemetry.recorder.FlightRecorder` as ``recorder`` to
-    append the incident-bundle drill-down (windows, exemplars, retained
-    traces, bus attributions per bundle).
+    with its ranked hypotheses and evidence chains.
     """
-    lines = [f"== {title} @ t={telemetry.sim.now:.1f}s "
+    lines = [f"== repro top @ t={telemetry.sim.now:.1f}s "
              f"(scrapes={telemetry.scraper.scrapes}, "
              f"series={len(telemetry.rollups)}) =="]
 
@@ -125,25 +121,6 @@ def render_dashboard(
                 _fmt_row(metric_id, f"{sparkline(values)} tokens={series.last_value():.1f}")
             )
 
-    # Federation routing: one row per shard with its steal / spill /
-    # reroute / remote-completion counters (cumulative probe levels).
-    fed_fields = ("steals", "spills", "reroutes", "remote_completions")
-    per_shard: dict[str, dict[str, float]] = {}
-    for metric_id, series in sorted(telemetry.rollups.items()):
-        base = metric_id.split("{", 1)[0]
-        if not base.startswith("federation_") or base[len("federation_"):] not in fed_fields:
-            continue
-        match = _SHARD_LABEL.search(metric_id)
-        shard = match.group(1) if match else "?"
-        per_shard.setdefault(shard, {})[base[len("federation_"):]] = series.last_value()
-    if per_shard:
-        section("-- federation (per shard) --")
-        for shard, values in sorted(per_shard.items()):
-            body = "  ".join(
-                f"{field}={values.get(field, 0.0):.0f}" for field in fed_fields
-            )
-            lines.append(_fmt_row(shard, body))
-
     # Throughput-ish counters: show per-window rates.
     rates = {
         metric_id: series
@@ -180,14 +157,4 @@ def render_dashboard(
                 lines.extend("  " + line for line in verdict.render(evidence=True))
         else:
             lines.append("  (no alerts fired, no verdicts)")
-
-    # Flight-recorder drill-down: one block per incident bundle.
-    if recorder is not None and not getattr(recorder, "is_null", False):
-        bundles = list(recorder.bundles)
-        section(f"-- incident bundles ({len(bundles)}) --")
-        if bundles:
-            for bundle in bundles:
-                lines.extend("  " + line for line in bundle.render())
-        else:
-            lines.append("  (no incidents recorded)")
     return "\n".join(lines) + "\n"

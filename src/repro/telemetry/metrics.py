@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.sim.stats import LOG_HISTOGRAM_BASE, LogHistogram
+from repro.sim.stats import LogHistogram
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -115,12 +115,10 @@ class THistogram:
 
     kind = "histogram"
 
-    def __init__(
-        self, name: str, labels: LabelValues = (), base: float = LOG_HISTOGRAM_BASE
-    ) -> None:
+    def __init__(self, name: str, labels: LabelValues = ()) -> None:
         self.name = name
         self.labels = labels
-        self.hist = LogHistogram(name, base=base)
+        self.hist = LogHistogram(name)
 
     def observe(self, value: float, trace_id: int | None = None) -> None:
         """Record an observation, optionally stamping a trace-id exemplar.
@@ -149,7 +147,7 @@ NULL_METRIC = NullMetric()
 class MetricFamily:
     """All children of one metric name, keyed by label values."""
 
-    __slots__ = ("name", "kind", "help", "base", "_children")
+    __slots__ = ("name", "kind", "help", "_children")
 
     FACTORIES: typing.ClassVar[dict[str, type]] = {
         "counter": TCounter,
@@ -157,25 +155,19 @@ class MetricFamily:
         "histogram": THistogram,
     }
 
-    def __init__(
-        self, name: str, kind: str, help: str = "", base: float = LOG_HISTOGRAM_BASE
-    ) -> None:
+    def __init__(self, name: str, kind: str, help: str = "") -> None:
         if kind not in self.FACTORIES:
             raise ValueError(f"unknown metric kind {kind!r}")
         self.name = name
         self.kind = kind
         self.help = help
-        self.base = base
         self._children: dict[LabelValues, typing.Any] = {}
 
     def labels(self, **labels: str) -> typing.Any:
         key = _label_key(labels)
         child = self._children.get(key)
         if child is None:
-            if self.kind == "histogram":
-                child = THistogram(self.name, key, base=self.base)
-            else:
-                child = self.FACTORIES[self.kind](self.name, key)
+            child = self.FACTORIES[self.kind](self.name, key)
             self._children[key] = child
         return child
 
@@ -319,9 +311,9 @@ class Telemetry:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, until: float | None = None) -> "Telemetry":
+    def start(self) -> "Telemetry":
         """Begin scraping on the configured cadence; returns self."""
-        self.scraper.start(until=until)
+        self.scraper.start()
         return self
 
     def stop(self) -> None:
@@ -353,7 +345,7 @@ class NullTelemetry:
     def scope(self, prefix: str, **labels: str) -> NullScope:
         return NULL_SCOPE
 
-    def start(self, until: float | None = None) -> "NullTelemetry":
+    def start(self) -> "NullTelemetry":
         return self
 
     def stop(self) -> None:

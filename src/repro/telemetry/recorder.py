@@ -38,11 +38,12 @@ import dataclasses
 import typing
 
 from repro.telemetry.rollup import RollupSeries, Window
+from repro.telemetry.slo import BASELINE_S, LOOKBACK_S, REFRACTORY_S
 from repro.tracing.tracer import NULL_TRACER
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.metrics import Telemetry
-    from repro.telemetry.slo import Alert, SloMonitor
+    from repro.telemetry.slo import Alert
 
 #: Bundle schema version, embedded in every export.
 BUNDLE_VERSION = 1
@@ -50,6 +51,8 @@ BUNDLE_VERSION = 1
 #: Span-tree budget of one bundle: at most this many trees and spans.
 MAX_TREES = 24
 MAX_SPANS = 2000
+#: Bundles kept, newest last; the oldest is dropped past this.
+MAX_BUNDLES = 32
 
 TRIGGER_ALERT = "slo-alert"
 TRIGGER_CRASH = "server-crash"
@@ -172,15 +175,10 @@ class IncidentBundle:
 
 def _merge_between(series: RollupSeries, lo: float, hi: float) -> Window:
     """Merged level-0 roll-up over [lo, hi] (the baseline-window read)."""
-    merged = Window(lo, max(0.0, hi - lo), base=series.base)
+    merged = Window(lo, max(0.0, hi - lo))
     for window in series.windows(level=0, include_open=True):
-        if window.end > lo and window.start < hi and window.count:
-            merged.count += window.count
-            merged.sum += window.sum
-            merged.min = min(merged.min, window.min)
-            merged.max = max(merged.max, window.max)
-            merged.last = window.last
-            merged.hist.merge(window.hist)
+        if window.end > lo and window.start < hi:
+            merged.add(window)
     return merged
 
 
@@ -195,32 +193,21 @@ class FlightRecorder:
         tracer=NULL_TRACER,
         bus=None,
         triage=None,
-        lookback_s: float = 180.0,
-        baseline_s: float = 420.0,
-        refractory_s: float = 60.0,
-        max_bundles: int = 32,
     ) -> None:
         self.telemetry = telemetry
         self.tracer = tracer
         self.bus = bus
         self.triage = triage
-        self.lookback_s = lookback_s
-        self.baseline_s = baseline_s
-        self.refractory_s = refractory_s
-        self.max_bundles = max_bundles
         self.bundles: list[IncidentBundle] = []
         self.snapshots = 0
 
-    def attach(
-        self, monitor: "SloMonitor | None" = None, server=None
-    ) -> "FlightRecorder":
+    def attach(self, server=None) -> "FlightRecorder":
         """Subscribe to alert firings (and optionally a server's crashes).
 
         Attach *after* the triage engine so its verdict exists by the time
         the bundle is built — listener order on the monitor is call order.
         """
-        target = monitor if monitor is not None else self.telemetry.monitor
-        target.listeners.append(self._on_alert)
+        self.telemetry.monitor.listeners.append(self._on_alert)
         if server is not None:
             server.crash_listeners.append(self._on_crash)
         return self
@@ -235,7 +222,7 @@ class FlightRecorder:
         if (
             last is not None
             and last.trigger == TRIGGER_ALERT
-            and now - last.fired_at <= self.refractory_s
+            and now - last.fired_at <= REFRACTORY_S
         ):
             alerts = self._active_alerts()
             seen = {a.rule for a in alerts}
@@ -256,7 +243,7 @@ class FlightRecorder:
 
     def _append(self, bundle: IncidentBundle) -> None:
         self.bundles.append(bundle)
-        if len(self.bundles) > self.max_bundles:
+        if len(self.bundles) > MAX_BUNDLES:
             del self.bundles[0]
 
     def _active_alerts(self) -> list:
@@ -291,11 +278,9 @@ class FlightRecorder:
             series = self.telemetry.rollups.get(metric_id)
             if series is None:
                 continue
-            recent = series.trailing(self.lookback_s, now)
+            recent = series.trailing(LOOKBACK_S, now)
             baseline = _merge_between(
-                series,
-                now - self.lookback_s - self.baseline_s,
-                now - self.lookback_s,
+                series, now - LOOKBACK_S - BASELINE_S, now - LOOKBACK_S
             )
             metrics[metric_id] = {
                 "recent": recent.summary(),
@@ -372,7 +357,7 @@ class FlightRecorder:
             if tree is not None and tree.trace_id not in seen:
                 picked.append(tree)
                 seen.add(tree.trace_id)
-        lo = now - self.lookback_s
+        lo = now - LOOKBACK_S
         for tree in retained():
             if tree.trace_id in seen or tree.keep == "normal":
                 continue
@@ -420,7 +405,7 @@ class FlightRecorder:
         verdicts = triage.verdicts
         # The engine attaches before the recorder, so on an alert-burst
         # snapshot its freshest verdict already covers this incident.
-        if verdicts and now - verdicts[-1].fired_at <= self.refractory_s:
+        if verdicts and now - verdicts[-1].fired_at <= REFRACTORY_S:
             verdict = verdicts[-1]
         else:
             verdict = triage.triage_now(now, alerts=alerts)

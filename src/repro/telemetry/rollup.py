@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.sim.stats import LOG_HISTOGRAM_BASE, LogHistogram
+from repro.sim.stats import LogHistogram
 
 #: Default retention: (window seconds, windows kept) per level. Each
 #: level's window must be an integer multiple of the previous level's.
@@ -32,7 +32,7 @@ class Window:
 
     __slots__ = ("start", "width", "count", "sum", "min", "max", "last", "hist")
 
-    def __init__(self, start: float, width: float, base: float = LOG_HISTOGRAM_BASE) -> None:
+    def __init__(self, start: float, width: float) -> None:
         self.start = start
         self.width = width
         self.count = 0
@@ -40,7 +40,7 @@ class Window:
         self.min = math.inf
         self.max = -math.inf
         self.last = 0.0
-        self.hist = LogHistogram(base=base)
+        self.hist = LogHistogram()
 
     @property
     def end(self) -> float:
@@ -169,7 +169,7 @@ class RollupSeries:
     """
 
     __slots__ = (
-        "name", "kind", "retention", "base", "_levels", "_open", "_aggs",
+        "name", "kind", "retention", "_levels", "_open", "_aggs",
         "_pending", "_time", "_trailing",
     )
 
@@ -178,7 +178,6 @@ class RollupSeries:
         name: str,
         kind: str = "gauge",
         retention: tuple[tuple[float, int], ...] = DEFAULT_RETENTION,
-        base: float = LOG_HISTOGRAM_BASE,
     ) -> None:
         if not retention:
             raise ValueError("retention must name at least one level")
@@ -197,7 +196,6 @@ class RollupSeries:
         self.name = name
         self.kind = kind
         self.retention = retention
-        self.base = base
         # Closed windows per level, oldest first.
         self._levels: list[list[Window]] = [[] for _ in retention]
         # The open (still-filling) level-0 window.
@@ -218,10 +216,10 @@ class RollupSeries:
         start = math.floor(time / width) * width
         open_window = self._open
         if open_window is None:
-            self._open = open_window = Window(start, width, base=self.base)
+            self._open = open_window = Window(start, width)
         elif start > open_window.start:
             self._close(open_window)
-            self._open = open_window = Window(start, width, base=self.base)
+            self._open = open_window = Window(start, width)
         elif start < open_window.start:
             raise ValueError(
                 f"sample at {time} predates open window {open_window.start}"
@@ -271,7 +269,7 @@ class RollupSeries:
             self._push(level + 1, agg)
             agg = None
         if agg is None:
-            agg = Window(start, width, base=self.base)
+            agg = Window(start, width)
             self._aggs[level + 1] = agg
         agg.merge(window)
 
@@ -308,7 +306,7 @@ class RollupSeries:
         """
         self._fold()
         cutoff = now - seconds
-        merged = Window(cutoff, seconds, base=self.base)
+        merged = Window(cutoff, seconds)
         # Closed level-0 windows are in time order and all as wide, so
         # the ones overlapping the horizon are one run: [first, last).
         closed = self._levels[0]
@@ -345,7 +343,7 @@ class RollupSeries:
                     part.add(window)
                 self._trailing[seconds] = (head, tail, part)
                 return part
-        part = Window(head.start, 0.0, base=self.base)
+        part = Window(head.start, 0.0)
         for window in closed[first:last]:
             part.add(window)
         if cached is None and len(self._trailing) >= _MAX_CACHED_HORIZONS:

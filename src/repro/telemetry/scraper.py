@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.sim.stats import LogHistogram
+from repro.sim.stats import LOG_HISTOGRAM_BASE, LogHistogram
 from repro.telemetry.metrics import format_metric_id
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -88,11 +88,10 @@ class Scraper:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, until: float | None = None) -> None:
+    def start(self) -> None:
         if self.started:
             raise RuntimeError("scraper already started")
         self.started = True
-        self._until = until
         self.telemetry.sim.spawn(self._loop(), name="telemetry:scraper")
 
     def stop(self) -> None:
@@ -195,7 +194,7 @@ class Scraper:
             cursor = self._hist_cursor[metric_id] = _HistogramCursor()
         if hist.count == cursor.count:
             return
-        delta = LogHistogram(metric_id, base=hist.base)
+        delta = LogHistogram(metric_id)
         delta.zeros = hist.zeros - cursor.zeros
         for index, count in hist._buckets.items():
             previous = cursor.buckets.get(index, 0)
@@ -217,8 +216,8 @@ class Scraper:
         if delta._buckets:
             low = min(delta._buckets)
             high = max(delta._buckets)
-            delta._min = hist.base ** low
-            delta._max = hist.base ** (high + 1)
+            delta._min = LOG_HISTOGRAM_BASE ** low
+            delta._max = LOG_HISTOGRAM_BASE ** (high + 1)
         elif delta.zeros:
             delta._min = 0.0
             delta._max = 0.0

@@ -42,6 +42,15 @@ DEFAULT_BURN_WINDOWS = (
     BurnWindow(short_s=300.0, long_s=900.0, threshold=1.5),
 )
 
+#: The incident window an alert opens, shared by triage and the flight
+#: recorder: the last :data:`LOOKBACK_S` seconds are read against the
+#: :data:`BASELINE_S` seconds before them, and an alert within
+#: :data:`REFRACTORY_S` of the last verdict or bundle refines that
+#: incident instead of opening a new one.
+LOOKBACK_S = 180.0
+BASELINE_S = 420.0
+REFRACTORY_S = 60.0
+
 
 @dataclasses.dataclass(frozen=True)
 class SloRule:

@@ -2,9 +2,8 @@
 
 The subsystem answers the question the whole-operation
 :class:`~repro.traces.records.TraceRecord` cannot: *which control-plane
-phase* — gateway admission, placement, task-queue wait, host-agent
-execution, DB writes, storage copy — dominates an operation's
-latency as concurrency rises.
+phase* — placement, task-queue wait, host-agent execution, DB writes,
+storage copy — dominates an operation's latency as concurrency rises.
 
 Pieces:
 
@@ -49,7 +48,6 @@ __getattr__, __dir__ = _lazy_exports(
         "repro.tracing.span": (
             "DATA_PHASES",
             "NULL_SPAN",
-            "PHASE_ADMISSION",
             "PHASE_AGENT",
             "PHASE_BUS",
             "PHASE_COPY",
@@ -75,7 +73,6 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
     "NullTracer",
-    "PHASE_ADMISSION",
     "PHASE_AGENT",
     "PHASE_BUS",
     "PHASE_COPY",

@@ -35,7 +35,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 PHASE_TASK = "task"            # task/attempt framing (self time = scheduling gaps)
 PHASE_QUEUE = "queue"          # waiting on a control-plane resource
-PHASE_ADMISSION = "admission"  # API-gateway admission (token bucket, shedding)
 PHASE_PLACEMENT = "placement"  # placement scoring + its inventory reads
 PHASE_DB = "db"                # database statements
 PHASE_AGENT = "agent"          # host-agent (hostd) calls
@@ -50,7 +49,6 @@ PHASE_BUS = "bus"              # message-bus publish/deliver/redeliver hops
 PHASES = (
     PHASE_TASK,
     PHASE_QUEUE,
-    PHASE_ADMISSION,
     PHASE_PLACEMENT,
     PHASE_DB,
     PHASE_AGENT,

@@ -14,8 +14,9 @@ The engine is **read-only with respect to the simulation**: it runs
 inside the scraper's evaluate step, touches only the roll-up store and
 span store, and schedules stay byte-identical with triage attached
 (``tests/triage/test_triage_neutrality.py``). :data:`NULL_TRIAGE` is the
-zero-cost off switch: importing it loads neither the rule catalogue nor
-the evidence layer, which a :class:`TriageEngine` imports when built.
+zero-cost off switch: importing it loads neither the rule catalogue, the
+evidence layer nor the SLO module, which a :class:`TriageEngine` imports
+when built or alerted.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.tracing import NULL_TRACER
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.metrics import Telemetry
-    from repro.telemetry.slo import Alert, SloMonitor
+    from repro.telemetry.slo import Alert
     from repro.triage.evidence import Hypothesis
     from repro.triage.rules import TriageRule
 
@@ -35,6 +36,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 NO_CULPRIT = "none"
 #: The confidence a leading hypothesis must reach to be named.
 MIN_CONFIDENCE = 0.35
+#: Hypotheses a verdict keeps, best first.
+MAX_HYPOTHESES = 5
 
 
 @dataclasses.dataclass
@@ -80,10 +83,6 @@ class TriageEngine:
         telemetry: "Telemetry",
         tracer=NULL_TRACER,
         rules: typing.Sequence[TriageRule] | None = None,
-        lookback_s: float = 180.0,
-        baseline_s: float = 420.0,
-        max_hypotheses: int = 5,
-        refractory_s: float = 60.0,
     ) -> None:
         from repro.triage.rules import default_rules
 
@@ -92,19 +91,16 @@ class TriageEngine:
         self.rules: list[TriageRule] = (
             list(rules) if rules is not None else default_rules()
         )
-        self.lookback_s = lookback_s
-        self.baseline_s = baseline_s
-        self.max_hypotheses = max_hypotheses
-        self.refractory_s = refractory_s
         self.verdicts: list[Verdict] = []
 
-    def attach(self, monitor: "SloMonitor | None" = None) -> "TriageEngine":
-        """Subscribe to alert firings (defaults to the telemetry's monitor)."""
-        target = monitor if monitor is not None else self.telemetry.monitor
-        target.listeners.append(self._on_alert)
+    def attach(self) -> "TriageEngine":
+        """Subscribe to the telemetry's alert firings."""
+        self.telemetry.monitor.listeners.append(self._on_alert)
         return self
 
     def _on_alert(self, alert: "Alert", now: float) -> None:
+        from repro.telemetry.slo import REFRACTORY_S
+
         # Alerts arriving in a burst describe one incident. Within the
         # refractory window the incident's verdict *refines* instead of
         # multiplying: the first alert often beats the evidence (a rule
@@ -113,7 +109,7 @@ class TriageEngine:
         # window and keep whichever evaluation is more confident.
         if (
             self.verdicts
-            and now - self.verdicts[-1].fired_at <= self.refractory_s
+            and now - self.verdicts[-1].fired_at <= REFRACTORY_S
         ):
             previous = self.verdicts[-1]
             alerts = list(previous.alerts)
@@ -137,20 +133,14 @@ class TriageEngine:
         """
         from repro.triage.evidence import Evidence, EvidenceContext, Hypothesis
 
-        ctx = EvidenceContext(
-            self.telemetry,
-            tracer=self.tracer,
-            now=now,
-            lookback_s=self.lookback_s,
-            baseline_s=self.baseline_s,
-        )
+        ctx = EvidenceContext(self.telemetry, tracer=self.tracer, now=now)
         hypotheses: list[Hypothesis] = []
         for rule in self.rules:
             hypothesis = rule.evaluate(ctx)
             if hypothesis is not None and hypothesis.confidence > 0.0:
                 hypotheses.append(hypothesis)
         hypotheses.sort(key=lambda h: (-h.confidence, h.kind, h.resource))
-        hypotheses = hypotheses[: self.max_hypotheses]
+        hypotheses = hypotheses[:MAX_HYPOTHESES]
         if not hypotheses or hypotheses[0].confidence < MIN_CONFIDENCE:
             # Low-confidence "no culprit": an alert without a nameable
             # cause must not produce a wrong name.

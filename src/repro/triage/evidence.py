@@ -15,8 +15,9 @@ Window arithmetic (see :mod:`repro.telemetry.rollup`):
   ``mean`` are level statistics, and for a *cumulative* probe (e.g. the
   per-topic ``bus_topic_*`` counters surfaced as probes) the increase
   over a window is ``max - min``;
-- the **baseline** for a signal is the window of ``baseline_s`` seconds
-  immediately *before* the recent ``lookback_s`` window, computed by
+- the **baseline** for a signal is the window of
+  :data:`~repro.telemetry.slo.BASELINE_S` seconds immediately *before*
+  the recent :data:`~repro.telemetry.slo.LOOKBACK_S` window, computed by
   subtracting nested trailing windows.
 """
 
@@ -26,6 +27,7 @@ import dataclasses
 import re
 import typing
 
+from repro.telemetry.slo import BASELINE_S, LOOKBACK_S
 from repro.tracing import NULL_TRACER
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -92,16 +94,10 @@ class EvidenceContext:
         telemetry: "Telemetry",
         tracer=NULL_TRACER,
         now: float = 0.0,
-        lookback_s: float = 180.0,
-        baseline_s: float = 420.0,
     ) -> None:
-        if lookback_s <= 0 or baseline_s <= 0:
-            raise ValueError("lookback_s and baseline_s must be positive")
         self.telemetry = telemetry
         self.tracer = tracer
         self.now = now
-        self.lookback_s = lookback_s
-        self.baseline_s = baseline_s
         # Parse every metric id once; rules do many lookups.
         self._parsed: list[tuple[str, str, dict[str, str]]] = [
             (metric_id, *parse_metric_id(metric_id))
@@ -141,19 +137,19 @@ class EvidenceContext:
     # -- window statistics -------------------------------------------------
 
     def recent(self, metric_id: str, seconds: float | None = None) -> "Window":
-        """The trailing window for one series (default ``lookback_s``).
+        """The trailing window for one series (default :data:`LOOKBACK_S`).
 
         Pass ``seconds`` for a shorter view: fast-moving counters (a
         datastore going dark) drown in a full lookback that still holds
         minutes of healthy samples.
         """
         return self.telemetry.rollups[metric_id].trailing(
-            seconds if seconds is not None else self.lookback_s, self.now
+            seconds if seconds is not None else LOOKBACK_S, self.now
         )
 
     def _long(self, metric_id: str) -> "Window":
         return self.telemetry.rollups[metric_id].trailing(
-            self.lookback_s + self.baseline_s, self.now
+            LOOKBACK_S + BASELINE_S, self.now
         )
 
     def recent_sum(self, metric_id: str, seconds: float | None = None) -> float:
@@ -161,9 +157,9 @@ class EvidenceContext:
         return self.recent(metric_id, seconds).sum
 
     def baseline_rate(self, metric_id: str) -> float:
-        """Counter rate over ``baseline_s`` seconds *before* the lookback."""
+        """Counter rate over :data:`BASELINE_S` seconds *before* the lookback."""
         long_sum = self._long(metric_id).sum
-        return max(0.0, long_sum - self.recent(metric_id).sum) / self.baseline_s
+        return max(0.0, long_sum - self.recent(metric_id).sum) / BASELINE_S
 
     def recent_mean(self, metric_id: str) -> float:
         return self.recent(metric_id).mean
@@ -208,7 +204,7 @@ class EvidenceContext:
             from repro.analysis.spans import window_phase_attribution
 
             attribution = window_phase_attribution(
-                self.tracer, self.now - self.lookback_s, self.now
+                self.tracer, self.now - LOOKBACK_S, self.now
             )
             total = sum(attribution.values())
             self._phase_shares = (

@@ -79,6 +79,9 @@ QUICK_KINDS: tuple[str, ...] = (
 )
 
 
+#: Deploys per second in every triage storm.
+ARRIVAL_RATE = 1.2
+
 #: The tripwires the triage rig adds to :data:`~repro.faults.chaos.ALERT_RULES`.
 TRIAGE_RULES = (
     # A flap the placement engine routes around never fails a task —
@@ -190,8 +193,6 @@ def run_triage_point(
     seed: int,
     kind: str | None,
     duration_s: float = 600.0,
-    arrival_rate: float = 1.2,
-    grace_s: float = 240.0,
     sample_budget: int | None = None,
     recorder: bool = False,
 ) -> TriagePoint:
@@ -203,7 +204,7 @@ def run_triage_point(
     the run breaks exactly-once.
     """
     rig = deploy_rig(
-        seed, duration_s=duration_s, arrival_rate=arrival_rate, scrape_interval_s=5.0,
+        seed, duration_s=duration_s, arrival_rate=ARRIVAL_RATE, scrape_interval_s=5.0,
         rules=ALERT_RULES + TRIAGE_RULES, bus=True, full_clone_every=8, triage=True,
         sample_budget=sample_budget, recorder=recorder,
     )
@@ -216,7 +217,7 @@ def run_triage_point(
         kind=kind,
         verdicts=list(storm.triage.verdicts),
         manifest=result.ground_truth,
-        report=TriageScorer(grace_s=grace_s).score(storm.triage.verdicts, result.ground_truth),
+        report=TriageScorer().score(storm.triage.verdicts, result.ground_truth),
         alerts=len([e for e in telemetry.monitor.timeline if e.kind == "fire"]),
         scrapes=telemetry.scraper.scrapes,
         completed=result.completed,

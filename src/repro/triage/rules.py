@@ -34,9 +34,6 @@ Signal map (docs/triage.md renders this as the rule catalogue):
 ``topic_partition``   a topic published into but not delivering (queue
                       builds, nothing dropped) — or, post-heal, huge
                       queue waits with zero drop/delay counters
-``hot_shard``         ``federation_spills{shard=}`` growing on one shard
-                      while sibling ``federation_steals`` absorb the
-                      spillover (queue-depth imbalance corroborates)
 ====================  ====================================================
 """
 
@@ -45,6 +42,7 @@ from __future__ import annotations
 import re
 import typing
 
+from repro.telemetry.slo import BASELINE_S, LOOKBACK_S
 from repro.triage.evidence import Evidence, EvidenceContext, Hypothesis
 
 _HOSTD_FAILURES = re.compile(r"(?:^|\.)hostd\..+\.(call_failures|timeouts)$")
@@ -172,7 +170,7 @@ class AgentDegradeRule(TriageRule):
         culprits: list[tuple[str, float, float]] = []
         for host, ids in sorted(per_host.items()):
             recent = sum(ctx.recent_sum(m) for m in ids)
-            baseline = sum(ctx.baseline_rate(m) for m in ids) * ctx.lookback_s
+            baseline = sum(ctx.baseline_rate(m) for m in ids) * LOOKBACK_S
             if recent >= self.min_failures and recent > self.rate_ratio * baseline + 1.0:
                 culprits.append((host, recent, baseline))
         if not culprits:
@@ -229,11 +227,11 @@ class DbSlowdownRule(TriageRule):
         for seconds_id in ctx.find(lambda n: _DB_LATENCY.search(n) is not None):
             count_id = seconds_id.replace(":seconds", ":count")
             recent_n = ctx.recent_sum(count_id)
-            base_n = ctx.baseline_rate(count_id) * ctx.baseline_s
+            base_n = ctx.baseline_rate(count_id) * BASELINE_S
             if recent_n < 5 or base_n < 5:
                 continue
             recent_mean = ctx.recent_sum(seconds_id) / recent_n
-            base_mean = ctx.baseline_rate(seconds_id) * ctx.baseline_s / base_n
+            base_mean = ctx.baseline_rate(seconds_id) * BASELINE_S / base_n
             if base_mean <= 0:
                 continue
             ratios.append((recent_mean / base_mean, seconds_id, recent_mean, base_mean))
@@ -572,57 +570,6 @@ class TopicPartitionRule(TriageRule):
         return None
 
 
-class HotShardRule(TriageRule):
-    name = "hot-shard"
-    kind = "hot_shard"
-    phase = "task"
-    summary = (
-        "federation spillover growing on one shard while siblings steal "
-        "the overflow — skewed tenant load saturating a shard"
-    )
-
-    def evaluate(self, ctx):
-        spills: dict[str, float] = {}
-        for metric_id in ctx.find("federation_spills"):
-            increase = ctx.increase(metric_id)
-            if increase > 0:
-                spills[ctx.labels(metric_id).get("shard", metric_id)] = increase
-        if not spills or sum(spills.values()) < 2:
-            return None
-        steals = sum(ctx.increase(m) for m in ctx.find("federation_steals"))
-        if steals < 1:
-            # Spillover with nobody stealing is backpressure, not a hot
-            # shard being absorbed — stay silent rather than misattribute.
-            return None
-        hot = max(sorted(spills), key=lambda shard: spills[shard])
-        evidence = [
-            Evidence(
-                f"federation_spills[{hot}]",
-                f"shard {hot} spilling submissions to the shared pool",
-                spills[hot],
-            ),
-            Evidence(
-                "federation_steals",
-                "sibling shards stealing the spilled work",
-                steals,
-            ),
-        ]
-        confidence = 0.65 + 0.2 * min(1.0, sum(spills.values()) / 10.0)
-        depths = [ctx.recent_max(m) for m in ctx.find("tasks_queue_depth")]
-        depths = [d for d in depths if d is not None]
-        if len(depths) >= 2 and max(depths) >= 4 and max(depths) >= 4 * (min(depths) + 0.5):
-            confidence += 0.07
-            evidence.append(
-                Evidence(
-                    "tasks_queue_depth",
-                    "per-shard dispatch queues sharply imbalanced",
-                    max(depths),
-                    min(depths),
-                )
-            )
-        return self._hypothesis(hot, confidence, evidence)
-
-
 def default_rules() -> list[TriageRule]:
     """The full catalogue, in deterministic evaluation order."""
     return [
@@ -638,5 +585,4 @@ def default_rules() -> list[TriageRule]:
         MessageDelayRule(),
         MessageReorderRule(),
         TopicPartitionRule(),
-        HotShardRule(),
     ]

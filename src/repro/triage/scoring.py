@@ -2,9 +2,9 @@
 
 The :class:`TriageScorer` matches each verdict's firing time against the
 :class:`~repro.faults.manifest.GroundTruthManifest` windows (with a
-trailing grace period: burn-rate alerts routinely fire a little after a
-short window closes, and the evidence lookback legitimately sees a
-just-closed fault) and aggregates:
+trailing grace period, :data:`GRACE_S`: burn-rate alerts routinely fire
+a little after a short window closes, and the evidence lookback
+legitimately sees a just-closed fault) and aggregates:
 
 - **top-1 accuracy** — of the verdicts that fired with at least one
   fault window active, the fraction whose top hypothesis named an active
@@ -34,6 +34,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.manifest import GroundTruthManifest
 
 NO_FAULT_ROW = "(none)"
+#: Seconds past a fault window's end during which a verdict still counts
+#: as firing inside it.
+GRACE_S = 240.0
 
 
 @dataclasses.dataclass
@@ -155,11 +158,6 @@ class ScoreReport:
 class TriageScorer:
     """Grades verdicts against a ground-truth manifest."""
 
-    def __init__(self, grace_s: float = 240.0) -> None:
-        if grace_s < 0:
-            raise ValueError("grace_s must be >= 0")
-        self.grace_s = grace_s
-
     def score(
         self,
         verdicts: typing.Sequence[Verdict],
@@ -179,7 +177,7 @@ class TriageScorer:
 
         for verdict in verdicts:
             named = verdict.named_kind
-            active = manifest.active_at(verdict.fired_at, grace_s=self.grace_s)
+            active = manifest.active_at(verdict.fired_at, grace_s=GRACE_S)
             if not active:
                 unmatched += 1
                 if named == NO_CULPRIT:

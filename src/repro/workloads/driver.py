@@ -184,12 +184,14 @@ class WorkloadDriver:
 
     # -- dispatch -----------------------------------------------------------------
 
-    def _issue(self, op_type: OperationType) -> None:
+    def _issue(self, op_type: OperationType) -> bool:
+        """Run the op type's handler; False (and a skip) if it has none."""
         handler = getattr(self, f"_issue_{op_type.value}", None)
         if handler is None:
             self._skip(op_type.value)
-            return
+            return False
         handler()
+        return True
 
     def _skip(self, reason: str) -> None:
         self.skipped[reason] = self.skipped.get(reason, 0) + 1

@@ -72,8 +72,8 @@ class TraceReplayer(WorkloadDriver):
                     self.unsupported.get(record.op_type, 0) + 1
                 )
                 continue
-            self.replayed += 1
-            self._issue(op_type)
+            if self._issue(op_type):
+                self.replayed += 1
 
 
 def replay_against(

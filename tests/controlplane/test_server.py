@@ -8,14 +8,12 @@ from repro.operations import CloneVM
 from tests.operations.conftest import SmallCloud
 
 
-def storm(cloud, count, linked, power_on=False):
+def storm(cloud, count, linked):
     processes = []
     for index in range(count):
         host = cloud.hosts[index % len(cloud.hosts)]
         ds = cloud.datastores[index % len(cloud.datastores)]
-        op = CloneVM(
-            cloud.template, f"vm-{index}", host, ds, linked=linked, power_on_after=power_on
-        )
+        op = CloneVM(cloud.template, f"vm-{index}", host, ds, linked=linked)
         processes.append(cloud.server.submit(op))
     cloud.sim.run()
     return processes

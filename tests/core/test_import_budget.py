@@ -69,14 +69,19 @@ def test_scenario_path_loads_no_optional_layer():
 
 
 def test_bare_storm_rig_loads_no_bus_journal_or_recorder():
-    """A rig without a bus, a journal or a recorder builds their null
-    twins only, and those live outside the layers' modules."""
+    """A rig without a bus, a journal, a recorder or telemetry builds
+    their null twins only, and those live outside the layers' modules."""
     loaded = loaded_after(
         "from repro.core.experiments import StormRig",
         "StormRig(seed=0, hosts=2, datastores=1)",
     )
     assert "repro.controlplane.server" in loaded
-    layers = ("repro.controlplane.bus", "repro.controlplane.recovery", "repro.telemetry.recorder")
+    layers = (
+        "repro.controlplane.bus",
+        "repro.controlplane.recovery",
+        "repro.telemetry.recorder",
+        "repro.telemetry.slo",
+    )
     assert sorted(name for name in layers if name in loaded) == []
 
 

@@ -23,9 +23,10 @@ def populate(cloud, host, count, power_on=True):
                 host,
                 cloud.datastores[0],
                 linked=True,
-                power_on_after=power_on,
             )
         ).result
+        if power_on:
+            cloud.run_op(PowerOn(vm))
         vms.append(vm)
     return vms
 

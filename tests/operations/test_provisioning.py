@@ -4,20 +4,13 @@ import pytest
 
 from repro.controlplane import TaskState
 from repro.datacenter import PowerState, VirtualMachine
-from repro.operations import CloneVM, DeployFromTemplate, OperationError
+from repro.operations import CloneVM, DeployFromTemplate, OperationError, PowerOn
 
 from tests.operations.conftest import SmallCloud
 
 
-def clone_op(cloud, linked, name="clone-1", power_on=False):
-    return CloneVM(
-        cloud.template,
-        name,
-        cloud.hosts[0],
-        cloud.datastores[1],
-        linked=linked,
-        power_on_after=power_on,
-    )
+def clone_op(cloud, linked, name="clone-1"):
+    return CloneVM(cloud.template, name, cloud.hosts[0], cloud.datastores[1], linked=linked)
 
 
 def test_full_clone_creates_vm_with_full_backing(cloud):
@@ -56,8 +49,10 @@ def test_linked_clone_much_faster_than_full(cloud):
 
 
 def test_clone_with_power_on(cloud):
-    task = cloud.run_op(clone_op(cloud, linked=True, power_on=True))
-    assert task.result.power_state == PowerState.ON
+    vm = cloud.run_op(clone_op(cloud, linked=True)).result
+    assert vm.power_state == PowerState.OFF
+    cloud.run_op(PowerOn(vm))
+    assert vm.power_state == PowerState.ON
 
 
 def test_clone_registers_in_inventory(cloud):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Gauge, LatencyRecorder, LogHistogram, Simulator, TimeSeries
+from repro.sim.stats import LOG_HISTOGRAM_BASE
 from repro.telemetry.metrics import TCounter, Telemetry
 
 
@@ -116,17 +117,17 @@ def test_latency_cdf_is_monotone_and_complete():
 
 
 def test_histogram_binning():
-    histogram = LogHistogram("depth", base=2.0)
-    for value in [0, 0.5, 1, 3, 5]:
+    histogram = LogHistogram("depth")
+    for value in [0, 1, 1.1, 2, 3]:
         histogram.record(value)
-    # Bucket i covers [2**i, 2**(i+1)); zeros keep their own bucket.
-    assert histogram.buckets() == [(0.0, 1), (1.0, 1), (2.0, 1), (4.0, 1), (8.0, 1)]
+    # Bucket i covers [base**i, base**(i+1)), four buckets per octave;
+    # zeros keep their own bucket.
+    base = LOG_HISTOGRAM_BASE
+    assert histogram.buckets() == [(0.0, 1), (base, 2), (base ** 5, 1), (base ** 7, 1)]
     assert histogram.count == 5
 
 
 def test_histogram_validates_edges():
-    with pytest.raises(ValueError):
-        LogHistogram("bad", base=1.0)
     with pytest.raises(ValueError):
         LogHistogram("bad").record(-1.0)
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.telemetry.dashboard import bar, render_dashboard, sparkline
+from repro.telemetry.dashboard import BAR_WIDTH, SPARK_WIDTH, bar, render_dashboard, sparkline
 from repro.telemetry.export import (
     prometheus_text,
     rollups_jsonl,
@@ -82,10 +82,11 @@ class TestJsonl:
 
 class TestDashboard:
     def test_sparkline_and_bar_shapes(self):
-        assert len(sparkline([1.0, 2.0, 3.0], width=10)) == 10
-        assert sparkline([], width=5) == " " * 5
-        assert bar(0.5, width=10) == "[#####-----]"
-        assert bar(2.0, width=4) == "[####]"
+        assert sparkline([1.0, 2.0, 3.0]) == " " * (SPARK_WIDTH - 3) + "▁▄█"
+        assert sparkline([]) == " " * SPARK_WIDTH
+        assert len(sparkline([1.0] * (SPARK_WIDTH + 5))) == SPARK_WIDTH
+        assert bar(0.5) == "[" + "#" * (BAR_WIDTH // 2) + "-" * (BAR_WIDTH // 2) + "]"
+        assert bar(2.0) == "[" + "#" * BAR_WIDTH + "]"
 
     def test_dashboard_sections(self, telemetry):
         text = render_dashboard(telemetry)
@@ -95,25 +96,6 @@ class TestDashboard:
         assert "-- queue depth --" in text
         assert "-- rates (per window) --" in text
         assert "(none fired)" in text
-
-    def test_dashboard_federation_section(self):
-        sim = Simulator()
-        t = Telemetry(sim, scrape_interval_s=5.0)
-        counters = {"vc-1": 4.0, "vc-2": 0.0}
-        for shard in counters:
-            t.probe("federation_steals", lambda s=shard: counters[s], shard=shard)
-            t.probe("federation_spills", lambda s=shard: 2.0 if s == "vc-2" else 0.0,
-                    shard=shard)
-            t.probe("federation_reroutes", lambda: 1.0, shard=shard)
-            t.probe("federation_remote_completions", lambda s=shard: counters[s],
-                    shard=shard)
-        t.scraper.scrape()
-        text = render_dashboard(t)
-        assert "-- federation (per shard) --" in text
-        lines = [line for line in text.splitlines() if line.strip().startswith("vc-")]
-        assert len(lines) == 2
-        assert "steals=4" in lines[0] and "spills=0" in lines[0]
-        assert "spills=2" in lines[1] and "remote_completions=0" in lines[1]
 
     def test_dashboard_no_federation_section_without_probes(self, telemetry):
         assert "-- federation" not in render_dashboard(telemetry)

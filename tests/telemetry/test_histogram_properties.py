@@ -163,8 +163,3 @@ def test_record_still_rejects_nonfinite_and_negative(values, bad):
     assert (hist.count, hist.total, hist.min, hist.max, hist.buckets()) == before
     with pytest.raises(ValueError):
         hist.record(1.0, count=0)
-
-
-def test_merge_requires_matching_base():
-    with pytest.raises(ValueError):
-        LogHistogram("a", base=2.0).merge(LogHistogram("b", base=4.0))

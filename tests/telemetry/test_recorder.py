@@ -22,8 +22,8 @@ from repro.telemetry import (
     write_incident_bundles,
 )
 from repro.telemetry.metrics import Telemetry
-from repro.telemetry.recorder import TRIGGER_ALERT, TRIGGER_CRASH
-from repro.telemetry.slo import BurnWindow, LatencyRule, RatioRule
+from repro.telemetry.recorder import MAX_BUNDLES, TRIGGER_ALERT, TRIGGER_CRASH
+from repro.telemetry.slo import REFRACTORY_S, BurnWindow, LatencyRule, RatioRule
 from repro.tracing import RetentionPolicy, SampledTracer
 
 WINDOW = BurnWindow(short_s=60.0, long_s=180.0, threshold=2.0)
@@ -37,8 +37,8 @@ def sim():
     return Simulator()
 
 
-@pytest.fixture
-def telemetry(sim):
+def hub(sim):
+    """A telemetry hub with one ratio rule over the outcome counters."""
     telemetry = Telemetry(sim, scrape_interval_s=5.0)
     telemetry.add_rule(
         RatioRule(
@@ -50,6 +50,11 @@ def telemetry(sim):
         )
     )
     return telemetry
+
+
+@pytest.fixture
+def telemetry(sim):
+    return hub(sim)
 
 
 def burn(telemetry, time, good=50.0, bad=50.0):
@@ -87,7 +92,7 @@ class TestTriggers:
                 total_metrics=(GOOD, BAD),
             )
         )
-        recorder = FlightRecorder(telemetry, refractory_s=60.0).attach()
+        recorder = FlightRecorder(telemetry).attach()
         fire(telemetry, 100.0)
         # Two rules firing in one evaluate = two listener calls, merged.
         assert len(recorder.bundles) == 1
@@ -98,7 +103,7 @@ class TestTriggers:
         assert recorder.snapshots == 2  # rebuilt, not multiplied
 
     def test_separate_incidents_get_separate_bundles(self, telemetry):
-        recorder = FlightRecorder(telemetry, refractory_s=60.0).attach()
+        recorder = FlightRecorder(telemetry).attach()
         fire(telemetry, 100.0)
         # Resolve, then burn again far past the refractory window.
         telemetry.monitor.evaluate(400.0)
@@ -107,14 +112,19 @@ class TestTriggers:
         assert [b.fired_at for b in recorder.bundles] == [100.0, 1000.0]
 
     def test_bundle_list_is_bounded(self, telemetry):
-        recorder = FlightRecorder(telemetry, refractory_s=1.0, max_bundles=3)
-        recorder.attach()
-        for index in range(6):
-            now = 100.0 + index * 500.0
+        recorder = FlightRecorder(telemetry).attach()
+        incidents = MAX_BUNDLES + 3
+        # Fires 600 s apart: past the refractory window, and never on a
+        # whole minute, where the burn sample would open a fresh window
+        # that the same evaluation does not read yet.
+        assert 600.0 > REFRACTORY_S
+        for index in range(incidents):
+            now = 100.0 + index * 600.0
             fire(telemetry, now)
             telemetry.monitor.evaluate(now + 200.0)  # resolve in between
-        assert len(recorder.bundles) == 3
-        assert recorder.bundles[-1].fired_at == 100.0 + 5 * 500.0
+        assert len(recorder.bundles) == MAX_BUNDLES
+        assert recorder.bundles[0].fired_at == 100.0 + 3 * 600.0
+        assert recorder.bundles[-1].fired_at == 100.0 + (incidents - 1) * 600.0
 
     def test_crash_snapshot(self, telemetry):
         class FakeServer:
@@ -204,19 +214,20 @@ class TestRoundTrip:
 
 
 class TestRendering:
-    def test_dashboard_drilldown_section(self, telemetry):
+    def test_bundle_drilldown_lines(self, telemetry):
         recorder = FlightRecorder(telemetry).attach()
         fire(telemetry, 100.0)
-        text = render_dashboard(telemetry, recorder=recorder)
-        assert "incident bundles (1)" in text
-        assert "goodput" in text
+        lines = recorder.bundles[0].render()
+        assert lines[0] == "t=   100.0s  slo-alert  alerts=[goodput]"
+        assert any(line.startswith(f"  {BAD}: recent mean=") for line in lines)
+        assert lines[-1] == "  traces: 0 retained (none), 0 spans"
 
-    def test_dashboard_without_recorder_unchanged(self, telemetry):
-        fire(telemetry, 100.0)
-        assert "incident bundles" not in render_dashboard(telemetry)
-        assert "incident bundles" not in render_dashboard(
-            telemetry, recorder=NULL_RECORDER
-        )
+    def test_dashboard_without_recorder_unchanged(self, sim):
+        plain, recorded = hub(sim), hub(sim)
+        FlightRecorder(recorded).attach()
+        fire(plain, 100.0)
+        fire(recorded, 100.0)
+        assert render_dashboard(recorded) == render_dashboard(plain)
 
 
 class TestNullRecorder:

@@ -108,17 +108,22 @@ def test_scraper_runs_on_cadence(sim, telemetry):
             counter.add()
             yield sim.timeout(1.0)
 
+    def stopper():
+        yield sim.timeout(20.0)
+        telemetry.stop()
+
     sim.spawn(workload(), name="load")
-    telemetry.start(until=20.0)
+    telemetry.start()
+    sim.spawn(stopper(), name="stop")
     sim.run(until=30.0)
-    # Scrapes at t=5,10,15,20 (cadence 5 s, stop after until).
+    # Scrapes at t=5,10,15,20 (cadence 5 s, none after the stop).
     assert telemetry.scraper.scrapes == 4
     series = telemetry.rollups["ticks_total"]
     assert sum(window.sum for window in series.windows()) == 20.0
 
 
 def test_scraper_start_twice_rejected(telemetry):
-    telemetry.start(until=1.0)
+    telemetry.start()
     with pytest.raises(RuntimeError):
         telemetry.start()
 

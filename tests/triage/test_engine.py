@@ -7,7 +7,8 @@ import pytest
 from repro.sim.kernel import Simulator
 from repro.telemetry.dashboard import render_dashboard
 from repro.telemetry.metrics import Telemetry
-from repro.triage.engine import NO_CULPRIT, NULL_TRIAGE, TriageEngine
+from repro.telemetry.slo import REFRACTORY_S
+from repro.triage.engine import MAX_HYPOTHESES, NO_CULPRIT, NULL_TRIAGE, TriageEngine
 from repro.triage.rules import TriageRule
 
 
@@ -51,12 +52,13 @@ class TestTriageNow:
         assert verdict.confident
 
     def test_ranked_by_confidence_and_capped(self, telemetry):
-        dials = [[0.5], [0.9], [0.7]]
-        engine = TriageEngine(
-            telemetry, rules=[DialRule(d) for d in dials], max_hypotheses=2
-        )
+        confidences = [0.5 + 0.05 * index for index in range(MAX_HYPOTHESES + 2)]
+        dials = [[c] for c in confidences[::2] + confidences[1::2]]
+        engine = TriageEngine(telemetry, rules=[DialRule(d) for d in dials])
         verdict = engine.triage_now(600.0)
-        assert [h.confidence for h in verdict.hypotheses] == [0.9, 0.7]
+        assert [h.confidence for h in verdict.hypotheses] == pytest.approx(
+            sorted(confidences, reverse=True)[:MAX_HYPOTHESES]
+        )
 
     def test_weak_evidence_leads_with_none(self, telemetry):
         engine = TriageEngine(telemetry, rules=[DialRule([0.3])])
@@ -88,11 +90,12 @@ class TestAlertWiring:
 class TestRefractoryRefinement:
     def test_burst_refines_in_place_and_merges_alerts(self, telemetry):
         dial = [0.0]
-        engine = TriageEngine(telemetry, rules=[DialRule(dial)], refractory_s=60.0)
+        engine = TriageEngine(telemetry, rules=[DialRule(dial)])
         engine._on_alert(alert("a"), 100.0)  # evidence not there yet
         assert engine.verdicts[-1].named_kind == NO_CULPRIT
         dial[0] = 0.9
-        engine._on_alert(alert("b"), 130.0)  # same incident, better window
+        # Same incident, better window.
+        engine._on_alert(alert("b"), 100.0 + REFRACTORY_S / 2)
         assert len(engine.verdicts) == 1
         verdict = engine.verdicts[0]
         assert verdict.named_kind == "dial_kind"
@@ -100,19 +103,19 @@ class TestRefractoryRefinement:
 
     def test_refinement_never_downgrades(self, telemetry):
         dial = [0.9]
-        engine = TriageEngine(telemetry, rules=[DialRule(dial)], refractory_s=60.0)
+        engine = TriageEngine(telemetry, rules=[DialRule(dial)])
         engine._on_alert(alert("a"), 100.0)
         dial[0] = 0.5
-        engine._on_alert(alert("b"), 130.0)
+        engine._on_alert(alert("b"), 100.0 + REFRACTORY_S / 2)
         assert len(engine.verdicts) == 1
         assert engine.verdicts[0].top.confidence == pytest.approx(0.9)
         assert engine.verdicts[0].alerts == ["a", "b"]  # alerts still merged
 
     def test_alert_after_refractory_opens_new_incident(self, telemetry):
         dial = [0.9]
-        engine = TriageEngine(telemetry, rules=[DialRule(dial)], refractory_s=60.0)
+        engine = TriageEngine(telemetry, rules=[DialRule(dial)])
         engine._on_alert(alert("a"), 100.0)
-        engine._on_alert(alert("a"), 200.0)
+        engine._on_alert(alert("a"), 100.0 + 2 * REFRACTORY_S)
         assert len(engine.verdicts) == 2
 
 

@@ -1,9 +1,14 @@
-"""EvidenceContext window arithmetic against hand-fed roll-ups."""
+"""EvidenceContext window arithmetic against hand-fed roll-ups.
+
+Every context reads the incident window of :mod:`repro.telemetry.slo`:
+a 180 s lookback after a 420 s baseline.
+"""
 
 import pytest
 
 from repro.sim.kernel import Simulator
 from repro.telemetry.metrics import Telemetry
+from repro.telemetry.slo import BASELINE_S, LOOKBACK_S
 from repro.triage.evidence import EvidenceContext, Hypothesis, parse_metric_id
 
 
@@ -12,10 +17,8 @@ def telemetry():
     return Telemetry(Simulator(), scrape_interval_s=5.0)
 
 
-def ctx_at(telemetry, now, lookback_s=60.0, baseline_s=120.0):
-    return EvidenceContext(
-        telemetry, now=now, lookback_s=lookback_s, baseline_s=baseline_s
-    )
+def ctx_at(telemetry, now):
+    return EvidenceContext(telemetry, now=now)
 
 
 class TestParseMetricId:
@@ -44,38 +47,39 @@ class TestWindows:
         # Roll-ups are 60 s-bucket granular: the lookback covers every
         # level-0 window overlapping [now - lookback, now].
         series = telemetry.rollup("errors_total", "counter")
-        for t, v in [(10.0, 1.0), (70.0, 2.0), (130.0, 4.0)]:
+        for t, v in [(10.0, 1.0), (250.0, 2.0), (370.0, 4.0)]:
             series.record(t, v)
-        ctx = ctx_at(telemetry, now=150.0, lookback_s=60.0)
+        assert LOOKBACK_S == 180.0
+        ctx = ctx_at(telemetry, now=390.0)
         assert ctx.recent_sum("errors_total") == pytest.approx(6.0)
 
     def test_recent_sum_shorter_window(self, telemetry):
         series = telemetry.rollup("errors_total", "counter")
         for t, v in [(50.0, 2.0), (85.0, 4.0)]:
             series.record(t, v)
-        ctx = ctx_at(telemetry, now=90.0, lookback_s=60.0)
+        ctx = ctx_at(telemetry, now=90.0)
         assert ctx.recent_sum("errors_total", seconds=10.0) == pytest.approx(4.0)
 
     def test_baseline_rate_excludes_lookback(self, telemetry):
         series = telemetry.rollup("errors_total", "counter")
-        series.record(30.0, 12.0)  # baseline era: [second 0, 60)
-        series.record(80.0, 100.0)  # lookback era
-        ctx = ctx_at(telemetry, now=120.0, lookback_s=60.0, baseline_s=60.0)
+        series.record(30.0, 12.0)  # baseline era: [second 0, 420)
+        series.record(500.0, 100.0)  # lookback era
+        ctx = ctx_at(telemetry, now=LOOKBACK_S + BASELINE_S)
         assert ctx.recent_sum("errors_total") == pytest.approx(100.0)
-        assert ctx.baseline_rate("errors_total") == pytest.approx(12.0 / 60.0)
+        assert ctx.baseline_rate("errors_total") == pytest.approx(12.0 / BASELINE_S)
 
     def test_gauge_mean_and_min(self, telemetry):
         series = telemetry.rollup("host_up", "gauge")
         for t, v in [(70.0, 1.0), (80.0, 0.0), (90.0, 0.0)]:
             series.record(t, v)
-        ctx = ctx_at(telemetry, now=95.0, lookback_s=60.0)
+        ctx = ctx_at(telemetry, now=95.0)
         assert ctx.recent_mean("host_up") == pytest.approx(1.0 / 3.0)
         assert ctx.recent_min("host_up") == 0.0
         assert ctx.recent_max("host_up") == 1.0
 
     def test_recent_min_none_when_empty(self, telemetry):
         telemetry.rollup("host_up", "gauge").record(5.0, 1.0)
-        ctx = ctx_at(telemetry, now=500.0, lookback_s=60.0)
+        ctx = ctx_at(telemetry, now=500.0)
         assert ctx.recent_min("host_up") is None
         assert ctx.recent_max("host_up") == 0.0
 
@@ -83,7 +87,7 @@ class TestWindows:
         series = telemetry.rollup("bus_topic_published", "gauge")
         for t, v in [(60.0, 10.0), (75.0, 14.0), (90.0, 21.0)]:
             series.record(t, v)
-        ctx = ctx_at(telemetry, now=95.0, lookback_s=60.0)
+        ctx = ctx_at(telemetry, now=95.0)
         assert ctx.increase("bus_topic_published") == pytest.approx(11.0)
 
     def test_increase_empty_window_is_zero(self, telemetry):
@@ -113,7 +117,3 @@ class TestFind:
         ids = ctx.find(lambda name: name.endswith(".timeouts"))
         assert ids == ['vc-1.hostd.host-3.timeouts{host="esx02"}']
         assert ctx.labels(ids[0]) == {"host": "esx02"}
-
-    def test_validation(self, telemetry):
-        with pytest.raises(ValueError):
-            EvidenceContext(telemetry, now=0.0, lookback_s=0.0)

@@ -18,7 +18,6 @@ from repro.triage.rules import (
     DatastoreOutageRule,
     DbSlowdownRule,
     HostFlapRule,
-    HotShardRule,
     MessageDelayRule,
     MessageDropRule,
     MessageDuplicateRule,
@@ -38,7 +37,7 @@ def telemetry():
 
 
 def ctx(telemetry):
-    return EvidenceContext(telemetry, now=NOW, lookback_s=180.0, baseline_s=420.0)
+    return EvidenceContext(telemetry, now=NOW)
 
 
 def feed(telemetry, metric_id, kind, samples):
@@ -275,43 +274,3 @@ class TestCatalogue:
             assert rule.summary, rule.name
             assert rule.name != "abstract"
 
-
-class TestHotShard:
-    def fire(self, telemetry):
-        feed(telemetry, 'federation_spills{shard="vc-1"}', "gauge",
-             [(430.0, 0.0), (500.0, 2.0), (550.0, 5.0)])
-        feed(telemetry, 'federation_spills{shard="vc-2"}', "gauge",
-             [(430.0, 0.0), (550.0, 0.0)])
-        feed(telemetry, 'federation_steals{shard="vc-2"}', "gauge",
-             [(430.0, 0.0), (550.0, 4.0)])
-
-    def test_fires_on_spillover_absorbed_by_steals(self, telemetry):
-        self.fire(telemetry)
-        hypothesis = HotShardRule().evaluate(ctx(telemetry))
-        assert hypothesis is not None
-        assert hypothesis.kind == "hot_shard"
-        assert hypothesis.resource == "vc-1"
-        assert hypothesis.confidence > 0.6
-
-    def test_silent_without_steals(self, telemetry):
-        # Spillover with nobody stealing is backpressure, not a hot shard.
-        feed(telemetry, 'federation_spills{shard="vc-1"}', "gauge",
-             [(430.0, 0.0), (550.0, 5.0)])
-        assert HotShardRule().evaluate(ctx(telemetry)) is None
-
-    def test_silent_below_spill_threshold(self, telemetry):
-        feed(telemetry, 'federation_spills{shard="vc-1"}', "gauge",
-             [(430.0, 0.0), (550.0, 1.0)])
-        feed(telemetry, 'federation_steals{shard="vc-2"}', "gauge",
-             [(430.0, 0.0), (550.0, 1.0)])
-        assert HotShardRule().evaluate(ctx(telemetry)) is None
-
-    def test_queue_imbalance_boosts_confidence(self, telemetry):
-        self.fire(telemetry)
-        base = HotShardRule().evaluate(ctx(telemetry)).confidence
-        feed(telemetry, 'tasks_queue_depth{shard="vc-1"}', "gauge",
-             [(500.0, 8.0), (550.0, 9.0)])
-        feed(telemetry, 'tasks_queue_depth{shard="vc-2"}', "gauge",
-             [(500.0, 0.0), (550.0, 0.0)])
-        boosted = HotShardRule().evaluate(ctx(telemetry)).confidence
-        assert boosted > base

@@ -10,7 +10,7 @@ import pytest
 from repro.faults.manifest import GroundTruthManifest, GroundTruthWindow
 from repro.triage.engine import NO_CULPRIT, Verdict
 from repro.triage.evidence import Hypothesis
-from repro.triage.scoring import NO_FAULT_ROW, TriageScorer
+from repro.triage.scoring import GRACE_S, NO_FAULT_ROW, TriageScorer
 
 
 def verdict(at, kind, confidence=0.9):
@@ -51,15 +51,12 @@ class TestMatching:
 
     def test_trailing_grace(self):
         truth = manifest(window("host_flap", 100, 200))
-        scorer = TriageScorer(grace_s=60.0)
-        assert scorer.score([verdict(250.0, "host_flap")], truth).top1_accuracy == 1.0
-        late = scorer.score([verdict(300.0, "host_flap")], truth)
+        scorer = TriageScorer()
+        in_grace = verdict(200.0 + GRACE_S, "host_flap")
+        assert scorer.score([in_grace], truth).top1_accuracy == 1.0
+        late = scorer.score([verdict(200.0 + GRACE_S + 1.0, "host_flap")], truth)
         assert late.matched_verdicts == 0
         assert late.unmatched_verdicts == 1
-
-    def test_grace_must_be_non_negative(self):
-        with pytest.raises(ValueError):
-            TriageScorer(grace_s=-1.0)
 
 
 class TestNoCulprit:

@@ -79,6 +79,25 @@ def test_unknown_op_types_counted_not_crashed(recorded):
     assert replayer.unsupported == {"defragment_flux_capacitor": 1}
 
 
+def test_op_types_without_a_handler_are_skipped_not_replayed():
+    records = [
+        TraceRecord(
+            op_type=op_type,
+            submitted_at=10.0 + index,
+            started_at=10.0 + index,
+            finished_at=11.0 + index,
+            success=True,
+            control_s=1.0,
+            data_s=0.0,
+        )
+        for index, op_type in enumerate(("clone_linked", "enter_maintenance", "clone_full"))
+    ]
+    replayer = replay_against(records, small_profile(), seed=5)
+    assert replayer.replayed == 0
+    assert replayer.skipped == {"clone_linked": 1, "enter_maintenance": 1, "clone_full": 1}
+    assert replayer.unsupported == {}
+
+
 def test_whatif_better_config_reduces_latency(recorded):
     """The flagship flow: same workload, beefier control plane, faster ops.
 
