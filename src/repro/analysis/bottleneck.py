@@ -3,7 +3,7 @@
 The paper's headline is an attribution claim — with linked clones the
 control plane, not the data plane, limits provisioning. These helpers
 compute that attribution from trace records (which carry per-task
-control/data seconds) and from task phase lists.
+control/data seconds) and from traced tasks' phase spans.
 """
 
 from __future__ import annotations
@@ -37,13 +37,24 @@ def plane_breakdown(records: typing.Sequence[TraceRecord]) -> dict[str, float]:
 def phase_breakdown(tasks: typing.Sequence[Task]) -> list[tuple[str, str, float]]:
     """Aggregate (phase, plane, total seconds) across tasks, largest first.
 
-    Numeric suffixes (``copy_disk_0``/``copy_disk_1``) fold together.
+    Reads each task's span tree: every finished, error-free span that
+    carries a ``plane`` tag is one operation phase. Numeric suffixes
+    (``copy_disk_0``/``copy_disk_1``) fold together. The tasks must come
+    from a traced run.
     """
     totals: dict[tuple[str, str], float] = {}
     for task in tasks:
-        for name, plane, seconds in task.phases:
-            base = name.rstrip("0123456789").rstrip("_")
-            totals[(base, plane)] = totals.get((base, plane), 0.0) + seconds
+        root = task.span
+        if root.is_null:
+            raise ValueError(
+                f"task {task.task_id} has no span tree: phase_breakdown needs a traced run"
+            )
+        for span in root.tracer.subtree(root):
+            plane = span.tags.get("plane")
+            if plane is None or not span.finished or not span.ok:
+                continue
+            base = span.name.rstrip("0123456789").rstrip("_")
+            totals[(base, plane)] = totals.get((base, plane), 0.0) + span.duration
     return sorted(
         [(name, plane, seconds) for (name, plane), seconds in totals.items()],
         key=lambda item: -item[2],

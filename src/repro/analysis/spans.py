@@ -32,10 +32,6 @@ CONTROL_PHASES = frozenset(
 )
 
 
-def _finished_children(tracer: Tracer, span: Span) -> list[Span]:
-    return [child for child in tracer.children(span) if child.finished]
-
-
 def _interval_union(intervals: list[tuple[float, float]]) -> float:
     """Total length covered by a set of (start, end) intervals."""
     if not intervals:
@@ -53,26 +49,44 @@ def _interval_union(intervals: list[tuple[float, float]]) -> float:
     return covered
 
 
-def exclusive_time(tracer: Tracer, span: Span) -> float:
-    """Span duration minus the union of its children's intervals."""
+def _self_time(span: Span, children: typing.Iterable[Span]) -> float:
+    """``span``'s duration minus the union of its finished children's
+    intervals (``children`` in open order)."""
     if not span.finished:
         return 0.0
     intervals = [
         (max(child.start, span.start), min(child.end, span.end))
-        for child in _finished_children(tracer, span)
-        if child.end > span.start and child.start < span.end
+        for child in children
+        if child.finished and child.end > span.start and child.start < span.end
     ]
     return max(0.0, span.duration - _interval_union(intervals))
+
+
+def exclusive_time(tracer: Tracer, span: Span) -> float:
+    """Span duration minus the union of its children's intervals."""
+    return _self_time(span, tracer.children(span))
+
+
+def _subtree_self_times(root: Span) -> typing.Iterator[tuple[Span, float]]:
+    """Each span of ``root``'s subtree, preorder, with its exclusive time.
+
+    One child index serves the whole tree, so the walk is linear in it.
+    """
+    kids = root.tracer.child_index(root.trace_id)
+    stack = [root]
+    while stack:
+        span = stack.pop()
+        children = kids.get(span.span_id, ())
+        yield span, _self_time(span, children)
+        stack.extend(reversed(children))
 
 
 def phase_attribution(root: Span) -> dict[str, float]:
     """Exclusive seconds per phase tag over ``root``'s subtree."""
     if root.is_null:
         return {}
-    tracer = root.tracer
     totals: dict[str, float] = {}
-    for span in tracer.subtree(root):
-        self_time = exclusive_time(tracer, span)
+    for span, self_time in _subtree_self_times(root):
         if self_time > 0.0:
             totals[span.phase] = totals.get(span.phase, 0.0) + self_time
     return totals
@@ -104,10 +118,8 @@ def queueing_service_split(root: Span) -> dict[str, float]:
     """
     if root.is_null:
         return {"queueing": 0.0, "service": 0.0}
-    tracer = root.tracer
     queueing = service = 0.0
-    for span in tracer.subtree(root):
-        self_time = exclusive_time(tracer, span)
+    for span, self_time in _subtree_self_times(root):
         if span.tags.get("wait"):
             queueing += self_time
         else:
@@ -138,15 +150,15 @@ def critical_path(root: Span) -> list[CriticalSegment]:
     """
     if root.is_null or not root.finished:
         return []
-    tracer = root.tracer
+    kids = root.tracer.child_index(root.trace_id)
 
     def walk(span: Span, cutoff: float) -> list[CriticalSegment]:
         segments: list[CriticalSegment] = []
         cursor = min(cutoff, span.end)
         children = [
             child
-            for child in _finished_children(tracer, span)
-            if child.start < cursor and child.end > span.start
+            for child in kids.get(span.span_id, ())
+            if child.finished and child.start < cursor and child.end > span.start
         ]
         while cursor > span.start:
             active = [child for child in children if child.start < cursor]

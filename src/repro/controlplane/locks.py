@@ -10,7 +10,6 @@ the degenerate design whose cost R-T3 quantifies.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import typing
 
@@ -64,7 +63,10 @@ class RWLock:
         self.name = name
         self.readers = 0
         self.writer = False
-        self._queue: collections.deque[tuple[str, Event]] = collections.deque()
+        # A list, not a deque: most locks never queue, and one lock is kept
+        # per entity ever locked, so the empty case is what counts (~60
+        # traced bytes against a deque's ~770).
+        self._queue: list[tuple[str, Event]] = []
 
     def acquire(self, mode: str) -> Event:
         if mode not in (READ, WRITE):
@@ -111,7 +113,7 @@ class RWLock:
             mode, event = self._queue[0]
             if mode == WRITE:
                 if self.readers == 0 and not self.writer:
-                    self._queue.popleft()
+                    del self._queue[0]
                     self.writer = True
                     event.succeed(value=RWGrant(self, WRITE))
                     continue
@@ -119,7 +121,7 @@ class RWLock:
             # Reader: admit unless a writer currently holds the lock.
             if self.writer:
                 break
-            self._queue.popleft()
+            del self._queue[0]
             self.readers += 1
             event.succeed(value=RWGrant(self, READ))
 

@@ -53,7 +53,7 @@ class TaskState(enum.Enum):
     ERROR = "error"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Task:
     """One management task's lifecycle record."""
 
@@ -69,8 +69,10 @@ class Task:
     deadline: float | None = None
     # Body executions so far (1 = no retries).
     attempts: int = 0
-    # Per-phase attribution filled in by the operation: (phase, plane, seconds).
-    phases: list[tuple[str, str, float]] = dataclasses.field(default_factory=list)
+    # Seconds of the operation's successful phases on each plane, summed
+    # by :func:`repro.operations.base.phase` in completion order.
+    control_s: float = 0.0
+    data_s: float = 0.0
     # Operation-specific payload (e.g. the created VM for clones).
     result: typing.Any = None
     # Current tracing span for the task's work (the root span outside
@@ -94,7 +96,11 @@ class Task:
 
     def plane_seconds(self, plane: str) -> float:
         """Total attributed seconds on one plane ('control' or 'data')."""
-        return sum(seconds for _, p, seconds in self.phases if p == plane)
+        if plane == "control":
+            return self.control_s
+        if plane == "data":
+            return self.data_s
+        raise ValueError(f"unknown plane {plane!r}")
 
 
 class NullJournal:
@@ -208,10 +214,11 @@ class TaskManager:
     ) -> typing.Generator[typing.Any, typing.Any, Task]:
         """Process-style: run ``body(task)`` under the task lifecycle.
 
-        The body is a process generator; its phases should be appended to
-        ``task.phases``. Transient failures are retried per the configured
-        :class:`RetryPolicy`; terminal failures mark the task ERROR,
-        record a dead letter, and re-raise.
+        The body is a process generator; its phases add their seconds to
+        ``task.control_s``/``task.data_s`` through
+        :func:`repro.operations.base.phase`. Transient failures are
+        retried per the configured :class:`RetryPolicy`; terminal failures
+        mark the task ERROR, record a dead letter, and re-raise.
 
         With tracing enabled the task gets a root span (a child of
         ``parent_span`` when the caller — e.g. the cloud director — is

@@ -698,7 +698,7 @@ def _f8_cell(cell: tuple[int, int, bool]) -> tuple[dict[str, float], str]:
     from repro.traces.records import TraceRecord
 
     seed, total, linked = cell
-    rig = StormRig(seed=seed, hosts=8, datastores=4)
+    rig = StormRig(seed=seed, hosts=8, datastores=4, traced=True)
     for index in range(total):
         rig.server.submit(
             DeployFromTemplate(

@@ -80,7 +80,10 @@ def phase(
         span.finish(error=type(exc).__name__)
         raise
     span.finish()
-    task.phases.append((name, plane, sim.now - start))
+    if plane == CONTROL:
+        task.control_s += sim.now - start
+    else:
+        task.data_s += sim.now - start
     return result
 
 
@@ -89,7 +92,8 @@ class Operation:
 
     ``run`` executes inside a task lifecycle (see
     :meth:`repro.controlplane.server.ManagementServer.submit`); it should
-    append to ``task.phases`` via :func:`phase` and set ``task.result``.
+    run its work through :func:`phase`, which adds each phase's seconds to
+    ``task.control_s`` or ``task.data_s``, and set ``task.result``.
     """
 
     op_type: OperationType

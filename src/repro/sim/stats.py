@@ -22,21 +22,24 @@ class Gauge:
     the current simulated time; :meth:`time_average` integrates it.
     """
 
-    __slots__ = ("sim", "name", "value", "maximum", "_samples")
+    __slots__ = ("sim", "name", "value", "maximum", "_times", "_levels")
 
     def __init__(self, sim: "Simulator", name: str) -> None:
         self.sim = sim
         self.name = name
         self.value = 0.0
         self.maximum = 0.0
-        self._samples: list[tuple[float, float]] = [(sim.now, 0.0)]
+        # The step series as two parallel lists: no tuple per sample.
+        self._times: list[float] = [sim.now]
+        self._levels: list[float] = [0.0]
 
     def set(self, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError(f"gauge {self.name!r} level must be finite, got {value!r}")
         self.value = value
         self.maximum = max(self.maximum, value)
-        self._samples.append((self.sim.now, value))
+        self._times.append(self.sim.now)
+        self._levels.append(value)
 
     def add(self, delta: float) -> None:
         if not math.isfinite(delta):
@@ -49,8 +52,9 @@ class Gauge:
         if now <= 0:
             return self.value
         area = 0.0
-        prev_time, prev_value = self._samples[0]
-        for time, value in self._samples[1:]:
+        # The first pair integrates nothing: it is the starting point.
+        prev_time, prev_value = self._times[0], self._levels[0]
+        for time, value in zip(self._times, self._levels):
             if time > prev_time:
                 area += prev_value * (time - prev_time)
             prev_time, prev_value = time, value
@@ -60,7 +64,7 @@ class Gauge:
 
     def series(self) -> list[tuple[float, float]]:
         """The raw (time, level) step series."""
-        return list(self._samples)
+        return list(zip(self._times, self._levels))
 
 
 class LatencyRecorder:

@@ -10,7 +10,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.controlplane.task_manager import Task
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One completed management operation, as a log line would record it."""
 
@@ -34,12 +34,12 @@ class TraceRecord:
         return self.started_at - self.submitted_at
 
     @classmethod
-    def from_task(cls, task: "Task", org: str = "") -> "TraceRecord":
+    def from_task(cls, task: "Task") -> "TraceRecord":
         """Convert a completed control-plane task into a trace record.
 
         When the task carries a real (finished) span tree, the plane
         seconds come from the spans and are cross-checked against the
-        task's own phase accounting — the two are maintained by different
+        task's own plane totals — the two are maintained by different
         code paths, so drift means an instrumentation bug.
         """
         if task.finished_at is None or task.started_at is None:
@@ -57,7 +57,7 @@ class TraceRecord:
                 ):
                     raise ValueError(
                         f"task {task.task_id} {plane}-plane drift: spans say "
-                        f"{span_value:.9f}s, task phases say {task_value:.9f}s"
+                        f"{span_value:.9f}s, task totals say {task_value:.9f}s"
                     )
             control_s = plane_seconds_from_span(span, "control")
             data_s = plane_seconds_from_span(span, "data")
@@ -69,7 +69,6 @@ class TraceRecord:
             success=task.state.value == "success",
             control_s=control_s,
             data_s=data_s,
-            org=org,
             task_id=task.task_id,
             error=task.error or "",
         )

@@ -86,12 +86,22 @@ class Tracer:
         span_id = span.span_id
         return [s for s in self._trace_spans(span.trace_id) if s.parent_id == span_id]
 
-    def subtree(self, root: Span) -> list[Span]:
-        """``root`` and all its descendants, preorder."""
+    def child_index(self, trace_id: int) -> dict[int, list[Span]]:
+        """Span id -> its direct children in open order, over one trace.
+
+        Built in one pass over the trace: analyses that visit every span
+        of a tree read children from here rather than calling
+        :meth:`children` per span, which would be quadratic in the tree.
+        """
         kids: dict[int, list[Span]] = {}
-        for span in self._trace_spans(root.trace_id):
+        for span in self._trace_spans(trace_id):
             if span.parent_id is not None:
                 kids.setdefault(span.parent_id, []).append(span)
+        return kids
+
+    def subtree(self, root: Span) -> list[Span]:
+        """``root`` and all its descendants, preorder."""
+        kids = self.child_index(root.trace_id)
         out: list[Span] = []
         stack = [root]
         while stack:
@@ -130,8 +140,8 @@ def plane_seconds_from_span(root: Span, plane: str) -> float:
     spans with a ``plane`` tag; this sums them over ``root``'s subtree.
     It is the span-side accounting that
     :meth:`repro.traces.records.TraceRecord.from_task` cross-checks
-    against the task's own phase list. Error-marked spans are excluded to
-    mirror task phase accounting (a failed phase body appends nothing).
+    against the task's own plane totals. Error-marked spans are excluded
+    to mirror those totals (a failed phase body adds nothing).
     """
     tracer = root.tracer
     total = 0.0

@@ -10,6 +10,7 @@ from repro.analysis import (
     mix_comparison,
     operation_counts,
     operation_mix,
+    phase_breakdown,
     plane_breakdown,
     render_series,
     render_table,
@@ -29,6 +30,17 @@ def record(op="deploy", submitted=0.0, wait=1.0, service=4.0, control=2.0, data=
         control_s=control,
         data_s=data,
     )
+
+
+def storm_tasks(traced):
+    """The succeeded tasks of a small storm: one full clone, two linked."""
+    from repro.core.experiments import StormRig
+
+    rig = StormRig(seed=0, hosts=2, datastores=2, traced=traced)
+    for index in range(3):
+        rig.server.submit(rig.clone_op(index, linked=index > 0))
+    rig.sim.run()
+    return rig.server.tasks.succeeded()
 
 
 class TestMix:
@@ -115,6 +127,24 @@ class TestBreakdown:
         assert out["a"]["control"] == pytest.approx(2.0 / 5.0)
         assert out["b"]["control"] == 0.0
         assert out["b"]["data"] == pytest.approx(1.0 / 5.0)
+
+    def test_phase_breakdown_reads_the_plane_tagged_spans(self):
+        tasks = storm_tasks(traced=True)
+        phases = phase_breakdown(tasks)
+        assert [seconds for _, _, seconds in phases] == sorted(
+            (seconds for _, _, seconds in phases), reverse=True
+        )
+        # copy_disk_0, copy_disk_1, ... fold into one row.
+        assert ("copy_disk", "data") in {(name, plane) for name, plane, _ in phases}
+        for plane in ("control", "data"):
+            assert sum(s for _, p, s in phases if p == plane) == pytest.approx(
+                sum(task.plane_seconds(plane) for task in tasks)
+            )
+
+    def test_phase_breakdown_names_an_untraced_task(self):
+        tasks = storm_tasks(traced=False)
+        with pytest.raises(ValueError, match=f"task {tasks[0].task_id} has no span tree"):
+            phase_breakdown(tasks)
 
 
 class TestReport:

@@ -101,7 +101,9 @@ def test_rows_error_fails_inside_the_phase_span():
     sim = Simulator()
     database = make_db(sim)
     tracer = Tracer(sim)
-    task = type("Task", (), {"phases": [], "span": tracer.start_trace("task.t")})()
+    task = type(
+        "Task", (), {"control_s": 0.0, "data_s": 0.0, "span": tracer.start_trace("task.t")}
+    )()
     server = type("Server", (), {"sim": sim})()
     timed = Operation().timed(
         server, task, "commit", CONTROL, lambda span: database.write(rows=0, span=span)
@@ -111,7 +113,7 @@ def test_rows_error_fails_inside_the_phase_span():
     (commit,) = [span for span in tracer.spans if span.name == "commit"]
     assert commit.finished
     assert commit.tags["error"] == "ValueError"
-    assert task.phases == []
+    assert task.control_s == task.data_s == 0.0
 
 
 def test_slowdown_injection():

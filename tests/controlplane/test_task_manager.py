@@ -4,6 +4,7 @@ import pytest
 
 from repro.controlplane import TaskState
 from repro.controlplane.task_manager import TaskManager
+from repro.operations.base import CONTROL, DATA, phase
 from repro.telemetry.metrics import Telemetry
 from tests.scoped import scoped
 
@@ -15,9 +16,12 @@ def make_tm(sim, database, max_inflight=4):
 def test_successful_task_lifecycle(sim, database):
     manager = make_tm(sim, database)
 
+    def wait(seconds):
+        yield sim.timeout(seconds)
+
     def body(task):
-        task.phases.append(("work", "control", 1.0))
-        yield sim.timeout(1.0)
+        yield from phase(task, "work", CONTROL, sim, wait(1.0))
+        yield from phase(task, "copy", DATA, sim, wait(0.5))
 
     def proc():
         yield from manager.run_task("power_on", body)
@@ -26,9 +30,10 @@ def test_successful_task_lifecycle(sim, database):
     sim.run(until=process)
     (task,) = manager.tasks
     assert task.state == TaskState.SUCCESS
-    assert task.latency > 1.0  # includes two DB writes
+    assert task.latency > 1.5  # includes two DB writes
     assert task.queue_wait >= 0.0
-    assert task.plane_seconds("control") == 1.0
+    assert task.control_s == task.plane_seconds("control") == 1.0
+    assert task.data_s == task.plane_seconds("data") == 0.5
     assert manager.succeeded("power_on") == [task]
 
 

@@ -14,19 +14,24 @@ from repro.datacenter import (
 from repro.datacenter.templates import MEDIUM_LINUX
 from repro.sim import RandomStreams, Simulator
 from repro.telemetry.metrics import Telemetry
+from repro.tracing import Tracer
 
 
 class SmallCloud:
     """A 4-host, 2-datastore managed setup used across operation tests."""
 
-    def __init__(self, seed=42, config=None, hosts=4, datastores=2, telemetry=False):
+    def __init__(
+        self, seed=42, config=None, hosts=4, datastores=2, telemetry=False, traced=False
+    ):
         self.sim = Simulator()
         self.streams = RandomStreams(seed=seed)
         # With ``telemetry`` the server's scoped ids are live (tests read
-        # them through ``self.telemetry``).
+        # them through ``self.telemetry``); with ``traced`` every task
+        # carries its span tree.
         self.telemetry = Telemetry(self.sim) if telemetry else None
         self.server = ManagementServer(
             self.sim, self.streams, config=config or ControlPlaneConfig(),
+            tracer=Tracer(self.sim) if traced else None,
             telemetry=self.telemetry,
         )
         inventory = self.server.inventory
@@ -54,6 +59,12 @@ class SmallCloud:
         """Submit and wait; returns the completed Task."""
         process = self.server.submit(operation, priority=priority)
         return self.sim.run(until=process)
+
+
+def phase_names(task):
+    """Names of a traced task's operation phases: its plane-tagged spans."""
+    root = task.span
+    return [span.name for span in root.tracer.subtree(root) if "plane" in span.tags]
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from repro.controlplane import TaskState
 from repro.datacenter import PowerState, VirtualMachine
 from repro.operations import CloneVM, DeployFromTemplate, OperationError, PowerOn
 
-from tests.operations.conftest import SmallCloud
+from tests.operations.conftest import SmallCloud, phase_names
 
 
 def clone_op(cloud, linked, name="clone-1"):
@@ -79,32 +79,32 @@ def test_clone_diskless_source_fails(cloud):
         cloud.sim.run(until=process)
 
 
-def test_linked_clone_of_writable_vm_pays_anchor_snapshot(cloud):
+def test_linked_clone_of_writable_vm_pays_anchor_snapshot():
+    cloud = SmallCloud(traced=True)
     # First materialize a full clone (writable VM), then linked-clone it.
     source = cloud.run_op(clone_op(cloud, linked=False, name="writable")).result
     task = cloud.run_op(
         CloneVM(source, "second", cloud.hosts[1], cloud.datastores[1], linked=True)
     )
-    phase_names = [name for name, _, _ in task.phases]
-    assert "anchor_snapshot" in phase_names
+    assert "anchor_snapshot" in phase_names(task)
     assert len(source.snapshots) == 1
 
 
-def test_second_linked_clone_reuses_anchor(cloud):
+def test_second_linked_clone_reuses_anchor():
+    cloud = SmallCloud(traced=True)
     source = cloud.run_op(clone_op(cloud, linked=False, name="writable")).result
     cloud.run_op(CloneVM(source, "c1", cloud.hosts[1], cloud.datastores[1], linked=True))
     task = cloud.run_op(
         CloneVM(source, "c2", cloud.hosts[2], cloud.datastores[1], linked=True)
     )
-    phase_names = [name for name, _, _ in task.phases]
-    assert "anchor_snapshot" not in phase_names
+    assert "anchor_snapshot" not in phase_names(task)
     assert len(source.snapshots) == 1
 
 
-def test_template_linked_clone_needs_no_snapshot(cloud):
+def test_template_linked_clone_needs_no_snapshot():
+    cloud = SmallCloud(traced=True)
     task = cloud.run_op(clone_op(cloud, linked=True))
-    phase_names = [name for name, _, _ in task.phases]
-    assert "anchor_snapshot" not in phase_names
+    assert "anchor_snapshot" not in phase_names(task)
     assert cloud.template.snapshots == []
 
 
@@ -120,7 +120,8 @@ def test_concurrent_linked_clones_share_template_anchor(cloud):
 
 
 class TestDeployFromTemplate:
-    def test_deploy_powers_on(self, cloud):
+    def test_deploy_powers_on(self):
+        cloud = SmallCloud(traced=True)
         task = cloud.run_op(
             DeployFromTemplate(
                 cloud.template, "web-1", cloud.hosts[0], cloud.datastores[1], linked=True
@@ -128,9 +129,9 @@ class TestDeployFromTemplate:
         )
         vm = task.result
         assert vm.power_state == PowerState.ON
-        phase_names = [name for name, _, _ in task.phases]
-        assert "customize_host" in phase_names
-        assert "power_on" in phase_names
+        names = phase_names(task)
+        assert "customize_host" in names
+        assert "power_on" in names
 
     def test_deploy_requires_template(self, cloud):
         non_template = cloud.server.inventory.create(VirtualMachine, name="vm")

@@ -12,7 +12,7 @@ from repro.operations import (
     RescanDatastore,
 )
 
-from tests.operations.conftest import SmallCloud
+from tests.operations.conftest import SmallCloud, phase_names
 from tests.scoped import scoped
 
 
@@ -54,7 +54,8 @@ def test_rescan_cost_grows_with_host_count():
     assert large > small
 
 
-def test_add_host_mounts_and_rescans(cloud):
+def test_add_host_mounts_and_rescans():
+    cloud = SmallCloud(traced=True)
     new_host = Host(entity_id="host-new", name="esx99")
     task = cloud.run_op(
         AddHost(new_host, cloud.cluster, cloud.datastores, networks=[cloud.network])
@@ -64,10 +65,10 @@ def test_add_host_mounts_and_rescans(cloud):
     assert new_host.entity_id in cloud.server.inventory
     assert set(new_host.datastores) == set(cloud.datastores)
     assert cloud.network in new_host.networks
-    phase_names = [name for name, _, _ in task.phases]
-    assert "connect_handshake" in phase_names
-    assert "initial_rescan" in phase_names
-    assert "network_config" in phase_names
+    names = phase_names(task)
+    assert "connect_handshake" in names
+    assert "initial_rescan" in names
+    assert "network_config" in names
 
 
 def test_add_host_already_present_fails(cloud):
