@@ -41,11 +41,11 @@ import argparse
 import sys
 import typing
 
+# Only what the parser and ``list`` need loads with the module; each
+# command imports the layers it runs, so ``--help`` builds no server.
 from repro.controlplane.costs import DEFAULT_COSTS
-from repro.core.experiments import EXPERIMENTS, StormRig, run_experiment, storm_cell
-from repro.core.scenario import Scenario
+from repro.core.experiments import EXPERIMENTS
 from repro.faults.schedule import MESSAGE_FAULT_KINDS
-from repro.traces.io import write_csv, write_jsonl
 from repro.workloads.profiles import ALL_PROFILES
 
 PROFILES = {profile.name: profile for profile in ALL_PROFILES}
@@ -290,6 +290,9 @@ def _fail(message: object) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from repro.core.scenario import Scenario
+    from repro.traces.io import write_csv, write_jsonl
+
     result = Scenario(
         PROFILES[args.name], duration_s=args.hours * 3600.0, seed=args.seed
     ).run()
@@ -306,6 +309,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.core.experiments import run_experiment
+
     try:
         result = run_experiment(
             args.exp_id, seed=args.seed, quick=args.quick, parallel=args.parallel
@@ -317,6 +322,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_storm(args: argparse.Namespace) -> int:
+    from repro.core.experiments import storm_cell
+
     outcome = storm_cell(
         (args.seed, args.hosts, 4, DEFAULT_COSTS, None, args.clones, args.concurrency,
          not args.full)
@@ -449,6 +456,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         phase_attribution,
         queueing_service_split,
     )
+    from repro.core.experiments import StormRig
     from repro.tracing import write_chrome_trace, write_spans_jsonl
 
     if args.sample is not None and args.sample < 1:

@@ -63,9 +63,8 @@ class RWLock:
         self.name = name
         self.readers = 0
         self.writer = False
-        # A list, not a deque: most locks never queue, and one lock is kept
-        # per entity ever locked, so the empty case is what counts (~60
-        # traced bytes against a deque's ~770).
+        # A list, not a deque: most locks never queue, so the empty case is
+        # what counts (~60 traced bytes against a deque's ~770).
         self._queue: list[tuple[str, Event]] = []
 
     def acquire(self, mode: str) -> Event:
@@ -152,12 +151,23 @@ class LockManager:
         self.acquire_wait_s = 0.0
         scope = telemetry if telemetry is not None else NULL_SCOPE
         self._t_acquire_wait = scope.duration("acquire_wait")
+        # Only locks in use: a release or withdraw that leaves a lock idle
+        # drops it, so this is O(locks held), not O(entities ever locked).
+        # An idle lock has no holder and no waiter, so a fresh one for the
+        # same key behaves exactly like it.
         self._locks: dict[str, RWLock] = {}
 
     def _lock(self, key: str) -> RWLock:
-        if key not in self._locks:
-            self._locks[key] = RWLock(self.sim, name=key)
-        return self._locks[key]
+        lock = self._locks.get(key)
+        if lock is None:
+            lock = self._locks[key] = RWLock(self.sim, name=key)
+        return lock
+
+    def _release(self, grant: RWGrant) -> None:
+        lock = grant.lock
+        lock.release(grant)
+        if lock.idle:
+            del self._locks[lock.name]
 
     def _plan(
         self,
@@ -192,17 +202,21 @@ class LockManager:
         start = self.sim.now
         grants: list[RWGrant] = []
         for key, mode in self._plan(write_ids, read_ids):
+            # No yield between _lock and acquire: the lock is not idle by
+            # the time anything else can release or withdraw on it.
             lock = self._lock(key)
             pending = lock.acquire(mode)
             try:
                 grant = yield pending
             except BaseException:
                 if pending.triggered:
-                    lock.release(pending.value)
+                    self._release(pending.value)
                 else:
                     lock.withdraw(pending)
+                    if lock.idle:
+                        del self._locks[key]
                 for held in reversed(grants):
-                    held.lock.release(held)
+                    self._release(held)
                 raise
             grants.append(grant)
         wait = self.sim.now - start
@@ -214,7 +228,7 @@ class LockManager:
     def release(self, grants: list[RWGrant]) -> None:
         # Reverse order for symmetry; correctness doesn't depend on it.
         for grant in reversed(grants):
-            grant.lock.release(grant)
+            self._release(grant)
 
     def holding(
         self,

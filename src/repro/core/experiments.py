@@ -18,22 +18,18 @@ import dataclasses
 import functools
 import typing
 
+# The control plane, inventory and telemetry load where a cell builds a
+# server (``StormRig.__init__`` and the cells that build their own), so a
+# run that never builds one, such as a hyperscale cell, never loads them.
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
-from repro.controlplane.server import ManagementServer
-from repro.controlplane.task_manager import NULL_JOURNAL
-from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Network
-from repro.datacenter.templates import MEDIUM_LINUX, TemplateLibrary
-from repro.operations.provisioning import CloneVM, DeployFromTemplate
-from repro.operations.reconfiguration import AddHost, RescanDatastore
-from repro.sim.events import Call
+from repro.sim.events import AllOf, Call
 from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams, exponentials
-from repro.telemetry.metrics import NULL_RECORDER, NULL_TELEMETRY, Telemetry
-from repro.tracing import NULL_TRACER, Tracer
-from repro.triage.engine import NULL_TRIAGE
 from repro.workloads.arrivals import MMPPBurst, Poisson
 from repro.workloads.lifetimes import CLASSIC_DC_LIFETIME, CLOUD_A_LIFETIME
-from repro.workloads.profiles import CLASSIC_DC, CLOUD_A, CLOUD_B
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.operations.provisioning import CloneVM
 
 
 @dataclasses.dataclass
@@ -86,6 +82,15 @@ class StormRig:
         sample_budget: int | None = None,
         recorder: bool = False,
     ) -> None:
+        from repro.controlplane.server import ManagementServer
+        from repro.controlplane.task_manager import NULL_JOURNAL
+        from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Network
+        from repro.datacenter.templates import MEDIUM_LINUX, TemplateLibrary
+        from repro.operations.provisioning import CloneVM
+        from repro.telemetry.metrics import NULL_RECORDER, NULL_TELEMETRY, Telemetry
+        from repro.tracing import NULL_TRACER, Tracer
+        from repro.triage.engine import NULL_TRIAGE
+
         # A bus always mediates; no bus means direct calls. The keyword is
         # kept only because perfbench's ObservedBusStorm still passes False.
         if direct_calls:
@@ -178,9 +183,11 @@ class StormRig:
             self.hosts.append(host)
         self.library = TemplateLibrary(inventory)
         self.template = self.library.publish(MEDIUM_LINUX, self.datastores[0])
+        # Bound here so that clone_op, called per clone, runs no import.
+        self._clone_vm = CloneVM
 
     def clone_op(self, index: int, linked: bool) -> CloneVM:
-        return CloneVM(
+        return self._clone_vm(
             self.template,
             f"storm-{index}",
             self.hosts[index % len(self.hosts)],
@@ -215,8 +222,6 @@ class StormRig:
         ]
         # Wait for the workers specifically (not quiescence): background
         # processes like stats collectors may outlive the storm.
-        from repro.sim.events import AllOf
-
         self.sim.run(until=AllOf(self.sim, workers))
         # Hard accounting invariant: every submitted clone reached a
         # terminal state — a stranded task fails the exhibit loudly
@@ -336,6 +341,8 @@ def experiment_t1_setups(seed: int, quick: bool, parallel: int | None) -> Experi
 
     Profile constants only: nothing is simulated, so there are no cells.
     """
+    from repro.workloads.profiles import CLASSIC_DC, CLOUD_A, CLOUD_B
+
     rows = []
     for profile in (CLOUD_A, CLOUD_B, CLASSIC_DC):
         rows.append(
@@ -377,6 +384,7 @@ def experiment_t2_opmix(seed: int, quick: bool, parallel: int | None) -> Experim
     """R-T2: management-operation mix, clouds vs classic datacenter."""
     from repro.analysis.mix import mix_comparison
     from repro.core.parallel import run_cells
+    from repro.workloads.profiles import CLASSIC_DC, CLOUD_A, CLOUD_B
 
     duration = 2 * 3600.0 if quick else 12 * 3600.0
     profiles = (CLOUD_A, CLOUD_B, CLASSIC_DC)
@@ -416,6 +424,7 @@ def experiment_f1_arrivals(seed: int, quick: bool, parallel: int | None) -> Expe
     """R-F1: operation arrival rate over one day (Cloud A, diurnal)."""
     from repro.analysis.timeseries import arrival_rate_series, peak_to_trough
     from repro.core.parallel import run_cells
+    from repro.workloads.profiles import CLOUD_A
 
     duration = 6 * 3600.0 if quick else 24 * 3600.0
     (trace,) = run_cells(_scenario_cell, [(CLOUD_A, quick, duration, seed)], parallel)
@@ -444,6 +453,7 @@ def experiment_f2_latency_cdf(seed: int, quick: bool, parallel: int | None) -> E
     """R-F2: per-operation latency distributions under cloud load."""
     from repro.analysis.latency import latency_by_type, latency_cdf
     from repro.core.parallel import run_cells
+    from repro.workloads.profiles import CLOUD_B
 
     duration = 2 * 3600.0 if quick else 8 * 3600.0
     (trace,) = run_cells(_scenario_cell, [(CLOUD_B, quick, duration, seed)], parallel)
@@ -601,6 +611,9 @@ def experiment_f5_cp_load(seed: int, quick: bool, parallel: int | None) -> Exper
 
 def _f6_cell(cell: tuple[int, int, int]) -> tuple[float, float]:
     """One R-F6 sweep cell: rescan + add-host latency at one inventory size."""
+    from repro.datacenter.entities import Host
+    from repro.operations.reconfiguration import AddHost, RescanDatastore
+
     seed, host_count, datastore_count = cell
     rig = StormRig(seed=seed, hosts=host_count, datastores=datastore_count)
     process = rig.server.submit(RescanDatastore(rig.datastores[0]))
@@ -695,6 +708,7 @@ def experiment_f7_queue_depth(seed: int, quick: bool, parallel: int | None) -> E
 def _f8_cell(cell: tuple[int, int, bool]) -> tuple[dict[str, float], str]:
     """One R-F8 cell: a deploy batch's plane split and its top three phases."""
     from repro.analysis.bottleneck import phase_breakdown, plane_breakdown
+    from repro.operations.provisioning import DeployFromTemplate
     from repro.traces.records import TraceRecord
 
     seed, total, linked = cell
@@ -798,6 +812,9 @@ def experiment_t3_ablations(seed: int, quick: bool, parallel: int | None) -> Exp
 def _f9_cell(cell: tuple[int, int, int, int]) -> tuple[int, float]:
     """One R-F9 sweep cell: a clone storm at one shard count."""
     from repro.controlplane.shard import ShardedControlPlane
+    from repro.datacenter.entities import Datastore, Host
+    from repro.datacenter.templates import MEDIUM_LINUX, TemplateLibrary
+    from repro.operations.provisioning import CloneVM
 
     seed, shard_count, total_hosts, clones = cell
     sim = Simulator()

@@ -24,7 +24,12 @@ class HostState(enum.Enum):
 
 @dataclasses.dataclass
 class ManagedEntity:
-    """Base for everything with a managed-object identity."""
+    """Base for everything with a managed-object identity.
+
+    An entity's repr shows its own fields only. The fields that join it
+    to other entities (mount sets, members, guests, the host's cluster)
+    are left out, so a repr never walks the inventory graph.
+    """
 
     entity_id: str
     name: str
@@ -52,7 +57,7 @@ class Datastore(ManagedEntity):
 
     capacity_gb: float = 1024.0
     used_gb: float = 0.0
-    hosts: set["Host"] = dataclasses.field(default_factory=set)
+    hosts: set["Host"] = dataclasses.field(default_factory=set, repr=False)
 
     @property
     def free_gb(self) -> float:
@@ -85,10 +90,10 @@ class Host(ManagedEntity):
     memory_gb: float = 128.0
     memory_overcommit: float = 1.5
     state: HostState = HostState.CONNECTED
-    cluster: typing.Optional["Cluster"] = None
-    datastores: set[Datastore] = dataclasses.field(default_factory=set)
-    networks: set[Network] = dataclasses.field(default_factory=set)
-    vms: set["VirtualMachine"] = dataclasses.field(default_factory=set)
+    cluster: typing.Optional["Cluster"] = dataclasses.field(default=None, repr=False)
+    datastores: set[Datastore] = dataclasses.field(default_factory=set, repr=False)
+    networks: set[Network] = dataclasses.field(default_factory=set, repr=False)
+    vms: set["VirtualMachine"] = dataclasses.field(default_factory=set, repr=False)
     # Running totals over the powered-on members of ``vms``. Only
     # VirtualMachine writes them, as its power state, memory or host
     # changes, so admission never recounts the guests. Memory is kept in
@@ -156,7 +161,7 @@ class Cluster(ManagedEntity):
     snapshot.
     """
 
-    hosts: list[Host] = dataclasses.field(default_factory=list, init=False)
+    hosts: list[Host] = dataclasses.field(default_factory=list, init=False, repr=False)
     _usable: typing.Optional[list[Host]] = dataclasses.field(
         default=None, init=False, repr=False
     )
@@ -206,9 +211,9 @@ class Cluster(ManagedEntity):
 class Datacenter(ManagedEntity):
     """Top-level container: clusters plus datacenter-wide storage/networks."""
 
-    clusters: list[Cluster] = dataclasses.field(default_factory=list)
-    datastores: list[Datastore] = dataclasses.field(default_factory=list)
-    networks: list[Network] = dataclasses.field(default_factory=list)
+    clusters: list[Cluster] = dataclasses.field(default_factory=list, repr=False)
+    datastores: list[Datastore] = dataclasses.field(default_factory=list, repr=False)
+    networks: list[Network] = dataclasses.field(default_factory=list, repr=False)
 
     def add_cluster(self, cluster: Cluster) -> None:
         self.clusters.append(cluster)

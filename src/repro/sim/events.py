@@ -26,10 +26,6 @@ TRIGGERED = "triggered"  # scheduled on the queue, value decided
 PROCESSED = "processed"  # callbacks have run
 CANCELLED = "cancelled"
 
-# Heap priority of every scheduled event. Same-tick kernel resumes on the
-# urgent FIFO sort with it too, so ties fall to the sequence number.
-NORMAL = 1
-
 # Timeout pooling: a fired timeout is recycled only when the kernel loop
 # holds the sole remaining references. At the recycle check those are the
 # loop's local, this frame's ``self``, and getrefcount's own argument — so
@@ -128,7 +124,7 @@ class Event:
         # The heap push, written out: every grant and wake-up comes here.
         sim = self.sim
         sim._sequence += 1
-        heappush(sim._heap, (sim.now + delay, NORMAL, sim._sequence, self))
+        heappush(sim._heap, (sim.now + delay, sim._sequence, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -143,7 +139,7 @@ class Event:
         self._exception = exception
         sim = self.sim
         sim._sequence += 1
-        heappush(sim._heap, (sim.now + delay, NORMAL, sim._sequence, self))
+        heappush(sim._heap, (sim.now + delay, sim._sequence, self))
         return self
 
     def cancel(self) -> None:
@@ -202,7 +198,7 @@ class Timeout(Event):
         self._exception = None
         self.delay = delay
         sim._sequence += 1
-        heappush(sim._heap, (sim.now + delay, NORMAL, sim._sequence, self))
+        heappush(sim._heap, (sim.now + delay, sim._sequence, self))
 
     def _default_name(self) -> str:
         return f"timeout({self.delay})"

@@ -2,7 +2,7 @@
 
 Processes are Python generators that yield :class:`~repro.sim.events.Event`
 instances; the kernel resumes them when the event fires. Determinism is
-guaranteed by a strict (time, priority, sequence) ordering on the event heap:
+guaranteed by a strict (time, sequence) ordering on the event heap:
 two runs with the same seed produce identical schedules.
 
 Fast path
@@ -12,8 +12,7 @@ Same-tick resumes — process bootstrap on ``spawn()``, a yield of an
 already-processed event, and ``interrupt()`` — do not allocate relay
 :class:`Event` objects. They go on an *urgent* FIFO of ``(time, sequence,
 callable)`` entries that the loop drains against the heap using the exact
-same ``(time, priority, sequence)`` total order the relay events would have
-had, so the schedule is bit-identical to the old relay-event kernel
+same ``(time, sequence)`` total order the relay events would have had, so the schedule is bit-identical to the old relay-event kernel
 (``tests/sim/test_fastpath.py`` pins logs recorded on it).
 
 Heap hygiene: cancelling a scheduled event (fair-share links do this on
@@ -26,7 +25,8 @@ One queue
 ---------
 
 The schedule is a single inlined ``heapq`` binary heap of ``(time,
-priority, sequence, event)`` entries. It is the only event queue: every
+sequence, event)`` entries. Sequence numbers are unique across the heap
+and the urgent FIFO, so no comparison ever reaches the event. It is the only event queue: every
 exhibit and test runs on it, so there is one code path to keep
 deterministic (``docs/performance.md`` records the measurements behind
 that choice).
@@ -50,7 +50,6 @@ from heapq import heapify, heappop, heappush
 
 from repro.sim.events import (
     CANCELLED,
-    NORMAL,
     PENDING,
     PROCESSED,
     TRIGGERED,
@@ -201,7 +200,7 @@ class Simulator:
     def __init__(self, start: float = 0.0) -> None:
         #: Current simulated time in seconds. Only the kernel writes it.
         self.now = float(start)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._urgent: deque[tuple[float, int, typing.Callable[[], None]]] = deque()
         self._sequence = 0
         self._spawned = 0
@@ -239,7 +238,7 @@ class Simulator:
             timeout._value = value
             timeout.delay = delay
             self._sequence += 1
-            heappush(self._heap, (self.now + delay, NORMAL, self._sequence, timeout))
+            heappush(self._heap, (self.now + delay, self._sequence, timeout))
             return timeout
         return Timeout(self, delay, value=value)
 
@@ -249,7 +248,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         self._sequence += 1
-        heappush(self._heap, (self.now + delay, NORMAL, self._sequence, call))
+        heappush(self._heap, (self.now + delay, self._sequence, call))
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a process at the current simulated time."""
@@ -274,7 +273,7 @@ class Simulator:
         if self._cancelled_in_heap >= 64 and self._cancelled_in_heap * 2 >= len(self._heap):
             # In-place so loops holding a reference to the heap stay valid.
             self._heap[:] = [
-                entry for entry in self._heap if entry[3]._state != CANCELLED
+                entry for entry in self._heap if entry[2]._state != CANCELLED
             ]
             heapify(self._heap)
             self._cancelled_in_heap = 0
@@ -282,7 +281,7 @@ class Simulator:
     def _prune(self) -> None:
         """Drop cancelled heads — the single cancelled-event scan."""
         heap = self._heap
-        while heap and heap[0][3]._state == CANCELLED:
+        while heap and heap[0][2]._state == CANCELLED:
             heappop(heap)
             self._cancelled_in_heap -= 1
 
@@ -325,12 +324,14 @@ class Simulator:
         while True:
             if target is not None and target._state == PROCESSED:
                 return target.value
-            while heap and heap[0][3]._state == CANCELLED:
+            while heap and heap[0][2]._state == CANCELLED:
                 pop(heap)
                 self._cancelled_in_heap -= 1
             if urgent:
                 entry = urgent[0]
-                if not heap or (entry[0], NORMAL, entry[1]) <= heap[0][:3]:
+                # (time, sequence, fn) against (time, sequence, event): the
+                # sequences differ, so the tuples compare on those two alone.
+                if not heap or entry < heap[0]:
                     when = entry[0]
                     if horizon is not None and when > horizon:
                         break
@@ -344,10 +345,10 @@ class Simulator:
                         f"simulation ran dry before {target!r} fired (deadlock?)"
                     )
                 break
-            when, _priority, _seq, event = pop(heap)
+            when, _seq, event = pop(heap)
             if horizon is not None and when > horizon:
                 # Not yet due: put it back and stop at the horizon.
-                heappush(heap, (when, _priority, _seq, event))
+                heappush(heap, (when, _seq, event))
                 break
             self.now = when
             event._run_callbacks()

@@ -16,33 +16,21 @@ from __future__ import annotations
 
 import typing
 
-from repro.cloud.catalog import Catalog, CatalogItem
-from repro.cloud.director import CloudDirector, DeployRequest
-from repro.cloud.elasticity import SparePool
-from repro.cloud.placement import PlacementEngine
-from repro.cloud.tenancy import Organization
-from repro.cloud.vapp import VApp, VAppState
 from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFAULT_COSTS
-from repro.controlplane.server import ManagementServer
-from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Network
-from repro.datacenter.inventory import Inventory
-from repro.datacenter.templates import DEFAULT_SPECS, TemplateLibrary
-from repro.datacenter.vm import PowerState, VirtualDisk, VirtualMachine
-from repro.operations.base import OperationType
-from repro.operations.lifecycle import CreateSnapshot, DeleteSnapshot, ReconfigureVM
-from repro.operations.migration import MigrateVM
-from repro.operations.power import PowerOff, PowerOn
-from repro.operations.reconfiguration import (
-    AddDatastore,
-    AddHost,
-    NetworkReconfig,
-    RescanDatastore,
-)
-from repro.sim.kernel import Simulator
-from repro.sim.random import RandomStreams
-from repro.storage.linked_clone import MAX_CHAIN_DEPTH, create_linked_backing
-from repro.traces.records import TraceRecord
-from repro.workloads.profiles import CloudProfile
+from repro.sim.random import bounded, lognormal_from_median
+
+# The control plane, cloud and inventory modules load in
+# WorkloadDriver.__init__, so importing this module alone (perfbench's
+# child does, whatever workload it runs) loads none of them.
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.cloud.director import DeployRequest
+    from repro.cloud.vapp import VApp
+    from repro.datacenter.vm import PowerState, VirtualMachine
+    from repro.operations.base import OperationType
+    from repro.sim.kernel import Simulator
+    from repro.sim.random import RandomStreams
+    from repro.traces.records import TraceRecord
+    from repro.workloads.profiles import CloudProfile
 
 
 class WorkloadDriver:
@@ -56,6 +44,39 @@ class WorkloadDriver:
         costs: ControlPlaneCosts = DEFAULT_COSTS,
         config: ControlPlaneConfig | None = None,
     ) -> None:
+        from repro.cloud.director import DeployRequest
+        from repro.cloud.elasticity import SparePool
+        from repro.cloud.vapp import VAppState
+        from repro.controlplane.server import ManagementServer
+        from repro.datacenter.entities import Host
+        from repro.datacenter.templates import DEFAULT_SPECS
+        from repro.datacenter.vm import PowerState
+        from repro.operations.lifecycle import CreateSnapshot, DeleteSnapshot, ReconfigureVM
+        from repro.operations.migration import MigrateVM
+        from repro.operations.power import PowerOff, PowerOn
+        from repro.operations.reconfiguration import (
+            AddDatastore,
+            AddHost,
+            NetworkReconfig,
+            RescanDatastore,
+        )
+        from repro.storage.linked_clone import MAX_CHAIN_DEPTH
+
+        # What the per-operation handlers build and test, bound once here:
+        # the control plane loads with the first driver, and no handler
+        # runs an import statement.
+        self._specs = list(DEFAULT_SPECS)
+        self._deploy_request = DeployRequest
+        self._vapp_state = VAppState
+        self._power_state = PowerState
+        self._max_snapshot_depth = MAX_CHAIN_DEPTH - 2
+        self._power_on, self._power_off = PowerOn, PowerOff
+        self._reconfigure_vm = ReconfigureVM
+        self._create_snapshot, self._delete_snapshot = CreateSnapshot, DeleteSnapshot
+        self._migrate_vm = MigrateVM
+        self._rescan_datastore = RescanDatastore
+        self._add_host, self._add_datastore = AddHost, AddDatastore
+        self._network_reconfig = NetworkReconfig
         self.sim = sim
         self.streams = streams
         self.profile = profile
@@ -81,7 +102,14 @@ class WorkloadDriver:
     # -- construction ------------------------------------------------------------
 
     def _build_infrastructure(self) -> None:
-        inventory: Inventory = self.server.inventory
+        from repro.cloud.catalog import Catalog, CatalogItem
+        from repro.cloud.director import CloudDirector
+        from repro.cloud.placement import PlacementEngine
+        from repro.cloud.tenancy import Organization
+        from repro.datacenter.entities import Cluster, Datacenter, Datastore, Host, Network
+        from repro.datacenter.templates import TemplateLibrary
+
+        inventory = self.server.inventory
         profile = self.profile
         self.datacenter = inventory.create(Datacenter, name=f"dc:{profile.name}")
         self.cluster = inventory.create(Cluster, name="cluster-1")
@@ -107,7 +135,7 @@ class WorkloadDriver:
 
         self.library = TemplateLibrary(inventory)
         self.catalog = Catalog("public")
-        for spec_index, spec in enumerate(DEFAULT_SPECS):
+        for spec_index, spec in enumerate(self._specs):
             datastore = self.datastores[spec_index % len(self.datastores)]
             self.library.publish(spec, datastore)
             self.catalog.add(CatalogItem(f"{spec.name}-linked", spec.name, linked=True))
@@ -133,7 +161,10 @@ class WorkloadDriver:
         they are the infrastructure's state when the measured window
         opens, mirroring how the paper's logs start mid-life.
         """
-        template = self.library.get(DEFAULT_SPECS[1].name)  # medium-linux
+        from repro.datacenter.vm import PowerState, VirtualDisk, VirtualMachine
+        from repro.storage.linked_clone import create_linked_backing
+
+        template = self.library.get(self._specs[1].name)  # medium-linux
         anchor = template.disks[0].backing
         rng = self.streams.stream("seed")
         for host in self.hosts:
@@ -239,7 +270,7 @@ class WorkloadDriver:
 
     def _issue_deploy(self) -> None:
         org = self._pick(self.orgs)
-        spec = self._pick(list(DEFAULT_SPECS))
+        spec = self._pick(self._specs)
         linked = self._rng.random() < self.profile.linked_clone_fraction
         item = self.catalog.get(f"{spec.name}-{'linked' if linked else 'full'}")
         # vApp size: 1 + geometric, mean = profile.vapp_size_mean.
@@ -250,7 +281,7 @@ class WorkloadDriver:
             if size >= 16:
                 break
         self._deploy_counter += 1
-        request = DeployRequest(
+        request = self._deploy_request(
             org=org,
             item=item,
             vm_count=size,
@@ -260,14 +291,15 @@ class WorkloadDriver:
 
     def _deploy_and_schedule_death(self, request: DeployRequest) -> typing.Generator:
         vapp = yield from self.director.deploy(request)
-        if vapp.state in (VAppState.RUNNING, VAppState.PARTIAL):
+        states = self._vapp_state
+        if vapp.state in (states.RUNNING, states.PARTIAL):
             lifetime = self._next_lifetime()
             self._spawn_guarded(self._delete_after(vapp, lifetime), "lifetime-delete")
 
     def _delete_after(self, vapp: VApp, delay: float) -> typing.Generator:
         yield self.sim.timeout(delay)
-        terminal = (VAppState.DELETED, VAppState.DELETING)
-        if vapp.state not in terminal and not self._stopped:
+        states = self._vapp_state
+        if vapp.state not in (states.DELETED, states.DELETING) and not self._stopped:
             yield from self.director.delete(vapp)
 
     def _issue_destroy(self) -> None:
@@ -279,22 +311,23 @@ class WorkloadDriver:
         self._spawn_guarded(self._delete_now(vapp), "early-delete")
 
     def _delete_now(self, vapp: VApp) -> typing.Generator:
-        if vapp.state not in (VAppState.DELETED, VAppState.DELETING):
+        states = self._vapp_state
+        if vapp.state not in (states.DELETED, states.DELETING):
             yield from self.director.delete(vapp)
 
     def _issue_power_on(self) -> None:
-        vm = self._pick(self._tenant_vms(PowerState.OFF))
+        vm = self._pick(self._tenant_vms(self._power_state.OFF))
         if vm is None:
             self._skip("power_on_no_target")
             return
-        self._submit_guarded(PowerOn(vm), "power-on")
+        self._submit_guarded(self._power_on(vm), "power-on")
 
     def _issue_power_off(self) -> None:
-        vm = self._pick(self._tenant_vms(PowerState.ON))
+        vm = self._pick(self._tenant_vms(self._power_state.ON))
         if vm is None:
             self._skip("power_off_no_target")
             return
-        self._submit_guarded(PowerOff(vm), "power-off")
+        self._submit_guarded(self._power_off(vm), "power-off")
 
     def _issue_reconfigure(self) -> None:
         vm = self._pick(self._tenant_vms())
@@ -302,7 +335,7 @@ class WorkloadDriver:
             self._skip("reconfigure_no_target")
             return
         self._submit_guarded(
-            ReconfigureVM(vm, vcpus=self._rng.choice((1, 2, 4, 8))), "reconfigure"
+            self._reconfigure_vm(vm, vcpus=self._rng.choice((1, 2, 4, 8))), "reconfigure"
         )
 
     def _issue_snapshot_create(self) -> None:
@@ -312,13 +345,13 @@ class WorkloadDriver:
                 for vm in self.server.inventory.vms_by_id()
                 if not vm.is_template
                 and vm.host is not None
-                and vm.max_chain_depth < MAX_CHAIN_DEPTH - 2
+                and vm.max_chain_depth < self._max_snapshot_depth
             ]
         )
         if vm is None:
             self._skip("snapshot_no_target")
             return
-        self._submit_guarded(CreateSnapshot(vm, f"auto-{self.sim.now:.0f}"), "snapshot")
+        self._submit_guarded(self._create_snapshot(vm, f"auto-{self.sim.now:.0f}"), "snapshot")
 
     def _issue_snapshot_delete(self) -> None:
         vm = self._pick(
@@ -332,15 +365,15 @@ class WorkloadDriver:
             self._skip("snapshot_delete_no_target")
             return
         # Guest writes accumulated since the snapshot: lognormal, median 1 GB.
-        from repro.sim.random import bounded, lognormal_from_median
-
         written_gb = bounded(
             lognormal_from_median(self._rng, 1.0, 1.0), 0.05, 50.0
         )
-        self._submit_guarded(DeleteSnapshot(vm, written_gb=written_gb), "snapshot-delete")
+        self._submit_guarded(
+            self._delete_snapshot(vm, written_gb=written_gb), "snapshot-delete"
+        )
 
     def _issue_migrate(self) -> None:
-        vm = self._pick(self._tenant_vms(PowerState.ON))
+        vm = self._pick(self._tenant_vms(self._power_state.ON))
         if vm is None:
             self._skip("migrate_no_target")
             return
@@ -349,14 +382,14 @@ class WorkloadDriver:
         if destination is None:
             self._skip("migrate_no_destination")
             return
-        self._submit_guarded(MigrateVM(vm, destination), "migrate")
+        self._submit_guarded(self._migrate_vm(vm, destination), "migrate")
 
     def _issue_rescan_datastore(self) -> None:
         datastore = self._pick(self.cluster.shared_datastores())
         if datastore is None:
             self._skip("rescan_no_datastore")
             return
-        self._submit_guarded(RescanDatastore(datastore), "rescan")
+        self._submit_guarded(self._rescan_datastore(datastore), "rescan")
 
     def _issue_add_host(self) -> None:
         host = self._spares.take_host()
@@ -365,22 +398,26 @@ class WorkloadDriver:
             return
         shared = self.cluster.shared_datastores()
         self._submit_guarded(
-            AddHost(host, self.cluster, shared, networks=[self.network]), "add-host"
+            self._add_host(host, self.cluster, shared, networks=[self.network]), "add-host"
         )
 
     def _issue_add_datastore(self) -> None:
         datastore = self._spares.make_datastore()
         self._submit_guarded(
-            AddDatastore(datastore, self.cluster.usable_hosts), "add-datastore"
+            self._add_datastore(datastore, self.cluster.usable_hosts), "add-datastore"
         )
 
     def _issue_network_reconfig(self) -> None:
-        self._submit_guarded(NetworkReconfig(self.cluster, self.network), "net-reconfig")
+        self._submit_guarded(
+            self._network_reconfig(self.cluster, self.network), "net-reconfig"
+        )
 
     # -- output ---------------------------------------------------------------------------
 
     def trace(self) -> list[TraceRecord]:
         """Trace records for every completed management task."""
+        from repro.traces.records import TraceRecord
+
         return [
             TraceRecord.from_task(task)
             for task in self.server.tasks.completed()

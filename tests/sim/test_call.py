@@ -2,7 +2,7 @@
 
 A :class:`Call` is a heap payload that nothing waits on and nothing
 cancels. It must order against ordinary events by the same
-``(time, priority, sequence)`` key, survive every path that touches the
+``(time, sequence)`` key, survive every path that touches the
 heap (horizon put-back, ``peek``/``step``, compaction), and cost exactly
 one sequence number per scheduling.
 """

@@ -7,7 +7,7 @@ reorder a schedule: FCFS and prioritised requests, deadline withdrawals
 through ``AnyOf`` with a timer, interrupts of queued and just-granted
 processes, and readers and writers on one lock. Start times and holds
 sit on a half-second grid, so many actions share a tick and the
-``(time, priority, sequence)`` tie-breaks decide the order.
+``(time, sequence)`` tie-breaks decide the order.
 
 ``contention_logs.json`` holds the ``[now, tag]`` log of each seed as
 the list-scan resource classes produced it, before ``Resource`` became
