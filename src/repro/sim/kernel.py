@@ -12,7 +12,8 @@ Same-tick resumes — process bootstrap on ``spawn()``, a yield of an
 already-processed event, and ``interrupt()`` — do not allocate relay
 :class:`Event` objects. They go on an *urgent* FIFO of ``(time, sequence,
 callable)`` entries that the loop drains against the heap using the exact
-same ``(time, sequence)`` total order the relay events would have had, so the schedule is bit-identical to the old relay-event kernel
+same ``(time, sequence)`` total order the relay events would have had,
+so the schedule is bit-identical to the old relay-event kernel
 (``tests/sim/test_fastpath.py`` pins logs recorded on it).
 
 Heap hygiene: cancelling a scheduled event (fair-share links do this on
@@ -26,10 +27,10 @@ One queue
 
 The schedule is a single inlined ``heapq`` binary heap of ``(time,
 sequence, event)`` entries. Sequence numbers are unique across the heap
-and the urgent FIFO, so no comparison ever reaches the event. It is the only event queue: every
-exhibit and test runs on it, so there is one code path to keep
-deterministic (``docs/performance.md`` records the measurements behind
-that choice).
+and the urgent FIFO, so no comparison ever reaches the event. It is the
+only event queue: every exhibit and test runs on it, so there is one
+code path to keep deterministic (``docs/performance.md`` records the
+measurements behind that choice).
 
 Standing timers that nothing waits on or cancels skip the :class:`Event`:
 :meth:`Simulator.call_later` pushes a shared :class:`~repro.sim.events.Call`,
