@@ -13,7 +13,7 @@ creeping into the kernel hot path.
 import os
 
 #: Peak process RSS (ru_maxrss, MB) allowed for the budget cell. The full
-#: exhibit's 1M-VM cell measures ~170 MB standalone, so the budget holds ~6x
+#: exhibit's 1M-VM cell measures ~120 MB standalone, so the budget holds ~8x
 #: headroom and interpreter noise never trips it. The tight per-timer check
 #: is tests/core/test_hyperscale_cell.py's traced-bytes tripwire.
 HYPERSCALE_RSS_BUDGET_MB = 1024.0

@@ -169,6 +169,30 @@ def test_spawn_churn_throughput(benchmark):
     assert result == 400
 
 
+def run_same_tick_fanout(processes):
+    """``processes`` spawns in one tick: every bootstrap and every
+    completion is due at ``now``, so the whole run stays on the due-now
+    FIFO. Returns the dispatch order, which must be spawn order."""
+    sim = Simulator()
+    order = []
+
+    def child(index):
+        order.append(index)
+        return
+        yield
+
+    for index in range(processes):
+        sim.spawn(child(index))
+    sim.run()
+    return order
+
+
+def test_same_tick_fanout(benchmark):
+    """50k processes spawned at t=0 dispatch in spawn order, in linear time."""
+    order = benchmark(run_same_tick_fanout, 50_000)
+    assert order == list(range(50_000))
+
+
 def run_cancel_storm(cycles):
     """FairShareLink-style cancel/reschedule storm on the raw kernel.
 

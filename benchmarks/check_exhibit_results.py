@@ -30,8 +30,8 @@ from repro.core.experiments import EXPERIMENTS, run_experiment
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent / "results"
 
-#: The exhibits too slow for the unit suite (55-105 s serial together on a
-#: 2-core container, by host load).
+#: The exhibits too slow for the unit suite (about 60 s serial together on
+#: a 2-core container, 58-66 s by host load; R-F-hyperscale is 17-19 s).
 SLOW_EXHIBITS = (
     "R-F5", "R-X3", "R-X6", "R-X7", "R-F-hyperscale",
 )

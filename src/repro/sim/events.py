@@ -117,14 +117,22 @@ class Event:
         """Mark the event successful and schedule its callbacks."""
         if self._state != PENDING:
             raise RuntimeError(f"{self!r} already {self._state}")
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay!r}")
         self._state = TRIGGERED
         self._value = value
-        # The heap push, written out: every grant and wake-up comes here.
+        # Simulator.call_later, written out: every grant and wake-up comes here.
         sim = self.sim
         sim._sequence += 1
-        heappush(sim._heap, (sim.now + delay, sim._sequence, self))
+        now = sim.now
+        when = now + delay
+        if when == now:
+            sim._due.append(self)
+        else:
+            tick = Tick(when)
+            tick.seq = sim._sequence
+            tick.entry = self
+            heappush(sim._heap, tick)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -133,13 +141,11 @@ class Event:
             raise RuntimeError(f"{self!r} already {self._state}")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay!r}")
         self._state = TRIGGERED
         self._exception = exception
-        sim = self.sim
-        sim._sequence += 1
-        heappush(sim._heap, (sim.now + delay, sim._sequence, self))
+        self.sim.call_later(delay, self)
         return self
 
     def cancel(self) -> None:
@@ -148,14 +154,16 @@ class Event:
         A cancelled event never fires its callbacks. Pending events and
         triggered-but-unprocessed events (e.g. a scheduled completion timer
         being rescheduled) may be cancelled; a processed event may not.
-        A triggered event sits on the simulator heap, so the simulator is
-        told about the dead entry for its heap-hygiene accounting.
+        A triggered event sits in the simulator's schedule, so the
+        simulator is told about the dead entry for its queue-hygiene
+        accounting once the event reads as cancelled (compaction drops it).
         """
         if self._state == PROCESSED:
             raise RuntimeError(f"cannot cancel {self!r}: already processed")
-        if self._state == TRIGGERED:
-            self.sim._note_cancelled()
+        scheduled = self._state == TRIGGERED
         self._state = CANCELLED
+        if scheduled:
+            self.sim._note_cancelled()
 
     # -- kernel hooks -------------------------------------------------------
 
@@ -186,10 +194,11 @@ class Timeout(Event):
         value: typing.Any = None,
         name: str = "",
     ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        # Inlined Event.__init__: timeouts are the hottest allocation in the
-        # whole simulator, and the super() indirection is measurable.
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay!r}")
+        # Inlined Event.__init__ and Simulator.call_later: timeouts are the
+        # hottest allocation in the whole simulator, and the calls are
+        # measurable.
         self.sim = sim
         self._name = name or None
         self.callbacks = []
@@ -198,7 +207,15 @@ class Timeout(Event):
         self._exception = None
         self.delay = delay
         sim._sequence += 1
-        heappush(sim._heap, (sim.now + delay, sim._sequence, self))
+        now = sim.now
+        when = now + delay
+        if when == now:
+            sim._due.append(self)
+        else:
+            tick = Tick(when)
+            tick.seq = sim._sequence
+            tick.entry = self
+            heappush(sim._heap, tick)
 
     def _default_name(self) -> str:
         return f"timeout({self.delay})"
@@ -232,16 +249,30 @@ class Timeout(Event):
 
 class Call:
     """A :meth:`Simulator.call_later` payload: always triggered, never waited
-    on or cancelled; firing runs ``fn()``. It may sit in the heap many times."""
+    on or cancelled; firing runs ``fn()``. It may be scheduled many times.
 
-    __slots__ = ("fn",)
+    ``fn`` is stored in the ``_run_callbacks`` slot, the name the kernel
+    loop calls on every entry, so dispatch calls ``fn`` directly. The
+    kernel's same-tick resumes (process bootstrap, interrupts, resumes
+    after yielding a processed event) are ``Call`` s too.
+    """
+
+    __slots__ = ("_run_callbacks",)
     _state = TRIGGERED
 
     def __init__(self, fn: typing.Callable[[], None]) -> None:
-        self.fn = fn
+        self._run_callbacks = fn
 
-    def _run_callbacks(self) -> None:
-        self.fn()
+
+class Tick(float):
+    """A schedule entry due later than now: its float value is the due time.
+
+    The kernel heap holds ticks, so ``heapq`` orders them by comparing C
+    floats alone. Ticks that compare equal are moved to the due-now FIFO
+    together, sorted by ``seq``, so dispatch follows ``(time, seq)``.
+    """
+
+    __slots__ = ("seq", "entry")
 
 
 class Condition(Event):

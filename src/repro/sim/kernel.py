@@ -2,39 +2,48 @@
 
 Processes are Python generators that yield :class:`~repro.sim.events.Event`
 instances; the kernel resumes them when the event fires. Determinism is
-guaranteed by a strict (time, sequence) ordering on the event heap:
-two runs with the same seed produce identical schedules.
+guaranteed by a strict (time, sequence) ordering of dispatch: two runs
+with the same seed produce identical schedules.
+
+The schedule
+------------
+
+Every scheduled entry takes the next sequence number and is held in one
+of two places:
+
+- a ``deque`` of entries due at ``now``, in sequence order;
+- a ``heapq`` heap of :class:`~repro.sim.events.Tick` s for later ones. A
+  tick is a float (the due time) carrying the sequence number and the
+  entry, so the heap compares C floats.
+
+The FIFO always runs first: everything on it is due now, and everything
+on the heap is due later. When it is empty the loop pops the earliest
+tick and advances ``now`` to it. If further ticks share that time, all of
+them are popped, sorted by sequence and moved onto the (empty) FIFO;
+anything scheduled for ``now`` afterwards has a larger sequence number
+and is appended behind them. Dispatch is therefore in exact ``(time,
+sequence)`` order.
 
 Fast path
 ---------
 
 Same-tick resumes — process bootstrap on ``spawn()``, a yield of an
 already-processed event, and ``interrupt()`` — do not allocate relay
-:class:`Event` objects. They go on an *urgent* FIFO of ``(time, sequence,
-callable)`` entries that the loop drains against the heap using the exact
-same ``(time, sequence)`` total order the relay events would have had,
-so the schedule is bit-identical to the old relay-event kernel
-(``tests/sim/test_fastpath.py`` pins logs recorded on it).
+:class:`Event` objects. They go on the due-now FIFO as
+:class:`~repro.sim.events.Call` s, with the sequence number the relay
+event would have taken, so the schedule is bit-identical to the old
+relay-event kernel (``tests/sim/test_fastpath.py`` pins logs recorded on
+it). Zero-delay grants and process completions land on the same FIFO.
 
-Heap hygiene: cancelling a scheduled event (fair-share links do this on
-every membership change) leaves a dead heap entry. Dead heads are dropped
-on the single shared scan in :meth:`Simulator._prune`, and when dead
-entries outnumber live ones the heap is compacted in place, so cancel-heavy
-runs keep a bounded heap.
-
-One queue
----------
-
-The schedule is a single inlined ``heapq`` binary heap of ``(time,
-sequence, event)`` entries. Sequence numbers are unique across the heap
-and the urgent FIFO, so no comparison ever reaches the event. It is the
-only event queue: every exhibit and test runs on it, so there is one
-code path to keep deterministic (``docs/performance.md`` records the
-measurements behind that choice).
+Queue hygiene: cancelling a scheduled event (fair-share links do this on
+every membership change) leaves a dead entry. Dead heads are dropped when
+the loop reaches them, and when dead entries outnumber live ones both the
+heap and the FIFO are compacted in place, so cancel-heavy runs keep a
+bounded queue.
 
 Standing timers that nothing waits on or cancels skip the :class:`Event`:
-:meth:`Simulator.call_later` pushes a shared :class:`~repro.sim.events.Call`,
-which the loop runs like any triggered event, for one heap tuple per timer.
+:meth:`Simulator.call_later` schedules a shared :class:`~repro.sim.events.Call`,
+which the loop runs like any triggered event, for one tick per timer.
 
 Timeouts are pooled: a fired :class:`Timeout` that nothing else references
 is recycled onto a per-simulator free list and reused by
@@ -48,6 +57,7 @@ from __future__ import annotations
 import typing
 from collections import deque
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 
 from repro.sim.events import (
     CANCELLED,
@@ -57,12 +67,14 @@ from repro.sim.events import (
     Call,
     Event,
     EventCancelled,
+    Tick,
     Timeout,
 )
 
 ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 
 _INF = float("inf")
+_by_seq = attrgetter("seq")
 
 
 class Interrupt(Exception):
@@ -97,7 +109,8 @@ class Process(Event):
         self._exception = None
         self._generator = generator
         self._waiting_on: Event | None = None
-        # Kick off at the current time, urgently, so spawn order is preserved.
+        # Kick off at the current time, on the due-now FIFO, so spawn order
+        # is preserved.
         sim._defer(self._bootstrap)
 
     def _default_name(self) -> str:
@@ -201,18 +214,21 @@ class Simulator:
     def __init__(self, start: float = 0.0) -> None:
         #: Current simulated time in seconds. Only the kernel writes it.
         self.now = float(start)
-        self._heap: list[tuple[float, int, Event]] = []
-        self._urgent: deque[tuple[float, int, typing.Callable[[], None]]] = deque()
+        #: Ticks of entries due after ``now``; see the module docstring.
+        self._heap: list[Tick] = []
+        #: Entries due at ``now``, in sequence order.
+        self._due: deque[Event | Call] = deque()
         self._sequence = 0
         self._spawned = 0
-        self._cancelled_in_heap = 0
+        #: Cancelled entries still on the heap or the FIFO.
+        self._dead = 0
         # Fired timeouts nothing else references (Timeout._run_callbacks).
         self._timeout_pool: list[Timeout] = []
 
     @property
     def queue_depth(self) -> int:
         """Scheduled entries, live and dead — bounded by queue hygiene."""
-        return len(self._heap)
+        return len(self._heap) + len(self._due)
 
     # -- event construction ------------------------------------------------
 
@@ -228,28 +244,49 @@ class Simulator:
         """
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay!r}")
+            if not delay >= 0:
+                raise ValueError(f"negative or NaN delay {delay!r}")
             timeout = pool.pop()
             # Recycled timeouts arrive with a fresh empty callback list and
             # cleared name/value/exception slots; only re-arm the rest.
-            # The enqueue is inlined: this is the hottest allocation path in
+            # call_later is inlined: this is the hottest allocation path in
             # the simulator and the extra call is measurable.
             timeout._state = TRIGGERED
             timeout._value = value
             timeout.delay = delay
             self._sequence += 1
-            heappush(self._heap, (self.now + delay, self._sequence, timeout))
+            now = self.now
+            when = now + delay
+            if when == now:
+                self._due.append(timeout)
+            else:
+                tick = Tick(when)
+                tick.seq = self._sequence
+                tick.entry = timeout
+                heappush(self._heap, tick)
             return timeout
         return Timeout(self, delay, value=value)
 
-    def call_later(self, delay: float, call: Call) -> None:
-        """Run ``call.fn()`` ``delay`` seconds from now: one heap entry and one
-        sequence number, like :meth:`timeout`, and no allocation beyond them."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+    def call_later(self, delay: float, call: Call | Event) -> None:
+        """Run ``call`` ``delay`` seconds from now: one queue entry and one
+        sequence number, like :meth:`timeout`, and no other allocation.
+
+        ``call`` is a :class:`Call`, or a triggered :class:`Event` (as
+        :meth:`Event.fail` schedules itself). An entry due now goes on the
+        due-now FIFO, a later one onto the heap as a :class:`Tick`.
+        """
+        if not delay >= 0:
+            raise ValueError(f"negative or NaN delay {delay!r}")
         self._sequence += 1
-        heappush(self._heap, (self.now + delay, self._sequence, call))
+        now = self.now
+        when = now + delay
+        if when == now:
+            self._due.append(call)
+        else:
+            tick = Tick(when)
+            tick.seq = self._sequence
+            tick.entry = call
+            heappush(self._heap, tick)
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a process at the current simulated time."""
@@ -261,41 +298,45 @@ class Simulator:
     def _defer(self, fn: typing.Callable[[], None]) -> None:
         """Schedule a same-tick kernel resume without an Event allocation.
 
-        Entries carry the ``(time, sequence)`` the equivalent relay event
-        would have had, so the drain order against the heap is unchanged.
-        Time never moves backwards, so the FIFO is sorted by construction.
+        The entry takes the sequence number the equivalent relay event
+        would have had, and joins the due-now FIFO behind every entry
+        with a smaller one, so dispatch order is unchanged.
         """
         self._sequence += 1
-        self._urgent.append((self.now, self._sequence, fn))
+        self._due.append(Call(fn))
 
     def _note_cancelled(self) -> None:
         """A scheduled queue entry died; compact when the dead dominate."""
-        self._cancelled_in_heap += 1
-        if self._cancelled_in_heap >= 64 and self._cancelled_in_heap * 2 >= len(self._heap):
-            # In-place so loops holding a reference to the heap stay valid.
-            self._heap[:] = [
-                entry for entry in self._heap if entry[2]._state != CANCELLED
-            ]
-            heapify(self._heap)
-            self._cancelled_in_heap = 0
+        self._dead += 1
+        if self._dead >= 64 and self._dead * 2 >= self.queue_depth:
+            # In-place so loops holding a reference to either queue stay valid.
+            heap = self._heap
+            heap[:] = [tick for tick in heap if tick.entry._state != CANCELLED]
+            heapify(heap)
+            due = self._due
+            live = [entry for entry in due if entry._state != CANCELLED]
+            due.clear()
+            due.extend(live)
+            self._dead = 0
 
     def _prune(self) -> None:
-        """Drop cancelled heads — the single cancelled-event scan."""
+        """Drop cancelled entries at the head of the FIFO and the heap."""
+        due = self._due
+        while due and due[0]._state == CANCELLED:
+            due.popleft()
+            self._dead -= 1
         heap = self._heap
-        while heap and heap[0][2]._state == CANCELLED:
+        while heap and heap[0].entry._state == CANCELLED:
             heappop(heap)
-            self._cancelled_in_heap -= 1
+            self._dead -= 1
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         self._prune()
+        if self._due:
+            return self.now
         heap = self._heap
-        head_time = heap[0][0] if heap else _INF
-        if self._urgent:
-            urgent_time = self._urgent[0][0]
-            if urgent_time < head_time:
-                return urgent_time
-        return head_time
+        return float(heap[0]) if heap else _INF
 
     def run(self, until: float | Event | None = None) -> typing.Any:
         """Run the event loop.
@@ -316,43 +357,55 @@ class Simulator:
             if horizon < self.now:
                 raise ValueError(f"until={horizon} is in the past (now={self.now})")
         # One inlined drain loop for all three modes: per-event dispatch is
-        # the simulator's innermost loop, so heap/urgent/method lookups are
-        # bound locally and the cancelled scan happens exactly once per
-        # iteration (in the shared prune below).
+        # the simulator's innermost loop, so the queues and their methods
+        # are bound locally.
         heap = self._heap
-        urgent = self._urgent
+        due = self._due
+        popleft = due.popleft
         pop = heappop
+        to_float = float
         while True:
             if target is not None and target._state == PROCESSED:
                 return target.value
-            while heap and heap[0][2]._state == CANCELLED:
-                pop(heap)
-                self._cancelled_in_heap -= 1
-            if urgent:
-                entry = urgent[0]
-                # (time, sequence, fn) against (time, sequence, event): the
-                # sequences differ, so the tuples compare on those two alone.
-                if not heap or entry < heap[0]:
-                    when = entry[0]
-                    if horizon is not None and when > horizon:
-                        break
-                    urgent.popleft()
-                    self.now = when
-                    entry[2]()
+            if due:
+                # Due now, so ahead of every tick; ``now`` is already set.
+                entry = popleft()
+                if entry._state == CANCELLED:
+                    self._dead -= 1
                     continue
-            elif not heap:
+                entry._run_callbacks()
+                continue
+            if not heap:
                 if target is not None:
                     raise RuntimeError(
                         f"simulation ran dry before {target!r} fired (deadlock?)"
                     )
                 break
-            when, _seq, event = pop(heap)
-            if horizon is not None and when > horizon:
+            tick = pop(heap)
+            entry = tick.entry
+            if entry._state == CANCELLED:
+                self._dead -= 1
+                continue
+            if horizon is not None and tick > horizon:
                 # Not yet due: put it back and stop at the horizon.
-                heappush(heap, (when, _seq, event))
+                heappush(heap, tick)
                 break
-            self.now = when
-            event._run_callbacks()
+            self.now = to_float(tick)
+            if heap and heap[0] == tick:
+                # A tie: move every tick due at this time onto the FIFO,
+                # which is empty, in sequence order.
+                ties = [tick]
+                while heap and heap[0] == tick:
+                    ties.append(pop(heap))
+                ties.sort(key=_by_seq)
+                due.extend([tied.entry for tied in ties])
+                # Drop the ticks now, so no tick keeps an entry referenced
+                # while it runs (the Timeout pool's recycle check counts).
+                del ties, tick
+                continue
+            # Drop the tick before dispatch, for the same reason.
+            del tick
+            entry._run_callbacks()
         if horizon is not None:
             self.now = horizon
         return None

@@ -18,9 +18,10 @@ from repro.sim.random import exponentials
 from repro.workloads.lifetimes import CLOUD_A_LIFETIME
 
 #: Traced bytes allowed per pending timer at the cell's peak: one heap
-#: tuple with its time float and sequence int is ~140 bytes; a Timeout
+#: tick (a float carrying its sequence int) reads ~102 bytes; the
+#: ``(time, sequence, entry)`` tuple it replaced read ~134, and a Timeout
 #: per VM costs ~340.
-BYTES_PER_PENDING_TIMER = 200
+BYTES_PER_PENDING_TIMER = 130
 
 
 def _reference_cell(seed: int, vms: int) -> dict:

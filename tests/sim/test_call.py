@@ -1,10 +1,11 @@
 """Tests for standing timers: :class:`Call` entries via ``call_later``.
 
-A :class:`Call` is a heap payload that nothing waits on and nothing
-cancels. It must order against ordinary events by the same
-``(time, sequence)`` key, survive every path that touches the
-heap (horizon put-back, ``peek``/``step``, compaction), and cost exactly
-one sequence number per scheduling.
+A :class:`Call` is a schedule entry that nothing waits on and nothing
+cancels: a tick on the kernel heap when it is due later, a bare entry on
+the due-now FIFO when it is due at ``now``. Either way it must order
+against ordinary events by the same ``(time, sequence)`` key, survive
+every path that touches the schedule (horizon put-back, ``peek``/``step``,
+compaction), and cost exactly one sequence number per scheduling.
 """
 
 import pytest
@@ -36,7 +37,7 @@ def test_one_call_scheduled_many_times_fires_each_time():
 
 def test_negative_delay_raises_without_taking_a_sequence_number():
     sim = Simulator()
-    with pytest.raises(ValueError, match="negative delay"):
+    with pytest.raises(ValueError, match="negative or NaN delay"):
         sim.call_later(-0.5, Call(lambda: None))
     assert sim._sequence == 0
     assert sim.queue_depth == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, EventCancelled, Simulator
+from repro.sim import Call, Event, EventCancelled, Simulator, Timeout
 from repro.sim.resources import TokenBucket
 
 
@@ -27,7 +27,7 @@ def test_negative_delay_is_rejected_before_the_event_changes_state(outcome):
     can still be triggered properly afterwards."""
     sim = Simulator()
     event = sim.event("gate")
-    with pytest.raises(ValueError, match="negative delay"):
+    with pytest.raises(ValueError, match="negative or NaN delay"):
         if outcome == "succeed":
             event.succeed("early", delay=-1.0)
         else:
@@ -38,6 +38,50 @@ def test_negative_delay_is_rejected_before_the_event_changes_state(outcome):
     sim.run()
     assert event.value == "on time"
     assert sim.now == 2.0
+
+
+NAN = float("nan")
+
+#: The five places a delay enters the schedule. ``timeout`` pops a
+#: recycled Timeout when the pool has one and builds a fresh one through
+#: ``Timeout.__init__`` otherwise, so the pool is filled for the first.
+NAN_SITES = {
+    "timeout_pooled": lambda sim, event: sim.timeout(NAN),
+    "Timeout": lambda sim, event: Timeout(sim, NAN),
+    "call_later": lambda sim, event: sim.call_later(NAN, Call(lambda: None)),
+    "succeed": lambda sim, event: event.succeed("early", delay=NAN),
+    "fail": lambda sim, event: event.fail(RuntimeError("early"), delay=NAN),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NAN_SITES))
+def test_nan_delay_is_rejected_at_every_schedule_site(site):
+    """NaN compares false with everything, so ``delay < 0`` let it through:
+    a NaN due time ran with ``sim.now == nan`` and broke the heap's order.
+    Each site refuses it before it takes a sequence number or a pooled
+    timeout, and the run carries on."""
+    sim = Simulator()
+    if site == "timeout_pooled":
+
+        def chain():
+            for _ in range(3):
+                yield sim.timeout(0.5)
+
+        sim.spawn(chain())
+        sim.run()
+        assert sim._timeout_pool
+    pooled = len(sim._timeout_pool)
+    sequence = sim._sequence
+    event = sim.event("gate")
+    with pytest.raises(ValueError, match="NaN delay nan"):
+        NAN_SITES[site](sim, event)
+    assert (sim._sequence, sim.queue_depth) == (sequence, 0)
+    assert len(sim._timeout_pool) == pooled
+    assert not event.triggered
+    event.succeed("on time", delay=1.0)
+    sim.run()
+    assert event.value == "on time"
+    assert sim.now == (2.5 if site == "timeout_pooled" else 1.0)
 
 
 def test_lock_wait_label_is_formatted_on_demand():

@@ -1,4 +1,4 @@
-"""Tests for the kernel fast path: urgent resume queue + heap hygiene.
+"""Tests for the kernel fast path: due-now resume FIFO + queue hygiene.
 
 The fast path replaces per-spawn bootstrap events, per-processed-yield
 relay events, and per-interrupt events with a direct same-tick resume
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import AllOf, Event, EventCancelled, Interrupt, Resource, Simulator
+from repro.sim import AllOf, Call, Event, EventCancelled, Interrupt, Resource, Simulator
 from repro.storage import FairShareLink
 
 #: ``_mixed_workload`` logs per seed, recorded on the relay-event kernel.
@@ -48,7 +48,7 @@ def _mixed_workload(sim: Simulator, seed: int) -> list:
             value = yield proc
             log.append((sim.now, "join", value))
         # Joining finished processes again exercises the same-tick
-        # (urgent FIFO) resume path, repeatedly.
+        # (due-now FIFO) resume path, repeatedly.
         for proc in children:
             value = yield proc
             log.append((sim.now, "rejoin", value))
@@ -73,7 +73,7 @@ def test_fast_path_schedule_identical_to_event_path(seed):
 
 def test_fast_path_is_the_default():
     """Spawning and interrupting allocate no relay events: both go on the
-    urgent FIFO, never the heap."""
+    due-now FIFO as bare :class:`Call` entries, never onto the heap."""
     sim = Simulator()
 
     def sleeper():
@@ -83,10 +83,34 @@ def test_fast_path_is_the_default():
             pass
 
     process = sim.spawn(sleeper())
-    assert sim.queue_depth == 0 and len(sim._urgent) == 1
+    assert sim._heap == [] and [type(entry) for entry in sim._due] == [Call]
     sim.run(until=0.0)
     process.interrupt("wake")
-    assert sim.queue_depth == 1 and len(sim._urgent) == 1
+    assert len(sim._heap) == 1 and [type(entry) for entry in sim._due] == [Call]
+
+
+def test_queue_depth_counts_both_queues_live_and_dead():
+    """``queue_depth`` is heap plus due-now FIFO, cancelled entries included
+    until the loop drops them."""
+    sim = Simulator()
+
+    def nap():
+        yield sim.timeout(0.0)
+
+    sim.spawn(nap())  # bootstrap: FIFO
+    sim.timeout(1.0)  # heap
+    now_dead = sim.event()
+    now_dead.succeed()  # FIFO
+    later_dead = sim.event()
+    later_dead.succeed(delay=2.0)  # heap
+    now_dead.cancel()
+    later_dead.cancel()
+    assert (len(sim._heap), len(sim._due)) == (2, 2)
+    assert sim.queue_depth == 4
+    sim.run(until=0.5)
+    assert sim.queue_depth == 2  # the live tick at 1.0, the dead one at 2.0
+    sim.run()
+    assert sim.queue_depth == 0
 
 
 def test_same_tick_resume_of_processed_event():
@@ -114,7 +138,7 @@ def test_interrupt_during_same_tick_resume():
 
     def victim():
         yield sim.timeout(1.0)
-        value = yield gate  # processed: resume goes through the urgent queue
+        value = yield gate  # processed: resume goes through the due-now FIFO
         log.append(("resumed", sim.now, value))
         try:
             yield sim.timeout(100.0)
