@@ -17,7 +17,7 @@ Commands:
   runs the tracer through tail-based retention on a span budget.
 - ``metrics`` — a telemetry-instrumented deploy storm: live-scraped
   roll-ups rendered as a ``top``-style dashboard (utilization, queue
-  depths, breaker states, retry budget, burn-rate alerts), with
+  depths, breaker states, burn-rate alerts), with
   Prometheus-text and JSONL exports.
 - ``triage`` — a single-fault chaos run with the incident-triage engine
   attached: every SLO alert burst becomes a ranked root-cause verdict
@@ -391,7 +391,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     print(f"succeeded:     {counters['vms']} ({counters['timely_vms']} inside the window)")
     print(f"p99 latency:   {counters['p99_latency_s']:.1f}s")
     print(f"re-places:     {counters['re_places']}")
-    print(f"task retries:  {counters['task_retries']}")
     print(f"shed:          {counters['shed']}")
     print(f"dead letters:  {result.dead_letters}")
     print(f"unaccounted:   {counters['unaccounted']}")

@@ -20,8 +20,7 @@ it instead:
   shard's topic when the home is healthy and unsaturated; idle shards
   *steal* from the shared pool, so locality is a preference, not a pin.
 - **Spillover.** When the home shard's task queue depth reaches
-  ``spill_queue_depth`` (or its retry budget burns below
-  :data:`SPILL_RETRY_TOKENS`), the submission spills to ``fed.shared`` where
+  ``spill_queue_depth``, the submission spills to ``fed.shared`` where
   any healthy shard picks it up.
 - **Failover.** When a ``shard_crash``/``server_crash`` window fires, new
   submissions for the crashed home are re-routed to ``fed.shared`` at
@@ -60,8 +59,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 #: The federation-wide shared submission topic (work-stealing pool).
 SHARED_TOPIC = "fed.shared"
-#: A shard whose retry budget holds fewer tokens counts as saturated.
-SPILL_RETRY_TOKENS = 2.0
 #: How long a down or saturated shard waits before polling the pool again.
 STEAL_POLL_S = 1.0
 #: Datastores each shard's cluster mounts.
@@ -239,11 +236,7 @@ class FederatedCloud:
         return best[1]
 
     def _saturated(self, index: int) -> bool:
-        shard = self.plane.shards[index]
-        if shard.tasks.queue_depth >= self.spill_queue_depth:
-            return True
-        budget = shard.retry_budget
-        return budget is not None and budget.tokens < SPILL_RETRY_TOKENS
+        return self.plane.shards[index].tasks.queue_depth >= self.spill_queue_depth
 
     def _route(self, home: int) -> str:
         """Pick the submission topic for a deploy homed on ``home``."""

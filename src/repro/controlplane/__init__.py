@@ -33,7 +33,6 @@ __getattr__, __dir__ = _lazy_exports(
             "CircuitBreaker",
             "DeadLetter",
             "NO_RETRY",
-            "RetryBudget",
             "RetryPolicy",
             "TaskDeadlineExceeded",
         ),
@@ -64,7 +63,6 @@ __all__ = [
     "NULL_BUS",
     "Topic",
     "TopicStats",
-    "RetryBudget",
     "RetryPolicy",
     "ShardedControlPlane",
     "StatsCollector",

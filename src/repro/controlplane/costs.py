@@ -96,9 +96,6 @@ class ControlPlaneConfig:
     # Resilience knobs (all off by default — the pre-resilience behaviour).
     # retry_policy: re-run task bodies failing with TransientError.
     retry_policy: "RetryPolicy | None" = None
-    # retry_budget_ratio: global retry-volume cap as a fraction of offered
-    # load (None = unlimited retries within the policy's attempt cap).
-    retry_budget_ratio: float | None = None
     # task_deadline_s: per-task wall-clock budget from submission; bounds
     # queue wait and forbids retries that can't finish in time.
     task_deadline_s: float | None = None
@@ -120,8 +117,6 @@ class ControlPlaneConfig:
         for op_type, limit in self.per_type_limits.items():
             if limit < 1:
                 raise ValueError(f"per_type_limits[{op_type!r}] must be >= 1")
-        if self.retry_budget_ratio is not None and self.retry_budget_ratio < 0:
-            raise ValueError("retry_budget_ratio must be >= 0")
         if self.task_deadline_s is not None and self.task_deadline_s <= 0:
             raise ValueError("task_deadline_s must be positive")
 

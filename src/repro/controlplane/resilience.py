@@ -1,4 +1,4 @@
-"""Resilience primitives: retry policies, budgets, breakers, dead letters.
+"""Resilience primitives: retry policies, breakers, dead letters.
 
 These are the control plane's answer to the faults in ``repro.faults``:
 
@@ -6,11 +6,6 @@ These are the control plane's answer to the faults in ``repro.faults``:
   and a transient-only error filter; applied at the task lifecycle by
   :class:`~repro.controlplane.task_manager.TaskManager` and at per-VM
   deployment by :class:`~repro.cloud.director.CloudDirector`.
-- :class:`RetryBudget` — a global token bucket that bounds retry
-  *volume*: every first attempt deposits ``ratio`` tokens, every retry
-  withdraws one. Under a widespread outage the budget runs dry and
-  retries stop amplifying load (the retry-storm failure mode R-X3
-  measures).
 - :class:`CircuitBreaker` — per-host-agent; opens after N consecutive
   failures so callers fail fast instead of burning a 120 s timeout per
   attempt, then admits half-open probes after a cooldown.
@@ -88,42 +83,6 @@ class RetryPolicy:
 
 #: One attempt, no retries — the pre-resilience behaviour.
 NO_RETRY = RetryPolicy(max_attempts=1, base_backoff_s=0.0, max_backoff_s=0.0, jitter=0.0)
-
-
-class RetryBudget:
-    """Global retry-volume limiter (token bucket, Finagle-style).
-
-    Each first attempt deposits ``ratio`` tokens (capped); each retry
-    withdraws one whole token. When the bucket is dry, retries are
-    denied and the failure becomes terminal — bounding retry
-    amplification to ``ratio`` of offered load in steady state.
-    """
-
-    def __init__(self, ratio: float = 0.2, initial: float = 10.0, cap: float = 100.0) -> None:
-        if ratio < 0:
-            raise ValueError("ratio must be >= 0")
-        if cap < initial:
-            raise ValueError("cap must be >= initial")
-        self.ratio = ratio
-        self.cap = cap
-        self._tokens = float(initial)
-        self.denied = 0
-
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
-    def deposit(self) -> None:
-        """Credit the budget for one first attempt."""
-        self._tokens = min(self.cap, self._tokens + self.ratio)
-
-    def withdraw(self) -> bool:
-        """Spend one token for a retry; False when the budget is dry."""
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        self.denied += 1
-        return False
 
 
 class BreakerState(enum.Enum):

@@ -29,11 +29,7 @@ from repro.controlplane.costs import ControlPlaneConfig, ControlPlaneCosts, DEFA
 from repro.controlplane.database import DatabaseModel
 from repro.controlplane.host_agent import HostAgent
 from repro.controlplane.locks import LockManager
-from repro.controlplane.resilience import (
-    BREAKER_STATE_VALUE,
-    CircuitBreaker,
-    RetryBudget,
-)
+from repro.controlplane.resilience import BREAKER_STATE_VALUE, CircuitBreaker
 from repro.controlplane.task_manager import NULL_JOURNAL, Task, TaskManager
 from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.tracing import NULL_SPAN, NULL_TRACER, PHASE_CPU, PHASE_QUEUE
@@ -98,18 +94,12 @@ class ManagementServer:
             granularity=self.config.lock_granularity,
             telemetry=self.telemetry.scope(f"{name}.locks", component="locks"),
         )
-        self.retry_budget = (
-            RetryBudget(ratio=self.config.retry_budget_ratio)
-            if self.config.retry_budget_ratio is not None
-            else None
-        )
         self.tasks = TaskManager(
             sim,
             self.database,
             max_inflight=self.config.max_inflight_tasks,
             per_type_limits=self.config.per_type_limits,
             retry_policy=self.config.retry_policy,
-            retry_budget=self.retry_budget,
             task_deadline_s=self.config.task_deadline_s,
             rng=streams.stream(f"{name}:retry"),
             tracer=self.tracer,
@@ -185,10 +175,6 @@ class ManagementServer:
         )
         telemetry.probe("db_pool_queue", lambda: float(self.database.queue_depth))
         telemetry.probe("tasks_queue_depth", lambda: float(self.tasks.queue_depth))
-        if self.retry_budget is not None:
-            telemetry.probe(
-                "retry_budget_tokens", lambda: float(self.retry_budget.tokens)
-            )
         telemetry.probe("server_crashed", lambda: 1.0 if self.crashed else 0.0)
         telemetry.probe(
             "server_blocked", lambda: 1.0 if self.faults.blocked() else 0.0

@@ -6,15 +6,13 @@ task queue depth over time is R-F7; per-type task latencies feed R-F2.
 
 The resilience layer lives here: an optional
 :class:`~repro.controlplane.resilience.RetryPolicy` re-runs task bodies
-that fail with transient errors (exponential backoff + jitter, bounded by
-a global :class:`~repro.controlplane.resilience.RetryBudget`), optional
+that fail with transient errors (exponential backoff + jitter), optional
 per-task deadlines bound queue wait and forbid retries past the deadline,
-and retryable failures that exhaust their attempts/budget/deadline leave a
+and retryable failures that exhaust their attempts or deadline leave a
 :class:`~repro.controlplane.resilience.DeadLetter` record — the retry
 machinery never gives up silently. Observable via the hub's
 ``tasks_retries_total`` and ``tasks_dead_letter_total`` families and the
-``deadline_exceeded`` and ``retry_budget_denied`` ids under the manager's
-telemetry scope.
+``deadline_exceeded`` id under the manager's telemetry scope.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.sim.stats import Gauge
 from repro.controlplane.database import DatabaseModel
 from repro.controlplane.resilience import (
     DeadLetter,
-    RetryBudget,
     RetryPolicy,
     TaskDeadlineExceeded,
 )
@@ -146,7 +143,6 @@ class TaskManager:
         max_inflight: int,
         per_type_limits: typing.Mapping[str, int] | None = None,
         retry_policy: RetryPolicy | None = None,
-        retry_budget: RetryBudget | None = None,
         task_deadline_s: float | None = None,
         rng: random.Random | None = None,
         tracer=None,
@@ -163,7 +159,6 @@ class TaskManager:
             for op_type, limit in (per_type_limits or {}).items()
         }
         self.retry_policy = retry_policy
-        self.retry_budget = retry_budget
         self.task_deadline_s = task_deadline_s
         self.rng = rng or random.Random(0xACE)
         self.tasks: list[Task] = []
@@ -198,7 +193,6 @@ class TaskManager:
         self._t_crash_reissues = scope.counter("crash_reissues")
         self._t_crash_parked = scope.counter("crash_parked")
         self._t_crash_adopted = scope.counter("crash_adopted")
-        self._t_retry_budget_denied = scope.counter("retry_budget_denied")
         self._t_dead_letter_deduped = scope.counter("dead_letter_deduped")
         self._t_completion_write_failures = scope.counter("completion_write_failures")
         # op type -> its (retries, completed, latency) handles.
@@ -281,8 +275,6 @@ class TaskManager:
             self._t_insert_failures.add()
             raise error
         self.journal.record_admit(task)
-        if self.retry_budget is not None:
-            self.retry_budget.deposit()
         self.depth.add(1)
         # Per-category cap first (if configured), then the global limit —
         # matching the real dispatch order (a capped clone can't consume a
@@ -346,8 +338,8 @@ class TaskManager:
                         if cause is not None:
                             # The server crashed mid-attempt. Park until the
                             # journal replays; the verdict says whether the
-                            # half-done work survived. A re-issue does not
-                            # consume retry budget — the crash was the
+                            # half-done work survived. A re-issue is not
+                            # counted as a retry — the crash was the
                             # server's fault, not the attempt's.
                             verdict = yield from self._park(task, "attempt")
                             if self._settle(task, verdict, cause):
@@ -487,9 +479,6 @@ class TaskManager:
             return None
         if task.attempts >= policy.max_attempts:
             return None
-        if self.retry_budget is not None and not self.retry_budget.withdraw():
-            self._t_retry_budget_denied.add()
-            return None
         delay = policy.backoff_s(task.attempts, self.rng)
         if task.deadline is not None and self.sim.now + delay >= task.deadline:
             # A retry that cannot finish by the deadline only deepens the
@@ -507,8 +496,8 @@ class TaskManager:
     def _record_dead_letter(self, task: Task, error: BaseException) -> None:
         """Record work the retry machinery gave up on.
 
-        Dead letters are retryable failures that exhausted their attempts,
-        budget, or deadline: work the resilience layer promised to mask and
+        Dead letters are retryable failures that exhausted their attempts
+        or deadline: work the resilience layer promised to mask and
         couldn't. Non-retryable errors (business failures, host-pinned
         preconditions) pass through as plain task errors for the caller to
         handle — e.g. the cloud director re-places them on another host.

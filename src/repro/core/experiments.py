@@ -1080,10 +1080,7 @@ def experiment_x3_fault_goodput(seed: int, quick: bool, parallel: int | None) ->
     - ``retries``: the director re-places failed VMs with backoff;
     - ``full``: re-placement plus per-agent circuit breakers (fail fast
       instead of burning the call timeout), task deadlines, and admission
-      shedding at the API gateway. Its control plane also arms task-level
-      retries for ``InjectedFault``/``ShardUnavailable``, but the standard
-      schedule raises only ``HostAgentError`` and ``CopyFailed`` into
-      tasks, so none fires: the ``task retries`` column reads 0.
+      shedding at the API gateway.
 
     Goodput counts successfully deployed VMs over the arrival window.
     Acceptance: goodput(none) < goodput(retries) < goodput(full); zero
@@ -1117,7 +1114,6 @@ def experiment_x3_fault_goodput(seed: int, quick: bool, parallel: int | None) ->
                 f"{goodputs[posture]:.0f}",
                 f"{counters['p99_latency_s']:.1f}",
                 counters["re_places"],
-                counters["task_retries"],
                 counters["breaker_opens"],
                 counters["shed"],
                 result.dead_letters,
@@ -1139,7 +1135,6 @@ def experiment_x3_fault_goodput(seed: int, quick: bool, parallel: int | None) ->
             "goodput/h",
             "p99 (s)",
             "re-places",
-            "task retries",
             "breaker opens",
             "shed",
             "dead letters",

@@ -41,7 +41,7 @@ from repro.controlplane.resilience import (
     RetryPolicy,
     TaskDeadlineExceeded,
 )
-from repro.faults.errors import InjectedFault, ShardUnavailable, TransientError
+from repro.faults.errors import TransientError
 from repro.faults.injector import FaultInjector, FaultTargets
 from repro.faults.manifest import GroundTruthManifest
 from repro.faults.schedule import (
@@ -550,20 +550,10 @@ REPLACE_POLICY = RetryPolicy(
     jitter=0.5, retry_on=(TransientError, OperationError, TaskDeadlineExceeded),
 )
 
-#: Task-level in-place retries: only faults that are not pinned to the
-#: placement decision (DB/shard transients). Host- and datastore-pinned
-#: failures (agent faults, copy faults) must fail fast so the director
-#: re-places them on different resources.
-IN_PLACE_POLICY = RetryPolicy(
-    max_attempts=3, base_backoff_s=1.0, backoff_multiplier=2.0, max_backoff_s=15.0,
-    jitter=0.5, retry_on=(InjectedFault, ShardUnavailable),
-)
-
-#: The ``full`` posture's control plane: in-place retries under a retry
-#: budget, task deadlines and per-agent circuit breakers (fail fast instead
-#: of burning the call timeout).
+#: The ``full`` posture's control plane: task deadlines and per-agent
+#: circuit breakers (fail fast instead of burning the call timeout).
 FULL_CONFIG = ControlPlaneConfig(
-    retry_policy=IN_PLACE_POLICY, retry_budget_ratio=0.2, task_deadline_s=240.0,
+    task_deadline_s=240.0,
     breaker=BreakerPolicy(failure_threshold=3, cooldown_s=45.0, half_open_probes=1),
 )
 
@@ -628,8 +618,8 @@ def deploy_rig(
     pass a rate-limited ``ApiGateway`` into a ``CloudDirector`` on a
     16-host server with :data:`STORM_COSTS`. ``posture`` names a row of
     :data:`POSTURES`: ``none`` (first failure is final), ``retries``
-    (director re-placement) or ``full`` (re-placement, in-place retries,
-    breakers, deadlines and admission shedding).
+    (director re-placement) or ``full`` (re-placement, breakers, deadlines
+    and admission shedding).
 
     ``scrape_interval_s`` turns live telemetry on, evaluating ``rules``
     after every scrape; ``triage``, ``recorder`` and ``sample_budget``
@@ -640,8 +630,8 @@ def deploy_rig(
     The injector draws from the ``fault-injector`` stream; ``env`` is the
     ``StormRig``. Counters: ``offered`` and ``shed`` requests, deployed
     ``vms`` and ``timely_vms`` (deployed inside the arrival window),
-    ``p99_latency_s``, ``re_places``, ``task_retries``, ``breaker_opens``
-    and ``unaccounted`` tasks.
+    ``p99_latency_s``, ``re_places``, ``breaker_opens`` and
+    ``unaccounted`` tasks.
     """
     from repro.cloud.api import AdmissionShed, ApiGateway
     from repro.cloud.catalog import Catalog, CatalogItem
@@ -737,7 +727,6 @@ def deploy_rig(
             ),
             "p99_latency_s": director.deploy_latency_p(0.99),
             "re_places": director.vm_retries,
-            "task_retries": server.tasks.retries,
             "breaker_opens": sum(
                 agent.breaker.opens if agent.breaker is not None else 0
                 for agent in map(server.agent, storm.hosts)

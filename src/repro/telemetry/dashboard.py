@@ -107,20 +107,6 @@ def render_dashboard(telemetry: "Telemetry", triage=None) -> str:
             values = _series_values(series, field="max")
             lines.append(_fmt_row(metric_id, f"{sparkline(values)} {state}"))
 
-    # Retry-budget burn: remaining tokens over time.
-    budgets = {
-        metric_id: series
-        for metric_id, series in sorted(telemetry.rollups.items())
-        if "retry_budget" in metric_id and "denied" not in metric_id
-    }
-    if budgets:
-        section("-- retry budget --")
-        for metric_id, series in budgets.items():
-            values = _series_values(series)
-            lines.append(
-                _fmt_row(metric_id, f"{sparkline(values)} tokens={series.last_value():.1f}")
-            )
-
     # Throughput-ish counters: show per-window rates.
     rates = {
         metric_id: series

@@ -5,8 +5,9 @@ hand-rolled publisher/consumer processes, pinning the delivery semantics
 docs/bus.md promises: bounded queues that backpressure their
 publishers, at-least-once redelivery with a bounded budget,
 consumer-side idempotency-key dedup, dead-letter-once accounting, and
-partition stall/heal. One storm-level test checks that routing a whole
-control plane over the bus changes timing but never outcomes.
+partition stall/heal. Two storm-level tests check that routing a whole
+control plane over the bus changes timing but never outcomes, and that a
+task whose host-agent message exhausts its redeliveries retries in place.
 """
 
 import random
@@ -263,6 +264,49 @@ def test_mediated_storm_matches_direct_outcomes():
     delivered = sum(s.delivered for s in stats.values())
     assert published == delivered > 0
     assert rig_bus.bus.depths() == {name: 0 for name in stats}
+
+
+def test_exhausted_redeliveries_retry_the_task_in_place():
+    """A lost host-agent message fails the attempt, not the task.
+
+    Every copy is dropped for longer than the redelivery budget lasts, so
+    the first attempt's agent call ends in :class:`MessageLost`. The task
+    manager's retry policy re-runs the attempt in place, and it succeeds
+    once the drop window has closed.
+    """
+    from repro.controlplane import ControlPlaneConfig
+    from repro.controlplane.resilience import RetryPolicy
+    from repro.core.experiments import StormRig
+    from repro.faults import FaultInjector, FaultSchedule, FaultTargets, MessageDrop
+    from repro.faults.chaos import check_exactly_once
+
+    config = ControlPlaneConfig(
+        retry_policy=RetryPolicy(max_attempts=3, base_backoff_s=1.0, jitter=0.0)
+    )
+    rig = StormRig(seed=0, hosts=2, datastores=1, config=config, bus=True, journal=True)
+    # Opens once the submissions are consumed and outlasts the first
+    # attempt's redeliveries; the retry's first copy is still lost, its
+    # redelivery lands after the window.
+    window = MessageDrop(0.5, (MAX_REDELIVERIES + 1) * REDELIVERY_TIMEOUT_S + 5.0, rate=1.0)
+    FaultInjector(
+        rig.sim,
+        FaultTargets.for_server(rig.server),
+        FaultSchedule([window]),
+        rng=rig.streams.stream("injector"),
+    ).start()
+    summary = rig.closed_loop_storm(total=2, concurrency=2, linked=True)
+    rig.sim.run()
+
+    tasks = rig.server.tasks
+    assert summary["completed"] == 2
+    assert [task.attempts for task in tasks.tasks] == [2, 2]
+    assert tasks.retries == 2
+    assert tasks.dead_letters == []
+    stats = rig.bus.topic_stats()
+    assert stats["tasks.submit:vc-1"].dropped == 0
+    agent_stats = [s for name, s in stats.items() if name.startswith("agent.")]
+    assert sum(s.dead_lettered for s in agent_stats) == 2
+    assert check_exactly_once(rig.server) == []
 
 
 # -- shared subscriptions and forwarding (federation primitives) ----------

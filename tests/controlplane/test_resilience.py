@@ -1,4 +1,4 @@
-"""Unit tests for retry policies, budgets, breakers, and dead letters."""
+"""Unit tests for retry policies, breakers, and dead letters."""
 
 import random
 
@@ -10,7 +10,6 @@ from repro.controlplane.resilience import (
     BreakerState,
     CircuitBreaker,
     NO_RETRY,
-    RetryBudget,
     RetryPolicy,
     TaskDeadlineExceeded,
 )
@@ -57,31 +56,6 @@ class TestRetryPolicy:
 
     def test_no_retry_is_single_attempt(self):
         assert NO_RETRY.max_attempts == 1
-
-
-class TestRetryBudget:
-    def test_deposits_capped_and_withdrawals_whole(self):
-        budget = RetryBudget(ratio=0.5, initial=1.0, cap=2.0)
-        for _ in range(10):
-            budget.deposit()
-        assert budget.tokens == 2.0
-        assert budget.withdraw()
-        assert budget.withdraw()
-        assert not budget.withdraw()
-        assert budget.denied == 1
-
-    def test_dry_budget_refills_from_first_attempts(self):
-        budget = RetryBudget(ratio=0.5, initial=0.0, cap=10.0)
-        assert not budget.withdraw()
-        budget.deposit()
-        budget.deposit()
-        assert budget.withdraw()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="ratio"):
-            RetryBudget(ratio=-0.1)
-        with pytest.raises(ValueError, match="cap"):
-            RetryBudget(initial=10.0, cap=5.0)
 
 
 class TestCircuitBreaker:
@@ -271,24 +245,6 @@ class TestDeadLetters:
         error = self.run_one(sim, manager, body)
         assert isinstance(error, InjectedFault)
         assert manager.dead_letters == []
-
-    def test_dry_budget_denies_retry(self, sim, database):
-        manager = self.make_tm(
-            sim, database,
-            retry_policy=RetryPolicy(max_attempts=5, base_backoff_s=0.1),
-            retry_budget=RetryBudget(ratio=0.0, initial=1.0),
-        )
-
-        def body(task):
-            yield sim.timeout(0.1)
-            raise InjectedFault("down")
-
-        self.run_one(sim, manager, body)
-        (task,) = manager.tasks
-        # One retry funded by the initial token, then the budget runs dry.
-        assert task.attempts == 2
-        assert scoped(self.telemetry, "tasks.retry_budget_denied") == 1
-        assert len(manager.dead_letters) == 1
 
 
 class TestDeadlines:

@@ -50,7 +50,6 @@ def test_every_started_task_is_accounted_for(seed, resilient, bus):
     if resilient:
         config = ControlPlaneConfig(
             retry_policy=RetryPolicy(max_attempts=3, base_backoff_s=0.5),
-            retry_budget_ratio=0.5,
             task_deadline_s=150.0,
             breaker=BreakerPolicy(failure_threshold=3, cooldown_s=20.0),
         )

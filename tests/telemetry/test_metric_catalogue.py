@@ -2,8 +2,8 @@
 
 One ``cmd_metrics`` run (``--duration 300 --rate 1.2 --seed 0``: the
 standard fault schedule at the CLI's 1.5 scale, 5 s scrapes, the alert
-rules) must export exactly the ids in ``metric_catalogue.txt`` (160 ids
-over 114 metric names), and its roll-up and alert JSONL must hash to the
+rules) must export exactly the ids in ``metric_catalogue.txt`` (148 ids
+over 102 metric names), and its roll-up and alert JSONL must hash to the
 recorded digest. SLO rules, triage evidence and R-F-alerts key off these
 ids, so a change here is a change to every reader.
 """
@@ -16,7 +16,7 @@ from repro.faults.chaos import ALERT_RULES, deploy_rig, run_fault_point
 from repro.telemetry.export import alerts_jsonl, rollups_jsonl
 
 CATALOGUE = pathlib.Path(__file__).with_name("metric_catalogue.txt")
-EXPORT_SHA256 = "dd8be1aad155b32013d27febb5b40413c9e43a004235c5ba9105b00ec542689d"
+EXPORT_SHA256 = "b9a0f72103a9d71e6eeaecd6acd760e5c33e8dcf69892d9fb997b3120f04d6c9"
 
 
 def test_metrics_command_exports_the_recorded_catalogue():
